@@ -1,7 +1,7 @@
 // SIMD extension-engine ablation: the first *measured* (not modeled)
 // speedup in the repo. An asserting harness — CI runs `ablation_simd
-// --quick` — that puts the inter-sequence SimdCpuBackend against the scalar
-// CpuBackend on the same medium-read batch and requires:
+// --quick` — that puts a SIMD HostBackend lane against a scalar one on the
+// same medium-read batch and requires:
 //
 //   1. bit-identical results (scores, endpoints) and cell counts,
 //   2. when the AVX2 kernels are dispatched, a strict >= 2x wall-clock win
@@ -66,9 +66,8 @@ int main(int argc, char** argv) {
 
   // Both backends single-threaded on one lane: this measures the engines,
   // not the thread count (lane weights already scale with threads).
-  core::CpuBackend scalar(scoring, /*lanes=*/1, /*threads_total=*/1);
-  core::SimdCpuBackend simd(scoring, {core::SimdCpuBackend::LaneKind::kSimd},
-                            /*threads_total=*/1);
+  core::HostBackend scalar(scoring, {core::LaneKind::kScalar}, /*threads_total=*/1);
+  core::HostBackend simd(scoring, {core::LaneKind::kSimd}, /*threads_total=*/1);
   bool ok = true;
 
   // --- 1. Identity: results and cell accounting, bit for bit -------------
@@ -79,9 +78,9 @@ int main(int argc, char** argv) {
     identical += scalar_out.results[i] == simd_out.results[i];
   }
   ok &= check(identical == batch.size(),
-              "SIMD results (scores + endpoints) bit-identical to scalar CpuBackend");
+              "SIMD results (scores + endpoints) bit-identical to the scalar lane");
   ok &= check(simd_out.cells == scalar_out.cells,
-              "SIMD cell accounting identical to scalar CpuBackend");
+              "SIMD cell accounting identical to the scalar lane");
 
   // --- 2. Measured wall-clock ---------------------------------------------
   const bool avx2 = align::simd::compiled_with_avx2() && align::simd::cpu_supports_avx2();
@@ -97,8 +96,8 @@ int main(int argc, char** argv) {
 
   std::printf("SIMD extension ablation — %zu pairs of %zu bp, %.1f M cells, isa=%s\n",
               batch.size(), len, cells / 1e6, align::simd::isa_name());
-  std::printf("  scalar CpuBackend : %9.3f ms  (%6.3f GCUPS)\n", scalar_ms, gcups_scalar);
-  std::printf("  SimdCpuBackend    : %9.3f ms  (%6.3f GCUPS)\n", simd_ms, gcups_simd);
+  std::printf("  scalar lane       : %9.3f ms  (%6.3f GCUPS)\n", scalar_ms, gcups_scalar);
+  std::printf("  SIMD lane         : %9.3f ms  (%6.3f GCUPS)\n", simd_ms, gcups_simd);
   std::printf("  measured speedup  : %9.2fx  (8-bit %zu, 16-bit %zu, int32 %zu, "
               "calibrated lane weight %.2f)\n\n",
               speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit,

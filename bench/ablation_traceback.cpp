@@ -15,7 +15,7 @@
 //      O(rows·band) working set does not; on multi-core hosts the batch
 //      additionally parallelizes while the legacy path cannot.
 //   4. The simulated backend reports the score-vs-traceback phase split
-//      (AlignOutput::time_ms vs traceback_ms, KernelStats traceback_cells).
+//      (AlignOutput::time_ms vs traceback_ms, the Phase::kTraceback counters).
 // Any violation exits 1.
 #include <algorithm>
 #include <cstdio>
@@ -121,10 +121,11 @@ int main(int argc, char** argv) {
     if (backend == core::Backend::kSimulated) {
       // --- 4. Phase split on the simulated device -----------------------
       ok &= check(traced.traceback_ms > 0.0, "simulated traceback phase time reported");
+      const gpusim::Phase tb = gpusim::Phase::kTraceback;
       ok &= check(traced.kernel_stats &&
-                      traced.kernel_stats->totals.traceback_cells == traced.traceback_cells,
-                  "KernelStats traceback_cells matches the phase's cell count");
-      ok &= check(traced.time_breakdown && traced.time_breakdown->traceback_ms > 0.0,
+                      traced.kernel_stats->totals.phases[tb].work == traced.traceback_cells,
+                  "KernelStats traceback cells match the phase's cell count");
+      ok &= check(traced.time_breakdown && traced.time_breakdown->phase_ms[tb] > 0.0,
                   "TimeBreakdown carries the traceback component");
       std::printf(
           "Phase split (saloba kernel, %zu pairs of 512 bp): score %.3f ms, traceback "

@@ -59,11 +59,11 @@ AlignmentResult wavefront_forward(std::span<const seq::BaseCode> ref,
   const Score alpha = scoring.alpha();
   const Score beta = scoring.beta();
 
-  // Diagonal buffers indexed by reference position i, exactly the
-  // antidiag_cpu layout: for cell (i, j) on diagonal d, left (i, j-1) and up
-  // (i-1, j) live on d-1 at indices i and i-1, diag (i-1, j-1) on d-2 at
-  // i-1. Values are meaningful only inside each diagonal's computed window;
-  // reads outside it fall back to H = 0, E/F = -inf (never-computed cells).
+  // Diagonal buffers indexed by reference position i: for cell (i, j) on
+  // diagonal d, left (i, j-1) and up (i-1, j) live on d-1 at indices i and
+  // i-1, diag (i-1, j-1) on d-2 at i-1. Values are meaningful only inside
+  // each diagonal's computed window; reads outside it fall back to H = 0,
+  // E/F = -inf (never-computed cells).
   std::vector<Score> h_d2(static_cast<std::size_t>(n), 0), h_d1 = h_d2, h_cur = h_d2;
   std::vector<Score> e_d1(static_cast<std::size_t>(n), kNegInf), e_cur = e_d1;
   std::vector<Score> f_d1 = e_d1, f_cur = e_d1;

@@ -1,8 +1,8 @@
 // Ultra-long-read X-drop wavefront engine (LOGAN-style regime).
 //
 // Executes the affine-gap local-alignment DP along anti-diagonals d = i + j
-// (the paper's Fig. 3 intra-query parallelism, promoted from the demo-grade
-// antidiag_cpu sweep into a production path) with an X-drop live window per
+// (the paper's Fig. 3 intra-query parallelism: every cell of diagonal d
+// depends only on diagonals d-1 and d-2) with an X-drop live window per
 // diagonal, and recovers the CIGAR with Myers–Miller divide-and-conquer in
 // O(N + M) memory — 100kb+ pairs never materialize an O(N·M) matrix and
 // never blow the checkpointed-traceback budget.
@@ -17,8 +17,8 @@
 // H >= B - X, and window_{d+1} = [lo_live, hi_live + 1] (the left/up
 // successors of the live set). An empty live set terminates the sweep
 // (`xdropped`). `xdrop <= 0` disables pruning: the windows then provably
-// cover the whole valid range and the sweep is exact Smith-Waterman —
-// smith_waterman_antidiag is now a thin wrapper over this path.
+// cover the whole valid range and the sweep is exact Smith-Waterman, which
+// the conformance suites check against the row-major and banded oracles.
 //
 // Cells that were never computed (outside every window) read H = 0 (the
 // local floor) and E/F = -inf, exactly like out-of-band cells in

@@ -65,21 +65,6 @@ struct DeliveredSegment {
   std::vector<align::TracedAlignment> traced;
 };
 
-/// A tenant's cell-share slice of a merged batch's modeled breakdown.
-/// sm_imbalance is a ratio diagnostic, not a time, so it is not scaled.
-gpusim::TimeBreakdown scaled_breakdown(const gpusim::TimeBreakdown& b, double f) {
-  gpusim::TimeBreakdown s = b;
-  s.compute_ms *= f;
-  s.dram_ms *= f;
-  s.launch_ms *= f;
-  s.init_ms *= f;
-  s.traceback_ms *= f;
-  s.chaining_ms *= f;
-  s.total_ms *= f;
-  s.dram_bytes *= f;
-  return s;
-}
-
 struct Session {
   SessionId id = 0;
   SessionOptions opts;
@@ -306,7 +291,7 @@ struct AlignService::Impl {
       s.batches += 1;
       if (out.time_breakdown) {
         if (!s.breakdown) s.breakdown.emplace();
-        accumulate_breakdown(*s.breakdown, scaled_breakdown(*out.time_breakdown, share));
+        s.breakdown->merge(out.time_breakdown->scaled(share));
       }
       delivered_pairs += seg.count;
       s.emitter->push(seg.seq, std::move(d));

@@ -69,8 +69,7 @@ std::uint64_t xdrop_traffic_bytes(std::uint64_t cells, std::size_t bases) {
 /// `results[k]` belongs to batch pair `routed[k]`.
 struct LongReadPhase {
   std::vector<align::AlignmentResult> results;
-  std::uint64_t cells = 0;
-  std::uint64_t bytes = 0;
+  gpusim::PhaseCost cost;  ///< wavefront cells and modeled traffic
   double wall_ms = 0.0;
 };
 
@@ -92,31 +91,32 @@ LongReadPhase score_longread(const seq::PairBatch& batch,
       threads);
   for (std::size_t k = 0; k < routed.size(); ++k) {
     const std::size_t i = routed[k];
-    out.cells += stats[k].cells;
-    out.bytes += xdrop_traffic_bytes(stats[k].cells,
-                                     batch.refs[i].size() + batch.queries[i].size());
+    out.cost.work += stats[k].cells;
+    out.cost.bytes += xdrop_traffic_bytes(stats[k].cells,
+                                          batch.refs[i].size() + batch.queries[i].size());
   }
   out.wall_ms = timer.millis();
   return out;
 }
 
-/// Routed-path run() body shared by all backends: score the non-routed
-/// remainder through `run_rest` (skipped when empty, its kernel stats and
-/// breakdown carried through), the routed pairs through the wavefront
-/// phase, and merge both into input order. The caller owns how the
-/// long-read phase is *costed* — hosts add its wall-clock, the simulated
-/// backend replaces it with a modeled estimate — so only results, cells and
-/// the phase measurements are merged here.
-template <typename RunRest>
+/// run() body shared by all backends: pairs an enabled `policy` routes go
+/// through the wavefront phase, the rest through `run_engine` (skipped when
+/// empty; its kernel stats and breakdown carried through), merged back into
+/// input order. With nothing routed the whole batch goes to `run_engine`
+/// uncopied and the phase is empty. The caller owns how the long-read phase
+/// is *costed* — hosts add its wall-clock, the simulated backend charges a
+/// modeled estimate — so only results and cells are merged here.
+template <typename RunEngine>
 std::pair<BackendOutput, LongReadPhase> run_with_longread(
-    const seq::PairBatch& batch, std::span<const std::size_t> routed,
-    const align::ScoringScheme& scoring, align::Score xdrop, int threads,
-    RunRest&& run_rest) {
+    const seq::PairBatch& batch, const LongReadPolicy& policy,
+    const align::ScoringScheme& scoring, int threads, RunEngine&& run_engine) {
+  const std::vector<std::size_t> routed = longread_routed(batch, policy);
+  if (routed.empty()) return {run_engine(batch), LongReadPhase{}};
   const RestSplit rest = split_rest(batch, routed);
   BackendOutput out;
   out.results.resize(batch.size());
   if (!rest.indices.empty()) {
-    BackendOutput rest_out = run_rest(rest.batch);
+    BackendOutput rest_out = run_engine(rest.batch);
     for (std::size_t k = 0; k < rest.indices.size(); ++k) {
       out.results[rest.indices[k]] = rest_out.results[k];
     }
@@ -125,15 +125,15 @@ std::pair<BackendOutput, LongReadPhase> run_with_longread(
     out.kernel_stats = std::move(rest_out.kernel_stats);
     out.time_breakdown = rest_out.time_breakdown;
   }
-  LongReadPhase lr = score_longread(batch, routed, scoring, xdrop, threads);
+  LongReadPhase lr = score_longread(batch, routed, scoring, policy.xdrop, threads);
   for (std::size_t k = 0; k < routed.size(); ++k) {
     out.results[routed[k]] = lr.results[k];
   }
-  out.cells += lr.cells;
+  out.cells += lr.cost.work;
   return {std::move(out), std::move(lr)};
 }
 
-/// Shared traceback-phase body of both backends: the linear-memory engine
+/// Shared traceback-phase body of every backend: the linear-memory engine
 /// over every pair with a non-zero score-pass result, host-parallel, output
 /// order matching input order. `zdrop` mirrors the backend's score pass so
 /// endpoints stay bit-identical. Pairs an enabled `longread` policy routes
@@ -142,12 +142,12 @@ std::pair<BackendOutput, LongReadPhase> run_with_longread(
 /// and traffic are attributed separately.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
-  std::size_t cells = 0;
-  std::size_t bytes = 0;
+  gpusim::PhaseCost traceback;  ///< the banded linear-memory engine's share
   /// Routed long-read pairs' share, attributed apart from the banded
   /// engine so the simulated backend can model the two phases separately.
-  std::uint64_t xdrop_cells = 0;
-  std::uint64_t xdrop_bytes = 0;
+  gpusim::PhaseCost xdrop;
+
+  std::size_t cells() const { return traceback.work + xdrop.work; }
 };
 
 EnginePhase trace_batch(const seq::PairBatch& batch,
@@ -191,13 +191,7 @@ EnginePhase trace_batch(const seq::PairBatch& batch,
       },
       threads);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (is_xdrop[i]) {
-      out.xdrop_cells += cells[i];
-      out.xdrop_bytes += bytes[i];
-    } else {
-      out.cells += cells[i];
-      out.bytes += bytes[i];
-    }
+    (is_xdrop[i] ? out.xdrop : out.traceback) += gpusim::PhaseCost{cells[i], bytes[i]};
   }
   return out;
 }
@@ -226,6 +220,21 @@ std::uint64_t chaining_traffic_bytes(std::size_t anchors, std::size_t updates) {
          static_cast<std::uint64_t>(updates) * 8;
 }
 
+/// Charges one phase's modeled cost on `dev` to a simulated backend's
+/// output: the counters land in the phase's WarpCounters slot, the estimate
+/// in its TimeBreakdown slot and total_ms, and time_ms becomes the updated
+/// modeled total.
+template <typename Output>
+void charge_phase(Output& out, const gpusim::Device& dev, gpusim::Phase phase,
+                  const gpusim::PhaseCost& cost) {
+  if (!out.kernel_stats) out.kernel_stats.emplace();
+  out.kernel_stats->totals.phases[phase] += cost;
+  if (!out.time_breakdown) out.time_breakdown.emplace();
+  out.time_breakdown->merge(
+      gpusim::estimate_phase_time(phase, dev.spec(), dev.cost_params(), cost));
+  out.time_ms = out.time_breakdown->total_ms;
+}
+
 }  // namespace
 
 std::vector<double> lane_weights(const AlignBackend& backend) {
@@ -236,140 +245,70 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
   return weights;
 }
 
-CpuBackend::CpuBackend(align::ScoringScheme scoring, int lanes, int threads_total,
-                       align::Score zdrop, LongReadPolicy longread)
-    : scoring_(scoring), lanes_(lanes), zdrop_(zdrop), longread_(longread) {
-  SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(lanes_ >= 1, "CPU backend needs at least one lane");
-  if (lanes_ > 1) {
-    // Divide the host budget so concurrent lanes share, not fight over,
-    // the cores. A single lane keeps the library-default team.
-    int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
-    threads_per_lane_ = std::max(1, total / lanes_);
-  } else if (threads_total > 0) {
-    threads_per_lane_ = threads_total;
-  }
-}
-
-double CpuBackend::lane_weight(int lane) const {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  return threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
-}
-
-BackendOutput CpuBackend::run(const seq::PairBatch& batch, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) {
-    align::BatchTiming timing;
-    BackendOutput out;
-    out.results = align::align_batch(batch, scoring_, &timing, threads_per_lane_, zdrop_);
-    out.time_ms = timing.wall_ms;
-    out.cells = timing.cells;
-    return out;
-  }
-  auto [out, lr] = run_with_longread(
-      batch, routed, scoring_, longread_.xdrop, threads_per_lane_,
-      [&](const seq::PairBatch& rest) {
-        align::BatchTiming timing;
-        BackendOutput rest_out;
-        rest_out.results =
-            align::align_batch(rest, scoring_, &timing, threads_per_lane_, zdrop_);
-        rest_out.time_ms = timing.wall_ms;
-        rest_out.cells = timing.cells;
-        return rest_out;
-      });
-  out.time_ms += lr.wall_ms;
-  return std::move(out);
-}
-
-TracebackOutput CpuBackend::run_traceback(const seq::PairBatch& batch,
-                                          std::span<const align::AlignmentResult> results,
-                                          const TracebackSettings& settings, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  util::Timer timer;
-  EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_);
-  TracebackOutput out;
-  out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
-  out.time_ms = timer.millis();
-  return out;
-}
-
-ChainingOutput CpuBackend::run_chaining(const seedext::ChainBatch& batch,
-                                        std::span<const std::size_t> tasks, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  return chain_shard(batch, tasks, threads_per_lane_);
-}
-
-SimdCpuBackend::SimdCpuBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                               int threads_total, align::Score zdrop,
-                               LongReadPolicy longread)
+HostBackend::HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
+                         int threads_total, align::Score zdrop, LongReadPolicy longread)
     : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop), longread_(longread) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(!kinds_.empty(), "SIMD backend needs at least one lane");
+  SALOBA_CHECK_MSG(!kinds_.empty(), "host backend needs at least one lane");
   if (kinds_.size() > 1) {
+    // Divide the host budget so concurrent lanes share, not fight over,
+    // the cores. A single lane keeps the library-default team.
     int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
     threads_per_lane_ = std::max(1, total / static_cast<int>(kinds_.size()));
   } else if (threads_total > 0) {
     threads_per_lane_ = threads_total;
   }
-  const bool mixed =
-      std::any_of(kinds_.begin(), kinds_.end(),
-                  [](LaneKind k) { return k == LaneKind::kScalar; });
-  name_ = mixed ? "simd+cpu" : "simd";
+  const auto has = [&](LaneKind kind) { return std::ranges::find(kinds_, kind) != kinds_.end(); };
+  name_ = !has(LaneKind::kSimd) ? "cpu" : has(LaneKind::kScalar) ? "simd+cpu" : "simd";
 }
 
-double SimdCpuBackend::lane_weight(int lane) const {
+double HostBackend::lane_weight(int lane) const {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   const double threads = threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
   return lane_kind(lane) == LaneKind::kSimd ? threads * simd_lane_speedup() : threads;
 }
 
-BackendOutput SimdCpuBackend::run(const seq::PairBatch& batch, int lane) {
+BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  auto run_engine = [&](const seq::PairBatch& b) {
-    BackendOutput out;
-    if (lane_kind(lane) == LaneKind::kScalar) {
-      align::BatchTiming timing;
-      out.results = align::align_batch(b, scoring_, &timing, threads_per_lane_, zdrop_);
-      out.time_ms = timing.wall_ms;
-      out.cells = timing.cells;
-      return out;
-    }
-    align::simd::EngineStats stats;
-    out.results = align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
-    out.time_ms = stats.wall_ms;
-    out.cells = stats.cells;
-    return out;
-  };
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) return run_engine(batch);
-  auto [out, lr] = run_with_longread(batch, routed, scoring_, longread_.xdrop,
-                                     threads_per_lane_, run_engine);
+  auto [out, lr] = run_with_longread(
+      batch, longread_, scoring_, threads_per_lane_, [&](const seq::PairBatch& b) {
+        BackendOutput engine_out;
+        if (lane_kind(lane) == LaneKind::kScalar) {
+          align::BatchTiming timing;
+          engine_out.results =
+              align::align_batch(b, scoring_, &timing, threads_per_lane_, zdrop_);
+          engine_out.time_ms = timing.wall_ms;
+          engine_out.cells = timing.cells;
+        } else {
+          align::simd::EngineStats stats;
+          engine_out.results =
+              align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
+          engine_out.time_ms = stats.wall_ms;
+          engine_out.cells = stats.cells;
+        }
+        return engine_out;
+      });
   out.time_ms += lr.wall_ms;
   return std::move(out);
 }
 
-TracebackOutput SimdCpuBackend::run_traceback(const seq::PairBatch& batch,
-                                              std::span<const align::AlignmentResult> results,
-                                              const TracebackSettings& settings, int lane) {
+TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
+                                           std::span<const align::AlignmentResult> results,
+                                           const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
   EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
                                   threads_per_lane_, longread_);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
+  out.cells = phase.cells();
   out.time_ms = timer.millis();
   return out;
 }
 
-ChainingOutput SimdCpuBackend::run_chaining(const seedext::ChainBatch& batch,
-                                            std::span<const std::size_t> tasks, int lane) {
+ChainingOutput HostBackend::run_chaining(const seedext::ChainBatch& batch,
+                                         std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  // Both lane kinds run the same engine: chaining's scalar/vector split is a
-  // per-task ISA dispatch inside chain_tasks_run, not a lane property.
   return chain_shard(batch, tasks, threads_per_lane_);
 }
 
@@ -377,7 +316,7 @@ double simd_lane_speedup() {
   // Deterministic probe: one cohort-friendly batch of related pairs, both
   // engines timed single-threaded (lane weights already scale by thread
   // count), min of two reps each after a shared warm-up. Static-local: runs
-  // once per process, at the first SimdCpuBackend weight query.
+  // once per process, at the first SIMD lane weight query.
   static const double ratio = [] {
     util::Xoshiro256 rng(0x5a10ba);
     seq::PairBatch probe;
@@ -457,45 +396,24 @@ double SimulatedGpuBackend::lane_weight(int lane) const {
 
 BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) {
-    kernels::KernelResult kr =
-        kernel_->run(*devices_[static_cast<std::size_t>(lane)], batch, scoring_);
-    BackendOutput out;
-    out.results = std::move(kr.results);
-    out.time_ms = kr.time.total_ms;
-    out.cells = kr.stats.totals.dp_cells;
-    out.kernel_stats = kr.stats;
-    out.time_breakdown = kr.time;
-    return out;
-  }
-  // Functional wavefront pass on the host for the routed pairs (the sweep is
-  // backend-independent), the kernel for the remainder...
+  gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
+  // The kernel on this lane's device for the classic pairs; the functional
+  // wavefront pass on the host for routed ones (the sweep is
+  // backend-independent)...
   auto [out, lr] = run_with_longread(
-      batch, routed, scoring_, longread_.xdrop, /*threads=*/0,
-      [&](const seq::PairBatch& rest) {
-        kernels::KernelResult kr =
-            kernel_->run(*devices_[static_cast<std::size_t>(lane)], rest, scoring_);
-        BackendOutput rest_out;
-        rest_out.results = std::move(kr.results);
-        rest_out.time_ms = kr.time.total_ms;
-        rest_out.cells = kr.stats.totals.dp_cells;
-        rest_out.kernel_stats = kr.stats;
-        rest_out.time_breakdown = kr.time;
-        return rest_out;
+      batch, longread_, scoring_, /*threads=*/0, [&](const seq::PairBatch& b) {
+        kernels::KernelResult kr = kernel_->run(dev, b, scoring_);
+        BackendOutput engine_out;
+        engine_out.results = std::move(kr.results);
+        engine_out.time_ms = kr.time.total_ms;
+        engine_out.cells = kr.stats.totals.dp_cells;
+        engine_out.kernel_stats = kr.stats;
+        engine_out.time_breakdown = kr.time;
+        return engine_out;
       });
   // ...then the routed phase's modeled cost on this lane's device replaces
-  // its host wall-clock.
-  const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  const gpusim::TimeBreakdown modeled =
-      gpusim::estimate_xdrop_time(dev.spec(), dev.cost_params(), lr.cells, lr.bytes);
-  if (!out.kernel_stats) out.kernel_stats = gpusim::KernelStats{};
-  out.kernel_stats->totals.xdrop_cells += lr.cells;
-  out.kernel_stats->totals.xdrop_bytes += lr.bytes;
-  if (!out.time_breakdown) out.time_breakdown = gpusim::TimeBreakdown{};
-  out.time_breakdown->xdrop_ms += modeled.xdrop_ms;
-  out.time_breakdown->total_ms += modeled.total_ms;
-  out.time_ms = out.time_breakdown->total_ms;
+  // its host wall-clock (a no-op when nothing was routed).
+  charge_phase(out, dev, gpusim::Phase::kXdrop, lr.cost);
   return std::move(out);
 }
 
@@ -510,24 +428,12 @@ TracebackOutput SimulatedGpuBackend::run_traceback(
                                   /*threads=*/0, longread_);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
+  out.cells = phase.cells();
   // ...then each engine's modeled cost on this lane's device, attributed
-  // apart (traceback_ms vs xdrop_ms).
+  // apart (Phase::kTraceback vs Phase::kXdrop).
   const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  gpusim::TimeBreakdown time = gpusim::estimate_traceback_time(
-      dev.spec(), dev.cost_params(), phase.cells, phase.bytes);
-  const gpusim::TimeBreakdown xdrop_time = gpusim::estimate_xdrop_time(
-      dev.spec(), dev.cost_params(), phase.xdrop_cells, phase.xdrop_bytes);
-  time.xdrop_ms = xdrop_time.xdrop_ms;
-  time.total_ms += xdrop_time.total_ms;
-  out.time_breakdown = time;
-  out.time_ms = out.time_breakdown->total_ms;
-  gpusim::KernelStats stats;
-  stats.totals.traceback_cells = phase.cells;
-  stats.totals.traceback_bytes = phase.bytes;
-  stats.totals.xdrop_cells = phase.xdrop_cells;
-  stats.totals.xdrop_bytes = phase.xdrop_bytes;
-  out.kernel_stats = stats;
+  charge_phase(out, dev, gpusim::Phase::kTraceback, phase.traceback);
+  charge_phase(out, dev, gpusim::Phase::kXdrop, phase.xdrop);
   return out;
 }
 
@@ -541,59 +447,36 @@ ChainingOutput SimulatedGpuBackend::run_chaining(const seedext::ChainBatch& batc
   // ...with the phase's modeled cost on this lane's device replacing the
   // host wall-clock.
   const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  const std::uint64_t bytes = chaining_traffic_bytes(out.anchors, out.updates);
-  out.time_breakdown = gpusim::estimate_chaining_time(dev.spec(), dev.cost_params(),
-                                                      out.updates, bytes);
-  out.time_ms = out.time_breakdown->total_ms;
-  gpusim::KernelStats stats;
-  stats.totals.chaining_updates = out.updates;
-  stats.totals.chaining_bytes = bytes;
-  out.kernel_stats = stats;
+  charge_phase(out, dev, gpusim::Phase::kChaining,
+               {out.updates, chaining_traffic_bytes(out.anchors, out.updates)});
   return out;
 }
 
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
-  if (options.backend == Backend::kCpu) {
-    const std::vector<std::string> presets = device_preset_list(options.device);
-    const bool any_host = std::any_of(presets.begin(), presets.end(), is_host_preset);
-    if (!any_host) {
-      // Legacy shape: Backend::kCpu with a GPU preset name (the "rtx3090"
-      // default) — the device string only matters to the simulated backend.
-      return std::make_unique<CpuBackend>(options.scoring, options.cpu_lanes,
-                                          options.cpu_threads, options.zdrop,
-                                          options.longread_policy());
-    }
-    if (!std::all_of(presets.begin(), presets.end(), is_host_preset)) {
-      throw std::invalid_argument(
-          "device list \"" + options.device +
-          "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
-          "simulated devices cannot share one backend");
-    }
-    const bool any_simd = std::any_of(presets.begin(), presets.end(),
-                                      [](const std::string& p) { return p == "simd"; });
-    if (!any_simd) {
-      // All-"cpu" list: the scalar host backend, one lane per entry (a
-      // single "cpu" keeps the cpu_lanes knob in charge, like before).
-      const int lanes = presets.size() > 1 ? static_cast<int>(presets.size())
-                                           : std::max(1, options.cpu_lanes);
-      return std::make_unique<CpuBackend>(options.scoring, lanes, options.cpu_threads,
-                                          options.zdrop, options.longread_policy());
-    }
-    std::vector<SimdCpuBackend::LaneKind> kinds;
-    if (presets.size() == 1) {
-      kinds.assign(static_cast<std::size_t>(std::max(1, options.cpu_lanes)),
-                   SimdCpuBackend::LaneKind::kSimd);
-    } else {
-      for (const std::string& p : presets) {
-        kinds.push_back(p == "simd" ? SimdCpuBackend::LaneKind::kSimd
-                                    : SimdCpuBackend::LaneKind::kScalar);
-      }
-    }
-    return std::make_unique<SimdCpuBackend>(options.scoring, std::move(kinds),
-                                            options.cpu_threads, options.zdrop,
-                                            options.longread_policy());
+  if (options.backend != Backend::kCpu) return std::make_unique<SimulatedGpuBackend>(options);
+  const std::vector<std::string> presets = device_preset_list(options.device);
+  const bool any_host = std::any_of(presets.begin(), presets.end(), is_host_preset);
+  if (any_host && !std::all_of(presets.begin(), presets.end(), is_host_preset)) {
+    throw std::invalid_argument(
+        "device list \"" + options.device +
+        "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
+        "simulated devices cannot share one backend");
   }
-  return std::make_unique<SimulatedGpuBackend>(options);
+  // GPU presets under Backend::kCpu (the legacy shape, e.g. the "rtx3090"
+  // default — the device string only matters to the simulated backend) and
+  // a single host engine keep the cpu_lanes knob in charge; a host-engine
+  // list builds one lane per entry.
+  std::vector<LaneKind> kinds;
+  if (!any_host || presets.size() == 1) {
+    const LaneKind kind = presets.front() == "simd" ? LaneKind::kSimd : LaneKind::kScalar;
+    kinds.assign(static_cast<std::size_t>(std::max(1, options.cpu_lanes)), kind);
+  } else {
+    for (const std::string& p : presets) {
+      kinds.push_back(p == "simd" ? LaneKind::kSimd : LaneKind::kScalar);
+    }
+  }
+  return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
+                                       options.zdrop, options.longread_policy());
 }
 
 }  // namespace saloba::core

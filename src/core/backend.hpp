@@ -48,8 +48,8 @@ struct TracebackOutput {
   /// Engine cells spent on the phase (forward sweep + backward replay).
   std::size_t cells = 0;
   /// Simulated backend only: the phase's counters and modeled time
-  /// (WarpCounters::traceback_cells/traceback_bytes,
-  /// TimeBreakdown::traceback_ms).
+  /// (the gpusim::Phase::kTraceback slots; routed long-read pairs land in
+  /// the kXdrop slots).
   std::optional<gpusim::KernelStats> kernel_stats;
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
@@ -69,9 +69,8 @@ struct ChainingOutput {
   std::size_t updates = 0;
   std::size_t anchors = 0;  ///< anchors across this run's tasks
   seedext::ChainEngineStats engine_stats;
-  /// Simulated backend only: modeled counters and time
-  /// (WarpCounters::chaining_updates/chaining_bytes,
-  /// TimeBreakdown::chaining_ms).
+  /// Simulated backend only: modeled counters and time (the
+  /// gpusim::Phase::kChaining slots).
   std::optional<gpusim::KernelStats> kernel_stats;
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
@@ -126,83 +125,52 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// The host OpenMP batch aligner (align::align_batch). One lane by default;
-/// `lanes > 1` splits the host into independent lanes the scheduler may run
-/// concurrently, each budgeted `threads_total / lanes` OpenMP threads
-/// (threads_total 0 = hardware concurrency) so overlapping shard runs never
-/// oversubscribe the machine and wall-clock timing stays honest.
-class CpuBackend final : public AlignBackend {
- public:
-  /// `zdrop > 0` applies z-drop row pruning to every pair (see
-  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
-  /// (the scheduler materializes AlignerOptions band knobs into it).
-  /// An enabled `longread` policy routes qualifying pairs to the X-drop
-  /// wavefront engine in both run() and run_traceback() — routed pairs
-  /// ignore band and zdrop (see core::LongReadPolicy).
-  explicit CpuBackend(align::ScoringScheme scoring, int lanes = 1, int threads_total = 0,
-                      align::Score zdrop = 0, LongReadPolicy longread = {});
-
-  const std::string& name() const override { return name_; }
-  int lanes() const override { return lanes_; }
-  /// OpenMP thread cap per lane run; 0 = the default team (single lane).
-  int threads_per_lane() const { return threads_per_lane_; }
-  /// CPU lanes split one thread budget evenly, so every lane weighs its
-  /// per-lane thread count — uniform, keeping the unweighted scheduler path.
-  double lane_weight(int lane) const override;
-  BackendOutput run(const seq::PairBatch& batch, int lane) override;
-  /// Engine params mirror the score pass (per-pair band + this backend's
-  /// zdrop), so traced endpoints are bit-identical to run()'s results.
-  TracebackOutput run_traceback(const seq::PairBatch& batch,
-                                std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
-  ChainingOutput run_chaining(const seedext::ChainBatch& batch,
-                              std::span<const std::size_t> tasks, int lane) override;
-
- private:
-  align::ScoringScheme scoring_;
-  int lanes_ = 1;
-  int threads_per_lane_ = 0;
-  align::Score zdrop_ = 0;
-  LongReadPolicy longread_;
-  std::string name_ = "cpu";
+/// What engine a host lane runs.
+enum class LaneKind {
+  kScalar,  ///< the scalar OpenMP batch aligner (align::align_batch)
+  kSimd,    ///< the inter-sequence SIMD cohort engine (align::simd::align_batch)
 };
 
-/// The inter-sequence SIMD batch aligner (align::simd::align_batch) as a
-/// first-class backend: 8/16-bit saturating vector lanes with an int32
-/// rescue ladder, bit-identical to CpuBackend's results (scores, endpoints,
-/// cell counts) but measured, not modeled, throughput. Selected via
-/// AlignerOptions.device = "simd" (Backend::kCpu); a mixed host list like
-/// "simd,cpu" builds one lane per entry, so the scheduler can split work
-/// cost-aware across a vector lane and a scalar lane.
-class SimdCpuBackend final : public AlignBackend {
+/// The host backend: one lane per entry of a LaneKind list. SIMD lanes run
+/// 8/16-bit saturating vector cohorts with an int32 rescue ladder,
+/// bit-identical to the scalar lanes (scores, endpoints, cell counts), so
+/// mixing kinds changes throughput, never answers. Lanes split one thread
+/// budget so overlapping shard runs never oversubscribe the machine and
+/// wall-clock timing stays honest. Named "cpu" (all scalar), "simd" (all
+/// SIMD) or "simd+cpu" (mixed).
+class HostBackend final : public AlignBackend {
  public:
-  /// What engine a lane runs: the SIMD cohort engine or the scalar batch
-  /// aligner (for mixed "simd,cpu" backends).
-  enum class LaneKind { kSimd, kScalar };
-
-  /// One lane per entry of `kinds`; lanes split `threads_total` evenly like
-  /// CpuBackend. `zdrop > 0` applies z-drop pruning on every lane (both
-  /// engines implement the identical rule). An enabled `longread` policy
-  /// routes qualifying pairs to the X-drop wavefront engine on every lane
-  /// kind (scalar DP per routed pair — long pairs don't cohort anyway).
-  SimdCpuBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                 int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
+  /// One lane per entry of `kinds`. Several lanes are each budgeted
+  /// `threads_total / lanes` OpenMP threads (threads_total 0 = hardware
+  /// concurrency, at least one per lane); a single lane keeps the library's
+  /// default team unless `threads_total > 0`. `zdrop > 0` applies z-drop row
+  /// pruning to every pair (both engines implement the identical rule, see
+  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
+  /// (the scheduler materializes AlignerOptions band knobs into it). An
+  /// enabled `longread` policy routes qualifying pairs to the X-drop
+  /// wavefront engine in both run() and run_traceback() on every lane kind —
+  /// routed pairs ignore band and zdrop (see core::LongReadPolicy).
+  HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
+              int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
 
   const std::string& name() const override { return name_; }
   int lanes() const override { return static_cast<int>(kinds_.size()); }
+  /// OpenMP thread cap per lane run; 0 = the default team (single lane).
   int threads_per_lane() const { return threads_per_lane_; }
   LaneKind lane_kind(int lane) const { return kinds_[static_cast<std::size_t>(lane)]; }
-  /// Thread budget x a *calibrated* engine throughput ratio: SIMD lanes
-  /// weigh simd_lane_speedup() times a scalar lane, so PR 3's weighted LPT
-  /// places shards by measured speed, not lane count.
+  /// The lane's thread budget, times simd_lane_speedup() for a SIMD lane, so
+  /// weighted LPT places shards by measured engine speed. All-scalar lanes
+  /// are uniform and keep the unweighted scheduler path.
   double lane_weight(int lane) const override;
   BackendOutput run(const seq::PairBatch& batch, int lane) override;
-  /// Same engine and settings as CpuBackend's traceback phase: the SIMD
-  /// score pass is bit-identical to the scalar one, so the shared
-  /// linear-memory engine reproduces its endpoints exactly.
+  /// Engine params mirror the score pass (per-pair band + this backend's
+  /// zdrop), so traced endpoints are bit-identical to run()'s results on
+  /// either lane kind.
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
+  /// Both lane kinds run the same engine: chaining's scalar/vector split is
+  /// a per-task ISA dispatch inside seedext::chain_tasks_run.
   ChainingOutput run_chaining(const seedext::ChainBatch& batch,
                               std::span<const std::size_t> tasks, int lane) override;
 
@@ -218,7 +186,7 @@ class SimdCpuBackend final : public AlignBackend {
 /// Measured single-thread throughput of align::simd::align_batch relative to
 /// the scalar align::align_batch: a deterministic micro-probe run once per
 /// process (cached), clamped to [1, 64] so a degenerate measurement can
-/// never starve a lane. This is SimdCpuBackend's lane-weight calibration.
+/// never starve a lane. This is HostBackend's SIMD lane-weight calibration.
 double simd_lane_speedup();
 
 /// A reproduced GPU kernel on N simulated devices. Each lane owns a
@@ -242,16 +210,14 @@ class SimulatedGpuBackend final : public AlignBackend {
   BackendOutput run(const seq::PairBatch& batch, int lane) override;
   /// Functionally runs the engine on the host (kernels apply no zdrop, so
   /// endpoints match the kernels bit-for-bit), then models the phase's time
-  /// and memory traffic on the lane's device
-  /// (gpusim::estimate_traceback_time; counters land in
-  /// WarpCounters::traceback_cells/traceback_bytes).
+  /// and memory traffic on the lane's device (gpusim::estimate_phase_time,
+  /// Phase::kTraceback; routed long-read pairs are charged to kXdrop).
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
   /// Functionally runs the forward-only engine on the host (bit-identical to
   /// every other backend), then models the phase's time and traffic on the
-  /// lane's device (gpusim::estimate_chaining_time; counters land in
-  /// WarpCounters::chaining_updates/chaining_bytes).
+  /// lane's device (gpusim::estimate_phase_time, Phase::kChaining).
   ChainingOutput run_chaining(const seedext::ChainBatch& batch,
                               std::span<const std::size_t> tasks, int lane) override;
 
@@ -266,7 +232,9 @@ class SimulatedGpuBackend final : public AlignBackend {
   std::string name_;
 };
 
-/// Builds the backend `options` asks for.
+/// Builds the backend `options` asks for: a SimulatedGpuBackend, or under
+/// Backend::kCpu a HostBackend whose lane kinds come from options.device
+/// (see AlignerOptions::device).
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
 
 }  // namespace saloba::core

@@ -21,7 +21,7 @@ enum class Backend {
 /// seedext::make_extension_jobs) always wins; this policy only applies to
 /// batches that carry no band information of their own. Z-drop is not part
 /// of the policy: it is a backend-construction knob (AlignerOptions::zdrop
-/// → CpuBackend), not something the scheduler applies per batch.
+/// → HostBackend), not something the scheduler applies per batch.
 struct BandPolicy {
   /// Fixed band floor: only cells with |i - j| <= band are computed
   /// (0 = full table unless band_frac sets one).
@@ -82,13 +82,14 @@ struct AlignerOptions {
   /// preset; the scheduler then partitions work by each lane's relative
   /// throughput (cost-aware weighted LPT).
   ///
-  /// With Backend::kCpu the list may instead name *host engines*: "simd"
-  /// (the inter-sequence SIMD batch engine, core::SimdCpuBackend) and "cpu"
-  /// (the scalar OpenMP aligner). "simd,cpu" builds a mixed host backend —
-  /// one lane per entry, SIMD lanes weighted by their measured speedup.
-  /// Host engines and GPU presets cannot be mixed in one list; a lone GPU
-  /// preset under Backend::kCpu keeps the legacy meaning (plain CpuBackend,
-  /// device string ignored).
+  /// With Backend::kCpu the list may instead name *host engines* for
+  /// core::HostBackend lanes: "simd" (the inter-sequence SIMD batch engine)
+  /// and "cpu" (the scalar OpenMP aligner). A single entry builds cpu_lanes
+  /// lanes of that engine; a list such as "simd,cpu" builds one lane per
+  /// entry, SIMD lanes weighted by their measured speedup. Host engines and
+  /// GPU presets cannot be mixed in one list; GPU presets under
+  /// Backend::kCpu keep the legacy meaning (cpu_lanes scalar lanes, device
+  /// string ignored).
   std::string device = "rtx3090";
   align::ScoringScheme scoring;
   /// Paper-scale batch size used for footprint checks (0 = actual batch).
@@ -105,7 +106,7 @@ struct AlignerOptions {
   /// disables). A pruning heuristic like BWA-MEM's: it can change results,
   /// so the simulated kernels — verified bit-exact against
   /// smith_waterman_banded — do not apply it. Takes effect at backend
-  /// construction (make_backend → CpuBackend), not through the scheduler.
+  /// construction (make_backend → HostBackend), not through the scheduler.
   align::Score zdrop = 0;
   /// The band knobs above as a BandPolicy (what the scheduler materializes).
   BandPolicy band_policy() const { return BandPolicy{band, band_frac}; }

@@ -10,19 +10,6 @@
 
 namespace saloba::core {
 
-void accumulate_breakdown(gpusim::TimeBreakdown& into, const gpusim::TimeBreakdown& from) {
-  into.compute_ms += from.compute_ms;
-  into.dram_ms += from.dram_ms;
-  into.launch_ms += from.launch_ms;
-  into.init_ms += from.init_ms;
-  into.traceback_ms += from.traceback_ms;
-  into.chaining_ms += from.chaining_ms;
-  into.xdrop_ms += from.xdrop_ms;
-  into.total_ms += from.total_ms;
-  into.dram_bytes += from.dram_bytes;
-  into.sm_imbalance = std::max(into.sm_imbalance, from.sm_imbalance);
-}
-
 void finalize_balance(ScheduleReport& report) {
   double sum = 0.0;
   report.busy_lanes = 0;
@@ -39,6 +26,36 @@ namespace {
 
 double gcups_at(std::size_t cells, double time_ms) {
   return time_ms > 0 ? static_cast<double>(cells) / (time_ms * 1e6) : 0.0;
+}
+
+/// Runs `run_shard(s)` for every shard index: one pool future per lane,
+/// each draining that lane's shards in shard order — lanes run concurrently
+/// and no pool thread ever blocks waiting for a lane another thread holds.
+/// Waits for every future, even when one failed, then rethrows the first
+/// failure, so callers never touch outputs a shard is still writing.
+template <typename Shard, typename RunShard>
+void run_per_lane(util::ThreadPool& pool, int lanes, const std::vector<Shard>& shards,
+                  RunShard&& run_shard) {
+  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
+  }
+  std::vector<std::future<void>> futures;
+  for (const std::vector<std::size_t>& mine : lane_shards) {
+    if (mine.empty()) continue;
+    futures.push_back(pool.submit([&run_shard, &mine] {
+      for (std::size_t s : mine) run_shard(s);
+    }));
+  }
+  std::exception_ptr failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace
@@ -83,14 +100,7 @@ AlignOutput BatchScheduler::run_single(const seq::PairBatch& batch) {
     out.traced = std::move(tb.traced);
     out.traceback_ms = tb.time_ms;
     out.traceback_cells = tb.cells;
-    if (tb.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*tb.kernel_stats);
-    }
-    if (tb.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *tb.time_breakdown);
-    }
+    merge_modeled(out, tb);
   }
   return out;
 }
@@ -157,35 +167,10 @@ AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
     return run_single(batch);
   }
 
-  // Async dispatch: one future per lane, each draining that lane's shards
-  // in order — lanes run concurrently and no pool thread ever blocks
-  // waiting for a device another thread holds.
-  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<BackendOutput> outputs(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &shards, &outputs, &mine] {
-      for (std::size_t s : mine) {
-        outputs[s] = backend_->run(shards[s].batch, shards[s].lane);
-      }
-    }));
-  }
-
-  // Wait for every in-flight shard before touching the outputs, even when
-  // one of them failed; rethrow the first failure afterwards.
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  run_per_lane(pool(), lanes, shards, [&](std::size_t s) {
+    outputs[s] = backend_->run(shards[s].batch, shards[s].lane);
+  });
 
   AlignOutput out = merge(batch, shards, outputs);
   if (options_.traceback) traceback_phase(batch, shards, outputs, out);
@@ -199,31 +184,11 @@ void BatchScheduler::traceback_phase(const seq::PairBatch& batch,
   // Second wave on the same lane assignment: a shard's traceback needs only
   // that shard's score results, so lanes drain their shards independently
   // again — no barrier beyond the score pass already settled.
-  std::vector<std::vector<std::size_t>> lane_shards(
-      static_cast<std::size_t>(backend_->lanes()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<TracebackOutput> traces(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &shards, &outputs, &traces, &mine] {
-      for (std::size_t s : mine) {
-        traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
-                                            options_.traceback_settings, shards[s].lane);
-      }
-    }));
-  }
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  run_per_lane(pool(), backend_->lanes(), shards, [&](std::size_t s) {
+    traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
+                                        options_.traceback_settings, shards[s].lane);
+  });
 
   // Input-order merge, shard-id order for deterministic stats.
   out.traced.resize(batch.size());
@@ -239,14 +204,7 @@ void BatchScheduler::traceback_phase(const seq::PairBatch& batch,
     }
     out.traceback_cells += tb.cells;
     lane_tb_ms[static_cast<std::size_t>(shard.lane)] += tb.time_ms;
-    if (tb.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*tb.kernel_stats);
-    }
-    if (tb.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *tb.time_breakdown);
-    }
+    merge_modeled(out, tb);
   }
   for (double ms : lane_tb_ms) out.traceback_ms = std::max(out.traceback_ms, ms);
 }
@@ -282,33 +240,14 @@ ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
     return out;
   }
 
-  // Weighted-LPT task sharding, then the traceback-wave dispatch shape: one
-  // future per lane draining that lane's shards in order.
+  // Weighted-LPT task sharding, then the same per-lane dispatch as the
+  // extension shards.
   auto shards = seedext::make_chain_shards(batch, lane_weights(*backend_),
                                            options_.max_shard_chain_tasks);
-  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<ChainingOutput> outputs(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &batch, &shards, &outputs, &mine] {
-      for (std::size_t s : mine) {
-        outputs[s] = backend_->run_chaining(batch, shards[s].tasks, shards[s].lane);
-      }
-    }));
-  }
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  run_per_lane(pool(), lanes, shards, [&](std::size_t s) {
+    outputs[s] = backend_->run_chaining(batch, shards[s].tasks, shards[s].lane);
+  });
 
   // Task-id merge in shard-id order: chains land in their batch slots;
   // stats never depend on thread timing.
@@ -322,14 +261,7 @@ ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
     out.updates += co.updates;
     out.engine_stats.merge(co.engine_stats);
     out.schedule.lane_ms[static_cast<std::size_t>(shards[s].lane)] += co.time_ms;
-    if (co.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*co.kernel_stats);
-    }
-    if (co.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *co.time_breakdown);
-    }
+    merge_modeled(out, co);
   }
   for (double ms : out.schedule.lane_ms) {
     out.schedule.makespan_ms = std::max(out.schedule.makespan_ms, ms);
@@ -362,14 +294,7 @@ AlignOutput BatchScheduler::merge(const seq::PairBatch& batch,
     }
     out.cells += bo.cells != 0 ? bo.cells : shard.batch.total_banded_cells();
     out.schedule.lane_ms[static_cast<std::size_t>(shard.lane)] += bo.time_ms;
-    if (bo.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*bo.kernel_stats);
-    }
-    if (bo.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *bo.time_breakdown);
-    }
+    merge_modeled(out, bo);
   }
 
   for (double ms : out.schedule.lane_ms) {

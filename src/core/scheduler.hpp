@@ -78,9 +78,21 @@ struct ScheduleReport {
   int busy_lanes = 0;  ///< lanes with lane_ms > 0
 };
 
-/// Component-wise accumulation of simulated time breakdowns — shared by the
-/// scheduler's shard merge and the streaming merger (stream_aligner.cpp).
-void accumulate_breakdown(gpusim::TimeBreakdown& into, const gpusim::TimeBreakdown& from);
+/// Folds one run's optional simulated counters and time breakdown
+/// (`kernel_stats` / `time_breakdown`, present on simulated backends only)
+/// into an aggregate's — the one merge rule for the scheduler's shard and
+/// phase merges and the streaming merger (stream_aligner.cpp).
+template <typename Into, typename From>
+void merge_modeled(Into& into, const From& from) {
+  if (from.kernel_stats) {
+    if (!into.kernel_stats) into.kernel_stats.emplace();
+    into.kernel_stats->merge(*from.kernel_stats);
+  }
+  if (from.time_breakdown) {
+    if (!into.time_breakdown) into.time_breakdown.emplace();
+    into.time_breakdown->merge(*from.time_breakdown);
+  }
+}
 
 /// Derives `busy_lanes` and `imbalance` from an already-filled `lane_ms` /
 /// `makespan_ms` (all-lane normalization, see ScheduleReport::imbalance) —
@@ -129,7 +141,8 @@ struct ChainPhaseOutput {
   /// placement, thread timing, or ISA.
   std::vector<std::vector<seedext::Chain>> chains;
   /// Phase makespan across lanes: wall-clock for host backends, modeled
-  /// chaining time (TimeBreakdown::chaining_ms) for simulated devices.
+  /// chaining time (TimeBreakdown::phase_ms[Phase::kChaining]) for simulated
+  /// devices.
   double time_ms = 0.0;
   std::size_t anchors = 0;  ///< anchors chained across all tasks
   std::size_t updates = 0;  ///< push + settlement candidates evaluated

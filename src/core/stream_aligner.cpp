@@ -126,7 +126,7 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   // Align workers: a single worker consumes on the primary backend; with
   // several, every worker owns a replica so no lane is ever shared across
   // threads — and CPU replicas split the host thread budget between them
-  // (the no-oversubscription promise of CpuBackend, one level up).
+  // (the no-oversubscription promise of HostBackend, one level up).
   const std::size_t n_workers = stream_.align_threads;
   std::vector<std::unique_ptr<AlignBackend>> replicas;
   std::vector<AlignBackend*> worker_backends;
@@ -246,14 +246,7 @@ AlignOutput StreamAligner::align_streamed(const seq::PairBatch& batch) {
           std::move(chunk.traced.begin(), chunk.traced.end(),
                     total.traced.begin() + static_cast<std::ptrdiff_t>(first_pair));
         }
-        if (chunk.kernel_stats) {
-          if (!total.kernel_stats) total.kernel_stats.emplace();
-          total.kernel_stats->merge(*chunk.kernel_stats);
-        }
-        if (chunk.time_breakdown) {
-          if (!total.time_breakdown) total.time_breakdown.emplace();
-          accumulate_breakdown(*total.time_breakdown, *chunk.time_breakdown);
-        }
+        merge_modeled(total, chunk);
       });
 
   total.cells = stats.cells;

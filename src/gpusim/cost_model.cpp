@@ -12,11 +12,34 @@ std::string TimeBreakdown::summary() const {
   std::ostringstream oss;
   oss << "total=" << total_ms << "ms (compute=" << compute_ms << " dram=" << dram_ms
       << " launch=" << launch_ms << " init=" << init_ms;
-  if (traceback_ms > 0.0) oss << " traceback=" << traceback_ms;
-  if (chaining_ms > 0.0) oss << " chaining=" << chaining_ms;
-  if (xdrop_ms > 0.0) oss << " xdrop=" << xdrop_ms;
+  for (Phase p : kPhases) {
+    if (phase_ms[p] > 0.0) oss << " " << phase_name(p) << "=" << phase_ms[p];
+  }
   oss << " imbalance=" << sm_imbalance << ")";
   return oss.str();
+}
+
+void TimeBreakdown::merge(const TimeBreakdown& other) {
+  compute_ms += other.compute_ms;
+  dram_ms += other.dram_ms;
+  launch_ms += other.launch_ms;
+  init_ms += other.init_ms;
+  for (Phase p : kPhases) phase_ms[p] += other.phase_ms[p];
+  total_ms += other.total_ms;
+  dram_bytes += other.dram_bytes;
+  sm_imbalance = std::max(sm_imbalance, other.sm_imbalance);
+}
+
+TimeBreakdown TimeBreakdown::scaled(double f) const {
+  TimeBreakdown s = *this;
+  s.compute_ms *= f;
+  s.dram_ms *= f;
+  s.launch_ms *= f;
+  s.init_ms *= f;
+  for (Phase p : kPhases) s.phase_ms[p] *= f;
+  s.total_ms *= f;
+  s.dram_bytes *= f;
+  return s;
 }
 
 double warp_cycles(const WarpCounters& w, const DeviceSpec& spec, const CostParams& params,
@@ -116,59 +139,24 @@ TimeBreakdown estimate_time(const DeviceSpec& spec, const CostParams& params,
   return out;
 }
 
-TimeBreakdown estimate_traceback_time(const DeviceSpec& spec, const CostParams& params,
-                                      std::uint64_t cells, std::uint64_t bytes) {
+TimeBreakdown estimate_phase_time(Phase phase, const DeviceSpec& spec, const CostParams& params,
+                                  const PhaseCost& cost) {
   TimeBreakdown out;
-  if (cells == 0 && bytes == 0) return out;
-  // One cell update per lane per issue slot, device-wide: cells / warp_size
-  // warp instructions through the sustained issue rate.
+  if (cost.work == 0 && cost.bytes == 0) return out;
+  // Every modeled phase is issue-bound like the score kernels: traceback and
+  // X-drop cells are independent along a wavefront, and the forward-only
+  // chaining recurrence is branch-light and fixed-trip. One work unit per
+  // lane per issue slot, device-wide.
   const double instructions =
-      static_cast<double>(cells) / static_cast<double>(spec.warp_size);
+      static_cast<double>(cost.work) / static_cast<double>(spec.warp_size);
   const double compute_ms = instructions * params.cpi / peak_issue_rate(spec) * 1e3;
-  // The phase's checkpoint/block traffic streams through L2 like the score
+  // Checkpoint/block stores, diagonal buffers and SoA anchor columns all
+  // stream with short reuse distance, so they hit in L2 like the score
   // pass's boundary rows do.
-  const double dram_ms = static_cast<double>(bytes) * (1.0 - spec.l2_hit_rate) /
+  const double dram_ms = static_cast<double>(cost.bytes) * (1.0 - spec.l2_hit_rate) /
                          (spec.mem_bandwidth_gbps * 1e9) * 1e3;
-  out.traceback_ms = std::max(compute_ms, dram_ms) + params.launch_overhead_us / 1e3;
-  out.total_ms = out.traceback_ms;
-  return out;
-}
-
-TimeBreakdown estimate_xdrop_time(const DeviceSpec& spec, const CostParams& params,
-                                  std::uint64_t cells, std::uint64_t bytes) {
-  TimeBreakdown out;
-  if (cells == 0 && bytes == 0) return out;
-  // Anti-diagonal cells are independent within a wavefront, so the phase is
-  // issue-bound like the score kernels: cells / warp_size warp instructions
-  // through the sustained issue rate.
-  const double instructions =
-      static_cast<double>(cells) / static_cast<double>(spec.warp_size);
-  const double compute_ms = instructions * params.cpi / peak_issue_rate(spec) * 1e3;
-  // Diagonal buffers stream with unit stride and short reuse distance, so
-  // most of the traffic hits in L2 exactly like the chaining SoA columns.
-  const double dram_ms = static_cast<double>(bytes) * (1.0 - spec.l2_hit_rate) /
-                         (spec.mem_bandwidth_gbps * 1e9) * 1e3;
-  out.xdrop_ms = std::max(compute_ms, dram_ms) + params.launch_overhead_us / 1e3;
-  out.total_ms = out.xdrop_ms;
-  return out;
-}
-
-TimeBreakdown estimate_chaining_time(const DeviceSpec& spec, const CostParams& params,
-                                     std::uint64_t updates, std::uint64_t bytes) {
-  TimeBreakdown out;
-  if (updates == 0 && bytes == 0) return out;
-  // One push/settlement candidate per lane per issue slot, device-wide —
-  // the forward-only recurrence is branch-light and fixed-trip, so issue
-  // throughput, not divergence, bounds it.
-  const double instructions =
-      static_cast<double>(updates) / static_cast<double>(spec.warp_size);
-  const double compute_ms = instructions * params.cpi / peak_issue_rate(spec) * 1e3;
-  // SoA anchor columns stream with unit stride; score/parent writes hit the
-  // same L2 sets as the reads that preceded them.
-  const double dram_ms = static_cast<double>(bytes) * (1.0 - spec.l2_hit_rate) /
-                         (spec.mem_bandwidth_gbps * 1e9) * 1e3;
-  out.chaining_ms = std::max(compute_ms, dram_ms) + params.launch_overhead_us / 1e3;
-  out.total_ms = out.chaining_ms;
+  out.phase_ms[phase] = std::max(compute_ms, dram_ms) + params.launch_overhead_us / 1e3;
+  out.total_ms = out.phase_ms[phase];
   return out;
 }
 

@@ -52,22 +52,22 @@ struct TimeBreakdown {
   double dram_ms = 0.0;
   double launch_ms = 0.0;
   double init_ms = 0.0;
-  /// Traceback-phase time of a two-phase run (estimate_traceback_time);
-  /// 0 for score-only runs. Included in total_ms.
-  double traceback_ms = 0.0;
-  /// Chaining-phase time (estimate_chaining_time); 0 for runs without a
-  /// batched chaining pass. Included in total_ms, reported separately from
-  /// extension compute and traceback.
-  double chaining_ms = 0.0;
-  /// Long-read X-drop wavefront time (estimate_xdrop_time) for pairs the
-  /// long-read policy routed off the block kernels; 0 otherwise. Included in
-  /// total_ms, reported separately so the short-read compute accounting is
-  /// undisturbed.
-  double xdrop_ms = 0.0;
+  /// Modeled time of each phase run apart from the score pass
+  /// (estimate_phase_time); 0 for phases the run did not have. Included in
+  /// total_ms, reported separately so score-pass accounting is undisturbed.
+  PerPhase<double> phase_ms;
   double total_ms = 0.0;
   /// Diagnostics.
   double sm_imbalance = 0.0;  ///< max SM time / mean SM time (1.0 = balanced)
   double dram_bytes = 0.0;    ///< bytes charged to DRAM after L2 absorption
+
+  /// Component-wise sum (sm_imbalance keeps the worse of the two): the one
+  /// rule for folding shard, chunk and phase breakdowns together.
+  void merge(const TimeBreakdown& other);
+  /// This breakdown with every time and byte component multiplied by `f`
+  /// (a tenant's share of a merged batch). sm_imbalance is a ratio, not a
+  /// time, so it is kept as is.
+  TimeBreakdown scaled(double f) const;
 
   std::string summary() const;
 };
@@ -90,33 +90,15 @@ TimeBreakdown estimate_time(const DeviceSpec& spec, const CostParams& params,
                             const Occupancy& occ, const std::vector<BlockCost>& block_costs,
                             const WarpCounters& totals, std::uint64_t init_bytes = 0);
 
-/// Traceback-phase time estimate for a two-phase run (LOGAN-style second
-/// kernel): `cells` is the engine's forward + replay cell count, `bytes` its
-/// checkpoint/block memory traffic. Each warp updates one cell per lane per
-/// issue slot; DRAM is charged the traffic after L2 absorption; the phase
-/// pays one launch. The result lands in TimeBreakdown::traceback_ms (the
-/// compute/dram/launch components stay zero so score-pass accounting is
-/// undisturbed when breakdowns are accumulated).
-TimeBreakdown estimate_traceback_time(const DeviceSpec& spec, const CostParams& params,
-                                      std::uint64_t cells, std::uint64_t bytes);
-
-/// Chaining-phase time estimate for the batched forward-only recurrence:
-/// `updates` is the engine's push + settlement candidate count (one
-/// score-candidate evaluation per lane per issue slot, so updates /
-/// warp_size warp instructions through the sustained issue rate), `bytes`
-/// its SoA anchor-column and score/parent traffic. The result lands in
-/// TimeBreakdown::chaining_ms (compute/dram/launch stay zero so extension
-/// accounting is undisturbed when breakdowns are accumulated).
-TimeBreakdown estimate_chaining_time(const DeviceSpec& spec, const CostParams& params,
-                                     std::uint64_t updates, std::uint64_t bytes);
-
-/// Long-read X-drop wavefront time estimate: `cells` is the engine's forward
-/// sweep plus linear-memory traceback recomputation count, `bytes` its
-/// diagonal-buffer and base-stream traffic. Anti-diagonal execution is
-/// issue-bound like the score kernels (one cell per lane per slot); the
-/// result lands in TimeBreakdown::xdrop_ms (compute/dram/launch stay zero so
-/// short-read accounting is undisturbed when breakdowns are accumulated).
-TimeBreakdown estimate_xdrop_time(const DeviceSpec& spec, const CostParams& params,
-                                  std::uint64_t cells, std::uint64_t bytes);
+/// Time estimate for one phase run apart from the score pass: `cost.work`
+/// work units (engine cells for kTraceback and kXdrop, push + settlement
+/// candidates for kChaining) at one unit per lane per issue slot, so
+/// work / warp_size warp instructions through the sustained issue rate;
+/// `cost.bytes` of traffic charged to DRAM after L2 hits; one launch. The
+/// result lands in phase_ms[phase] and total_ms only (compute/dram/launch
+/// stay zero so score-pass accounting is undisturbed when breakdowns are
+/// merged).
+TimeBreakdown estimate_phase_time(Phase phase, const DeviceSpec& spec, const CostParams& params,
+                                  const PhaseCost& cost);
 
 }  // namespace saloba::gpusim

@@ -107,13 +107,7 @@ LaunchResult Device::launch(const LaunchConfig& config, const BlockFn& body) {
 
 void RunAccumulator::add(const LaunchResult& r) {
   stats.merge(r.stats);
-  time.compute_ms += r.time.compute_ms;
-  time.dram_ms += r.time.dram_ms;
-  time.launch_ms += r.time.launch_ms;
-  time.init_ms += r.time.init_ms;
-  time.total_ms += r.time.total_ms;
-  time.dram_bytes += r.time.dram_bytes;
-  time.sm_imbalance = std::max(time.sm_imbalance, r.time.sm_imbalance);
+  time.merge(r.time);
   ++launches;
 }
 

@@ -3,6 +3,28 @@
 #include <sstream>
 
 namespace saloba::gpusim {
+namespace {
+
+/// Each phase's name and the labels summary() gives its counters, in Phase
+/// order.
+struct PhaseLabels {
+  const char* name;
+  const char* work;
+  const char* bytes;
+};
+constexpr std::array<PhaseLabels, kPhases.size()> kPhaseLabels = {{
+    {"traceback", "tb_cells", "tb_bytes"},
+    {"chaining", "chain_updates", "chain_bytes"},
+    {"xdrop", "xdrop_cells", "xdrop_bytes"},
+}};
+
+const PhaseLabels& labels_of(Phase phase) {
+  return kPhaseLabels[static_cast<std::size_t>(phase)];
+}
+
+}  // namespace
+
+const char* phase_name(Phase phase) { return labels_of(phase).name; }
 
 void WarpCounters::merge(const WarpCounters& other) {
   instructions += other.instructions;
@@ -16,12 +38,7 @@ void WarpCounters::merge(const WarpCounters& other) {
   syncs += other.syncs;
   dp_cells += other.dp_cells;
   dp_cells_skipped += other.dp_cells_skipped;
-  traceback_cells += other.traceback_cells;
-  traceback_bytes += other.traceback_bytes;
-  chaining_updates += other.chaining_updates;
-  chaining_bytes += other.chaining_bytes;
-  xdrop_cells += other.xdrop_cells;
-  xdrop_bytes += other.xdrop_bytes;
+  for (Phase p : kPhases) phases[p] += other.phases[p];
 }
 
 double WarpCounters::lane_utilization(int warp_size) const {
@@ -48,15 +65,11 @@ std::string KernelStats::summary(int warp_size) const {
       << " shm_conflict_cyc=" << totals.shared_conflict_cycles
       << " cells=" << totals.dp_cells;
   if (totals.dp_cells_skipped > 0) oss << " cells_skipped=" << totals.dp_cells_skipped;
-  if (totals.traceback_cells > 0) {
-    oss << " tb_cells=" << totals.traceback_cells << " tb_bytes=" << totals.traceback_bytes;
-  }
-  if (totals.chaining_updates > 0) {
-    oss << " chain_updates=" << totals.chaining_updates
-        << " chain_bytes=" << totals.chaining_bytes;
-  }
-  if (totals.xdrop_cells > 0) {
-    oss << " xdrop_cells=" << totals.xdrop_cells << " xdrop_bytes=" << totals.xdrop_bytes;
+  for (Phase p : kPhases) {
+    const PhaseCost& cost = totals.phases[p];
+    if (cost.work == 0) continue;
+    oss << " " << labels_of(p).work << "=" << cost.work << " " << labels_of(p).bytes << "="
+        << cost.bytes;
   }
   return oss.str();
 }

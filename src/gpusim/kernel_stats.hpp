@@ -3,10 +3,49 @@
 // quantities bench/table1_memory reports against the paper's formulas.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace saloba::gpusim {
+
+/// The batch phases modeled apart from the score pass, each with its own
+/// work counter, traffic counter and time slot:
+///   kTraceback — the two-phase run's traceback pass: cells the checkpointed
+///                engine swept forward plus cells re-derived walking back;
+///   kChaining  — the batched forward-only chaining pass: push + settlement
+///                candidates evaluated (structural, ISA-independent);
+///   kXdrop     — long-read X-drop wavefront pairs routed off the block
+///                kernels: forward sweep + linear-memory traceback cells.
+enum class Phase : std::uint8_t { kTraceback, kChaining, kXdrop };
+
+inline constexpr std::array<Phase, 3> kPhases = {Phase::kTraceback, Phase::kChaining,
+                                                 Phase::kXdrop};
+
+/// Lower-case phase name ("traceback", "chaining", "xdrop").
+const char* phase_name(Phase phase);
+
+/// One value per Phase, indexed by the enum.
+template <typename T>
+struct PerPhase {
+  std::array<T, kPhases.size()> slots{};
+
+  T& operator[](Phase p) { return slots[static_cast<std::size_t>(p)]; }
+  const T& operator[](Phase p) const { return slots[static_cast<std::size_t>(p)]; }
+};
+
+/// One phase's modeled work units and the DRAM traffic they cost.
+struct PhaseCost {
+  std::uint64_t work = 0;
+  std::uint64_t bytes = 0;
+
+  PhaseCost& operator+=(const PhaseCost& other) {
+    work += other.work;
+    bytes += other.bytes;
+    return *this;
+  }
+};
 
 struct WarpCounters {
   std::uint64_t instructions = 0;        ///< warp-wide issue slots (divergence included)
@@ -24,32 +63,10 @@ struct WarpCounters {
   /// |i - j| <= band. dp_cells + dp_cells_skipped == the batch's full-table
   /// cell count, so the two together account for the banded saving exactly.
   std::uint64_t dp_cells_skipped = 0;
-  /// Traceback phase (two-phase runs only): cells the checkpointed engine
-  /// swept forward plus cells re-derived during the backward walk. Kept
-  /// separate from dp_cells so the score pass's Table-I accounting is
-  /// untouched and benches can report the score-vs-traceback split.
-  std::uint64_t traceback_cells = 0;
-  /// Traceback phase memory traffic (snapshot writes/restores, block stores,
-  /// walk reads) — charged to DRAM by the traceback time model, not to the
-  /// score pass's global_bytes counters.
-  std::uint64_t traceback_bytes = 0;
-  /// Chaining phase (batched forward-only chaining): push + settlement
-  /// candidates the engine evaluated. Structural counts — deterministic
-  /// across ISAs and thread placements — kept separate from dp_cells so
-  /// extension accounting is untouched.
-  std::uint64_t chaining_updates = 0;
-  /// Chaining phase memory traffic (SoA anchor-column streams plus
-  /// score/parent read-modify-writes) — charged to DRAM by the chaining time
-  /// model only.
-  std::uint64_t chaining_bytes = 0;
-  /// Long-read X-drop wavefront cells (forward sweep + linear-memory
-  /// traceback recomputation) for pairs the long-read policy routed away
-  /// from the block kernels. Kept separate from dp_cells so short-read
-  /// Table-I accounting is untouched.
-  std::uint64_t xdrop_cells = 0;
-  /// Long-read phase memory traffic (diagonal-buffer streams plus the base
-  /// streams) — charged to DRAM by the X-drop time model only.
-  std::uint64_t xdrop_bytes = 0;
+  /// Work and traffic of the phases modeled apart from the score pass (see
+  /// Phase). Kept out of dp_cells and the global_bytes counters so the score
+  /// pass's Table-I accounting is untouched.
+  PerPhase<PhaseCost> phases;
 
   void merge(const WarpCounters& other);
 

@@ -9,10 +9,10 @@
 #include <limits>
 
 #include "../support/test_support.hpp"
-#include "align/antidiag_cpu.hpp"
 #include "align/sw_banded.hpp"
 #include "align/sw_reference.hpp"
 #include "align/sw_striped.hpp"
+#include "align/xdrop_wavefront.hpp"
 
 namespace saloba::align {
 namespace {
@@ -79,7 +79,7 @@ TEST_P(CrossImpl, AllFourAgree) {
     if (query.empty()) continue;
 
     auto scalar = smith_waterman(ref, query, param.scheme);
-    auto wavefront = smith_waterman_antidiag(ref, query, param.scheme);
+    auto wavefront = xdrop_wavefront_score(ref, query, param.scheme, XDropParams{0});
     auto striped = smith_waterman_striped(ref, query, param.scheme);
     auto banded =
         smith_waterman_banded(ref, query, param.scheme, std::max(ref.size(), query.size()));

@@ -1,13 +1,14 @@
 // Conformance layer for the long-read X-drop wavefront engine: pruning off
 // == exact Smith-Waterman, effectively-infinite X-drop and z-drop agree, the
-// historical three-way oracle (reference / banded / antidiag) still holds
-// after antidiag's promotion, and traced output rescores exactly.
+// three-way oracle (row-major reference / banded / unpruned wavefront) holds
+// on short and degenerate pairs, and traced output rescores exactly.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/test_support.hpp"
-#include "align/antidiag_cpu.hpp"
 #include "align/sw_banded.hpp"
 #include "align/sw_reference.hpp"
 #include "align/traceback.hpp"
@@ -73,6 +74,15 @@ TEST(XdropConformance, InfiniteXdropAndZdropAgreeWithExact) {
 
 TEST(XdropConformance, ThreeWayOracleHoldsOnShortPairs) {
   ScoringScheme s;
+  auto expect_three_way = [&](const std::vector<seq::BaseCode>& ref,
+                              const std::vector<seq::BaseCode>& query, const std::string& label) {
+    const auto reference = smith_waterman(ref, query, s);
+    const auto banded = smith_waterman_banded(ref, query, s, BandedParams{});
+    const auto wavefront = xdrop_wavefront_score(ref, query, s, XDropParams{0});
+    EXPECT_EQ(wavefront, reference) << label;
+    EXPECT_EQ(banded.result, reference) << label;
+  };
+
   util::Xoshiro256 rng(903);
   for (int it = 0; it < 40; ++it) {
     const std::size_t n = 1 + rng.below(80);
@@ -80,12 +90,24 @@ TEST(XdropConformance, ThreeWayOracleHoldsOnShortPairs) {
     auto ref = saloba::testing::random_seq_with_n(rng, n, 0.05);
     auto query = m <= n ? related_query(rng, ref, m, 0.1)
                         : saloba::testing::random_seq_with_n(rng, m, 0.05);
+    expect_three_way(ref, query, "it=" + std::to_string(it));
+  }
 
-    const auto reference = smith_waterman(ref, query, s);
-    const auto banded = smith_waterman_banded(ref, query, s, BandedParams{});
-    const auto antidiag = smith_waterman_antidiag(ref, query, s);
-    EXPECT_EQ(antidiag, reference) << "it=" << it;
-    EXPECT_EQ(banded.result, reference) << "it=" << it;
+  // Degenerate tables: the empty pair and single-row / single-column sweeps.
+  expect_three_way({}, {}, "empty pair");
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{1, 50}, {50, 1}}) {
+    for (int it = 0; it < 8; ++it) {
+      auto ref = saloba::testing::random_seq(rng, n);
+      auto query = m <= n ? related_query(rng, ref, m, 0.1) : saloba::testing::random_seq(rng, m);
+      expect_three_way(ref, query, std::to_string(n) + "x" + std::to_string(m));
+    }
+  }
+
+  // N-heavy inputs: 20% ambiguous bases on both sides.
+  for (int it = 0; it < 10; ++it) {
+    auto ref = saloba::testing::random_seq_with_n(rng, 60, 0.2);
+    auto query = saloba::testing::random_seq_with_n(rng, 60, 0.2);
+    expect_three_way(ref, query, "N-heavy it=" + std::to_string(it));
   }
 }
 

@@ -305,6 +305,43 @@ TEST(AlignService, HigherPriorityClassAlwaysBatchesFirst) {
             Aligner(opts).align(background_batch).results);
 }
 
+TEST(AlignService, TenantPhaseTimesStayWithinTheirShare) {
+  // A tenant's modeled breakdown is its cell-share slice of every merged
+  // batch it rode in, with every phase scaled alike: a tenant that submitted
+  // only short pairs must not be charged the X-drop time of the long pairs it
+  // shared batches with.
+  AlignerOptions opts = sim_options();
+  opts.longread_threshold = 1500;  // the blocker's 1200 bp pairs stay on the kernel
+  opts.traceback = true;
+  ServiceOptions svc;
+  svc.batch_pairs = 16;
+  svc.max_inflight_batches = 1;
+  AlignService service(opts, svc);
+  SessionId blocker = submit_blocker(service, svc.batch_pairs);
+
+  // Both backlogs queue while the blocker holds the worker, so the merged
+  // batches after it mix routed long pairs with short ones.
+  SessionId long_tenant = service.open();
+  SessionId short_tenant = service.open();
+  ASSERT_TRUE(service.submit(long_tenant, saloba::testing::related_batch(995, 24, 2000, 2000)));
+  ASSERT_TRUE(service.submit(short_tenant, saloba::testing::related_batch(996, 24, 100, 100)));
+  service.finish(long_tenant);
+  service.finish(short_tenant);
+  for (SessionId id : {blocker, long_tenant, short_tenant}) drain_session(service, id);
+
+  for (SessionId id : {blocker, long_tenant, short_tenant}) {
+    const SessionStats st = service.session_stats(id);
+    ASSERT_TRUE(st.time_breakdown.has_value()) << "session " << id;
+    for (gpusim::Phase p : gpusim::kPhases) {
+      EXPECT_LE(st.time_breakdown->phase_ms[p], st.time_breakdown->total_ms)
+          << "session " << id << ", phase " << gpusim::phase_name(p);
+    }
+  }
+  const auto long_time = *service.session_stats(long_tenant).time_breakdown;
+  EXPECT_GT(long_time.phase_ms[gpusim::Phase::kXdrop], 0.0);
+  EXPECT_GT(long_time.phase_ms[gpusim::Phase::kTraceback], 0.0);
+}
+
 TEST(AlignService, AdmissionCapBoundsQueueAndBlocksProducer) {
   AlignerOptions opts;  // CPU
   ServiceOptions svc;

@@ -7,7 +7,7 @@
 namespace saloba::core {
 namespace {
 
-TEST(Aligner, CpuBackendAligns) {
+TEST(Aligner, HostBackendAligns) {
   Aligner aligner(AlignerOptions{});
   auto batch = saloba::testing::related_batch(161, 30, 100, 150);
   auto out = aligner.align(batch);

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
@@ -15,8 +16,8 @@
 namespace saloba::core {
 namespace {
 
-TEST(CpuBackend, RunsBatchOnSingleLane) {
-  CpuBackend backend{align::ScoringScheme{}};
+TEST(HostBackend, RunsBatchOnSingleLane) {
+  HostBackend backend{align::ScoringScheme{}, {LaneKind::kScalar}};
   EXPECT_EQ(backend.lanes(), 1);
   auto batch = saloba::testing::related_batch(701, 12, 90, 120);
   auto out = backend.run(batch, 0);
@@ -25,10 +26,10 @@ TEST(CpuBackend, RunsBatchOnSingleLane) {
   EXPECT_GT(out.time_ms, 0.0);
 }
 
-TEST(CpuBackend, MultiLaneSplitsThreadBudget) {
+TEST(HostBackend, MultiLaneSplitsThreadBudget) {
   // 3 lanes over a 6-thread budget: 2 OpenMP threads per lane, every lane
   // produces the same results as the single-lane reference.
-  CpuBackend backend{align::ScoringScheme{}, 3, 6};
+  HostBackend backend{align::ScoringScheme{}, std::vector<LaneKind>(3, LaneKind::kScalar), 6};
   EXPECT_EQ(backend.lanes(), 3);
   EXPECT_EQ(backend.threads_per_lane(), 2);
   auto batch = saloba::testing::related_batch(705, 10, 70, 90);
@@ -38,13 +39,13 @@ TEST(CpuBackend, MultiLaneSplitsThreadBudget) {
   }
 }
 
-TEST(CpuBackend, MultiLaneBudgetNeverRoundsToZero) {
+TEST(HostBackend, MultiLaneBudgetNeverRoundsToZero) {
   // More lanes than budgeted threads: each lane still gets one thread.
-  CpuBackend backend{align::ScoringScheme{}, 4, 2};
+  HostBackend backend{align::ScoringScheme{}, std::vector<LaneKind>(4, LaneKind::kScalar), 2};
   EXPECT_EQ(backend.threads_per_lane(), 1);
 }
 
-TEST(CpuBackend, SchedulerOverlapsMultiLaneCpuShards) {
+TEST(HostBackend, SchedulerOverlapsMultiLaneCpuShards) {
   // The ROADMAP item: with lanes > 1 the scheduler spreads shards over CPU
   // lanes concurrently, results stay bit-identical and lane accounting
   // covers every lane.
@@ -114,10 +115,10 @@ TEST(SimulatedGpuBackend, UnknownDeviceThrowsListingValidNames) {
   }
 }
 
-TEST(CpuBackend, LaneWeightsAreUniform) {
-  CpuBackend single{align::ScoringScheme{}};
+TEST(HostBackend, LaneWeightsAreUniform) {
+  HostBackend single{align::ScoringScheme{}, {LaneKind::kScalar}};
   EXPECT_DOUBLE_EQ(single.lane_weight(0), 1.0);
-  CpuBackend multi{align::ScoringScheme{}, 3, 6};
+  HostBackend multi{align::ScoringScheme{}, std::vector<LaneKind>(3, LaneKind::kScalar), 6};
   EXPECT_DOUBLE_EQ(multi.lane_weight(0), 2.0);  // threads_per_lane
   EXPECT_DOUBLE_EQ(multi.lane_weight(1), multi.lane_weight(0));
   EXPECT_DOUBLE_EQ(multi.lane_weight(2), multi.lane_weight(0));

@@ -1,6 +1,6 @@
 // The chaining phase as a scheduler/backend concern: identical chains across
 // backends, lane counts, and shard caps; modeled phase cost on simulated
-// devices (TimeBreakdown::chaining_ms + KernelStats counters); and the
+// devices (the Phase::kChaining breakdown + counter slots); and the
 // Aligner::batch_chainer → ReadMapper::set_batch_chainer end-to-end wiring.
 #include <gtest/gtest.h>
 
@@ -103,11 +103,12 @@ TEST(ChainingPhase, SimulatedBackendModelsPhaseCost) {
   // Modeled, not measured: the phase time comes from the chaining cost
   // model and lands in the breakdown + kernel counters.
   ASSERT_TRUE(out.time_breakdown.has_value());
-  EXPECT_GT(out.time_breakdown->chaining_ms, 0.0);
+  EXPECT_GT(out.time_breakdown->phase_ms[gpusim::Phase::kChaining], 0.0);
   EXPECT_GT(out.time_ms, 0.0);
   ASSERT_TRUE(out.kernel_stats.has_value());
-  EXPECT_EQ(out.kernel_stats->totals.chaining_updates, out.updates);
-  EXPECT_GT(out.kernel_stats->totals.chaining_bytes, 0u);
+  const gpusim::PhaseCost& chaining = out.kernel_stats->totals.phases[gpusim::Phase::kChaining];
+  EXPECT_EQ(chaining.work, out.updates);
+  EXPECT_GT(chaining.bytes, 0u);
 }
 
 TEST(ChainingPhase, EmptyBatchIsANoOp) {

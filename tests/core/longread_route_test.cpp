@@ -3,7 +3,7 @@
 // backend and lane shape, short pairs are untouched (bit-identical to a run
 // with routing disabled), the two-phase traceback mirrors the routed score
 // pass, and the simulated backend attributes the routed phase separately
-// (WarpCounters::xdrop_cells/xdrop_bytes, TimeBreakdown::xdrop_ms).
+// (the gpusim::Phase::kXdrop counter and breakdown slots).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,20 +159,21 @@ TEST(LongReadRoute, SimulatedBackendAttributesXdropPhase) {
 
   ASSERT_TRUE(out.kernel_stats.has_value());
   ASSERT_TRUE(out.time_breakdown.has_value());
-  EXPECT_GT(out.kernel_stats->totals.xdrop_cells, 0u);
-  EXPECT_GT(out.kernel_stats->totals.xdrop_bytes, 0u);
-  EXPECT_GT(out.time_breakdown->xdrop_ms, 0.0);
+  const auto& phases = out.kernel_stats->totals.phases;
+  EXPECT_GT(phases[gpusim::Phase::kXdrop].work, 0u);
+  EXPECT_GT(phases[gpusim::Phase::kXdrop].bytes, 0u);
+  EXPECT_GT(out.time_breakdown->phase_ms[gpusim::Phase::kXdrop], 0.0);
   // The classic kernel still ran the short pairs, attributed apart.
   EXPECT_GT(out.kernel_stats->totals.dp_cells, 0u);
   // Traceback-phase counters stay separate from the routed share.
-  EXPECT_GT(out.kernel_stats->totals.traceback_cells, 0u);
+  EXPECT_GT(phases[gpusim::Phase::kTraceback].work, 0u);
 
   AlignerOptions off = opts;
   off.longread_threshold = 0;
   const auto classic = Aligner(off).align(batch);
   ASSERT_TRUE(classic.kernel_stats.has_value());
-  EXPECT_EQ(classic.kernel_stats->totals.xdrop_cells, 0u);
-  EXPECT_EQ(classic.time_breakdown->xdrop_ms, 0.0);
+  EXPECT_EQ(classic.kernel_stats->totals.phases[gpusim::Phase::kXdrop].work, 0u);
+  EXPECT_EQ(classic.time_breakdown->phase_ms[gpusim::Phase::kXdrop], 0.0);
   // Same alignments either way: routing only changes engines, not answers,
   // on pairs this clean (identity prefix + substitutions within xdrop).
   EXPECT_EQ(out.results, classic.results);

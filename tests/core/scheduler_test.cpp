@@ -130,10 +130,10 @@ TEST(BatchScheduler, SingleShardFastPathReportsOneShard) {
   EXPECT_DOUBLE_EQ(out.schedule.lane_ms[0], out.time_ms);
 }
 
-TEST(BatchScheduler, DirectSchedulerUseOverCpuBackend) {
+TEST(BatchScheduler, DirectSchedulerUseOverHostBackend) {
   // The scheduler is usable without the Aligner facade.
   auto batch = saloba::testing::imbalanced_batch(606, 21, 10, 300);
-  CpuBackend backend{align::ScoringScheme{}};
+  HostBackend backend{align::ScoringScheme{}, {LaneKind::kScalar}};
   SchedulerOptions sched;
   sched.max_shard_pairs = 4;
   BatchScheduler scheduler(&backend, sched);

@@ -1,5 +1,5 @@
-// SimdCpuBackend: device-string routing, calibrated lane weights, and
-// bit-identical parity with CpuBackend through the whole scheduler stack
+// HostBackend's SIMD lanes: device-string routing, calibrated lane weights,
+// and bit-identical parity with scalar lanes through the whole scheduler stack
 // (score pass, banded/z-drop runs, two-phase traceback). `ctest -L simd`.
 #include "core/backend.hpp"
 
@@ -14,10 +14,10 @@
 namespace saloba::core {
 namespace {
 
-TEST(SimdCpuBackend, RunMatchesScalarBackend) {
+TEST(SimdHostBackend, RunMatchesScalarBackend) {
   auto batch = saloba::testing::imbalanced_batch(801, 40, 5, 300);
-  CpuBackend scalar{align::ScoringScheme{}};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
   EXPECT_EQ(simd.lanes(), 1);
   EXPECT_EQ(simd.name(), "simd");
   auto want = scalar.run(batch, 0);
@@ -27,22 +27,21 @@ TEST(SimdCpuBackend, RunMatchesScalarBackend) {
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
-TEST(SimdCpuBackend, BandedZdropRunMatchesScalarBackend) {
+TEST(SimdHostBackend, BandedZdropRunMatchesScalarBackend) {
   auto batch = saloba::testing::related_batch(802, 30, 100, 140);
   batch.default_band = 16;
-  CpuBackend scalar{align::ScoringScheme{}, 1, 0, /*zdrop=*/20};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}, 0,
-                      /*zdrop=*/20};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}, 0, /*zdrop=*/20};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}, 0, /*zdrop=*/20};
   auto want = scalar.run(batch, 0);
   auto got = simd.run(batch, 0);
   EXPECT_EQ(got.results, want.results);
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(SimdCpuBackend, TracebackPhaseMatchesScalarBackend) {
+TEST(SimdHostBackend, TracebackPhaseMatchesScalarBackend) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
-  CpuBackend scalar{align::ScoringScheme{}};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
   auto score = simd.run(batch, 0);
   auto want = scalar.run_traceback(batch, score.results, TracebackSettings{}, 0);
   auto got = simd.run_traceback(batch, score.results, TracebackSettings{}, 0);
@@ -50,18 +49,17 @@ TEST(SimdCpuBackend, TracebackPhaseMatchesScalarBackend) {
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(SimdCpuBackend, CalibratedLaneWeightOrdersLanes) {
+TEST(SimdHostBackend, CalibratedLaneWeightOrdersLanes) {
   const double speedup = simd_lane_speedup();
   EXPECT_GE(speedup, 1.0);
   EXPECT_LE(speedup, 64.0);
 
-  SimdCpuBackend mixed{align::ScoringScheme{},
-                       {SimdCpuBackend::LaneKind::kSimd, SimdCpuBackend::LaneKind::kScalar},
-                       /*threads_total=*/2};
+  HostBackend mixed{align::ScoringScheme{}, {LaneKind::kSimd, LaneKind::kScalar},
+                    /*threads_total=*/2};
   EXPECT_EQ(mixed.lanes(), 2);
   EXPECT_EQ(mixed.name(), "simd+cpu");
-  EXPECT_EQ(mixed.lane_kind(0), SimdCpuBackend::LaneKind::kSimd);
-  EXPECT_EQ(mixed.lane_kind(1), SimdCpuBackend::LaneKind::kScalar);
+  EXPECT_EQ(mixed.lane_kind(0), LaneKind::kSimd);
+  EXPECT_EQ(mixed.lane_kind(1), LaneKind::kScalar);
   // Same thread budget per lane: the SIMD lane's weight is exactly the
   // calibrated engine ratio times the scalar lane's.
   EXPECT_DOUBLE_EQ(mixed.lane_weight(1), 1.0);

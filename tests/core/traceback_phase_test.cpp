@@ -24,11 +24,12 @@ TEST(TracebackPhase, SimulatedBackendModelsPhaseCostInStatsAndBreakdown) {
 
   // The phase shows up in the counters and the breakdown...
   ASSERT_TRUE(out.kernel_stats.has_value());
-  EXPECT_GT(out.kernel_stats->totals.traceback_cells, 0u);
-  EXPECT_GT(out.kernel_stats->totals.traceback_bytes, 0u);
-  EXPECT_EQ(out.kernel_stats->totals.traceback_cells, out.traceback_cells);
+  const gpusim::PhaseCost& tb = out.kernel_stats->totals.phases[gpusim::Phase::kTraceback];
+  EXPECT_GT(tb.work, 0u);
+  EXPECT_GT(tb.bytes, 0u);
+  EXPECT_EQ(tb.work, out.traceback_cells);
   ASSERT_TRUE(out.time_breakdown.has_value());
-  EXPECT_GT(out.time_breakdown->traceback_ms, 0.0);
+  EXPECT_GT(out.time_breakdown->phase_ms[gpusim::Phase::kTraceback], 0.0);
   EXPECT_GT(out.traceback_ms, 0.0);
 
   // ...without perturbing the score pass: same results, same score-phase
@@ -36,7 +37,7 @@ TEST(TracebackPhase, SimulatedBackendModelsPhaseCostInStatsAndBreakdown) {
   EXPECT_EQ(out.results, base.results);
   ASSERT_TRUE(base.kernel_stats.has_value());
   EXPECT_EQ(out.kernel_stats->totals.dp_cells, base.kernel_stats->totals.dp_cells);
-  EXPECT_EQ(base.kernel_stats->totals.traceback_cells, 0u);
+  EXPECT_EQ(base.kernel_stats->totals.phases[gpusim::Phase::kTraceback].work, 0u);
   EXPECT_DOUBLE_EQ(out.time_ms, base.time_ms);
 }
 
@@ -129,7 +130,7 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // perfect match
   batch.add(std::vector<seq::BaseCode>(8, 0), std::vector<seq::BaseCode>(8, 1));  // hopeless
   align::ScoringScheme scoring;
-  CpuBackend backend(scoring);
+  HostBackend backend(scoring, {LaneKind::kScalar});
   auto results = backend.run(batch, 0).results;
   ASSERT_EQ(results[1].score, 0);
   auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace saloba::gpusim {
 namespace {
 
@@ -133,6 +135,62 @@ TEST(CostModel, SummaryFormats) {
   TimeBreakdown t;
   t.total_ms = 1.5;
   EXPECT_NE(t.summary().find("1.5"), std::string::npos);
+}
+
+TEST(CostModel, PhaseTimeLandsInItsOwnSlotAndMergeAndScaleCoverEveryPhase) {
+  DeviceSpec d = simple_device();
+  CostParams p;
+  const PhaseCost cost{64'000, 1 << 20};
+  const double one_phase_ms = estimate_phase_time(Phase::kTraceback, d, p, cost).total_ms;
+  ASSERT_GT(one_phase_ms, 0.0);
+
+  TimeBreakdown sum;
+  KernelStats stats;
+  for (Phase phase : kPhases) {
+    const TimeBreakdown t = estimate_phase_time(phase, d, p, cost);
+    // Only this phase's slot and the total carry time, and every phase is
+    // priced by the same model.
+    EXPECT_DOUBLE_EQ(t.phase_ms[phase], one_phase_ms) << phase_name(phase);
+    EXPECT_DOUBLE_EQ(t.total_ms, t.phase_ms[phase]) << phase_name(phase);
+    for (Phase other : kPhases) {
+      if (other != phase) {
+        EXPECT_EQ(t.phase_ms[other], 0.0) << phase_name(phase);
+      }
+    }
+    EXPECT_EQ(t.compute_ms + t.dram_ms + t.launch_ms + t.init_ms, 0.0) << phase_name(phase);
+    sum.merge(t);
+    stats.totals.phases[phase] += cost;
+  }
+  EXPECT_EQ(estimate_phase_time(Phase::kXdrop, d, p, PhaseCost{}).total_ms, 0.0);
+
+  // merge sums every phase slot into the total...
+  for (Phase phase : kPhases) EXPECT_DOUBLE_EQ(sum.phase_ms[phase], one_phase_ms);
+  EXPECT_DOUBLE_EQ(sum.total_ms, 3 * one_phase_ms);
+  sum.sm_imbalance = 1.5;
+  TimeBreakdown worse;
+  worse.sm_imbalance = 2.0;
+  sum.merge(worse);
+  EXPECT_DOUBLE_EQ(sum.sm_imbalance, 2.0);
+
+  // ...and scaled shrinks every phase slot with the total, never the ratio.
+  const TimeBreakdown share = sum.scaled(0.25);
+  for (Phase phase : kPhases) {
+    EXPECT_DOUBLE_EQ(share.phase_ms[phase], 0.25 * one_phase_ms) << phase_name(phase);
+    EXPECT_LE(share.phase_ms[phase], share.total_ms) << phase_name(phase);
+  }
+  EXPECT_DOUBLE_EQ(share.total_ms, 0.25 * sum.total_ms);
+  EXPECT_DOUBLE_EQ(share.sm_imbalance, 2.0);
+
+  // Both summaries keep their per-phase labels.
+  const std::string time_text = sum.summary();
+  for (const char* label : {" traceback=", " chaining=", " xdrop="}) {
+    EXPECT_NE(time_text.find(label), std::string::npos) << label << " in " << time_text;
+  }
+  const std::string stats_text = stats.summary(32);
+  for (const char* label : {" tb_cells=64000 tb_bytes=1048576", " chain_updates=64000",
+                            " chain_bytes=1048576", " xdrop_cells=64000 xdrop_bytes=1048576"}) {
+    EXPECT_NE(stats_text.find(label), std::string::npos) << label << " in " << stats_text;
+  }
 }
 
 }  // namespace
