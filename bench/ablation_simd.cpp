@@ -1,12 +1,16 @@
 // SIMD extension-engine ablation: the first *measured* (not modeled)
 // speedup in the repo. An asserting harness — CI runs `ablation_simd
 // --quick` — that puts a SIMD HostBackend lane against a scalar one on the
-// same medium-read batch and requires:
+// same medium-read batch, for the score pass and for the traceback phase
+// (run_traceback: the checkpointed SIMD cohort pass vs per-pair
+// align::banded_traceback), and requires:
 //
-//   1. bit-identical results (scores, endpoints) and cell counts,
+//   1. bit-identical results (scores, endpoints) and cell counts from the
+//      score pass, and bit-identical traces (CIGARs, start coordinates)
+//      from the traceback phase,
 //   2. when the AVX2 kernels are dispatched, a strict >= 2x wall-clock win
-//      (on the generic-fallback build only identity is asserted — the
-//      portable kernels exist for correctness, not speed),
+//      in each section (on the generic-fallback build only identity is
+//      asserted — the portable kernels exist for correctness, not speed),
 //
 // and emits a BENCH_simd.json throughput record to seed the perf
 // trajectory. Any violation exits 1.
@@ -31,12 +35,13 @@ bool check(bool ok, const char* what) {
   return ok;
 }
 
-/// Min-of-reps wall time of one backend lane over the batch.
-double time_backend(core::AlignBackend& backend, const seq::PairBatch& batch, int reps) {
+/// Min-of-reps wall time of `run`.
+template <typename Run>
+double min_ms(int reps, const Run& run) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const util::Timer t;
-    backend.run(batch, 0);
+    run();
     const double ms = t.millis();
     best = r == 0 ? ms : std::min(best, ms);
   }
@@ -84,8 +89,8 @@ int main(int argc, char** argv) {
 
   // --- 2. Measured wall-clock ---------------------------------------------
   const bool avx2 = align::simd::compiled_with_avx2() && align::simd::cpu_supports_avx2();
-  const double scalar_ms = time_backend(scalar, batch, reps);
-  const double simd_ms = time_backend(simd, batch, reps);
+  const double scalar_ms = min_ms(reps, [&] { scalar.run(batch, 0); });
+  const double simd_ms = min_ms(reps, [&] { simd.run(batch, 0); });
   const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
   const double cells = static_cast<double>(scalar_out.cells);
   const double gcups_scalar = cells / (scalar_ms * 1e6);
@@ -103,22 +108,46 @@ int main(int argc, char** argv) {
               speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit,
               core::simd_lane_speedup());
 
+  // --- 3. Traceback phase: identical traces, measured wall-clock -----------
+  const core::TracebackSettings settings;
+  const auto tb_scalar = scalar.run_traceback(batch, scalar_out.results, settings, 0);
+  const auto tb_simd = simd.run_traceback(batch, scalar_out.results, settings, 0);
+  std::size_t tb_identical = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    tb_identical += tb_scalar.traced[i] == tb_simd.traced[i];
+  }
+  ok &= check(tb_identical == batch.size(),
+              "SIMD traceback (CIGARs + starts) bit-identical to the scalar lane");
+  const double tb_scalar_ms = min_ms(
+      reps, [&] { scalar.run_traceback(batch, scalar_out.results, settings, 0); });
+  const double tb_simd_ms =
+      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out.results, settings, 0); });
+  const double tb_speedup = tb_scalar_ms / std::max(tb_simd_ms, 1e-9);
+  std::printf("  traceback, scalar : %9.3f ms  (%.1f M engine cells)\n", tb_scalar_ms,
+              static_cast<double>(tb_scalar.cells) / 1e6);
+  std::printf("  traceback, SIMD   : %9.3f ms  (%.1f M engine cells)\n", tb_simd_ms,
+              static_cast<double>(tb_simd.cells) / 1e6);
+  std::printf("  traceback speedup : %9.2fx\n\n", tb_speedup);
+
   if (avx2) {
     ok &= check(speedup >= 2.0, ">= 2x measured wall-clock win over the scalar backend");
+    ok &= check(tb_speedup >= 2.0,
+                ">= 2x measured traceback-phase wall-clock win over the scalar backend");
   } else {
     std::printf("note: AVX2 unavailable (generic fallback) — asserting identity only.\n");
   }
 
-  // --- 3. Throughput record ----------------------------------------------
+  // --- 4. Throughput record ----------------------------------------------
   if (std::FILE* f = std::fopen("BENCH_simd.json", "w")) {
     std::fprintf(f,
                  "{\"bench\":\"ablation_simd\",\"pairs\":%zu,\"len\":%zu,"
                  "\"cells\":%.0f,\"isa\":\"%s\",\"scalar_ms\":%.3f,\"simd_ms\":%.3f,"
                  "\"speedup\":%.3f,\"gcups_scalar\":%.3f,\"gcups_simd\":%.3f,"
+                 "\"tb_scalar_ms\":%.3f,\"tb_simd_ms\":%.3f,\"tb_speedup\":%.3f,"
                  "\"identical\":%s}\n",
                  batch.size(), len, cells, align::simd::isa_name(), scalar_ms, simd_ms,
-                 speedup, gcups_scalar, gcups_simd,
-                 identical == batch.size() ? "true" : "false");
+                 speedup, gcups_scalar, gcups_simd, tb_scalar_ms, tb_simd_ms, tb_speedup,
+                 identical == batch.size() && tb_identical == batch.size() ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_simd.json\n");
   }

@@ -8,6 +8,7 @@
 #include "align/simd_vec.hpp"
 #include "align/sw_banded.hpp"
 #include "align/sw_striped.hpp"
+#include "align/traceback_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -63,6 +64,59 @@ void settle_scalar(const seq::PairBatch& batch, const ScoringScheme& scoring, Sc
   cell_count = br.cells_computed;
 }
 
+/// Sorts vector pairs longest-first so cohort rectangles stay tight (lanes
+/// in a cohort share the padded row/column extent).
+void sort_cohort_order(const seq::PairBatch& batch, std::vector<std::size_t>& pairs) {
+  std::stable_sort(pairs.begin(), pairs.end(), [&](std::size_t a, std::size_t b) {
+    if (batch.refs[a].size() != batch.refs[b].size()) {
+      return batch.refs[a].size() > batch.refs[b].size();
+    }
+    return batch.queries[a].size() > batch.queries[b].size();
+  });
+}
+
+/// One pass over `req.pairs` at 8-bit (`wide` false) or 16-bit lanes on the
+/// dispatched ISA.
+void run_width(const PassRequest& req, bool wide, bool use_avx2) {
+#if defined(SALOBA_SIMD_AVX2)
+  if (use_avx2) {
+    wide ? detail::run_pass_u16_avx2(req) : detail::run_pass_u8_avx2(req);
+    return;
+  }
+#endif
+  (void)use_avx2;
+  wide ? detail::run_pass_u16_generic(req) : detail::run_pass_u8_generic(req);
+}
+
+/// The 8-bit pass over `vec_pairs`, then the 16-bit rescue of its saturated
+/// lanes; returns the pairs that saturated 16 bits too, and counts the
+/// pairs each width settled. `req.overflowed` must be all zero on entry.
+std::vector<std::size_t> run_ladder(PassRequest& req, const std::vector<std::size_t>& vec_pairs,
+                                    bool use_avx2, std::size_t& settled_8bit,
+                                    std::size_t& settled_16bit) {
+  std::vector<std::uint8_t>& overflowed = *req.overflowed;
+  if (!vec_pairs.empty()) {
+    req.pairs = vec_pairs;
+    run_width(req, /*wide=*/false, use_avx2);
+  }
+  // 16-bit rescue of saturated lanes (filtering preserves sorted order).
+  std::vector<std::size_t> wide_pairs, saturated;
+  for (std::size_t p : vec_pairs) {
+    if (overflowed[p]) wide_pairs.push_back(p);
+  }
+  settled_8bit = vec_pairs.size() - wide_pairs.size();
+  if (!wide_pairs.empty()) {
+    std::fill(overflowed.begin(), overflowed.end(), std::uint8_t{0});
+    req.pairs = wide_pairs;
+    run_width(req, /*wide=*/true, use_avx2);
+    for (std::size_t p : wide_pairs) {
+      if (overflowed[p]) saturated.push_back(p);
+    }
+  }
+  settled_16bit = wide_pairs.size() - saturated.size();
+  return saturated;
+}
+
 }  // namespace
 
 std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
@@ -82,8 +136,7 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
 
   // Route: empty pairs settle immediately (score 0, no cells); pairs beyond
   // the 16-bit index guard go straight to int32; everything else enters the
-  // 8-bit pass. Vector pairs are sorted longest-first so cohort rectangles
-  // stay tight (lanes in a cohort share the padded row/column extent).
+  // 8-bit pass.
   std::vector<std::size_t> vec_pairs, scalar_pairs;
   vec_pairs.reserve(n_pairs);
   for (std::size_t p = 0; p < n_pairs; ++p) {
@@ -96,13 +149,7 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
       vec_pairs.push_back(p);
     }
   }
-  std::stable_sort(vec_pairs.begin(), vec_pairs.end(), [&](std::size_t a, std::size_t b) {
-    if (batch.refs[a].size() != batch.refs[b].size()) {
-      return batch.refs[a].size() > batch.refs[b].size();
-    }
-    return batch.queries[a].size() > batch.queries[b].size();
-  });
-  local.rescued_32bit = scalar_pairs.size();
+  sort_cohort_order(batch, vec_pairs);
 
   PassRequest req;
   req.batch = &batch;
@@ -112,46 +159,11 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
   req.cells = &cells;
   req.overflowed = &overflowed;
   req.threads = threads;
-
-  // 8-bit pass.
-  if (!vec_pairs.empty()) {
-    req.pairs = vec_pairs;
-    local.cohorts += (vec_pairs.size() + 31) / 32;
-#if defined(SALOBA_SIMD_AVX2)
-    if (use_avx2) {
-      detail::run_pass_u8_avx2(req);
-    } else {
-      detail::run_pass_u8_generic(req);
-    }
-#else
-    detail::run_pass_u8_generic(req);
-#endif
-  }
-
-  // 16-bit rescue of saturated lanes (filtering preserves sorted order).
-  std::vector<std::size_t> wide_pairs;
-  for (std::size_t p : vec_pairs) {
-    if (overflowed[p]) wide_pairs.push_back(p);
-  }
-  local.pairs_8bit = vec_pairs.size() - wide_pairs.size();
-  if (!wide_pairs.empty()) {
-    std::fill(overflowed.begin(), overflowed.end(), std::uint8_t{0});
-    req.pairs = wide_pairs;
-    local.cohorts += (wide_pairs.size() + 15) / 16;
-#if defined(SALOBA_SIMD_AVX2)
-    if (use_avx2) {
-      detail::run_pass_u16_avx2(req);
-    } else {
-      detail::run_pass_u16_generic(req);
-    }
-#else
-    detail::run_pass_u16_generic(req);
-#endif
-    for (std::size_t p : wide_pairs) {
-      if (overflowed[p]) scalar_pairs.push_back(p);
-    }
-    local.rescued_16bit = wide_pairs.size() - (scalar_pairs.size() - local.rescued_32bit);
-  }
+  const std::vector<std::size_t> saturated =
+      run_ladder(req, vec_pairs, use_avx2, local.pairs_8bit, local.rescued_16bit);
+  const std::size_t wide_pairs = vec_pairs.size() - local.pairs_8bit;
+  local.cohorts = (vec_pairs.size() + 31) / 32 + (wide_pairs + 15) / 16;
+  scalar_pairs.insert(scalar_pairs.end(), saturated.begin(), saturated.end());
   local.rescued_32bit = scalar_pairs.size();
 
   // int32 scalar settlement (oversize pairs + double-saturated rescues).
@@ -171,6 +183,83 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
     *stats = local;
   }
   return results;
+}
+
+std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
+                                         std::span<const AlignmentResult> ends,
+                                         const ScoringScheme& scoring, TraceStats* stats,
+                                         int threads, Score zdrop, std::size_t checkpoint_rows) {
+  SALOBA_CHECK(scoring.valid());
+  SALOBA_CHECK_MSG(ends.size() == batch.size(), "trace_batch got " << ends.size()
+                                                    << " score results for a " << batch.size()
+                                                    << "-pair batch");
+  const std::size_t n_pairs = batch.size();
+  std::vector<TracedAlignment> traced(n_pairs);
+  std::vector<std::size_t> forward(n_pairs, 0), replay(n_pairs, 0);
+  std::vector<std::uint8_t> overflowed(n_pairs, 0);
+
+  const bool use_avx2 = compiled_with_avx2() && cpu_supports_avx2();
+  TraceStats local;
+
+  // Route: zero-score pairs keep the empty trace; pairs beyond the 16-bit
+  // index guard, or whose cohort working set alone would exceed the cap,
+  // go to the scalar engine; everything else enters the 8-bit traced pass.
+  std::vector<std::size_t> vec_pairs, scalar_pairs;
+  for (std::size_t p = 0; p < n_pairs; ++p) {
+    if (ends[p].score <= 0) continue;
+    ++local.pairs;
+    const std::size_t n = batch.refs[p].size();
+    const std::size_t m = batch.queries[p].size();
+    if (std::max(n, m) > detail::kMaxSimdLen ||
+        detail::trace_cohort_bytes(n, m, checkpoint_block_rows(n, checkpoint_rows)) >
+            detail::kMaxTraceCohortBytes) {
+      scalar_pairs.push_back(p);
+    } else {
+      vec_pairs.push_back(p);
+    }
+  }
+  sort_cohort_order(batch, vec_pairs);
+
+  PassRequest req;
+  req.batch = &batch;
+  req.scoring = &scoring;
+  req.zdrop = zdrop;
+  req.cells = &forward;
+  req.overflowed = &overflowed;
+  req.threads = threads;
+  req.traced = &traced;
+  req.ends = ends;
+  req.replay_cells = &replay;
+  req.checkpoint_rows = checkpoint_rows;
+  const std::vector<std::size_t> saturated =
+      run_ladder(req, vec_pairs, use_avx2, local.pairs_8bit, local.rescued_16bit);
+  scalar_pairs.insert(scalar_pairs.end(), saturated.begin(), saturated.end());
+  local.scalar_pairs = scalar_pairs.size();
+
+  util::parallel_for_indexed(
+      scalar_pairs.size(),
+      [&](std::size_t k) {
+        const std::size_t p = scalar_pairs[k];
+        TracebackParams params;
+        params.band = batch.band_of(p);
+        params.zdrop = zdrop;
+        params.checkpoint_rows = checkpoint_rows;
+        TracebackResult r = banded_traceback(batch.refs[p], batch.queries[p], scoring, params);
+        SALOBA_CHECK_MSG(r.traced.end == ends[p],
+                         "pair " << p << ": traceback ends at " << format_result(r.traced.end)
+                                 << ", score pass at " << format_result(ends[p]));
+        traced[p] = std::move(r.traced);
+        forward[p] = r.stats.forward_cells;
+        replay[p] = r.stats.replay_cells;
+      },
+      threads);
+
+  if (stats != nullptr) {
+    local.forward_cells = std::accumulate(forward.begin(), forward.end(), std::size_t{0});
+    local.replay_cells = std::accumulate(replay.begin(), replay.end(), std::size_t{0});
+    *stats = local;
+  }
+  return traced;
 }
 
 }  // namespace saloba::align::simd

@@ -13,6 +13,11 @@
 // the int32 path (smith_waterman_striped_ends when unbanded and un-pruned,
 // smith_waterman_banded otherwise).
 //
+// trace_batch is the same ladder in traced mode: one checkpointed cohort
+// pass per width produces every lane's CIGAR (bit-identical to
+// align::banded_traceback), and align::banded_traceback itself is the int32
+// rung.
+//
 // ISA selection is a runtime decision: when the build enables AVX2
 // (SALOBA_SIMD_AVX2) and the CPU reports it, the intrinsic kernels from
 // simd_engine_avx2.cpp run; otherwise the portable OpsGeneric kernels do.
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "align/alignment_result.hpp"
@@ -59,5 +65,39 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          const ScoringScheme& scoring,
                                          EngineStats* stats = nullptr, int threads = 0,
                                          Score zdrop = 0);
+
+/// Per-call telemetry of trace_batch.
+struct TraceStats {
+  std::size_t pairs = 0;          ///< pairs traced (positive score-pass result)
+  std::size_t pairs_8bit = 0;     ///< traced by the 8-bit cohort pass
+  std::size_t rescued_16bit = 0;  ///< traced by the 16-bit rescue pass
+  /// Traced by align::banded_traceback: oversize pairs, pairs whose cohort
+  /// working set alone would exceed the cap, and 16-bit saturations.
+  std::size_t scalar_pairs = 0;
+  /// In-band cells of the forward sweeps — the score pass's count for the
+  /// traced pairs.
+  std::size_t forward_cells = 0;
+  /// In-band cells re-derived for the walks (at most forward_cells).
+  std::size_t replay_cells = 0;
+
+  std::size_t cells() const { return forward_cells + replay_cells; }
+};
+
+/// Traces every pair of `batch` whose score-pass result in `ends` (size ==
+/// batch.size()) is positive; other pairs get the empty TracedAlignment.
+/// Cohorts of 32 (8-bit) or 16 (16-bit rescue) pairs run the checkpointed
+/// traced kernel: a forward sweep saving H/F every K rows, then bottom-up
+/// K-row block replays storing per-cell flag bytes that each lane walks.
+/// K = `checkpoint_rows`, or ~sqrt(rows) when 0 (align::TracebackParams
+/// semantics). Per-pair bands and `zdrop` mirror the score pass, whose
+/// endpoints every forward sweep must reproduce (a CHECK). Traces are
+/// bit-identical to align::banded_traceback with the same band, zdrop and
+/// checkpoint_rows, deterministic and in input order. `threads` caps host
+/// threads across cohorts (0 = default team).
+std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
+                                         std::span<const AlignmentResult> ends,
+                                         const ScoringScheme& scoring,
+                                         TraceStats* stats = nullptr, int threads = 0,
+                                         Score zdrop = 0, std::size_t checkpoint_rows = 0);
 
 }  // namespace saloba::align::simd

@@ -24,22 +24,29 @@ struct Checkpoint {
   std::vector<Score> f;
 };
 
-/// One re-derived block of rows for the backward walk: H/E/F of every
-/// in-band cell of rows [first_row, first_row + rows.size()) (1-based DP
-/// rows), plus H of the row above the block (the snapshot row) for the
-/// walk's cross-row reads — the walk only ever reads H across rows.
+/// One re-derived block of rows for the backward walk: the flag byte of
+/// every in-band cell of rows [first_row, first_row + rows.size()) (1-based
+/// DP rows). The flags already hold every cross-row comparison the walk
+/// makes, so the block needs nothing from the row above it.
 struct Block {
   struct Row {
     std::size_t col_lo = 1;  ///< first 1-based column stored
-    std::vector<Score> h, e, f;
+    std::vector<std::uint8_t> flags;
   };
   std::size_t first_row = 1;  ///< 1-based DP row of rows.front()
   std::vector<Row> rows;
-  std::size_t above_lo = 0;  ///< first h_row index of h_above
-  std::vector<Score> h_above;
 
   bool contains(std::size_t row) const {
     return row >= first_row && row < first_row + rows.size();
+  }
+
+  /// The flag byte of 1-based cell (row, col); out-of-band cells read the
+  /// masked-DP neutral values (H = 0, E/F = -inf), i.e. kTraceZero alone.
+  std::uint8_t flag_at(std::size_t row, std::size_t col) const {
+    SALOBA_CHECK_MSG(contains(row), "traceback block does not cover row");
+    const Row& r = rows[row - first_row];
+    if (col < r.col_lo || col >= r.col_lo + r.flags.size()) return kTraceZero;
+    return r.flags[col - r.col_lo];
   }
 };
 
@@ -83,7 +90,7 @@ struct Engine {
   /// Walk-time row state, allocated once per pair and selectively reset
   /// between block re-derivations: a full O(m) clear per block would dwarf
   /// the O(rows·band) replay work on long banded pairs.
-  std::vector<Score> walk_h, walk_f;
+  std::vector<Score> walk_h{}, walk_f{};
   std::size_t dirty_lo = 1, dirty_hi = 0;  ///< columns the last restore+sweep touched
   bool walk_ready = false;
 
@@ -113,14 +120,16 @@ struct Engine {
   }
 
   /// Forward sweep over 0-based rows [row_begin, row_end) from the given row
-  /// state — the exact loop of align::smith_waterman_banded. `capture`
-  /// receives every computed cell when a block is being re-derived; `cells`
-  /// counts the work. Returns the best endpoint seen (callers that only
-  /// replay ignore it).
-  template <typename Capture>
+  /// state — the exact loop of align::smith_waterman_banded. With kFlags,
+  /// `capture(i, j, flags)` receives every computed cell's flag byte (a
+  /// block re-derivation); `cells` counts the work. `best`/`row_best_out`
+  /// receive the best endpoint and the last row's best when non-null.
+  template <bool kFlags, typename Capture>
   void sweep(std::size_t row_begin, std::size_t row_end, std::vector<Score>& h_row,
              std::vector<Score>& f_col, std::size_t& cells, AlignmentResult* best,
              Score* row_best_out, const Capture& capture) const {
+    const Score alpha = scoring.alpha();
+    const Score beta = scoring.beta();
     for (std::size_t i = row_begin; i < row_end; ++i) {
       std::size_t j_lo = (i >= band) ? i - band : 0;
       std::size_t j_hi = std::min(m() - 1, i + band);
@@ -131,10 +140,12 @@ struct Engine {
       Score e = kNegInf;
       Score row_best = kNegInf;
       for (std::size_t j = j_lo; j <= j_hi; ++j) {
-        e = std::max(h_left - scoring.alpha(), e - scoring.beta());
-        Score f = std::max(h_row[j + 1] - scoring.alpha(), f_col[j + 1] - scoring.beta());
-        Score h =
-            std::max({Score{0}, h_diag + scoring.substitution(ref[i], query[j]), e, f});
+        const Score e_open = h_left - alpha;
+        e = std::max(e_open, e - beta);
+        const Score f_open = h_row[j + 1] - alpha;
+        const Score f = std::max(f_open, f_col[j + 1] - beta);
+        const Score diag = h_diag + scoring.substitution(ref[i], query[j]);
+        const Score h = std::max({Score{0}, diag, e, f});
 
         h_diag = h_row[j + 1];
         h_row[j + 1] = h;
@@ -142,7 +153,7 @@ struct Engine {
         h_left = h;
         ++cells;
         row_best = std::max(row_best, h);
-        capture(i, j, h, e, f);
+        if constexpr (kFlags) capture(i, j, trace_flags(h, diag, e, f, e_open, f_open));
 
         if (best && h > best->score) {
           *best = AlignmentResult{h, static_cast<std::int32_t>(i),
@@ -165,57 +176,25 @@ struct Engine {
     Block blk;
     blk.first_row = first0 + 1;
     blk.rows.reserve(end0 - first0);
-    // H of the snapshot row, for the walk's H(first_row - 1, ·) reads.
-    blk.above_lo = checkpoints[b].col_lo;
-    blk.h_above = checkpoints[b].h;
-
     std::size_t current = static_cast<std::size_t>(-1);
-    sweep(first0, end0, walk_h, walk_f, stats.replay_cells, nullptr, nullptr,
-          [&](std::size_t i, std::size_t j, Score h, Score e, Score f) {
-            if (i != current) {
-              current = i;
-              blk.rows.emplace_back();
-              blk.rows.back().col_lo = j + 1;  // 1-based first in-band column
-            }
-            Block::Row& r = blk.rows.back();
-            r.h.push_back(h);
-            r.e.push_back(e);
-            r.f.push_back(f);
-          });
+    std::size_t block_cells = 0;
+    sweep<true>(first0, end0, walk_h, walk_f, block_cells, nullptr, nullptr,
+                [&](std::size_t i, std::size_t j, std::uint8_t flags) {
+                  if (i != current) {
+                    current = i;
+                    blk.rows.emplace_back();
+                    blk.rows.back().col_lo = j + 1;  // 1-based first in-band column
+                  }
+                  blk.rows.back().flags.push_back(flags);
+                });
     // Rows whose band window is empty (past m - 1 + band) hold no cells;
     // they can only trail the block, and the walk never visits them.
     while (blk.first_row + blk.rows.size() <= row) blk.rows.emplace_back();
-    stats.traffic_bytes += 3 * stats_rows_bytes(blk);
+    stats.replay_cells += block_cells;
+    stats.traffic_bytes += 3 * block_cells * sizeof(Score);
     return blk;
   }
-
-  static std::size_t stats_rows_bytes(const Block& blk) {
-    std::size_t cells = 0;
-    for (const Block::Row& r : blk.rows) cells += r.h.size();
-    return cells * sizeof(Score);
-  }
 };
-
-/// Windowed lookups with masked-DP out-of-band semantics.
-Score h_at(const Block& blk, std::size_t row, std::size_t col) {
-  if (row == 0 || col == 0) return 0;
-  if (row + 1 == blk.first_row) {  // the snapshot row above the block
-    if (col < blk.above_lo || col >= blk.above_lo + blk.h_above.size()) return 0;
-    return blk.h_above[col - blk.above_lo];
-  }
-  SALOBA_CHECK_MSG(blk.contains(row), "traceback block does not cover row");
-  const Block::Row& r = blk.rows[row - blk.first_row];
-  if (col < r.col_lo || col >= r.col_lo + r.h.size()) return 0;
-  return r.h[col - r.col_lo];
-}
-
-Score ef_at(const Block& blk, std::size_t row, std::size_t col, bool want_e) {
-  if (row == 0 || col == 0) return kNegInf;
-  SALOBA_CHECK_MSG(blk.contains(row), "traceback block does not cover row");
-  const Block::Row& r = blk.rows[row - blk.first_row];
-  if (col < r.col_lo || col >= r.col_lo + r.h.size()) return kNegInf;
-  return want_e ? r.e[col - r.col_lo] : r.f[col - r.col_lo];
-}
 
 }  // namespace
 
@@ -231,10 +210,7 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
 
   Engine eng{ref, query, scoring,
              params.band != 0 ? params.band : std::max(n, m),
-             params.checkpoint_rows != 0
-                 ? params.checkpoint_rows
-                 : std::max<std::size_t>(
-                       8, static_cast<std::size_t>(std::sqrt(static_cast<double>(n)))),
+             checkpoint_block_rows(n, params.checkpoint_rows),
              {},
              {}};
 
@@ -246,8 +222,8 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
   for (std::size_t i = 0; i < n; ++i) {
     if (i % eng.chunk == 0) eng.snapshot(i, h_row, f_col);
     Score row_best = kNegInf;
-    eng.sweep(i, i + 1, h_row, f_col, eng.stats.forward_cells, &best, &row_best,
-              [](std::size_t, std::size_t, Score, Score, Score) {});
+    eng.sweep<false>(i, i + 1, h_row, f_col, eng.stats.forward_cells, &best, &row_best,
+                     [](std::size_t, std::size_t, std::uint8_t) {});
     if (params.zdrop > 0 && i < last_row && row_best < best.score - params.zdrop &&
         row_best != kNegInf) {
       eng.stats.zdropped = true;
@@ -261,54 +237,35 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
     return out;
   }
 
-  // --- Phase B: backward walk, re-deriving one block at a time. The walk is
-  // the full-matrix state machine verbatim (M before E before F), reading
-  // H/E/F through the block's band window; out-of-band reads resolve to the
+  // --- Phase B: backward walk (TraceWalk, the state machine both engines
+  // share), re-deriving one block at a time. Out-of-band cells read the
   // masked-DP neutral values, so banded paths can never leave the band.
-  enum class State { kH, kE, kF };
-  State state = State::kH;
-  std::string ops;
-  std::size_t i = static_cast<std::size_t>(best.ref_end) + 1;
-  std::size_t j = static_cast<std::size_t>(best.query_end) + 1;
-  Block blk = eng.rederive(i);
-  const Score alpha = scoring.alpha();
-  while (i > 0 && j > 0) {
-    if (i < blk.first_row) blk = eng.rederive(i);
-    if (state == State::kH) {
-      Score v = h_at(blk, i, j);
-      if (v == 0) break;
-      Score s = h_at(blk, i - 1, j - 1) + scoring.substitution(ref[i - 1], query[j - 1]);
-      if (v == s) {
-        ops += 'M';
-        --i;
-        --j;
-      } else if (v == ef_at(blk, i, j, /*want_e=*/true)) {
-        state = State::kE;
-      } else {
-        SALOBA_CHECK_MSG(v == ef_at(blk, i, j, /*want_e=*/false),
-                         "traceback: H cell matches no predecessor");
-        state = State::kF;
-      }
-    } else if (state == State::kE) {
-      ops += 'I';
-      bool opened = ef_at(blk, i, j, /*want_e=*/true) == h_at(blk, i, j - 1) - alpha;
-      --j;
-      if (opened) state = State::kH;
-    } else {  // State::kF
-      ops += 'D';
-      bool opened = ef_at(blk, i, j, /*want_e=*/false) == h_at(blk, i - 1, j) - alpha;
-      --i;
-      if (opened) state = State::kH;
-    }
+  TraceWalk walk(best);
+  while (!walk.done()) {
+    const Block blk = eng.rederive(walk.row());
+    walk.advance(blk.first_row,
+                 [&](std::size_t row, std::size_t col) { return blk.flag_at(row, col); });
   }
-
-  out.traced.ref_start = static_cast<std::int32_t>(i);
-  out.traced.query_start = static_cast<std::int32_t>(j);
-  std::reverse(ops.begin(), ops.end());
-  out.traced.cigar = compress_cigar(ops);
-  eng.stats.traffic_bytes += ops.size() * 3 * sizeof(Score);  // the walk's reads
+  out.traced = walk.result();
+  eng.stats.traffic_bytes += walk.steps() * 3 * sizeof(Score);  // the walk's reads
   out.stats = eng.stats;
   return out;
+}
+
+TracedAlignment TraceWalk::result() const {
+  SALOBA_CHECK_MSG(done_, "traceback walk has not finished");
+  TracedAlignment out;
+  out.end = end_;
+  if (end_.score <= 0) return out;
+  out.ref_start = static_cast<std::int32_t>(i_);
+  out.query_start = static_cast<std::int32_t>(j_);
+  out.cigar = compress_cigar(std::string(ops_.rbegin(), ops_.rend()));
+  return out;
+}
+
+std::size_t checkpoint_block_rows(std::size_t rows, std::size_t checkpoint_rows) {
+  if (checkpoint_rows != 0) return checkpoint_rows;
+  return std::max<std::size_t>(8, static_cast<std::size_t>(std::sqrt(static_cast<double>(rows))));
 }
 
 }  // namespace saloba::align

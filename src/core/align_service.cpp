@@ -83,6 +83,8 @@ struct Session {
   std::size_t batches = 0;
   double align_ms = 0.0;
   std::size_t cells = 0;
+  double traceback_ms = 0.0;
+  std::size_t traceback_cells = 0;
   std::optional<gpusim::TimeBreakdown> breakdown;
   bool cancelled = false;
   bool finished = false;
@@ -288,6 +290,9 @@ struct AlignService::Impl {
                                      static_cast<double>(mb.batch.size());
       s.align_ms += out.time_ms * share;
       s.cells += static_cast<std::size_t>(std::llround(seg_cells));
+      s.traceback_ms += out.traceback_ms * share;
+      s.traceback_cells +=
+          static_cast<std::size_t>(std::llround(static_cast<double>(out.traceback_cells) * share));
       s.batches += 1;
       if (out.time_breakdown) {
         if (!s.breakdown) s.breakdown.emplace();
@@ -350,6 +355,8 @@ struct AlignService::Impl {
     st.batches = s.batches;
     st.align_ms = s.align_ms;
     st.cells = s.cells;
+    st.traceback_ms = s.traceback_ms;
+    st.traceback_cells = s.traceback_cells;
     st.p50_latency_ms = util::percentile_nearest_rank(s.latencies_ms, 50.0);
     st.p99_latency_ms = util::percentile_nearest_rank(s.latencies_ms, 99.0);
     st.time_breakdown = s.breakdown;
@@ -491,6 +498,8 @@ AlignOutput AlignService::align(const seq::PairBatch& batch, SessionOptions opts
   out.time_ms = st.align_ms;
   out.gcups = st.align_ms > 0 ? static_cast<double>(st.cells) / (st.align_ms * 1e6) : 0.0;
   out.time_breakdown = st.time_breakdown;
+  out.traceback_ms = st.traceback_ms;
+  out.traceback_cells = st.traceback_cells;
   return out;
 }
 

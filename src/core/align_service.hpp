@@ -56,6 +56,11 @@ struct SessionStats {
   /// split by the tenants' in-band DP-cell shares of that batch.
   double align_ms = 0.0;
   std::size_t cells = 0;  ///< the tenant's in-band DP cells (the share basis)
+  /// Traceback phase (two-phase runs only): each merged batch's
+  /// AlignOutput::traceback_ms / traceback_cells split by the same cell
+  /// share as align_ms.
+  double traceback_ms = 0.0;
+  std::size_t traceback_cells = 0;
   /// submit-to-delivery latency quantiles over every completed pair
   /// (util::percentile_nearest_rank — exact small-N nearest rank).
   double p50_latency_ms = 0.0;

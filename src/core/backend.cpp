@@ -133,13 +133,16 @@ std::pair<BackendOutput, LongReadPhase> run_with_longread(
   return {std::move(out), std::move(lr)};
 }
 
-/// Shared traceback-phase body of every backend: the linear-memory engine
-/// over every pair with a non-zero score-pass result, host-parallel, output
-/// order matching input order. `zdrop` mirrors the backend's score pass so
-/// endpoints stay bit-identical. Pairs an enabled `longread` policy routes
-/// go through the X-drop wavefront's Myers-Miller traceback instead (same
-/// xdrop as their score pass, so endpoints agree there too); their cells
-/// and traffic are attributed separately.
+/// Shared traceback-phase body of every backend: every pair with a non-zero
+/// score-pass result is traced, host-parallel, output order matching input
+/// order. `zdrop` mirrors the backend's score pass so endpoints stay
+/// bit-identical. Pairs an enabled `longread` policy routes go through the
+/// X-drop wavefront's Myers-Miller traceback (same xdrop as their score
+/// pass, so endpoints agree there too); their cells and traffic are
+/// attributed separately. The rest go through the banded linear-memory
+/// engine: align::banded_traceback per pair on scalar engines, or the
+/// checkpointed SIMD cohort pass (align::simd::trace_batch) on `kSimd`,
+/// which traces identically but prices no modeled traffic.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
   gpusim::PhaseCost traceback;  ///< the banded linear-memory engine's share
@@ -150,19 +153,24 @@ struct EnginePhase {
   std::size_t cells() const { return traceback.work + xdrop.work; }
 };
 
-EnginePhase trace_batch(const seq::PairBatch& batch,
+EnginePhase trace_phase(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
                         const align::ScoringScheme& scoring, align::Score zdrop,
                         const TracebackSettings& settings, int threads,
-                        const LongReadPolicy& longread = {}) {
+                        const LongReadPolicy& longread = {},
+                        LaneKind engine = LaneKind::kScalar) {
   SALOBA_CHECK_MSG(results.size() == batch.size(),
                    "traceback got " << results.size() << " score results for a "
                                     << batch.size() << "-pair batch");
+  const bool simd = engine == LaneKind::kSimd;
   EnginePhase out;
   out.traced.resize(batch.size());
   std::vector<std::size_t> cells(batch.size(), 0);
   std::vector<std::size_t> bytes(batch.size(), 0);
   std::vector<char> is_xdrop(batch.size(), 0);
+  // The ends the SIMD cohort pass traces: the score pass's, minus routed pairs.
+  std::vector<align::AlignmentResult> simd_ends;
+  if (simd) simd_ends.assign(results.begin(), results.end());
   util::parallel_for_indexed(
       batch.size(),
       [&](std::size_t i) {
@@ -178,8 +186,10 @@ EnginePhase trace_batch(const seq::PairBatch& batch,
           bytes[i] = xdrop_traffic_bytes(cells[i],
                                          batch.refs[i].size() + batch.queries[i].size());
           is_xdrop[i] = 1;
+          if (simd) simd_ends[i] = align::AlignmentResult{};
           return;
         }
+        if (simd) return;
         align::TracebackParams params;
         params.band = batch.band_of(i);
         params.zdrop = zdrop;
@@ -192,6 +202,15 @@ EnginePhase trace_batch(const seq::PairBatch& batch,
       threads);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     (is_xdrop[i] ? out.xdrop : out.traceback) += gpusim::PhaseCost{cells[i], bytes[i]};
+  }
+  if (simd) {
+    align::simd::TraceStats stats;
+    std::vector<align::TracedAlignment> traced = align::simd::trace_batch(
+        batch, simd_ends, scoring, &stats, threads, zdrop, settings.checkpoint_rows);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (simd_ends[i].score > 0) out.traced[i] = std::move(traced[i]);
+    }
+    out.traceback.work += stats.cells();
   }
   return out;
 }
@@ -297,8 +316,8 @@ TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
                                            const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_);
+  EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, settings,
+                                  threads_per_lane_, longread_, lane_kind(lane));
   TracebackOutput out;
   out.traced = std::move(phase.traced);
   out.cells = phase.cells();
@@ -424,7 +443,7 @@ TracebackOutput SimulatedGpuBackend::run_traceback(
   // Functional pass on the host (no zdrop: the kernels apply none, so traced
   // endpoints match the kernels bit-for-bit; routed long-read pairs mirror
   // their wavefront score pass instead)...
-  EnginePhase phase = trace_batch(batch, results, scoring_, /*zdrop=*/0, settings,
+  EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, settings,
                                   /*threads=*/0, longread_);
   TracebackOutput out;
   out.traced = std::move(phase.traced);

@@ -77,7 +77,10 @@ struct ChainingOutput {
 
 /// Engine knobs the scheduler threads into run_traceback.
 struct TracebackSettings {
-  /// Rows between row-state snapshots (0 = engine default, ~sqrt(|ref|)).
+  /// Rows between row-state snapshots — the block height K both traceback
+  /// engines re-derive in: align::banded_traceback per pair, and the traced
+  /// SIMD cohorts of align::simd::trace_batch (0 = ~sqrt of the rows: the
+  /// pair's |ref|, or the cohort's longest ref).
   std::size_t checkpoint_rows = 0;
 
   bool operator==(const TracebackSettings&) const = default;
@@ -105,11 +108,14 @@ class AlignBackend {
   virtual BackendOutput run(const seq::PairBatch& batch, int lane) = 0;
 
   /// Traceback phase for a batch whose score pass produced `results`
-  /// (size == batch.size()): one TracedAlignment per pair through the
-  /// linear-memory engine (align::banded_traceback), honoring the batch's
-  /// per-pair bands. Pairs with a zero score-pass result are skipped (their
-  /// trace is empty by construction). Endpoints reproduce `results` for any
-  /// score pass that is bit-identical to the CPU reference.
+  /// (size == batch.size()): one TracedAlignment per pair through a
+  /// linear-memory checkpointed engine — align::banded_traceback per pair,
+  /// or on SIMD host lanes the traced cohort pass align::simd::trace_batch,
+  /// whose traces are identical — honoring the batch's per-pair bands.
+  /// Pairs with a zero score-pass result are skipped (their trace is empty
+  /// by construction). Endpoints reproduce `results` for any score pass
+  /// that is bit-identical to the CPU reference. `cells` are the engine's
+  /// own forward + replay cells, so they differ between lane kinds.
   virtual TracebackOutput run_traceback(const seq::PairBatch& batch,
                                         std::span<const align::AlignmentResult> results,
                                         const TracebackSettings& settings, int lane) = 0;
@@ -125,19 +131,22 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// What engine a host lane runs.
+/// What engines a host lane runs.
 enum class LaneKind {
-  kScalar,  ///< the scalar OpenMP batch aligner (align::align_batch)
-  kSimd,    ///< the inter-sequence SIMD cohort engine (align::simd::align_batch)
+  kScalar,  ///< the scalar OpenMP batch aligner (align::align_batch) and
+            ///< per-pair align::banded_traceback
+  kSimd,    ///< the inter-sequence SIMD cohort engine (align::simd::align_batch,
+            ///< traced: align::simd::trace_batch)
 };
 
 /// The host backend: one lane per entry of a LaneKind list. SIMD lanes run
 /// 8/16-bit saturating vector cohorts with an int32 rescue ladder,
-/// bit-identical to the scalar lanes (scores, endpoints, cell counts), so
-/// mixing kinds changes throughput, never answers. Lanes split one thread
-/// budget so overlapping shard runs never oversubscribe the machine and
-/// wall-clock timing stays honest. Named "cpu" (all scalar), "simd" (all
-/// SIMD) or "simd+cpu" (mixed).
+/// bit-identical to the scalar lanes (scores, endpoints, cell counts; traces,
+/// with the traceback engine's own cell count), so mixing kinds changes
+/// throughput, never answers. Lanes split one thread budget so overlapping
+/// shard runs never oversubscribe the machine and wall-clock timing stays
+/// honest. Named "cpu" (all scalar), "simd" (all SIMD) or "simd+cpu"
+/// (mixed).
 class HostBackend final : public AlignBackend {
  public:
   /// One lane per entry of `kinds`. Several lanes are each budgeted
@@ -165,7 +174,9 @@ class HostBackend final : public AlignBackend {
   BackendOutput run(const seq::PairBatch& batch, int lane) override;
   /// Engine params mirror the score pass (per-pair band + this backend's
   /// zdrop), so traced endpoints are bit-identical to run()'s results on
-  /// either lane kind.
+  /// either lane kind. Scalar lanes trace each pair with
+  /// align::banded_traceback; SIMD lanes trace whole cohorts with
+  /// align::simd::trace_batch.
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;

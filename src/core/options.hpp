@@ -131,8 +131,10 @@ struct AlignerOptions {
   /// banded score pass; the CPU backend's zdrop is mirrored so endpoints
   /// agree there too.
   bool traceback = false;
-  /// Rows between the traceback engine's row-state snapshots (0 = ~sqrt of
-  /// the reference length; see align::TracebackParams::checkpoint_rows).
+  /// Rows between the traceback engines' row-state snapshots: the block
+  /// height K the backward walk re-derives in, for both the per-pair engine
+  /// and the traced SIMD cohorts (0 = ~sqrt of the reference length; see
+  /// core::TracebackSettings::checkpoint_rows).
   std::size_t traceback_checkpoint_rows = 0;
 
   // --- Scheduler (host-side batching) ------------------------------------

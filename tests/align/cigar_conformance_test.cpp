@@ -74,28 +74,38 @@ void check_conformance(const seq::PairBatch& batch, const AlignOutput& out,
 struct Config {
   Backend backend;
   const char* kernel;  // simulated only
+  const char* device;  // host only: "simd" for SIMD lanes, "" for the scalar default
+
+  std::string name() const {
+    return backend == Backend::kSimulated ? kernel : *device != '\0' ? device : "cpu";
+  }
+  AlignerOptions options() const {
+    AlignerOptions opts;
+    opts.backend = backend;
+    if (backend == Backend::kSimulated) opts.kernel = kernel;
+    if (*device != '\0') opts.device = device;
+    opts.traceback = true;
+    return opts;
+  }
 };
 
 std::vector<Config> configs() {
-  return {{Backend::kCpu, ""},
-          {Backend::kSimulated, "saloba"},
-          {Backend::kSimulated, "saloba-sw8"},
-          {Backend::kSimulated, "gasal2"},
-          {Backend::kSimulated, "swsharp"}};
+  return {{Backend::kCpu, "", ""},
+          {Backend::kCpu, "", "simd"},
+          {Backend::kSimulated, "saloba", ""},
+          {Backend::kSimulated, "saloba-sw8", ""},
+          {Backend::kSimulated, "gasal2", ""},
+          {Backend::kSimulated, "swsharp", ""}};
 }
 
 TEST(CigarConformance, EveryKernelBandedAndUnbandedOneShot) {
   for (const Config& cfg : configs()) {
     for (std::size_t band : {std::size_t{0}, std::size_t{12}}) {
-      AlignerOptions opts;
-      opts.backend = cfg.backend;
-      if (cfg.backend == Backend::kSimulated) opts.kernel = cfg.kernel;
-      opts.traceback = true;
+      const AlignerOptions opts = cfg.options();
       Aligner aligner(opts);
       auto batch = conformance_batch(501, band);
       auto out = aligner.align(batch);
-      std::string label = std::string(cfg.backend == Backend::kCpu ? "cpu" : cfg.kernel) +
-                          "/band=" + std::to_string(band);
+      std::string label = cfg.name() + "/band=" + std::to_string(band);
       check_conformance(batch, out, opts.scoring, label);
       EXPECT_GT(out.traceback_cells, 0u) << label;
     }
@@ -105,10 +115,7 @@ TEST(CigarConformance, EveryKernelBandedAndUnbandedOneShot) {
 TEST(CigarConformance, StreamedEqualsOneShotWithTraceback) {
   for (const Config& cfg : configs()) {
     for (std::size_t band : {std::size_t{0}, std::size_t{12}}) {
-      AlignerOptions opts;
-      opts.backend = cfg.backend;
-      if (cfg.backend == Backend::kSimulated) opts.kernel = cfg.kernel;
-      opts.traceback = true;
+      const AlignerOptions opts = cfg.options();
       auto batch = conformance_batch(733, band);
 
       Aligner one_shot(opts);
@@ -119,8 +126,7 @@ TEST(CigarConformance, StreamedEqualsOneShotWithTraceback) {
       StreamAligner streamer(opts, stream);
       auto got = streamer.align_streamed(batch);
 
-      std::string label = std::string(cfg.backend == Backend::kCpu ? "cpu" : cfg.kernel) +
-                          "/band=" + std::to_string(band);
+      std::string label = cfg.name() + "/band=" + std::to_string(band);
       check_conformance(batch, got, opts.scoring, label + "/streamed");
       ASSERT_EQ(got.traced.size(), want.traced.size()) << label;
       for (std::size_t i = 0; i < want.traced.size(); ++i) {

@@ -169,6 +169,38 @@ TEST(AlignService, AlignConvenienceMatchesAlignerOneShot) {
   EXPECT_GT(out.time_breakdown->total_ms, 0.0);
 }
 
+TEST(AlignService, TracebackPhaseIsAttributedToTenants) {
+  // align() and SessionStats carry the traceback phase: each merged batch's
+  // traceback time and cells split by the tenant's cell share, like
+  // align_ms. A fixed block height makes the SIMD engine's cells a per-pair
+  // sum, so however the service batches, one tenant's total equals a direct
+  // Aligner's.
+  AlignerOptions opts;
+  opts.device = "simd";
+  opts.traceback = true;
+  opts.traceback_checkpoint_rows = 16;
+  auto batch = saloba::testing::related_batch(997, 48, 90, 130);
+  const AlignOutput direct = Aligner(opts).align(batch);
+  ASSERT_GT(direct.traceback_cells, 0u);
+  ASSERT_GT(direct.traceback_ms, 0.0);
+
+  ServiceOptions svc;
+  svc.batch_pairs = 16;
+  AlignService service(opts, svc);
+  const AlignOutput out = service.align(batch);
+  EXPECT_EQ(out.traced, direct.traced);
+  EXPECT_EQ(out.traceback_cells, direct.traceback_cells);
+  EXPECT_GT(out.traceback_ms, 0.0);
+
+  SessionId id = service.open();
+  ASSERT_TRUE(service.submit(id, batch));
+  service.finish(id);
+  drain_session(service, id);
+  const SessionStats st = service.session_stats(id);
+  EXPECT_EQ(st.traceback_cells, direct.traceback_cells);
+  EXPECT_GT(st.traceback_ms, 0.0);
+}
+
 TEST(AlignService, EmptyBatchAndEmptySessionAreWellFormed) {
   AlignService service(AlignerOptions{});
   // A session that finishes without submitting drains immediately.

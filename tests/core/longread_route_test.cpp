@@ -127,26 +127,37 @@ TEST(LongReadRoute, ShardedRoutedRunMatchesSingleLane) {
 }
 
 TEST(LongReadRoute, TracebackPhaseMirrorsRoutedScorePass) {
+  // On both host lane kinds: SIMD lanes trace the short pairs as vector
+  // cohorts while the routed pairs still take the X-drop traceback.
   const auto batch = mixed_batch(9105, 10, 4);
-  AlignerOptions opts = routed_options(Backend::kCpu);
-  opts.traceback = true;
-  const LongReadPolicy policy = opts.longread_policy();
-  const auto out = Aligner(opts).align(batch);
-  ASSERT_EQ(out.traced.size(), batch.size());
+  std::vector<align::TracedAlignment> scalar_traced;
+  for (const char* device : {"rtx3090", "simd"}) {
+    AlignerOptions opts = routed_options(Backend::kCpu);
+    opts.device = device;
+    opts.traceback = true;
+    const LongReadPolicy policy = opts.longread_policy();
+    const auto out = Aligner(opts).align(batch);
+    ASSERT_EQ(out.traced.size(), batch.size()) << device;
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& t = out.traced[i];
-    EXPECT_EQ(t.end, out.results[i]) << "pair " << i;
-    if (out.results[i].score <= 0) continue;
-    EXPECT_TRUE(align::cigar_consistent(t, batch.refs[i].size(), batch.queries[i].size()))
-        << "pair " << i;
-    EXPECT_EQ(align::rescore_cigar(t, batch.refs[i], batch.queries[i], opts.scoring),
-              out.results[i].score)
-        << "pair " << i;
-    if (is_routed(batch, i, policy)) {
-      const auto expect = align::xdrop_wavefront_align(
-          batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop});
-      EXPECT_EQ(t, expect) << "routed pair " << i;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto& t = out.traced[i];
+      EXPECT_EQ(t.end, out.results[i]) << device << " pair " << i;
+      if (out.results[i].score <= 0) continue;
+      EXPECT_TRUE(align::cigar_consistent(t, batch.refs[i].size(), batch.queries[i].size()))
+          << device << " pair " << i;
+      EXPECT_EQ(align::rescore_cigar(t, batch.refs[i], batch.queries[i], opts.scoring),
+                out.results[i].score)
+          << device << " pair " << i;
+      if (is_routed(batch, i, policy)) {
+        const auto expect = align::xdrop_wavefront_align(
+            batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop});
+        EXPECT_EQ(t, expect) << device << " routed pair " << i;
+      }
+    }
+    if (scalar_traced.empty()) {
+      scalar_traced = out.traced;
+    } else {
+      EXPECT_EQ(out.traced, scalar_traced) << device;
     }
   }
 }
