@@ -80,11 +80,11 @@ int main(int argc, char** argv) {
   auto simd_out = simd.run(batch, 0);
   std::size_t identical = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    identical += scalar_out.results[i] == simd_out.results[i];
+    identical += scalar_out.items[i] == simd_out.items[i];
   }
   ok &= check(identical == batch.size(),
               "SIMD results (scores + endpoints) bit-identical to the scalar lane");
-  ok &= check(simd_out.cells == scalar_out.cells,
+  ok &= check(simd_out.work == scalar_out.work,
               "SIMD cell accounting identical to the scalar lane");
 
   // --- 2. Measured wall-clock ---------------------------------------------
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   const double scalar_ms = min_ms(reps, [&] { scalar.run(batch, 0); });
   const double simd_ms = min_ms(reps, [&] { simd.run(batch, 0); });
   const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
-  const double cells = static_cast<double>(scalar_out.cells);
+  const double cells = static_cast<double>(scalar_out.work);
   const double gcups_scalar = cells / (scalar_ms * 1e6);
   const double gcups_simd = cells / (simd_ms * 1e6);
 
@@ -110,23 +110,23 @@ int main(int argc, char** argv) {
 
   // --- 3. Traceback phase: identical traces, measured wall-clock -----------
   const core::TracebackSettings settings;
-  const auto tb_scalar = scalar.run_traceback(batch, scalar_out.results, settings, 0);
-  const auto tb_simd = simd.run_traceback(batch, scalar_out.results, settings, 0);
+  const auto tb_scalar = scalar.run_traceback(batch, scalar_out.items, settings, 0);
+  const auto tb_simd = simd.run_traceback(batch, scalar_out.items, settings, 0);
   std::size_t tb_identical = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    tb_identical += tb_scalar.traced[i] == tb_simd.traced[i];
+    tb_identical += tb_scalar.items[i] == tb_simd.items[i];
   }
   ok &= check(tb_identical == batch.size(),
               "SIMD traceback (CIGARs + starts) bit-identical to the scalar lane");
   const double tb_scalar_ms = min_ms(
-      reps, [&] { scalar.run_traceback(batch, scalar_out.results, settings, 0); });
+      reps, [&] { scalar.run_traceback(batch, scalar_out.items, settings, 0); });
   const double tb_simd_ms =
-      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out.results, settings, 0); });
+      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out.items, settings, 0); });
   const double tb_speedup = tb_scalar_ms / std::max(tb_simd_ms, 1e-9);
   std::printf("  traceback, scalar : %9.3f ms  (%.1f M engine cells)\n", tb_scalar_ms,
-              static_cast<double>(tb_scalar.cells) / 1e6);
+              static_cast<double>(tb_scalar.work) / 1e6);
   std::printf("  traceback, SIMD   : %9.3f ms  (%.1f M engine cells)\n", tb_simd_ms,
-              static_cast<double>(tb_simd.cells) / 1e6);
+              static_cast<double>(tb_simd.work) / 1e6);
   std::printf("  traceback speedup : %9.2fx\n\n", tb_speedup);
 
   if (avx2) {

@@ -60,7 +60,7 @@ SchemeOutcome run_scheme(core::AlignBackend& backend, const seq::PairBatch& batc
     auto bo = backend.run(shard.batch, shard.lane);
     out.lane_ms[static_cast<std::size_t>(shard.lane)] += bo.time_ms;
     for (std::size_t i = 0; i < shard.indices.size(); ++i) {
-      out.results[shard.indices[i]] = bo.results[i];
+      out.results[shard.indices[i]] = bo.items[i];
     }
   }
   double sum = 0.0;

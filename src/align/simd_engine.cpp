@@ -47,8 +47,10 @@ namespace {
 using detail::PassRequest;
 
 /// int32 scalar settlement for one pair: the striped engine when the pair is
-/// unbanded and un-pruned (plain Smith–Waterman, full-table cell count), the
-/// banded oracle otherwise — exactly the two paths align::align_batch takes.
+/// unbanded and un-pruned (full-table cell count), the banded oracle
+/// otherwise. align::align_batch splits pairs the same way but runs
+/// smith_waterman on the unbanded side; the striped engine is bit-identical
+/// to it (sw_striped_test), so results and cells match.
 void settle_scalar(const seq::PairBatch& batch, const ScoringScheme& scoring, Score zdrop,
                    std::size_t p, AlignmentResult& result, std::size_t& cell_count) {
   const auto& ref = batch.refs[p];

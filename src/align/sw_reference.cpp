@@ -52,40 +52,6 @@ AlignmentResult smith_waterman(std::span<const seq::BaseCode> ref,
   return best;
 }
 
-Score needleman_wunsch(std::span<const seq::BaseCode> ref,
-                       std::span<const seq::BaseCode> query,
-                       const ScoringScheme& scoring) {
-  SALOBA_CHECK(scoring.valid());
-  const std::size_t n = ref.size();
-  const std::size_t m = query.size();
-  if (n == 0 && m == 0) return 0;
-  const Score alpha = scoring.alpha();
-  const Score beta = scoring.beta();
-
-  std::vector<Score> h_row(m + 1), f_col(m + 1, kNegInf);
-  h_row[0] = 0;
-  for (std::size_t j = 1; j <= m; ++j) {
-    h_row[j] = -alpha - static_cast<Score>(j - 1) * beta;
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    Score h_diag = h_row[0];
-    h_row[0] = -alpha - static_cast<Score>(i) * beta;
-    Score h_left = h_row[0];
-    Score e = kNegInf;
-    for (std::size_t j = 0; j < m; ++j) {
-      e = std::max(h_left - alpha, e - beta);
-      Score f = std::max(h_row[j + 1] - alpha, f_col[j + 1] - beta);
-      Score h = std::max({h_diag + scoring.substitution(ref[i], query[j]), e, f});
-      h_diag = h_row[j + 1];
-      h_row[j + 1] = h;
-      f_col[j + 1] = f;
-      h_left = h;
-    }
-  }
-  return h_row[m];
-}
-
 std::vector<Score> smith_waterman_matrix(std::span<const seq::BaseCode> ref,
                                          std::span<const seq::BaseCode> query,
                                          const ScoringScheme& scoring) {

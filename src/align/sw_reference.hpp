@@ -17,11 +17,6 @@ AlignmentResult smith_waterman(std::span<const seq::BaseCode> ref,
                                std::span<const seq::BaseCode> query,
                                const ScoringScheme& scoring);
 
-/// Global alignment score (Needleman–Wunsch, affine gaps, no free ends).
-Score needleman_wunsch(std::span<const seq::BaseCode> ref,
-                       std::span<const seq::BaseCode> query,
-                       const ScoringScheme& scoring);
-
 /// Full H matrix of the local alignment, (|ref|+1) x (|query|+1), row-major.
 /// Exposed for traceback and for tests that inspect the DP table directly.
 /// Large inputs: O(N*M) memory — callers are expected to keep N,M moderate.

@@ -55,12 +55,6 @@ inline Vec shift_in_zero(const Vec& a) {
 
 }  // namespace
 
-Score smith_waterman_striped(std::span<const seq::BaseCode> ref,
-                             std::span<const seq::BaseCode> query,
-                             const ScoringScheme& scoring) {
-  return smith_waterman_striped_ends(ref, query, scoring).score;
-}
-
 AlignmentResult smith_waterman_striped_ends(std::span<const seq::BaseCode> ref,
                                             std::span<const seq::BaseCode> query,
                                             const ScoringScheme& scoring) {

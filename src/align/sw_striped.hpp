@@ -21,11 +21,6 @@ namespace saloba::align {
 
 inline constexpr int kStripeLanes = 8;
 
-/// Local-alignment score via the striped layout.
-Score smith_waterman_striped(std::span<const seq::BaseCode> ref,
-                             std::span<const seq::BaseCode> query,
-                             const ScoringScheme& scoring);
-
 /// Striped alignment with end positions: bit-identical (score, ref_end,
 /// query_end) to align::smith_waterman. The single-pair int32 settlement
 /// path of the SIMD batch engine (align/simd_engine.hpp).

@@ -19,7 +19,6 @@
 #include "util/bounded_queue.hpp"
 #include "util/cancel_token.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -99,8 +98,7 @@ struct AlignService::Impl {
   const ServiceOptions& service;
 
   std::unique_ptr<AlignBackend> primary;
-  std::vector<std::unique_ptr<AlignBackend>> replicas;
-  std::vector<AlignBackend*> worker_backends;
+  std::vector<std::unique_ptr<AlignBackend>> replicas;  ///< empty: one worker on primary
 
   mutable std::mutex mutex;
   std::condition_variable work_cv;  ///< wakes the batcher
@@ -131,25 +129,11 @@ struct AlignService::Impl {
         inflight(std::max<std::size_t>(1, svc.max_inflight_batches)) {
     primary = make_backend(options);
     const std::size_t n_workers = std::max<std::size_t>(1, service.align_threads);
-    if (n_workers == 1) {
-      worker_backends.push_back(primary.get());
-    } else {
-      // Replicate like StreamAligner: no lane is ever shared across worker
-      // threads, and CPU replicas split the host thread budget between them.
-      AlignerOptions wopts = options;
-      if (options.backend == Backend::kCpu) {
-        int total =
-            options.cpu_threads > 0 ? options.cpu_threads : util::max_parallel_threads();
-        wopts.cpu_threads = std::max(1, total / static_cast<int>(n_workers));
-      }
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        replicas.push_back(make_backend(wopts));
-        worker_backends.push_back(replicas.back().get());
-      }
-    }
+    replicas = make_worker_replicas(options, n_workers);
     batcher = std::thread([this] { batcher_loop(); });
-    workers.reserve(worker_backends.size());
-    for (AlignBackend* backend : worker_backends) {
+    workers.reserve(n_workers);
+    for (std::size_t w = 0; w < n_workers; ++w) {
+      AlignBackend* backend = replicas.empty() ? primary.get() : replicas[w].get();
       workers.emplace_back([this, backend] { worker_loop(backend); });
     }
   }
@@ -481,13 +465,7 @@ AlignOutput AlignService::align(const seq::PairBatch& batch, SessionOptions opts
   out.results.resize(batch.size());
   std::size_t received = 0;
   while (auto span = poll(id)) {
-    std::copy(span->results.begin(), span->results.end(),
-              out.results.begin() + static_cast<std::ptrdiff_t>(span->first_pair));
-    if (!span->traced.empty()) {
-      if (out.traced.size() != out.results.size()) out.traced.resize(out.results.size());
-      std::move(span->traced.begin(), span->traced.end(),
-                out.traced.begin() + static_cast<std::ptrdiff_t>(span->first_pair));
-    }
+    place_span(out, span->first_pair, span->results, span->traced);
     received += span->results.size();
   }
   SALOBA_CHECK_MSG(admitted && received == batch.size(),

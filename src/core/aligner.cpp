@@ -42,10 +42,10 @@ seedext::BatchChainer Aligner::batch_chainer() {
   return [this](const seedext::ChainBatch& batch) {
     ChainPhaseOutput out = scheduler_->chain(batch);
     seedext::ChainStageResult res;
-    res.chains = std::move(out.chains);
+    res.chains = std::move(out.items);
     res.chaining_ms = out.time_ms;
-    res.anchors = out.anchors;
-    res.updates = out.updates;
+    res.anchors = batch.anchors();  // every task runs exactly once
+    res.updates = out.work;
     return res;
   };
 }

@@ -11,6 +11,7 @@
 #include "align/xdrop_wavefront.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_registry.hpp"
+#include "seedext/chain_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -107,29 +108,29 @@ LongReadPhase score_longread(const seq::PairBatch& batch,
 /// is *costed* — hosts add its wall-clock, the simulated backend charges a
 /// modeled estimate — so only results and cells are merged here.
 template <typename RunEngine>
-std::pair<BackendOutput, LongReadPhase> run_with_longread(
+std::pair<PhaseOutput<align::AlignmentResult>, LongReadPhase> run_with_longread(
     const seq::PairBatch& batch, const LongReadPolicy& policy,
     const align::ScoringScheme& scoring, int threads, RunEngine&& run_engine) {
   const std::vector<std::size_t> routed = longread_routed(batch, policy);
   if (routed.empty()) return {run_engine(batch), LongReadPhase{}};
   const RestSplit rest = split_rest(batch, routed);
-  BackendOutput out;
-  out.results.resize(batch.size());
+  PhaseOutput<align::AlignmentResult> out;
+  out.items.resize(batch.size());
   if (!rest.indices.empty()) {
-    BackendOutput rest_out = run_engine(rest.batch);
+    PhaseOutput<align::AlignmentResult> rest_out = run_engine(rest.batch);
     for (std::size_t k = 0; k < rest.indices.size(); ++k) {
-      out.results[rest.indices[k]] = rest_out.results[k];
+      out.items[rest.indices[k]] = rest_out.items[k];
     }
     out.time_ms = rest_out.time_ms;
-    out.cells = rest_out.cells;
+    out.work = rest_out.work;
     out.kernel_stats = std::move(rest_out.kernel_stats);
     out.time_breakdown = rest_out.time_breakdown;
   }
   LongReadPhase lr = score_longread(batch, routed, scoring, policy.xdrop, threads);
   for (std::size_t k = 0; k < routed.size(); ++k) {
-    out.results[routed[k]] = lr.results[k];
+    out.items[routed[k]] = lr.results[k];
   }
-  out.cells += lr.cost.work;
+  out.work += lr.cost.work;
   return {std::move(out), std::move(lr)};
 }
 
@@ -215,18 +216,18 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
   return out;
 }
 
-/// Shared chaining-phase body of the host backends: the forward-only engine
+/// Shared chaining-phase body of every backend: the forward-only engine
 /// over the shard's tasks (ISA dispatch inside), wall-clock timed. Every
 /// backend funnels through seedext::chain_tasks_run, so chains are
 /// bit-identical to the sequential oracle wherever the shard lands.
-ChainingOutput chain_shard(const seedext::ChainBatch& batch,
-                           std::span<const std::size_t> tasks, int threads) {
+PhaseOutput<std::vector<seedext::Chain>> chain_shard(const seedext::ChainBatch& batch,
+                                                     std::span<const std::size_t> tasks,
+                                                     int threads) {
   util::Timer timer;
-  ChainingOutput out;
-  out.chains.resize(batch.tasks());
-  seedext::chain_tasks_run(batch, tasks, out.chains, &out.engine_stats, threads);
-  out.anchors = out.engine_stats.anchors;
-  out.updates = out.engine_stats.pushes + out.engine_stats.settled;
+  seedext::ChainEngineStats stats;
+  PhaseOutput<std::vector<seedext::Chain>> out;
+  out.items = seedext::chain_tasks_run(batch, tasks, &stats, threads);
+  out.work = stats.pushes + stats.settled;
   out.time_ms = timer.millis();
   return out;
 }
@@ -287,23 +288,23 @@ double HostBackend::lane_weight(int lane) const {
   return lane_kind(lane) == LaneKind::kSimd ? threads * simd_lane_speedup() : threads;
 }
 
-BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
+PhaseOutput<align::AlignmentResult> HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   auto [out, lr] = run_with_longread(
       batch, longread_, scoring_, threads_per_lane_, [&](const seq::PairBatch& b) {
-        BackendOutput engine_out;
+        PhaseOutput<align::AlignmentResult> engine_out;
         if (lane_kind(lane) == LaneKind::kScalar) {
           align::BatchTiming timing;
-          engine_out.results =
+          engine_out.items =
               align::align_batch(b, scoring_, &timing, threads_per_lane_, zdrop_);
           engine_out.time_ms = timing.wall_ms;
-          engine_out.cells = timing.cells;
+          engine_out.work = timing.cells;
         } else {
           align::simd::EngineStats stats;
-          engine_out.results =
+          engine_out.items =
               align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
           engine_out.time_ms = stats.wall_ms;
-          engine_out.cells = stats.cells;
+          engine_out.work = stats.cells;
         }
         return engine_out;
       });
@@ -311,22 +312,22 @@ BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
   return std::move(out);
 }
 
-TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
-                                           std::span<const align::AlignmentResult> results,
-                                           const TracebackSettings& settings, int lane) {
+PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
+    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
+    const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
   EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, settings,
                                   threads_per_lane_, longread_, lane_kind(lane));
-  TracebackOutput out;
-  out.traced = std::move(phase.traced);
-  out.cells = phase.cells();
+  PhaseOutput<align::TracedAlignment> out;
+  out.items = std::move(phase.traced);
+  out.work = phase.cells();
   out.time_ms = timer.millis();
   return out;
 }
 
-ChainingOutput HostBackend::run_chaining(const seedext::ChainBatch& batch,
-                                         std::span<const std::size_t> tasks, int lane) {
+PhaseOutput<std::vector<seedext::Chain>> HostBackend::run_chaining(
+    const seedext::ChainBatch& batch, std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   return chain_shard(batch, tasks, threads_per_lane_);
 }
@@ -413,7 +414,8 @@ double SimulatedGpuBackend::lane_weight(int lane) const {
   return weights_[static_cast<std::size_t>(lane)];
 }
 
-BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
+PhaseOutput<align::AlignmentResult> SimulatedGpuBackend::run(const seq::PairBatch& batch,
+                                                             int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
   // The kernel on this lane's device for the classic pairs; the functional
@@ -422,10 +424,10 @@ BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
   auto [out, lr] = run_with_longread(
       batch, longread_, scoring_, /*threads=*/0, [&](const seq::PairBatch& b) {
         kernels::KernelResult kr = kernel_->run(dev, b, scoring_);
-        BackendOutput engine_out;
-        engine_out.results = std::move(kr.results);
+        PhaseOutput<align::AlignmentResult> engine_out;
+        engine_out.items = std::move(kr.results);
         engine_out.time_ms = kr.time.total_ms;
-        engine_out.cells = kr.stats.totals.dp_cells;
+        engine_out.work = kr.stats.totals.dp_cells;
         engine_out.kernel_stats = kr.stats;
         engine_out.time_breakdown = kr.time;
         return engine_out;
@@ -436,7 +438,7 @@ BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
   return std::move(out);
 }
 
-TracebackOutput SimulatedGpuBackend::run_traceback(
+PhaseOutput<align::TracedAlignment> SimulatedGpuBackend::run_traceback(
     const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
     const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
@@ -445,9 +447,9 @@ TracebackOutput SimulatedGpuBackend::run_traceback(
   // their wavefront score pass instead)...
   EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, settings,
                                   /*threads=*/0, longread_);
-  TracebackOutput out;
-  out.traced = std::move(phase.traced);
-  out.cells = phase.cells();
+  PhaseOutput<align::TracedAlignment> out;
+  out.items = std::move(phase.traced);
+  out.work = phase.cells();
   // ...then each engine's modeled cost on this lane's device, attributed
   // apart (Phase::kTraceback vs Phase::kXdrop).
   const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
@@ -456,18 +458,19 @@ TracebackOutput SimulatedGpuBackend::run_traceback(
   return out;
 }
 
-ChainingOutput SimulatedGpuBackend::run_chaining(const seedext::ChainBatch& batch,
-                                                 std::span<const std::size_t> tasks,
-                                                 int lane) {
+PhaseOutput<std::vector<seedext::Chain>> SimulatedGpuBackend::run_chaining(
+    const seedext::ChainBatch& batch, std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   // Functional pass on the host — the engine's output is ISA- and
   // backend-independent, so the simulated lane returns the same chains...
-  ChainingOutput out = chain_shard(batch, tasks, /*threads=*/0);
+  PhaseOutput<std::vector<seedext::Chain>> out = chain_shard(batch, tasks, /*threads=*/0);
   // ...with the phase's modeled cost on this lane's device replacing the
   // host wall-clock.
+  std::size_t anchors = 0;
+  for (std::size_t t : tasks) anchors += batch.task_size(t);
   const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
   charge_phase(out, dev, gpusim::Phase::kChaining,
-               {out.updates, chaining_traffic_bytes(out.anchors, out.updates)});
+               {out.work, chaining_traffic_bytes(anchors, out.work)});
   return out;
 }
 
@@ -496,6 +499,20 @@ std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
   }
   return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
                                        options.zdrop, options.longread_policy());
+}
+
+std::vector<std::unique_ptr<AlignBackend>> make_worker_replicas(const AlignerOptions& options,
+                                                                std::size_t workers) {
+  std::vector<std::unique_ptr<AlignBackend>> replicas;
+  if (workers <= 1) return replicas;
+  AlignerOptions wopts = options;
+  if (options.backend == Backend::kCpu) {
+    const int total =
+        options.cpu_threads > 0 ? options.cpu_threads : util::max_parallel_threads();
+    wopts.cpu_threads = std::max(1, total / static_cast<int>(workers));
+  }
+  for (std::size_t w = 0; w < workers; ++w) replicas.push_back(make_backend(wopts));
+  return replicas;
 }
 
 }  // namespace saloba::core

@@ -16,61 +16,23 @@
 #include "gpusim/device.hpp"
 #include "kernels/kernel_iface.hpp"
 #include "seedext/chain_batch.hpp"
-#include "seedext/chain_engine.hpp"
 #include "seq/sequence.hpp"
 
 namespace saloba::core {
 
-/// What one backend run on one lane produced.
-struct BackendOutput {
-  std::vector<align::AlignmentResult> results;
-  /// Wall-clock milliseconds for the CPU backend; simulated kernel
-  /// milliseconds for the simulated backend.
+/// What one phase run on one lane produced: the shard's items, its time and
+/// work, and the simulated backend's modeled counters. The scheduler merges
+/// one record per shard into one per batch (BatchScheduler::run, ::chain).
+template <typename Item>
+struct PhaseOutput {
+  /// One item per shard input, in shard order.
+  std::vector<Item> items;
+  /// Wall-clock milliseconds for host backends; modeled milliseconds for
+  /// the simulated backend.
   double time_ms = 0.0;
-  /// DP cells actually computed: in-band cells for banded pairs, minus any
-  /// rows a CPU-side zdrop pruned. 0 = the backend did not count (the
-  /// scheduler then falls back to the batch's nominal banded cell count).
-  std::size_t cells = 0;
+  /// The phase's work measure (see each AlignBackend entry point).
+  std::size_t work = 0;
   /// Simulated backend only.
-  std::optional<gpusim::KernelStats> kernel_stats;
-  std::optional<gpusim::TimeBreakdown> time_breakdown;
-};
-
-/// What one traceback-phase run on one lane produced (two-phase alignment,
-/// AlignerOptions::traceback).
-struct TracebackOutput {
-  /// One traced alignment per batch pair, input order. Pairs whose score
-  /// pass found nothing (score 0) get the empty TracedAlignment.
-  std::vector<align::TracedAlignment> traced;
-  /// Wall-clock milliseconds for the CPU backend; modeled traceback-phase
-  /// milliseconds for the simulated backend.
-  double time_ms = 0.0;
-  /// Engine cells spent on the phase (forward sweep + backward replay).
-  std::size_t cells = 0;
-  /// Simulated backend only: the phase's counters and modeled time
-  /// (the gpusim::Phase::kTraceback slots; routed long-read pairs land in
-  /// the kXdrop slots).
-  std::optional<gpusim::KernelStats> kernel_stats;
-  std::optional<gpusim::TimeBreakdown> time_breakdown;
-};
-
-/// What one chaining-phase run on one lane produced (the batched
-/// forward-only chaining wave, core::BatchScheduler::chain).
-struct ChainingOutput {
-  /// Indexed by *batch* task id; only this run's shard tasks are filled
-  /// (others stay empty vectors), so the scheduler can merge shard outputs
-  /// without remapping.
-  std::vector<std::vector<seedext::Chain>> chains;
-  /// Wall-clock milliseconds for host backends; modeled chaining-phase
-  /// milliseconds for the simulated backend.
-  double time_ms = 0.0;
-  /// Push + settlement candidates the engine evaluated (structural count,
-  /// deterministic across ISAs/threads) — the phase's work measure.
-  std::size_t updates = 0;
-  std::size_t anchors = 0;  ///< anchors across this run's tasks
-  seedext::ChainEngineStats engine_stats;
-  /// Simulated backend only: modeled counters and time (the
-  /// gpusim::Phase::kChaining slots).
   std::optional<gpusim::KernelStats> kernel_stats;
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
@@ -102,10 +64,13 @@ class AlignBackend {
   /// scheduler fall back to the classic unweighted packing bit-for-bit.
   virtual double lane_weight(int /*lane*/) const { return 1.0; }
 
-  /// Runs the batch on `lane` (in [0, lanes())). May throw
-  /// kernels::KernelUnsupportedError or gpusim::DeviceOomError, faithfully
-  /// to the modelled library.
-  virtual BackendOutput run(const seq::PairBatch& batch, int lane) = 0;
+  /// Runs the batch on `lane` (in [0, lanes())): one result per pair. `work`
+  /// is the DP cells actually computed — in-band cells for banded pairs,
+  /// minus any rows a CPU-side zdrop pruned; 0 = the backend did not count
+  /// (the scheduler then falls back to the batch's nominal banded cells).
+  /// May throw kernels::KernelUnsupportedError or gpusim::DeviceOomError,
+  /// faithfully to the modelled library.
+  virtual PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) = 0;
 
   /// Traceback phase for a batch whose score pass produced `results`
   /// (size == batch.size()): one TracedAlignment per pair through a
@@ -114,18 +79,23 @@ class AlignBackend {
   /// whose traces are identical — honoring the batch's per-pair bands.
   /// Pairs with a zero score-pass result are skipped (their trace is empty
   /// by construction). Endpoints reproduce `results` for any score pass
-  /// that is bit-identical to the CPU reference. `cells` are the engine's
-  /// own forward + replay cells, so they differ between lane kinds.
-  virtual TracebackOutput run_traceback(const seq::PairBatch& batch,
-                                        std::span<const align::AlignmentResult> results,
-                                        const TracebackSettings& settings, int lane) = 0;
+  /// that is bit-identical to the CPU reference. `work` is the engine's own
+  /// forward + replay cells, so it differs between lane kinds. Simulated
+  /// lanes model the phase in the gpusim::Phase::kTraceback slots (routed
+  /// long-read pairs in kXdrop).
+  virtual PhaseOutput<align::TracedAlignment> run_traceback(
+      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
+      const TracebackSettings& settings, int lane) = 0;
 
   /// Chaining phase for shard `tasks` of a ChainBatch: the forward-only
-  /// fixed-lookahead engine (seedext::chain_tasks_run) on `lane`, results
-  /// bit-identical to the sequential seedext::chain_seeds oracle for every
-  /// task regardless of backend, lane, or ISA.
-  virtual ChainingOutput run_chaining(const seedext::ChainBatch& batch,
-                                      std::span<const std::size_t> tasks, int lane) = 0;
+  /// fixed-lookahead engine (seedext::chain_tasks_run) on `lane`, one chain
+  /// list per task in the order of `tasks`, bit-identical to the sequential
+  /// seedext::chain_seeds oracle regardless of backend, lane, or ISA. `work`
+  /// is the push + settlement candidates the engine evaluated (structural,
+  /// deterministic across ISAs and threads). Simulated lanes model the
+  /// phase in the gpusim::Phase::kChaining slots.
+  virtual PhaseOutput<std::vector<seedext::Chain>> run_chaining(
+      const seedext::ChainBatch& batch, std::span<const std::size_t> tasks, int lane) = 0;
 };
 
 /// All of a backend's lane weights, in lane order (size == lanes()).
@@ -171,19 +141,20 @@ class HostBackend final : public AlignBackend {
   /// weighted LPT places shards by measured engine speed. All-scalar lanes
   /// are uniform and keep the unweighted scheduler path.
   double lane_weight(int lane) const override;
-  BackendOutput run(const seq::PairBatch& batch, int lane) override;
+  PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
   /// Engine params mirror the score pass (per-pair band + this backend's
   /// zdrop), so traced endpoints are bit-identical to run()'s results on
   /// either lane kind. Scalar lanes trace each pair with
   /// align::banded_traceback; SIMD lanes trace whole cohorts with
   /// align::simd::trace_batch.
-  TracebackOutput run_traceback(const seq::PairBatch& batch,
-                                std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
+  PhaseOutput<align::TracedAlignment> run_traceback(
+      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
+      const TracebackSettings& settings, int lane) override;
   /// Both lane kinds run the same engine: chaining's scalar/vector split is
   /// a per-task ISA dispatch inside seedext::chain_tasks_run.
-  ChainingOutput run_chaining(const seedext::ChainBatch& batch,
-                              std::span<const std::size_t> tasks, int lane) override;
+  PhaseOutput<std::vector<seedext::Chain>> run_chaining(
+      const seedext::ChainBatch& batch, std::span<const std::size_t> tasks,
+      int lane) override;
 
  private:
   align::ScoringScheme scoring_;
@@ -218,19 +189,20 @@ class SimulatedGpuBackend final : public AlignBackend {
   /// gpusim::peak_issue_rate of the lane's device / the slowest lane's
   /// (>= 1.0; uniform presets yield exactly 1.0 everywhere).
   double lane_weight(int lane) const override;
-  BackendOutput run(const seq::PairBatch& batch, int lane) override;
+  PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
   /// Functionally runs the engine on the host (kernels apply no zdrop, so
   /// endpoints match the kernels bit-for-bit), then models the phase's time
   /// and memory traffic on the lane's device (gpusim::estimate_phase_time,
   /// Phase::kTraceback; routed long-read pairs are charged to kXdrop).
-  TracebackOutput run_traceback(const seq::PairBatch& batch,
-                                std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
+  PhaseOutput<align::TracedAlignment> run_traceback(
+      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
+      const TracebackSettings& settings, int lane) override;
   /// Functionally runs the forward-only engine on the host (bit-identical to
   /// every other backend), then models the phase's time and traffic on the
   /// lane's device (gpusim::estimate_phase_time, Phase::kChaining).
-  ChainingOutput run_chaining(const seedext::ChainBatch& batch,
-                              std::span<const std::size_t> tasks, int lane) override;
+  PhaseOutput<std::vector<seedext::Chain>> run_chaining(
+      const seedext::ChainBatch& batch, std::span<const std::size_t> tasks,
+      int lane) override;
 
   gpusim::Device& device(int lane) { return *devices_[static_cast<std::size_t>(lane)]; }
 
@@ -247,5 +219,12 @@ class SimulatedGpuBackend final : public AlignBackend {
 /// Backend::kCpu a HostBackend whose lane kinds come from options.device
 /// (see AlignerOptions::device).
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
+
+/// Backend replicas for `workers` concurrent align threads, one each, so no
+/// lane is ever shared across threads; host replicas split the host thread
+/// budget between them (HostBackend's no-oversubscription promise, one level
+/// up). Empty for a single worker, which runs on the primary backend.
+std::vector<std::unique_ptr<AlignBackend>> make_worker_replicas(const AlignerOptions& options,
+                                                                std::size_t workers);
 
 }  // namespace saloba::core

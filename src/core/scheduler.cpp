@@ -22,6 +22,16 @@ void finalize_balance(ScheduleReport& report) {
                          : 0.0;
 }
 
+void place_span(AlignOutput& out, std::size_t first,
+                std::span<const align::AlignmentResult> results,
+                std::span<align::TracedAlignment> traced) {
+  const auto at = static_cast<std::ptrdiff_t>(first);
+  std::copy(results.begin(), results.end(), out.results.begin() + at);
+  if (traced.empty()) return;
+  out.traced.resize(out.results.size());
+  std::move(traced.begin(), traced.end(), out.traced.begin() + at);
+}
+
 namespace {
 
 double gcups_at(std::size_t cells, double time_ms) {
@@ -58,6 +68,40 @@ void run_per_lane(util::ThreadPool& pool, int lanes, const std::vector<Shard>& s
   if (failure) std::rethrow_exception(failure);
 }
 
+/// The score wave's shards: length-bucketed sub-batches packed onto the
+/// backend's lanes.
+std::vector<gpusim::Shard> score_shards(const seq::PairBatch& batch, const AlignBackend& backend,
+                                        const SchedulerOptions& options) {
+  // Cost-aware dispatch: heterogeneous backends expose non-uniform lane
+  // weights and get the weighted-LPT packing; uniform weights fall through
+  // to the classic unweighted path bit-for-bit. When the long-read policy
+  // routes pairs, those are priced by the wavefront's cell estimate instead
+  // of their nominal n·m area, so one 100kb pair no longer eats a lane's
+  // whole budget on paper while costing a thin window in practice.
+  std::vector<gpusim::Shard> shards;
+  bool any_routed = false;
+  if (options.longread.enabled()) {
+    for (std::size_t i = 0; i < batch.size() && !any_routed; ++i) {
+      any_routed = options.longread.routes(batch.refs[i].size(), batch.queries[i].size());
+    }
+  }
+  if (any_routed) {
+    std::vector<std::uint64_t> loads(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t r = batch.refs[i].size();
+      const std::size_t q = batch.queries[i].size();
+      loads[i] = options.longread.routes(r, q) ? options.longread.cells_estimate(r, q)
+                                               : batch.cells_of(i);
+    }
+    shards = gpusim::make_shards(batch, lane_weights(backend), options.policy,
+                                 options.max_shard_pairs, loads);
+  } else {
+    shards = gpusim::make_shards(batch, lane_weights(backend), options.policy,
+                                 options.max_shard_pairs);
+  }
+  return shards;
+}
+
 }  // namespace
 
 BatchScheduler::BatchScheduler(AlignBackend* backend, SchedulerOptions options)
@@ -74,35 +118,6 @@ util::ThreadPool& BatchScheduler::pool() {
     pool_ = std::make_unique<util::ThreadPool>(threads);
   }
   return *pool_;
-}
-
-AlignOutput BatchScheduler::run_single(const seq::PairBatch& batch) {
-  // Fast path: the whole batch in input order on lane 0 — bit-identical to
-  // the pre-scheduler Aligner::align, with no batch copy.
-  BackendOutput bo = backend_->run(batch, 0);
-  AlignOutput out;
-  out.results = std::move(bo.results);
-  out.cells = bo.cells != 0 ? bo.cells : batch.total_banded_cells();
-  out.time_ms = bo.time_ms;
-  out.gcups = gcups_at(out.cells, out.time_ms);
-  out.kernel_stats = std::move(bo.kernel_stats);
-  out.time_breakdown = std::move(bo.time_breakdown);
-  out.schedule.shards = 1;
-  out.schedule.lanes = backend_->lanes();
-  out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
-  out.schedule.lane_ms[0] = bo.time_ms;
-  out.schedule.lane_weights = lane_weights(*backend_);
-  out.schedule.makespan_ms = bo.time_ms;
-  finalize_balance(out.schedule);
-  if (options_.traceback) {
-    TracebackOutput tb =
-        backend_->run_traceback(batch, out.results, options_.traceback_settings, 0);
-    out.traced = std::move(tb.traced);
-    out.traceback_ms = tb.time_ms;
-    out.traceback_cells = tb.cells;
-    merge_modeled(out, tb);
-  }
-  return out;
 }
 
 AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
@@ -122,194 +137,136 @@ AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   return run_resolved(batch);
 }
 
-AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
-  if (batch.size() == 0) {
-    AlignOutput out;
-    out.schedule.lanes = backend_->lanes();
-    out.schedule.shards = 0;
-    out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
-    out.schedule.lane_weights = lane_weights(*backend_);
-    return out;
-  }
-
-  const int lanes = backend_->lanes();
-  if (lanes == 1 && options_.max_shard_pairs == 0) return run_single(batch);
-
-  // Cost-aware dispatch: heterogeneous backends expose non-uniform lane
-  // weights and get the weighted-LPT packing; uniform weights fall through
-  // to the classic unweighted path bit-for-bit. When the long-read policy
-  // routes pairs, those are priced by the wavefront's cell estimate instead
-  // of their nominal n·m area, so one 100kb pair no longer eats a lane's
-  // whole budget on paper while costing a thin window in practice.
-  std::vector<gpusim::Shard> shards;
-  bool any_routed = false;
-  if (options_.longread.enabled()) {
-    for (std::size_t i = 0; i < batch.size() && !any_routed; ++i) {
-      any_routed = options_.longread.routes(batch.refs[i].size(), batch.queries[i].size());
-    }
-  }
-  if (any_routed) {
-    std::vector<std::uint64_t> loads(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::size_t r = batch.refs[i].size();
-      const std::size_t q = batch.queries[i].size();
-      loads[i] = options_.longread.routes(r, q) ? options_.longread.cells_estimate(r, q)
-                                                : batch.cells_of(i);
-    }
-    shards = gpusim::make_shards(batch, lane_weights(*backend_), options_.policy,
-                                 options_.max_shard_pairs, loads);
+template <typename Item, typename RunShard>
+ScheduledPhase<Item> BatchScheduler::run_phase(std::size_t inputs,
+                                               const std::vector<PhaseShard>& shards,
+                                               RunShard&& run_shard) {
+  std::vector<PhaseOutput<Item>> outputs(shards.size());
+  if (shards.size() == 1) {
+    // Nothing to overlap: run on the caller's thread, no pool hop.
+    outputs[0] = run_shard(std::size_t{0});
   } else {
-    shards = gpusim::make_shards(batch, lane_weights(*backend_), options_.policy,
-                                 options_.max_shard_pairs);
-  }
-  if (shards.size() == 1 && shards[0].batch.size() == batch.size() &&
-      options_.policy == gpusim::SplitPolicy::kStatic) {
-    return run_single(batch);
+    run_per_lane(pool(), backend_->lanes(), shards,
+                 [&](std::size_t s) { outputs[s] = run_shard(s); });
   }
 
-  std::vector<BackendOutput> outputs(shards.size());
-  run_per_lane(pool(), lanes, shards, [&](std::size_t s) {
-    outputs[s] = backend_->run(shards[s].batch, shards[s].lane);
-  });
-
-  AlignOutput out = merge(batch, shards, outputs);
-  if (options_.traceback) traceback_phase(batch, shards, outputs, out);
-  return out;
+  ScheduledPhase<Item> merged;
+  const bool in_place = shards.size() == 1 && shards[0].positions.empty();
+  if (!in_place) merged.items.resize(inputs);
+  ScheduleReport& report = merged.schedule;
+  report.shards = shards.size();
+  report.lanes = backend_->lanes();
+  report.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
+  report.lane_weights = lane_weights(*backend_);
+  // Shard-id order, not completion order, so stats and times never depend
+  // on thread timing.
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    PhaseOutput<Item>& out = outputs[s];
+    const std::span<const std::size_t> positions = shards[s].positions;
+    const std::size_t expected = in_place ? inputs : positions.size();
+    SALOBA_CHECK_MSG(out.items.size() == expected,
+                     "shard " << s << " returned " << out.items.size() << " items for "
+                              << expected << " inputs");
+    if (in_place) {
+      merged.items = std::move(out.items);
+    } else {
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        merged.items[positions[i]] = std::move(out.items[i]);
+      }
+    }
+    merged.work += out.work;
+    report.lane_ms[static_cast<std::size_t>(shards[s].lane)] += out.time_ms;
+    merge_modeled(merged, out);
+  }
+  for (double ms : report.lane_ms) report.makespan_ms = std::max(report.makespan_ms, ms);
+  finalize_balance(report);
+  // Lanes run concurrently, so the phase's time is the makespan. A
+  // simulated breakdown stays a per-component sum over every shard (total
+  // device time); the two coincide on a single lane.
+  merged.time_ms = report.makespan_ms;
+  return merged;
 }
 
-void BatchScheduler::traceback_phase(const seq::PairBatch& batch,
-                                     const std::vector<gpusim::Shard>& shards,
-                                     const std::vector<BackendOutput>& outputs,
-                                     AlignOutput& out) {
-  // Second wave on the same lane assignment: a shard's traceback needs only
-  // that shard's score results, so lanes drain their shards independently
-  // again — no barrier beyond the score pass already settled.
-  std::vector<TracebackOutput> traces(shards.size());
-  run_per_lane(pool(), backend_->lanes(), shards, [&](std::size_t s) {
-    traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
-                                        options_.traceback_settings, shards[s].lane);
-  });
-
-  // Input-order merge, shard-id order for deterministic stats.
-  out.traced.resize(batch.size());
-  std::vector<double> lane_tb_ms(static_cast<std::size_t>(backend_->lanes()), 0.0);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const gpusim::Shard& shard = shards[s];
-    TracebackOutput& tb = traces[s];
-    SALOBA_CHECK_MSG(tb.traced.size() == shard.indices.size(),
-                     "traceback returned " << tb.traced.size() << " traces for a "
-                                           << shard.indices.size() << "-pair shard");
-    for (std::size_t i = 0; i < shard.indices.size(); ++i) {
-      out.traced[shard.indices[i]] = std::move(tb.traced[i]);
+AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
+  // The batch runs as one in-place shard (no copy, lane 0) unless there
+  // are several lanes or a shard cap.
+  std::vector<gpusim::Shard> shards;
+  if (batch.size() > 0 && (backend_->lanes() > 1 || options_.max_shard_pairs > 0)) {
+    shards = score_shards(batch, *backend_, options_);
+    // kStatic may hand the whole batch back as one shard: run it in place.
+    if (shards.size() == 1 && shards[0].batch.size() == batch.size() &&
+        options_.policy == gpusim::SplitPolicy::kStatic) {
+      shards.clear();
     }
-    out.traceback_cells += tb.cells;
-    lane_tb_ms[static_cast<std::size_t>(shard.lane)] += tb.time_ms;
-    merge_modeled(out, tb);
   }
-  for (double ms : lane_tb_ms) out.traceback_ms = std::max(out.traceback_ms, ms);
+  std::vector<PhaseShard> phase_shards;
+  if (shards.empty() && batch.size() > 0) phase_shards.emplace_back();
+  for (const gpusim::Shard& shard : shards) phase_shards.push_back({shard.lane, shard.indices});
+  const auto shard_batch = [&](std::size_t s) -> const seq::PairBatch& {
+    return shards.empty() ? batch : shards[s].batch;
+  };
+
+  ScheduledPhase<align::AlignmentResult> score =
+      run_phase<align::AlignmentResult>(batch.size(), phase_shards, [&](std::size_t s) {
+        const seq::PairBatch& b = shard_batch(s);
+        PhaseOutput<align::AlignmentResult> out = backend_->run(b, phase_shards[s].lane);
+        if (out.work == 0) out.work = b.total_banded_cells();
+        return out;
+      });
+  AlignOutput out;
+  out.results = std::move(score.items);
+  out.cells = score.work;
+  out.time_ms = score.time_ms;
+  out.gcups = gcups_at(out.cells, out.time_ms);
+  out.schedule = std::move(score.schedule);
+  merge_modeled(out, score);
+  if (!options_.traceback) return out;
+
+  // Second wave on the same shard→lane assignment: a shard's traceback
+  // needs only that shard's score results, so lanes drain their shards
+  // independently again — no barrier beyond the settled score pass.
+  ScheduledPhase<align::TracedAlignment> traced =
+      run_phase<align::TracedAlignment>(batch.size(), phase_shards, [&](std::size_t s) {
+        const PhaseShard& shard = phase_shards[s];
+        std::span<const align::AlignmentResult> results = out.results;
+        std::vector<align::AlignmentResult> own;
+        if (!shard.positions.empty()) {
+          for (std::size_t i : shard.positions) own.push_back(out.results[i]);
+          results = own;
+        }
+        return backend_->run_traceback(shard_batch(s), results, options_.traceback_settings,
+                                       shard.lane);
+      });
+  out.traced = std::move(traced.items);
+  out.traceback_ms = traced.time_ms;
+  out.traceback_cells = traced.work;
+  merge_modeled(out, traced);
+  return out;
 }
 
 ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
-  ChainPhaseOutput out;
-  out.chains.resize(batch.tasks());
-  out.schedule.lanes = backend_->lanes();
-  out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
-  out.schedule.lane_weights = lane_weights(*backend_);
-  if (batch.empty()) {
-    out.schedule.shards = 0;
-    return out;
-  }
-
-  // Fast path: one lane, no cap — a single synchronous run on lane 0.
-  const int lanes = backend_->lanes();
-  if (lanes == 1 && options_.max_shard_chain_tasks == 0) {
-    std::vector<std::size_t> all(batch.tasks());
+  // One in-place shard (every task, lane 0) unless there are several lanes
+  // or a task cap; then weighted-LPT task shards, the extension shards'
+  // packing discipline.
+  std::vector<seedext::ChainShard> shards;
+  std::vector<std::size_t> all;
+  std::vector<PhaseShard> phase_shards;
+  if (backend_->lanes() > 1 || options_.max_shard_chain_tasks > 0) {
+    shards = seedext::make_chain_shards(batch, lane_weights(*backend_),
+                                        options_.max_shard_chain_tasks);
+    for (const seedext::ChainShard& shard : shards) {
+      phase_shards.push_back({shard.lane, shard.tasks});
+    }
+  } else if (!batch.empty()) {
+    all.resize(batch.tasks());
     for (std::size_t t = 0; t < all.size(); ++t) all[t] = t;
-    ChainingOutput co = backend_->run_chaining(batch, all, 0);
-    out.chains = std::move(co.chains);
-    out.time_ms = co.time_ms;
-    out.anchors = co.anchors;
-    out.updates = co.updates;
-    out.engine_stats = co.engine_stats;
-    out.kernel_stats = std::move(co.kernel_stats);
-    out.time_breakdown = std::move(co.time_breakdown);
-    out.schedule.shards = 1;
-    out.schedule.lane_ms[0] = co.time_ms;
-    out.schedule.makespan_ms = co.time_ms;
-    finalize_balance(out.schedule);
-    return out;
+    phase_shards.emplace_back();
   }
-
-  // Weighted-LPT task sharding, then the same per-lane dispatch as the
-  // extension shards.
-  auto shards = seedext::make_chain_shards(batch, lane_weights(*backend_),
-                                           options_.max_shard_chain_tasks);
-  std::vector<ChainingOutput> outputs(shards.size());
-  run_per_lane(pool(), lanes, shards, [&](std::size_t s) {
-    outputs[s] = backend_->run_chaining(batch, shards[s].tasks, shards[s].lane);
-  });
-
-  // Task-id merge in shard-id order: chains land in their batch slots;
-  // stats never depend on thread timing.
-  out.schedule.shards = shards.size();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    ChainingOutput& co = outputs[s];
-    for (std::size_t t : shards[s].tasks) {
-      out.chains[t] = std::move(co.chains[t]);
-    }
-    out.anchors += co.anchors;
-    out.updates += co.updates;
-    out.engine_stats.merge(co.engine_stats);
-    out.schedule.lane_ms[static_cast<std::size_t>(shards[s].lane)] += co.time_ms;
-    merge_modeled(out, co);
-  }
-  for (double ms : out.schedule.lane_ms) {
-    out.schedule.makespan_ms = std::max(out.schedule.makespan_ms, ms);
-  }
-  finalize_balance(out.schedule);
-  out.time_ms = out.schedule.makespan_ms;
-  return out;
-}
-
-AlignOutput BatchScheduler::merge(const seq::PairBatch& batch,
-                                  const std::vector<gpusim::Shard>& shards,
-                                  std::vector<BackendOutput>& outputs) {
-  AlignOutput out;
-  out.results.resize(batch.size());
-  out.schedule.shards = shards.size();
-  out.schedule.lanes = backend_->lanes();
-  out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
-  out.schedule.lane_weights = lane_weights(*backend_);
-
-  // Deterministic aggregation: shards are merged in shard-id order, not
-  // completion order, so stats and times never depend on thread timing.
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const gpusim::Shard& shard = shards[s];
-    BackendOutput& bo = outputs[s];
-    SALOBA_CHECK_MSG(bo.results.size() == shard.indices.size(),
-                     "backend returned " << bo.results.size() << " results for a "
-                                         << shard.indices.size() << "-pair shard");
-    for (std::size_t i = 0; i < shard.indices.size(); ++i) {
-      out.results[shard.indices[i]] = bo.results[i];
-    }
-    out.cells += bo.cells != 0 ? bo.cells : shard.batch.total_banded_cells();
-    out.schedule.lane_ms[static_cast<std::size_t>(shard.lane)] += bo.time_ms;
-    merge_modeled(out, bo);
-  }
-
-  for (double ms : out.schedule.lane_ms) {
-    out.schedule.makespan_ms = std::max(out.schedule.makespan_ms, ms);
-  }
-  finalize_balance(out.schedule);
-
-  // Devices run concurrently, so the batch's wall time is the makespan —
-  // and gcups is computed once, from the merged output, for both backends.
-  // The breakdown stays a per-component sum over every shard (total device
-  // time), so its parts remain consistent with its own total_ms; the two
-  // coincide on a single lane.
-  out.time_ms = out.schedule.makespan_ms;
-  out.gcups = out.time_ms > 0 ? static_cast<double>(out.cells) / (out.time_ms * 1e6) : 0.0;
-  return out;
+  return run_phase<std::vector<seedext::Chain>>(
+      batch.tasks(), phase_shards, [&](std::size_t s) {
+        return backend_->run_chaining(batch, shards.empty() ? all : shards[s].tasks,
+                                      phase_shards[s].lane);
+      });
 }
 
 }  // namespace saloba::core

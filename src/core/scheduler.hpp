@@ -8,13 +8,16 @@
 // host granularity), dispatches them asynchronously over util::ThreadPool
 // futures across the backend's lanes (N simulated devices for the
 // multi-GPU path of Sec. VII-C), and merges results back in input order
-// with aggregated stats. With one lane and no shard cap it degenerates to
-// a single synchronous backend run — bit-identical to the classic path.
+// with aggregated stats. Every phase (score pass, traceback, chaining) goes
+// through one shard runner; with one lane and no shard cap it degenerates
+// to a single synchronous backend run on the caller's batch — bit-identical
+// to the classic path.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "align/alignment_result.hpp"
@@ -96,7 +99,7 @@ void merge_modeled(Into& into, const From& from) {
 
 /// Derives `busy_lanes` and `imbalance` from an already-filled `lane_ms` /
 /// `makespan_ms` (all-lane normalization, see ScheduleReport::imbalance) —
-/// shared by the scheduler's merge and the streaming aggregate
+/// shared by the scheduler's phase runner and the streaming aggregate
 /// (stream_aligner.cpp), so the two call sites cannot drift apart again.
 void finalize_balance(ScheduleReport& report);
 
@@ -106,7 +109,7 @@ struct AlignOutput {
   /// Wall-clock milliseconds for the CPU backend; simulated kernel
   /// milliseconds (makespan across devices) for the simulated backend.
   double time_ms = 0.0;
-  /// DP cells actually computed (BackendOutput::cells summed over shards):
+  /// DP cells actually computed (the score pass's `work` summed over shards):
   /// in-band cells for banded pairs, minus any zdrop-pruned rows on the CPU
   /// backend; Σ |q|·|r| for plain full-table runs — the numerator of
   /// `gcups`.
@@ -133,25 +136,31 @@ struct AlignOutput {
   std::size_t traceback_cells = 0;
 };
 
-/// What a scheduler-orchestrated chaining phase produced
-/// (BatchScheduler::chain).
-struct ChainPhaseOutput {
-  /// Chains per batch task id — bit-identical to running the sequential
-  /// seedext::chain_seeds oracle on each task, regardless of sharding, lane
-  /// placement, thread timing, or ISA.
-  std::vector<std::vector<seedext::Chain>> chains;
-  /// Phase makespan across lanes: wall-clock for host backends, modeled
-  /// chaining time (TimeBreakdown::phase_ms[Phase::kChaining]) for simulated
-  /// devices.
-  double time_ms = 0.0;
-  std::size_t anchors = 0;  ///< anchors chained across all tasks
-  std::size_t updates = 0;  ///< push + settlement candidates evaluated
-  seedext::ChainEngineStats engine_stats;
-  /// Simulated backend only; aggregated over every shard.
-  std::optional<gpusim::KernelStats> kernel_stats;
-  std::optional<gpusim::TimeBreakdown> time_breakdown;
+/// Places one span of an ordered result stream into `out`, whose `results`
+/// already span the whole input: the results of pairs [first, first +
+/// results.size()) and, when the span carries any, their traces (moved out
+/// of `traced`; `out.traced` is sized on the first traced span).
+void place_span(AlignOutput& out, std::size_t first,
+                std::span<const align::AlignmentResult> results,
+                std::span<align::TracedAlignment> traced);
+
+/// One phase merged over every shard of a batch (BatchScheduler's phase
+/// runner): items in input order, `work` summed and modeled counters merged
+/// in shard-id order, `time_ms` the makespan across lanes, plus how the
+/// shards ran.
+template <typename Item>
+struct ScheduledPhase : PhaseOutput<Item> {
   ScheduleReport schedule;
 };
+
+/// What a scheduler-orchestrated chaining phase produced
+/// (BatchScheduler::chain): chains per batch task id — bit-identical to
+/// running the sequential seedext::chain_seeds oracle on each task,
+/// regardless of sharding, lane placement, thread timing, or ISA. `work` is
+/// the push + settlement candidates evaluated; `time_ms` is wall-clock for
+/// host backends, modeled chaining time
+/// (TimeBreakdown::phase_ms[Phase::kChaining]) for simulated devices.
+using ChainPhaseOutput = ScheduledPhase<std::vector<seedext::Chain>>;
 
 class BatchScheduler {
  public:
@@ -176,14 +185,22 @@ class BatchScheduler {
   ChainPhaseOutput chain(const seedext::ChainBatch& batch);
 
  private:
+  /// One shard of a phase wave: its lane and the input position of each of
+  /// its items. Empty positions mark the in-place shard, whose items are
+  /// the whole input in order.
+  struct PhaseShard {
+    int lane = 0;
+    std::span<const std::size_t> positions;
+  };
+
   AlignOutput run_resolved(const seq::PairBatch& batch);
-  AlignOutput run_single(const seq::PairBatch& batch);
-  AlignOutput merge(const seq::PairBatch& batch, const std::vector<gpusim::Shard>& shards,
-                    std::vector<BackendOutput>& outputs);
-  /// Phase two: per-shard run_traceback over the same lane assignment,
-  /// merged into `out.traced` in input order.
-  void traceback_phase(const seq::PairBatch& batch, const std::vector<gpusim::Shard>& shards,
-                       const std::vector<BackendOutput>& outputs, AlignOutput& out);
+  /// The phase runner: `run_shard(s)` for every shard — on the calling
+  /// thread when there is one, else one pool future per lane — then the
+  /// shards' items scattered to their positions among the phase's `inputs`,
+  /// in shard-id order.
+  template <typename Item, typename RunShard>
+  ScheduledPhase<Item> run_phase(std::size_t inputs, const std::vector<PhaseShard>& shards,
+                                 RunShard&& run_shard);
   util::ThreadPool& pool();
 
   AlignBackend* backend_;

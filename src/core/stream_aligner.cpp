@@ -1,6 +1,5 @@
 #include "core/stream_aligner.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -11,7 +10,6 @@
 #include "core/schedule_cache.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace saloba::core {
@@ -124,26 +122,10 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   });
 
   // Align workers: a single worker consumes on the primary backend; with
-  // several, every worker owns a replica so no lane is ever shared across
-  // threads — and CPU replicas split the host thread budget between them
-  // (the no-oversubscription promise of HostBackend, one level up).
+  // several, every worker owns a replica.
   const std::size_t n_workers = stream_.align_threads;
-  std::vector<std::unique_ptr<AlignBackend>> replicas;
-  std::vector<AlignBackend*> worker_backends;
-  if (n_workers == 1) {
-    worker_backends.push_back(backend_.get());
-  } else {
-    AlignerOptions wopts = options_;
-    if (options_.backend == Backend::kCpu) {
-      int total =
-          options_.cpu_threads > 0 ? options_.cpu_threads : util::max_parallel_threads();
-      wopts.cpu_threads = std::max(1, total / static_cast<int>(n_workers));
-    }
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      replicas.push_back(make_backend(wopts));
-      worker_backends.push_back(replicas.back().get());
-    }
-  }
+  const std::vector<std::unique_ptr<AlignBackend>> replicas =
+      make_worker_replicas(options_, n_workers);
   std::atomic<std::size_t> live_workers{n_workers};
 
   auto worker_loop = [&](AlignBackend* backend) {
@@ -182,7 +164,7 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   std::vector<std::thread> workers;
   workers.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
-    AlignBackend* backend = worker_backends[w];
+    AlignBackend* backend = replicas.empty() ? backend_.get() : replicas[w].get();
     workers.emplace_back([&, backend] {
       worker_loop(backend);
       if (live_workers.fetch_sub(1) == 1) output.close();  // last one out
@@ -237,15 +219,7 @@ AlignOutput StreamAligner::align_streamed(const seq::PairBatch& batch) {
   total.results.resize(batch.size());
   StreamStats stats =
       run(source, [&](std::size_t, std::size_t first_pair, AlignOutput&& chunk) {
-        std::copy(chunk.results.begin(), chunk.results.end(),
-                  total.results.begin() + static_cast<std::ptrdiff_t>(first_pair));
-        if (!chunk.traced.empty()) {
-          if (total.traced.size() != total.results.size()) {
-            total.traced.resize(total.results.size());
-          }
-          std::move(chunk.traced.begin(), chunk.traced.end(),
-                    total.traced.begin() + static_cast<std::ptrdiff_t>(first_pair));
-        }
+        place_span(total, first_pair, chunk.results, chunk.traced);
         merge_modeled(total, chunk);
       });
 

@@ -5,7 +5,6 @@
 
 #include "align/simd_engine.hpp"
 #include "seedext/chain_kernel.hpp"
-#include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -105,24 +104,9 @@ std::vector<Chain> run_one(const ChainBatch& batch, std::size_t t, TaskScratch& 
 
 }  // namespace
 
-std::vector<Chain> chain_task_run(const ChainBatch& batch, std::size_t task,
-                                  ChainEngineStats* stats) {
-  SALOBA_CHECK_MSG(task < batch.tasks(), "chain_task_run: task out of range");
-  const util::Timer timer;
-  TaskScratch scratch;
-  ChainEngineStats local;
-  local.avx2 = use_avx2();
-  auto chains = run_one(batch, task, scratch, local.avx2, local);
-  local.wall_ms = timer.millis();
-  if (stats) stats->merge(local);
-  return chains;
-}
-
-void chain_tasks_run(const ChainBatch& batch, std::span<const std::size_t> tasks,
-                     std::vector<std::vector<Chain>>& out, ChainEngineStats* stats,
-                     int threads) {
-  SALOBA_CHECK_MSG(out.size() == batch.tasks(),
-               "chain_tasks_run: output must span every batch task");
+std::vector<std::vector<Chain>> chain_tasks_run(const ChainBatch& batch,
+                                                std::span<const std::size_t> tasks,
+                                                ChainEngineStats* stats, int threads) {
   const util::Timer timer;
   const bool avx2 = use_avx2();
 
@@ -134,11 +118,12 @@ void chain_tasks_run(const ChainBatch& batch, std::span<const std::size_t> tasks
       static_cast<std::size_t>(std::max({1, util::max_parallel_threads(), threads}));
   std::vector<ChainEngineStats> shard_stats(max_workers);
   std::vector<TaskScratch> scratch(max_workers);
+  std::vector<std::vector<Chain>> out(tasks.size());
   util::parallel_for_indexed(
       tasks.size(),
       [&](std::size_t k) {
         const std::size_t w = static_cast<std::size_t>(util::current_thread_index());
-        out[tasks[k]] = run_one(batch, tasks[k], scratch[w], avx2, shard_stats[w]);
+        out[k] = run_one(batch, tasks[k], scratch[w], avx2, shard_stats[w]);
       },
       threads);
 
@@ -149,22 +134,14 @@ void chain_tasks_run(const ChainBatch& batch, std::span<const std::size_t> tasks
     local.wall_ms = timer.millis();
     stats->merge(local);
   }
+  return out;
 }
 
 std::vector<std::vector<Chain>> chain_batch_run(const ChainBatch& batch,
                                                 ChainEngineStats* stats, int threads) {
   std::vector<std::size_t> all(batch.tasks());
   for (std::size_t t = 0; t < all.size(); ++t) all[t] = t;
-  std::vector<std::vector<Chain>> out(batch.tasks());
-  chain_tasks_run(batch, all, out, stats, threads);
-  return out;
-}
-
-std::vector<Chain> chain_engine_seeds(std::vector<Seed> seeds, const ChainingParams& params,
-                                      ChainEngineStats* stats) {
-  ChainBatch batch(params);
-  const std::size_t t = batch.add_task(std::move(seeds));
-  return chain_task_run(batch, t, stats);
+  return chain_tasks_run(batch, all, stats, threads);
 }
 
 }  // namespace saloba::seedext

@@ -40,28 +40,19 @@ struct ChainEngineStats {
   }
 };
 
-/// Chains one task of `batch` through the forward-only engine. The result is
-/// bit-identical to chain_seeds(batch.task_seeds(task), batch.params()).
-std::vector<Chain> chain_task_run(const ChainBatch& batch, std::size_t task,
-                                  ChainEngineStats* stats = nullptr);
-
-/// Chains a subset of tasks (a shard), writing chains into out[task] —
-/// `out` must span batch.tasks() entries. `threads` caps host parallelism
-/// across the listed tasks (0 = default team, 1 = caller thread).
-void chain_tasks_run(const ChainBatch& batch, std::span<const std::size_t> tasks,
-                     std::vector<std::vector<Chain>>& out,
-                     ChainEngineStats* stats = nullptr, int threads = 0);
+/// Chains a subset of tasks (a shard): element k holds the chains of
+/// tasks[k], bit-identical to chain_seeds(batch.task_seeds(tasks[k]),
+/// batch.params()). `threads` caps host parallelism across the listed tasks
+/// (0 = default team, 1 = caller thread).
+std::vector<std::vector<Chain>> chain_tasks_run(const ChainBatch& batch,
+                                                std::span<const std::size_t> tasks,
+                                                ChainEngineStats* stats = nullptr,
+                                                int threads = 0);
 
 /// Chains every task of `batch`; result indexed by task id.
 std::vector<std::vector<Chain>> chain_batch_run(const ChainBatch& batch,
                                                 ChainEngineStats* stats = nullptr,
                                                 int threads = 0);
-
-/// Convenience single-problem entry (tests, ablation): forward-only engine
-/// over one seed list — the drop-in, bit-identical equivalent of chain_seeds.
-std::vector<Chain> chain_engine_seeds(std::vector<Seed> seeds,
-                                      const ChainingParams& params,
-                                      ChainEngineStats* stats = nullptr);
 
 namespace detail {
 struct ChainTaskView;

@@ -26,8 +26,7 @@ KmerIndex::KmerIndex(std::span<const seq::BaseCode> text, int k) : k_(k) {
                    "k must be in [" << kMinK << ", " << kMaxK << "], got " << k);
   SALOBA_CHECK_MSG(text.size() <= kMaxReferenceBases,
                    "reference of " << text.size() << " bases overflows the index's 32-bit "
-                                   << "positions (limit " << kMaxReferenceBases
-                                   << "); shard the reference instead");
+                                   << "positions (limit " << kMaxReferenceBases << ")");
   if (text.size() >= static_cast<std::size_t>(k)) {
     // Collect (kmer, pos) pairs with a rolling 2-bit encoding.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> pairs;

@@ -372,6 +372,11 @@ std::size_t IndexRegistry::live_entries() const {
 ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
                                    const IndexShardingOptions& options)
     : k_(k), genome_bases_(genome.size()) {
+  // Shard windows are small, but lookup() reports global positions in 32 bits.
+  SALOBA_CHECK_MSG(genome.size() <= KmerIndex::kMaxReferenceBases,
+                   "reference of " << genome.size() << " bases overflows the index's 32-bit "
+                                   << "positions (limit " << KmerIndex::kMaxReferenceBases
+                                   << ")");
   SALOBA_CHECK_MSG(options.shards >= 1, "need at least one shard");
   SALOBA_CHECK_MSG(!genome.empty(), "empty genome");
 

@@ -80,7 +80,7 @@ TEST_P(CrossImpl, AllFourAgree) {
 
     auto scalar = smith_waterman(ref, query, param.scheme);
     auto wavefront = xdrop_wavefront_score(ref, query, param.scheme, XDropParams{0});
-    auto striped = smith_waterman_striped(ref, query, param.scheme);
+    auto striped = smith_waterman_striped_ends(ref, query, param.scheme).score;
     auto banded =
         smith_waterman_banded(ref, query, param.scheme, std::max(ref.size(), query.size()));
 

@@ -140,35 +140,6 @@ TEST(SmithWaterman, NInRefNeverMatches) {
   EXPECT_EQ(r.score, 0);
 }
 
-TEST(NeedlemanWunsch, IdenticalStrings) {
-  ScoringScheme s;
-  auto codes = encode_string("ACGTACGT");
-  EXPECT_EQ(needleman_wunsch(codes, codes, s), 8 * s.match);
-}
-
-TEST(NeedlemanWunsch, EmptyVsNonEmptyPaysGap) {
-  ScoringScheme s;
-  std::vector<seq::BaseCode> empty;
-  auto codes = encode_string("ACG");
-  EXPECT_EQ(needleman_wunsch(codes, empty, s), -(s.alpha() + 2 * s.beta()));
-  EXPECT_EQ(needleman_wunsch(empty, codes, s), -(s.alpha() + 2 * s.beta()));
-}
-
-TEST(NeedlemanWunsch, GlobalNeverExceedsLocal) {
-  util::Xoshiro256 rng(24);
-  ScoringScheme s;
-  for (int i = 0; i < 30; ++i) {
-    auto a = saloba::testing::random_seq(rng, 5 + rng.below(50));
-    auto b = saloba::testing::random_seq(rng, 5 + rng.below(50));
-    EXPECT_LE(needleman_wunsch(a, b, s), smith_waterman(a, b, s).score);
-  }
-}
-
-TEST(NeedlemanWunsch, SingleMismatchGlobal) {
-  ScoringScheme s;
-  EXPECT_EQ(needleman_wunsch(encode_string("A"), encode_string("C"), s), -s.mismatch);
-}
-
 // Parameterized sweep across scoring schemes: reference invariants hold for
 // non-default parameters too.
 struct SchemeCase {

@@ -11,12 +11,15 @@ namespace {
 
 TEST(StripedSW, KnownCases) {
   ScoringScheme s;
-  EXPECT_EQ(smith_waterman_striped(seq::encode_string("TTTTGATTACATTTT"),
-                                   seq::encode_string("GATTACA"), s),
+  EXPECT_EQ(smith_waterman_striped_ends(seq::encode_string("TTTTGATTACATTTT"),
+                                        seq::encode_string("GATTACA"), s)
+                .score,
             7);
-  EXPECT_EQ(smith_waterman_striped(seq::encode_string("AAAA"), seq::encode_string("CCCC"), s),
+  EXPECT_EQ(smith_waterman_striped_ends(seq::encode_string("AAAA"), seq::encode_string("CCCC"),
+                                        s)
+                .score,
             0);
-  EXPECT_EQ(smith_waterman_striped({}, seq::encode_string("ACGT"), s), 0);
+  EXPECT_EQ(smith_waterman_striped_ends({}, seq::encode_string("ACGT"), s).score, 0);
 }
 
 TEST(StripedSW, GapCases) {
@@ -25,7 +28,7 @@ TEST(StripedSW, GapCases) {
   const std::string right = "GGATCCTTGGATCCTTGGATCCTT";
   auto ref = seq::encode_string(left + "CCC" + right);
   auto query = seq::encode_string(left + right);
-  EXPECT_EQ(smith_waterman_striped(ref, query, s),
+  EXPECT_EQ(smith_waterman_striped_ends(ref, query, s).score,
             smith_waterman(ref, query, s).score);
 }
 
@@ -49,7 +52,8 @@ TEST_P(StripedSweep, MatchesScalarReference) {
     } else {
       query = saloba::testing::random_seq(rng, param.m);
     }
-    EXPECT_EQ(smith_waterman_striped(ref, query, s), smith_waterman(ref, query, s).score)
+    EXPECT_EQ(smith_waterman_striped_ends(ref, query, s).score,
+              smith_waterman(ref, query, s).score)
         << "n=" << param.n << " m=" << param.m;
   }
 }
@@ -74,7 +78,8 @@ TEST(StripedSW, GapHeavyInputsStressLazyF) {
       ref.insert(ref.end(), run, base);
       if (!rng.bernoulli(0.3)) query.insert(query.end(), run / 2 + 1, base);
     }
-    EXPECT_EQ(smith_waterman_striped(ref, query, s), smith_waterman(ref, query, s).score);
+    EXPECT_EQ(smith_waterman_striped_ends(ref, query, s).score,
+              smith_waterman(ref, query, s).score);
   }
 }
 
@@ -88,7 +93,8 @@ TEST(StripedSW, NonDefaultScheme) {
   for (int trial = 0; trial < 10; ++trial) {
     auto ref = saloba::testing::random_seq(rng, 90);
     auto query = saloba::testing::mutate(rng, ref, 0.2);
-    EXPECT_EQ(smith_waterman_striped(ref, query, s), smith_waterman(ref, query, s).score);
+    EXPECT_EQ(smith_waterman_striped_ends(ref, query, s).score,
+              smith_waterman(ref, query, s).score);
   }
 }
 
@@ -131,7 +137,8 @@ TEST(StripedSW, HandlesN) {
   for (int trial = 0; trial < 10; ++trial) {
     auto ref = saloba::testing::random_seq_with_n(rng, 70, 0.15);
     auto query = saloba::testing::random_seq_with_n(rng, 50, 0.15);
-    EXPECT_EQ(smith_waterman_striped(ref, query, s), smith_waterman(ref, query, s).score);
+    EXPECT_EQ(smith_waterman_striped_ends(ref, query, s).score,
+              smith_waterman(ref, query, s).score);
   }
 }
 

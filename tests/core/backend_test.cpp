@@ -21,7 +21,7 @@ TEST(HostBackend, RunsBatchOnSingleLane) {
   EXPECT_EQ(backend.lanes(), 1);
   auto batch = saloba::testing::related_batch(701, 12, 90, 120);
   auto out = backend.run(batch, 0);
-  EXPECT_EQ(out.results, align::align_batch(batch, align::ScoringScheme{}));
+  EXPECT_EQ(out.items, align::align_batch(batch, align::ScoringScheme{}));
   EXPECT_FALSE(out.kernel_stats.has_value());
   EXPECT_GT(out.time_ms, 0.0);
 }
@@ -35,7 +35,7 @@ TEST(HostBackend, MultiLaneSplitsThreadBudget) {
   auto batch = saloba::testing::related_batch(705, 10, 70, 90);
   auto expected = align::align_batch(batch, align::ScoringScheme{});
   for (int lane = 0; lane < backend.lanes(); ++lane) {
-    EXPECT_EQ(backend.run(batch, lane).results, expected) << "lane " << lane;
+    EXPECT_EQ(backend.run(batch, lane).items, expected) << "lane " << lane;
   }
 }
 
@@ -78,7 +78,7 @@ TEST(SimulatedGpuBackend, LanesOwnIndependentDevices) {
   auto expected = align::align_batch(batch, align::ScoringScheme{});
   for (int lane = 0; lane < backend.lanes(); ++lane) {
     auto out = backend.run(batch, lane);
-    EXPECT_EQ(out.results, expected) << "lane " << lane;
+    EXPECT_EQ(out.items, expected) << "lane " << lane;
     ASSERT_TRUE(out.kernel_stats.has_value());
     EXPECT_GT(out.time_ms, 0.0);
   }
@@ -147,7 +147,7 @@ TEST(SimulatedGpuBackend, MixedPresetsBuildOneWeightedLanePerPreset) {
   auto batch = saloba::testing::related_batch(707, 6, 80, 110);
   auto expected = align::align_batch(batch, align::ScoringScheme{});
   for (int lane = 0; lane < backend.lanes(); ++lane) {
-    EXPECT_EQ(backend.run(batch, lane).results, expected) << "lane " << lane;
+    EXPECT_EQ(backend.run(batch, lane).items, expected) << "lane " << lane;
   }
 }
 

@@ -53,27 +53,30 @@ TEST(ChainingPhase, CpuSingleLaneMatchesOracle) {
   auto backend = make_backend(opts);
   BatchScheduler sched(backend.get());
   auto out = sched.chain(batch);
-  EXPECT_EQ(out.chains, oracle_chains(batch));
-  EXPECT_EQ(out.anchors, batch.anchors());
+  EXPECT_EQ(out.items, oracle_chains(batch));
   EXPECT_EQ(out.schedule.shards, 1u);
-  EXPECT_GT(out.updates, 0u);
+  EXPECT_GT(out.work, 0u);
 }
 
 TEST(ChainingPhase, ShardedMultiLaneMatchesSingleLane) {
   auto batch = test_chain_batch(12, 55);
   auto expected = oracle_chains(batch);
 
-  // CPU, three lanes, capped shards.
+  // CPU, three lanes, capped shards — down to one task per shard.
   AlignerOptions cpu;
   cpu.cpu_lanes = 3;
   auto cpu_backend = make_backend(cpu);
-  SchedulerOptions sched_opts;
-  sched_opts.max_shard_chain_tasks = 7;
-  BatchScheduler cpu_sched(cpu_backend.get(), sched_opts);
-  auto cpu_out = cpu_sched.chain(batch);
-  EXPECT_EQ(cpu_out.chains, expected);
-  EXPECT_GT(cpu_out.schedule.shards, 1u);
-  EXPECT_EQ(cpu_out.schedule.lanes, 3);
+  ChainPhaseOutput cpu_out;
+  for (std::size_t cap : {7u, 1u}) {
+    SchedulerOptions sched_opts;
+    sched_opts.max_shard_chain_tasks = cap;
+    BatchScheduler cpu_sched(cpu_backend.get(), sched_opts);
+    cpu_out = cpu_sched.chain(batch);
+    EXPECT_EQ(cpu_out.items, expected) << "cap " << cap;
+    EXPECT_GT(cpu_out.schedule.shards, 1u) << "cap " << cap;
+    EXPECT_EQ(cpu_out.schedule.lanes, 3) << "cap " << cap;
+  }
+  EXPECT_EQ(cpu_out.schedule.shards, batch.tasks());
 
   // Simulated, two devices, different cap — still the same chains.
   AlignerOptions sim;
@@ -84,11 +87,10 @@ TEST(ChainingPhase, ShardedMultiLaneMatchesSingleLane) {
   sim_opts.max_shard_chain_tasks = 5;
   BatchScheduler sim_sched(sim_backend.get(), sim_opts);
   auto sim_out = sim_sched.chain(batch);
-  EXPECT_EQ(sim_out.chains, expected);
+  EXPECT_EQ(sim_out.items, expected);
 
   // Structural counters agree across executions.
-  EXPECT_EQ(cpu_out.updates, sim_out.updates);
-  EXPECT_EQ(cpu_out.anchors, sim_out.anchors);
+  EXPECT_EQ(cpu_out.work, sim_out.work);
 }
 
 TEST(ChainingPhase, SimulatedBackendModelsPhaseCost) {
@@ -99,7 +101,7 @@ TEST(ChainingPhase, SimulatedBackendModelsPhaseCost) {
   BatchScheduler sched(backend.get());
   auto out = sched.chain(batch);
 
-  EXPECT_EQ(out.chains, oracle_chains(batch));
+  EXPECT_EQ(out.items, oracle_chains(batch));
   // Modeled, not measured: the phase time comes from the chaining cost
   // model and lands in the breakdown + kernel counters.
   ASSERT_TRUE(out.time_breakdown.has_value());
@@ -107,7 +109,7 @@ TEST(ChainingPhase, SimulatedBackendModelsPhaseCost) {
   EXPECT_GT(out.time_ms, 0.0);
   ASSERT_TRUE(out.kernel_stats.has_value());
   const gpusim::PhaseCost& chaining = out.kernel_stats->totals.phases[gpusim::Phase::kChaining];
-  EXPECT_EQ(chaining.work, out.updates);
+  EXPECT_EQ(chaining.work, out.work);
   EXPECT_GT(chaining.bytes, 0u);
 }
 
@@ -117,8 +119,8 @@ TEST(ChainingPhase, EmptyBatchIsANoOp) {
   auto backend = make_backend(opts);
   BatchScheduler sched(backend.get());
   auto out = sched.chain(batch);
-  EXPECT_TRUE(out.chains.empty());
-  EXPECT_EQ(out.anchors, 0u);
+  EXPECT_TRUE(out.items.empty());
+  EXPECT_EQ(out.work, 0u);
   EXPECT_DOUBLE_EQ(out.time_ms, 0.0);
 }
 

@@ -209,7 +209,7 @@ TEST(BatchScheduler, WeightedLptBeatsUniformLptOnMixedPresets) {
       auto bo = backend->run(shard.batch, shard.lane);
       lane_ms[static_cast<std::size_t>(shard.lane)] += bo.time_ms;
       for (std::size_t i = 0; i < shard.indices.size(); ++i) {
-        results[shard.indices[i]] = bo.results[i];
+        results[shard.indices[i]] = bo.items[i];
       }
     }
     return std::pair{*std::max_element(lane_ms.begin(), lane_ms.end()), results};

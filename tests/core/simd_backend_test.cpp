@@ -23,8 +23,8 @@ TEST(SimdHostBackend, RunMatchesScalarBackend) {
   EXPECT_EQ(simd.name(), "simd");
   auto want = scalar.run(batch, 0);
   auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.cells, want.cells);
+  EXPECT_EQ(got.items, want.items);
+  EXPECT_EQ(got.work, want.work);
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
@@ -35,8 +35,8 @@ TEST(SimdHostBackend, BandedZdropRunMatchesScalarBackend) {
   HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}, 0, /*zdrop=*/20};
   auto want = scalar.run(batch, 0);
   auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.cells, want.cells);
+  EXPECT_EQ(got.items, want.items);
+  EXPECT_EQ(got.work, want.work);
 }
 
 TEST(SimdHostBackend, TracebackPhaseMatchesScalarBackend) {
@@ -44,22 +44,22 @@ TEST(SimdHostBackend, TracebackPhaseMatchesScalarBackend) {
   HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
   HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
   auto score = simd.run(batch, 0);
-  auto want = scalar.run_traceback(batch, score.results, TracebackSettings{}, 0);
-  auto got = simd.run_traceback(batch, score.results, TracebackSettings{}, 0);
-  EXPECT_EQ(got.traced, want.traced);
+  auto want = scalar.run_traceback(batch, score.items, TracebackSettings{}, 0);
+  auto got = simd.run_traceback(batch, score.items, TracebackSettings{}, 0);
+  EXPECT_EQ(got.items, want.items);
   // The SIMD lane traces with its own engine (align::simd::trace_batch),
   // so its cells are that engine's: a forward share equal to the score
   // pass's in-band cells of the traced pairs, plus at most as many replayed.
   std::size_t forward = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (score.results[i].score > 0) forward += batch.cells_of(i);
+    if (score.items[i].score > 0) forward += batch.cells_of(i);
   }
   align::simd::TraceStats stats;
-  align::simd::trace_batch(batch, score.results, align::ScoringScheme{}, &stats);
+  align::simd::trace_batch(batch, score.items, align::ScoringScheme{}, &stats);
   EXPECT_EQ(stats.forward_cells, forward);
-  EXPECT_EQ(got.cells, stats.cells());
-  EXPECT_GE(got.cells, forward);
-  EXPECT_LE(got.cells, 2 * forward);
+  EXPECT_EQ(got.work, stats.cells());
+  EXPECT_GE(got.work, forward);
+  EXPECT_LE(got.work, 2 * forward);
 }
 
 TEST(SimdHostBackend, CalibratedLaneWeightOrdersLanes) {

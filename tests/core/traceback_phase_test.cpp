@@ -73,6 +73,9 @@ TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
   for (std::size_t i = 0; i < want.traced.size(); ++i) {
     EXPECT_EQ(got.traced[i], want.traced[i]) << "pair " << i;
   }
+  // Scalar lanes trace pair by pair, so the phase's cells cannot depend on
+  // the sharding.
+  EXPECT_EQ(got.traceback_cells, want.traceback_cells);
 }
 
 TEST(TracebackPhase, HeterogeneousLanesTraceEveryPair) {
@@ -83,11 +86,26 @@ TEST(TracebackPhase, HeterogeneousLanesTraceEveryPair) {
   opts.traceback = true;
   auto batch = saloba::testing::related_batch(5, 32, 80, 120);
   auto out = Aligner(opts).align(batch);
+  ASSERT_GT(out.schedule.shards, 1u);
   ASSERT_EQ(out.traced.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(out.traced[i].end, out.results[i]) << "pair " << i;
   }
   EXPECT_GT(out.traceback_ms, 0.0);
+
+  // The merged phase work and traffic are the single-device run's: every
+  // pair is traced once, wherever its shard landed.
+  AlignerOptions one = opts;
+  one.device = "gtx1650";
+  one.max_shard_pairs = 0;
+  auto want = Aligner(one).align(batch);
+  EXPECT_EQ(out.traceback_cells, want.traceback_cells);
+  ASSERT_TRUE(out.kernel_stats.has_value());
+  ASSERT_TRUE(want.kernel_stats.has_value());
+  const gpusim::PhaseCost& got_tb = out.kernel_stats->totals.phases[gpusim::Phase::kTraceback];
+  const gpusim::PhaseCost& want_tb = want.kernel_stats->totals.phases[gpusim::Phase::kTraceback];
+  EXPECT_EQ(got_tb.work, want_tb.work);
+  EXPECT_EQ(got_tb.bytes, want_tb.bytes);
 }
 
 TEST(TracebackPhase, StreamStatsReportThePhaseSplit) {
@@ -131,14 +149,14 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   batch.add(std::vector<seq::BaseCode>(8, 0), std::vector<seq::BaseCode>(8, 1));  // hopeless
   align::ScoringScheme scoring;
   HostBackend backend(scoring, {LaneKind::kScalar});
-  auto results = backend.run(batch, 0).results;
+  auto results = backend.run(batch, 0).items;
   ASSERT_EQ(results[1].score, 0);
   auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);
-  ASSERT_EQ(tb.traced.size(), 2u);
-  EXPECT_EQ(tb.traced[0].cigar, "4M");
-  EXPECT_EQ(tb.traced[0].end, results[0]);
-  EXPECT_TRUE(tb.traced[1].cigar.empty());
-  EXPECT_EQ(tb.traced[1].end, results[1]);
+  ASSERT_EQ(tb.items.size(), 2u);
+  EXPECT_EQ(tb.items[0].cigar, "4M");
+  EXPECT_EQ(tb.items[0].end, results[0]);
+  EXPECT_TRUE(tb.items[1].cigar.empty());
+  EXPECT_EQ(tb.items[1].end, results[1]);
 }
 
 }  // namespace

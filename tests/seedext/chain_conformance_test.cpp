@@ -34,8 +34,9 @@ std::vector<Seed> random_anchor_set(std::mt19937& rng, std::size_t n, std::uint3
 void expect_matches_oracle(const std::vector<Seed>& seeds, const ChainingParams& params,
                            const char* what) {
   auto oracle = chain_seeds(seeds, params);
-  ChainEngineStats stats;
-  auto engine = chain_engine_seeds(seeds, params, &stats);
+  ChainBatch batch(params);
+  batch.add_task(seeds);
+  const std::vector<Chain> engine = chain_batch_run(batch).at(0);
   ASSERT_EQ(engine.size(), oracle.size()) << what;
   for (std::size_t c = 0; c < oracle.size(); ++c) {
     EXPECT_EQ(engine[c].score, oracle[c].score) << what << " chain " << c;
@@ -223,7 +224,11 @@ TEST(ChainConformance, ShardedRunsMatchUnsharded) {
 
   auto shards = make_chain_shards(batch, {1.0, 1.5}, /*max_shard_tasks=*/4);
   std::vector<std::vector<Chain>> out(batch.tasks());
-  for (const ChainShard& s : shards) chain_tasks_run(batch, s.tasks, out);
+  for (const ChainShard& s : shards) {
+    auto chains = chain_tasks_run(batch, s.tasks);
+    ASSERT_EQ(chains.size(), s.tasks.size());
+    for (std::size_t k = 0; k < s.tasks.size(); ++k) out[s.tasks[k]] = std::move(chains[k]);
+  }
   EXPECT_EQ(out, expected);
 }
 

@@ -1,9 +1,9 @@
 // seedext::SharedIndex coverage: on-disk round trips (mmap load bit-identical
 // to the in-memory build), malformed-file rejection, the in-process registry
 // (dedup, stats, weak lifetime), reference sharding (merged lookups and seeds
-// bit-identical to the monolithic index, weighted-LPT lane placement), and
-// end-to-end SAM byte-identity through ReadMapper for the mmap-backed and
-// sharded seeding paths.
+// bit-identical to the monolithic index, weighted-LPT lane placement, the
+// 32-bit position limit), and end-to-end SAM byte-identity through
+// ReadMapper for the mmap-backed and sharded seeding paths.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include "core/aligner.hpp"
 #include "seedext/pipeline.hpp"
@@ -343,6 +344,20 @@ TEST(ShardedIndex, TinyGenomeAndOverAsking) {
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
   }
+}
+
+TEST(ShardedIndexDeath, RejectsReferencePast32BitPositions) {
+  // One base past the 32-bit position limit, as an inaccessible mapping
+  // that commits no memory: the size check must fire before any base is
+  // read, or lookup() would wrap positions silently.
+  const std::size_t bases = KmerIndex::kMaxReferenceBases + 1;
+  void* mem = mmap(nullptr, bases, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  const std::span<const seq::BaseCode> genome(static_cast<const seq::BaseCode*>(mem), bases);
+  IndexShardingOptions options;
+  options.shards = 4;
+  EXPECT_DEATH(ShardedKmerIndex(genome, 15, options), "overflows the index's 32-bit positions");
+  munmap(mem, bases);
 }
 
 TEST(ShardedIndex, WeightedLptPlacementSkewsTowardFastLanes) {
