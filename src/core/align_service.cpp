@@ -10,6 +10,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -366,7 +367,7 @@ AlignService::~AlignService() { stop(); }
 SessionId AlignService::open(SessionOptions opts) {
   SALOBA_CHECK_MSG(opts.weight > 0.0, "session weight must be > 0, got " << opts.weight);
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  SALOBA_CHECK_MSG(!impl_->stopping, "open() on a stopped AlignService");
+  if (impl_->stopping) throw std::runtime_error("open() on a stopped AlignService");
   SessionId id = impl_->next_id++;
   auto session = std::make_unique<Session>();
   session->id = id;
@@ -468,9 +469,11 @@ AlignOutput AlignService::align(const seq::PairBatch& batch, SessionOptions opts
     place_span(out, span->first_pair, span->results, span->traced);
     received += span->results.size();
   }
-  SALOBA_CHECK_MSG(admitted && received == batch.size(),
-                   "service stopped before align() completed ("
-                       << received << "/" << batch.size() << " pairs)");
+  if (!admitted || received != batch.size()) {
+    throw std::runtime_error("service stopped before align() completed (" +
+                             std::to_string(received) + "/" + std::to_string(batch.size()) +
+                             " pairs)");
+  }
   SessionStats st = session_stats(id);
   out.cells = st.cells;
   out.time_ms = st.align_ms;

@@ -114,7 +114,8 @@ class AlignService {
   const AlignerOptions& options() const { return options_; }
   const ServiceOptions& service_options() const { return service_; }
 
-  /// Opens a session with the given QoS knobs (weight must be > 0).
+  /// Opens a session with the given QoS knobs (weight must be > 0). Throws
+  /// std::runtime_error once the service is stopped.
   SessionId open(SessionOptions opts = {});
 
   /// Admits every pair of `pairs` into the session's queue, in order,
@@ -143,7 +144,9 @@ class AlignService {
   /// One-shot convenience: open + submit + finish + drain, reassembling the
   /// session's spans into one AlignOutput in input order — bit-identical
   /// results (and traces) to Aligner::align on the same batch. time_ms and
-  /// cells report this tenant's attributed share (see SessionStats).
+  /// cells report this tenant's attributed share (see SessionStats). Throws
+  /// std::runtime_error when the service is stopped before every result
+  /// arrives, or was stopped already.
   AlignOutput align(const seq::PairBatch& batch, SessionOptions opts = {});
 
   SessionStats session_stats(SessionId id) const;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
-#include "align/batch.hpp"
 #include "align/simd_engine.hpp"
 #include "align/traceback_engine.hpp"
 #include "align/xdrop_wavefront.hpp"
@@ -14,7 +12,6 @@
 #include "seedext/chain_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace saloba::core {
@@ -141,9 +138,10 @@ std::pair<PhaseOutput<align::AlignmentResult>, LongReadPhase> run_with_longread(
 /// X-drop wavefront's Myers-Miller traceback (same xdrop as their score
 /// pass, so endpoints agree there too); their cells and traffic are
 /// attributed separately. The rest go through the banded linear-memory
-/// engine: align::banded_traceback per pair on scalar engines, or the
-/// checkpointed SIMD cohort pass (align::simd::trace_batch) on `kSimd`,
-/// which traces identically but prices no modeled traffic.
+/// engine: align::banded_traceback per pair, whose TracebackStats price the
+/// simulated backend's modeled traffic, or with `cohorts` the checkpointed
+/// SIMD cohort pass (align::simd::trace_batch), which traces identically but
+/// prices no modeled traffic.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
   gpusim::PhaseCost traceback;  ///< the banded linear-memory engine's share
@@ -158,12 +156,10 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
                         const align::ScoringScheme& scoring, align::Score zdrop,
                         const TracebackSettings& settings, int threads,
-                        const LongReadPolicy& longread = {},
-                        LaneKind engine = LaneKind::kScalar) {
+                        const LongReadPolicy& longread, bool cohorts) {
   SALOBA_CHECK_MSG(results.size() == batch.size(),
                    "traceback got " << results.size() << " score results for a "
                                     << batch.size() << "-pair batch");
-  const bool simd = engine == LaneKind::kSimd;
   EnginePhase out;
   out.traced.resize(batch.size());
   std::vector<std::size_t> cells(batch.size(), 0);
@@ -171,7 +167,7 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
   std::vector<char> is_xdrop(batch.size(), 0);
   // The ends the SIMD cohort pass traces: the score pass's, minus routed pairs.
   std::vector<align::AlignmentResult> simd_ends;
-  if (simd) simd_ends.assign(results.begin(), results.end());
+  if (cohorts) simd_ends.assign(results.begin(), results.end());
   util::parallel_for_indexed(
       batch.size(),
       [&](std::size_t i) {
@@ -187,10 +183,10 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
           bytes[i] = xdrop_traffic_bytes(cells[i],
                                          batch.refs[i].size() + batch.queries[i].size());
           is_xdrop[i] = 1;
-          if (simd) simd_ends[i] = align::AlignmentResult{};
+          if (cohorts) simd_ends[i] = align::AlignmentResult{};
           return;
         }
-        if (simd) return;
+        if (cohorts) return;
         align::TracebackParams params;
         params.band = batch.band_of(i);
         params.zdrop = zdrop;
@@ -204,7 +200,7 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     (is_xdrop[i] ? out.xdrop : out.traceback) += gpusim::PhaseCost{cells[i], bytes[i]};
   }
-  if (simd) {
+  if (cohorts) {
     align::simd::TraceStats stats;
     std::vector<align::TracedAlignment> traced = align::simd::trace_batch(
         batch, simd_ends, scoring, &stats, threads, zdrop, settings.checkpoint_rows);
@@ -265,47 +261,30 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
   return weights;
 }
 
-HostBackend::HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                         int threads_total, align::Score zdrop, LongReadPolicy longread)
-    : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop), longread_(longread) {
+HostBackend::HostBackend(align::ScoringScheme scoring, int lanes, int threads_total,
+                         align::Score zdrop, LongReadPolicy longread)
+    : scoring_(scoring), lanes_(lanes), zdrop_(zdrop), longread_(longread) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(!kinds_.empty(), "host backend needs at least one lane");
-  if (kinds_.size() > 1) {
+  SALOBA_CHECK_MSG(lanes_ >= 1, "host backend needs at least one lane, got " << lanes_);
+  if (lanes_ > 1) {
     // Divide the host budget so concurrent lanes share, not fight over,
     // the cores. A single lane keeps the library-default team.
     int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
-    threads_per_lane_ = std::max(1, total / static_cast<int>(kinds_.size()));
+    threads_per_lane_ = std::max(1, total / lanes_);
   } else if (threads_total > 0) {
     threads_per_lane_ = threads_total;
   }
-  const auto has = [&](LaneKind kind) { return std::ranges::find(kinds_, kind) != kinds_.end(); };
-  name_ = !has(LaneKind::kSimd) ? "cpu" : has(LaneKind::kScalar) ? "simd+cpu" : "simd";
-}
-
-double HostBackend::lane_weight(int lane) const {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  const double threads = threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
-  return lane_kind(lane) == LaneKind::kSimd ? threads * simd_lane_speedup() : threads;
 }
 
 PhaseOutput<align::AlignmentResult> HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   auto [out, lr] = run_with_longread(
       batch, longread_, scoring_, threads_per_lane_, [&](const seq::PairBatch& b) {
+        align::simd::EngineStats stats;
         PhaseOutput<align::AlignmentResult> engine_out;
-        if (lane_kind(lane) == LaneKind::kScalar) {
-          align::BatchTiming timing;
-          engine_out.items =
-              align::align_batch(b, scoring_, &timing, threads_per_lane_, zdrop_);
-          engine_out.time_ms = timing.wall_ms;
-          engine_out.work = timing.cells;
-        } else {
-          align::simd::EngineStats stats;
-          engine_out.items =
-              align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
-          engine_out.time_ms = stats.wall_ms;
-          engine_out.work = stats.cells;
-        }
+        engine_out.items = align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
+        engine_out.time_ms = stats.wall_ms;
+        engine_out.work = stats.cells;
         return engine_out;
       });
   out.time_ms += lr.wall_ms;
@@ -318,7 +297,7 @@ PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
   EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_, lane_kind(lane));
+                                  threads_per_lane_, longread_, /*cohorts=*/true);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();
@@ -330,43 +309,6 @@ PhaseOutput<std::vector<seedext::Chain>> HostBackend::run_chaining(
     const seedext::ChainBatch& batch, std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   return chain_shard(batch, tasks, threads_per_lane_);
-}
-
-double simd_lane_speedup() {
-  // Deterministic probe: one cohort-friendly batch of related pairs, both
-  // engines timed single-threaded (lane weights already scale by thread
-  // count), min of two reps each after a shared warm-up. Static-local: runs
-  // once per process, at the first SIMD lane weight query.
-  static const double ratio = [] {
-    util::Xoshiro256 rng(0x5a10ba);
-    seq::PairBatch probe;
-    for (int p = 0; p < 192; ++p) {
-      std::vector<seq::BaseCode> ref(144);
-      for (auto& b : ref) b = static_cast<seq::BaseCode>(rng.below(4));
-      std::vector<seq::BaseCode> query(ref.begin(), ref.begin() + 120);
-      for (auto& b : query) {
-        if (rng.bernoulli(0.08)) b = static_cast<seq::BaseCode>(rng.below(4));
-      }
-      probe.add(std::move(query), std::move(ref));
-    }
-    const align::ScoringScheme scoring;
-    auto time_scalar = [&] {
-      const util::Timer t;
-      align::align_batch(probe, scoring, nullptr, /*threads=*/1);
-      return t.millis();
-    };
-    auto time_simd = [&] {
-      const util::Timer t;
-      align::simd::align_batch(probe, scoring, nullptr, /*threads=*/1);
-      return t.millis();
-    };
-    time_scalar();  // warm-up (page-in, frequency ramp)
-    time_simd();
-    const double scalar_ms = std::min(time_scalar(), time_scalar());
-    const double simd_ms = std::max(std::min(time_simd(), time_simd()), 1e-6);
-    return std::clamp(scalar_ms / simd_ms, 1.0, 64.0);
-  }();
-  return ratio;
 }
 
 SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
@@ -446,7 +388,7 @@ PhaseOutput<align::TracedAlignment> SimulatedGpuBackend::run_traceback(
   // endpoints match the kernels bit-for-bit; routed long-read pairs mirror
   // their wavefront score pass instead)...
   EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, settings,
-                                  /*threads=*/0, longread_);
+                                  /*threads=*/0, longread_, /*cohorts=*/false);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();
@@ -476,29 +418,9 @@ PhaseOutput<std::vector<seedext::Chain>> SimulatedGpuBackend::run_chaining(
 
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
   if (options.backend != Backend::kCpu) return std::make_unique<SimulatedGpuBackend>(options);
-  const std::vector<std::string> presets = device_preset_list(options.device);
-  const bool any_host = std::any_of(presets.begin(), presets.end(), is_host_preset);
-  if (any_host && !std::all_of(presets.begin(), presets.end(), is_host_preset)) {
-    throw std::invalid_argument(
-        "device list \"" + options.device +
-        "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
-        "simulated devices cannot share one backend");
-  }
-  // GPU presets under Backend::kCpu (the legacy shape, e.g. the "rtx3090"
-  // default — the device string only matters to the simulated backend) and
-  // a single host engine keep the cpu_lanes knob in charge; a host-engine
-  // list builds one lane per entry.
-  std::vector<LaneKind> kinds;
-  if (!any_host || presets.size() == 1) {
-    const LaneKind kind = presets.front() == "simd" ? LaneKind::kSimd : LaneKind::kScalar;
-    kinds.assign(static_cast<std::size_t>(std::max(1, options.cpu_lanes)), kind);
-  } else {
-    for (const std::string& p : presets) {
-      kinds.push_back(p == "simd" ? LaneKind::kSimd : LaneKind::kScalar);
-    }
-  }
-  return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
-                                       options.zdrop, options.longread_policy());
+  return std::make_unique<HostBackend>(options.scoring, std::max(1, options.cpu_lanes),
+                                       options.cpu_threads, options.zdrop,
+                                       options.longread_policy());
 }
 
 std::vector<std::unique_ptr<AlignBackend>> make_worker_replicas(const AlignerOptions& options,

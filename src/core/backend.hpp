@@ -75,12 +75,12 @@ class AlignBackend {
   /// Traceback phase for a batch whose score pass produced `results`
   /// (size == batch.size()): one TracedAlignment per pair through a
   /// linear-memory checkpointed engine — align::banded_traceback per pair,
-  /// or on SIMD host lanes the traced cohort pass align::simd::trace_batch,
-  /// whose traces are identical — honoring the batch's per-pair bands.
+  /// or on host lanes the traced cohort pass align::simd::trace_batch, whose
+  /// traces are identical — honoring the batch's per-pair bands.
   /// Pairs with a zero score-pass result are skipped (their trace is empty
   /// by construction). Endpoints reproduce `results` for any score pass
   /// that is bit-identical to the CPU reference. `work` is the engine's own
-  /// forward + replay cells, so it differs between lane kinds. Simulated
+  /// forward + replay cells, so it differs between backends. Simulated
   /// lanes model the phase in the gpusim::Phase::kTraceback slots (routed
   /// long-read pairs in kXdrop).
   virtual PhaseOutput<align::TracedAlignment> run_traceback(
@@ -101,75 +101,55 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// What engines a host lane runs.
-enum class LaneKind {
-  kScalar,  ///< the scalar OpenMP batch aligner (align::align_batch) and
-            ///< per-pair align::banded_traceback
-  kSimd,    ///< the inter-sequence SIMD cohort engine (align::simd::align_batch,
-            ///< traced: align::simd::trace_batch)
-};
-
-/// The host backend: one lane per entry of a LaneKind list. SIMD lanes run
-/// 8/16-bit saturating vector cohorts with an int32 rescue ladder,
-/// bit-identical to the scalar lanes (scores, endpoints, cell counts; traces,
-/// with the traceback engine's own cell count), so mixing kinds changes
-/// throughput, never answers. Lanes split one thread budget so overlapping
-/// shard runs never oversubscribe the machine and wall-clock timing stays
-/// honest. Named "cpu" (all scalar), "simd" (all SIMD) or "simd+cpu"
-/// (mixed).
+/// The host backend: `lanes` identical lanes, each running the
+/// inter-sequence SIMD ladder — 8/16-bit saturating vector cohorts with an
+/// int32 rescue (align::simd::align_batch; traced: align::simd::trace_batch),
+/// bit-identical to the scalar oracles align::align_batch and
+/// align::banded_traceback (scores, endpoints, cell counts; traces). Lanes
+/// split one thread budget so overlapping shard runs never oversubscribe the
+/// machine and wall-clock timing stays honest. Identical lanes keep the
+/// default lane weight of 1.0, so the scheduler packs them unweighted. Named
+/// "cpu".
 class HostBackend final : public AlignBackend {
  public:
-  /// One lane per entry of `kinds`. Several lanes are each budgeted
+  /// `lanes` (>= 1) lanes. Several lanes are each budgeted
   /// `threads_total / lanes` OpenMP threads (threads_total 0 = hardware
   /// concurrency, at least one per lane); a single lane keeps the library's
   /// default team unless `threads_total > 0`. `zdrop > 0` applies z-drop row
-  /// pruning to every pair (both engines implement the identical rule, see
-  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
-  /// (the scheduler materializes AlignerOptions band knobs into it). An
-  /// enabled `longread` policy routes qualifying pairs to the X-drop
-  /// wavefront engine in both run() and run_traceback() on every lane kind —
-  /// routed pairs ignore band and zdrop (see core::LongReadPolicy).
-  HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-              int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
+  /// pruning to every pair (the rule of align::BandedParams::zdrop); per-pair
+  /// bands come from the batch itself (the scheduler materializes
+  /// AlignerOptions band knobs into it). An enabled `longread` policy routes
+  /// qualifying pairs to the X-drop wavefront engine in both run() and
+  /// run_traceback() — routed pairs ignore band and zdrop (see
+  /// core::LongReadPolicy).
+  explicit HostBackend(align::ScoringScheme scoring, int lanes = 1, int threads_total = 0,
+                       align::Score zdrop = 0, LongReadPolicy longread = {});
 
   const std::string& name() const override { return name_; }
-  int lanes() const override { return static_cast<int>(kinds_.size()); }
+  int lanes() const override { return lanes_; }
   /// OpenMP thread cap per lane run; 0 = the default team (single lane).
   int threads_per_lane() const { return threads_per_lane_; }
-  LaneKind lane_kind(int lane) const { return kinds_[static_cast<std::size_t>(lane)]; }
-  /// The lane's thread budget, times simd_lane_speedup() for a SIMD lane, so
-  /// weighted LPT places shards by measured engine speed. All-scalar lanes
-  /// are uniform and keep the unweighted scheduler path.
-  double lane_weight(int lane) const override;
   PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
   /// Engine params mirror the score pass (per-pair band + this backend's
-  /// zdrop), so traced endpoints are bit-identical to run()'s results on
-  /// either lane kind. Scalar lanes trace each pair with
-  /// align::banded_traceback; SIMD lanes trace whole cohorts with
-  /// align::simd::trace_batch.
+  /// zdrop), so traced endpoints are bit-identical to run()'s results. Whole
+  /// cohorts trace at once through align::simd::trace_batch.
   PhaseOutput<align::TracedAlignment> run_traceback(
       const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
       const TracebackSettings& settings, int lane) override;
-  /// Both lane kinds run the same engine: chaining's scalar/vector split is
-  /// a per-task ISA dispatch inside seedext::chain_tasks_run.
+  /// The forward-only chaining engine; its scalar/vector split is a per-task
+  /// ISA dispatch inside seedext::chain_tasks_run.
   PhaseOutput<std::vector<seedext::Chain>> run_chaining(
       const seedext::ChainBatch& batch, std::span<const std::size_t> tasks,
       int lane) override;
 
  private:
   align::ScoringScheme scoring_;
-  std::vector<LaneKind> kinds_;
+  int lanes_ = 1;
   int threads_per_lane_ = 0;
   align::Score zdrop_ = 0;
   LongReadPolicy longread_;
-  std::string name_;
+  std::string name_ = "cpu";
 };
-
-/// Measured single-thread throughput of align::simd::align_batch relative to
-/// the scalar align::align_batch: a deterministic micro-probe run once per
-/// process (cached), clamped to [1, 64] so a degenerate measurement can
-/// never starve a lane. This is HostBackend's SIMD lane-weight calibration.
-double simd_lane_speedup();
 
 /// A reproduced GPU kernel on N simulated devices. Each lane owns a
 /// gpusim::Device; the kernel object is stateless per run and shared.
@@ -216,8 +196,8 @@ class SimulatedGpuBackend final : public AlignBackend {
 };
 
 /// Builds the backend `options` asks for: a SimulatedGpuBackend, or under
-/// Backend::kCpu a HostBackend whose lane kinds come from options.device
-/// (see AlignerOptions::device).
+/// Backend::kCpu a HostBackend of `cpu_lanes` lanes (options.device is not
+/// read there).
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
 
 /// Backend replicas for `workers` concurrent align threads, one each, so no

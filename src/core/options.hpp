@@ -11,7 +11,7 @@
 namespace saloba::core {
 
 enum class Backend {
-  kCpu,        ///< OpenMP batch aligner on the host (real wall-clock time)
+  kCpu,        ///< SIMD batch engine on the host (real wall-clock time)
   kSimulated,  ///< a kernel on the simulated GPU (simulated kernel time)
 };
 
@@ -80,16 +80,8 @@ struct AlignerOptions {
   /// "p100", "v100" — or a comma-separated list of presets (e.g.
   /// "gtx1650,rtx3090") for a heterogeneous backend with one lane per
   /// preset; the scheduler then partitions work by each lane's relative
-  /// throughput (cost-aware weighted LPT).
-  ///
-  /// With Backend::kCpu the list may instead name *host engines* for
-  /// core::HostBackend lanes: "simd" (the inter-sequence SIMD batch engine)
-  /// and "cpu" (the scalar OpenMP aligner). A single entry builds cpu_lanes
-  /// lanes of that engine; a list such as "simd,cpu" builds one lane per
-  /// entry, SIMD lanes weighted by their measured speedup. Host engines and
-  /// GPU presets cannot be mixed in one list; GPU presets under
-  /// Backend::kCpu keep the legacy meaning (cpu_lanes scalar lanes, device
-  /// string ignored).
+  /// throughput (cost-aware weighted LPT). Backend::kCpu does not read it:
+  /// the host backend always runs cpu_lanes lanes of the SIMD engine.
   std::string device = "rtx3090";
   align::ScoringScheme scoring;
   /// Paper-scale batch size used for footprint checks (0 = actual batch).
@@ -139,9 +131,9 @@ struct AlignerOptions {
 
   // --- Scheduler (host-side batching) ------------------------------------
   /// Simulated devices the scheduler spreads shards across (Sec. VII-C
-  /// multi-GPU dispatch; simulated backend only — the CPU backend always
-  /// runs one lane). With 1 device and no shard cap, align() degenerates to
-  /// the classic single-launch path. When `device` lists several presets the
+  /// multi-GPU dispatch; simulated backend only — host lanes come from
+  /// cpu_lanes). With 1 device and no shard cap, align() degenerates to the
+  /// classic single-launch path. When `device` lists several presets the
   /// lane count comes from the list instead; `devices` must then be 1 (the
   /// default) or match the list length.
   int devices = 1;
@@ -210,9 +202,5 @@ struct ServiceOptions {
 /// an empty string or an empty list element ("gtx1650,,rtx3090"); names are
 /// not resolved here — gpusim::device_by_name validates them.
 std::vector<std::string> device_preset_list(const std::string& device);
-
-/// True for device-list entries naming a host engine rather than a GPU
-/// preset: "cpu" (scalar OpenMP aligner) and "simd" (SIMD batch engine).
-bool is_host_preset(const std::string& preset);
 
 }  // namespace saloba::core

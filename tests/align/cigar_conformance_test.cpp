@@ -74,28 +74,23 @@ void check_conformance(const seq::PairBatch& batch, const AlignOutput& out,
 struct Config {
   Backend backend;
   const char* kernel;  // simulated only
-  const char* device;  // host only: "simd" for SIMD lanes, "" for the scalar default
 
-  std::string name() const {
-    return backend == Backend::kSimulated ? kernel : *device != '\0' ? device : "cpu";
-  }
+  std::string name() const { return backend == Backend::kSimulated ? kernel : "cpu"; }
   AlignerOptions options() const {
     AlignerOptions opts;
     opts.backend = backend;
     if (backend == Backend::kSimulated) opts.kernel = kernel;
-    if (*device != '\0') opts.device = device;
     opts.traceback = true;
     return opts;
   }
 };
 
 std::vector<Config> configs() {
-  return {{Backend::kCpu, "", ""},
-          {Backend::kCpu, "", "simd"},
-          {Backend::kSimulated, "saloba", ""},
-          {Backend::kSimulated, "saloba-sw8", ""},
-          {Backend::kSimulated, "gasal2", ""},
-          {Backend::kSimulated, "swsharp", ""}};
+  return {{Backend::kCpu, ""},
+          {Backend::kSimulated, "saloba"},
+          {Backend::kSimulated, "saloba-sw8"},
+          {Backend::kSimulated, "gasal2"},
+          {Backend::kSimulated, "swsharp"}};
 }
 
 TEST(CigarConformance, EveryKernelBandedAndUnbandedOneShot) {

@@ -176,7 +176,6 @@ TEST(AlignService, TracebackPhaseIsAttributedToTenants) {
   // sum, so however the service batches, one tenant's total equals a direct
   // Aligner's.
   AlignerOptions opts;
-  opts.device = "simd";
   opts.traceback = true;
   opts.traceback_checkpoint_rows = 16;
   auto batch = saloba::testing::related_batch(997, 48, 90, 130);
@@ -469,6 +468,42 @@ TEST(AlignService, StopUnblocksProducersAndPollers) {
   poller.join();
   EXPECT_FALSE(submit_result.load());
   EXPECT_FALSE(poll_result.load());
+}
+
+TEST(AlignService, AlignOnStoppedServiceThrows) {
+  AlignService service(AlignerOptions{});
+  service.stop();
+  EXPECT_THROW(service.align(saloba::testing::related_batch(1001, 4, 40, 50)),
+               std::runtime_error);
+}
+
+TEST(AlignService, StopRacingAlignNeverAborts) {
+  // A client's align() queued behind the blocker when an operator stops the
+  // service: the client either gets every result or a std::runtime_error,
+  // and the process lives on.
+  AlignerOptions opts;  // CPU
+  ServiceOptions svc;
+  svc.batch_pairs = 16;
+  svc.max_inflight_batches = 1;
+  AlignService service(opts, svc);
+  submit_blocker(service, svc.batch_pairs);
+
+  const auto batch = saloba::testing::related_batch(1002, 40, 80, 100);
+  AlignOutput got;
+  bool threw = false;
+  std::thread client([&] {
+    try {
+      got = service.align(batch);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  service.stop();
+  client.join();
+  if (!threw) {
+    EXPECT_EQ(got.results, Aligner(opts).align(batch).results);
+  }
 }
 
 TEST(AlignServiceDeath, SubmitAfterFinishIsRejected) {

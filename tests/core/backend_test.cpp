@@ -17,7 +17,7 @@ namespace saloba::core {
 namespace {
 
 TEST(HostBackend, RunsBatchOnSingleLane) {
-  HostBackend backend{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend backend{align::ScoringScheme{}};
   EXPECT_EQ(backend.lanes(), 1);
   auto batch = saloba::testing::related_batch(701, 12, 90, 120);
   auto out = backend.run(batch, 0);
@@ -29,7 +29,7 @@ TEST(HostBackend, RunsBatchOnSingleLane) {
 TEST(HostBackend, MultiLaneSplitsThreadBudget) {
   // 3 lanes over a 6-thread budget: 2 OpenMP threads per lane, every lane
   // produces the same results as the single-lane reference.
-  HostBackend backend{align::ScoringScheme{}, std::vector<LaneKind>(3, LaneKind::kScalar), 6};
+  HostBackend backend{align::ScoringScheme{}, 3, 6};
   EXPECT_EQ(backend.lanes(), 3);
   EXPECT_EQ(backend.threads_per_lane(), 2);
   auto batch = saloba::testing::related_batch(705, 10, 70, 90);
@@ -41,7 +41,7 @@ TEST(HostBackend, MultiLaneSplitsThreadBudget) {
 
 TEST(HostBackend, MultiLaneBudgetNeverRoundsToZero) {
   // More lanes than budgeted threads: each lane still gets one thread.
-  HostBackend backend{align::ScoringScheme{}, std::vector<LaneKind>(4, LaneKind::kScalar), 2};
+  HostBackend backend{align::ScoringScheme{}, 4, 2};
   EXPECT_EQ(backend.threads_per_lane(), 1);
 }
 
@@ -116,12 +116,10 @@ TEST(SimulatedGpuBackend, UnknownDeviceThrowsListingValidNames) {
 }
 
 TEST(HostBackend, LaneWeightsAreUniform) {
-  HostBackend single{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend single{align::ScoringScheme{}};
   EXPECT_DOUBLE_EQ(single.lane_weight(0), 1.0);
-  HostBackend multi{align::ScoringScheme{}, std::vector<LaneKind>(3, LaneKind::kScalar), 6};
-  EXPECT_DOUBLE_EQ(multi.lane_weight(0), 2.0);  // threads_per_lane
-  EXPECT_DOUBLE_EQ(multi.lane_weight(1), multi.lane_weight(0));
-  EXPECT_DOUBLE_EQ(multi.lane_weight(2), multi.lane_weight(0));
+  HostBackend multi{align::ScoringScheme{}, 3, 6};
+  EXPECT_EQ(lane_weights(multi), (std::vector<double>{1.0, 1.0, 1.0}));
 }
 
 TEST(SimulatedGpuBackend, MixedPresetsBuildOneWeightedLanePerPreset) {

@@ -1,15 +1,17 @@
 // Long-read routing (core::LongReadPolicy → X-drop wavefront engine):
 // routed pairs produce exactly the wavefront engine's results on every
 // backend and lane shape, short pairs are untouched (bit-identical to a run
-// with routing disabled), the two-phase traceback mirrors the routed score
-// pass, and the simulated backend attributes the routed phase separately
-// (the gpusim::Phase::kXdrop counter and breakdown slots).
+// with routing disabled and to the scalar oracles), the two-phase traceback
+// mirrors the routed score pass, and the simulated backend attributes the
+// routed phase separately (the gpusim::Phase::kXdrop counter and breakdown
+// slots).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "../support/test_support.hpp"
+#include "align/batch.hpp"
 #include "align/traceback.hpp"
 #include "align/xdrop_wavefront.hpp"
 #include "core/aligner.hpp"
@@ -86,27 +88,32 @@ TEST(LongReadRoute, RoutedPairsMatchWavefrontEngineOnCpu) {
 
 TEST(LongReadRoute, ShortReadWorkloadsAreRoutingInvariant) {
   // Every pair below the threshold: enabling routing must be a no-op,
-  // bit-identical results on both host backends.
+  // bit-identical results.
   const auto batch = saloba::testing::related_batch(9102, 24, 100, 130);
-  for (const char* device : {"rtx3090", "simd"}) {
-    AlignerOptions on = routed_options(Backend::kCpu);
-    on.device = device;
-    AlignerOptions off = on;
-    off.longread_threshold = 0;
-    const auto with = Aligner(on).align(batch);
-    const auto without = Aligner(off).align(batch);
-    EXPECT_EQ(with.results, without.results) << device;
-    EXPECT_EQ(with.cells, without.cells) << device;
-  }
+  const AlignerOptions on = routed_options(Backend::kCpu);
+  AlignerOptions off = on;
+  off.longread_threshold = 0;
+  const auto with = Aligner(on).align(batch);
+  const auto without = Aligner(off).align(batch);
+  EXPECT_EQ(with.results, without.results);
+  EXPECT_EQ(with.cells, without.cells);
 }
 
 TEST(LongReadRoute, AllBackendsAgreeOnRoutedBatches) {
   const auto batch = mixed_batch(9103, 12, 4);
-  const auto cpu = Aligner(routed_options(Backend::kCpu)).align(batch);
+  const AlignerOptions opts = routed_options(Backend::kCpu);
+  const LongReadPolicy policy = opts.longread_policy();
+  const auto cpu = Aligner(opts).align(batch);
 
-  AlignerOptions simd = routed_options(Backend::kCpu);
-  simd.device = "simd";
-  EXPECT_EQ(Aligner(simd).align(batch).results, cpu.results);
+  // The host lanes' short pairs match the scalar oracle.
+  const auto oracle = align::align_batch(batch, opts.scoring);
+  std::size_t shorts = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (is_routed(batch, i, policy)) continue;
+    ++shorts;
+    EXPECT_EQ(cpu.results[i], oracle[i]) << "short pair " << i;
+  }
+  EXPECT_GT(shorts, 0u);
 
   const auto sim = Aligner(routed_options(Backend::kSimulated)).align(batch);
   EXPECT_EQ(sim.results, cpu.results);
@@ -127,37 +134,31 @@ TEST(LongReadRoute, ShardedRoutedRunMatchesSingleLane) {
 }
 
 TEST(LongReadRoute, TracebackPhaseMirrorsRoutedScorePass) {
-  // On both host lane kinds: SIMD lanes trace the short pairs as vector
-  // cohorts while the routed pairs still take the X-drop traceback.
+  // The short pairs trace as SIMD cohorts, matching the scalar oracle,
+  // while the routed pairs still take the X-drop traceback.
   const auto batch = mixed_batch(9105, 10, 4);
-  std::vector<align::TracedAlignment> scalar_traced;
-  for (const char* device : {"rtx3090", "simd"}) {
-    AlignerOptions opts = routed_options(Backend::kCpu);
-    opts.device = device;
-    opts.traceback = true;
-    const LongReadPolicy policy = opts.longread_policy();
-    const auto out = Aligner(opts).align(batch);
-    ASSERT_EQ(out.traced.size(), batch.size()) << device;
+  AlignerOptions opts = routed_options(Backend::kCpu);
+  opts.traceback = true;
+  const LongReadPolicy policy = opts.longread_policy();
+  const auto out = Aligner(opts).align(batch);
+  ASSERT_EQ(out.traced.size(), batch.size());
 
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& t = out.traced[i];
-      EXPECT_EQ(t.end, out.results[i]) << device << " pair " << i;
-      if (out.results[i].score <= 0) continue;
-      EXPECT_TRUE(align::cigar_consistent(t, batch.refs[i].size(), batch.queries[i].size()))
-          << device << " pair " << i;
-      EXPECT_EQ(align::rescore_cigar(t, batch.refs[i], batch.queries[i], opts.scoring),
-                out.results[i].score)
-          << device << " pair " << i;
-      if (is_routed(batch, i, policy)) {
-        const auto expect = align::xdrop_wavefront_align(
-            batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop});
-        EXPECT_EQ(t, expect) << device << " routed pair " << i;
-      }
-    }
-    if (scalar_traced.empty()) {
-      scalar_traced = out.traced;
+  const auto oracle = saloba::testing::oracle_traces(batch, opts.scoring, opts.zdrop);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto& t = out.traced[i];
+    EXPECT_EQ(t.end, out.results[i]) << "pair " << i;
+    if (out.results[i].score <= 0) continue;
+    EXPECT_TRUE(align::cigar_consistent(t, batch.refs[i].size(), batch.queries[i].size()))
+        << "pair " << i;
+    EXPECT_EQ(align::rescore_cigar(t, batch.refs[i], batch.queries[i], opts.scoring),
+              out.results[i].score)
+        << "pair " << i;
+    if (is_routed(batch, i, policy)) {
+      const auto expect = align::xdrop_wavefront_align(
+          batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop});
+      EXPECT_EQ(t, expect) << "routed pair " << i;
     } else {
-      EXPECT_EQ(out.traced, scalar_traced) << device;
+      EXPECT_EQ(t, oracle[i]) << "short pair " << i;
     }
   }
 }

@@ -133,7 +133,7 @@ TEST(BatchScheduler, SingleShardFastPathReportsOneShard) {
 TEST(BatchScheduler, DirectSchedulerUseOverHostBackend) {
   // The scheduler is usable without the Aligner facade.
   auto batch = saloba::testing::imbalanced_batch(606, 21, 10, 300);
-  HostBackend backend{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend backend{align::ScoringScheme{}};
   SchedulerOptions sched;
   sched.max_shard_pairs = 4;
   BatchScheduler scheduler(&backend, sched);

@@ -1,11 +1,13 @@
-// HostBackend's SIMD lanes: device-string routing, calibrated lane weights,
-// and bit-identical parity with scalar lanes through the whole scheduler stack
-// (score pass, banded/z-drop runs, two-phase traceback). `ctest -L simd`.
+// HostBackend runs the inter-sequence SIMD engine on every lane: its score
+// pass, banded/z-drop runs and two-phase traceback are bit-identical to the
+// scalar oracles (align::align_batch, per-pair align::banded_traceback)
+// through the whole scheduler stack, and every host device string builds
+// the same backend. `ctest -L simd`.
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <vector>
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
@@ -15,41 +17,42 @@
 namespace saloba::core {
 namespace {
 
-TEST(SimdHostBackend, RunMatchesScalarBackend) {
+using saloba::testing::oracle_traces;
+
+TEST(SimdHostBackend, RunMatchesScalarOracle) {
   auto batch = saloba::testing::imbalanced_batch(801, 40, 5, 300);
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
-  EXPECT_EQ(simd.lanes(), 1);
-  EXPECT_EQ(simd.name(), "simd");
-  auto want = scalar.run(batch, 0);
-  auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.items, want.items);
-  EXPECT_EQ(got.work, want.work);
+  HostBackend backend{align::ScoringScheme{}};
+  EXPECT_EQ(backend.lanes(), 1);
+  EXPECT_EQ(backend.name(), "cpu");
+  align::BatchTiming timing;
+  const auto want = align::align_batch(batch, align::ScoringScheme{}, &timing);
+  auto got = backend.run(batch, 0);
+  EXPECT_EQ(got.items, want);
+  EXPECT_EQ(got.work, timing.cells);
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
-TEST(SimdHostBackend, BandedZdropRunMatchesScalarBackend) {
+TEST(SimdHostBackend, BandedZdropRunMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(802, 30, 100, 140);
   batch.default_band = 16;
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}, 0, /*zdrop=*/20};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}, 0, /*zdrop=*/20};
-  auto want = scalar.run(batch, 0);
-  auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.items, want.items);
-  EXPECT_EQ(got.work, want.work);
+  HostBackend backend{align::ScoringScheme{}, 1, 0, /*zdrop=*/20};
+  align::BatchTiming timing;
+  const auto want =
+      align::align_batch(batch, align::ScoringScheme{}, &timing, /*threads=*/0, /*zdrop=*/20);
+  auto got = backend.run(batch, 0);
+  EXPECT_EQ(got.items, want);
+  EXPECT_EQ(got.work, timing.cells);
 }
 
-TEST(SimdHostBackend, TracebackPhaseMatchesScalarBackend) {
+TEST(SimdHostBackend, TracebackPhaseMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
-  auto score = simd.run(batch, 0);
-  auto want = scalar.run_traceback(batch, score.items, TracebackSettings{}, 0);
-  auto got = simd.run_traceback(batch, score.items, TracebackSettings{}, 0);
-  EXPECT_EQ(got.items, want.items);
-  // The SIMD lane traces with its own engine (align::simd::trace_batch),
-  // so its cells are that engine's: a forward share equal to the score
-  // pass's in-band cells of the traced pairs, plus at most as many replayed.
+  HostBackend backend{align::ScoringScheme{}};
+  auto score = backend.run(batch, 0);
+  auto got = backend.run_traceback(batch, score.items, TracebackSettings{}, 0);
+  EXPECT_EQ(got.items, oracle_traces(batch, align::ScoringScheme{}, /*zdrop=*/0));
+  // The backend traces with align::simd::trace_batch, so its cells are that
+  // engine's: a forward share equal to the score pass's in-band cells of the
+  // traced pairs, plus at most as many replayed.
   std::size_t forward = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (score.items[i].score > 0) forward += batch.cells_of(i);
@@ -62,97 +65,60 @@ TEST(SimdHostBackend, TracebackPhaseMatchesScalarBackend) {
   EXPECT_LE(got.work, 2 * forward);
 }
 
-TEST(SimdHostBackend, CalibratedLaneWeightOrdersLanes) {
-  const double speedup = simd_lane_speedup();
-  EXPECT_GE(speedup, 1.0);
-  EXPECT_LE(speedup, 64.0);
-
-  HostBackend mixed{align::ScoringScheme{}, {LaneKind::kSimd, LaneKind::kScalar},
-                    /*threads_total=*/2};
-  EXPECT_EQ(mixed.lanes(), 2);
-  EXPECT_EQ(mixed.name(), "simd+cpu");
-  EXPECT_EQ(mixed.lane_kind(0), LaneKind::kSimd);
-  EXPECT_EQ(mixed.lane_kind(1), LaneKind::kScalar);
-  // Same thread budget per lane: the SIMD lane's weight is exactly the
-  // calibrated engine ratio times the scalar lane's.
-  EXPECT_DOUBLE_EQ(mixed.lane_weight(1), 1.0);
-  EXPECT_DOUBLE_EQ(mixed.lane_weight(0), speedup);
-  EXPECT_GE(mixed.lane_weight(0), mixed.lane_weight(1));
+TEST(MakeBackend, EveryHostDeviceStringBuildsCpuLanes) {
+  // Backend::kCpu does not read the device string: the default GPU preset,
+  // the former host-engine names and a host/GPU mix all build cpu_lanes
+  // identical lanes.
+  for (int lanes : {1, 3}) {
+    AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
+    opts.cpu_lanes = lanes;
+    for (const char* device : {"rtx3090", "cpu", "simd", "simd,cpu", "simd,rtx3090"}) {
+      opts.device = device;
+      auto backend = make_backend(opts);
+      EXPECT_EQ(backend->name(), "cpu") << device;
+      EXPECT_EQ(backend->lanes(), lanes) << device;
+    }
+  }
 }
 
-TEST(MakeBackend, RoutesHostDeviceStrings) {
-  AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
-  EXPECT_EQ(make_backend(opts)->name(), "cpu");  // legacy shape unchanged
-
-  opts.device = "cpu";
-  EXPECT_EQ(make_backend(opts)->name(), "cpu");
-
-  opts.device = "simd";
-  auto simd = make_backend(opts);
-  EXPECT_EQ(simd->name(), "simd");
-  EXPECT_EQ(simd->lanes(), 1);
-
-  opts.device = "simd";
-  opts.cpu_lanes = 3;
-  EXPECT_EQ(make_backend(opts)->lanes(), 3);
-  opts.cpu_lanes = 1;
-
-  opts.device = "simd,cpu";
-  auto mixed = make_backend(opts);
-  EXPECT_EQ(mixed->name(), "simd+cpu");
-  EXPECT_EQ(mixed->lanes(), 2);
-
-  opts.device = "cpu,cpu";
-  auto two_scalar = make_backend(opts);
-  EXPECT_EQ(two_scalar->name(), "cpu");
-  EXPECT_EQ(two_scalar->lanes(), 2);
-
-  opts.device = "simd,rtx3090";
-  EXPECT_THROW(make_backend(opts), std::invalid_argument);
-}
-
-TEST(SimdAligner, EndToEndMatchesCpuAligner) {
+TEST(SimdAligner, EndToEndMatchesScalarOracle) {
   auto batch = saloba::testing::imbalanced_batch(804, 60, 10, 250);
-  AlignerOptions cpu_opts;
-  auto want = Aligner(cpu_opts).align(batch);
+  align::BatchTiming timing;
+  const auto want = align::align_batch(batch, align::ScoringScheme{}, &timing);
 
-  AlignerOptions simd_opts;
-  simd_opts.device = "simd";
-  auto got = Aligner(simd_opts).align(batch);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.cells, want.cells);
+  auto got = Aligner(AlignerOptions{}).align(batch);
+  EXPECT_EQ(got.results, want);
+  EXPECT_EQ(got.cells, timing.cells);
 }
 
-TEST(SimdAligner, BandedTracebackMatchesCpuAligner) {
+TEST(SimdAligner, BandedTracebackMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(805, 25, 110, 150);
-  AlignerOptions cpu_opts;
-  cpu_opts.band = 24;
-  cpu_opts.zdrop = 60;
-  cpu_opts.traceback = true;
-  auto want = Aligner(cpu_opts).align(batch);
+  AlignerOptions opts;
+  opts.band = 24;
+  opts.zdrop = 60;
+  opts.traceback = true;
+  auto got = Aligner(opts).align(batch);
 
-  AlignerOptions simd_opts = cpu_opts;
-  simd_opts.device = "simd";
-  auto got = Aligner(simd_opts).align(batch);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.traced, want.traced);
+  // The oracles see the bands the scheduler materializes into the batch.
+  seq::PairBatch banded = batch;
+  materialize_bands(banded, opts.band_policy());
+  EXPECT_EQ(got.results,
+            align::align_batch(banded, opts.scoring, nullptr, /*threads=*/0, opts.zdrop));
+  EXPECT_EQ(got.traced, oracle_traces(banded, opts.scoring, opts.zdrop));
 }
 
-TEST(SimdAligner, MixedLanesScheduleBitIdentical) {
+TEST(SimdAligner, MultiLaneScheduleMatchesScalarOracle) {
   auto batch = saloba::testing::imbalanced_batch(806, 50, 20, 280);
-  AlignerOptions cpu_opts;
-  auto want = Aligner(cpu_opts).align(batch);
-
-  AlignerOptions mixed;
-  mixed.device = "simd,cpu";
-  mixed.cpu_threads = 2;
-  mixed.max_shard_pairs = 8;  // force several shards across both lanes
-  auto got = Aligner(mixed).align(batch);
-  EXPECT_EQ(got.results, want.results);
+  AlignerOptions opts;
+  opts.cpu_lanes = 2;
+  opts.cpu_threads = 2;
+  opts.max_shard_pairs = 8;  // force several shards across both lanes
+  auto got = Aligner(opts).align(batch);
+  EXPECT_EQ(got.results, align::align_batch(batch, opts.scoring));
   EXPECT_EQ(got.schedule.lanes, 2);
-  ASSERT_EQ(got.schedule.lane_weights.size(), 2u);
-  // Weighted LPT saw the calibration: the SIMD lane outweighs the scalar one.
-  EXPECT_GE(got.schedule.lane_weights[0], got.schedule.lane_weights[1]);
+  EXPECT_GT(got.schedule.shards, 2u);
+  // Identical lanes weigh alike, so the scheduler packs them unweighted.
+  EXPECT_EQ(got.schedule.lane_weights, (std::vector<double>{1.0, 1.0}));
 }
 
 }  // namespace

@@ -62,6 +62,9 @@ TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
 
   AlignerOptions single;
   single.traceback = true;
+  // A fixed block height makes the SIMD cohort pass's cells a per-pair sum
+  // (the default K follows each cohort's longest ref).
+  single.traceback_checkpoint_rows = 16;
   auto want = Aligner(single).align(batch);
 
   AlignerOptions sharded = single;
@@ -73,8 +76,7 @@ TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
   for (std::size_t i = 0; i < want.traced.size(); ++i) {
     EXPECT_EQ(got.traced[i], want.traced[i]) << "pair " << i;
   }
-  // Scalar lanes trace pair by pair, so the phase's cells cannot depend on
-  // the sharding.
+  // ...so the phase's cells cannot depend on the sharding.
   EXPECT_EQ(got.traceback_cells, want.traceback_cells);
 }
 
@@ -148,7 +150,7 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // perfect match
   batch.add(std::vector<seq::BaseCode>(8, 0), std::vector<seq::BaseCode>(8, 1));  // hopeless
   align::ScoringScheme scoring;
-  HostBackend backend(scoring, {LaneKind::kScalar});
+  HostBackend backend(scoring);
   auto results = backend.run(batch, 0).items;
   ASSERT_EQ(results[1].score, 0);
   auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);

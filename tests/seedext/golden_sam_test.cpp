@@ -1,15 +1,17 @@
 // Golden-SAM end-to-end regression for the batched traceback refactor: the
-// pre-refactor per-read path — a full-matrix smith_waterman_traceback of
-// each mapped read's genome window on the caller thread — is reimplemented
-// here verbatim as the golden oracle, and every new path must emit
-// byte-identical SAM: the engine fallback inside to_sam_record, the batched
-// map_batch(reads, extend, trace) pipeline, and the streamed
-// map_stream(..., trace, writer) pipeline. Streamed == one-shot, byte for
-// byte, with traceback enabled.
+// pre-refactor per-read path — the scalar align::align_batch score pass,
+// then a full-matrix smith_waterman_traceback of each mapped read's genome
+// window on the caller thread — is reimplemented here verbatim as the
+// golden oracle, and every path through core::Aligner (whose host lanes run
+// the SIMD engine) must emit byte-identical SAM: the engine fallback inside
+// to_sam_record, the batched map_batch(reads, extend, trace) pipeline, and
+// the streamed map_stream(..., trace, writer) pipeline. Streamed ==
+// one-shot, byte for byte, with traceback enabled.
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "align/batch.hpp"
 #include "align/traceback.hpp"
 #include "core/aligner.hpp"
 #include "seedext/sam_output.hpp"
@@ -91,9 +93,12 @@ struct Fixture {
     for (const auto& r : reads) read_seqs.push_back(r.bases);
   }
 
-  /// The golden text: legacy per-read records over plain map_batch.
-  std::string golden(const BatchExtender& extend) const {
-    auto mappings = mapper->map_batch(read_seqs, extend);
+  /// The golden text: legacy per-read records over plain map_batch, with
+  /// the scalar oracle as the extension engine.
+  std::string golden() const {
+    const align::ScoringScheme scoring = mapper->params().scoring;
+    auto mappings = mapper->map_batch(
+        read_seqs, [&](const seq::PairBatch& b) { return align::align_batch(b, scoring); });
     std::ostringstream out;
     seq::SamWriter writer(out, header());
     for (std::size_t i = 0; i < reads.size(); ++i) {
@@ -119,7 +124,7 @@ struct Fixture {
 TEST(GoldenSam, EngineFallbackMatchesLegacyByteForByte) {
   Fixture f;
   core::Aligner aligner{core::AlignerOptions{}};
-  std::string want = f.golden(aligner.batch_extender());
+  std::string want = f.golden();
 
   // No traced extender: to_sam_record's linear-memory fallback.
   auto mappings = f.mapper->map_batch(f.read_seqs, aligner.batch_extender());
@@ -136,7 +141,7 @@ TEST(GoldenSam, BatchedTracebackPipelineMatchesLegacyByteForByte) {
   core::AlignerOptions opts;
   opts.traceback = true;
   core::Aligner aligner(opts);
-  std::string want = f.golden(aligner.batch_extender());
+  std::string want = f.golden();
 
   // The full two-phase pipeline: extensions and window CIGARs both batched
   // through the scheduler; to_sam_record consumes the stored traces.
@@ -162,7 +167,7 @@ TEST(GoldenSam, StreamedTracebackSamMatchesOneShotAndLegacy) {
   core::AlignerOptions opts;
   opts.traceback = true;
   core::Aligner aligner(opts);
-  std::string want = f.golden(aligner.batch_extender());
+  std::string want = f.golden();
 
   std::istringstream fastq(f.fastq());
   seq::FastqChunkReader reader(fastq, /*chunk_records=*/13);
@@ -184,7 +189,7 @@ TEST(GoldenSam, BandedTracedExtenderStillMatchesLegacy) {
   // would silently corrupt CIGARs and positions.
   Fixture f;
   core::Aligner plain{core::AlignerOptions{}};
-  std::string want = f.golden(plain.batch_extender());
+  std::string want = f.golden();
 
   core::AlignerOptions banded;
   banded.band = 8;
@@ -200,20 +205,21 @@ TEST(GoldenSam, BandedTracedExtenderStillMatchesLegacy) {
   EXPECT_EQ(out.str(), want);
 }
 
-TEST(GoldenSam, SimdBackendPipelineMatchesLegacyByteForByte) {
-  // The inter-sequence SIMD backend as the extension engine: batched
-  // two-phase pipeline through device="simd" must reproduce the scalar
-  // CPU golden SAM byte for byte (scores, endpoints, CIGARs, positions).
+TEST(GoldenSam, ShardedLanesPipelineMatchesLegacyByteForByte) {
+  // The batched two-phase pipeline split into many shards across two host
+  // lanes must still reproduce the scalar golden SAM byte for byte (scores,
+  // endpoints, CIGARs, positions).
   Fixture f;
-  core::Aligner cpu{core::AlignerOptions{}};
-  std::string want = f.golden(cpu.batch_extender());
+  std::string want = f.golden();
 
   core::AlignerOptions opts;
-  opts.device = "simd";
+  opts.cpu_lanes = 2;
+  opts.cpu_threads = 2;
+  opts.max_shard_pairs = 8;
   opts.traceback = true;
-  core::Aligner simd(opts);
+  core::Aligner sharded(opts);
   auto mappings =
-      f.mapper->map_batch(f.read_seqs, simd.batch_extender(), simd.traced_extender());
+      f.mapper->map_batch(f.read_seqs, sharded.batch_extender(), sharded.traced_extender());
   std::ostringstream out;
   seq::SamWriter writer(out, f.header());
   for (std::size_t i = 0; i < f.reads.size(); ++i) {
@@ -225,7 +231,7 @@ TEST(GoldenSam, SimdBackendPipelineMatchesLegacyByteForByte) {
 TEST(GoldenSam, EngineTraceFallbackInsideMapBatchMatchesLegacy) {
   Fixture f;
   core::Aligner aligner{core::AlignerOptions{}};
-  std::string want = f.golden(aligner.batch_extender());
+  std::string want = f.golden();
 
   // Null traced extender: the mapper's in-process engine stage.
   auto mappings = f.mapper->map_batch(f.read_seqs, aligner.batch_extender(),

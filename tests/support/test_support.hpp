@@ -1,10 +1,12 @@
-// Shared helpers for the test suites: deterministic random sequences and
-// pair batches.
+// Shared helpers for the test suites: deterministic random sequences, pair
+// batches and the scalar traceback oracle.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "align/traceback_engine.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/sequence.hpp"
 #include "util/rng.hpp"
@@ -69,6 +71,23 @@ inline seq::PairBatch imbalanced_batch(std::uint64_t seed, std::size_t pairs,
     batch.add(random_seq(rng, qlen), random_seq(rng, rlen));
   }
   return batch;
+}
+
+/// The scalar traceback oracle for `batch`: align::banded_traceback per pair
+/// with the pair's band and `zdrop`. Pairs scoring 0 keep the empty trace,
+/// as every backend's traceback phase reports them.
+inline std::vector<align::TracedAlignment> oracle_traces(const seq::PairBatch& batch,
+                                                         const align::ScoringScheme& scoring,
+                                                         align::Score zdrop = 0) {
+  std::vector<align::TracedAlignment> traced(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    align::TracebackParams params;
+    params.band = batch.band_of(i);
+    params.zdrop = zdrop;
+    auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
+    if (r.traced.end.score > 0) traced[i] = std::move(r.traced);
+  }
+  return traced;
 }
 
 }  // namespace saloba::testing
