@@ -10,8 +10,12 @@
 //      mmap-backed and reference-sharded seeding paths produces mappings
 //      bit-identical to the in-memory monolithic index; the mmap path at
 //      throughput parity (the zero-copy spans are the same arrays), the
-//      sharded path within a bounded overhead (one binary search per shard
-//      per lookup — the price of scaling past the 32-bit position limit).
+//      sharded path within a bounded overhead (one directory probe per
+//      shard per lookup — the price of scaling past the 32-bit position
+//      limit).
+//   3. Footprint: the resident k-mer index (directory + key suffixes +
+//      positions) costs <= 8 bytes per indexed position whenever its key
+//      suffixes fit 2 bytes, as they do for the CI run (k = 16, 2 Mbp).
 //
 // Emits BENCH_index.json. Any violation exits 1.
 #include <algorithm>
@@ -119,6 +123,13 @@ int main(int argc, char** argv) {
   }
   const double cold_ms = build_ms + save_ms;
   const double amortization = load_ms > 0 ? cold_ms / load_ms : 1e9;
+  const seedext::KmerIndex& kmer = built->kmer();
+  const std::size_t index_bytes = kmer.directory().size_bytes() +
+                                  kmer.suffixes().size_bytes() + kmer.entries().size_bytes();
+  const double bytes_per_position =
+      static_cast<double>(index_bytes) /
+      static_cast<double>(std::max<std::size_t>(kmer.indexed_positions(), 1));
+  const int suffix_bytes = kmer.geometry().suffix_bytes;
 
   // --- 2. Mapping parity: in-memory vs mmap vs sharded. -------------------
   seq::ReadProfile profile = seq::ReadProfile::equal_length(150);
@@ -160,7 +171,11 @@ int main(int argc, char** argv) {
   table.add_row({"save", util::Table::ms(save_ms)});
   table.add_row({"mmap load (best of 3)", util::Table::ms(load_ms)});
   table.add_row({"amortization", util::Table::num(amortization, 1) + "x"});
-  table.add_row({"indexed positions", std::to_string(built->kmer().indexed_positions())});
+  table.add_row({"indexed positions", std::to_string(kmer.indexed_positions())});
+  table.add_row({"resident index", util::Table::num(static_cast<double>(index_bytes) / 1e6, 1) +
+                                       " MB (" + std::to_string(suffix_bytes) +
+                                       "-byte key suffixes)"});
+  table.add_row({"bytes per indexed position", util::Table::num(bytes_per_position, 2)});
   table.add_row({"reads mapped", std::to_string(mapped) + " / " + std::to_string(reads.size())});
   table.add_row({"in-memory throughput", util::Table::num(plain_rps, 0) + " reads/s"});
   table.add_row({"mmap throughput", util::Table::num(mmap_rps, 0) + " reads/s"});
@@ -177,21 +192,27 @@ int main(int argc, char** argv) {
               "sharded mappings bit-identical to in-memory");
   ok &= check(mmap_rps >= 0.7 * plain_rps,
               "mmap mapping throughput within 30% of in-memory (parity)");
-  // Sharding trades per-lookup cost (one binary search per shard — every
+  // Sharding trades per-lookup cost (one directory probe per shard — every
   // shard can hold a given k-mer) for references beyond the 32-bit position
   // limit; its claim is bit-identity plus bounded overhead, not parity.
   ok &= check(shard_rps >= 0.25 * plain_rps,
               "sharded mapping overhead bounded (>= 0.25x in-memory)");
+  if (suffix_bytes == 2) {
+    ok &= check(bytes_per_position <= 8.0,
+                "resident k-mer index <= 8 bytes per indexed position (2-byte suffixes)");
+  }
 
   if (std::FILE* f = std::fopen("BENCH_index.json", "w")) {
     std::fprintf(f,
                  "{\"bench\":\"index_amortization\",\"bases\":%zu,\"k\":%d,"
                  "\"reads\":%zu,\"shards\":%zu,\"build_ms\":%.3f,\"save_ms\":%.3f,"
-                 "\"load_ms\":%.3f,\"amortization\":%.1f,\"mapped\":%zu,"
+                 "\"load_ms\":%.3f,\"amortization\":%.1f,\"index_bytes\":%zu,"
+                 "\"bytes_per_position\":%.3f,\"suffix_bytes\":%d,\"mapped\":%zu,"
                  "\"plain_reads_per_s\":%.1f,\"mmap_reads_per_s\":%.1f,"
                  "\"sharded_reads_per_s\":%.1f,\"ok\":%s}\n",
                  genome.size(), k, reads.size(), shards, build_ms, save_ms, load_ms,
-                 amortization, mapped, plain_rps, mmap_rps, shard_rps,
+                 amortization, index_bytes, bytes_per_position, suffix_bytes, mapped,
+                 plain_rps, mmap_rps, shard_rps,
                  ok ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_index.json\n");

@@ -1,98 +1,122 @@
 #include "seedext/kmer_index.hpp"
 
 #include <algorithm>
-
-#include "util/check.hpp"
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
 namespace saloba::seedext {
+namespace {
+
+void check_k(int k) {
+  SALOBA_CHECK_MSG(k >= KmerIndex::kMinK && k <= KmerIndex::kMaxK,
+                   "k must be in [" << KmerIndex::kMinK << ", " << KmerIndex::kMaxK
+                                    << "], got " << k);
+}
+
+}  // namespace
+
+KmerIndex::Geometry KmerIndex::geometry(std::size_t positions, int k) {
+  Geometry g;
+  // bit_width(n) - 2 bucket bits leave n / 2^B in [2, 4) entries per bucket.
+  g.bucket_bits = std::clamp(static_cast<int>(std::bit_width(positions)) - 2, 0, 2 * k);
+  g.suffix_bits = 2 * k - g.bucket_bits;
+  g.suffix_bytes = g.suffix_bits <= 16 ? 2 : g.suffix_bits <= 32 ? 4 : 8;
+  return g;
+}
 
 std::optional<std::uint64_t> KmerIndex::pack_kmer(std::span<const seq::BaseCode> kmer, int k) {
-  SALOBA_CHECK_MSG(k >= kMinK && k <= kMaxK,
-                   "k must be in [" << kMinK << ", " << kMaxK << "], got " << k);
+  check_k(k);
   SALOBA_DCHECK(kmer.size() >= static_cast<std::size_t>(k));
-  // Same masked rolling recurrence as the index build, so packed keys and
-  // built keys are canonical (high bits zero) by the one shared path.
-  const std::uint64_t mask = kmer_mask(k);
-  std::uint64_t key = 0;
-  for (int i = 0; i < k; ++i) {
-    if (kmer[static_cast<std::size_t>(i)] >= 4) return std::nullopt;  // N
-    key = ((key << 2) | kmer[static_cast<std::size_t>(i)]) & mask;
-  }
+  std::optional<std::uint64_t> key;
+  for_each_key(kmer.first(static_cast<std::size_t>(k)), k,
+               [&](std::uint64_t rolled, std::size_t) { key = rolled; });
   return key;
 }
 
 KmerIndex::KmerIndex(std::span<const seq::BaseCode> text, int k) : k_(k) {
-  SALOBA_CHECK_MSG(k >= kMinK && k <= kMaxK,
-                   "k must be in [" << kMinK << ", " << kMaxK << "], got " << k);
+  check_k(k);
   SALOBA_CHECK_MSG(text.size() <= kMaxReferenceBases,
                    "reference of " << text.size() << " bases overflows the index's 32-bit "
                                    << "positions (limit " << kMaxReferenceBases << ")");
-  if (text.size() >= static_cast<std::size_t>(k)) {
-    // Collect (kmer, pos) pairs with a rolling 2-bit encoding.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> pairs;
-    pairs.reserve(text.size());
-    const std::uint64_t mask = kmer_mask(k);
-    std::uint64_t key = 0;
-    int valid = 0;  // consecutive non-N bases accumulated
-    for (std::size_t i = 0; i < text.size(); ++i) {
-      if (text[i] >= 4) {
-        valid = 0;
-        key = 0;
-        continue;
-      }
-      key = ((key << 2) | text[i]) & mask;
-      if (++valid >= k) {
-        pairs.emplace_back(key, static_cast<std::uint32_t>(i + 1 - static_cast<std::size_t>(k)));
-      }
-    }
-    std::sort(pairs.begin(), pairs.end());
-
-    keys_store_.reserve(pairs.size() / 2);
-    offsets_store_.reserve(pairs.size() / 2 + 1);
-    entries_store_.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (i == 0 || pairs[i].first != pairs[i - 1].first) {
-        keys_store_.push_back(pairs[i].first);
-        offsets_store_.push_back(static_cast<std::uint32_t>(entries_store_.size()));
-      }
-      entries_store_.push_back(pairs[i].second);
-    }
+  std::size_t positions = 0;
+  for_each_key(text, k, [&](std::uint64_t, std::size_t) { ++positions; });
+  geometry_ = geometry(positions, k);
+  switch (geometry_.suffix_bytes) {
+    case 2: build<std::uint16_t>(text); break;
+    case 4: build<std::uint32_t>(text); break;
+    default: build<std::uint64_t>(text); break;
   }
-  offsets_store_.push_back(static_cast<std::uint32_t>(entries_store_.size()));
-  keys_ = keys_store_;
-  offsets_ = offsets_store_;
+}
+
+template <class Suffix>
+void KmerIndex::build(std::span<const seq::BaseCode> text) {
+  // Counting sort over buckets, every array sized exactly up front: count
+  // each bucket's entries, prefix-sum the counts into bucket starts, then
+  // scatter (suffix, position) in text order, so each bucket's positions
+  // arrive ascending and only its suffixes can be out of order.
+  const int shift = geometry_.suffix_bits;
+  const std::uint64_t suffix_mask = (1ULL << shift) - 1;
+  std::vector<std::uint32_t>& dir = directory_store_;
+  dir.assign(geometry_.buckets() + 1, 0);
+  for_each_key(text, k_, [&](std::uint64_t key, std::size_t) { ++dir[key >> shift]; });
+  std::exclusive_scan(dir.begin(), dir.end(), dir.begin(), std::uint32_t{0});
+
+  auto& suffixes = suffix_store_.template emplace<std::vector<Suffix>>(dir.back());
+  entries_store_.resize(dir.back());
+  // dir[b] is bucket b's write cursor; it ends on bucket b + 1's start, so
+  // shifting the array one slot right restores the directory.
+  for_each_key(text, k_, [&](std::uint64_t key, std::size_t pos) {
+    const std::uint32_t at = dir[key >> shift]++;
+    suffixes[at] = static_cast<Suffix>(key & suffix_mask);
+    entries_store_[at] = static_cast<std::uint32_t>(pos);
+  });
+  std::shift_right(dir.begin(), dir.end(), 1);
+  dir[0] = 0;
+
+  std::vector<std::pair<Suffix, std::uint32_t>> run;
+  for (std::size_t b = 0; b + 1 < dir.size(); ++b) {
+    const auto lo = static_cast<std::ptrdiff_t>(dir[b]);
+    const auto hi = static_cast<std::ptrdiff_t>(dir[b + 1]);
+    if (std::is_sorted(suffixes.begin() + lo, suffixes.begin() + hi)) continue;
+    run.clear();
+    for (auto i = lo; i < hi; ++i) run.emplace_back(suffixes[i], entries_store_[i]);
+    std::sort(run.begin(), run.end());
+    for (auto i = lo; i < hi; ++i) std::tie(suffixes[i], entries_store_[i]) = run[i - lo];
+  }
+
+  directory_ = directory_store_;
+  suffixes_ = std::as_bytes(std::span<const Suffix>(suffixes));
   entries_ = entries_store_;
 }
 
-KmerIndex::KmerIndex(int k, std::span<const std::uint64_t> keys,
-                     std::span<const std::uint32_t> offsets,
+KmerIndex::KmerIndex(int k, std::span<const std::uint32_t> directory,
+                     std::span<const std::byte> suffixes,
                      std::span<const std::uint32_t> entries)
-    : k_(k), keys_(keys), offsets_(offsets), entries_(entries) {
-  SALOBA_CHECK_MSG(k >= kMinK && k <= kMaxK,
-                   "k must be in [" << kMinK << ", " << kMaxK << "], got " << k);
-  SALOBA_CHECK_MSG(offsets.size() == keys.size() + 1,
-                   "adopted offsets size " << offsets.size() << " != keys size "
-                                           << keys.size() << " + 1");
-  SALOBA_CHECK_MSG(offsets.empty() || offsets.back() == entries.size(),
-                   "adopted offsets end " << offsets.back() << " != entries size "
-                                          << entries.size());
+    : k_(k), directory_(directory), suffixes_(suffixes), entries_(entries) {
+  check_k(k);
+  geometry_ = geometry(entries.size(), k);
+  SALOBA_CHECK_MSG(directory.size() == geometry_.buckets() + 1,
+                   "adopted directory has " << directory.size() << " slots, "
+                                            << entries.size() << " entries need "
+                                            << geometry_.buckets() + 1);
+  SALOBA_CHECK_MSG(directory.front() == 0 && directory.back() == entries.size(),
+                   "adopted directory does not delimit the " << entries.size()
+                                                             << " entries");
+  const auto width = static_cast<std::size_t>(geometry_.suffix_bytes);
+  SALOBA_CHECK_MSG(suffixes.size() == entries.size() * width &&
+                       reinterpret_cast<std::uintptr_t>(suffixes.data()) % width == 0,
+                   "adopted suffixes are not " << entries.size() << " aligned " << width
+                                               << "-byte words");
 }
-
-std::size_t KmerIndex::distinct_kmers() const { return keys_.size(); }
 
 std::span<const std::uint32_t> KmerIndex::lookup(std::span<const seq::BaseCode> kmer) const {
   if (kmer.size() < static_cast<std::size_t>(k_)) return {};
   auto packed = pack_kmer(kmer, k_);
   if (!packed) return {};
   return lookup_packed(*packed);
-}
-
-std::span<const std::uint32_t> KmerIndex::lookup_packed(std::uint64_t key) const {
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return {};
-  std::size_t idx = static_cast<std::size_t>(it - keys_.begin());
-  return {entries_.data() + offsets_[idx],
-          static_cast<std::size_t>(offsets_[idx + 1] - offsets_[idx])};
 }
 
 }  // namespace saloba::seedext

@@ -1,19 +1,26 @@
 // K-mer hash index over the reference genome: the fast seeding path of the
-// pipeline (sorted (kmer, position) table with binary-searched lookups —
-// compact and cache-friendly compared to a node-per-kmer hash map).
+// pipeline. Entries are sorted by (kmer, position) and bucketed by the key's
+// top bits: a lookup reads one directory slot, then binary-searches a short
+// run of narrow key suffixes — 2 to 4 entries per bucket, so one or two
+// cache lines per lookup instead of a chain of dependent probes over every
+// distinct key.
 //
-// The three flat arrays (keys_/offsets_/entries_) are exposed as spans and
-// can be adopted from external read-only memory: a SharedIndex mmap-loads
-// the serialized arrays and constructs a view-backed KmerIndex over them
-// with zero copy (see seedext/shared_index.hpp).
+// The three flat arrays (directory, suffixes, entries) are exposed as spans
+// and can be adopted from external read-only memory: a SharedIndex
+// mmap-loads the serialized arrays and constructs a view-backed KmerIndex
+// over them with zero copy (see seedext/shared_index.hpp).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "seq/alphabet.hpp"
+#include "util/check.hpp"
 
 namespace saloba::seedext {
 
@@ -25,10 +32,22 @@ class KmerIndex {
   /// special case anywhere).
   static constexpr int kMinK = 4;
   static constexpr int kMaxK = 31;
-  /// Positions and offsets are 32-bit; references beyond this are rejected
-  /// at build time (and recorded as u64 in the on-disk header so the loader
-  /// re-validates the limit).
+  /// Positions and directory slots are 32-bit; references beyond this are
+  /// rejected at build time (and recorded as u64 in the on-disk header so
+  /// the loader re-validates the limit).
   static constexpr std::size_t kMaxReferenceBases = 0xFFFFFFFFull;
+
+  /// Bucketing of a 2k-bit key, derived from k and the number of indexed
+  /// positions — never configured. The top `bucket_bits` select one of
+  /// 2^bucket_bits buckets (2 to 4 entries each); the low `suffix_bits`
+  /// are stored per entry in the narrowest of u16/u32/u64 that holds them.
+  struct Geometry {
+    int bucket_bits = 0;
+    int suffix_bits = 0;
+    int suffix_bytes = 0;
+    std::size_t buckets() const { return std::size_t{1} << bucket_bits; }
+  };
+  static Geometry geometry(std::size_t positions, int k);
 
   /// k in [kMinK, kMaxK]; k-mers containing N are not indexed.
   KmerIndex(std::span<const seq::BaseCode> text, int k);
@@ -36,23 +55,30 @@ class KmerIndex {
   /// Adopts already-built flat arrays (the mmap zero-copy load path): the
   /// spans must stay valid and immutable for the index's lifetime, and must
   /// hold exactly what the building constructor would have produced —
-  /// sorted distinct keys, offsets of size keys.size() + 1 delimiting each
-  /// key's ascending position run in entries.
-  KmerIndex(int k, std::span<const std::uint64_t> keys,
-            std::span<const std::uint32_t> offsets,
-            std::span<const std::uint32_t> entries);
+  /// geometry(entries.size(), k).buckets() + 1 directory slots delimiting
+  /// each bucket's entry run, and per entry its key suffix (suffix_bytes
+  /// wide, aligned to that width) and position, sorted by (suffix, position)
+  /// within each bucket.
+  KmerIndex(int k, std::span<const std::uint32_t> directory,
+            std::span<const std::byte> suffixes, std::span<const std::uint32_t> entries);
 
   int k() const { return k_; }
-  std::size_t distinct_kmers() const;
+  const Geometry& geometry() const { return geometry_; }
   std::size_t indexed_positions() const { return entries_.size(); }
 
   /// Positions where the k-mer starting at `kmer[0..k)` occurs.
   /// Returns an empty span for k-mers containing N.
   std::span<const std::uint32_t> lookup(std::span<const seq::BaseCode> kmer) const;
 
-  /// Lookup by an already-packed canonical key (pack_kmer's form) — lets the
-  /// sharded index pack once and probe every shard.
-  std::span<const std::uint32_t> lookup_packed(std::uint64_t key) const;
+  /// Lookup by an already-packed canonical key (pack_kmer's form, or the
+  /// rolled key of for_each_key): positions ascending.
+  std::span<const std::uint32_t> lookup_packed(std::uint64_t key) const {
+    switch (geometry_.suffix_bytes) {
+      case 2: return run_of<std::uint16_t>(key);
+      case 4: return run_of<std::uint32_t>(key);
+      default: return run_of<std::uint64_t>(key);
+    }
+  }
 
   /// 2-bit packs a k-mer; nullopt if it contains N. Keys are masked to the
   /// low 2k bits — the same canonical form the rolling build produces.
@@ -64,21 +90,60 @@ class KmerIndex {
     return (1ULL << (2 * k)) - 1;
   }
 
+  /// Calls fn(key, pos) for every k-mer of `text` free of N, in ascending
+  /// pos, with the canonical key rolled 2 bits per base; an N restarts the
+  /// roll. The one packing recurrence shared by the index build, pack_kmer
+  /// and read seeding.
+  template <class Fn>
+  static void for_each_key(std::span<const seq::BaseCode> text, int k, Fn&& fn) {
+    const std::uint64_t mask = kmer_mask(k);
+    std::uint64_t key = 0;
+    int valid = 0;  // consecutive non-N bases, saturating at k
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      if (text[i] >= seq::kBaseN) {
+        valid = 0;
+        key = 0;
+        continue;
+      }
+      key = ((key << 2) | text[i]) & mask;
+      valid = std::min(valid + 1, k);
+      if (valid == k) fn(key, i + 1 - static_cast<std::size_t>(k));
+    }
+  }
+
   /// The flat arrays, for serialization (seedext::SharedIndex).
-  std::span<const std::uint64_t> keys() const { return keys_; }
-  std::span<const std::uint32_t> offsets() const { return offsets_; }
+  std::span<const std::uint32_t> directory() const { return directory_; }
+  std::span<const std::byte> suffixes() const { return suffixes_; }
   std::span<const std::uint32_t> entries() const { return entries_; }
 
  private:
+  template <class Suffix>
+  void build(std::span<const seq::BaseCode> text);
+
+  template <class Suffix>
+  std::span<const std::uint32_t> run_of(std::uint64_t key) const {
+    SALOBA_DCHECK(key <= kmer_mask(k_));
+    const auto* suffixes = reinterpret_cast<const Suffix*>(suffixes_.data());
+    const std::uint64_t bucket = key >> geometry_.suffix_bits;
+    const auto suffix = static_cast<Suffix>(key & ((1ULL << geometry_.suffix_bits) - 1));
+    auto [lo, hi] = std::equal_range(suffixes + directory_[bucket],
+                                     suffixes + directory_[bucket + 1], suffix);
+    return entries_.subspan(static_cast<std::size_t>(lo - suffixes),
+                            static_cast<std::size_t>(hi - lo));
+  }
+
   int k_;
+  Geometry geometry_;
   // Owned storage when built from text; empty when adopting external memory.
-  std::vector<std::uint64_t> keys_store_;
-  std::vector<std::uint32_t> offsets_store_;
+  std::vector<std::uint32_t> directory_store_;
+  std::variant<std::vector<std::uint16_t>, std::vector<std::uint32_t>,
+               std::vector<std::uint64_t>>
+      suffix_store_;
   std::vector<std::uint32_t> entries_store_;
-  // Parallel arrays sorted by key: keys_ holds each distinct k-mer once,
-  // offsets_[i]..offsets_[i+1] indexes entries_ (positions, ascending).
-  std::span<const std::uint64_t> keys_;
-  std::span<const std::uint32_t> offsets_;
+  // directory_[b]..directory_[b+1] is bucket b's run in suffixes_/entries_,
+  // sorted by (suffix, position).
+  std::span<const std::uint32_t> directory_;
+  std::span<const std::byte> suffixes_;
   std::span<const std::uint32_t> entries_;
 };
 

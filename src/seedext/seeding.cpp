@@ -30,33 +30,61 @@ Seed extend_exact(std::span<const seq::BaseCode> genome, std::span<const seq::Ba
   return seed;
 }
 
-/// The one k-mer seeding implementation: `index` is anything with k() and a
-/// lookup(kmer) returning an iterable position list (KmerIndex's span view,
-/// ShardedKmerIndex's merged global vector). The max_hits repeat filter
-/// applies to whatever lookup returned — for the sharded index that is the
-/// merged list, so both paths agree by construction.
+/// Hit list of one rolled key: the monolithic index returns a view of its
+/// own run, the sharded index merges every shard's run into `buffer`.
+std::span<const std::uint32_t> hits_of(const KmerIndex& index, std::uint64_t key,
+                                       std::vector<std::uint32_t>&) {
+  return index.lookup_packed(key);
+}
+
+std::span<const std::uint32_t> hits_of(const ShardedKmerIndex& index, std::uint64_t key,
+                                       std::vector<std::uint32_t>& buffer) {
+  index.lookup_packed(key, buffer);
+  return buffer;
+}
+
+/// The one k-mer seeding implementation, over either index. The max_hits
+/// repeat filter applies to whatever the lookup returned — for the sharded
+/// index that is the merged list, so both paths agree by construction.
+///
+/// Each maximal match is extended exactly once: a hit at query position q
+/// on a diagonal that already holds an extended match ending at or after
+/// q + k lies inside that match (the match started at or before q, since
+/// positions are visited in order), so extending it would give the same
+/// seed. Matches are recorded before the min_seed_len filter, so a short
+/// match is not re-extended either.
 template <class Index>
 std::vector<Seed> find_seeds_impl(const Index& index, std::span<const seq::BaseCode> genome,
                                   std::span<const seq::BaseCode> read,
                                   const SeedingParams& params) {
+  struct Extended {
+    std::int64_t diagonal;
+    std::size_t end;  ///< one past the match's last query base
+  };
+  SALOBA_CHECK_MSG(params.stride >= 1, "seeding stride must be >= 1, got " << params.stride);
   std::vector<Seed> seeds;
-  if (read.size() < static_cast<std::size_t>(index.k())) return seeds;
-
-  // Dedup extended seeds: a (diagonal, end) pair identifies a maximal match.
-  std::set<std::pair<std::int64_t, std::uint32_t>> seen;
-
-  const std::size_t last_q = read.size() - static_cast<std::size_t>(index.k());
-  for (std::size_t q = 0; q <= last_q; q += static_cast<std::size_t>(params.stride)) {
-    auto hits = index.lookup(read.subspan(q));
-    if (hits.empty() || hits.size() > params.max_hits) continue;
+  std::vector<Extended> live;  // extended matches whose end is still >= q + k
+  std::vector<std::uint32_t> buffer;
+  const auto k = static_cast<std::size_t>(index.k());
+  const auto stride = static_cast<std::size_t>(params.stride);
+  KmerIndex::for_each_key(read, index.k(), [&](std::uint64_t key, std::size_t q) {
+    if (q % stride != 0) return;
+    std::erase_if(live, [&](const Extended& m) { return m.end < q + k; });
+    std::span<const std::uint32_t> hits = hits_of(index, key, buffer);
+    if (hits.empty() || hits.size() > params.max_hits) return;
     for (std::uint32_t rpos : hits) {
-      Seed seed{static_cast<std::uint32_t>(q), rpos, static_cast<std::uint32_t>(index.k())};
-      seed = extend_exact(genome, read, seed);
-      if (seed.len < static_cast<std::uint32_t>(params.min_seed_len)) continue;
-      auto key = std::make_pair(seed.diagonal(), seed.qpos + seed.len);
-      if (seen.insert(key).second) seeds.push_back(seed);
+      const std::int64_t diagonal = static_cast<std::int64_t>(rpos) - static_cast<std::int64_t>(q);
+      if (std::any_of(live.begin(), live.end(),
+                      [&](const Extended& m) { return m.diagonal == diagonal; })) {
+        continue;
+      }
+      Seed seed = extend_exact(genome, read,
+                               Seed{static_cast<std::uint32_t>(q), rpos,
+                                    static_cast<std::uint32_t>(k)});
+      live.push_back({diagonal, std::size_t{seed.qpos} + seed.len});
+      if (seed.len >= static_cast<std::uint32_t>(params.min_seed_len)) seeds.push_back(seed);
     }
-  }
+  });
   std::sort(seeds.begin(), seeds.end(), [](const Seed& a, const Seed& b) {
     return a.qpos != b.qpos ? a.qpos < b.qpos : a.rpos < b.rpos;
   });

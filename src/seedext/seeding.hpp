@@ -32,8 +32,10 @@ struct SeedingParams {
   int stride = 1;            ///< query positions sampled for k-mer seeding
 };
 
-/// K-mer seeding: k-mer hits extended to maximal exact matches, deduplicated
-/// by (diagonal, end position), filtered to len >= min_seed_len.
+/// K-mer seeding: the k-mer key is rolled along the read, every hit of every
+/// stride-sampled k-mer within max_hits lies in a maximal exact match, and
+/// each such match is reported once (extended once, from its first hit),
+/// filtered to len >= min_seed_len and sorted by (qpos, rpos).
 std::vector<Seed> find_seeds(const KmerIndex& index, std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read, const SeedingParams& params);
 

@@ -26,11 +26,13 @@ constexpr std::uint32_t kFlagFm = 1u << 1;
 std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 /// Byte offsets of every section from the start of the payload (the byte
-/// after the header), plus the payload's total size. Shared by the writer
-/// and the loader so the two can never disagree about geometry.
+/// after the header), plus the payload's total size and the k-mer suffix
+/// width. Shared by the writer and the loader so the two can never disagree
+/// about geometry.
 struct SectionLayout {
-  std::size_t keys = 0;
-  std::size_t offsets = 0;
+  std::size_t directory = 0;
+  std::size_t suffixes = 0;
+  std::size_t suffix_bytes = 0;
   std::size_t entries = 0;
   std::size_t bwt = 0;
   std::size_t checkpoints = 0;
@@ -42,10 +44,12 @@ SectionLayout layout_of(const IndexFileHeader& h) {
   SectionLayout lay;
   std::size_t at = 0;
   if (h.flags & kFlagKmer) {
-    lay.keys = at;
-    at += h.kmer_keys * sizeof(std::uint64_t);
-    lay.offsets = at;
-    at += (h.kmer_keys + 1) * sizeof(std::uint32_t);
+    lay.suffix_bytes = static_cast<std::size_t>(
+        KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).suffix_bytes);
+    lay.directory = at;
+    at = align8(at + (h.kmer_buckets + 1) * sizeof(std::uint32_t));
+    lay.suffixes = at;
+    at = align8(at + h.kmer_entries * lay.suffix_bytes);
     lay.entries = at;
     at = align8(at + h.kmer_entries * sizeof(std::uint32_t));
   }
@@ -130,6 +134,18 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
   if ((h.flags & kFlagFm) && h.checkpoint_every != FmIndex::kCheckpointEvery) {
     reject(path, "FM checkpoint stride mismatch");
   }
+  // The k-mer counts size the sections, so they are bounded before any
+  // geometry arithmetic: entries by the reference length, the bucket count
+  // by what k and the entries derive.
+  if (h.flags & kFlagKmer) {
+    if (h.kmer_entries > h.genome_bases) {
+      reject(path, "more k-mer entries than reference positions");
+    }
+    if (h.kmer_buckets !=
+        KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).buckets()) {
+      reject(path, "k-mer bucket count does not match k and the entry count");
+    }
+  }
 
   // Geometry first: a truncated file must reject before the checksum walks
   // off the mapping.
@@ -161,16 +177,21 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
   // Validate-and-adopt: spans alias the mapping, zero copy.
   const std::byte* base = payload.data();
   if (options.kmer) {
-    std::span<const std::uint64_t> keys(
-        reinterpret_cast<const std::uint64_t*>(base + lay.keys), h.kmer_keys);
-    std::span<const std::uint32_t> offsets(
-        reinterpret_cast<const std::uint32_t*>(base + lay.offsets), h.kmer_keys + 1);
-    std::span<const std::uint32_t> entries(
-        reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries);
-    if (!offsets.empty() && offsets.back() != entries.size()) {
-      reject(path, "k-mer offsets do not delimit the entry array");
+    // A lookup reads entries directory[b]..directory[b + 1] unchecked, so
+    // the directory must be a nondecreasing partition of the entries even
+    // in a file whose checksum holds.
+    const auto* dir_first = reinterpret_cast<const std::uint32_t*>(base + lay.directory);
+    const auto* dir_last = dir_first + h.kmer_buckets + 1;
+    if (*dir_first != 0) reject(path, "k-mer directory does not start at entry 0");
+    if (!std::is_sorted(dir_first, dir_last)) reject(path, "k-mer directory decreases");
+    if (dir_last[-1] != h.kmer_entries) {
+      reject(path, "k-mer directory does not end at the entry count");
     }
-    out->kmer_.emplace(static_cast<int>(h.k), keys, offsets, entries);
+    out->kmer_.emplace(
+        static_cast<int>(h.k), std::span<const std::uint32_t>(dir_first, dir_last),
+        payload.subspan(lay.suffixes, h.kmer_entries * lay.suffix_bytes),
+        std::span<const std::uint32_t>(
+            reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries));
   }
   if (options.fm) {
     std::span<const std::uint8_t> bwt(reinterpret_cast<const std::uint8_t*>(base + lay.bwt),
@@ -215,7 +236,7 @@ void write_shared_index(const std::string& path, std::span<const seq::BaseCode> 
   if (kmer != nullptr) {
     SALOBA_CHECK_MSG(kmer->k() == k, "k-mer index k " << kmer->k() << " != " << k);
     h.flags |= kFlagKmer;
-    h.kmer_keys = kmer->keys().size();
+    h.kmer_buckets = kmer->directory().size() - 1;
     h.kmer_entries = kmer->entries().size();
   }
   if (fm != nullptr) {
@@ -236,8 +257,8 @@ void write_shared_index(const std::string& path, std::span<const seq::BaseCode> 
     if (bytes > 0) std::memcpy(payload.data() + at, src, bytes);
   };
   if (kmer != nullptr) {
-    put(lay.keys, kmer->keys().data(), kmer->keys().size_bytes());
-    put(lay.offsets, kmer->offsets().data(), kmer->offsets().size_bytes());
+    put(lay.directory, kmer->directory().data(), kmer->directory().size_bytes());
+    put(lay.suffixes, kmer->suffixes().data(), kmer->suffixes().size_bytes());
     put(lay.entries, kmer->entries().data(), kmer->entries().size_bytes());
   }
   if (fm != nullptr) {
@@ -440,21 +461,23 @@ std::vector<double> ShardedKmerIndex::lane_loads() const {
 
 std::vector<std::uint32_t> ShardedKmerIndex::lookup(
     std::span<const seq::BaseCode> kmer) const {
-  // Each global k-mer start belongs to exactly one shard's owned range, and
-  // per-shard hits are ascending — so filtered concatenation in shard order
-  // is the monolithic (sorted, duplicate-free) position list. The k-mer is
-  // packed once and every shard probed with the canonical key.
   std::vector<std::uint32_t> out;
   if (kmer.size() < static_cast<std::size_t>(k_)) return out;
-  auto packed = KmerIndex::pack_kmer(kmer, k_);
-  if (!packed) return out;
+  if (auto packed = KmerIndex::pack_kmer(kmer, k_)) lookup_packed(*packed, out);
+  return out;
+}
+
+void ShardedKmerIndex::lookup_packed(std::uint64_t key, std::vector<std::uint32_t>& out) const {
+  // Each global k-mer start belongs to exactly one shard's owned range, and
+  // per-shard hits are ascending — so filtered concatenation in shard order
+  // is the monolithic (sorted, duplicate-free) position list.
+  out.clear();
   for (const Shard& s : shards_) {
-    for (std::uint32_t local : s.index->kmer().lookup_packed(*packed)) {
+    for (std::uint32_t local : s.index->kmer().lookup_packed(key)) {
       std::size_t global = s.begin + local;
       if (global < s.end) out.push_back(static_cast<std::uint32_t>(global));
     }
   }
-  return out;
 }
 
 }  // namespace saloba::seedext

@@ -22,8 +22,12 @@
 //                     genome length is stored as u64 but must not exceed
 //                     KmerIndex::kMaxReferenceBases — positions are 32-bit
 //                     on disk as in memory; larger references must shard.
-//   k-mer section     keys (u64), offsets (u32, keys+1), entries (u32) —
-//                     exactly KmerIndex's arrays.
+//   k-mer section     directory (u32, buckets + 1 slots), key suffixes
+//                     (u16/u32/u64, one per entry), entries (u32 positions)
+//                     — exactly KmerIndex's arrays. The bucket count and the
+//                     suffix width derive from k and the entry count; the
+//                     loader re-derives both and checks the directory is a
+//                     nondecreasing partition of the entries before adopting.
 //   FM section        BWT codes (u8, n+1 rows), occurrence checkpoints
 //                     (6 x u32 each), suffix array (i32) — exactly
 //                     FmIndex's arrays; `first_` is derived on load.
@@ -72,7 +76,7 @@ struct IndexFileHeader {
   std::uint64_t genome_bases;     ///< reference length; <= KmerIndex::kMaxReferenceBases
   std::uint64_t genome_checksum;  ///< util::fnv1a64 over the reference bytes
   std::uint64_t payload_checksum; ///< util::fnv1a64 over everything after this header
-  std::uint64_t kmer_keys;
+  std::uint64_t kmer_buckets;  ///< KmerIndex::geometry(kmer_entries, k).buckets()
   std::uint64_t kmer_entries;
   std::uint64_t fm_bwt_rows;
   std::uint64_t fm_primary;
@@ -81,7 +85,7 @@ struct IndexFileHeader {
 };
 static_assert(sizeof(IndexFileHeader) == 96, "on-disk header layout is part of the format");
 
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
+inline constexpr std::uint32_t kIndexFormatVersion = 2;
 
 /// One immutable, shareable reference index: a k-mer and/or FM index either
 /// built in memory or adopted zero-copy from a read-only mapping (which the
@@ -214,6 +218,11 @@ class ShardedKmerIndex {
   /// Merged global positions of the k-mer — bit-identical (same positions,
   /// same ascending order) to the monolithic KmerIndex::lookup.
   std::vector<std::uint32_t> lookup(std::span<const seq::BaseCode> kmer) const;
+
+  /// lookup() by an already-packed canonical key: probes every shard's
+  /// directory and writes the merged positions into `out` (cleared first),
+  /// so a caller seeding a whole read reuses one buffer.
+  void lookup_packed(std::uint64_t key, std::vector<std::uint32_t>& out) const;
 
  private:
   int k_;

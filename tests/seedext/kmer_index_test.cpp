@@ -1,6 +1,7 @@
 #include "seedext/kmer_index.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -71,7 +72,78 @@ TEST(KmerIndex, CountsAndSizes) {
   KmerIndex index(text, 4);
   EXPECT_EQ(index.k(), 4);
   EXPECT_EQ(index.indexed_positions(), 5u);
-  EXPECT_EQ(index.distinct_kmers(), 4u);  // ACGT, CGTA, GTAC, TACG
+  // The four distinct 4-mers and their positions.
+  auto positions = [&](const char* kmer) {
+    auto hits = index.lookup(seq::encode_string(kmer));
+    return std::vector<std::uint32_t>(hits.begin(), hits.end());
+  };
+  EXPECT_EQ(positions("ACGT"), (std::vector<std::uint32_t>{0, 4}));
+  EXPECT_EQ(positions("CGTA"), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(positions("GTAC"), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(positions("TACG"), (std::vector<std::uint32_t>{3}));
+}
+
+/// Random genome with dispersed repeat copies and N runs, so buckets hold
+/// runs of one key as well as distinct keys, and some windows are unindexed.
+std::vector<seq::BaseCode> repetitive_genome(std::uint64_t seed, std::size_t len) {
+  util::Xoshiro256 rng(seed);
+  auto text = saloba::testing::random_seq(rng, len);
+  for (int copy = 0; copy < 6; ++copy) {
+    auto from = static_cast<std::ptrdiff_t>(rng.below(len - 200));
+    auto to = static_cast<std::ptrdiff_t>(rng.below(len - 200));
+    std::copy_n(text.begin() + from, 200, text.begin() + to);
+  }
+  for (int run = 0; run < 4; ++run) {
+    auto at = static_cast<std::ptrdiff_t>(rng.below(len - 30));
+    std::fill_n(text.begin() + at, 1 + rng.below(30), seq::kBaseN);
+  }
+  return text;
+}
+
+/// Every indexed k-mer's lookup against a brute-force position list (and
+/// random k-mers the text lacks against an empty one), for an index whose
+/// key suffixes are `suffix_bytes` wide.
+void expect_lookups_match_brute_force(std::size_t len, int k, int suffix_bytes) {
+  const auto text = repetitive_genome(len + static_cast<std::size_t>(k), len);
+  KmerIndex index(text, k);
+  ASSERT_EQ(index.geometry().suffix_bytes, suffix_bytes);
+
+  std::map<std::vector<seq::BaseCode>, std::vector<std::uint32_t>> expected;
+  const auto width = static_cast<std::size_t>(k);
+  for (std::size_t i = 0; i + width <= text.size(); ++i) {
+    std::vector<seq::BaseCode> kmer(text.begin() + static_cast<std::ptrdiff_t>(i),
+                                    text.begin() + static_cast<std::ptrdiff_t>(i + width));
+    if (std::ranges::all_of(kmer, [](seq::BaseCode b) { return b < seq::kBaseN; })) {
+      expected[kmer].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::size_t positions = 0;
+  for (const auto& [kmer, want] : expected) {
+    EXPECT_TRUE(std::ranges::equal(index.lookup(kmer), want)) << "k=" << k;
+    positions += want.size();
+  }
+  EXPECT_EQ(index.indexed_positions(), positions);
+
+  util::Xoshiro256 rng(7);
+  for (int trial = 0; trial < 500; ++trial) {
+    auto kmer = saloba::testing::random_seq(rng, width);
+    if (!expected.contains(kmer)) {
+      EXPECT_TRUE(index.lookup(kmer).empty()) << "k=" << k;
+    }
+  }
+}
+
+TEST(KmerIndex, LookupMatchesBruteForceWithU16Suffixes) {
+  expect_lookups_match_brute_force(40000, 12, 2);  // 10 suffix bits
+  expect_lookups_match_brute_force(3000, 4, 2);    // every key bit is a bucket bit
+}
+
+TEST(KmerIndex, LookupMatchesBruteForceWithU32Suffixes) {
+  expect_lookups_match_brute_force(40000, 16, 4);  // 18 suffix bits
+}
+
+TEST(KmerIndex, LookupMatchesBruteForceWithU64Suffixes) {
+  expect_lookups_match_brute_force(3000, 31, 8);  // 52 suffix bits
 }
 
 TEST(KmerIndex, TextShorterThanK) {

@@ -4,7 +4,9 @@
 // bit-identical to the monolithic index, weighted-LPT lane placement, the
 // 32-bit position limit), and end-to-end SAM byte-identity through
 // ReadMapper for the mmap-backed and sharded seeding paths.
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include "seq/read_simulator.hpp"
 #include "seq/sam.hpp"
 #include "../support/test_support.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace saloba::seedext {
@@ -64,12 +67,9 @@ std::vector<seq::BaseCode> fuzz_genome(std::uint64_t seed, std::size_t len) {
 
 void expect_same_kmer_arrays(const KmerIndex& a, const KmerIndex& b) {
   ASSERT_EQ(a.k(), b.k());
-  ASSERT_EQ(a.keys().size(), b.keys().size());
-  ASSERT_EQ(a.offsets().size(), b.offsets().size());
-  ASSERT_EQ(a.entries().size(), b.entries().size());
-  EXPECT_TRUE(std::equal(a.keys().begin(), a.keys().end(), b.keys().begin()));
-  EXPECT_TRUE(std::equal(a.offsets().begin(), a.offsets().end(), b.offsets().begin()));
-  EXPECT_TRUE(std::equal(a.entries().begin(), a.entries().end(), b.entries().begin()));
+  EXPECT_TRUE(std::ranges::equal(a.directory(), b.directory()));
+  EXPECT_TRUE(std::ranges::equal(a.suffixes(), b.suffixes()));
+  EXPECT_TRUE(std::ranges::equal(a.entries(), b.entries()));
 }
 
 TEST(SharedIndexRoundTrip, KmerBitIdenticalAcrossKBoundaries) {
@@ -205,6 +205,64 @@ TEST_F(RejectionFixture, RejectsWrongVersion) {
   bytes[8] = static_cast<char>(kIndexFormatVersion + 1);  // header version field
   spew(path, bytes);
   EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+}
+
+TEST_F(RejectionFixture, RejectsVersion1File) {
+  // Version 1 held a keys/offsets k-mer section; this build reads only the
+  // bucketed version 2 layout.
+  std::string bytes = slurp(path);
+  bytes[8] = 1;  // header version field
+  spew(path, bytes);
+  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+}
+
+TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
+  // A crafted directory would make lookups read outside the entry array, so
+  // the loader must reject it even when the payload checksum holds. The
+  // directory is the payload's first section.
+  const std::string original = slurp(path);
+  IndexFileHeader h;
+  std::memcpy(&h, original.data(), sizeof(h));
+  const std::size_t last = h.kmer_buckets;
+  auto at = [](std::size_t i) { return sizeof(IndexFileHeader) + i * sizeof(std::uint32_t); };
+  auto get = [&](std::size_t i) {
+    std::uint32_t v;
+    std::memcpy(&v, original.data() + at(i), sizeof(v));
+    return v;
+  };
+  auto set = [&](std::string& bytes, std::size_t i, std::uint32_t v) {
+    std::memcpy(bytes.data() + at(i), &v, sizeof(v));
+  };
+  // Writes `bytes` with the payload checksum recomputed over the edit.
+  auto spew_rechecksummed = [&](std::string bytes) {
+    const std::uint64_t checksum = util::fnv1a64(std::as_bytes(std::span<const char>(
+        bytes.data() + sizeof(IndexFileHeader), bytes.size() - sizeof(IndexFileHeader))));
+    std::memcpy(bytes.data() + offsetof(IndexFileHeader, payload_checksum), &checksum,
+                sizeof(checksum));
+    spew(path, bytes);
+  };
+
+  spew_rechecksummed(original);  // the rewrite alone changes nothing
+  EXPECT_NO_THROW(SharedIndex::load(path, genome, options));
+
+  std::size_t i = 0;
+  while (i + 1 < last && get(i) == get(i + 1)) ++i;
+  ASSERT_LT(get(i), get(i + 1));
+  std::string swapped = original;
+  set(swapped, i, get(i + 1));
+  set(swapped, i + 1, get(i));
+  spew_rechecksummed(swapped);
+  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "decreasing";
+
+  std::string offset_start = original;
+  set(offset_start, 0, 1);
+  spew_rechecksummed(offset_start);
+  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "start != 0";
+
+  std::string short_end = original;
+  set(short_end, last, get(last) - 1);
+  spew_rechecksummed(short_end);
+  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "end != entries";
 }
 
 TEST_F(RejectionFixture, RejectsDifferentGenome) {
