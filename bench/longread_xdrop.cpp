@@ -1,13 +1,16 @@
 // Ultra-long-read X-drop wavefront bench — the asserting harness CI runs as
 // `longread_xdrop --quick`. Aligns one 100 kbp+ pair end to end (forward
-// masked wavefront + Myers-Miller traceback) and enforces the engine's two
-// headline claims with *measured* numbers:
+// masked wavefront, then the checkpointed block replay the shared
+// TraceWalk walks) and enforces the engine's headline claims with
+// *measured* numbers and deterministic counts:
 //
 //   1. Linear memory: the engine's measured peak heap footprint
 //      (WavefrontStats::peak_bytes, container capacities at every phase
 //      boundary — not a model) stays under an O(N + M) ceiling.
 //   2. X-drop pruning: the forward sweep computes a small fraction of the
 //      full N·M table on a related pair.
+//   3. Bounded replay: the traceback re-derives each block at most once,
+//      so it sweeps no more cells than the forward pass.
 //
 // It also extends the ablation_spill axis to the long-read regime: a full
 // Smith-Waterman table would hold 12·N·M bytes of H/E/F state — the DP
@@ -70,9 +73,10 @@ int main(int argc, char** argv) {
   const double gcups = wall_ms > 0 ? static_cast<double>(total_cells) / (wall_ms * 1e6) : 0;
 
   // The linear-memory ceiling: a small constant of int32 state per diagonal
-  // slot across all phases (7 diagonal buffers + masks + rolling rows +
-  // divide-and-conquer arrays), plus allocator slack. Same bound the fuzz
-  // suite holds every engine run to.
+  // slot across all phases (7 diagonal buffers + the per-diagonal windows +
+  // the checkpoints + one replayed block's flag bytes, at most
+  // 8·(N+M) + one diagonal + the op string), plus allocator slack. Same
+  // bound the fuzz suite holds every engine run to.
   const std::size_t linear_ceiling = 128 * (n + m + 2) + 4096;
   // What a full-matrix engine would spill: H/E/F as int32 over N·M — the DP
   // state a GPU kernel without the lazy-spill/wavefront machinery writes to
@@ -110,6 +114,7 @@ int main(int argc, char** argv) {
   ok &= check(align::rescore_cigar(traced, ref, query, scoring) == traced.end.score,
               "CIGAR rescores to the reported score");
   ok &= check(prune_frac < 0.05, "X-drop computed < 5% of the full table");
+  ok &= check(stats.traceback_cells <= stats.cells, "traceback cells <= forward cells");
   ok &= check(spill_win >= 100.0, ">= 100x modeled spill win over a full-matrix engine");
 
   if (std::FILE* f = std::fopen("BENCH_longread.json", "w")) {

@@ -193,9 +193,11 @@ class CohortKernel {
                                    flags.data() + static_cast<std::size_t>(i - r0) * cols * kW);
       }
 
+      const auto first_row = static_cast<std::size_t>(r0) + 1;
+      const auto in_block = [first_row](std::size_t i, std::size_t) { return i >= first_row; };
       for (int l = 0; l < kW; ++l) {
         if (c.row_end[l] == 0) continue;
-        walks[l].advance(static_cast<std::size_t>(r0) + 1, [&](std::size_t i, std::size_t j) {
+        walks[l].advance(in_block, [&](std::size_t i, std::size_t j) {
           const auto i0 = static_cast<std::int64_t>(i) - 1;
           const auto j0 = static_cast<std::int64_t>(j) - 1;
           // Out-of-band cells read the masked-DP neutral values; in-band

@@ -71,48 +71,9 @@ TracedAlignment smith_waterman_traceback(std::span<const seq::BaseCode> ref,
       }
     }
   }
-  out.end = best;
-  if (best.score == 0) return out;
-
-  // Walk back from the best cell. State machine over {H, E, F}.
-  enum class State { kH, kE, kF };
-  State state = State::kH;
-  std::string ops;
-  std::size_t i = static_cast<std::size_t>(best.ref_end) + 1;
-  std::size_t j = static_cast<std::size_t>(best.query_end) + 1;
-  while (i > 0 && j > 0) {
-    if (state == State::kH) {
-      Score v = h[at(i, j)];
-      if (v == 0) break;
-      Score s = h[at(i - 1, j - 1)] + scoring.substitution(ref[i - 1], query[j - 1]);
-      if (v == s) {
-        ops += 'M';
-        --i;
-        --j;
-      } else if (v == e[at(i, j)]) {
-        state = State::kE;
-      } else {
-        SALOBA_CHECK_MSG(v == f[at(i, j)], "traceback: H cell matches no predecessor");
-        state = State::kF;
-      }
-    } else if (state == State::kE) {
-      ops += 'I';
-      bool opened = e[at(i, j)] == h[at(i, j - 1)] - alpha;
-      --j;
-      if (opened) state = State::kH;
-    } else {  // State::kF
-      ops += 'D';
-      bool opened = f[at(i, j)] == h[at(i - 1, j)] - alpha;
-      --i;
-      if (opened) state = State::kH;
-    }
-  }
-
-  out.ref_start = static_cast<std::int32_t>(i);
-  out.query_start = static_cast<std::int32_t>(j);
-  std::reverse(ops.begin(), ops.end());
-  out.cigar = compress_cigar(ops);
-  return out;
+  return trace_stored_matrix(best, ref, query, scoring, [&](std::size_t i, std::size_t j) {
+    return StoredCell{h[at(i, j)], e[at(i, j)], f[at(i, j)]};
+  });
 }
 
 std::string expand_cigar(const std::string& cigar) {

@@ -237,13 +237,13 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
     return out;
   }
 
-  // --- Phase B: backward walk (TraceWalk, the state machine both engines
-  // share), re-deriving one block at a time. Out-of-band cells read the
+  // --- Phase B: backward walk (TraceWalk, the state machine every engine
+  // shares), re-deriving one block at a time. Out-of-band cells read the
   // masked-DP neutral values, so banded paths can never leave the band.
   TraceWalk walk(best);
   while (!walk.done()) {
     const Block blk = eng.rederive(walk.row());
-    walk.advance(blk.first_row,
+    walk.advance([&](std::size_t row, std::size_t) { return row >= blk.first_row; },
                  [&](std::size_t row, std::size_t col) { return blk.flag_at(row, col); });
   }
   out.traced = walk.result();

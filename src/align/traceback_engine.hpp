@@ -23,7 +23,9 @@
 // The flag bytes and the walk over them (TraceWalk) are shared with the
 // inter-sequence SIMD engine's traced cohort pass (align/simd_engine.hpp),
 // which replays the same K-row blocks for a whole vector of pairs at once,
-// so the walk's decision order exists once for both engines.
+// and with the X-drop wavefront (align/xdrop_wavefront.hpp), which replays
+// blocks of anti-diagonals instead of rows. The walk's decision order — the
+// canonical traced path — exists once for all three engines.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +90,9 @@ enum TraceFlag : std::uint8_t {
 };
 
 /// The flag byte of a cell from its exact values (`e_open` = H(i,j-1) -
-/// alpha, `f_open` = H(i-1,j) - alpha). Both engines' block readers return
-/// kTraceZero alone for out-of-band cells: the masked-DP H = 0, E/F = -inf.
+/// alpha, `f_open` = H(i-1,j) - alpha). Every engine's block reader returns
+/// kTraceZero alone for cells outside its mask (out of band, or never
+/// computed by the X-drop wavefront): the masked-DP H = 0, E/F = -inf.
 /// The SIMD cohort kernel sets the same bits with vector compares on its
 /// zero-clamped lanes; that is exact because every cell the walk consults
 /// has H > 0 and every E/F it follows along a gap is > 0, so comparisons
@@ -104,8 +107,8 @@ inline std::uint8_t trace_flags(Score h, Score diag, Score e, Score f, Score e_o
 
 /// The backward walk over flag bytes, resumable one re-derived block at a
 /// time: the full-matrix state machine (M before E before F, gap opens
-/// before extensions) that both traceback engines run. Positions are
-/// 1-based DP coordinates (row i covers ref[i - 1]).
+/// before extensions, stop at H = 0) that every traceback engine runs.
+/// Positions are 1-based DP coordinates (row i covers ref[i - 1]).
 class TraceWalk {
  public:
   /// A finished walk (nothing to trace).
@@ -120,20 +123,22 @@ class TraceWalk {
   bool done() const { return done_; }
   /// The 1-based DP row the walk stands on.
   std::size_t row() const { return i_; }
+  /// The 1-based DP column the walk stands on.
+  std::size_t col() const { return j_; }
   /// CIGAR ops emitted so far.
   std::size_t steps() const { return ops_.size(); }
 
-  /// Walks while the current cell lies in rows >= `first_row`, reading each
-  /// visited cell's flag byte through `flag_at(i, j)`. Returns when the walk
-  /// ends or needs the block above.
-  template <typename FlagAt>
-  void advance(std::size_t first_row, const FlagAt& flag_at) {
+  /// Walks while `in_block(i, j)` says the current cell lies in the
+  /// re-derived block, reading each visited cell's flag byte through
+  /// `flag_at(i, j)`. Returns when the walk ends or needs an earlier block.
+  template <typename InBlock, typename FlagAt>
+  void advance(const InBlock& in_block, const FlagAt& flag_at) {
     while (!done_) {
       if (i_ == 0 || j_ == 0) {
         done_ = true;
         return;
       }
-      if (i_ < first_row) return;
+      if (!in_block(i_, j_)) return;
       const std::uint8_t flags = flag_at(i_, j_);
       if (state_ == State::kH) {
         if (flags & kTraceZero) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "align/traceback.hpp"
@@ -23,16 +22,11 @@ Matrix make_matrix(std::size_t rows, std::size_t cols, Score fill) {
 
 /// Everything the forward pass leaves behind: full H/E/F tables plus the
 /// computed-cell mask (exactly the cells the per-diagonal windows covered).
+/// Cells outside the mask keep H = 0, E/F = -inf.
 struct ForwardTables {
   Matrix H, E, F;
   BoolMatrix computed;
   AlignmentResult best;
-  bool live(std::int64_t i, std::int64_t j) const {
-    if (i < 0 || j < 0) return false;
-    if (i >= static_cast<std::int64_t>(computed.size())) return false;
-    if (j >= static_cast<std::int64_t>(computed.front().size())) return false;
-    return computed[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] != 0;
-  }
 };
 
 /// The masked forward pass of the specification on full matrices: the same
@@ -110,214 +104,6 @@ ForwardTables forward_full(std::span<const seq::BaseCode> ref,
   return t;
 }
 
-/// Phase B on full matrices: global affine DP over the reversed prefixes,
-/// dead cells forced to -inf in every state, canonical argmax (smallest k,
-/// then smallest l).
-struct StartPoint {
-  std::int64_t si = 0, sj = 0;
-};
-
-StartPoint discover_start_full(std::span<const seq::BaseCode> ref,
-                               std::span<const seq::BaseCode> query,
-                               const ScoringScheme& scoring, const ForwardTables& fwd,
-                               std::int64_t ei, std::int64_t ej, Score expect) {
-  const Score g = scoring.alpha() - scoring.beta();
-  const Score h = scoring.beta();
-  const auto rows = static_cast<std::size_t>(ei) + 2;  // +1 boundary, +1 for k = ei
-  const auto cols = static_cast<std::size_t>(ej) + 2;
-  Matrix G = make_matrix(rows, cols, kNegInf);
-  Matrix E = make_matrix(rows, cols, kNegInf);
-  Matrix F = make_matrix(rows, cols, kNegInf);
-
-  G[0][0] = 0;
-  for (std::size_t c = 1; c < cols; ++c) G[0][c] = -(g + static_cast<Score>(c) * h);
-  for (std::size_t r = 1; r < rows; ++r) G[r][0] = -(g + static_cast<Score>(r) * h);
-
-  Score best = kNegInf;
-  std::int64_t best_k = -1, best_l = -1;
-  for (std::int64_t k = 0; k <= ei; ++k) {
-    const auto r = static_cast<std::size_t>(k) + 1;
-    const std::int64_t i = ei - k;
-    for (std::int64_t l = 0; l <= ej; ++l) {
-      const auto c = static_cast<std::size_t>(l) + 1;
-      const std::int64_t j = ej - l;
-      E[r][c] = std::max(E[r][c - 1] - h, G[r][c - 1] - g - h);
-      F[r][c] = std::max(F[r - 1][c] - h, G[r - 1][c] - g - h);
-      G[r][c] = std::max({G[r - 1][c - 1] + scoring.substitution(
-                                                ref[static_cast<std::size_t>(i)],
-                                                query[static_cast<std::size_t>(j)]),
-                          E[r][c], F[r][c]});
-      if (!fwd.live(i, j)) {
-        G[r][c] = kNegInf;
-        E[r][c] = kNegInf;
-        F[r][c] = kNegInf;
-      }
-      if (G[r][c] > best) {
-        best = G[r][c];
-        best_k = k;
-        best_l = l;
-      }
-    }
-  }
-
-  SALOBA_CHECK_MSG(best == expect, "oracle start discovery found "
-                                       << best << ", forward pass said " << expect);
-  return StartPoint{ei - best_k, ej - best_l};
-}
-
-/// Phase C shared state: sequences, penalties, the forward tables (for the
-/// mask) and the op string under construction.
-struct OracleMm {
-  std::span<const seq::BaseCode> ref, query;
-  const ScoringScheme* scoring = nullptr;
-  const ForwardTables* fwd = nullptr;
-  Score g = 0, h = 0;
-  std::string ops;
-};
-
-/// One half sweep on full matrices: `rows` subproblem rows over columns
-/// [j0..j1], forward (top-down from i_begin) or reversed (bottom-up from
-/// i_end, columns consumed right-to-left). Returns the final row of (CC, DD)
-/// indexed by consumed-column count 0..C.
-void sweep_full(const OracleMm& ctx, std::int64_t i_begin, std::int64_t i_end,
-                std::int64_t j0, std::int64_t j1, bool rev, Score tb,
-                std::vector<Score>& cc_out, std::vector<Score>& dd_out) {
-  const Score g = ctx.g, h = ctx.h;
-  const std::int64_t C = j1 - j0 + 1;
-  const std::int64_t rows = i_end - i_begin + 1;
-  const auto ucols = static_cast<std::size_t>(C) + 1;
-  const auto urows = static_cast<std::size_t>(rows) + 1;
-  Matrix CC = make_matrix(urows, ucols, kNegInf);
-  Matrix DD = make_matrix(urows, ucols, kNegInf);
-  Matrix EE = make_matrix(urows, ucols, kNegInf);
-
-  CC[0][0] = 0;
-  DD[0][0] = kNegInf;
-  for (std::size_t c = 1; c < ucols; ++c) {
-    CC[0][c] = -(g + static_cast<Score>(c) * h);
-    DD[0][c] = CC[0][c] - g;
-  }
-  for (std::size_t r = 1; r < urows; ++r) {
-    CC[r][0] = -(tb + static_cast<Score>(r) * h);
-    DD[r][0] = CC[r][0];
-  }
-
-  for (std::int64_t rr = 1; rr <= rows; ++rr) {
-    const auto r = static_cast<std::size_t>(rr);
-    const std::int64_t i = rev ? i_end - (rr - 1) : i_begin + (rr - 1);
-    for (std::int64_t c = 1; c <= C; ++c) {
-      const auto uc = static_cast<std::size_t>(c);
-      const std::int64_t j = rev ? j1 - (c - 1) : j0 + (c - 1);
-      EE[r][uc] = std::max(EE[r][uc - 1] - h, CC[r][uc - 1] - g - h);
-      DD[r][uc] = std::max(DD[r - 1][uc] - h, CC[r - 1][uc] - g - h);
-      CC[r][uc] = std::max({CC[r - 1][uc - 1] + ctx.scoring->substitution(
-                                                    ctx.ref[static_cast<std::size_t>(i)],
-                                                    ctx.query[static_cast<std::size_t>(j)]),
-                            EE[r][uc], DD[r][uc]});
-      if (!ctx.fwd->live(i, j)) {
-        CC[r][uc] = kNegInf;
-        DD[r][uc] = kNegInf;
-        EE[r][uc] = kNegInf;
-      }
-    }
-  }
-  cc_out = CC[urows - 1];
-  dd_out = DD[urows - 1];
-}
-
-/// Single-row base case, same rules as the engine: smallest best substitution
-/// column beats the all-gap form on ties; the all-gap deletion attaches to
-/// the top boundary unless the bottom is strictly cheaper.
-void oracle_single_row(OracleMm& ctx, std::int64_t i0, std::int64_t j0, std::int64_t j1,
-                       Score tb, Score te) {
-  const Score g = ctx.g, h = ctx.h;
-  const std::int64_t C = j1 - j0 + 1;
-  const auto gap = [&](std::int64_t len) -> Score {
-    return len > 0 ? g + static_cast<Score>(len) * h : Score{0};
-  };
-
-  const Score allgap = -(std::min(tb, te) + h) - gap(C);
-  Score best_sub = kNegInf;
-  std::int64_t best_j = -1;
-  for (std::int64_t j = j0; j <= j1; ++j) {
-    if (!ctx.fwd->live(i0, j)) continue;
-    const Score v = -gap(j - j0) +
-                    ctx.scoring->substitution(ctx.ref[static_cast<std::size_t>(i0)],
-                                              ctx.query[static_cast<std::size_t>(j)]) -
-                    gap(j1 - j);
-    if (v > best_sub) {
-      best_sub = v;
-      best_j = j;
-    }
-  }
-
-  if (best_j >= 0 && best_sub >= allgap) {
-    ctx.ops.append(static_cast<std::size_t>(best_j - j0), 'I');
-    ctx.ops.push_back('M');
-    ctx.ops.append(static_cast<std::size_t>(j1 - best_j), 'I');
-  } else if (tb <= te) {
-    ctx.ops.push_back('D');
-    ctx.ops.append(static_cast<std::size_t>(C), 'I');
-  } else {
-    ctx.ops.append(static_cast<std::size_t>(C), 'I');
-    ctx.ops.push_back('D');
-  }
-}
-
-/// The Myers–Miller recursion of the specification, crossing computed from
-/// full-matrix sweeps.
-void oracle_rec(OracleMm& ctx, std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                std::int64_t j1, Score tb, Score te) {
-  const std::int64_t R = i1 - i0 + 1;
-  const std::int64_t C = j1 - j0 + 1;
-  if (R <= 0) {
-    ctx.ops.append(static_cast<std::size_t>(std::max<std::int64_t>(0, C)), 'I');
-    return;
-  }
-  if (C <= 0) {
-    ctx.ops.append(static_cast<std::size_t>(R), 'D');
-    return;
-  }
-  if (R == 1) {
-    oracle_single_row(ctx, i0, j0, j1, tb, te);
-    return;
-  }
-
-  const std::int64_t mid = i0 + (i1 - i0) / 2;
-  std::vector<Score> cc, dd, rr, ss;
-  sweep_full(ctx, i0, mid, j0, j1, /*rev=*/false, tb, cc, dd);
-  sweep_full(ctx, mid + 1, i1, j0, j1, /*rev=*/true, te, rr, ss);
-
-  Score best = kNegInf;
-  std::int64_t best_j = j0 - 1;
-  bool best_is_f = false;
-  for (std::int64_t j = j0 - 1; j <= j1; ++j) {
-    const auto cf = static_cast<std::size_t>(j - (j0 - 1));
-    const auto cr = static_cast<std::size_t>(j1 - j);
-    const Score type_h = cc[cf] + rr[cr];
-    if (type_h > best) {
-      best = type_h;
-      best_j = j;
-      best_is_f = false;
-    }
-    const Score type_f = dd[cf] + ss[cr] + ctx.g;
-    if (type_f > best) {
-      best = type_f;
-      best_j = j;
-      best_is_f = true;
-    }
-  }
-
-  if (!best_is_f) {
-    oracle_rec(ctx, i0, mid, j0, best_j, tb, ctx.g);
-    oracle_rec(ctx, mid + 1, i1, best_j + 1, j1, ctx.g, te);
-  } else {
-    oracle_rec(ctx, i0, mid - 1, j0, best_j, tb, Score{0});
-    ctx.ops.append(2, 'D');
-    oracle_rec(ctx, mid + 2, i1, best_j + 1, j1, Score{0}, te);
-  }
-}
-
 }  // namespace
 
 AlignmentResult xdrop_reference_score(std::span<const seq::BaseCode> ref,
@@ -334,28 +120,12 @@ TracedAlignment xdrop_reference_align(std::span<const seq::BaseCode> ref,
                                       const XDropParams& params) {
   SALOBA_CHECK(scoring.valid());
   const ForwardTables fwd = forward_full(ref, query, scoring, params);
-  TracedAlignment out;
-  out.end = fwd.best;
-  if (fwd.best.score <= 0) return out;
-
-  const std::int64_t ei = fwd.best.ref_end;
-  const std::int64_t ej = fwd.best.query_end;
-  const StartPoint start =
-      discover_start_full(ref, query, scoring, fwd, ei, ej, fwd.best.score);
-
-  OracleMm ctx;
-  ctx.ref = ref;
-  ctx.query = query;
-  ctx.scoring = &scoring;
-  ctx.fwd = &fwd;
-  ctx.g = scoring.alpha() - scoring.beta();
-  ctx.h = scoring.beta();
-  oracle_rec(ctx, start.si, ei, start.sj, ej, ctx.g, ctx.g);
-
-  out.ref_start = static_cast<std::int32_t>(start.si);
-  out.query_start = static_cast<std::int32_t>(start.sj);
-  out.cigar = compress_cigar(ctx.ops);
-  return out;
+  // Never-computed cells kept H = 0, E/F = -inf, so the plain full-matrix
+  // walk over the stored tables is the walk over the masked DP.
+  return trace_stored_matrix(fwd.best, ref, query, scoring, [&](std::size_t i, std::size_t j) {
+    if (i == 0 || j == 0) return StoredCell{0, kNegInf, kNegInf};
+    return StoredCell{fwd.H[i - 1][j - 1], fwd.E[i - 1][j - 1], fwd.F[i - 1][j - 1]};
+  });
 }
 
 }  // namespace saloba::align

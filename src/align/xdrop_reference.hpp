@@ -1,11 +1,12 @@
 // Naive full-matrix oracle for the X-drop wavefront engine
-// (align/xdrop_wavefront.hpp). Implements the identical specification —
-// per-diagonal live windows, masked reverse-prefix start discovery, the
-// Myers–Miller split and tie-break rules that *define* the canonical CIGAR —
+// (align/xdrop_wavefront.hpp). Implements the same specification — the
+// per-diagonal live windows, then the canonical walk over the masked DP —
 // with independent O(N·M) code: full H/E/F matrices, an explicit
-// computed-cell mask, and full 2D sweeps per divide-and-conquer split. The
-// fuzz suite asserts the two are bit-identical in score, endpoint and CIGAR.
-// Tests and moderate lengths only.
+// computed-cell mask, and the full-matrix walk over the stored values that
+// align::smith_waterman_traceback also runs (trace_stored_matrix), not the
+// engine's checkpoint replay and flag-byte TraceWalk. The fuzz suite
+// asserts the two are bit-identical in score, endpoint and CIGAR. Tests and
+// moderate lengths only.
 #pragma once
 
 #include <span>
@@ -23,7 +24,8 @@ AlignmentResult xdrop_reference_score(std::span<const seq::BaseCode> ref,
                                       const ScoringScheme& scoring,
                                       const XDropParams& params = {});
 
-/// Full alignment per the shared canonical specification, on full matrices.
+/// Full alignment on full matrices: the forward pass above, then the walk
+/// back from the best cell over the stored tables, stopping at H = 0.
 TracedAlignment xdrop_reference_align(std::span<const seq::BaseCode> ref,
                                       std::span<const seq::BaseCode> query,
                                       const ScoringScheme& scoring,

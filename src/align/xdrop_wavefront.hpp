@@ -3,9 +3,10 @@
 // Executes the affine-gap local-alignment DP along anti-diagonals d = i + j
 // (the paper's Fig. 3 intra-query parallelism: every cell of diagonal d
 // depends only on diagonals d-1 and d-2) with an X-drop live window per
-// diagonal, and recovers the CIGAR with Myers–Miller divide-and-conquer in
-// O(N + M) memory — 100kb+ pairs never materialize an O(N·M) matrix and
-// never blow the checkpointed-traceback budget.
+// diagonal, and recovers the CIGAR by replaying checkpointed blocks of
+// diagonals for the shared flag-byte walk (align::TraceWalk) in O(N + M)
+// memory while the window stays narrow — pruned 100kb+ pairs never
+// materialize an O(N·M) matrix.
 //
 // ## Forward pass (masked wavefront)
 //
@@ -25,38 +26,40 @@
 // smith_waterman_banded. The computed windows are recorded (two ints per
 // diagonal, O(N + M) total), which turns the history-dependent X-drop
 // pruning into a *positional mask*: the pruned DP is a pure function of
-// (sequences, scoring, mask) and can be recomputed exactly in any
-// sub-rectangle. That property is what makes a deterministic linear-memory
-// traceback possible at all.
+// (sequences, scoring, mask) and any run of diagonals can be recomputed
+// exactly from the state entering it.
 //
-// ## Traceback (three phases, all O(N + M) memory)
+// ## Traceback (checkpointed replay, the canonical walk)
 //
-//  A. The forward masked pass above, recording the per-diagonal windows,
-//     per-row column bounds, and the best endpoint (S, ei, ej).
-//  B. Start discovery: a *global* (Needleman-Wunsch, no floor) affine DP
-//     over the reversed prefixes rref[k] = ref[ei-k], rqry[l] = query[ej-l],
-//     masked the same way (dead cells = -inf in every state, virtual
-//     boundary rows/cols pay normal gap costs). Its maximum equals S — every
-//     optimal forward path lies inside the mask and optimal local paths
-//     carry no leading/trailing gaps — and the canonical start is the
-//     argmax with the smallest k, then the smallest l (reverse coordinates).
-//     Rolling rows: O(M) memory.
-//  C. Myers–Miller divide-and-conquer over ref[si..ei] x query[sj..ej] on
-//     the same mask. Rows split at mid = (i0 + i1) / 2; the forward sweep
-//     carries (CC, DD) = best score ending free / ending in a vertical gap,
-//     the backward sweep (RR, SS) symmetrically; crossing candidates at
-//     column j are CC[j] + RR[j] (type H) and DD[j] + SS[j] + (alpha - beta)
-//     (type F, refunding the double gap-open of a run that spans the split).
-//     Tie-break: best value, then the smaller j, then type H over type F; a
-//     type-F crossing emits the two boundary deletions explicitly and
-//     recurses with the gap marked open. Single-row subproblems are solved
-//     by a closed-form scan (substitution placement beats the all-gap form
-//     on ties; among placements the smallest column wins; the all-gap form
-//     attaches its deletion to the top boundary unless the bottom is
-//     strictly cheaper). The canonical CIGAR is *defined* by these rules:
-//     the naive full-matrix oracle (align/xdrop_reference.hpp) implements
-//     the same specification with independent O(N·M) code, and the fuzz
-//     suite asserts bit-identity of score, endpoint, and CIGAR.
+// The canonical CIGAR is the align::TraceWalk order over the masked DP —
+// M before E before F, gap opens before extensions, stopping at H = 0 —
+// the walk banded_traceback and the SIMD cohorts run too:
+//
+//  1. The traced forward pass saves a checkpoint — the H/E/F window of
+//     diagonal d0-1 and the H window of d0-2, all that diagonal d0 reads —
+//     whenever 8·(N + M) cells have been swept since the last one. The
+//     spacing is in cells, not diagonals, because the window is not narrow
+//     everywhere: until the best score exceeds X every computed cell is
+//     live, so the window grows by one cell per diagonal (~3,000 cells on
+//     mapbench's 12 kbp reads at X = 200).
+//  2. From the best cell, the walk's diagonal dw selects the block whose
+//     checkpoint precedes it; diagonals [d0, dw] are replayed with the
+//     forward pass's own cell body, storing one align::TraceFlag byte per
+//     computed cell (never-computed cells read kTraceZero alone), and the
+//     walk runs until it leaves the block.
+//
+// Blocks are visited in decreasing order, each at most once and only up to
+// the walk's entry diagonal, so `traceback_cells <= cells`. Memory is the
+// diagonal buffers and windows (O(N + M)), one block of at most 8·(N + M)
+// flag bytes plus one diagonal, and the checkpoints: 16 bytes per window
+// cell every 8·(N + M) swept cells, about 2·W² bytes for windows W cells
+// wide — O(N + M) while X-drop keeps the window narrow. With pruning off on
+// a long divergent pair the window spans the table, and the checkpoints
+// grow to the order of N·M bytes as the forward cells grow to N·M.
+// The naive full-matrix oracle
+// (align/xdrop_reference.hpp) walks its stored tables with independent
+// code, and the fuzz suite asserts bit-identity of score, endpoint, and
+// CIGAR; with `xdrop <= 0` both equal smith_waterman_traceback.
 #pragma once
 
 #include <cstddef>
@@ -79,12 +82,14 @@ struct XDropParams {
 /// What one wavefront run computed and spent.
 struct WavefrontStats {
   std::size_t cells = 0;          ///< forward-pass DP cells computed
-  std::size_t traceback_cells = 0;  ///< phase B + phase C sweep cells
+  /// Cells the traceback's block replays re-derived (<= cells: each block
+  /// at most once, up to the walk's entry diagonal).
+  std::size_t traceback_cells = 0;
   std::size_t diagonals = 0;      ///< anti-diagonals swept before termination
   std::size_t max_wavefront = 0;  ///< widest computed window, in cells
   /// Peak heap footprint in bytes, measured from the engine's live container
   /// capacities at every phase boundary (not a model): diagonal buffers,
-  /// window/row-bound records, rolling rows, divide-and-conquer arrays and
+  /// per-diagonal windows, checkpoints, the replayed block's flag bytes and
   /// the op string. The bench asserts this stays O(N + M).
   std::size_t peak_bytes = 0;
   bool xdropped = false;  ///< forward sweep terminated early via X-drop
@@ -99,10 +104,10 @@ AlignmentResult xdrop_wavefront_score(std::span<const seq::BaseCode> ref,
                                       const XDropParams& params = {},
                                       WavefrontStats* stats = nullptr);
 
-/// Full alignment in O(N + M) memory: forward masked pass, reverse-prefix
-/// start discovery, Myers–Miller canonical CIGAR (see the file comment for
-/// the exact specification). `end` equals xdrop_wavefront_score's result;
-/// the CIGAR rescores to exactly that score.
+/// Full alignment in O(N + M) memory: checkpointed forward masked pass, then
+/// the canonical TraceWalk over replayed blocks (see the file comment).
+/// `end` equals xdrop_wavefront_score's result; the CIGAR rescores to
+/// exactly that score.
 TracedAlignment xdrop_wavefront_align(std::span<const seq::BaseCode> ref,
                                       std::span<const seq::BaseCode> query,
                                       const ScoringScheme& scoring,
@@ -111,10 +116,14 @@ TracedAlignment xdrop_wavefront_align(std::span<const seq::BaseCode> ref,
 
 /// Cost-model estimate of the forward-pass cell count for an (n x m) pair —
 /// the scheduler's packing load for routed long-read pairs, where the
-/// nominal n·m table would absurdly overweight them. The live window is
-/// score-bounded: moving sideways costs at least beta per step, so its width
-/// is at most ~2·xdrop/beta + 1 cells around the best path. Capped at the
-/// full table.
+/// nominal n·m table would absurdly overweight them. Prices every diagonal
+/// at ~2·xdrop/beta + 1 cells: once the best score exceeds xdrop, moving
+/// sideways costs at least beta per step, so the live window stays about
+/// that wide around the best path. Before then nothing can fall xdrop below
+/// the best and the window grows one cell per diagonal (mapbench's 12 kbp
+/// reads at xdrop 200 reach ~3,000 cells across their ~2,400 bases of
+/// window slack), so this is a packing hint, not a bound: ~11.5M cells per
+/// pair against ~8M measured there. Capped at the full table.
 std::size_t xdrop_cells_estimate(std::size_t ref_len, std::size_t query_len, Score xdrop,
                                  const ScoringScheme& scoring);
 

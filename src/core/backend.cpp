@@ -135,9 +135,9 @@ std::pair<PhaseOutput<align::AlignmentResult>, LongReadPhase> run_with_longread(
 /// score-pass result is traced, host-parallel, output order matching input
 /// order. `zdrop` mirrors the backend's score pass so endpoints stay
 /// bit-identical. Pairs an enabled `longread` policy routes go through the
-/// X-drop wavefront's Myers-Miller traceback (same xdrop as their score
-/// pass, so endpoints agree there too); their cells and traffic are
-/// attributed separately. The rest go through the banded linear-memory
+/// X-drop wavefront's checkpointed traceback (same xdrop as their score
+/// pass, so endpoints agree there too); their cells — the traced forward
+/// sweep plus the block replays — and traffic are attributed separately. The rest go through the banded linear-memory
 /// engine: align::banded_traceback per pair, whose TracebackStats price the
 /// simulated backend's modeled traffic, or with `cohorts` the checkpointed
 /// SIMD cohort pass (align::simd::trace_batch), which traces identically but

@@ -39,7 +39,8 @@ struct BandPolicy {
 /// Long-read routing policy (the LOGAN-style X-drop regime): pairs whose
 /// longer sequence reaches `min_pair_bases` leave the block-DP/banded path
 /// for the X-drop wavefront engine (align::xdrop_wavefront) — anti-diagonal
-/// execution, X-drop termination, O(N+M) Myers-Miller traceback. Routed
+/// execution, X-drop termination, O(N+M) checkpointed traceback walked by
+/// the same align::TraceWalk as every other trace engine. Routed
 /// pairs ignore band and z-drop: the long-read regime carries its own
 /// pruning, and a 100kb pair has no meaningful |i-j| band anyway. The
 /// default (0) disables routing, keeping every workload bit-identical to
@@ -48,7 +49,8 @@ struct LongReadPolicy {
   /// Route a pair when max(|ref|, |query|) >= this; 0 = never.
   std::size_t min_pair_bases = 0;
   /// X-drop threshold for routed pairs (<= 0 disables pruning — exact, but
-  /// the forward sweep degenerates to O(N·M) cells on divergent pairs).
+  /// the forward sweep degenerates to O(N·M) cells on divergent pairs, and
+  /// the traceback's checkpoints to the order of N·M bytes).
   align::Score xdrop = 400;
 
   bool enabled() const { return min_pair_bases > 0; }

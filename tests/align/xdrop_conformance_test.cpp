@@ -45,6 +45,11 @@ TEST(XdropConformance, DisabledPruningIsExactSmithWaterman) {
     const auto got = xdrop_wavefront_score(ref, query, s, XDropParams{.xdrop = 0}, &stats);
     EXPECT_EQ(got, smith_waterman(ref, query, s)) << "it=" << it;
     EXPECT_FALSE(stats.xdropped);
+    // The traced engine walks the same canonical path as the full-matrix
+    // Smith-Waterman traceback: start and CIGAR included.
+    EXPECT_EQ(xdrop_wavefront_align(ref, query, s, XDropParams{.xdrop = 0}),
+              smith_waterman_traceback(ref, query, s))
+        << "it=" << it;
   }
 }
 

@@ -2,9 +2,11 @@
 // mutation profiles (substitutions + indels), X-drop thresholds and
 // degenerate inputs, the linear-memory engine must be bit-identical to the
 // naive full-matrix oracle (align/xdrop_reference.hpp) in score, endpoint
-// AND canonical CIGAR — and its measured peak heap footprint must stay
+// AND canonical CIGAR — and, with pruning off, to the full-matrix
+// Smith-Waterman traceback. Its measured peak heap footprint must stay
 // O(N + M) (allocation-counting via WavefrontStats::peak_bytes, which sums
-// live container capacities at every phase boundary).
+// live container capacities at every phase boundary), and its block replay
+// never re-derives more cells than the forward sweep computed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,7 @@ namespace saloba::align {
 namespace {
 
 /// Mutated copy with substitutions AND indels, so fuzzed CIGARs exercise
-/// every op and the Myers-Miller gap bookkeeping.
+/// every op and the walk's gap open/extend decisions.
 std::vector<seq::BaseCode> mutate_indel(util::Xoshiro256& rng,
                                         const std::vector<seq::BaseCode>& src, double sub_p,
                                         double indel_p) {
@@ -40,8 +42,9 @@ std::vector<seq::BaseCode> mutate_indel(util::Xoshiro256& rng,
 }
 
 /// Engine vs oracle on one pair: score/endpoint equality, CIGAR
-/// bit-identity, structural validity, exact rescore, and the linear-memory
-/// bound on the engine's measured peak.
+/// bit-identity (with the Smith-Waterman traceback too when pruning is
+/// off), structural validity, exact rescore, the replay bound, and the
+/// linear-memory bound on the engine's measured peak.
 void check_pair(const std::vector<seq::BaseCode>& ref,
                 const std::vector<seq::BaseCode>& query, const ScoringScheme& s, Score xdrop,
                 const char* tag) {
@@ -56,6 +59,13 @@ void check_pair(const std::vector<seq::BaseCode>& ref,
   ASSERT_EQ(engine.end, scored) << tag << " xdrop=" << xdrop;
   ASSERT_EQ(engine, oracle) << tag << " xdrop=" << xdrop << " engine='" << engine.cigar
                             << "' oracle='" << oracle.cigar << "'";
+  if (xdrop <= 0) {
+    const auto exact = smith_waterman_traceback(ref, query, s);
+    ASSERT_EQ(engine, exact) << tag << " engine='" << engine.cigar << "' exact='" << exact.cigar
+                             << "'";
+  }
+  // Each block is replayed at most once, and only up to the walk's entry.
+  ASSERT_LE(stats.traceback_cells, stats.cells) << tag << " xdrop=" << xdrop;
   if (scored.score > 0) {
     ASSERT_TRUE(cigar_consistent(engine, ref.size(), query.size())) << tag;
     ASSERT_EQ(rescore_cigar(engine, ref, query, s), scored.score) << tag;
