@@ -3,8 +3,9 @@
 // pumped through StreamAligner at several chunk sizes. Streaming trades a
 // bounded memory footprint (chunk x queue pairs resident instead of all of
 // them) for chunk-granular scheduling; this harness reports what that
-// costs — align time, gcups, host wall time — and verifies the results
-// stay bit-identical along the way.
+// costs — align time, gcups, host wall time — and exits non-zero unless the
+// results stay bit-identical and every streamed run's peak residency stays
+// within chunk x queue pairs.
 //
 //   $ ./stream_throughput --pairs=400 --quick
 #include <cstdio>
@@ -69,11 +70,12 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> chunk_sizes{32, 64, 128};
   if (args.get_flag("quick")) chunk_sizes = {64};
 
+  const auto queue = static_cast<std::size_t>(args.get_int("queue"));
   int failures = 0;
   for (std::size_t chunk : chunk_sizes) {
     core::StreamOptions stream;
     stream.chunk_pairs = chunk;
-    stream.queue_capacity = static_cast<std::size_t>(args.get_int("queue"));
+    stream.queue_capacity = queue;
     core::StreamAligner streamer(opts, stream);
 
     timer.reset();
@@ -89,6 +91,11 @@ int main(int argc, char** argv) {
     double wall = timer.millis();
     bool ok = identical == batch.size() && cursor == batch.size();
     failures += ok ? 0 : 1;
+    if (stats.peak_resident_pairs > chunk * queue) {
+      std::printf("FAIL: chunk %zu peak residency %zu pairs exceeds chunk x queue = %zu\n",
+                  chunk, stats.peak_resident_pairs, chunk * queue);
+      ++failures;
+    }
 
     table.add_row({"streamed", std::to_string(chunk), util::Table::ms(stats.align_ms),
                    util::Table::num(stats.gcups), util::Table::ms(wall),
@@ -96,8 +103,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== stream_throughput — %zu pairs, %s@%s, queue %lld ===\n%s", pairs,
-              opts.kernel.c_str(), opts.device.c_str(),
-              static_cast<long long>(args.get_int("queue")), table.render().c_str());
+              opts.kernel.c_str(), opts.device.c_str(), static_cast<long long>(queue),
+              table.render().c_str());
   std::printf("streamed footprint bound: chunk x queue pairs resident; resident mode "
               "holds all %zu pairs.\n",
               batch.size());

@@ -2,7 +2,7 @@
 // disk as two FASTQ files (queries + references), stream it back through
 //
 //   FastqChunkReader ×2 → ReaderPairSource → StreamAligner
-//     (reader thread → bounded queue → scheduler → ordered merger)
+//     (reader thread → AlignService session → in-order chunk reassembly)
 //
 // and verify the streamed results are bit-identical — same scores, same
 // order — to the one-shot Aligner::align over the fully-resident batch,
@@ -40,7 +40,7 @@ seq::Sequence random_named_seq(util::Xoshiro256& rng, std::size_t i, const char*
 
 int main(int argc, char** argv) {
   util::ArgParser args("streaming_alignment",
-                       "chunked FASTQ ingest -> bounded queue -> ordered streaming emit");
+                       "chunked FASTQ ingest -> service session -> ordered streaming emit");
   args.add_string("workdir", "directory for generated files", "/tmp/saloba_stream_demo");
   args.add_int("pairs", "pairs to generate", 600);
   args.add_int("chunk", "pairs per chunk", 64);

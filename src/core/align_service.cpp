@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -14,11 +15,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/autotune.hpp"
 #include "core/backend.hpp"
 #include "core/ordered_emitter.hpp"
-#include "core/schedule_cache.hpp"
+#include "core/workload.hpp"
 #include "util/bounded_queue.hpp"
-#include "util/cancel_token.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -28,9 +29,54 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Latency samples a session keeps for its p50/p99: the latest this many
+/// delivered pairs, so a session as long as a whole stream holds a bounded
+/// window instead of 8 bytes per pair.
+constexpr std::size_t kLatencyWindow = 4096;
+
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
+
+/// The per-batch schedule: core::recommend_scheduler over the merged
+/// batch's stats and the backend's lane weights, with the AlignerOptions
+/// dispatch threads, traceback phase and long-read pricing (the backends
+/// route long reads regardless of schedule, so the packer must price them
+/// consistently). No band policy: submit() already materialized it.
+SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& batch,
+                                        const AlignerOptions& options,
+                                        const AlignBackend& backend) {
+  SchedulerOptions wanted = recommend_scheduler(stats_of(batch), lane_weights(backend));
+  wanted.threads = options.scheduler_threads;
+  wanted.longread = options.longread_policy();
+  wanted.traceback = options.traceback;
+  wanted.traceback_settings.checkpoint_rows = options.traceback_checkpoint_rows;
+  return wanted;
+}
+
+/// A small owning cache of BatchSchedulers keyed by their options, one per
+/// align worker: autotuned options oscillate between a handful of
+/// configurations, and rebuilding a BatchScheduler would respawn its
+/// thread pool. Not thread-safe (schedulers' pools are never shared across
+/// workers).
+class ScheduleCache {
+ public:
+  /// `backend` must outlive the cache; every cached scheduler runs on it.
+  explicit ScheduleCache(AlignBackend* backend) : backend_(backend) {}
+
+  /// The cached scheduler for `wanted`, building (and keeping) one on miss.
+  BatchScheduler& scheduler(const SchedulerOptions& wanted) {
+    for (auto& [opts, sched] : cache_) {
+      if (opts == wanted) return *sched;
+    }
+    cache_.emplace_back(wanted, std::make_unique<BatchScheduler>(backend_, wanted));
+    return *cache_.back().second;
+  }
+
+ private:
+  AlignBackend* backend_;
+  std::vector<std::pair<SchedulerOptions, std::unique_ptr<BatchScheduler>>> cache_;
+};
 
 /// One admitted pair waiting in a session queue. Bands are resolved at
 /// admission (submit materializes the AlignerOptions policy), so the
@@ -79,7 +125,10 @@ struct Session {
   /// Reorders out-of-order merged-batch completions back into submit order.
   std::unique_ptr<OrderedEmitter<DeliveredSegment>> emitter;
   std::deque<SessionResult> ready;
-  std::vector<double> latencies_ms;  ///< submit-to-delivery, one per pair
+  /// Submit-to-delivery latencies of the latest kLatencyWindow delivered
+  /// pairs: a ring once full, its next slot latency_count % kLatencyWindow.
+  std::vector<double> latencies_ms;
+  std::size_t latency_count = 0;  ///< latencies recorded over the session
   std::size_t batches = 0;
   double align_ms = 0.0;
   std::size_t cells = 0;
@@ -90,6 +139,15 @@ struct Session {
   bool finished = false;
   std::condition_variable admit_cv;  ///< submit() backpressure
   std::condition_variable ready_cv;  ///< poll() wakeups
+
+  void record_latency(double ms) {
+    if (latencies_ms.size() < kLatencyWindow) {
+      latencies_ms.push_back(ms);
+    } else {
+      latencies_ms[latency_count % kLatencyWindow] = ms;
+    }
+    ++latency_count;
+  }
 };
 
 }  // namespace
@@ -110,15 +168,11 @@ struct AlignService::Impl {
   bool stopping = false;
   std::exception_ptr failure;
 
-  // Service-wide aggregates (guarded by mutex).
-  std::size_t batches = 0;
-  std::size_t delivered_pairs = 0;
-  std::size_t cells = 0;
-  double align_ms = 0.0;
-  double batch_wall_ms = 0.0;
+  /// Service-wide aggregates, guarded by mutex: deliver() folds every
+  /// merged batch in; stats() adds sessions and the derived figures.
+  ServiceStats totals;
 
   util::BoundedQueue<MergedBatch> inflight;
-  util::CancelToken cancel_all;
 
   std::thread batcher;
   std::vector<std::thread> workers;
@@ -129,6 +183,10 @@ struct AlignService::Impl {
         service(svc),
         inflight(std::max<std::size_t>(1, svc.max_inflight_batches)) {
     primary = make_backend(options);
+    totals.schedule.shards = 0;
+    totals.schedule.lanes = primary->lanes();
+    totals.schedule.lane_ms.assign(static_cast<std::size_t>(primary->lanes()), 0.0);
+    totals.schedule.lane_weights = lane_weights(*primary);
     const std::size_t n_workers = std::max<std::size_t>(1, service.align_threads);
     replicas = make_worker_replicas(options, n_workers);
     batcher = std::thread([this] { batcher_loop(); });
@@ -236,13 +294,28 @@ struct AlignService::Impl {
     }
   }
 
+  /// Folds one merged batch's figures into the service totals (results
+  /// aside). Under the lock.
+  void fold(const AlignOutput& out) {
+    totals.batches += 1;
+    totals.cells += out.cells;
+    totals.align_ms += out.time_ms;
+    totals.traceback_ms += out.traceback_ms;
+    totals.traceback_cells += out.traceback_cells;
+    totals.schedule.shards += out.schedule.shards;
+    std::vector<double>& lane_ms = totals.schedule.lane_ms;
+    SALOBA_CHECK_MSG(out.schedule.lane_ms.size() == lane_ms.size(),
+                     "batch ran on a backend with a different lane count");
+    for (std::size_t l = 0; l < lane_ms.size(); ++l) lane_ms[l] += out.schedule.lane_ms[l];
+    merge_modeled(totals, out);
+  }
+
   /// Demultiplexes one aligned merged batch back to its tenants' ordered
-  /// channels, attributing time by in-band DP-cell share. Under the lock.
+  /// channels, moving each segment's results and traces out of `out` and
+  /// attributing time by in-band DP-cell share. Under the lock.
   void deliver(MergedBatch& mb, AlignOutput&& out) {
     const Clock::time_point now = Clock::now();
-    batches += 1;
-    cells += out.cells;
-    align_ms += out.time_ms;
+    fold(out);
     double total_cells = 0.0;
     for (std::size_t i = 0; i < mb.batch.size(); ++i) {
       total_cells += static_cast<double>(mb.batch.cells_of(i));
@@ -256,18 +329,20 @@ struct AlignService::Impl {
         s.cancelled_pairs += seg.count;  // ran, but nobody is listening
         continue;
       }
+      const auto first = static_cast<std::ptrdiff_t>(seg.offset);
+      const auto last = static_cast<std::ptrdiff_t>(seg.offset + seg.count);
       DeliveredSegment d;
       d.first_pair = seg.first_pair;
-      d.results.assign(out.results.begin() + static_cast<std::ptrdiff_t>(seg.offset),
-                       out.results.begin() + static_cast<std::ptrdiff_t>(seg.offset + seg.count));
+      d.results.assign(std::make_move_iterator(out.results.begin() + first),
+                       std::make_move_iterator(out.results.begin() + last));
       if (!out.traced.empty()) {
-        d.traced.assign(out.traced.begin() + static_cast<std::ptrdiff_t>(seg.offset),
-                        out.traced.begin() + static_cast<std::ptrdiff_t>(seg.offset + seg.count));
+        d.traced.assign(std::make_move_iterator(out.traced.begin() + first),
+                        std::make_move_iterator(out.traced.begin() + last));
       }
       double seg_cells = 0.0;
       for (std::size_t i = seg.offset; i < seg.offset + seg.count; ++i) {
         seg_cells += static_cast<double>(mb.batch.cells_of(i));
-        s.latencies_ms.push_back(ms_between(mb.admitted[i], now));
+        s.record_latency(ms_between(mb.admitted[i], now));
       }
       const double share = total_cells > 0.0
                                ? seg_cells / total_cells
@@ -283,7 +358,7 @@ struct AlignService::Impl {
         if (!s.breakdown) s.breakdown.emplace();
         s.breakdown->merge(out.time_breakdown->scaled(share));
       }
-      delivered_pairs += seg.count;
+      totals.pairs += seg.count;
       s.emitter->push(seg.seq, std::move(d));
       s.ready_cv.notify_all();
     }
@@ -292,20 +367,23 @@ struct AlignService::Impl {
   void worker_loop(AlignBackend* backend) {
     try {
       ScheduleCache cache(backend);
-      // Cancel-aware pop: service shutdown must wake a worker parked on an
-      // empty in-flight queue immediately, abandoned batches and all.
-      while (auto mb = inflight.pop(cancel_all)) {
+      // stop() closes the in-flight queue, which wakes a worker parked here;
+      // pop() still hands out batches queued before the close, so check
+      // `stopping` and drop them instead of aligning abandoned work.
+      while (auto mb = inflight.pop()) {
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (stopping) return;
+        }
         util::Timer timer;
         // Bands were materialized at admission; only the schedule is
-        // resolved per merged batch (the shared per-chunk rule, minus the
-        // band step — a merged batch always carries final bands).
-        SchedulerOptions wanted = resolve_chunk_schedule(
-            mb->batch, options, std::nullopt, service.autotune_schedule, *backend);
-        AlignOutput out = cache.scheduler(wanted).run(mb->batch);
+        // resolved per merged batch.
+        AlignOutput out =
+            cache.scheduler(resolve_chunk_schedule(mb->batch, options, *backend)).run(mb->batch);
         double wall = timer.millis();
         std::lock_guard<std::mutex> lock(mutex);
         if (stopping) return;
-        batch_wall_ms += wall;
+        totals.batch_wall_ms += wall;
         deliver(*mb, std::move(out));
       }
     } catch (...) {
@@ -321,7 +399,6 @@ struct AlignService::Impl {
   /// Unblocks every waiter: producers, pollers, the batcher, and workers.
   void wake_everyone() {
     inflight.close();
-    cancel_all.cancel();
     work_cv.notify_all();
     std::lock_guard<std::mutex> lock(mutex);
     for (auto& [id, s] : sessions) {
@@ -365,7 +442,12 @@ AlignService::AlignService(AlignerOptions options, ServiceOptions service)
 AlignService::~AlignService() { stop(); }
 
 SessionId AlignService::open(SessionOptions opts) {
-  SALOBA_CHECK_MSG(opts.weight > 0.0, "session weight must be > 0, got " << opts.weight);
+  // A bad weight is one tenant's input error: throw rather than take every
+  // tenant down, and keep +inf out of build_batch's shares (inf/inf = NaN).
+  if (!std::isfinite(opts.weight) || opts.weight <= 0.0) {
+    throw std::invalid_argument("session weight must be finite and > 0, got " +
+                                std::to_string(opts.weight));
+  }
   std::lock_guard<std::mutex> lock(impl_->mutex);
   if (impl_->stopping) throw std::runtime_error("open() on a stopped AlignService");
   SessionId id = impl_->next_id++;
@@ -497,16 +579,13 @@ SessionStats AlignService::session_stats(SessionId id) const {
 
 ServiceStats AlignService::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  ServiceStats st;
+  ServiceStats st = impl_->totals;
   st.sessions = impl_->sessions.size();
-  st.batches = impl_->batches;
-  st.pairs = impl_->delivered_pairs;
-  st.cells = impl_->cells;
-  st.align_ms = impl_->align_ms;
-  st.gcups = impl_->align_ms > 0
-                 ? static_cast<double>(impl_->cells) / (impl_->align_ms * 1e6)
-                 : 0.0;
-  st.batch_wall_ms = impl_->batch_wall_ms;
+  st.gcups = st.align_ms > 0 ? static_cast<double>(st.cells) / (st.align_ms * 1e6) : 0.0;
+  // Batches serialize on the service's timeline, so the makespan is the
+  // summed batch makespan; imbalance compares the all-lane mean against it.
+  st.schedule.makespan_ms = st.align_ms;
+  finalize_balance(st.schedule);
   st.session_stats.reserve(impl_->sessions.size());
   for (auto& [id, s] : impl_->sessions) {
     SessionStats ss;

@@ -7,25 +7,30 @@
 //                                            fair merge)      │
 //        poll ◀── per-session OrderedEmitter ◀── align workers ┘
 //
-// The single-stream pipeline (core::StreamAligner) saturates the device
-// lanes from one caller; this layer keeps them saturated when the same
-// workload arrives as many small concurrent sessions — the paper's
-// workload-balance thesis applied across tenants. A continuous batcher tops
+// One streaming pipeline for one tenant or many: core::StreamAligner is a
+// single session of a private service, and read mapping can be one tenant
+// among many (seedext::ReadMapper::map_session). A continuous batcher tops
 // up full-size merged PairBatches from whichever sessions have queued work
 // (strict priority classes, weighted round-robin within a class), runs them
 // through the unchanged BatchScheduler phases (score pass + optional
-// traceback), and demultiplexes results back to each session's in-order
-// channel. Because every kernel and backend is bit-exact per pair
-// regardless of batch composition, a session's results are bit-identical
-// to running that session's pairs standalone through Aligner::align with
-// the same AlignerOptions — the contract the `ctest -L service` conformance
-// layer and bench/service_mux lock.
+// traceback) with per-batch autotuned scheduling (core::recommend_scheduler
+// — the paper's workload-balance step), and demultiplexes results back to
+// each session's in-order channel. Because every kernel and backend is
+// bit-exact per pair regardless of batch composition, a session's results
+// are bit-identical to running that session's pairs standalone through
+// Aligner::align with the same AlignerOptions — the contract the
+// `ctest -L service` conformance layer and bench/service_mux lock.
 //
-// Flow control is backpressure end to end: submit() blocks at the
-// per-session admission cap, the batcher blocks at the global in-flight
-// cap, and cancellation (per session or service-wide stop) unblocks every
-// waiter through util::CancelToken-aware queue operations — no producer or
-// consumer can deadlock across shutdown.
+// Flow control: submit() blocks at the per-session admission cap, which
+// bounds the session's queued (admitted, not yet batched) pairs, and the
+// batcher blocks at the global in-flight cap, which bounds the merged
+// batches waiting for an align worker. Delivered results wait in their
+// session until polled and count against neither cap, so a client that
+// submits without polling holds its results in the service (StreamAligner
+// bounds its residency with tickets of its own). cancel() and stop()
+// unblock every waiter — stop() closes the in-flight queue and wakes every
+// condition variable — so no producer or consumer can deadlock across
+// shutdown.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +66,9 @@ struct SessionStats {
   /// share as align_ms.
   double traceback_ms = 0.0;
   std::size_t traceback_cells = 0;
-  /// submit-to-delivery latency quantiles over every completed pair
-  /// (util::percentile_nearest_rank — exact small-N nearest rank).
+  /// submit-to-delivery latency quantiles over the latest 4,096 delivered
+  /// pairs (util::percentile_nearest_rank — exact nearest rank over that
+  /// window; a longer session keeps only its latest 4,096 samples).
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   /// Simulated backends only: the tenant's cell-share slice of the merged
@@ -75,6 +81,9 @@ struct SessionStats {
 };
 
 /// Service-wide aggregates plus one SessionStats per ever-opened session.
+/// Every figure below sums the merged batches' AlignOutputs as they are
+/// delivered, so for a service with one session (StreamAligner::run) they
+/// are that session's run totals.
 struct ServiceStats {
   std::size_t sessions = 0;  ///< sessions opened over the service lifetime
   std::size_t batches = 0;   ///< merged batches dispatched
@@ -84,6 +93,19 @@ struct ServiceStats {
   /// wall-clock on host backends, modeled ms on simulated devices).
   double align_ms = 0.0;
   double gcups = 0.0;  ///< cells / align_ms — the aggregate-throughput figure
+  /// Traceback phase (two-phase runs only): the merged batches'
+  /// AlignOutput::traceback_ms and traceback_cells, summed.
+  double traceback_ms = 0.0;
+  std::size_t traceback_cells = 0;
+  /// How the merged batches ran, serialized: shards and per-lane busy ms
+  /// summed over batches (lane_ms has one slot per backend lane even before
+  /// the first batch), the backend's lane weights, makespan_ms = align_ms,
+  /// and busy_lanes / imbalance over those sums (finalize_balance).
+  ScheduleReport schedule;
+  /// Simulated backends only: every merged batch's modeled counters and
+  /// time breakdown, merged (merge_modeled).
+  std::optional<gpusim::KernelStats> kernel_stats;
+  std::optional<gpusim::TimeBreakdown> time_breakdown;
   /// Host wall-clock the align workers spent running + delivering batches;
   /// its mean per batch is the latency yardstick of bench/service_mux.
   double batch_wall_ms = 0.0;
@@ -114,8 +136,9 @@ class AlignService {
   const AlignerOptions& options() const { return options_; }
   const ServiceOptions& service_options() const { return service_; }
 
-  /// Opens a session with the given QoS knobs (weight must be > 0). Throws
-  /// std::runtime_error once the service is stopped.
+  /// Opens a session with the given QoS knobs. Throws std::invalid_argument
+  /// unless opts.weight is finite and > 0, and std::runtime_error once the
+  /// service is stopped.
   SessionId open(SessionOptions opts = {});
 
   /// Admits every pair of `pairs` into the session's queue, in order,

@@ -31,7 +31,8 @@ kernels::SalobaConfig recommend_config(const DatasetStats& stats);
 /// Banded workloads (DatasetStats::banded) are judged by the CV of their
 /// in-band cell counts — a banded shard costs O(n·band) cells, not O(n·m),
 /// so length skew alone no longer forces extra shards.
-/// core::StreamAligner applies this per chunk by default.
+/// core::AlignService applies this to every merged batch (and so
+/// StreamAligner to every chunk).
 SchedulerOptions recommend_scheduler(const DatasetStats& stats, int lanes = 1);
 
 /// Cost-aware overload for heterogeneous backends: `lane_weights` are the

@@ -1,8 +1,8 @@
-// Pull-model sources of PairBatch chunks — the ingest vocabulary shared by
-// the single-stream pipeline (core::StreamAligner) and per-session feeds of
-// the multi-tenant service layer (core::AlignService::submit_source).
-// Extracted from core/stream_aligner.hpp so a chunk source no longer drags
-// the whole pipeline definition in with it.
+// Pull-model sources of PairBatch chunks — the ingest vocabulary of the
+// streaming front end (core::StreamAligner, whose reader thread submits
+// each chunk to an AlignService session). Kept apart from
+// core/stream_aligner.hpp so a chunk source does not drag the pipeline
+// definition in with it.
 #pragma once
 
 #include <cstddef>
@@ -14,8 +14,7 @@ namespace saloba::core {
 
 /// Pull-model source of PairBatch chunks. next() overwrites `chunk` with
 /// the next slice of the stream and returns false once exhausted. Called
-/// from one thread at a time (the pipeline's reader thread, or the client
-/// thread feeding a service session).
+/// from one thread at a time (StreamAligner's reader thread).
 class PairChunkSource {
  public:
   virtual ~PairChunkSource() = default;

@@ -15,7 +15,7 @@ enum class Backend {
   kSimulated,  ///< a kernel on the simulated GPU (simulated kernel time)
 };
 
-/// Banded-extension defaults (Sec. VII-B) the Aligner / StreamAligner /
+/// Banded-extension defaults (Sec. VII-B) the Aligner / AlignService /
 /// BatchScheduler stack materializes into batches. A batch's own per-pair
 /// band channel (seq::PairBatch::bands, produced by
 /// seedext::make_extension_jobs) always wins; this policy only applies to
@@ -160,17 +160,18 @@ struct AlignerOptions {
 
 /// Per-tenant quality-of-service knobs for one core::AlignService session.
 struct SessionOptions {
-  /// Fair-share weight (> 0): under contention, the continuous batcher
-  /// grants a session batch capacity proportional to its weight within its
-  /// priority class (weighted round-robin over queued work).
+  /// Fair-share weight, finite and > 0 (AlignService::open throws
+  /// std::invalid_argument otherwise): under contention, the continuous
+  /// batcher grants a session batch capacity proportional to its weight
+  /// within its priority class (weighted round-robin over queued work).
   double weight = 1.0;
   /// Strict priority class: queued work of a higher class is always batched
   /// before any lower class; weights arbitrate only within one class.
   int priority = 0;
   /// Admission cap in queued (undispatched) pairs, 0 = the service-wide
   /// default (ServiceOptions::max_queued_pairs_per_session). submit()
-  /// blocks — backpressure, not unbounded memory — while the session
-  /// already holds this many pairs.
+  /// blocks while the session already has this many pairs queued; pairs
+  /// in flight or delivered and not yet polled do not count.
   std::size_t max_queued_pairs = 0;
 };
 
@@ -186,17 +187,14 @@ struct ServiceOptions {
   /// SessionOptions::max_queued_pairs).
   std::size_t max_queued_pairs_per_session = 4096;
   /// Global in-flight cap: at most this many merged batches may sit between
-  /// the batcher and the align workers. Together with the admission caps
-  /// this bounds total resident pairs; the batcher blocks when it is hit.
+  /// the batcher and the align workers; the batcher blocks when it is hit.
+  /// With the admission caps this bounds the pairs waiting to be aligned —
+  /// not the delivered results, which wait in their session until polled.
   std::size_t max_inflight_batches = 4;
   /// Concurrent align workers. Above 1, each worker owns its own backend
-  /// replica (built from the same AlignerOptions), exactly like
-  /// StreamOptions::align_threads.
+  /// replica (built from the same AlignerOptions), so simulated lanes are
+  /// never shared across threads.
   std::size_t align_threads = 1;
-  /// Derive SchedulerOptions per merged batch via core::recommend_scheduler
-  /// (the StreamAligner default); false falls back to the AlignerOptions
-  /// scheduler fields.
-  bool autotune_schedule = true;
 };
 
 /// Splits an AlignerOptions::device value into its comma-separated preset

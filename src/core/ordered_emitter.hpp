@@ -1,11 +1,10 @@
-// In-order emission of out-of-order completions — the reorder stage shared
-// by the streaming merger (core/stream_aligner.cpp) and the per-session
-// result channels of core::AlignService. Completions arrive tagged with a
-// dense index (chunk index, session segment sequence); push() buffers
-// out-of-order arrivals and hands every maximal ready prefix to the sink in
-// index order. Extracted from StreamAligner's merger so the streamed ==
-// one-shot ordering invariant is locked at the unit level
-// (tests/core/ordered_emitter_test.cpp), not just end to end.
+// In-order emission of out-of-order completions — the reorder stage of
+// core::AlignService's per-session result channels. Completions arrive
+// tagged with a dense index (the session's segment sequence: align workers
+// finish merged batches out of order); push() buffers out-of-order arrivals
+// and hands every maximal ready prefix to the sink in index order. The
+// ordering invariant behind streamed == one-shot is locked at the unit
+// level (tests/core/ordered_emitter_test.cpp), not just end to end.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +16,8 @@
 
 namespace saloba::core {
 
-/// Not thread-safe: callers serialize push() themselves (the streaming
-/// merger runs on one thread; AlignService pushes under the service lock).
+/// Not thread-safe: callers serialize push() themselves (AlignService
+/// pushes under the service lock).
 /// The sink must not reenter push().
 template <typename T>
 class OrderedEmitter {

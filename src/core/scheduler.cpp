@@ -127,8 +127,9 @@ AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   // and is forwarded untouched (no copy on that path, nor when unbanded).
   // The materialization copies the batch once — callers for whom that
   // transient copy matters at scale should attach per-pair bands themselves
-  // (seedext jobs do) or stream: StreamAligner materializes each chunk in
-  // place inside its residency budget.
+  // (seedext jobs do) or stream: AlignService::submit materializes each
+  // submitted batch in place, so StreamAligner does so per chunk inside
+  // its residency budget.
   if (options_.band.banded() && !batch.has_band_info() && batch.size() > 0) {
     seq::PairBatch banded = batch;
     materialize_bands(banded, options_.band);

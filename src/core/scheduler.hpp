@@ -59,6 +59,8 @@ struct SchedulerOptions {
   /// Like max_shard_pairs but for BatchScheduler::chain — capped shards let
   /// a fast lane own several like-cost runs (weighted LPT on anchor work).
   std::size_t max_shard_chain_tasks = 0;
+
+  bool operator==(const SchedulerOptions&) const = default;
 };
 
 /// How a batch was executed: shard count and per-lane time accounting.
@@ -84,7 +86,7 @@ struct ScheduleReport {
 /// Folds one run's optional simulated counters and time breakdown
 /// (`kernel_stats` / `time_breakdown`, present on simulated backends only)
 /// into an aggregate's — the one merge rule for the scheduler's shard and
-/// phase merges and the streaming merger (stream_aligner.cpp).
+/// phase merges and AlignService's run totals (align_service.cpp).
 template <typename Into, typename From>
 void merge_modeled(Into& into, const From& from) {
   if (from.kernel_stats) {
@@ -99,8 +101,8 @@ void merge_modeled(Into& into, const From& from) {
 
 /// Derives `busy_lanes` and `imbalance` from an already-filled `lane_ms` /
 /// `makespan_ms` (all-lane normalization, see ScheduleReport::imbalance) —
-/// shared by the scheduler's phase runner and the streaming aggregate
-/// (stream_aligner.cpp), so the two call sites cannot drift apart again.
+/// shared by the scheduler's phase runner and AlignService's batch-serialized
+/// totals (ServiceStats::schedule), so the two cannot drift apart again.
 void finalize_balance(ScheduleReport& report);
 
 struct AlignOutput {

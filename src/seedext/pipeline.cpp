@@ -10,7 +10,6 @@
 #include "align/traceback_engine.hpp"
 #include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
-#include "seq/sam.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -380,32 +379,6 @@ StreamMapStats ReadMapper::map_stream(
     const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
     std::size_t queue_capacity) const {
   return run_map_stream(*this, reader, extend, &trace, sink, queue_capacity);
-}
-
-StreamMapStats ReadMapper::map_stream(seq::SequenceChunkReader& reader,
-                                      const BatchExtender& extend, seq::SamWriter& writer,
-                                      const std::string& reference_name,
-                                      std::size_t queue_capacity) const {
-  return map_stream(
-      reader, extend,
-      [&](const seq::Sequence& read, const ReadMapping& mapping) {
-        writer.write(to_sam_record(*this, read, mapping, reference_name));
-      },
-      queue_capacity);
-}
-
-StreamMapStats ReadMapper::map_stream(seq::SequenceChunkReader& reader,
-                                      const BatchExtender& extend,
-                                      const TracedBatchExtender& trace,
-                                      seq::SamWriter& writer,
-                                      const std::string& reference_name,
-                                      std::size_t queue_capacity) const {
-  return map_stream(
-      reader, extend, trace,
-      [&](const seq::Sequence& read, const ReadMapping& mapping) {
-        writer.write(to_sam_record(*this, read, mapping, reference_name));
-      },
-      queue_capacity);
 }
 
 std::vector<ExtensionJob> ReadMapper::collect_jobs(

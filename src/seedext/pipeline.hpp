@@ -25,7 +25,6 @@
 
 namespace saloba::seq {
 class SequenceChunkReader;  // seq/chunk_reader.hpp
-class SamWriter;            // seq/sam.hpp
 }  // namespace saloba::seq
 
 namespace saloba::core {
@@ -190,14 +189,6 @@ class ReadMapper {
                                        core::SessionOptions session = {},
                                        ChainStageStats* chain_stats = nullptr) const;
 
-  /// The traceback stage of the batched path, exposed for callers that
-  /// already hold mappings: fills `traced`/`has_traceback` of every mapped
-  /// entry from one batched trace run. `reads` and `mappings` must be the
-  /// map_batch inputs/outputs, index-aligned.
-  void attach_tracebacks(std::span<const std::vector<seq::BaseCode>> reads,
-                         std::span<ReadMapping> mappings,
-                         const TracedBatchExtender& trace) const;
-
   /// Streaming Sec. V-D pipeline: a reader thread pulls SequenceChunks from
   /// `reader` through a bounded queue (capacity `queue_capacity` chunks of
   /// backpressure) while the calling thread maps each chunk — seeding and
@@ -215,27 +206,14 @@ class ReadMapper {
 
   /// Streaming with the traceback phase: each chunk's mappings arrive at
   /// `sink` with `traced` populated (map_batch(reads, extend, trace) per
-  /// chunk), still in input order.
+  /// chunk), still in input order. A sink that writes
+  /// seedext::to_sam_record(...) is constant-memory FASTQ-to-SAM with
+  /// batched CIGARs.
   StreamMapStats map_stream(
       seq::SequenceChunkReader& reader, const BatchExtender& extend,
       const TracedBatchExtender& trace,
       const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
       std::size_t queue_capacity = 4) const;
-
-  /// map_stream writing SAM records incrementally (seedext::to_sam_record)
-  /// as each chunk completes — constant-memory FASTQ-to-SAM.
-  StreamMapStats map_stream(seq::SequenceChunkReader& reader, const BatchExtender& extend,
-                            seq::SamWriter& writer,
-                            const std::string& reference_name = "synthetic",
-                            std::size_t queue_capacity = 4) const;
-
-  /// Streaming FASTQ-to-SAM with batched CIGARs: the traceback phase runs
-  /// per chunk through `trace` and to_sam_record consumes the stored
-  /// traces directly.
-  StreamMapStats map_stream(seq::SequenceChunkReader& reader, const BatchExtender& extend,
-                            const TracedBatchExtender& trace, seq::SamWriter& writer,
-                            const std::string& reference_name = "synthetic",
-                            std::size_t queue_capacity = 4) const;
 
   /// Extracts every extension job the given reads generate (best strand,
   /// all surviving chains) — the kernel workload of Fig. 2 / Fig. 8.
@@ -246,6 +224,13 @@ class ReadMapper {
   std::vector<Seed> seeds_of(std::span<const seq::BaseCode> read) const;
 
  private:
+  /// The traceback stage of map_batch(reads, extend, trace): fills
+  /// `traced`/`has_traceback` of every mapped entry from one batched trace
+  /// run. `reads` and `mappings` are index-aligned.
+  void attach_tracebacks(std::span<const std::vector<seq::BaseCode>> reads,
+                         std::span<ReadMapping> mappings,
+                         const TracedBatchExtender& trace) const;
+
   struct StrandResult {
     std::vector<Chain> chains;
     std::int64_t coverage = 0;  ///< best chain score (strand selector)

@@ -15,7 +15,7 @@ namespace saloba::seedext {
 /// The genome window a mapped read's CIGAR is defined over: the mapped
 /// position padded by max(32, len / 5) of slack on both sides (gaps may
 /// shift the true start), clamped to the genome. Shared by the batched
-/// traceback stage (ReadMapper::attach_tracebacks) and to_sam_record so the
+/// traceback stage of ReadMapper::map_batch and to_sam_record so the
 /// two can never disagree about coordinates.
 struct MappedWindow {
   std::size_t start = 0;  ///< 0-based first genome base of the window

@@ -1,21 +1,18 @@
-// Blocking bounded MPMC queue with close semantics — the backpressure
-// primitive of the streaming alignment pipeline (reader → scheduler →
-// merger; see core/stream_aligner.hpp). push() blocks while the queue is
-// full, pop() blocks while it is empty; close() wakes every waiter: pending
-// and future pushes fail, pops drain the remaining items and then report
-// exhaustion. Pipeline threads therefore always join cleanly, whether the
-// stream ended, a consumer gave up, or a stage failed.
+// Blocking bounded MPMC queue with close semantics. push() blocks while the
+// queue is full, pop() blocks while it is empty; close() wakes every
+// waiter: pending and future pushes fail, pops drain the remaining items
+// and then report exhaustion. Threads blocked on a queue therefore always
+// join cleanly once it closes. Users: AlignService's in-flight merged
+// batches, StreamAligner's residency tickets and ReadMapper::map_stream's
+// chunk queue.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
-
-#include "util/cancel_token.hpp"
 
 namespace saloba::util {
 
@@ -40,34 +37,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Cancel-aware push: like push(), but additionally returns false (and
-  /// drops `item`) as soon as `cancel` trips — a producer blocked on a full
-  /// queue can never outlive the session or service it feeds.
-  bool push(T item, const CancelToken& cancel) {
-    CancelSubscription wake(cancel, [this] { interrupt(); });
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return closed_ || cancel.cancelled() || items_.size() < capacity_;
-    });
-    if (closed_ || cancel.cancelled()) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push: false when full or closed (item left untouched on
-  /// failure so the caller can retry or bail).
-  bool try_push(T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed and drained;
   /// std::nullopt means "no more items, ever".
   std::optional<T> pop() {
@@ -77,54 +46,6 @@ class BoundedQueue {
     std::optional<T> item(std::move(items_.front()));
     items_.pop_front();
     lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Cancel-aware pop: like pop(), but returns std::nullopt as soon as
-  /// `cancel` trips, even if items remain queued — cancellation means "stop
-  /// consuming now", not "finish the backlog". Close-then-drain semantics
-  /// are unchanged when the token never fires.
-  std::optional<T> pop(const CancelToken& cancel) {
-    CancelSubscription wake(cancel, [this] { interrupt(); });
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock,
-                    [&] { return closed_ || cancel.cancelled() || !items_.empty(); });
-    if (cancel.cancelled() || items_.empty()) return std::nullopt;
-    std::optional<T> item(std::move(items_.front()));
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Timed pop: blocks at most `timeout`, then returns std::nullopt. Also
-  /// std::nullopt when the queue closes while waiting and nothing is left
-  /// to drain — callers distinguish the two via closed() if they care.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [this] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;  // timed out
-    }
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    std::optional<T> item(std::move(items_.front()));
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop: std::nullopt when currently empty (closed or not).
-  std::optional<T> try_pop() {
-    std::optional<T> item;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (items_.empty()) return item;
-      item.emplace(std::move(items_.front()));
-      items_.pop_front();
-    }
     not_full_.notify_one();
     return item;
   }
@@ -153,15 +74,6 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Cancel callback: re-evaluate every wait predicate. Taking (and
-  /// dropping) the mutex before notifying closes the missed-wakeup race
-  /// with a waiter that checked its predicate but has not gone to sleep yet.
-  void interrupt() {
-    { std::lock_guard<std::mutex> lock(mutex_); }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;

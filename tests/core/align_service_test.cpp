@@ -13,12 +13,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "../support/test_support.hpp"
 #include "core/aligner.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::core {
 namespace {
@@ -198,6 +200,35 @@ TEST(AlignService, TracebackPhaseIsAttributedToTenants) {
   const SessionStats st = service.session_stats(id);
   EXPECT_EQ(st.traceback_cells, direct.traceback_cells);
   EXPECT_GT(st.traceback_ms, 0.0);
+}
+
+TEST(AlignService, ServiceTotalsMatchOneShot) {
+  // One session aligned as one merged batch: the service totals are that
+  // batch's AlignOutput figures — what StreamAligner::run and
+  // align_streamed report. Uniform lengths keep the autotuned schedule at
+  // one shard per lane, the one-shot Aligner's default.
+  AlignerOptions opts = sim_options();
+  opts.devices = 2;
+  opts.traceback = true;
+  auto batch = saloba::testing::related_batch(1003, 40, 90, 100);
+  const AlignOutput direct = Aligner(opts).align(batch);
+
+  ServiceOptions svc;
+  svc.batch_pairs = batch.size();
+  AlignService service(opts, svc);
+  SessionId id = service.open();
+  ASSERT_TRUE(service.submit(id, batch));
+  service.finish(id);
+  drain_session(service, id);
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.cells, direct.cells);
+  EXPECT_EQ(st.traceback_cells, direct.traceback_cells);
+  EXPECT_EQ(st.schedule.shards, direct.schedule.shards);
+  EXPECT_EQ(st.schedule.lane_ms.size(), direct.schedule.lane_ms.size());
+  ASSERT_TRUE(st.kernel_stats.has_value());
+  ASSERT_TRUE(direct.kernel_stats.has_value());
+  EXPECT_EQ(st.kernel_stats->totals.dp_cells, direct.kernel_stats->totals.dp_cells);
 }
 
 TEST(AlignService, EmptyBatchAndEmptySessionAreWellFormed) {
@@ -504,6 +535,40 @@ TEST(AlignService, StopRacingAlignNeverAborts) {
   if (!threw) {
     EXPECT_EQ(got.results, Aligner(opts).align(batch).results);
   }
+}
+
+TEST(AlignService, BackendFailureReachesEveryCaller) {
+  // The simulated ADEPT kernel rejects pairs over 1,024 bp. Its error must
+  // reach the failing session's poll and another session's submit and
+  // poll, and stop() must still join every thread.
+  AlignerOptions opts = sim_options();
+  opts.kernel = "adept";
+  AlignService service(opts);
+  SessionId failing = service.open();
+  SessionId other = service.open();
+  ASSERT_TRUE(service.submit(failing, saloba::testing::related_batch(1004, 1, 1030, 1030)));
+  service.finish(failing);
+  EXPECT_THROW(service.poll(failing), kernels::KernelUnsupportedError);
+  EXPECT_THROW(service.submit(other, saloba::testing::related_batch(1005, 4, 60, 80)),
+               kernels::KernelUnsupportedError);
+  EXPECT_THROW(service.poll(other), kernels::KernelUnsupportedError);
+  service.stop();
+}
+
+TEST(AlignService, OpenRejectsBadWeightsAndKeepsServing) {
+  // A bad weight is one tenant's input error: open() throws instead of
+  // aborting the process (0, -1, NaN) or turning the fair-share targets
+  // into NaN (+inf), and the service keeps serving valid sessions.
+  AlignerOptions opts;  // CPU
+  AlignService service(opts);
+  for (double weight : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    SessionOptions sopts;
+    sopts.weight = weight;
+    EXPECT_THROW(service.open(sopts), std::invalid_argument) << "weight " << weight;
+  }
+  auto batch = saloba::testing::related_batch(1006, 24, 60, 80);
+  EXPECT_EQ(service.align(batch).results, Aligner(opts).align(batch).results);
 }
 
 TEST(AlignServiceDeath, SubmitAfterFinishIsRejected) {

@@ -1,7 +1,7 @@
-// OrderedEmitter: the reorder stage shared by the streaming merger and the
-// AlignService per-session channels. Locks the invariant both lean on — the
-// sink sees indices 0, 1, 2, ... with no gaps or duplicates, for every
-// arrival order — at the unit level.
+// OrderedEmitter: the reorder stage of AlignService's per-session channels
+// (and so of StreamAligner, one session of a service). Locks the invariant
+// both lean on — the sink sees indices 0, 1, 2, ... with no gaps or
+// duplicates, for every arrival order — at the unit level.
 #include "core/ordered_emitter.hpp"
 
 #include <gtest/gtest.h>

@@ -1,21 +1,25 @@
 // StreamAligner invariants: a streamed run is bit-identical to the one-shot
-// Aligner::align path (same results, same order) on both backends, the
-// merger restores input order even with concurrent align workers, residency
-// never exceeds the chunk budget, degenerate inputs yield well-formed
-// outputs, and shutting the pipeline down early (source/sink failure) joins
-// every thread cleanly and rethrows.
+// Aligner::align path (same results, same order) on both backends, chunks
+// reach the sink in input order even with concurrent align workers,
+// residency never exceeds the chunk budget (a slow sink included),
+// degenerate inputs yield well-formed outputs, and shutting the pipeline
+// down early (source, sink or backend failure) joins every thread cleanly
+// and rethrows.
 #include "core/stream_aligner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "../support/test_support.hpp"
 #include "core/aligner.hpp"
 #include "core/workload.hpp"
+#include "kernels/kernel_iface.hpp"
 #include "seq/fasta.hpp"
 
 namespace saloba::core {
@@ -92,26 +96,6 @@ TEST(StreamAligner, StreamedBandPolicyBitIdenticalToOneShot) {
                 expected.kernel_stats->totals.dp_cells_skipped);
     }
   }
-}
-
-TEST(StreamAligner, ExplicitSchedulePreservesAlignerBandPolicy) {
-  // Regression: pinning StreamOptions::schedule (a results-neutral tuning
-  // override) must not silently discard the AlignerOptions band policy —
-  // streamed stays bit-identical to one-shot for the same AlignerOptions.
-  auto batch = saloba::testing::imbalanced_batch(808, 30, 10, 250);
-  AlignerOptions opts;
-  opts.band = 9;
-  auto expected = Aligner(opts).align(batch);
-
-  StreamOptions stream;
-  stream.chunk_pairs = 5;
-  SchedulerOptions pinned;
-  pinned.max_shard_pairs = 3;  // tuning only; band left unset
-  stream.schedule = pinned;
-  StreamAligner streamer(opts, stream);
-  auto out = streamer.align_streamed(batch);
-  EXPECT_EQ(out.results, expected.results);
-  EXPECT_EQ(out.cells, expected.cells);
 }
 
 TEST(StreamAligner, MixedBandSourceBatchUnderPolicyStaysOneShotIdentical) {
@@ -212,6 +196,30 @@ TEST(StreamAligner, ResidencyStaysWithinChunkBudget) {
   EXPECT_LE(stats.peak_resident_pairs, stream.chunk_pairs * stream.queue_capacity);
 }
 
+TEST(StreamAligner, SlowSinkKeepsResidencyWithinBudget) {
+  // Three align workers outpace a sink that sleeps per chunk, so finished
+  // chunks wait unpolled in the service: the tickets, not the service's
+  // caps, must still hold residency to chunk_pairs x queue_capacity.
+  auto batch = saloba::testing::related_batch(812, 48, 60, 80);
+  StreamOptions stream;
+  stream.chunk_pairs = 4;
+  stream.queue_capacity = 2;
+  stream.align_threads = 3;
+  StreamAligner streamer(AlignerOptions{}, stream);
+  ResidentChunkSource source(batch, stream.chunk_pairs);
+  std::vector<align::AlignmentResult> results(batch.size());
+  auto stats = streamer.run(source, [&](std::size_t, std::size_t first_pair,
+                                        AlignOutput&& out) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::copy(out.results.begin(), out.results.end(),
+              results.begin() + static_cast<std::ptrdiff_t>(first_pair));
+  });
+  EXPECT_EQ(stats.chunks, batch.size() / stream.chunk_pairs);
+  EXPECT_LE(stats.peak_resident_pairs, 8u);
+  EXPECT_LE(stats.peak_resident_chunks, 2u);
+  EXPECT_EQ(results, Aligner(AlignerOptions{}).align(batch).results);
+}
+
 TEST(StreamAligner, EmptyStreamYieldsWellFormedOutput) {
   // Degenerate-input guard: no chunks at all must still produce zeroed,
   // NaN-free stats and a well-formed AlignOutput.
@@ -275,6 +283,33 @@ TEST(StreamAligner, SinkFailureShutsPipelineDownCleanly) {
                               if (index == 2) throw std::runtime_error("sink full");
                             }),
                std::runtime_error);
+}
+
+TEST(StreamAligner, BackendFailureShutsPipelineDownCleanly) {
+  // The simulated ADEPT kernel rejects pairs over 1,024 bp; one sits in the
+  // middle chunk. With two align workers the error must reach run(), every
+  // thread must join, no chunk after the failure may reach the sink, and
+  // the next run (a fresh service) must not inherit the failure.
+  auto batch = saloba::testing::related_batch(813, 12, 60, 80);
+  auto too_long = saloba::testing::related_batch(814, 1, 1030, 1030);
+  batch.queries[5] = too_long.queries[0];
+  batch.refs[5] = too_long.refs[0];
+  AlignerOptions opts = sim_options();
+  opts.kernel = "adept";
+  StreamOptions stream;
+  stream.chunk_pairs = 4;  // chunks [0, 4), [4, 8) holding the bad pair, [8, 12)
+  stream.align_threads = 2;
+  StreamAligner streamer(opts, stream);
+  ResidentChunkSource source(batch, stream.chunk_pairs);
+  std::vector<std::size_t> emitted;
+  EXPECT_THROW(streamer.run(source, [&](std::size_t index, std::size_t, AlignOutput&&) {
+    emitted.push_back(index);
+  }),
+               kernels::KernelUnsupportedError);
+  for (std::size_t index : emitted) EXPECT_EQ(index, 0u);
+
+  auto good = saloba::testing::related_batch(815, 12, 60, 80);
+  EXPECT_EQ(streamer.align_streamed(good).results, Aligner(opts).align(good).results);
 }
 
 TEST(StreamAligner, ReaderPairSourceZipsTwoStreams) {

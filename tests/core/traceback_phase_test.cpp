@@ -129,22 +129,6 @@ TEST(TracebackPhase, StreamStatsReportThePhaseSplit) {
   EXPECT_GT(stats.traceback_cells, 0u);
 }
 
-TEST(TracebackPhase, ExplicitStreamScheduleCanEnableTraceback) {
-  AlignerOptions opts;  // AlignerOptions::traceback off...
-  StreamOptions stream;
-  stream.chunk_pairs = 16;
-  SchedulerOptions sched;
-  sched.traceback = true;  // ...but the explicit schedule turns the phase on
-  stream.schedule = sched;
-  StreamAligner aligner(opts, stream);
-  auto batch = saloba::testing::related_batch(17, 20, 50, 70);
-  auto out = aligner.align_streamed(batch);
-  ASSERT_EQ(out.traced.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(out.traced[i].end, out.results[i]) << "pair " << i;
-  }
-}
-
 TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   seq::PairBatch batch;
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // perfect match

@@ -5,7 +5,8 @@
 // golden oracle, and every path through core::Aligner (whose host lanes run
 // the SIMD engine) must emit byte-identical SAM: the engine fallback inside
 // to_sam_record, the batched map_batch(reads, extend, trace) pipeline, and
-// the streamed map_stream(..., trace, writer) pipeline. Streamed ==
+// the streamed map_stream(reader, extend, trace, sink) pipeline with a sink
+// writing to_sam_record — the entry point mapbench drives. Streamed ==
 // one-shot, byte for byte, with traceback enabled.
 #include <sstream>
 
@@ -173,9 +174,12 @@ TEST(GoldenSam, StreamedTracebackSamMatchesOneShotAndLegacy) {
   seq::FastqChunkReader reader(fastq, /*chunk_records=*/13);
   std::ostringstream streamed;
   seq::SamWriter writer(streamed, f.header());
-  auto stats = f.mapper->map_stream(reader, aligner.batch_extender(),
-                                    aligner.traced_extender(), writer, "chrT",
-                                    /*queue_capacity=*/3);
+  auto stats = f.mapper->map_stream(
+      reader, aligner.batch_extender(), aligner.traced_extender(),
+      [&](const seq::Sequence& read, const ReadMapping& mapping) {
+        writer.write(to_sam_record(*f.mapper, read, mapping, "chrT"));
+      },
+      /*queue_capacity=*/3);
   EXPECT_EQ(stats.reads, f.reads.size());
   EXPECT_GT(stats.chunks, 1u);
   EXPECT_EQ(streamed.str(), want);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "align/batch.hpp"
+#include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
 #include "seq/fasta.hpp"
 #include "seq/random_genome.hpp"
@@ -234,7 +235,12 @@ TEST(Pipeline, MapStreamWritesSamIncrementally) {
   seq::SamHeader header;
   header.reference_length = genome.size();
   seq::SamWriter writer(sam_text, header);
-  auto stats = mapper.map_stream(reader, cpu_extender, writer, "chrT", 2);
+  auto stats = mapper.map_stream(
+      reader, cpu_extender,
+      [&](const seq::Sequence& read, const ReadMapping& mapping) {
+        writer.write(to_sam_record(mapper, read, mapping, "chrT"));
+      },
+      2);
 
   EXPECT_EQ(stats.reads, reads.size());
   EXPECT_EQ(writer.records_written(), reads.size());

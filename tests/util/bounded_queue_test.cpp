@@ -27,17 +27,6 @@ TEST(BoundedQueue, FifoWithinCapacity) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueue, TryPushFailsWhenFullTryPopWhenEmpty) {
-  BoundedQueue<int> q(1);
-  int v = 7;
-  EXPECT_TRUE(q.try_push(v));
-  int w = 8;
-  EXPECT_FALSE(q.try_push(w));
-  EXPECT_EQ(w, 8);  // left untouched on failure
-  EXPECT_EQ(*q.try_pop(), 7);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
 TEST(BoundedQueue, PushBlocksUntilPopMakesRoom) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.push(1));
@@ -118,136 +107,6 @@ TEST(BoundedQueue, MpmcDeliversEveryItemExactlyOnce) {
   const int n = kProducers * kPerProducer;
   EXPECT_EQ(count.load(), n);
   EXPECT_EQ(total.load(), static_cast<long long>(n) * (n - 1) / 2);
-}
-
-TEST(BoundedQueue, PopForReturnsQueuedItemImmediately) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(9));
-  auto v = q.pop_for(std::chrono::milliseconds(0));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 9);
-}
-
-TEST(BoundedQueue, PopForTimesOutOnEmptyQueue) {
-  BoundedQueue<int> q(2);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(30)).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(25));
-  EXPECT_FALSE(q.closed());  // a timeout is not a shutdown
-}
-
-TEST(BoundedQueue, PopForWakesOnCloseWhileWaiting) {
-  // The timed wait must not sleep out its full timeout across a shutdown:
-  // close() wakes it immediately with the end-of-stream answer.
-  BoundedQueue<int> q(1);
-  std::thread consumer([&] {
-    EXPECT_FALSE(q.pop_for(std::chrono::seconds(30)).has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, PopForWakesOnPushWhileWaiting) {
-  BoundedQueue<int> q(1);
-  std::thread consumer([&] {
-    auto v = q.pop_for(std::chrono::seconds(30));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 5);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(q.push(5));
-  consumer.join();
-}
-
-TEST(BoundedQueue, CancelAwarePopReturnsNulloptWhenAlreadyCancelled) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(1));  // items remain, but cancellation wins
-  CancelToken cancel;
-  cancel.cancel();
-  EXPECT_FALSE(q.pop(cancel).has_value());
-  EXPECT_EQ(q.size(), 1u);  // the item was not consumed
-}
-
-TEST(BoundedQueue, CancelWakesBlockedPop) {
-  BoundedQueue<int> q(1);
-  CancelToken cancel;
-  std::thread consumer([&] { EXPECT_FALSE(q.pop(cancel).has_value()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.cancel();
-  consumer.join();
-  EXPECT_FALSE(q.closed());  // cancellation interrupted the wait, not the queue
-}
-
-TEST(BoundedQueue, CancelWakesBlockedPush) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));  // full: the next push blocks
-  CancelToken cancel;
-  std::thread producer([&] { EXPECT_FALSE(q.push(1, cancel)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.cancel();
-  producer.join();
-  EXPECT_EQ(q.size(), 1u);  // the cancelled item was dropped, not queued
-}
-
-TEST(BoundedQueue, CancelAwareOpsStillHonourCloseSemantics) {
-  // With a token that never fires, the cancel-aware overloads behave
-  // exactly like push()/pop(): close-then-drain, then end of stream.
-  BoundedQueue<int> q(4);
-  CancelToken cancel;
-  EXPECT_TRUE(q.push(1, cancel));
-  EXPECT_TRUE(q.push(2, cancel));
-  q.close();
-  EXPECT_FALSE(q.push(3, cancel));
-  EXPECT_EQ(*q.pop(cancel), 1);
-  EXPECT_EQ(*q.pop(cancel), 2);
-  EXPECT_FALSE(q.pop(cancel).has_value());
-}
-
-TEST(BoundedQueue, ManyWaitersAllWakeOnOneCancel) {
-  // A single token shared by several blocked consumers and producers (the
-  // AlignService shutdown shape): one cancel() must wake every waiter.
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));
-  CancelToken cancel;
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 3; ++i) {
-    waiters.emplace_back([&] { EXPECT_FALSE(q.push(1, cancel)); });
-  }
-  BoundedQueue<int> empty(1);
-  for (int i = 0; i < 3; ++i) {
-    waiters.emplace_back([&] { EXPECT_FALSE(empty.pop(cancel).has_value()); });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.cancel();
-  for (auto& t : waiters) t.join();
-}
-
-TEST(CancelToken, SubscribeAfterCancelRunsCallbackImmediately) {
-  CancelToken cancel;
-  cancel.cancel();
-  bool ran = false;
-  { CancelSubscription sub(cancel, [&] { ran = true; }); }
-  EXPECT_TRUE(ran);
-}
-
-TEST(CancelToken, UnsubscribedCallbackDoesNotRun) {
-  CancelToken cancel;
-  bool ran = false;
-  { CancelSubscription sub(cancel, [&] { ran = true; }); }  // RAII unsubscribe
-  cancel.cancel();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(cancel.cancelled());
-}
-
-TEST(CancelToken, CancelIsIdempotentAndRunsEachCallbackOnce) {
-  CancelToken cancel;
-  int runs = 0;
-  CancelSubscription sub(cancel, [&] { ++runs; });
-  cancel.cancel();
-  cancel.cancel();
-  EXPECT_EQ(runs, 1);
 }
 
 TEST(BoundedQueue, MoveOnlyPayloads) {
