@@ -7,13 +7,14 @@
 //   2. Every traced endpoint equals its score-pass result and the SAM
 //      records the batched pipeline emits are byte-identical to the legacy
 //      per-read full-matrix recompute.
-//   3. The batched CIGAR pipeline (ReadMapper::map_batch with the traceback
-//      stage: one host-parallel linear-memory batch) beats the legacy path —
-//      a serial O(N*M)-memory smith_waterman_traceback per mapped read on
-//      the caller thread — on wall clock. The workload is long reads, where
-//      the full matrix (tens of MB per read) thrashes and the engine's
-//      O(rows·band) working set does not; on multi-core hosts the batch
-//      additionally parallelizes while the legacy path cannot.
+//   3. The batched CIGAR pipeline (ReadMapper::map_batch with a traced
+//      Aligner's extender: every mapped window traced as one batch on the
+//      host engine's lanes) beats the legacy path — a serial
+//      O(N*M)-memory smith_waterman_traceback per mapped read on the caller
+//      thread — on wall clock. The workload is long reads, where the full
+//      matrix (tens of MB per read) thrashes and the engine's linear-memory
+//      working set does not; on multi-core hosts the batch additionally
+//      parallelizes while the legacy path cannot.
 //   4. The simulated backend reports the score-vs-traceback phase split
 //      (AlignOutput::time_ms vs traceback_ms, the Phase::kTraceback counters).
 // Any violation exits 1.
@@ -154,6 +155,9 @@ int main(int argc, char** argv) {
   // Plain score-pass aligner for the extension stage: the traceback phase
   // belongs to the window batch, not to every extension job.
   core::Aligner aligner{core::AlignerOptions{}};
+  core::AlignerOptions trace_opts;
+  trace_opts.traceback = true;
+  core::Aligner trace_aligner(trace_opts);
 
   // Legacy: extension-batched mapping, then one full-matrix traceback per
   // mapped read, serial on the caller thread (the pre-refactor
@@ -175,17 +179,15 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  // Batched: the traceback stage runs as one host-parallel linear-memory
-  // batch (null trace = the mapper's in-process engine; a traced extender
-  // routes the same batch through the scheduler instead) and to_sam_record
-  // just consumes the stored CIGARs.
+  // Batched: the traceback stage runs as one batch through the traced
+  // aligner's scheduler and to_sam_record just consumes the stored CIGARs.
   std::vector<seedext::ReadMapping> mappings;
   auto time_batched = [&](int repeats, double& ms_out) {
     std::vector<seq::SamRecord> out;
     for (int rep = 0; rep < repeats; ++rep) {
       util::Timer timer;
       auto m = mapper.map_batch(read_seqs, aligner.batch_extender(),
-                                seedext::TracedBatchExtender{});
+                                trace_aligner.traced_extender());
       out.clear();
       for (std::size_t i = 0; i < reads.size(); ++i) {
         out.push_back(seedext::to_sam_record(mapper, reads[i], m[i], "chrT"));

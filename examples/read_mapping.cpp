@@ -45,8 +45,11 @@ int main(int argc, char** argv) {
   read_seqs.reserve(reads.size());
   for (const auto& r : reads) read_seqs.push_back(r.read.bases);
 
+  // The per-read oracle (per-job CPU extension), host-parallel across reads.
   util::Timer map_timer;
-  auto mappings = mapper.map_batch(read_seqs);
+  std::vector<seedext::ReadMapping> mappings(read_seqs.size());
+  util::parallel_for_indexed(read_seqs.size(),
+                             [&](std::size_t i) { mappings[i] = mapper.map(read_seqs[i]); });
   double map_ms = map_timer.millis();
 
   std::size_t mapped = 0, correct = 0, strand_ok = 0;
@@ -73,7 +76,8 @@ int main(int argc, char** argv) {
 
   // The same mapping with the extension stage batched through the public
   // Aligner/scheduler path (simulated SALoBa kernel) instead of per-job CPU
-  // calls — the paper's Sec. V-D pipeline shape. Mappings must not change.
+  // calls — the paper's Sec. V-D pipeline shape. Mappings must not change:
+  // any disagreement fails the run.
   core::AlignerOptions ext_opts;
   ext_opts.backend = core::Backend::kSimulated;
   ext_opts.kernel = "saloba-sw16";
@@ -89,5 +93,10 @@ int main(int argc, char** argv) {
   std::printf("batched extension through the simulated kernel: %zu/%zu mappings identical "
               "(%.1f ms host)\n",
               agree, mappings.size(), batched_timer.millis());
+  if (agree != mappings.size()) {
+    std::fprintf(stderr, "FAIL: %zu batched mappings differ from the per-read path\n",
+                 mappings.size() - agree);
+    return 1;
+  }
   return 0;
 }

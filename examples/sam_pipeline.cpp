@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
   core::Aligner trace_aligner(trace_opts);
   util::Timer timer;
   // With --traceback the window CIGARs come out of the batched two-phase
-  // pipeline; otherwise to_sam_record traces each record on demand.
+  // pipeline; otherwise (null trace: no traceback stage) to_sam_record
+  // traces each record on demand.
   auto mappings =
-      traceback ? mapper.map_batch(read_seqs, extension_aligner.batch_extender(),
-                                   trace_aligner.traced_extender())
-                : mapper.map_batch(read_seqs, extension_aligner.batch_extender());
+      mapper.map_batch(read_seqs, extension_aligner.batch_extender(),
+                       traceback ? trace_aligner.traced_extender() : nullptr);
 
   std::ofstream sam_file(dir / "alignments.sam");
   seq::SamHeader header;

@@ -9,7 +9,7 @@
 //
 // One streaming pipeline for one tenant or many: core::StreamAligner is a
 // single session of a private service, and read mapping can be one tenant
-// among many (seedext::ReadMapper::map_session). A continuous batcher tops
+// among many (seedext::ReadMapper::map_batch). A continuous batcher tops
 // up full-size merged PairBatches from whichever sessions have queued work
 // (strict priority classes, weighted round-robin within a class), runs them
 // through the unchanged BatchScheduler phases (score pass + optional

@@ -1,13 +1,13 @@
 #include "seedext/pipeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
-#include "align/sw_banded.hpp"
-#include "core/align_service.hpp"
-#include "align/sw_reference.hpp"
-#include "align/traceback_engine.hpp"
+#include "align/batch.hpp"
 #include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
 #include "util/bounded_queue.hpp"
@@ -17,16 +17,42 @@
 
 namespace saloba::seedext {
 
+namespace {
+
+/// MapperParams arrive from outside the library, so a value no index can be
+/// built from is an input error naming its field, not a CHECK abort deep in
+/// the index layer.
+void validate(std::span<const seq::BaseCode> genome, const MapperParams& params) {
+  if (genome.empty()) throw std::invalid_argument("ReadMapper: the genome is empty");
+  if (params.index_shards > 1 && params.use_fm_seeding) {
+    throw std::invalid_argument(
+        "MapperParams::index_shards > 1 shards the k-mer index only, but use_fm_seeding "
+        "is set");
+  }
+  if (!params.use_fm_seeding && (params.k < KmerIndex::kMinK || params.k > KmerIndex::kMaxK)) {
+    throw std::invalid_argument("MapperParams::k must be in [" +
+                                std::to_string(KmerIndex::kMinK) + ", " +
+                                std::to_string(KmerIndex::kMaxK) + "] for k-mer seeding, got " +
+                                std::to_string(params.k));
+  }
+  for (double w : params.index_lane_weights) {
+    if (!std::isfinite(w) || w <= 0.0) {
+      throw std::invalid_argument(
+          "MapperParams::index_lane_weights must be finite and > 0, got " + std::to_string(w));
+    }
+  }
+}
+
+}  // namespace
+
 ReadMapper::ReadMapper(std::vector<seq::BaseCode> genome, MapperParams params)
     : genome_(std::move(genome)), params_(std::move(params)) {
-  SALOBA_CHECK_MSG(!genome_.empty(), "empty genome");
+  validate(genome_, params_);
   // Every index acquisition routes through the shared registry: two mappers
   // over the same reference (same content, k, and sections) share one
   // index instead of each rebuilding — the reference is the invariant,
   // reads are the traffic.
   if (params_.index_shards > 1) {
-    SALOBA_CHECK_MSG(!params_.use_fm_seeding,
-                     "reference sharding covers k-mer seeding only (use_fm_seeding is set)");
     IndexShardingOptions sharding{params_.index_shards, params_.index_lane_weights,
                                   params_.index_path};
     sharded_index_ = std::make_unique<ShardedKmerIndex>(genome_, params_.k, sharding);
@@ -126,78 +152,34 @@ ReadMapping ReadMapper::finalize(const PreparedRead& pre,
 
 ReadMapping ReadMapper::map(std::span<const seq::BaseCode> read) const {
   PreparedRead pre = prepare(read);
-  std::vector<align::AlignmentResult> results(pre.jobs.size());
-  for (std::size_t j = 0; j < pre.jobs.size(); ++j) {
-    // Honor the job's own band so the per-job CPU path stays bit-identical
-    // to the batched path (jobs_to_batch threads the same band to the
-    // extender's backend, CPU or simulated kernel).
-    const ExtensionJob& job = pre.jobs[j];
-    if (job.band == 0) {
-      results[j] = align::smith_waterman(job.ref, job.query, params_.scoring);
-    } else {
-      results[j] = align::smith_waterman_banded(job.ref, job.query, params_.scoring,
-                                                align::BandedParams{job.band, 0})
-                       .result;
-    }
-  }
-  return finalize(pre, results);
-}
-
-std::vector<ReadMapping> ReadMapper::map_batch(
-    std::span<const std::vector<seq::BaseCode>> reads) const {
-  std::vector<ReadMapping> out(reads.size());
-  util::parallel_for_indexed(reads.size(), [&](std::size_t i) { out[i] = map(reads[i]); });
-  return out;
+  // jobs_to_batch carries every job's band, so the scalar oracle aligns each
+  // job exactly as the batched path's extender must.
+  return finalize(pre, align::align_batch(jobs_to_batch(pre.jobs), params_.scoring));
 }
 
 std::vector<ReadMapping> ReadMapper::map_batch(
     std::span<const std::vector<seq::BaseCode>> reads, const BatchExtender& extend,
-    const TracedBatchExtender& trace, ChainStageStats* chain_stats) const {
-  std::vector<ReadMapping> out = map_batch(reads, extend, chain_stats);
-  attach_tracebacks(reads, out, trace);
-  return out;
-}
+    const TracedBatchExtender& trace, MapStats* stats) const {
+  std::vector<ReadMapping> out = map_scores(reads, extend, stats);
+  if (!trace) return out;
 
-std::vector<ReadMapping> ReadMapper::map_session(
-    std::span<const std::vector<seq::BaseCode>> reads, core::AlignService& service,
-    core::SessionOptions session, ChainStageStats* chain_stats) const {
-  // One service tenant per call: each phase batch goes through
-  // AlignService::align, which multiplexes it with whatever other tenants
-  // have queued — same results as a private Aligner, shared capacity.
-  BatchExtender extend = [&](const seq::PairBatch& batch) {
-    return service.align(batch, session).results;
-  };
-  if (service.options().traceback) {
-    TracedBatchExtender trace = [&](const seq::PairBatch& batch) {
-      return std::move(service.align(batch, session).traced);
-    };
-    return map_batch(reads, extend, trace, chain_stats);
-  }
-  return map_batch(reads, extend, chain_stats);
-}
-
-void ReadMapper::attach_tracebacks(std::span<const std::vector<seq::BaseCode>> reads,
-                                   std::span<ReadMapping> mappings,
-                                   const TracedBatchExtender& trace) const {
-  SALOBA_CHECK_MSG(reads.size() == mappings.size(),
-                   "attach_tracebacks got " << mappings.size() << " mappings for "
-                                            << reads.size() << " reads");
-  // One batched trace over every mapped read's (oriented read, genome
-  // window) pair — the same window to_sam_record's CIGAR is defined over.
+  // Stage 4: one batched trace over every mapped read's (oriented read,
+  // genome window) pair — the same window to_sam_record's CIGAR is defined
+  // over.
   std::vector<std::size_t> index;
   seq::PairBatch batch;
-  for (std::size_t i = 0; i < mappings.size(); ++i) {
-    if (!mappings[i].mapped || reads[i].empty()) continue;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!out[i].mapped) continue;
     std::vector<seq::BaseCode> oriented =
-        mappings[i].reverse_strand ? seq::reverse_complement(reads[i]) : reads[i];
-    MappedWindow win = mapped_window(genome_.size(), mappings[i].ref_pos, oriented.size());
+        out[i].reverse_strand ? seq::reverse_complement(reads[i]) : reads[i];
+    MappedWindow win = mapped_window(genome_.size(), out[i].ref_pos, oriented.size());
     batch.add(std::move(oriented),
               std::vector<seq::BaseCode>(
                   genome_.begin() + static_cast<std::ptrdiff_t>(win.start),
                   genome_.begin() + static_cast<std::ptrdiff_t>(win.end)));
     index.push_back(i);
   }
-  if (batch.size() == 0) return;
+  if (batch.size() == 0) return out;
   // Window CIGARs are full-table by definition (the window's slack offsets
   // the alignment diagonal, so an extension-style band around |i - j| = 0
   // would miss it). Mark the batch as carrying explicit full-table bands so
@@ -205,29 +187,20 @@ void ReadMapper::attach_tracebacks(std::span<const std::vector<seq::BaseCode>> r
   // onto these pairs — batch-own bands always win.
   batch.bands.assign(batch.size(), 0);
 
-  std::vector<align::TracedAlignment> traced;
-  if (trace) {
-    traced = trace(batch);
-    SALOBA_CHECK_MSG(traced.size() == batch.size(),
-                     "traced extender returned " << traced.size() << " traces for "
-                                                 << batch.size() << " pairs");
-  } else {
-    // In-process fallback: the linear-memory engine, host-parallel.
-    traced.resize(batch.size());
-    util::parallel_for_indexed(batch.size(), [&](std::size_t p) {
-      traced[p] =
-          align::banded_traceback(batch.refs[p], batch.queries[p], params_.scoring).traced;
-    });
-  }
+  std::vector<align::TracedAlignment> traced = trace(batch);
+  SALOBA_CHECK_MSG(traced.size() == batch.size(),
+                   "traced extender returned " << traced.size() << " traces for "
+                                               << batch.size() << " pairs");
   for (std::size_t p = 0; p < batch.size(); ++p) {
-    mappings[index[p]].traced = std::move(traced[p]);
-    mappings[index[p]].has_traceback = true;
+    out[index[p]].traced = std::move(traced[p]);
+    out[index[p]].has_traceback = true;
   }
+  return out;
 }
 
-std::vector<ReadMapping> ReadMapper::map_batch(
+std::vector<ReadMapping> ReadMapper::map_scores(
     std::span<const std::vector<seq::BaseCode>> reads, const BatchExtender& extend,
-    ChainStageStats* chain_stats) const {
+    MapStats* stats) const {
   // Stage 1a (host-parallel): seeding, both strands of every read.
   std::vector<std::vector<seq::BaseCode>> rc(reads.size());
   std::vector<std::vector<Seed>> fwd_seeds(reads.size());
@@ -263,12 +236,6 @@ std::vector<ReadMapping> ReadMapper::map_batch(
   SALOBA_CHECK_MSG(chained.chains.size() == chain_batch.tasks(),
                    "chainer returned " << chained.chains.size() << " chain lists for "
                                        << chain_batch.tasks() << " tasks");
-  if (chain_stats) {
-    chain_stats->chaining_ms = chained.chaining_ms;
-    chain_stats->tasks = chain_batch.tasks();
-    chain_stats->anchors = chained.anchors;
-    chain_stats->updates = chained.updates;
-  }
 
   // Stage 1d (host-parallel): strand choice + job extraction per read.
   std::vector<PreparedRead> prepared(reads.size());
@@ -299,21 +266,25 @@ std::vector<ReadMapping> ReadMapper::map_batch(
                                                   first_job[i + 1] - first_job[i]);
     out[i] = finalize(prepared[i], slice);
   }
+  if (stats) {
+    stats->reads += reads.size();
+    stats->mapped += static_cast<std::size_t>(
+        std::count_if(out.begin(), out.end(), [](const ReadMapping& m) { return m.mapped; }));
+    stats->chaining_ms += chained.chaining_ms;
+    stats->chain_tasks += chain_batch.tasks();
+    stats->chain_anchors += chained.anchors;
+    stats->chain_updates += chained.updates;
+  }
   return out;
 }
 
-namespace {
-
-/// The one streaming loop behind every map_stream overload; `trace` is null
-/// for score-only streams, a (possibly empty, = engine fallback) extender
-/// when the traceback stage is on.
-StreamMapStats run_map_stream(
-    const ReadMapper& mapper, seq::SequenceChunkReader& reader, const BatchExtender& extend,
-    const TracedBatchExtender* trace,
+MapStats ReadMapper::map_stream(
+    seq::SequenceChunkReader& reader, const BatchExtender& extend,
+    const TracedBatchExtender& trace,
     const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
-    std::size_t queue_capacity) {
+    std::size_t queue_capacity) const {
   util::Timer timer;
-  StreamMapStats stats;
+  MapStats stats;
   util::BoundedQueue<seq::SequenceChunk> queue(queue_capacity);
 
   // Producer: parse chunks while the consumer maps the previous ones. The
@@ -339,17 +310,10 @@ StreamMapStats run_map_stream(
       std::vector<std::vector<seq::BaseCode>> read_seqs;
       read_seqs.reserve(chunk->records.size());
       for (const auto& r : chunk->records) read_seqs.push_back(r.bases);
-      ChainStageStats chunk_chaining;
-      auto mappings = trace ? mapper.map_batch(read_seqs, extend, *trace, &chunk_chaining)
-                            : mapper.map_batch(read_seqs, extend, &chunk_chaining);
-      for (std::size_t i = 0; i < mappings.size(); ++i) {
-        stats.mapped += mappings[i].mapped ? 1 : 0;
-        if (sink) sink(chunk->records[i], mappings[i]);
+      auto mappings = map_batch(read_seqs, extend, trace, &stats);
+      if (sink) {
+        for (std::size_t i = 0; i < mappings.size(); ++i) sink(chunk->records[i], mappings[i]);
       }
-      stats.reads += mappings.size();
-      stats.chaining_ms += chunk_chaining.chaining_ms;
-      stats.chain_anchors += chunk_chaining.anchors;
-      stats.chain_updates += chunk_chaining.updates;
       ++stats.chunks;
     }
   } catch (...) {
@@ -362,23 +326,6 @@ StreamMapStats run_map_stream(
   if (read_failure) std::rethrow_exception(read_failure);
   stats.wall_ms = timer.millis();
   return stats;
-}
-
-}  // namespace
-
-StreamMapStats ReadMapper::map_stream(
-    seq::SequenceChunkReader& reader, const BatchExtender& extend,
-    const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
-    std::size_t queue_capacity) const {
-  return run_map_stream(*this, reader, extend, /*trace=*/nullptr, sink, queue_capacity);
-}
-
-StreamMapStats ReadMapper::map_stream(
-    seq::SequenceChunkReader& reader, const BatchExtender& extend,
-    const TracedBatchExtender& trace,
-    const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
-    std::size_t queue_capacity) const {
-  return run_map_stream(*this, reader, extend, &trace, sink, queue_capacity);
 }
 
 std::vector<ExtensionJob> ReadMapper::collect_jobs(

@@ -1,6 +1,7 @@
 // End-to-end seed-and-extend read mapping — the BWA-MEM stand-in that feeds
 // the extension kernels (paper Sec. V-D). Seeding (k-mer or FM-index) →
-// chaining → extension-job extraction → local-alignment extension → mapping.
+// chaining → extension-job extraction → local-alignment extension → mapping
+// → optional traceback of every mapped window for SAM.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 
 #include "align/alignment_result.hpp"
 #include "align/scoring.hpp"
-#include "core/options.hpp"
 #include "seedext/chain_batch.hpp"
 #include "seedext/chain_engine.hpp"
 #include "seedext/chaining.hpp"
@@ -26,10 +26,6 @@
 namespace saloba::seq {
 class SequenceChunkReader;  // seq/chunk_reader.hpp
 }  // namespace saloba::seq
-
-namespace saloba::core {
-class AlignService;  // core/align_service.hpp
-}  // namespace saloba::core
 
 namespace saloba::seedext {
 
@@ -73,27 +69,21 @@ struct ReadMapping {
   bool has_traceback = false;  ///< `traced` is populated
 };
 
-/// Aggregates of one map_stream run.
-struct StreamMapStats {
+/// Aggregates of map_batch and map_stream calls. map_batch adds its reads,
+/// mappings and chaining-stage counters to a caller's MapStats; map_stream
+/// sums them over its chunks and sets `chunks` and `wall_ms`.
+struct MapStats {
   std::size_t reads = 0;
   std::size_t mapped = 0;
-  std::size_t chunks = 0;
-  double wall_ms = 0.0;
-  /// Chaining-stage time summed over chunks (batched phase makespan when a
-  /// BatchChainer is injected, in-process engine wall time otherwise); kept
-  /// out of wall_ms accounting so the stream reports the phase split the
-  /// same way AlignOutput splits score/traceback.
+  std::size_t chunks = 0;  ///< chunks streamed (map_stream only)
+  double wall_ms = 0.0;    ///< whole-stream wall time (map_stream only)
+  /// Chaining-stage time (batched phase makespan when a BatchChainer is
+  /// injected, in-process engine wall time otherwise); kept apart from
+  /// wall_ms the way AlignOutput splits score/traceback.
   double chaining_ms = 0.0;
-  std::size_t chain_anchors = 0;  ///< anchors chained over the whole stream
+  std::size_t chain_tasks = 0;    ///< strand tasks chained (2 per read)
+  std::size_t chain_anchors = 0;  ///< seeds across those tasks
   std::size_t chain_updates = 0;  ///< push + settlement candidates evaluated
-};
-
-/// What the batched chaining stage of one map_batch call produced/spent.
-struct ChainStageStats {
-  double chaining_ms = 0.0;
-  std::size_t tasks = 0;    ///< strand tasks chained (2 per non-empty read)
-  std::size_t anchors = 0;  ///< seeds across those tasks
-  std::size_t updates = 0;  ///< push + settlement candidates evaluated
 };
 
 /// A batch extension engine: aligns every (query, reference) pair of a
@@ -107,9 +97,9 @@ using BatchExtender =
 /// A batched two-phase engine: score pass + traceback phase for every pair
 /// of a PairBatch, one TracedAlignment per pair in input order.
 /// core::Aligner::traced_extender() (AlignerOptions::traceback = true)
-/// adapts the scheduler-backed public path to this signature; a null
-/// TracedBatchExtender makes the mapper fall back to the in-process
-/// linear-memory engine (align::banded_traceback), host-parallel.
+/// adapts the scheduler-backed public path to this signature. A null
+/// TracedBatchExtender means the mapper runs no traceback stage: mappings
+/// keep has_traceback == false and to_sam_record traces each record.
 using TracedBatchExtender =
     std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)>;
 
@@ -132,6 +122,11 @@ using BatchChainer = std::function<ChainStageResult(const ChainBatch&)>;
 
 class ReadMapper {
  public:
+  /// Builds (or acquires) the reference index. Throws std::invalid_argument,
+  /// naming the field, before any index is built when the genome is empty,
+  /// k is outside [KmerIndex::kMinK, kMaxK] for k-mer seeding, index_shards
+  /// > 1 is combined with use_fm_seeding, or a lane weight is not finite
+  /// and > 0.
   ReadMapper(std::vector<seq::BaseCode> genome, MapperParams params);
   ~ReadMapper();
   ReadMapper(ReadMapper&&) noexcept;
@@ -139,12 +134,10 @@ class ReadMapper {
   const std::vector<seq::BaseCode>& genome() const { return genome_; }
   const MapperParams& params() const { return params_; }
 
-  /// Maps one read (tries both strands, extends the best chains on the CPU).
+  /// Maps one read (tries both strands, extends the best chain's jobs with
+  /// the scalar oracle align::align_batch) — the reference every batched
+  /// path must reproduce.
   ReadMapping map(std::span<const seq::BaseCode> read) const;
-
-  /// Host-parallel batch mapping; output order matches input order.
-  std::vector<ReadMapping> map_batch(
-      std::span<const std::vector<seq::BaseCode>> reads) const;
 
   /// Routes the chaining stage of every batched mapping call through
   /// `chainer` (e.g. core::Aligner::batch_chainer()) instead of the
@@ -153,63 +146,34 @@ class ReadMapper {
   /// shards, simulated-device accounting) moves. Null restores the default.
   void set_batch_chainer(BatchChainer chainer) { chainer_ = std::move(chainer); }
 
-  /// Batch mapping with the extension stage routed through `extend`: all
-  /// reads' extension jobs are gathered into one kernel-sized PairBatch and
-  /// aligned in a single call (the paper's batched seed-extension shape)
-  /// instead of per-job CPU alignments. Both strands of every read are
-  /// chained first as one ChainBatch through the batched chaining stage
-  /// (set_batch_chainer, or the in-process SIMD engine); `chain_stats`, when
-  /// non-null, receives that stage's time and counters. Mappings are
-  /// identical to map_batch(reads) for any extender that matches the CPU
-  /// reference.
+  /// Batched mapping, output order matching input order: both strands of
+  /// every read are seeded host-parallel and chained as one ChainBatch
+  /// through the batched chaining stage (set_batch_chainer, or the
+  /// in-process SIMD engine); all reads' extension jobs are gathered into
+  /// one kernel-sized PairBatch and aligned in a single `extend` call (the
+  /// paper's batched seed-extension shape). When `trace` is set, every
+  /// mapped read's (oriented read, genome window) pair is then traced as one
+  /// batch through it, so each ReadMapping carries the CIGAR SAM emission
+  /// needs; a null `trace` runs no traceback stage. `extend` is not called
+  /// when there is no job, `trace` not when nothing mapped. `stats`, when
+  /// non-null, is added to. Mappings are identical to map() per read for
+  /// any extender that matches the CPU reference.
   std::vector<ReadMapping> map_batch(std::span<const std::vector<seq::BaseCode>> reads,
                                      const BatchExtender& extend,
-                                     ChainStageStats* chain_stats = nullptr) const;
-
-  /// Batched mapping with the traceback phase attached: after the extension
-  /// stage, every mapped read's (oriented read, genome window) pair is
-  /// gathered into one batch and traced through `trace` (null = the
-  /// in-process linear-memory engine), so each ReadMapping carries the
-  /// CIGAR SAM emission needs — no per-read DP anywhere downstream.
-  std::vector<ReadMapping> map_batch(std::span<const std::vector<seq::BaseCode>> reads,
-                                     const BatchExtender& extend,
-                                     const TracedBatchExtender& trace,
-                                     ChainStageStats* chain_stats = nullptr) const;
-
-  /// Batched mapping with the extension stage (and, when the service's
-  /// AlignerOptions enable traceback, the traceback phase) routed through
-  /// one session of a multi-tenant core::AlignService: this mapper becomes
-  /// one tenant among many sharing the service's continuously batched
-  /// backend, with the given per-session QoS knobs. Mappings (and stored
-  /// traces) are identical to map_batch over the same reads with the
-  /// equivalent core::Aligner extenders — the service is bit-identical per
-  /// pair regardless of what other tenants are doing.
-  std::vector<ReadMapping> map_session(std::span<const std::vector<seq::BaseCode>> reads,
-                                       core::AlignService& service,
-                                       core::SessionOptions session = {},
-                                       ChainStageStats* chain_stats = nullptr) const;
+                                     const TracedBatchExtender& trace = {},
+                                     MapStats* stats = nullptr) const;
 
   /// Streaming Sec. V-D pipeline: a reader thread pulls SequenceChunks from
   /// `reader` through a bounded queue (capacity `queue_capacity` chunks of
-  /// backpressure) while the calling thread maps each chunk — seeding and
-  /// chaining host-parallel, extensions batched through `extend` — and
-  /// hands every (read, mapping) to `sink` in input order. Never more than
-  /// queue_capacity + 2 chunks of reads are resident (the queue, plus the
-  /// chunk in the producer's hands and the one being mapped). Mappings are
-  /// identical to map_batch over the same reads. Exceptions from the
-  /// reader, the extender, or the sink shut the pipeline down cleanly and
-  /// rethrow here.
-  StreamMapStats map_stream(
-      seq::SequenceChunkReader& reader, const BatchExtender& extend,
-      const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
-      std::size_t queue_capacity = 4) const;
-
-  /// Streaming with the traceback phase: each chunk's mappings arrive at
-  /// `sink` with `traced` populated (map_batch(reads, extend, trace) per
-  /// chunk), still in input order. A sink that writes
-  /// seedext::to_sam_record(...) is constant-memory FASTQ-to-SAM with
-  /// batched CIGARs.
-  StreamMapStats map_stream(
+  /// backpressure) while the calling thread runs map_batch(chunk, extend,
+  /// trace) on each and hands every (read, mapping) to `sink` in input
+  /// order. Never more than queue_capacity + 2 chunks of reads are resident
+  /// (the queue, plus the chunk in the producer's hands and the one being
+  /// mapped). Mappings are identical to map_batch over the same reads; a
+  /// sink that writes seedext::to_sam_record(...) is constant-memory
+  /// FASTQ-to-SAM. Exceptions from the reader, the extenders, or the sink
+  /// shut the pipeline down cleanly and rethrow here.
+  MapStats map_stream(
       seq::SequenceChunkReader& reader, const BatchExtender& extend,
       const TracedBatchExtender& trace,
       const std::function<void(const seq::Sequence&, const ReadMapping&)>& sink,
@@ -224,12 +188,11 @@ class ReadMapper {
   std::vector<Seed> seeds_of(std::span<const seq::BaseCode> read) const;
 
  private:
-  /// The traceback stage of map_batch(reads, extend, trace): fills
-  /// `traced`/`has_traceback` of every mapped entry from one batched trace
-  /// run. `reads` and `mappings` are index-aligned.
-  void attach_tracebacks(std::span<const std::vector<seq::BaseCode>> reads,
-                         std::span<ReadMapping> mappings,
-                         const TracedBatchExtender& trace) const;
+  /// map_batch's score stages (seeding, batched chaining, one batched
+  /// extension), a call of their own so that their seeds, chains and job
+  /// copies are freed before the traceback stage builds its window batch.
+  std::vector<ReadMapping> map_scores(std::span<const std::vector<seq::BaseCode>> reads,
+                                      const BatchExtender& extend, MapStats* stats) const;
 
   struct StrandResult {
     std::vector<Chain> chains;

@@ -8,8 +8,8 @@
 //   * mmap-shared — a read-only loader whose spans alias the mapping with
 //     zero copy, behind refcounted SharedIndex handles that an in-process
 //     registry deduplicates by (path, k) / (genome fingerprint, k), so every
-//     Pipeline / ReadMapper::map_session tenant over one reference shares
-//     one physical index;
+//     Pipeline / ReadMapper (service tenant or not) over one reference
+//     shares one physical index;
 //   * shardable — a chromosome-scale genome partitioned into overlapping
 //     windows with one sub-index per shard, placed across heterogeneous
 //     lanes by the PR 3 weighted-LPT machinery, whose merged lookups are

@@ -334,7 +334,8 @@ TEST(BandedGuards, MapBatchPathDegenerateBands) {
     core::AlignerOptions opts;
     opts.scoring = params.scoring;
     core::Aligner aligner(opts);
-    auto per_job = mapper.map_batch(reads);
+    std::vector<seedext::ReadMapping> per_job;
+    for (const auto& read : reads) per_job.push_back(mapper.map(read));
     auto batched = mapper.map_batch(reads, aligner.batch_extender());
     ASSERT_EQ(per_job.size(), batched.size()) << "mode " << mode;
     for (std::size_t i = 0; i < per_job.size(); ++i) {

@@ -148,8 +148,8 @@ TEST(ChainingPhase, MapperWithInjectedChainerMatchesDefault) {
   Aligner chain_aligner(chain_opts);
   seedext::ReadMapper routed(genome, seedext::MapperParams{});
   routed.set_batch_chainer(chain_aligner.batch_chainer());
-  seedext::ChainStageStats stats;
-  auto got = routed.map_batch(reads, extend, &stats);
+  seedext::MapStats stats;
+  auto got = routed.map_batch(reads, extend, nullptr, &stats);
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -159,8 +159,8 @@ TEST(ChainingPhase, MapperWithInjectedChainerMatchesDefault) {
     EXPECT_EQ(got[i].score, want[i].score) << "read " << i;
   }
   // Two tasks per read went through the phase.
-  EXPECT_EQ(stats.tasks, reads.size() * 2);
-  EXPECT_GT(stats.anchors, 0u);
+  EXPECT_EQ(stats.chain_tasks, reads.size() * 2);
+  EXPECT_GT(stats.chain_anchors, 0u);
 }
 
 }  // namespace

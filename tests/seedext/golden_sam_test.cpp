@@ -4,8 +4,9 @@
 // window on the caller thread — is reimplemented here verbatim as the
 // golden oracle, and every path through core::Aligner (whose host lanes run
 // the SIMD engine) must emit byte-identical SAM: the engine fallback inside
-// to_sam_record, the batched map_batch(reads, extend, trace) pipeline, and
-// the streamed map_stream(reader, extend, trace, sink) pipeline with a sink
+// to_sam_record (which is what a null trace leaves every mapped record
+// to), the batched map_batch(reads, extend, trace) pipeline, and the
+// streamed map_stream(reader, extend, trace, sink) pipeline with a sink
 // writing to_sam_record — the entry point mapbench drives. Streamed ==
 // one-shot, byte for byte, with traceback enabled.
 #include <sstream>
@@ -232,17 +233,19 @@ TEST(GoldenSam, ShardedLanesPipelineMatchesLegacyByteForByte) {
   EXPECT_EQ(out.str(), want);
 }
 
-TEST(GoldenSam, EngineTraceFallbackInsideMapBatchMatchesLegacy) {
+TEST(GoldenSam, NullTraceSkipsTheStageAndMatchesLegacy) {
   Fixture f;
   core::Aligner aligner{core::AlignerOptions{}};
   std::string want = f.golden();
 
-  // Null traced extender: the mapper's in-process engine stage.
+  // Null traced extender: map_batch runs no traceback stage, and
+  // to_sam_record traces every mapped record itself.
   auto mappings = f.mapper->map_batch(f.read_seqs, aligner.batch_extender(),
                                       TracedBatchExtender{});
   std::ostringstream out;
   seq::SamWriter writer(out, f.header());
   for (std::size_t i = 0; i < f.reads.size(); ++i) {
+    EXPECT_FALSE(mappings[i].has_traceback) << "read " << i;
     writer.write(to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT"));
   }
   EXPECT_EQ(out.str(), want);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "align/batch.hpp"
 #include "seedext/sam_output.hpp"
@@ -11,6 +16,7 @@
 #include "seq/random_genome.hpp"
 #include "seq/read_simulator.hpp"
 #include "seq/sam.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace saloba::seedext {
@@ -23,6 +29,14 @@ std::vector<seq::BaseCode> pipeline_genome(std::uint64_t seed = 42) {
   p.n_fraction = 0.0;
   p.seed = seed;
   return seq::generate_genome(p);
+}
+
+/// The per-read oracle over every read, host-parallel.
+std::vector<ReadMapping> map_each(const ReadMapper& mapper,
+                                  const std::vector<std::vector<seq::BaseCode>>& reads) {
+  std::vector<ReadMapping> out(reads.size());
+  util::parallel_for_indexed(reads.size(), [&](std::size_t i) { out[i] = mapper.map(reads[i]); });
+  return out;
 }
 
 TEST(Pipeline, ErrorFreeReadsMapToTruePosition) {
@@ -70,7 +84,7 @@ TEST(Pipeline, MapBatchMatchesSingleMapping) {
   ReadMapper mapper(genome, MapperParams{});
   std::vector<std::vector<seq::BaseCode>> reads;
   for (const auto& r : sim.simulate(20)) reads.push_back(r.read.bases);
-  auto batch = mapper.map_batch(reads);
+  auto batch = map_each(mapper, reads);
   ASSERT_EQ(batch.size(), reads.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
     auto single = mapper.map(reads[i]);
@@ -146,7 +160,7 @@ TEST(Pipeline, BatchedExtenderMatchesPerJobPath) {
   std::vector<std::vector<seq::BaseCode>> reads;
   for (const auto& r : sim.simulate(30)) reads.push_back(r.read.bases);
 
-  auto per_job = mapper.map_batch(reads);
+  auto per_job = map_each(mapper, reads);
   BatchExtender cpu_extender = [&](const seq::PairBatch& batch) {
     return align::align_batch(batch, mapper.params().scoring);
   };
@@ -201,7 +215,7 @@ TEST(Pipeline, MapStreamMatchesResidentMapBatch) {
   std::vector<ReadMapping> streamed;
   std::vector<std::string> names;
   auto stats = mapper.map_stream(
-      reader, cpu_extender,
+      reader, cpu_extender, nullptr,
       [&](const seq::Sequence& read, const ReadMapping& mapping) {
         names.push_back(read.name);
         streamed.push_back(mapping);
@@ -236,7 +250,7 @@ TEST(Pipeline, MapStreamWritesSamIncrementally) {
   header.reference_length = genome.size();
   seq::SamWriter writer(sam_text, header);
   auto stats = mapper.map_stream(
-      reader, cpu_extender,
+      reader, cpu_extender, nullptr,
       [&](const seq::Sequence& read, const ReadMapping& mapping) {
         writer.write(to_sam_record(mapper, read, mapping, "chrT"));
       },
@@ -263,7 +277,94 @@ TEST(Pipeline, MapStreamSurfacesReaderErrors) {
   BatchExtender cpu_extender = [&](const seq::PairBatch& batch) {
     return align::align_batch(batch, mapper.params().scoring);
   };
-  EXPECT_THROW(mapper.map_stream(reader, cpu_extender, nullptr, 2), std::runtime_error);
+  EXPECT_THROW(mapper.map_stream(reader, cpu_extender, nullptr, nullptr, 2),
+               std::runtime_error);
+}
+
+/// A FASTQ reader that counts every record it has parsed — the producer
+/// thread writes the count while the sink reads it.
+class CountingFastqReader final : public seq::SequenceChunkReader {
+ public:
+  CountingFastqReader(std::istream& in, std::size_t chunk_records)
+      : SequenceChunkReader(in, chunk_records), inner_(in, 1) {}
+
+  std::atomic<std::size_t> parsed{0};
+
+ protected:
+  bool parse_record(seq::Sequence& out) override {
+    if (!inner_.read_record(out)) return false;
+    parsed.fetch_add(1);
+    return true;
+  }
+
+ private:
+  seq::FastqChunkReader inner_;
+};
+
+TEST(Pipeline, MapStreamKeepsAtMostQueuePlusTwoChunksAhead) {
+  // The residency bound: while chunk c is being mapped, the queue holds at
+  // most queue_capacity chunks and the producer one more, so with a slow
+  // sink the reader may have parsed at most (c + queue_capacity + 2) whole
+  // chunks.
+  constexpr std::size_t kChunk = 3;
+  constexpr std::size_t kQueue = 1;
+  auto genome = pipeline_genome(53);
+  seq::ReadSimulator sim(genome, seq::ReadProfile::equal_length(120), 15);
+  ReadMapper mapper(genome, MapperParams{});
+  std::vector<seq::Sequence> reads;
+  std::vector<std::vector<seq::BaseCode>> read_seqs;
+  for (auto& r : sim.simulate(30)) {
+    read_seqs.push_back(r.read.bases);
+    reads.push_back(std::move(r.read));
+  }
+  BatchExtender cpu_extender = [&](const seq::PairBatch& batch) {
+    return align::align_batch(batch, mapper.params().scoring);
+  };
+  auto expected = mapper.map_batch(read_seqs, cpu_extender);
+
+  std::ostringstream fq;
+  seq::write_fastq(fq, reads);
+  std::istringstream in(fq.str());
+  CountingFastqReader reader(in, kChunk);
+  std::vector<ReadMapping> streamed;
+  mapper.map_stream(
+      reader, cpu_extender, nullptr,
+      [&](const seq::Sequence&, const ReadMapping& mapping) {
+        const std::size_t i = streamed.size();
+        EXPECT_LE(reader.parsed.load(), (i / kChunk + kQueue + 2) * kChunk) << "read " << i;
+        streamed.push_back(mapping);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      },
+      kQueue);
+  expect_same_mappings(streamed, expected);
+}
+
+TEST(Pipeline, ConstructorRejectsBadParams) {
+  auto genome = pipeline_genome(54);
+  EXPECT_THROW(ReadMapper({}, MapperParams{}), std::invalid_argument);
+  for (int k : {3, 40}) {
+    MapperParams params;
+    params.k = k;
+    EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument) << "k " << k;
+  }
+  {
+    MapperParams params;
+    params.index_shards = 2;
+    params.use_fm_seeding = true;
+    EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument);
+  }
+  for (double bad : {0.0, std::nan("")}) {
+    MapperParams params;
+    params.index_shards = 2;
+    params.index_lane_weights = {1.0, bad};
+    EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument) << "weight " << bad;
+  }
+  // Nothing a rejected construction touched leaks into the next mapper.
+  ReadMapper mapper(genome, MapperParams{});
+  std::vector<seq::BaseCode> read(genome.begin() + 5000, genome.begin() + 5150);
+  auto mapping = mapper.map(read);
+  EXPECT_TRUE(mapping.mapped);
+  EXPECT_EQ(mapping.ref_pos, 5000u);
 }
 
 TEST(Pipeline, SeedsOfExposesForwardSeeds) {

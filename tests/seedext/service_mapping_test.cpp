@@ -1,8 +1,8 @@
-// Service-backed read mapping: ReadMapper::map_session routes the extension
-// (and traceback) phases through one tenant of a shared core::AlignService.
-// Mappings — and the SAM bytes downstream — must be identical to the
-// private-Aligner map_batch paths over the same reads, alone or with other
-// tenants hammering the same service concurrently.
+// Service-backed read mapping: ReadMapper::map_batch with extenders that
+// route the extension (and traceback) phases through one tenant of a shared
+// core::AlignService. Mappings — and the SAM bytes downstream — must be
+// identical to the private-Aligner map_batch paths over the same reads,
+// alone or with other tenants hammering the same service concurrently.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,6 +43,24 @@ struct Fixture {
     for (const auto& r : reads) read_seqs.push_back(r.bases);
   }
 
+  /// map_batch as one tenant of `service`: every extend or trace call is one
+  /// AlignService::align session; the traceback stage runs only when the
+  /// service traces.
+  std::vector<ReadMapping> map_via(core::AlignService& service,
+                                   core::SessionOptions session = {},
+                                   MapStats* stats = nullptr) const {
+    BatchExtender extend = [&](const seq::PairBatch& batch) {
+      return service.align(batch, session).results;
+    };
+    TracedBatchExtender trace;
+    if (service.options().traceback) {
+      trace = [&](const seq::PairBatch& batch) {
+        return std::move(service.align(batch, session).traced);
+      };
+    }
+    return mapper->map_batch(read_seqs, extend, trace, stats);
+  }
+
   std::string sam_of(const std::vector<ReadMapping>& mappings) const {
     seq::SamHeader h;
     h.reference_name = "chrT";
@@ -75,23 +93,23 @@ TEST(ServiceMapping, MapSessionMatchesMapBatchScoreOnly) {
   Fixture f;
   core::AlignerOptions opts;  // CPU, score-only
   core::Aligner aligner(opts);
-  ChainStageStats want_chain;
-  auto want = f.mapper->map_batch(f.read_seqs, aligner.batch_extender(), &want_chain);
+  MapStats want_chain;
+  auto want = f.mapper->map_batch(f.read_seqs, aligner.batch_extender(), nullptr, &want_chain);
 
   core::ServiceOptions svc;
   svc.batch_pairs = 16;
   core::AlignService service(opts, svc);
-  ChainStageStats got_chain;
-  auto got = f.mapper->map_session(f.read_seqs, service, {}, &got_chain);
+  MapStats got_chain;
+  auto got = f.map_via(service, {}, &got_chain);
 
   expect_same_mappings(got, want);
-  EXPECT_EQ(got_chain.tasks, want_chain.tasks);
-  EXPECT_EQ(got_chain.anchors, want_chain.anchors);
+  EXPECT_EQ(got_chain.chain_tasks, want_chain.chain_tasks);
+  EXPECT_EQ(got_chain.chain_anchors, want_chain.chain_anchors);
   EXPECT_GT(service.stats().pairs, 0u);
 }
 
 TEST(ServiceMapping, MapSessionTracebackMatchesMapBatchAndSamBytes) {
-  // With traceback enabled on the service, map_session runs both phases
+  // With traceback enabled on the service, the mapper runs both phases
   // through it; mappings carry batched CIGARs and the SAM output is
   // byte-identical to the private-Aligner two-phase path.
   Fixture f;
@@ -104,7 +122,7 @@ TEST(ServiceMapping, MapSessionTracebackMatchesMapBatchAndSamBytes) {
   core::ServiceOptions svc;
   svc.batch_pairs = 16;
   core::AlignService service(opts, svc);
-  auto got = f.mapper->map_session(f.read_seqs, service);
+  auto got = f.map_via(service);
 
   expect_same_mappings(got, want);
   EXPECT_EQ(f.sam_of(got), f.sam_of(want));
@@ -145,11 +163,8 @@ TEST(ServiceMapping, ConcurrentTenantsDoNotPerturbEachOthersMappings) {
       core::SessionOptions sopts;
       sopts.weight = 1.0 + c;
       sopts.priority = c % 2;
-      got[static_cast<std::size_t>(c)] = fixtures[static_cast<std::size_t>(c)]
-                                             ->mapper->map_session(
-                                                 fixtures[static_cast<std::size_t>(c)]
-                                                     ->read_seqs,
-                                                 service, sopts);
+      got[static_cast<std::size_t>(c)] =
+          fixtures[static_cast<std::size_t>(c)]->map_via(service, sopts);
     });
   }
   for (auto& t : clients) t.join();
