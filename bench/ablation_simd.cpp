@@ -135,9 +135,8 @@ int main(int argc, char** argv) {
               speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit);
 
   // --- 3. Traceback phase: identical traces, measured wall-clock -----------
-  const core::TracebackSettings settings;
   const ScalarTraces tb_scalar = scalar_traceback(batch, scalar_out, scoring);
-  const auto tb_simd = simd.run_traceback(batch, scalar_out, settings, 0);
+  const auto tb_simd = simd.run_traceback(batch, scalar_out, 0);
   std::size_t tb_identical = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     tb_identical += tb_scalar.traced[i] == tb_simd.items[i];
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
   const double tb_scalar_ms =
       min_ms(reps, [&] { scalar_traceback(batch, scalar_out, scoring); });
   const double tb_simd_ms =
-      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out, settings, 0); });
+      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out, 0); });
   const double tb_speedup = tb_scalar_ms / std::max(tb_simd_ms, 1e-9);
   std::printf("  traceback, scalar : %9.3f ms  (%.1f M engine cells)\n", tb_scalar_ms,
               static_cast<double>(tb_scalar.cells) / 1e6);

@@ -12,21 +12,16 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          int threads, Score zdrop) {
   util::Timer timer;
   std::vector<AlignmentResult> results(batch.size());
-  const bool plain = !batch.has_band_info() && zdrop <= 0;
-  std::vector<std::size_t> cells(plain ? 0 : batch.size());
+  std::vector<std::size_t> cells(batch.size());
   util::parallel_for_indexed(
       batch.size(),
       [&](std::size_t i) {
-        if (plain) {
-          results[i] = smith_waterman(batch.refs[i], batch.queries[i], scoring);
-          return;
-        }
         BandedParams params;
         params.band = batch.band_of(i);  // 0 = full table
         params.zdrop = zdrop;
         if (params.band == 0 && zdrop <= 0) {
-          // Explicit full-table pair in a band-carrying batch: the plain
-          // sweep is bit-identical and skips the banded bookkeeping.
+          // Full-table pair: the plain sweep is bit-identical and skips the
+          // banded bookkeeping.
           results[i] = smith_waterman(batch.refs[i], batch.queries[i], scoring);
           cells[i] = batch.refs[i].size() * batch.queries[i].size();
           return;
@@ -38,14 +33,10 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
       threads);
   if (timing) {
     timing->wall_ms = timer.millis();
-    // Cells actually computed: the full area on the plain path, the in-band
-    // count per pair otherwise — and fewer still where zdrop cut rows.
-    if (plain) {
-      timing->cells = batch.total_cells();
-    } else {
-      timing->cells = 0;
-      for (std::size_t c : cells) timing->cells += c;
-    }
+    // Cells actually computed: the in-band count per pair (the full area for
+    // unbanded ones), and fewer still where zdrop cut rows.
+    timing->cells = 0;
+    for (std::size_t c : cells) timing->cells += c;
     timing->gcups =
         timing->wall_ms > 0 ? static_cast<double>(timing->cells) / (timing->wall_ms * 1e6) : 0.0;
   }

@@ -19,7 +19,8 @@ struct BandedResult {
 };
 
 /// Banding + optional z-drop pruning, the CPU-side shape of the pipeline's
-/// Sec. VII-B extension path (core::AlignerOptions band/band_frac/zdrop).
+/// Sec. VII-B extension path (seq::PairBatch::band_of, core::AlignerOptions
+/// zdrop).
 struct BandedParams {
   /// Only cells with |i - j| <= band are computed; 0 = full table.
   std::size_t band = 0;

@@ -40,17 +40,14 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 
 /// The per-batch schedule: core::recommend_scheduler over the merged
 /// batch's stats and the backend's lane weights, with the AlignerOptions
-/// dispatch threads, traceback phase and long-read pricing (the backends
-/// route long reads regardless of schedule, so the packer must price them
-/// consistently). No band policy: submit() already materialized it.
+/// traceback phase and long-read pricing (the backends route long reads
+/// regardless of schedule, so the packer must price them consistently).
 SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& batch,
                                         const AlignerOptions& options,
                                         const AlignBackend& backend) {
   SchedulerOptions wanted = recommend_scheduler(stats_of(batch), lane_weights(backend));
-  wanted.threads = options.scheduler_threads;
   wanted.longread = options.longread_policy();
   wanted.traceback = options.traceback;
-  wanted.traceback_settings.checkpoint_rows = options.traceback_checkpoint_rows;
   return wanted;
 }
 
@@ -78,9 +75,9 @@ class ScheduleCache {
   std::vector<std::pair<SchedulerOptions, std::unique_ptr<BatchScheduler>>> cache_;
 };
 
-/// One admitted pair waiting in a session queue. Bands are resolved at
-/// admission (submit materializes the AlignerOptions policy), so the
-/// batcher can merge pairs from differently-banded tenants verbatim.
+/// One admitted pair waiting in a session queue, with its band resolved at
+/// admission (PairBatch::band_of), so the batcher can merge pairs from
+/// differently-banded tenants verbatim.
 struct PendingPair {
   std::vector<seq::BaseCode> query;
   std::vector<seq::BaseCode> ref;
@@ -376,8 +373,6 @@ struct AlignService::Impl {
           if (stopping) return;
         }
         util::Timer timer;
-        // Bands were materialized at admission; only the schedule is
-        // resolved per merged batch.
         AlignOutput out =
             cache.scheduler(resolve_chunk_schedule(mb->batch, options, *backend)).run(mb->batch);
         double wall = timer.millis();
@@ -431,7 +426,6 @@ struct AlignService::Impl {
 
 AlignService::AlignService(AlignerOptions options, ServiceOptions service)
     : options_(std::move(options)), service_(service) {
-  SALOBA_CHECK_MSG(options_.scoring.valid(), "invalid scoring scheme");
   if (service_.batch_pairs < 1) service_.batch_pairs = 1;
   if (service_.max_queued_pairs_per_session < 1) service_.max_queued_pairs_per_session = 1;
   if (service_.max_inflight_batches < 1) service_.max_inflight_batches = 1;
@@ -472,9 +466,6 @@ SessionId AlignService::open(SessionOptions opts) {
 }
 
 bool AlignService::submit(SessionId id, seq::PairBatch pairs) {
-  // Resolve the band policy now (a batch's own band channel wins, exactly
-  // the one-shot rule), so merged batches carry final per-pair bands.
-  materialize_bands(pairs, options_.band_policy());
   std::unique_lock<std::mutex> lock(impl_->mutex);
   if (impl_->failure) std::rethrow_exception(impl_->failure);
   Session& s = impl_->session_ref(id);

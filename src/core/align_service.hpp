@@ -126,8 +126,8 @@ struct SessionResult {
 class AlignService {
  public:
   /// Resolves the backend(s) immediately (throws std::invalid_argument on
-  /// unknown kernel/device names, like Aligner) and starts the batcher and
-  /// align-worker threads.
+  /// unknown kernel/device names or bad AlignerOptions, like Aligner) and
+  /// only then starts the batcher and align-worker threads.
   explicit AlignService(AlignerOptions options, ServiceOptions service = {});
   ~AlignService();  ///< stop()s and joins if the caller has not already
   AlignService(const AlignService&) = delete;
@@ -143,8 +143,7 @@ class AlignService {
 
   /// Admits every pair of `pairs` into the session's queue, in order,
   /// blocking whenever the admission cap is reached (pairs drain as the
-  /// batcher takes them). The AlignerOptions band policy is materialized
-  /// here — a batch carrying its own band channel wins, as everywhere.
+  /// batcher takes them). Each pair keeps its band (PairBatch::band_of).
   /// Returns false (admitting nothing further) once the session is
   /// cancelled or the service stopped; throws a failed worker's exception.
   bool submit(SessionId id, seq::PairBatch pairs);

@@ -6,17 +6,12 @@
 namespace saloba::core {
 
 Aligner::Aligner(AlignerOptions options) : options_(std::move(options)) {
-  SALOBA_CHECK_MSG(options_.scoring.valid(), "invalid scoring scheme");
   backend_ = make_backend(options_);
   SchedulerOptions sched;
   sched.max_shard_pairs = options_.max_shard_pairs;
-  sched.max_shard_chain_tasks = options_.max_shard_chain_tasks;
   sched.policy = options_.split_policy;
-  sched.threads = options_.scheduler_threads;
-  sched.band = options_.band_policy();
   sched.longread = options_.longread_policy();
   sched.traceback = options_.traceback;
-  sched.traceback_settings.checkpoint_rows = options_.traceback_checkpoint_rows;
   scheduler_ = std::make_unique<BatchScheduler>(backend_.get(), sched);
 }
 

@@ -33,6 +33,9 @@ namespace saloba::core {
 
 class Aligner {
  public:
+  /// Builds the backend `options` asks for. Throws std::invalid_argument on
+  /// unknown kernel/device names and, naming the field, on an invalid
+  /// `scoring`, `devices < 1` or a device list that conflicts with `devices`.
   explicit Aligner(AlignerOptions options);
   ~Aligner();
   Aligner(Aligner&&) noexcept;

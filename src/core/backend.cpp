@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "align/simd_engine.hpp"
@@ -17,6 +19,17 @@
 namespace saloba::core {
 namespace {
 
+/// A scoring scheme is caller input: an unusable one throws
+/// std::invalid_argument naming AlignerOptions::scoring.
+void require_valid(const align::ScoringScheme& s) {
+  if (s.valid()) return;
+  throw std::invalid_argument(
+      "AlignerOptions::scoring is invalid (match " + std::to_string(s.match) + ", mismatch " +
+      std::to_string(s.mismatch) + ", gap_open " + std::to_string(s.gap_open) +
+      ", gap_extend " + std::to_string(s.gap_extend) +
+      "): need match > 0, mismatch >= 0, gap_open >= 0 and gap_extend > 0");
+}
+
 /// Indices of the pairs an enabled long-read policy routes to the X-drop
 /// wavefront engine, ascending (empty when the policy is disabled).
 std::vector<std::size_t> longread_routed(const seq::PairBatch& batch,
@@ -29,7 +42,7 @@ std::vector<std::size_t> longread_routed(const seq::PairBatch& batch,
   return routed;
 }
 
-/// The non-routed remainder of a batch (band channel preserved) plus the
+/// The non-routed remainder of a batch (each pair at its own band) plus the
 /// original index of each kept pair, for scattering results back into
 /// input order.
 struct RestSplit {
@@ -39,7 +52,6 @@ struct RestSplit {
 
 RestSplit split_rest(const seq::PairBatch& batch, std::span<const std::size_t> routed) {
   RestSplit rest;
-  rest.batch.default_band = batch.default_band;
   std::size_t r = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (r < routed.size() && routed[r] == i) {
@@ -47,11 +59,7 @@ RestSplit split_rest(const seq::PairBatch& batch, std::span<const std::size_t> r
       continue;
     }
     rest.indices.push_back(i);
-    if (batch.has_band_info()) {
-      rest.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
-    } else {
-      rest.batch.add(batch.queries[i], batch.refs[i]);
-    }
+    rest.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
   }
   return rest;
 }
@@ -155,8 +163,7 @@ struct EnginePhase {
 EnginePhase trace_phase(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
                         const align::ScoringScheme& scoring, align::Score zdrop,
-                        const TracebackSettings& settings, int threads,
-                        const LongReadPolicy& longread, bool cohorts) {
+                        int threads, const LongReadPolicy& longread, bool cohorts) {
   SALOBA_CHECK_MSG(results.size() == batch.size(),
                    "traceback got " << results.size() << " score results for a "
                                     << batch.size() << "-pair batch");
@@ -190,7 +197,6 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
         align::TracebackParams params;
         params.band = batch.band_of(i);
         params.zdrop = zdrop;
-        params.checkpoint_rows = settings.checkpoint_rows;
         auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
         out.traced[i] = std::move(r.traced);
         cells[i] = r.stats.cells();
@@ -203,7 +209,7 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
   if (cohorts) {
     align::simd::TraceStats stats;
     std::vector<align::TracedAlignment> traced = align::simd::trace_batch(
-        batch, simd_ends, scoring, &stats, threads, zdrop, settings.checkpoint_rows);
+        batch, simd_ends, scoring, &stats, threads, zdrop);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (simd_ends[i].score > 0) out.traced[i] = std::move(traced[i]);
     }
@@ -264,8 +270,10 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
 HostBackend::HostBackend(align::ScoringScheme scoring, int lanes, int threads_total,
                          align::Score zdrop, LongReadPolicy longread)
     : scoring_(scoring), lanes_(lanes), zdrop_(zdrop), longread_(longread) {
-  SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(lanes_ >= 1, "host backend needs at least one lane, got " << lanes_);
+  require_valid(scoring_);
+  if (lanes_ < 1) {
+    throw std::invalid_argument("HostBackend lanes must be >= 1, got " + std::to_string(lanes_));
+  }
   if (lanes_ > 1) {
     // Divide the host budget so concurrent lanes share, not fight over,
     // the cores. A single lane keeps the library-default team.
@@ -292,12 +300,11 @@ PhaseOutput<align::AlignmentResult> HostBackend::run(const seq::PairBatch& batch
 }
 
 PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
-    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-    const TracebackSettings& settings, int lane) {
+    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_, /*cohorts=*/true);
+  EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, threads_per_lane_,
+                                  longread_, /*cohorts=*/true);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();
@@ -313,9 +320,12 @@ PhaseOutput<std::vector<seedext::Chain>> HostBackend::run_chaining(
 
 SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
     : scoring_(options.scoring), longread_(options.longread_policy()) {
-  SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(options.devices >= 1, "need at least one device");
-  kernel_ = kernels::make_kernel(options.kernel, options.nominal_batch_pairs);
+  require_valid(scoring_);
+  if (options.devices < 1) {
+    throw std::invalid_argument("AlignerOptions::devices must be >= 1, got " +
+                                std::to_string(options.devices));
+  }
+  kernel_ = kernels::make_kernel(options.kernel);
 
   std::vector<gpusim::DeviceSpec> specs;
   for (const std::string& preset : device_preset_list(options.device)) {
@@ -328,11 +338,11 @@ SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
     // is self-aliasing the standard doesn't guarantee to survive.
     const gpusim::DeviceSpec only = specs.front();
     specs.assign(static_cast<std::size_t>(options.devices), only);
-  } else {
-    SALOBA_CHECK_MSG(options.devices == 1 ||
-                         static_cast<std::size_t>(options.devices) == specs.size(),
-                     "devices=" << options.devices << " conflicts with a "
-                                << specs.size() << "-preset device list");
+  } else if (options.devices != 1 && static_cast<std::size_t>(options.devices) != specs.size()) {
+    throw std::invalid_argument("AlignerOptions::devices=" + std::to_string(options.devices) +
+                                " conflicts with the " + std::to_string(specs.size()) +
+                                "-preset device list \"" + options.device + "\" (use 1 or " +
+                                std::to_string(specs.size()) + ")");
   }
 
   devices_.reserve(specs.size());
@@ -381,14 +391,13 @@ PhaseOutput<align::AlignmentResult> SimulatedGpuBackend::run(const seq::PairBatc
 }
 
 PhaseOutput<align::TracedAlignment> SimulatedGpuBackend::run_traceback(
-    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-    const TracebackSettings& settings, int lane) {
+    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   // Functional pass on the host (no zdrop: the kernels apply none, so traced
   // endpoints match the kernels bit-for-bit; routed long-read pairs mirror
   // their wavefront score pass instead)...
-  EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, settings,
-                                  /*threads=*/0, longread_, /*cohorts=*/false);
+  EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, /*threads=*/0,
+                                  longread_, /*cohorts=*/false);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();

@@ -37,17 +37,6 @@ struct PhaseOutput {
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
 
-/// Engine knobs the scheduler threads into run_traceback.
-struct TracebackSettings {
-  /// Rows between row-state snapshots — the block height K both traceback
-  /// engines re-derive in: align::banded_traceback per pair, and the traced
-  /// SIMD cohorts of align::simd::trace_batch (0 = ~sqrt of the rows: the
-  /// pair's |ref|, or the cohort's longest ref).
-  std::size_t checkpoint_rows = 0;
-
-  bool operator==(const TracebackSettings&) const = default;
-};
-
 class AlignBackend {
  public:
   virtual ~AlignBackend() = default;
@@ -78,14 +67,14 @@ class AlignBackend {
   /// or on host lanes the traced cohort pass align::simd::trace_batch, whose
   /// traces are identical — honoring the batch's per-pair bands.
   /// Pairs with a zero score-pass result are skipped (their trace is empty
-  /// by construction). Endpoints reproduce `results` for any score pass
-  /// that is bit-identical to the CPU reference. `work` is the engine's own
-  /// forward + replay cells, so it differs between backends. Simulated
-  /// lanes model the phase in the gpusim::Phase::kTraceback slots (routed
-  /// long-read pairs in kXdrop).
+  /// by construction). The banded engines replay blocks of ~sqrt(rows) rows
+  /// (the pair's |ref|, or a SIMD cohort's longest). Endpoints reproduce
+  /// `results` for any score pass that is bit-identical to the CPU
+  /// reference. `work` is the engine's own forward + replay cells, so it
+  /// differs between backends. Simulated lanes model the phase in the
+  /// gpusim::Phase::kTraceback slots (routed long-read pairs in kXdrop).
   virtual PhaseOutput<align::TracedAlignment> run_traceback(
-      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      const TracebackSettings& settings, int lane) = 0;
+      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) = 0;
 
   /// Chaining phase for shard `tasks` of a ChainBatch: the forward-only
   /// fixed-lookahead engine (seedext::chain_tasks_run) on `lane`, one chain
@@ -112,16 +101,16 @@ std::vector<double> lane_weights(const AlignBackend& backend);
 /// "cpu".
 class HostBackend final : public AlignBackend {
  public:
-  /// `lanes` (>= 1) lanes. Several lanes are each budgeted
-  /// `threads_total / lanes` OpenMP threads (threads_total 0 = hardware
-  /// concurrency, at least one per lane); a single lane keeps the library's
-  /// default team unless `threads_total > 0`. `zdrop > 0` applies z-drop row
-  /// pruning to every pair (the rule of align::BandedParams::zdrop); per-pair
-  /// bands come from the batch itself (the scheduler materializes
-  /// AlignerOptions band knobs into it). An enabled `longread` policy routes
-  /// qualifying pairs to the X-drop wavefront engine in both run() and
-  /// run_traceback() — routed pairs ignore band and zdrop (see
-  /// core::LongReadPolicy).
+  /// `lanes` lanes. Several lanes are each budgeted `threads_total / lanes`
+  /// OpenMP threads (threads_total 0 = hardware concurrency, at least one
+  /// per lane); a single lane keeps the library's default team unless
+  /// `threads_total > 0`. `zdrop > 0` applies z-drop row pruning to every
+  /// pair (the rule of align::BandedParams::zdrop); per-pair bands come from
+  /// the batch itself. An enabled `longread` policy routes qualifying pairs
+  /// to the X-drop wavefront engine in both run() and run_traceback() —
+  /// routed pairs ignore band and zdrop (see core::LongReadPolicy). Throws
+  /// std::invalid_argument naming the field for an invalid `scoring` or
+  /// `lanes < 1`.
   explicit HostBackend(align::ScoringScheme scoring, int lanes = 1, int threads_total = 0,
                        align::Score zdrop = 0, LongReadPolicy longread = {});
 
@@ -135,7 +124,7 @@ class HostBackend final : public AlignBackend {
   /// cohorts trace at once through align::simd::trace_batch.
   PhaseOutput<align::TracedAlignment> run_traceback(
       const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      const TracebackSettings& settings, int lane) override;
+      int lane) override;
   /// The forward-only chaining engine; its scalar/vector split is a per-task
   /// ISA dispatch inside seedext::chain_tasks_run.
   PhaseOutput<std::vector<seedext::Chain>> run_chaining(
@@ -161,7 +150,9 @@ class SimulatedGpuBackend final : public AlignBackend {
  public:
   /// Resolves `options.kernel` and `options.device` through the registries;
   /// throws std::invalid_argument (listing valid names) on unknown names or
-  /// a malformed preset list.
+  /// a malformed preset list, and (naming the field) on an invalid
+  /// `scoring`, `devices < 1`, or a preset list whose length conflicts with
+  /// `devices`.
   explicit SimulatedGpuBackend(const AlignerOptions& options);
 
   const std::string& name() const override { return name_; }
@@ -176,7 +167,7 @@ class SimulatedGpuBackend final : public AlignBackend {
   /// Phase::kTraceback; routed long-read pairs are charged to kXdrop).
   PhaseOutput<align::TracedAlignment> run_traceback(
       const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      const TracebackSettings& settings, int lane) override;
+      int lane) override;
   /// Functionally runs the forward-only engine on the host (bit-identical to
   /// every other backend), then models the phase's time and traffic on the
   /// lane's device (gpusim::estimate_phase_time, Phase::kChaining).

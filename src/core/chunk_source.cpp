@@ -20,13 +20,6 @@ bool ResidentChunkSource::next(seq::PairBatch& chunk) {
     // run over the same banded batch.
     chunk.add(batch_->queries[i], batch_->refs[i], batch_->band_of(i));
   }
-  if (batch_->has_band_info() && chunk.bands.empty()) {
-    // Every pair of this chunk resolved to band 0 (explicit full table).
-    // Keep the chunk marked as band-carrying anyway: the source batch's
-    // bands must keep winning over any Aligner-level band policy downstream,
-    // exactly as they do on the one-shot path.
-    chunk.bands.assign(chunk.size(), 0);
-  }
   cursor_ = end;
   return true;
 }

@@ -1,8 +1,6 @@
 #include "core/options.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <stdexcept>
 
 #include "align/xdrop_wavefront.hpp"
@@ -14,25 +12,6 @@ std::size_t LongReadPolicy::cells_estimate(std::size_t ref_len, std::size_t quer
   // only on xdrop and the gap-extend penalty; the default scheme's beta is
   // representative enough for load balancing.
   return align::xdrop_cells_estimate(ref_len, query_len, xdrop, align::ScoringScheme{});
-}
-
-std::size_t BandPolicy::band_for(std::size_t query_len) const {
-  if (!banded()) return 0;
-  std::size_t frac = band_frac > 0.0
-                         ? static_cast<std::size_t>(
-                               std::ceil(band_frac * static_cast<double>(query_len)))
-                         : 0;
-  // Never 0 for a banded policy: a degenerate band of 0 would read as
-  // "full table" downstream (the shared 0-means-unbanded convention).
-  return std::max<std::size_t>(1, std::max(band, frac));
-}
-
-void materialize_bands(seq::PairBatch& batch, const BandPolicy& policy) {
-  if (!policy.banded() || batch.has_band_info()) return;
-  batch.bands.resize(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch.bands[i] = policy.band_for(batch.queries[i].size());
-  }
 }
 
 std::vector<std::string> device_preset_list(const std::string& device) {

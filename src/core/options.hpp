@@ -15,27 +15,6 @@ enum class Backend {
   kSimulated,  ///< a kernel on the simulated GPU (simulated kernel time)
 };
 
-/// Banded-extension defaults (Sec. VII-B) the Aligner / AlignService /
-/// BatchScheduler stack materializes into batches. A batch's own per-pair
-/// band channel (seq::PairBatch::bands, produced by
-/// seedext::make_extension_jobs) always wins; this policy only applies to
-/// batches that carry no band information of their own. Z-drop is not part
-/// of the policy: it is a backend-construction knob (AlignerOptions::zdrop
-/// → HostBackend), not something the scheduler applies per batch.
-struct BandPolicy {
-  /// Fixed band floor: only cells with |i - j| <= band are computed
-  /// (0 = full table unless band_frac sets one).
-  std::size_t band = 0;
-  /// Query-length-proportional band: effective = max(band, band_frac·|q|).
-  double band_frac = 0.0;
-
-  bool banded() const { return band > 0 || band_frac > 0.0; }
-  /// Effective band for a query of `query_len` bases (0 when not banded).
-  std::size_t band_for(std::size_t query_len) const;
-
-  bool operator==(const BandPolicy&) const = default;
-};
-
 /// Long-read routing policy (the LOGAN-style X-drop regime): pairs whose
 /// longer sequence reaches `min_pair_bases` leave the block-DP/banded path
 /// for the X-drop wavefront engine (align::xdrop_wavefront) — anti-diagonal
@@ -66,14 +45,6 @@ struct LongReadPolicy {
   bool operator==(const LongReadPolicy&) const = default;
 };
 
-/// Materializes `policy` into the batch's per-pair band channel:
-/// bands[i] = policy.band_for(|query i|). No-op when the policy is unbanded
-/// or the batch already carries band information of its own (a seedext
-/// extension batch's per-job bands always win over the Aligner-level
-/// default). After this, every consumer — CPU backend, simulated kernels,
-/// shard packing — sees one uniform channel.
-void materialize_bands(seq::PairBatch& batch, const BandPolicy& policy);
-
 struct AlignerOptions {
   Backend backend = Backend::kCpu;
   /// Kernel name for the simulated backend (see kernels::kernel_names()).
@@ -85,25 +56,16 @@ struct AlignerOptions {
   /// throughput (cost-aware weighted LPT). Backend::kCpu does not read it:
   /// the host backend always runs cpu_lanes lanes of the SIMD engine.
   std::string device = "rtx3090";
+  /// Checked when the backend is built: every front end throws
+  /// std::invalid_argument naming this field if it is not valid().
   align::ScoringScheme scoring;
-  /// Paper-scale batch size used for footprint checks (0 = actual batch).
-  std::size_t nominal_batch_pairs = 0;
 
-  // --- Banded extension (Sec. VII-B) --------------------------------------
-  /// Default band for batches without a per-pair band channel: only cells
-  /// with |i - j| <= band are computed, out-of-band cells read H = 0,
-  /// E/F = -inf (align::smith_waterman_banded semantics). 0 = full table.
-  std::size_t band = 0;
-  /// Query-proportional band: effective = max(band, band_frac · |query|).
-  double band_frac = 0.0;
-  /// Z-drop early termination for the CPU backend's banded sweep (<= 0
-  /// disables). A pruning heuristic like BWA-MEM's: it can change results,
-  /// so the simulated kernels — verified bit-exact against
-  /// smith_waterman_banded — do not apply it. Takes effect at backend
-  /// construction (make_backend → HostBackend), not through the scheduler.
+  /// Z-drop early termination for the CPU backend's sweep (<= 0 disables).
+  /// A pruning heuristic like BWA-MEM's: it can change results, so the
+  /// simulated kernels — verified bit-exact against smith_waterman_banded —
+  /// do not apply it. Bands are not an option: they ride on the batch
+  /// (seq::PairBatch::band_of, Sec. VII-B).
   align::Score zdrop = 0;
-  /// The band knobs above as a BandPolicy (what the scheduler materializes).
-  BandPolicy band_policy() const { return BandPolicy{band, band_frac}; }
 
   // --- Long-read routing (X-drop wavefront engine) ------------------------
   /// Pairs whose longer sequence has at least this many bases are routed to
@@ -125,11 +87,6 @@ struct AlignerOptions {
   /// banded score pass; the CPU backend's zdrop is mirrored so endpoints
   /// agree there too.
   bool traceback = false;
-  /// Rows between the traceback engines' row-state snapshots: the block
-  /// height K the backward walk re-derives in, for both the per-pair engine
-  /// and the traced SIMD cohorts (0 = ~sqrt of the reference length; see
-  /// core::TracebackSettings::checkpoint_rows).
-  std::size_t traceback_checkpoint_rows = 0;
 
   // --- Scheduler (host-side batching) ------------------------------------
   /// Simulated devices the scheduler spreads shards across (Sec. VII-C
@@ -137,18 +94,14 @@ struct AlignerOptions {
   /// cpu_lanes). With 1 device and no shard cap, align() degenerates to the
   /// classic single-launch path. When `device` lists several presets the
   /// lane count comes from the list instead; `devices` must then be 1 (the
-  /// default) or match the list length.
+  /// default) or match the list length. Either violation throws
+  /// std::invalid_argument when the backend is built.
   int devices = 1;
   /// Shard size cap in pairs: 0 = one shard per device.
   std::size_t max_shard_pairs = 0;
-  /// Chaining-phase shard cap in tasks (BatchScheduler::chain via
-  /// batch_chainer()): 0 = one shard per lane.
-  std::size_t max_shard_chain_tasks = 0;
   /// How pairs are packed into shards; kSorted is the paper's "approximate
   /// sorting" mitigation for inter-device imbalance.
   gpusim::SplitPolicy split_policy = gpusim::SplitPolicy::kSorted;
-  /// Worker threads for async shard dispatch (0 = one per device lane).
-  std::size_t scheduler_threads = 0;
   /// CPU backend lanes (>= 1): more than one splits the host into
   /// independent lanes the scheduler can overlap, each budgeted
   /// cpu_threads / cpu_lanes OpenMP threads so concurrent shards never

@@ -112,30 +112,9 @@ BatchScheduler::BatchScheduler(AlignBackend* backend, SchedulerOptions options)
 
 util::ThreadPool& BatchScheduler::pool() {
   if (!pool_) {
-    std::size_t threads = options_.threads > 0
-                              ? options_.threads
-                              : static_cast<std::size_t>(backend_->lanes());
-    pool_ = std::make_unique<util::ThreadPool>(threads);
+    pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(backend_->lanes()));
   }
   return *pool_;
-}
-
-AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
-  // A banded option set is materialized into a real per-pair band channel
-  // up front, so sharding, backends and kernels all see one uniform
-  // representation; a batch that already carries bands wins over the policy
-  // and is forwarded untouched (no copy on that path, nor when unbanded).
-  // The materialization copies the batch once — callers for whom that
-  // transient copy matters at scale should attach per-pair bands themselves
-  // (seedext jobs do) or stream: AlignService::submit materializes each
-  // submitted batch in place, so StreamAligner does so per chunk inside
-  // its residency budget.
-  if (options_.band.banded() && !batch.has_band_info() && batch.size() > 0) {
-    seq::PairBatch banded = batch;
-    materialize_bands(banded, options_.band);
-    return run_resolved(banded);
-  }
-  return run_resolved(batch);
 }
 
 template <typename Item, typename RunShard>
@@ -188,7 +167,7 @@ ScheduledPhase<Item> BatchScheduler::run_phase(std::size_t inputs,
   return merged;
 }
 
-AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
+AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   // The batch runs as one in-place shard (no copy, lane 0) unless there
   // are several lanes or a shard cap.
   std::vector<gpusim::Shard> shards;
@@ -235,8 +214,7 @@ AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
           for (std::size_t i : shard.positions) own.push_back(out.results[i]);
           results = own;
         }
-        return backend_->run_traceback(shard_batch(s), results, options_.traceback_settings,
-                                       shard.lane);
+        return backend_->run_traceback(shard_batch(s), results, shard.lane);
       });
   out.traced = std::move(traced.items);
   out.traceback_ms = traced.time_ms;
@@ -246,15 +224,14 @@ AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
 }
 
 ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
-  // One in-place shard (every task, lane 0) unless there are several lanes
-  // or a task cap; then weighted-LPT task shards, the extension shards'
+  // One in-place shard (every task, lane 0) unless there are several lanes;
+  // then one weighted-LPT task shard per lane, the extension shards'
   // packing discipline.
   std::vector<seedext::ChainShard> shards;
   std::vector<std::size_t> all;
   std::vector<PhaseShard> phase_shards;
-  if (backend_->lanes() > 1 || options_.max_shard_chain_tasks > 0) {
-    shards = seedext::make_chain_shards(batch, lane_weights(*backend_),
-                                        options_.max_shard_chain_tasks);
+  if (backend_->lanes() > 1) {
+    shards = seedext::make_chain_shards(batch, lane_weights(*backend_));
     for (const seedext::ChainShard& shard : shards) {
       phase_shards.push_back({shard.lane, shard.tasks});
     }

@@ -32,16 +32,6 @@ struct SchedulerOptions {
   std::size_t max_shard_pairs = 0;
   /// Packing policy (kSorted = the paper's "approximate sorting").
   gpusim::SplitPolicy policy = gpusim::SplitPolicy::kSorted;
-  /// Dispatch threads: 0 = one per backend lane.
-  std::size_t threads = 0;
-  /// Banded-extension defaults (AlignerOptions band/band_frac). For a
-  /// batch without its own band channel the scheduler materializes
-  /// band.band_for(|query|) into every shard's per-pair bands, so backends
-  /// and kernels see one uniform channel; a batch that already carries
-  /// bands (seedext extension jobs) is forwarded untouched. Z-drop is a
-  /// backend-construction knob (AlignerOptions::zdrop), not a scheduler
-  /// default.
-  BandPolicy band;
   /// Long-read routing (AlignerOptions longread_threshold/xdrop). Routing
   /// itself happens inside the backends — every lane applies the same
   /// policy, so results do not depend on shard placement. The scheduler
@@ -54,11 +44,6 @@ struct SchedulerOptions {
   /// shard by shard on the same lanes and merges one TracedAlignment per
   /// pair back in input order (AlignOutput::traced).
   bool traceback = false;
-  TracebackSettings traceback_settings;
-  /// Chaining-phase shard cap in tasks: 0 = one shard per backend lane.
-  /// Like max_shard_pairs but for BatchScheduler::chain — capped shards let
-  /// a fast lane own several like-cost runs (weighted LPT on anchor work).
-  std::size_t max_shard_chain_tasks = 0;
 
   bool operator==(const SchedulerOptions&) const = default;
 };
@@ -171,19 +156,17 @@ class BatchScheduler {
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// Aligns every pair of the batch across the backend's lanes. Exceptions
-  /// from shard runs (kernels::KernelUnsupportedError,
-  /// gpusim::DeviceOomError) propagate after every in-flight shard settled.
-  /// A banded SchedulerOptions::band policy is materialized into a per-pair
-  /// band channel first (see core::materialize_bands) unless the batch
-  /// already carries one.
+  /// Aligns every pair of the batch across the backend's lanes, each pair
+  /// at its own band (seq::PairBatch::band_of). Exceptions from shard runs
+  /// (kernels::KernelUnsupportedError, gpusim::DeviceOomError) propagate
+  /// after every in-flight shard settled.
   AlignOutput run(const seq::PairBatch& batch);
 
-  /// Chaining phase: shards the ChainBatch's tasks across the backend's
-  /// lanes by weighted LPT on anchor work (seedext::make_chain_shards, the
-  /// extension shards' packing discipline), dispatches one future per lane
-  /// over the same ThreadPool, and merges chains back by task id. One lane
-  /// and no cap degenerates to a single synchronous run_chaining call.
+  /// Chaining phase: shards the ChainBatch's tasks into one shard per
+  /// backend lane by weighted LPT on anchor work (seedext::make_chain_shards,
+  /// the extension shards' packing discipline), dispatches one future per
+  /// lane over the same ThreadPool, and merges chains back by task id. One
+  /// lane degenerates to a single synchronous run_chaining call.
   ChainPhaseOutput chain(const seedext::ChainBatch& batch);
 
  private:
@@ -195,7 +178,6 @@ class BatchScheduler {
     std::span<const std::size_t> positions;
   };
 
-  AlignOutput run_resolved(const seq::PairBatch& batch);
   /// The phase runner: `run_shard(s)` for every shard — on the calling
   /// thread when there is one, else one pool future per lane — then the
   /// shards' items scattered to their positions among the phase's `inputs`,
@@ -207,7 +189,7 @@ class BatchScheduler {
 
   AlignBackend* backend_;
   SchedulerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< created on first sharded run
+  std::unique_ptr<util::ThreadPool> pool_;  ///< one thread per lane, made on first sharded run
 };
 
 }  // namespace saloba::core

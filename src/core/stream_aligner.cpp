@@ -126,7 +126,6 @@ ServiceStats stream_session(const AlignerOptions& options, const StreamOptions& 
 
 StreamAligner::StreamAligner(AlignerOptions options, StreamOptions stream)
     : options_(std::move(options)), stream_(stream) {
-  SALOBA_CHECK_MSG(options_.scoring.valid(), "invalid scoring scheme");
   if (stream_.chunk_pairs < 1) stream_.chunk_pairs = 1;
   if (stream_.queue_capacity < 1) stream_.queue_capacity = 1;
   if (stream_.align_threads < 1) stream_.align_threads = 1;

@@ -85,7 +85,7 @@ using ChunkSink = std::function<void(std::size_t chunk_index, std::size_t first_
 class StreamAligner {
  public:
   /// Resolves the backend immediately (throws std::invalid_argument on
-  /// unknown kernel/device names, like Aligner).
+  /// unknown kernel/device names or bad AlignerOptions, like Aligner).
   explicit StreamAligner(AlignerOptions options, StreamOptions stream = {});
   ~StreamAligner();
   StreamAligner(StreamAligner&&) noexcept;

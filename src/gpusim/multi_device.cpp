@@ -9,15 +9,11 @@ namespace saloba::gpusim {
 
 namespace {
 
-/// Appends pair `i` of `batch` to shard `s`, preserving any band channel —
-/// a banded pair must stay banded inside its shard or the backend would
-/// silently compute the full table.
+/// Appends pair `i` of `batch` to shard `s` at its band — a banded pair must
+/// stay banded inside its shard or the backend would silently compute the
+/// full table.
 void append_pair(Shard& s, const seq::PairBatch& batch, std::size_t i) {
-  if (batch.has_band_info()) {
-    s.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
-  } else {
-    s.batch.add(batch.queries[i], batch.refs[i]);
-  }
+  s.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
 }
 
 /// Shared weighted-LPT body of the two cost-aware make_shards overloads:

@@ -83,19 +83,16 @@ std::vector<Seed> ChainBatch::task_seeds(std::size_t t) const {
 bool ChainBatch::task_simd_safe(std::size_t t) const { return simd_safe_[t] != 0; }
 
 std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
-                                          const std::vector<double>& lane_weights,
-                                          std::size_t max_shard_tasks) {
+                                          const std::vector<double>& lane_weights) {
   SALOBA_CHECK_MSG(!lane_weights.empty(), "make_chain_shards: need at least one lane");
   for (double w : lane_weights) {
     SALOBA_CHECK_MSG(w > 0.0, "make_chain_shards: lane weights must be positive");
   }
   const std::size_t lanes = lane_weights.size();
-  const std::size_t n = batch.tasks();
 
-  // Descending work order (index tie-break for determinism): the
-  // "approximate sorting" discipline — capped runs then hold like-cost
-  // tasks, and LPT sees the big tasks first.
-  std::vector<std::size_t> order(n);
+  // Descending work order (index tie-break for determinism), so LPT sees
+  // the big tasks first.
+  std::vector<std::size_t> order(batch.tasks());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (batch.task_work(a) != batch.task_work(b)) {
@@ -104,11 +101,11 @@ std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
     return a < b;
   });
 
-  // Cut the order into runs of at most max_shard_tasks (0 = still one run
-  // per task for per-task LPT placement onto one shard per lane).
-  std::vector<ChainShard> shards;
+  std::vector<ChainShard> shards(lanes);
   std::vector<double> load(lanes, 0.0);
-  auto best_lane = [&](double work) {
+  for (std::size_t l = 0; l < lanes; ++l) shards[l].lane = static_cast<int>(l);
+  for (std::size_t idx : order) {
+    const double work = static_cast<double>(std::max<std::size_t>(batch.task_work(idx), 1));
     std::size_t best = 0;
     double best_finish = (load[0] + work) / lane_weights[0];
     for (std::size_t l = 1; l < lanes; ++l) {
@@ -118,35 +115,9 @@ std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
         best = l;
       }
     }
-    return best;
-  };
-
-  if (max_shard_tasks == 0) {
-    // One shard per lane; tasks placed individually by weighted LPT.
-    shards.resize(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) shards[l].lane = static_cast<int>(l);
-    for (std::size_t idx : order) {
-      const double work = static_cast<double>(std::max<std::size_t>(batch.task_work(idx), 1));
-      const std::size_t l = best_lane(work);
-      shards[l].tasks.push_back(idx);
-      shards[l].work += batch.task_work(idx);
-      load[l] += work;
-    }
-  } else {
-    for (std::size_t pos = 0; pos < n; pos += max_shard_tasks) {
-      ChainShard shard;
-      const std::size_t end = std::min(n, pos + max_shard_tasks);
-      double work = 0.0;
-      for (std::size_t k = pos; k < end; ++k) {
-        shard.tasks.push_back(order[k]);
-        shard.work += batch.task_work(order[k]);
-        work += static_cast<double>(std::max<std::size_t>(batch.task_work(order[k]), 1));
-      }
-      const std::size_t l = best_lane(work);
-      shard.lane = static_cast<int>(l);
-      load[l] += work;
-      shards.push_back(std::move(shard));
-    }
+    shards[best].tasks.push_back(idx);
+    shards[best].work += batch.task_work(idx);
+    load[best] += work;
   }
 
   std::erase_if(shards, [](const ChainShard& s) { return s.tasks.empty(); });

@@ -84,15 +84,12 @@ struct ChainShard {
   int lane = 0;
 };
 
-/// Shards a ChainBatch's tasks across `lane_weights.size()` lanes by
-/// weighted LPT on task_work (gpusim::make_shards discipline): tasks are
-/// taken in descending work order — length-bucketing, so shards hold
-/// like-cost tasks — and each run goes to the lane minimising weighted
-/// finish time (load + work) / weight. `max_shard_tasks == 0` gives one
-/// shard per lane; > 0 caps tasks per shard so a lane may own several
-/// shards. Empty shards are dropped; every task lands in exactly one shard.
+/// Shards a ChainBatch's tasks into one shard per lane of
+/// `lane_weights.size()` by weighted LPT on task_work (gpusim::make_shards
+/// discipline): tasks are taken in descending work order and each goes to
+/// the lane minimising weighted finish time (load + work) / weight. Empty
+/// shards are dropped; every task lands in exactly one shard.
 std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
-                                          const std::vector<double>& lane_weights,
-                                          std::size_t max_shard_tasks = 0);
+                                          const std::vector<double>& lane_weights);
 
 }  // namespace saloba::seedext

@@ -180,12 +180,7 @@ std::vector<ReadMapping> ReadMapper::map_batch(
     index.push_back(i);
   }
   if (batch.size() == 0) return out;
-  // Window CIGARs are full-table by definition (the window's slack offsets
-  // the alignment diagonal, so an extension-style band around |i - j| = 0
-  // would miss it). Mark the batch as carrying explicit full-table bands so
-  // a banded extender's Aligner-level band policy can never be materialized
-  // onto these pairs — batch-own bands always win.
-  batch.bands.assign(batch.size(), 0);
+  // Window pairs carry no band: their CIGARs are full-table by definition.
 
   std::vector<align::TracedAlignment> traced = trace(batch);
   SALOBA_CHECK_MSG(traced.size() == batch.size(),

@@ -23,7 +23,7 @@ struct Sequence {
 /// Number of DP cells inside the band |i - j| <= band of an n x m table
 /// (i over `ref_len` rows, j over `query_len` columns). `band == 0` means
 /// "no banding" and returns the full n·m — the convention every layer of the
-/// pipeline shares (SalobaConfig.band, PairBatch bands, AlignerOptions.band).
+/// pipeline shares (SalobaConfig.band, PairBatch bands, engine params).
 /// align::smith_waterman_banded computes exactly this many cells.
 std::size_t banded_cells(std::size_t ref_len, std::size_t query_len, std::size_t band);
 
@@ -52,13 +52,12 @@ struct PairBatch {
   /// add() with a per-pair band; allocates the band channel lazily (an
   /// all-zero batch never pays for it).
   void add(std::vector<BaseCode> q, std::vector<BaseCode> r, std::size_t band);
-  /// Effective band of pair i (0 = full table).
+  /// Effective band of pair i (0 = full table) — the only source of a
+  /// pair's band: the Aligner stack has no band option of its own.
   std::size_t band_of(std::size_t i) const {
     if (bands.empty()) return default_band;
     return bands[i] != 0 ? bands[i] : default_band;
   }
-  /// True when the batch carries any band information at all.
-  bool has_band_info() const { return default_band != 0 || !bands.empty(); }
   /// True when at least one pair is effectively banded.
   bool banded() const;
   std::size_t max_query_len() const;

@@ -45,7 +45,9 @@ TEST(AlignmentResult, OrderingIsTotalOnRandomSamples) {
       EXPECT_FALSE(improves(a, b) && improves(b, a));
       for (const auto& c : rs) {
         // Transitivity.
-        if (improves(a, b) && improves(b, c)) EXPECT_TRUE(improves(a, c));
+        if (improves(a, b) && improves(b, c)) {
+          EXPECT_TRUE(improves(a, c));
+        }
       }
     }
   }

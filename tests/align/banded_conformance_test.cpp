@@ -88,11 +88,11 @@ TEST(BandedConformance, CoveringBandIsBitIdenticalToFullTable) {
   }
 }
 
-TEST(BandedConformance, CpuAlignerHonorsBandPolicy) {
+TEST(BandedConformance, CpuAlignerHonorsBatchDefaultBand) {
   AlignerOptions opts;
-  opts.band = 16;
   core::Aligner aligner(opts);
   auto batch = saloba::testing::imbalanced_batch(505, 30, 5, 150);
+  batch.default_band = 16;
   auto out = aligner.align(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     auto expected =
@@ -100,38 +100,24 @@ TEST(BandedConformance, CpuAlignerHonorsBandPolicy) {
     EXPECT_EQ(out.results[i], expected) << "pair " << i;
   }
   // The reported workload is the in-band cell count, not the full area.
-  seq::PairBatch banded = batch;
-  core::materialize_bands(banded, opts.band_policy());
-  EXPECT_EQ(out.cells, banded.total_banded_cells());
+  EXPECT_EQ(out.cells, batch.total_banded_cells());
   EXPECT_LT(out.cells, batch.total_cells());
 }
 
-TEST(BandedConformance, BandFracScalesWithQueryLength) {
+TEST(BandedConformance, AlignerHonorsPerPairBandsOverDefault) {
+  // Per-pair bands win; a pair whose own band is 0 falls back to the
+  // batch's default_band (PairBatch::band_of).
   AlignerOptions opts;
-  opts.band = 4;
-  opts.band_frac = 0.25;
-  core::Aligner aligner(opts);
-  auto batch = saloba::testing::related_batch(506, 12, 100, 140);
-  auto out = aligner.align(batch);
-  // band_for(100) = max(4, ceil(0.25 * 100)) = 25.
-  EXPECT_EQ(opts.band_policy().band_for(100), 25u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto expected =
-        smith_waterman_banded(batch.refs[i], batch.queries[i], opts.scoring, 25).result;
-    EXPECT_EQ(out.results[i], expected) << "pair " << i;
-  }
-}
-
-TEST(BandedConformance, PerPairBandsWinOverAlignerPolicy) {
-  AlignerOptions opts;
-  opts.band = 1;  // would clamp hard if it applied
   core::Aligner aligner(opts);
   auto batch = random_banded_batch(507, 25, 130, /*allow_unbanded=*/false);
+  batch.default_band = 3;
+  for (std::size_t i = 0; i < batch.size(); i += 4) batch.bands[i] = 0;
   auto out = aligner.align(batch);
   auto expected = banded_reference(batch, opts.scoring);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(out.results[i], expected[i]) << "pair " << i;
   }
+  EXPECT_EQ(batch.band_of(0), 3u);
 }
 
 TEST(BandedConformance, SimulatedShardedAlignerMatchesBandedReference) {
@@ -142,9 +128,9 @@ TEST(BandedConformance, SimulatedShardedAlignerMatchesBandedReference) {
   opts.kernel = "saloba";
   opts.devices = 3;
   opts.max_shard_pairs = 7;
-  opts.band = 12;
   core::Aligner aligner(opts);
   auto batch = saloba::testing::imbalanced_batch(508, 40, 4, 180);
+  batch.default_band = 12;
   auto out = aligner.align(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     auto expected =
@@ -152,9 +138,7 @@ TEST(BandedConformance, SimulatedShardedAlignerMatchesBandedReference) {
     EXPECT_EQ(out.results[i], expected) << "pair " << i;
   }
   ASSERT_TRUE(out.kernel_stats.has_value());
-  seq::PairBatch banded = batch;
-  core::materialize_bands(banded, opts.band_policy());
-  EXPECT_EQ(out.kernel_stats->totals.dp_cells, banded.total_banded_cells());
+  EXPECT_EQ(out.kernel_stats->totals.dp_cells, batch.total_banded_cells());
   EXPECT_EQ(out.kernel_stats->totals.dp_cells + out.kernel_stats->totals.dp_cells_skipped,
             batch.total_cells());
 }
@@ -190,7 +174,7 @@ TEST(BandedConformance, CpuAlignerZdropOptionFlowsToBackend) {
   EXPECT_LE(out.cells, batch.total_cells());
 }
 
-// --- banded_cells / band_for unit behaviour -------------------------------
+// --- banded_cells unit behaviour ------------------------------------------
 
 TEST(BandedCells, MatchesCellsActuallyComputed) {
   ScoringScheme s;
@@ -213,55 +197,15 @@ TEST(BandedCells, ZeroBandMeansFullTable) {
   EXPECT_EQ(seq::banded_cells(17, 0, 5), 0u);
 }
 
-TEST(BandPolicy, BandForSemantics) {
-  core::BandPolicy none;
-  EXPECT_FALSE(none.banded());
-  EXPECT_EQ(none.band_for(500), 0u);
-
-  core::BandPolicy fixed{8, 0.0};
-  EXPECT_EQ(fixed.band_for(0), 8u);
-  EXPECT_EQ(fixed.band_for(1000), 8u);
-
-  core::BandPolicy frac{0, 0.25};
-  EXPECT_TRUE(frac.banded());
-  EXPECT_EQ(frac.band_for(100), 25u);
-  // A banded policy never produces band 0 (0 would read as "full table").
-  EXPECT_EQ(frac.band_for(0), 1u);
-  EXPECT_EQ(frac.band_for(3), 1u);  // ceil(0.75) = 1
-
-  core::BandPolicy both{16, 0.25};
-  EXPECT_EQ(both.band_for(50), 16u);   // floor wins: ceil(12.5) = 13 < 16
-  EXPECT_EQ(both.band_for(200), 50u);  // frac wins for long ones
-}
-
-TEST(BandPolicy, MaterializeRespectsExistingChannel) {
-  core::BandPolicy policy{10, 0.0};
-  seq::PairBatch fresh = saloba::testing::related_batch(512, 5, 30, 40);
-  core::materialize_bands(fresh, policy);
-  ASSERT_EQ(fresh.bands.size(), 5u);
-  for (std::size_t b : fresh.bands) EXPECT_EQ(b, 10u);
-
-  seq::PairBatch owned = saloba::testing::related_batch(513, 3, 30, 40);
-  owned.default_band = 7;
-  core::materialize_bands(owned, policy);
-  EXPECT_TRUE(owned.bands.empty());  // batch band info wins, untouched
-  EXPECT_EQ(owned.band_of(0), 7u);
-
-  seq::PairBatch unbanded = saloba::testing::related_batch(514, 3, 30, 40);
-  core::materialize_bands(unbanded, core::BandPolicy{});
-  EXPECT_FALSE(unbanded.has_band_info());
-}
-
 // --- degenerate bands and inputs through the whole pipeline ---------------
 
-TEST(BandedGuards, BandZeroPolicyIsBitIdenticalToUnbanded) {
+TEST(BandedGuards, ExplicitZeroBandsAreBitIdenticalToUnbanded) {
   auto batch = saloba::testing::imbalanced_batch(515, 25, 3, 120);
-  AlignerOptions plain;
-  AlignerOptions zero;
-  zero.band = 0;
-  zero.band_frac = 0.0;
-  auto a = core::Aligner(plain).align(batch);
-  auto b = core::Aligner(zero).align(batch);
+  seq::PairBatch zero = batch;
+  zero.bands.assign(zero.size(), 0);
+  core::Aligner aligner{AlignerOptions{}};
+  auto a = aligner.align(batch);
+  auto b = aligner.align(zero);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i], b.results[i]) << "pair " << i;
@@ -271,10 +215,10 @@ TEST(BandedGuards, BandZeroPolicyIsBitIdenticalToUnbanded) {
 
 TEST(BandedGuards, BandOneThroughCpuAndSimulatedBackends) {
   auto batch = saloba::testing::imbalanced_batch(516, 20, 1, 90);
+  batch.default_band = 1;
   for (auto backend : {core::Backend::kCpu, core::Backend::kSimulated}) {
     AlignerOptions opts;
     opts.backend = backend;
-    opts.band = 1;
     core::Aligner aligner(opts);
     auto out = aligner.align(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -290,10 +234,10 @@ TEST(BandedGuards, EmptyBatchAndEmptySequences) {
   for (auto backend : {core::Backend::kCpu, core::Backend::kSimulated}) {
     AlignerOptions opts;
     opts.backend = backend;
-    opts.band = 4;
     core::Aligner aligner(opts);
 
     seq::PairBatch empty;
+    empty.default_band = 4;
     auto out = aligner.align(empty);
     EXPECT_TRUE(out.results.empty());
     EXPECT_EQ(out.cells, 0u);

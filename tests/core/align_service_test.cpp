@@ -96,12 +96,11 @@ TEST(AlignService, SessionsBitIdenticalToStandaloneSimBandedTraceback) {
   // how the batcher merged the three tenants.
   AlignerOptions opts = sim_options();
   opts.traceback = true;
-  opts.band = 8;
-  opts.band_frac = 0.1;
   std::vector<seq::PairBatch> batches;
   batches.push_back(saloba::testing::imbalanced_batch(903, 31, 30, 400));
   batches.push_back(saloba::testing::related_batch(904, 25, 80, 120));
   batches.push_back(saloba::testing::imbalanced_batch(905, 19, 20, 200));
+  for (seq::PairBatch& batch : batches) batch.default_band = 8;
 
   ServiceOptions svc;
   svc.batch_pairs = 8;
@@ -121,10 +120,10 @@ TEST(AlignService, SessionsBitIdenticalToStandaloneSimBandedTraceback) {
   }
 }
 
-TEST(AlignService, SessionOwnBandsWinOverServiceBandPolicy) {
+TEST(AlignService, MergedTenantsKeepTheirOwnBands) {
   // A tenant submitting a batch with its own per-pair bands (the seedext
-  // job shape) must keep them through merging with an unbanded tenant,
-  // under an Aligner-level band policy — exactly the one-shot rule.
+  // job shape) must keep them through merging with a tenant banded by its
+  // default_band — exactly its one-shot results.
   util::Xoshiro256 rng(906);
   seq::PairBatch banded;
   for (int i = 0; i < 24; ++i) {
@@ -134,9 +133,9 @@ TEST(AlignService, SessionOwnBandsWinOverServiceBandPolicy) {
                i % 3 == 0 ? 0 : 1 + rng.below(16));
   }
   auto plain = saloba::testing::related_batch(907, 20, 50, 70);
+  plain.default_band = 5;
 
   AlignerOptions opts;
-  opts.band = 5;  // applies to `plain`, must NOT clobber `banded`'s channel
   auto expected_banded = Aligner(opts).align(banded);
   auto expected_plain = Aligner(opts).align(plain);
 
@@ -174,19 +173,18 @@ TEST(AlignService, AlignConvenienceMatchesAlignerOneShot) {
 TEST(AlignService, TracebackPhaseIsAttributedToTenants) {
   // align() and SessionStats carry the traceback phase: each merged batch's
   // traceback time and cells split by the tenant's cell share, like
-  // align_ms. A fixed block height makes the SIMD engine's cells a per-pair
-  // sum, so however the service batches, one tenant's total equals a direct
-  // Aligner's.
+  // align_ms. The SIMD engine's block height follows each cohort's longest
+  // ref, so the service runs the batch as one merged batch — the direct
+  // run's cohorts — and one tenant's total equals a direct Aligner's.
   AlignerOptions opts;
   opts.traceback = true;
-  opts.traceback_checkpoint_rows = 16;
   auto batch = saloba::testing::related_batch(997, 48, 90, 130);
   const AlignOutput direct = Aligner(opts).align(batch);
   ASSERT_GT(direct.traceback_cells, 0u);
   ASSERT_GT(direct.traceback_ms, 0.0);
 
   ServiceOptions svc;
-  svc.batch_pairs = 16;
+  svc.batch_pairs = batch.size();
   AlignService service(opts, svc);
   const AlignOutput out = service.align(batch);
   EXPECT_EQ(out.traced, direct.traced);

@@ -1,16 +1,20 @@
 // AlignBackend implementations: lane bookkeeping, CPU/simulated parity,
-// and registry-backed construction errors.
+// registry-backed construction errors, and the typed errors every front end
+// throws for bad AlignerOptions.
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
+#include "core/align_service.hpp"
 #include "core/aligner.hpp"
+#include "core/stream_aligner.hpp"
 #include "gpusim/device_registry.hpp"
 
 namespace saloba::core {
@@ -190,12 +194,41 @@ TEST(DevicePresetList, SplitsAndTrims) {
   EXPECT_THROW(device_preset_list(","), std::invalid_argument);
 }
 
-TEST(SimulatedGpuBackendDeath, MixedPresetsRejectConflictingDeviceCount) {
-  AlignerOptions opts;
-  opts.backend = Backend::kSimulated;
-  opts.device = "gtx1650,rtx3090";
-  opts.devices = 3;  // neither 1 nor the list length
-  EXPECT_DEATH(SimulatedGpuBackend{opts}, "conflicts");
+/// Runs `build` and expects std::invalid_argument whose message names
+/// `field`.
+template <typename Build>
+void expect_invalid_naming(const Build& build, const std::string& field,
+                           const std::string& what) {
+  try {
+    build();
+    ADD_FAILURE() << what << ": expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << what << ": " << e.what();
+  }
+}
+
+TEST(AlignerOptionsErrors, EveryFrontEndThrowsNamingTheField) {
+  // Bad AlignerOptions are caller input: each front end builds its backend
+  // before starting any thread, and the backend throws naming the field.
+  AlignerOptions bad_scoring;
+  bad_scoring.scoring.match = 0;
+  AlignerOptions no_devices;
+  no_devices.backend = Backend::kSimulated;
+  no_devices.devices = 0;
+  AlignerOptions conflicting;  // neither 1 nor the list length
+  conflicting.backend = Backend::kSimulated;
+  conflicting.device = "gtx1650,rtx3090";
+  conflicting.devices = 3;
+  const std::vector<std::pair<AlignerOptions, std::string>> cases = {
+      {bad_scoring, "scoring"}, {no_devices, "devices"}, {conflicting, "devices"}};
+  for (const auto& c : cases) {
+    const AlignerOptions& opts = c.first;
+    expect_invalid_naming([&] { Aligner aligner(opts); }, c.second, "Aligner");
+    expect_invalid_naming([&] { AlignService service(opts); }, c.second, "AlignService");
+    expect_invalid_naming([&] { StreamAligner streamer(opts); }, c.second, "StreamAligner");
+  }
+  expect_invalid_naming([] { HostBackend backend(align::ScoringScheme{}, 0); }, "lanes",
+                        "HostBackend");
 }
 
 TEST(MakeBackend, DispatchesOnOptions) {

@@ -1,5 +1,5 @@
 // The chaining phase as a scheduler/backend concern: identical chains across
-// backends, lane counts, and shard caps; modeled phase cost on simulated
+// backends, lane counts, and lane weights; modeled phase cost on simulated
 // devices (the Phase::kChaining breakdown + counter slots); and the
 // Aligner::batch_chainer → ReadMapper::set_batch_chainer end-to-end wiring.
 #include <gtest/gtest.h>
@@ -62,32 +62,28 @@ TEST(ChainingPhase, ShardedMultiLaneMatchesSingleLane) {
   auto batch = test_chain_batch(12, 55);
   auto expected = oracle_chains(batch);
 
-  // CPU, three lanes, capped shards — down to one task per shard.
-  AlignerOptions cpu;
-  cpu.cpu_lanes = 3;
-  auto cpu_backend = make_backend(cpu);
+  // CPU, two to five lanes: one shard per lane.
   ChainPhaseOutput cpu_out;
-  for (std::size_t cap : {7u, 1u}) {
-    SchedulerOptions sched_opts;
-    sched_opts.max_shard_chain_tasks = cap;
-    BatchScheduler cpu_sched(cpu_backend.get(), sched_opts);
+  for (int lanes : {2, 3, 5}) {
+    AlignerOptions cpu;
+    cpu.cpu_lanes = lanes;
+    auto cpu_backend = make_backend(cpu);
+    BatchScheduler cpu_sched(cpu_backend.get());
     cpu_out = cpu_sched.chain(batch);
-    EXPECT_EQ(cpu_out.items, expected) << "cap " << cap;
-    EXPECT_GT(cpu_out.schedule.shards, 1u) << "cap " << cap;
-    EXPECT_EQ(cpu_out.schedule.lanes, 3) << "cap " << cap;
+    EXPECT_EQ(cpu_out.items, expected) << "lanes " << lanes;
+    EXPECT_EQ(cpu_out.schedule.shards, static_cast<std::size_t>(lanes)) << "lanes " << lanes;
+    EXPECT_EQ(cpu_out.schedule.lanes, lanes) << "lanes " << lanes;
   }
-  EXPECT_EQ(cpu_out.schedule.shards, batch.tasks());
 
-  // Simulated, two devices, different cap — still the same chains.
+  // Simulated, two unequal devices (weighted LPT) — still the same chains.
   AlignerOptions sim;
   sim.backend = Backend::kSimulated;
-  sim.devices = 2;
+  sim.device = "gtx1650,rtx3090";
   auto sim_backend = make_backend(sim);
-  SchedulerOptions sim_opts;
-  sim_opts.max_shard_chain_tasks = 5;
-  BatchScheduler sim_sched(sim_backend.get(), sim_opts);
+  BatchScheduler sim_sched(sim_backend.get());
   auto sim_out = sim_sched.chain(batch);
   EXPECT_EQ(sim_out.items, expected);
+  EXPECT_EQ(sim_out.schedule.shards, 2u);
 
   // Structural counters agree across executions.
   EXPECT_EQ(cpu_out.work, sim_out.work);
@@ -143,8 +139,7 @@ TEST(ChainingPhase, MapperWithInjectedChainerMatchesDefault) {
   auto want = plain.map_batch(reads, extend);
 
   AlignerOptions chain_opts;
-  chain_opts.cpu_lanes = 2;
-  chain_opts.max_shard_chain_tasks = 8;
+  chain_opts.cpu_lanes = 3;
   Aligner chain_aligner(chain_opts);
   seedext::ReadMapper routed(genome, seedext::MapperParams{});
   routed.set_batch_chainer(chain_aligner.batch_chainer());

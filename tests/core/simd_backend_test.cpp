@@ -48,7 +48,7 @@ TEST(SimdHostBackend, TracebackPhaseMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
   HostBackend backend{align::ScoringScheme{}};
   auto score = backend.run(batch, 0);
-  auto got = backend.run_traceback(batch, score.items, TracebackSettings{}, 0);
+  auto got = backend.run_traceback(batch, score.items, 0);
   EXPECT_EQ(got.items, oracle_traces(batch, align::ScoringScheme{}, /*zdrop=*/0));
   // The backend traces with align::simd::trace_batch, so its cells are that
   // engine's: a forward share equal to the score pass's in-band cells of the
@@ -93,18 +93,15 @@ TEST(SimdAligner, EndToEndMatchesScalarOracle) {
 
 TEST(SimdAligner, BandedTracebackMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(805, 25, 110, 150);
+  batch.default_band = 24;
   AlignerOptions opts;
-  opts.band = 24;
   opts.zdrop = 60;
   opts.traceback = true;
   auto got = Aligner(opts).align(batch);
 
-  // The oracles see the bands the scheduler materializes into the batch.
-  seq::PairBatch banded = batch;
-  materialize_bands(banded, opts.band_policy());
   EXPECT_EQ(got.results,
-            align::align_batch(banded, opts.scoring, nullptr, /*threads=*/0, opts.zdrop));
-  EXPECT_EQ(got.traced, oracle_traces(banded, opts.scoring, opts.zdrop));
+            align::align_batch(batch, opts.scoring, nullptr, /*threads=*/0, opts.zdrop));
+  EXPECT_EQ(got.traced, oracle_traces(batch, opts.scoring, opts.zdrop));
 }
 
 TEST(SimdAligner, MultiLaneScheduleMatchesScalarOracle) {

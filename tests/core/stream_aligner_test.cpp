@@ -65,15 +65,14 @@ TEST(StreamAligner, StreamedSimBitIdenticalToOneShotAcrossDevices) {
   }
 }
 
-TEST(StreamAligner, StreamedBandPolicyBitIdenticalToOneShot) {
-  // Banded parity (Sec. VII-B): with an Aligner-level band policy set, a
-  // streamed run must stay bit-identical to one-shot Aligner::align — the
-  // per-chunk materialization cannot drift from the scheduler's.
+TEST(StreamAligner, StreamedDefaultBandBitIdenticalToOneShot) {
+  // Banded parity (Sec. VII-B): a batch banded through its default_band
+  // must stream bit-identically to one-shot Aligner::align — every chunk
+  // carries the band each pair resolves to.
   auto batch = saloba::testing::imbalanced_batch(806, 47, 10, 350);
+  batch.default_band = 6;
   for (bool simulated : {false, true}) {
     AlignerOptions opts = simulated ? sim_options(2) : AlignerOptions{};
-    opts.band = 6;
-    opts.band_frac = 0.125;
     auto expected = Aligner(opts).align(batch);
 
     StreamOptions stream;
@@ -86,9 +85,7 @@ TEST(StreamAligner, StreamedBandPolicyBitIdenticalToOneShot) {
     EXPECT_EQ(out.results, expected.results) << (simulated ? "sim" : "cpu");
     // The banded workload measure is conserved across chunking too.
     EXPECT_EQ(out.cells, expected.cells) << (simulated ? "sim" : "cpu");
-    seq::PairBatch banded = batch;
-    materialize_bands(banded, opts.band_policy());
-    EXPECT_EQ(out.cells, banded.total_banded_cells());
+    EXPECT_EQ(out.cells, batch.total_banded_cells());
     if (simulated) {
       ASSERT_TRUE(out.kernel_stats.has_value());
       EXPECT_EQ(out.kernel_stats->totals.dp_cells, expected.kernel_stats->totals.dp_cells);
@@ -98,12 +95,10 @@ TEST(StreamAligner, StreamedBandPolicyBitIdenticalToOneShot) {
   }
 }
 
-TEST(StreamAligner, MixedBandSourceBatchUnderPolicyStaysOneShotIdentical) {
-  // Regression: a source batch mixing explicit band-0 (full table) pairs
-  // with banded ones, streamed at one pair per chunk under an Aligner band
-  // policy. Chunks holding only band-0 pairs must keep counting as
-  // band-carrying, or the policy would banded-clamp pairs the one-shot
-  // path runs full-table.
+TEST(StreamAligner, MixedBandSourceBatchStaysOneShotIdentical) {
+  // A source batch mixing band-0 (full table) pairs with banded ones,
+  // streamed at one pair per chunk: chunks holding only band-0 pairs run
+  // full-table, exactly as the one-shot path does.
   util::Xoshiro256 rng(809);
   seq::PairBatch batch;
   for (int i = 0; i < 16; ++i) {
@@ -112,9 +107,8 @@ TEST(StreamAligner, MixedBandSourceBatchUnderPolicyStaysOneShotIdentical) {
               saloba::testing::random_seq(rng, len + rng.below(60)),
               i % 2 == 0 ? 0 : 1 + rng.below(24));
   }
-  ASSERT_TRUE(batch.has_band_info());
+  ASSERT_FALSE(batch.bands.empty());
   AlignerOptions opts;
-  opts.band = 2;  // would clamp the band-0 pairs hard if it leaked through
   auto expected = Aligner(opts).align(batch);
 
   StreamOptions stream;

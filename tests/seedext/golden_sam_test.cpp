@@ -186,30 +186,6 @@ TEST(GoldenSam, StreamedTracebackSamMatchesOneShotAndLegacy) {
   EXPECT_EQ(streamed.str(), want);
 }
 
-TEST(GoldenSam, BandedTracedExtenderStillMatchesLegacy) {
-  // Regression: the window-trace batch pins explicit full-table bands, so a
-  // traced extender built from a banded aligner (a normal extension config)
-  // must not get the band policy materialized onto the window pairs — the
-  // window slack offsets the alignment diagonal, and a narrow band there
-  // would silently corrupt CIGARs and positions.
-  Fixture f;
-  core::Aligner plain{core::AlignerOptions{}};
-  std::string want = f.golden();
-
-  core::AlignerOptions banded;
-  banded.band = 8;
-  banded.traceback = true;
-  core::Aligner trace_aligner(banded);
-  auto mappings =
-      f.mapper->map_batch(f.read_seqs, plain.batch_extender(), trace_aligner.traced_extender());
-  std::ostringstream out;
-  seq::SamWriter writer(out, f.header());
-  for (std::size_t i = 0; i < f.reads.size(); ++i) {
-    writer.write(to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT"));
-  }
-  EXPECT_EQ(out.str(), want);
-}
-
 TEST(GoldenSam, ShardedLanesPipelineMatchesLegacyByteForByte) {
   // The batched two-phase pipeline split into many shards across two host
   // lanes must still reproduce the scalar golden SAM byte for byte (scores,
