@@ -16,10 +16,12 @@
 // Smith-Waterman table would hold 12·N·M bytes of H/E/F state — the DP
 // matrix a GPU kernel spills to global memory — so the modeled spill win of
 // the wavefront is that table over the measured linear footprint. Emits
-// BENCH_longread.json. Any violation exits 1.
+// BENCH_longread.json, which names the cell-body kernel it measured (`isa`:
+// the AVX2 instantiation or the generic fallback). Any violation exits 1.
 #include <algorithm>
 #include <cstdio>
 
+#include "align/simd_engine.hpp"
 #include "align/traceback.hpp"
 #include "align/xdrop_wavefront.hpp"
 #include "core/workload.hpp"
@@ -88,6 +90,7 @@ int main(int argc, char** argv) {
 
   std::printf("longread_xdrop — %zu x %zu bp pair, xdrop=%d\n", n, m, int(xdrop));
   util::Table table({"Metric", "Value"});
+  table.add_row({"isa", align::simd::isa_name()});
   table.add_row({"forward cells", std::to_string(stats.cells)});
   table.add_row({"traceback cells", std::to_string(stats.traceback_cells)});
   table.add_row({"diagonals", std::to_string(stats.diagonals)});
@@ -119,12 +122,12 @@ int main(int argc, char** argv) {
 
   if (std::FILE* f = std::fopen("BENCH_longread.json", "w")) {
     std::fprintf(f,
-                 "{\"bench\":\"longread_xdrop\",\"ref_len\":%zu,\"query_len\":%zu,"
+                 "{\"bench\":\"longread_xdrop\",\"isa\":\"%s\",\"ref_len\":%zu,\"query_len\":%zu,"
                  "\"xdrop\":%d,\"forward_cells\":%zu,\"traceback_cells\":%zu,"
                  "\"max_wavefront\":%zu,\"peak_bytes\":%zu,\"linear_ceiling_bytes\":%zu,"
                  "\"full_matrix_bytes\":%.0f,\"spill_win\":%.1f,\"table_fraction\":%.5f,"
                  "\"score\":%d,\"wall_ms\":%.3f,\"gcups\":%.3f,\"ok\":%s}\n",
-                 n, m, int(xdrop), stats.cells, stats.traceback_cells,
+                 align::simd::isa_name(), n, m, int(xdrop), stats.cells, stats.traceback_cells,
                  stats.max_wavefront, stats.peak_bytes, linear_ceiling,
                  full_matrix_bytes, spill_win, prune_frac, int(traced.end.score),
                  wall_ms, gcups, ok ? "true" : "false");

@@ -187,14 +187,16 @@ struct OpsGeneric {
 using OpsU8Generic = OpsGeneric<std::uint8_t, 32, 255>;
 using OpsU16Generic = OpsGeneric<std::uint16_t, 16, 65535>;
 
-/// Signed 32-bit lane vocabulary (8 lanes per 256-bit register) for the
-/// chaining push kernel (seedext/chain_kernel.hpp): chain scores and gap
-/// penalties are signed int32, not saturating-unsigned DP cells, so this is a
-/// separate, smaller vocabulary — wrapping add/sub (exactly the modular
-/// semantics of _mm256_add_epi32/_mm256_sub_epi32, so ineligible lanes whose
-/// garbage intermediates wrap are still bit-identical across ISAs before the
-/// mask discards them), signed compares, blend. The AVX2 twin lives in
-/// seedext/chain_engine_avx2.cpp.
+/// Signed 32-bit lane vocabulary (8 lanes per 256-bit register) for two
+/// kernels whose values are signed int32, not saturating-unsigned DP cells:
+/// the chaining push kernel (seedext/chain_kernel.hpp) and the X-drop
+/// wavefront's anti-diagonal cell body (align/xdrop_kernel.hpp). So this is
+/// a separate, smaller vocabulary — wrapping add/sub (exactly the modular
+/// semantics of _mm256_add_epi32/_mm256_sub_epi32, so lanes whose garbage
+/// intermediates wrap are still bit-identical across ISAs, and UBSan-clean,
+/// before a mask discards them), signed compares, bitwise ops, blend, byte
+/// widening/narrowing and a horizontal max. The AVX2 twin, OpsI32Avx2, lives
+/// in simd_vec_avx2.hpp, which only -mavx2 translation units include.
 struct OpsI32Generic {
   static constexpr int kLanes = 8;
   struct Vec {
@@ -213,6 +215,16 @@ struct OpsI32Generic {
   }
   static void store(std::int32_t* dst, const Vec& v) {
     for (int k = 0; k < kLanes; ++k) dst[k] = v.v[k];
+  }
+  /// Widening load: kLanes bytes, zero-extended (_mm256_cvtepu8_epi32).
+  static Vec load_bases(const std::uint8_t* p) {
+    Vec o;
+    for (int k = 0; k < kLanes; ++k) o.v[k] = p[k];
+    return o;
+  }
+  /// Narrowing store: the low byte of every lane, kLanes bytes.
+  static void store_low_bytes(std::uint8_t* dst, const Vec& v) {
+    for (int k = 0; k < kLanes; ++k) dst[k] = static_cast<std::uint8_t>(v.v[k]);
   }
   /// Wrapping (two's-complement) add, the _mm256_add_epi32 semantics.
   static Vec add(const Vec& a, const Vec& b) {
@@ -247,11 +259,32 @@ struct OpsI32Generic {
     for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] > b.v[k] ? -1 : 0;
     return o;
   }
+  static Vec cmpeq(const Vec& a, const Vec& b) {
+    Vec o;
+    for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] == b.v[k] ? -1 : 0;
+    return o;
+  }
   static Vec vand(const Vec& a, const Vec& b) {
     Vec o;
     for (int k = 0; k < kLanes; ++k) {
       o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) &
                                          static_cast<std::uint32_t>(b.v[k]));
+    }
+    return o;
+  }
+  static Vec vor(const Vec& a, const Vec& b) {
+    Vec o;
+    for (int k = 0; k < kLanes; ++k) {
+      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) |
+                                         static_cast<std::uint32_t>(b.v[k]));
+    }
+    return o;
+  }
+  static Vec andnot(const Vec& mask, const Vec& v) {  // v & ~mask
+    Vec o;
+    for (int k = 0; k < kLanes; ++k) {
+      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(v.v[k]) &
+                                         ~static_cast<std::uint32_t>(mask.v[k]));
     }
     return o;
   }
@@ -265,6 +298,12 @@ struct OpsI32Generic {
       if (m.v[k]) return true;
     }
     return false;
+  }
+  /// Largest lane (signed).
+  static std::int32_t hmax(const Vec& a) {
+    std::int32_t m = a.v[0];
+    for (int k = 1; k < kLanes; ++k) m = a.v[k] > m ? a.v[k] : m;
+    return m;
   }
   /// Absolute value, _mm256_abs_epi32 semantics (INT_MIN stays INT_MIN).
   static Vec sabs(const Vec& a) {

@@ -27,6 +27,7 @@ struct ForwardTables {
   Matrix H, E, F;
   BoolMatrix computed;
   AlignmentResult best;
+  bool xdropped = false;  ///< the pass ended on the X-drop rule
 };
 
 /// The masked forward pass of the specification on full matrices: the same
@@ -54,7 +55,10 @@ ForwardTables forward_full(std::span<const seq::BaseCode> ref,
     const std::int64_t v_hi = std::min(n - 1, d);
     const std::int64_t lo = std::max(win_lo, v_lo);
     const std::int64_t hi = std::min(win_hi, v_hi);
-    if (lo > hi) break;
+    if (lo > hi) {
+      t.xdropped = params.xdrop > 0;
+      break;
+    }
 
     for (std::int64_t i = lo; i <= hi; ++i) {
       const std::int64_t j = d - i;
@@ -94,7 +98,10 @@ ForwardTables forward_full(std::span<const seq::BaseCode> ref,
                  floor) {
         --live_hi;
       }
-      if (live_lo > live_hi) break;
+      if (live_lo > live_hi) {
+        t.xdropped = true;
+        break;
+      }
     }
     win_lo = live_lo;
     win_hi = live_hi + 1;
@@ -116,10 +123,27 @@ AlignmentResult xdrop_reference_score(std::span<const seq::BaseCode> ref,
 
 TracedAlignment xdrop_reference_align(std::span<const seq::BaseCode> ref,
                                       std::span<const seq::BaseCode> query,
-                                      const ScoringScheme& scoring,
-                                      const XDropParams& params) {
+                                      const ScoringScheme& scoring, const XDropParams& params,
+                                      WavefrontStats* stats) {
   SALOBA_CHECK(scoring.valid());
   const ForwardTables fwd = forward_full(ref, query, scoring, params);
+  if (stats != nullptr) {
+    // Counted from the mask, cell by cell, per anti-diagonal i + j.
+    *stats = WavefrontStats{};
+    std::vector<std::size_t> per_diagonal(ref.size() + query.size(), 0);
+    for (std::size_t i = 0; i < fwd.computed.size(); ++i) {
+      for (std::size_t j = 0; j < fwd.computed[i].size(); ++j) {
+        if (fwd.computed[i][j] == 0) continue;
+        ++stats->cells;
+        ++per_diagonal[i + j];
+        stats->diagonals = std::max(stats->diagonals, i + j + 1);
+      }
+    }
+    for (const std::size_t width : per_diagonal) {
+      stats->max_wavefront = std::max(stats->max_wavefront, width);
+    }
+    stats->xdropped = fwd.xdropped;
+  }
   // Never-computed cells kept H = 0, E/F = -inf, so the plain full-matrix
   // walk over the stored tables is the walk over the masked DP.
   return trace_stored_matrix(fwd.best, ref, query, scoring, [&](std::size_t i, std::size_t j) {

@@ -5,8 +5,9 @@
 // computed-cell mask, and the full-matrix walk over the stored values that
 // align::smith_waterman_traceback also runs (trace_stored_matrix), not the
 // engine's checkpoint replay and flag-byte TraceWalk. The fuzz suite
-// asserts the two are bit-identical in score, endpoint and CIGAR. Tests and
-// moderate lengths only.
+// asserts the two are bit-identical in score, endpoint and CIGAR, and in
+// the cells, diagonals, widest window and X-drop termination the engine
+// reports. Tests and moderate lengths only.
 #pragma once
 
 #include <span>
@@ -25,10 +26,14 @@ AlignmentResult xdrop_reference_score(std::span<const seq::BaseCode> ref,
                                       const XDropParams& params = {});
 
 /// Full alignment on full matrices: the forward pass above, then the walk
-/// back from the best cell over the stored tables, stopping at H = 0.
+/// back from the best cell over the stored tables, stopping at H = 0. A
+/// non-null `stats` receives `cells`, `diagonals` and `max_wavefront`
+/// counted from the computed-cell mask, and `xdropped` from the pass's own
+/// termination; its other fields stay 0.
 TracedAlignment xdrop_reference_align(std::span<const seq::BaseCode> ref,
                                       std::span<const seq::BaseCode> query,
                                       const ScoringScheme& scoring,
-                                      const XDropParams& params = {});
+                                      const XDropParams& params = {},
+                                      WavefrontStats* stats = nullptr);
 
 }  // namespace saloba::align

@@ -7,11 +7,25 @@
 #include <utility>
 #include <vector>
 
+#include "align/simd_engine.hpp"
+#include "align/simd_vec.hpp"
 #include "align/traceback_engine.hpp"
+#include "align/xdrop_kernel.hpp"
 #include "util/check.hpp"
 
 namespace saloba::align {
+
+namespace detail {
+
+XdropKernel xdrop_kernel_generic() {
+  return {&xdrop_scores<simd::OpsI32Generic>, &xdrop_flags<simd::OpsI32Generic>};
+}
+
+}  // namespace detail
+
 namespace {
+
+using detail::kXdropLanes;
 
 constexpr Score kNegInf = std::numeric_limits<Score>::min() / 4;
 
@@ -25,79 +39,105 @@ std::size_t cap_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+/// Diagonal buffers hold cell i at slot i + 1 (xdrop_kernel.hpp).
+std::size_t slot(std::int64_t i) { return static_cast<std::size_t>(i + 1); }
+
+/// Gives cells lo - 1 and hi + 1 of a diagonal buffer whose computed window
+/// is [lo, hi] the never-computed value `v` (H = 0, E/F = -inf).
+void seal(std::vector<Score>& buf, std::int64_t lo, std::int64_t hi, Score v) {
+  buf[slot(lo - 1)] = v;
+  buf[slot(hi + 1)] = v;
+}
+
+/// A copy of `bases` (reversed when asked) padded with kXdropLanes Ns, so
+/// the kernel's vector loads past the last base stay inside it.
+std::vector<seq::BaseCode> padded_copy(std::span<const seq::BaseCode> bases, bool reversed) {
+  std::vector<seq::BaseCode> out(bases.size() + kXdropLanes, seq::kBaseN);
+  if (reversed) {
+    std::reverse_copy(bases.begin(), bases.end(), out.begin());
+  } else {
+    std::copy(bases.begin(), bases.end(), out.begin());
+  }
+  return out;
+}
+
+/// The kernel this host runs, decided once per engine call the way
+/// simd::align_batch decides it.
+detail::XdropKernel pick_kernel() {
+#if defined(SALOBA_SIMD_AVX2)
+  if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
+    return detail::xdrop_kernel_avx2();
+  }
+#endif
+  return detail::xdrop_kernel_generic();
+}
+
 /// The rolling anti-diagonal state of the masked DP: H on diagonals d-1 and
 /// d-2, E/F on d-1, the buffers diagonal d is written into, and the
 /// computed windows of d-1 and d-2 ([lo, hi] in reference coordinates i,
-/// empty when lo > hi). Buffers are indexed by i: for cell (i, j) on
-/// diagonal d, left (i, j-1) and up (i-1, j) live on d-1 at indices i and
-/// i-1, diag (i-1, j-1) on d-2 at i-1. Entries outside a window are stale
-/// and never read: the window guards substitute the never-computed values
-/// H = 0, E/F = -inf.
+/// empty when lo > hi). Buffers hold cell i at slot i + 1: for cell (i, j)
+/// on diagonal d, left (i, j-1) and up (i-1, j) live on d-1 at i and i-1,
+/// diag (i-1, j-1) on d-2 at i-1. Only the windows and their sealed
+/// neighbours are ever read by a live lane (xdrop_kernel.hpp); every other
+/// slot is stale.
 struct Wavefront {
-  std::span<const seq::BaseCode> ref, query;
-  const ScoringScheme& scoring;
+  std::int64_t n, m;
+  std::vector<seq::BaseCode> ref, query_rev;  // padded copies
+  ScoringScheme scoring;
+  detail::XdropKernel kernel;
   std::vector<Score> h_d2, h_d1, h_cur, e_d1, e_cur, f_d1, f_cur;
   std::int64_t p1_lo = 0, p1_hi = -1, p2_lo = 0, p2_hi = -1;
 
   Wavefront(std::span<const seq::BaseCode> r, std::span<const seq::BaseCode> q,
             const ScoringScheme& s)
-      : ref(r),
-        query(q),
+      : n(static_cast<std::int64_t>(r.size())),
+        m(static_cast<std::int64_t>(q.size())),
+        ref(padded_copy(r, false)),
+        query_rev(padded_copy(q, true)),
         scoring(s),
-        h_d2(r.size(), 0),
+        kernel(pick_kernel()),
+        h_d2(r.size() + 1 + kXdropLanes, 0),
         h_d1(h_d2),
         h_cur(h_d2),
-        e_d1(r.size(), kNegInf),
+        e_d1(h_d2.size(), kNegInf),
         e_cur(e_d1),
         f_d1(e_d1),
         f_cur(e_d1) {}
 
-  std::size_t bytes() const { return cap_bytes(h_d2) * 3 + cap_bytes(e_d1) * 4; }
+  std::size_t bytes() const {
+    return cap_bytes(h_d2) * 3 + cap_bytes(e_d1) * 4 + cap_bytes(ref) + cap_bytes(query_rev);
+  }
 
-  /// Computes cells (i, d - i), lo <= i <= hi, of diagonal d: the one cell
-  /// body of the forward sweep and of the block replay, so the replay
-  /// cannot drift from the score. `visit` receives every cell in increasing
-  /// i: as AlignmentResult{H, i, j} without kFlags (the forward sweep's
-  /// endpoint candidates), as its TraceFlag byte with kFlags.
-  template <bool kFlags, typename Visit>
-  void sweep(std::int64_t d, std::int64_t lo, std::int64_t hi, const Visit& visit) {
-    // A local copy: the scheme's fields are Scores too, so through the
-    // reference every buffer store would force them to be reloaded.
-    const ScoringScheme sc = scoring;
-    const Score alpha = sc.alpha();
-    const Score beta = sc.beta();
-    for (std::int64_t i = lo; i <= hi; ++i) {
-      const std::int64_t j = d - i;
-      const auto ui = static_cast<std::size_t>(i);
-      const bool left_in = i >= p1_lo && i <= p1_hi;
-      const bool up_in = i - 1 >= p1_lo && i - 1 <= p1_hi;
-      const bool diag_in = i - 1 >= p2_lo && i - 1 <= p2_hi;
-      // Out-of-table and never-computed neighbours alike: H reads 0 (the
-      // local floor — equivalent to restarting the alignment here), E/F
-      // read -inf (a gap cannot pass through an unevaluated cell).
-      const Score h_left = (j == 0 || !left_in) ? 0 : h_d1[ui];
-      const Score e_left = (j == 0 || !left_in) ? kNegInf : e_d1[ui];
-      const Score h_up = (i == 0 || !up_in) ? 0 : h_d1[ui - 1];
-      const Score f_up = (i == 0 || !up_in) ? kNegInf : f_d1[ui - 1];
-      const Score h_diag = (i == 0 || j == 0 || !diag_in) ? 0 : h_d2[ui - 1];
+  detail::XdropSweep view(std::int64_t d, std::int64_t lo, std::int64_t hi) {
+    return {.h_d2 = h_d2.data(), .h_d1 = h_d1.data(), .e_d1 = e_d1.data(),
+            .f_d1 = f_d1.data(), .h = h_cur.data(), .e = e_cur.data(), .f = f_cur.data(),
+            .ref = ref.data(), .query_rev = query_rev.data(), .m = m,
+            .match = scoring.match, .mismatch = scoring.mismatch, .alpha = scoring.alpha(),
+            .beta = scoring.beta(), .d = d, .lo = lo, .hi = hi};
+  }
 
-      const Score e_open = h_left - alpha;
-      const Score f_open = h_up - alpha;
-      const Score e = std::max(e_open, e_left - beta);
-      const Score f = std::max(f_open, f_up - beta);
-      const Score diag =
-          h_diag + sc.substitution(ref[ui], query[static_cast<std::size_t>(j)]);
-      const Score h = std::max({Score{0}, diag, e, f});
-
-      h_cur[ui] = h;
-      e_cur[ui] = e;
-      f_cur[ui] = f;
-      if constexpr (kFlags) {
-        visit(trace_flags(h, diag, e, f, e_open, f_open));
-      } else {
-        visit(AlignmentResult{h, static_cast<std::int32_t>(i), static_cast<std::int32_t>(j)});
-      }
+  /// Computes cells (i, d - i), lo <= i <= hi, of diagonal d and offers its
+  /// best cell to `best` under take_better — the forward sweep.
+  void sweep_scores(std::int64_t d, std::int64_t lo, std::int64_t hi, AlignmentResult& best) {
+    const detail::XdropTop top = kernel.scores(view(d, lo, hi), best.score);
+    if (top.i >= 0) {
+      take_better(best, AlignmentResult{top.score, static_cast<std::int32_t>(top.i),
+                                        static_cast<std::int32_t>(d - top.i)});
     }
+    seal_current(lo, hi);
+  }
+
+  /// The same cells through the same body, storing cell i's TraceFlag byte
+  /// at flags[i - lo] — the block replay.
+  void sweep_flags(std::int64_t d, std::int64_t lo, std::int64_t hi, std::uint8_t* flags) {
+    kernel.flags(view(d, lo, hi), flags);
+    seal_current(lo, hi);
+  }
+
+  void seal_current(std::int64_t lo, std::int64_t hi) {
+    seal(h_cur, lo, hi, 0);
+    seal(e_cur, lo, hi, kNegInf);
+    seal(f_cur, lo, hi, kNegInf);
   }
 
   /// Makes the diagonal just swept (computed window [lo, hi]) diagonal d-1.
@@ -144,14 +184,15 @@ struct TraceRecord {
     const std::int64_t width2 = std::max<std::int64_t>(0, w.p2_hi - w.p2_lo + 1);
     cp.state.reserve(static_cast<std::size_t>(3 * width1 + width2));
     for (const std::vector<Score>* src : {&w.h_d1, &w.e_d1, &w.f_d1}) {
-      cp.state.insert(cp.state.end(), src->begin() + w.p1_lo, src->begin() + w.p1_lo + width1);
+      const auto first = src->begin() + static_cast<std::ptrdiff_t>(slot(w.p1_lo));
+      cp.state.insert(cp.state.end(), first, first + width1);
     }
-    cp.state.insert(cp.state.end(), w.h_d2.begin() + w.p2_lo,
-                    w.h_d2.begin() + w.p2_lo + width2);
+    const auto first = w.h_d2.begin() + static_cast<std::ptrdiff_t>(slot(w.p2_lo));
+    cp.state.insert(cp.state.end(), first, first + width2);
   }
 
-  /// Loads checkpoint `b` into `w`: the windows of d0-1 and d0-2 and the
-  /// values over them.
+  /// Loads checkpoint `b` into `w`: the windows of d0-1 and d0-2, the
+  /// values over them, and their sealed neighbours.
   void restore(std::size_t b, Wavefront& w) const {
     const Checkpoint& cp = checkpoints[b];
     std::tie(w.p1_lo, w.p1_hi) = window(cp.d0 - 1);
@@ -159,10 +200,14 @@ struct TraceRecord {
     const std::int64_t width1 = std::max<std::int64_t>(0, w.p1_hi - w.p1_lo + 1);
     auto src = cp.state.begin();
     for (std::vector<Score>* dst : {&w.h_d1, &w.e_d1, &w.f_d1}) {
-      std::copy(src, src + width1, dst->begin() + w.p1_lo);
+      std::copy(src, src + width1, dst->begin() + static_cast<std::ptrdiff_t>(slot(w.p1_lo)));
       src += width1;
     }
-    std::copy(src, cp.state.end(), w.h_d2.begin() + w.p2_lo);
+    std::copy(src, cp.state.end(), w.h_d2.begin() + static_cast<std::ptrdiff_t>(slot(w.p2_lo)));
+    seal(w.h_d1, w.p1_lo, w.p1_hi, 0);
+    seal(w.e_d1, w.p1_lo, w.p1_hi, kNegInf);
+    seal(w.f_d1, w.p1_lo, w.p1_hi, kNegInf);
+    seal(w.h_d2, w.p2_lo, w.p2_hi, 0);
   }
 
   std::size_t bytes() const {
@@ -178,8 +223,8 @@ struct TraceRecord {
 /// kCheckpointCellsPerBase·(N + M) cells have been swept since the last.
 AlignmentResult wavefront_forward(Wavefront& w, const XDropParams& params,
                                   TraceRecord* record, WavefrontStats& stats) {
-  const std::int64_t n = static_cast<std::int64_t>(w.ref.size());
-  const std::int64_t m = static_cast<std::int64_t>(w.query.size());
+  const std::int64_t n = w.n;
+  const std::int64_t m = w.m;
   AlignmentResult best;
   if (n == 0 || m == 0) return best;
 
@@ -208,7 +253,7 @@ AlignmentResult wavefront_forward(Wavefront& w, const XDropParams& params,
       record->checkpoint(d, w);
       since_checkpoint = 0;
     }
-    w.sweep<false>(d, lo, hi, [&](const AlignmentResult& cell) { take_better(best, cell); });
+    w.sweep_scores(d, lo, hi, best);
 
     const auto width = static_cast<std::size_t>(hi - lo + 1);
     stats.cells += width;
@@ -225,10 +270,8 @@ AlignmentResult wavefront_forward(Wavefront& w, const XDropParams& params,
     std::int64_t live_lo = lo, live_hi = hi;
     if (params.xdrop > 0) {
       const Score floor = best.score - params.xdrop;
-      while (live_lo <= hi && w.h_cur[static_cast<std::size_t>(live_lo)] < floor) ++live_lo;
-      while (live_hi >= live_lo && w.h_cur[static_cast<std::size_t>(live_hi)] < floor) {
-        --live_hi;
-      }
+      while (live_lo <= hi && w.h_cur[slot(live_lo)] < floor) ++live_lo;
+      while (live_hi >= live_lo && w.h_cur[slot(live_hi)] < floor) --live_hi;
       if (live_lo > live_hi) {
         stats.xdropped = true;
         break;
@@ -259,8 +302,8 @@ struct FlagBlock {
   std::size_t bytes() const { return cap_bytes(offset) + cap_bytes(flags); }
 
   /// Re-derives diagonals [d0 of checkpoint b, dw] into this block. The
-  /// flag array is sized exactly, so a block never holds more than the
-  /// cells it replays.
+  /// flag array is sized exactly, plus the kernel's tail slack, so a block
+  /// never holds more than the cells it replays and one vector.
   void replay(std::size_t b, std::int64_t dw, Wavefront& w, WavefrontStats& stats) {
     d0 = record.checkpoints[b].d0;
     std::size_t cells = 0;
@@ -270,13 +313,12 @@ struct FlagBlock {
       offset.push_back(cells);
       cells += static_cast<std::size_t>(hi - lo + 1);
     }
-    flags.clear();
-    flags.reserve(cells);
+    flags.assign(cells + kXdropLanes - 1, 0);
 
     record.restore(b, w);
     for (std::int64_t d = d0; d <= dw; ++d) {
       const auto [lo, hi] = record.window(d);
-      w.sweep<true>(d, lo, hi, [&](std::uint8_t f) { flags.push_back(f); });
+      w.sweep_flags(d, lo, hi, flags.data() + offset[static_cast<std::size_t>(d - d0)]);
       w.shift(lo, hi);
     }
     stats.traceback_cells += cells;

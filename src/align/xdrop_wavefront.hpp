@@ -29,6 +29,30 @@
 // (sequences, scoring, mask) and any run of diagonals can be recomputed
 // exactly from the state entering it.
 //
+// ## The cell body (8 lanes per diagonal)
+//
+// One cell body (align/xdrop_kernel.hpp) serves the forward sweep and the
+// block replay. It runs 8 int32 lanes along the anti-diagonal — an AVX2
+// instantiation when the build has it and the CPU reports it, decided once
+// per call, the portable generic one otherwise; both give the same bits —
+// and tests no window per cell:
+//
+//  * sentinels replace the window tests. Each diagonal buffer has one slot
+//    before i = 0 and 8 after i = n - 1, and after a diagonal [lo, hi] is
+//    swept (or restored from a checkpoint) cells lo - 1 and hi + 1 hold the
+//    never-computed values. Windows only shrink on the left and grow by at
+//    most one cell on the right, so every neighbour a computed cell reads is
+//    either in the previous windows or one of those sentinels, the table's
+//    i = 0 and j = 0 borders included;
+//  * both sequences load forward: the engine keeps a padded copy of the
+//    reference and a padded, reversed copy of the query, so the cells of a
+//    diagonal read both in increasing order;
+//  * lanes past hi compute garbage (in wrapping arithmetic) that never
+//    reaches the diagonal's max, the search for its best cell (the smallest
+//    i holding that max, offered to improves()), or the walk.
+//
+// The live-window scans, the checkpoint spacing and the walk stay scalar.
+//
 // ## Traceback (checkpointed replay, the canonical walk)
 //
 // The canonical CIGAR is the align::TraceWalk order over the masked DP —
@@ -50,16 +74,17 @@
 //
 // Blocks are visited in decreasing order, each at most once and only up to
 // the walk's entry diagonal, so `traceback_cells <= cells`. Memory is the
-// diagonal buffers and windows (O(N + M)), one block of at most 8·(N + M)
-// flag bytes plus one diagonal, and the checkpoints: 16 bytes per window
-// cell every 8·(N + M) swept cells, about 2·W² bytes for windows W cells
-// wide — O(N + M) while X-drop keeps the window narrow. With pruning off on
-// a long divergent pair the window spans the table, and the checkpoints
-// grow to the order of N·M bytes as the forward cells grow to N·M.
-// The naive full-matrix oracle
-// (align/xdrop_reference.hpp) walks its stored tables with independent
-// code, and the fuzz suite asserts bit-identity of score, endpoint, and
-// CIGAR; with `xdrop <= 0` both equal smith_waterman_traceback.
+// diagonal buffers, the padded sequence copies and the windows (O(N + M)),
+// one block of at most 8·(N + M) flag bytes plus one diagonal and 7 bytes
+// of tail slack, and the checkpoints: 16 bytes per window cell every
+// 8·(N + M) swept cells, about 2·W² bytes for windows W cells wide —
+// O(N + M) while X-drop keeps the window narrow. With pruning off on a long
+// divergent pair the window spans the table, and the checkpoints grow to
+// the order of N·M bytes as the forward cells grow to N·M. The naive
+// full-matrix oracle (align/xdrop_reference.hpp) walks its stored tables
+// with independent code, and the fuzz suite asserts bit-identity of score,
+// endpoint, CIGAR and the computed cells' counts; with `xdrop <= 0` both
+// equal smith_waterman_traceback.
 #pragma once
 
 #include <cstddef>
@@ -88,9 +113,10 @@ struct WavefrontStats {
   std::size_t diagonals = 0;      ///< anti-diagonals swept before termination
   std::size_t max_wavefront = 0;  ///< widest computed window, in cells
   /// Peak heap footprint in bytes, measured from the engine's live container
-  /// capacities at every phase boundary (not a model): diagonal buffers,
-  /// per-diagonal windows, checkpoints, the replayed block's flag bytes and
-  /// the op string. The bench asserts this stays O(N + M).
+  /// capacities at every phase boundary (not a model): diagonal buffers and
+  /// padded sequence copies (padding included), per-diagonal windows,
+  /// checkpoints, the replayed block's flag bytes and slack, and the op
+  /// string. The bench asserts this stays O(N + M).
   std::size_t peak_bytes = 0;
   bool xdropped = false;  ///< forward sweep terminated early via X-drop
 };

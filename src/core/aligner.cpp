@@ -1,7 +1,8 @@
 #include "core/aligner.hpp"
 
+#include <stdexcept>
+
 #include "gpusim/device_registry.hpp"
-#include "util/check.hpp"
 
 namespace saloba::core {
 
@@ -28,8 +29,10 @@ Aligner::batch_extender() {
 
 std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)>
 Aligner::traced_extender() {
-  SALOBA_CHECK_MSG(options_.traceback,
-                   "traced_extender needs AlignerOptions::traceback = true");
+  if (!options_.traceback) {
+    throw std::invalid_argument(
+        "Aligner::traced_extender needs AlignerOptions::traceback = true");
+  }
   return [this](const seq::PairBatch& batch) { return align(batch).traced; };
 }
 

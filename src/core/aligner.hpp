@@ -60,7 +60,8 @@ class Aligner {
   /// Two-phase adapter (seedext::TracedBatchExtender-compatible): runs the
   /// score pass plus the batched traceback phase and returns one
   /// TracedAlignment per pair. Requires AlignerOptions::traceback = true
-  /// (throws otherwise); the aligner must outlive the returned function.
+  /// (throws std::invalid_argument otherwise); the aligner must outlive the
+  /// returned function.
   std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)> traced_extender();
 
   /// Chaining-phase adapter (seedext::BatchChainer-compatible, for

@@ -1,60 +1,22 @@
-// AVX2 implementation of the int32 chaining-push vocabulary
-// (align::simd::OpsI32Generic is the reference semantics) and the intrinsic
-// kernel entry point. Like align/simd_engine_avx2.cpp this is a translation
-// unit compiled with -mavx2 (CMake per-source flag); callers reach it only
-// after align::simd::cpu_supports_avx2 passes at runtime, and nothing
-// defined here may be reachable from the generic path.
+// AVX2 entry point of the chaining push kernel: chain_kernel.hpp
+// instantiated with align::simd::OpsI32Avx2 (simd_vec_avx2.hpp). Like
+// align/simd_engine_avx2.cpp this is a translation unit compiled with -mavx2
+// (CMake per-source flag); callers reach it only after
+// align::simd::cpu_supports_avx2 passes at runtime, and nothing defined here
+// may be reachable from the generic path.
 #if defined(SALOBA_SIMD_AVX2)
 
-#include <immintrin.h>
-
-#include <cstdint>
-
+#include "align/simd_vec_avx2.hpp"
 #include "seedext/chain_engine.hpp"
 #include "seedext/chain_kernel.hpp"
 
-namespace saloba::seedext {
-namespace {
-
-/// 8 signed int32 lanes per 256-bit register; wrapping add/sub/mullo match
-/// OpsI32Generic's uint32-modular reference arithmetic bit for bit.
-struct OpsI32Avx2 {
-  static constexpr int kLanes = 8;
-  using Vec = __m256i;
-
-  static Vec splat(std::int32_t s) { return _mm256_set1_epi32(s); }
-  static Vec load(const std::int32_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(std::int32_t* dst, Vec v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
-  }
-  static Vec add(Vec a, Vec b) { return _mm256_add_epi32(a, b); }
-  static Vec sub(Vec a, Vec b) { return _mm256_sub_epi32(a, b); }
-  static Vec smax(Vec a, Vec b) { return _mm256_max_epi32(a, b); }
-  static Vec smin(Vec a, Vec b) { return _mm256_min_epi32(a, b); }
-  static Vec cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi32(a, b); }
-  static Vec vand(Vec a, Vec b) { return _mm256_and_si256(a, b); }
-  static Vec blend(Vec mask, Vec a, Vec b) { return _mm256_blendv_epi8(b, a, mask); }
-  static bool any(Vec m) { return _mm256_testz_si256(m, m) == 0; }
-  static Vec sabs(Vec a) { return _mm256_abs_epi32(a); }
-  template <int Shift>
-  static Vec sra(Vec a) {
-    return _mm256_srai_epi32(a, Shift);
-  }
-  static Vec mullo(Vec a, Vec b) { return _mm256_mullo_epi32(a, b); }
-};
-
-}  // namespace
-
-namespace detail {
+namespace saloba::seedext::detail {
 
 void chain_forward_avx2(const ChainTaskView& task, const ChainingParams& params,
                         ChainTaskCounters* counters) {
-  chain_task_forward<OpsI32Avx2>(task, params, counters);
+  chain_task_forward<align::simd::OpsI32Avx2>(task, params, counters);
 }
 
-}  // namespace detail
-}  // namespace saloba::seedext
+}  // namespace saloba::seedext::detail
 
 #endif  // SALOBA_SIMD_AVX2

@@ -1,6 +1,7 @@
 // Forward-only fixed-lookahead chaining kernel, written once against the
 // align::simd::OpsI32Generic vocabulary (simd_vec.hpp) and instantiated with
-// the generic ops here and the AVX2 ops in chain_engine_avx2.cpp.
+// the generic ops in chain_engine.cpp and the AVX2 ops
+// (align/simd_vec_avx2.hpp) in chain_engine_avx2.cpp.
 //
 // The recurrence is the minimap2-acceleration reordering of the chaining DP:
 // instead of each anchor i scanning all predecessors j < i (data-dependent

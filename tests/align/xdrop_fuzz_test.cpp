@@ -1,8 +1,9 @@
 // Property fuzz for the X-drop wavefront engine: across random pairs,
 // mutation profiles (substitutions + indels), X-drop thresholds and
 // degenerate inputs, the linear-memory engine must be bit-identical to the
-// naive full-matrix oracle (align/xdrop_reference.hpp) in score, endpoint
-// AND canonical CIGAR — and, with pruning off, to the full-matrix
+// naive full-matrix oracle (align/xdrop_reference.hpp) in score, endpoint,
+// canonical CIGAR AND the cells it computed (count, diagonals, widest
+// window, X-drop termination) — and, with pruning off, to the full-matrix
 // Smith-Waterman traceback. Its measured peak heap footprint must stay
 // O(N + M) (allocation-counting via WavefrontStats::peak_bytes, which sums
 // live container capacities at every phase boundary), and its block replay
@@ -43,22 +44,29 @@ std::vector<seq::BaseCode> mutate_indel(util::Xoshiro256& rng,
 
 /// Engine vs oracle on one pair: score/endpoint equality, CIGAR
 /// bit-identity (with the Smith-Waterman traceback too when pruning is
-/// off), structural validity, exact rescore, the replay bound, and the
-/// linear-memory bound on the engine's measured peak.
+/// off), the computed-cell mask's counts, structural validity, exact
+/// rescore, the replay bound, and the linear-memory bound on the engine's
+/// measured peak.
 void check_pair(const std::vector<seq::BaseCode>& ref,
                 const std::vector<seq::BaseCode>& query, const ScoringScheme& s, Score xdrop,
                 const char* tag) {
   const XDropParams params{.xdrop = xdrop};
-  WavefrontStats stats;
+  WavefrontStats stats, oracle_stats;
   const auto scored = xdrop_wavefront_score(ref, query, s, params);
   const auto engine = xdrop_wavefront_align(ref, query, s, params, &stats);
-  const auto oracle = xdrop_reference_align(ref, query, s, params);
+  const auto oracle = xdrop_reference_align(ref, query, s, params, &oracle_stats);
 
   ASSERT_EQ(scored, xdrop_reference_score(ref, query, s, params))
       << tag << " xdrop=" << xdrop;
   ASSERT_EQ(engine.end, scored) << tag << " xdrop=" << xdrop;
   ASSERT_EQ(engine, oracle) << tag << " xdrop=" << xdrop << " engine='" << engine.cigar
                             << "' oracle='" << oracle.cigar << "'";
+  // A window edge off by one cell barely reaches the score or CIGAR; the
+  // mask's counts catch it.
+  ASSERT_EQ(stats.cells, oracle_stats.cells) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(stats.diagonals, oracle_stats.diagonals) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(stats.max_wavefront, oracle_stats.max_wavefront) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(stats.xdropped, oracle_stats.xdropped) << tag << " xdrop=" << xdrop;
   if (xdrop <= 0) {
     const auto exact = smith_waterman_traceback(ref, query, s);
     ASSERT_EQ(engine, exact) << tag << " engine='" << engine.cigar << "' exact='" << exact.cigar
@@ -141,6 +149,30 @@ TEST(XdropFuzz, SplitPeakPairsExerciseThePruneBoundary) {
 
     for (const Score xdrop : {Score{6}, Score{12}, Score{30}, Score{200}}) {
       check_pair(ref, query, s, xdrop, "split-peak");
+    }
+  }
+}
+
+TEST(XdropFuzz, SmallThresholdsOnLowEntropyPairs) {
+  // Below the gap-open cost the live window's right edge can sit next to
+  // the best cell's diagonal successor, the cell a vector tail lane
+  // computes but the window excludes. Short pairs over 1-4 letter alphabets
+  // with the query mostly copied from the reference put many ties there.
+  ScoringScheme s;
+  util::Xoshiro256 rng(7301);
+  for (int it = 0; it < 2000; ++it) {
+    const std::size_t n = 4 + rng.below(40);
+    const std::size_t m = 4 + rng.below(40);
+    const std::uint64_t letters = 1 + rng.below(4);
+    auto letter = [&] { return static_cast<seq::BaseCode>(rng.below(letters)); };
+    std::vector<seq::BaseCode> ref(n), query(m);
+    for (auto& b : ref) b = letter();
+    for (std::size_t k = 0; k < m; ++k) {
+      const bool copied = k < n && rng.bernoulli(0.7);
+      query[k] = copied && !rng.bernoulli(0.1) ? ref[k] : letter();
+    }
+    for (const Score xdrop : {1, 2, 3, 4, 5, 6, 7, 8, 10}) {
+      check_pair(ref, query, s, xdrop, "low-entropy");
     }
   }
 }

@@ -101,6 +101,22 @@ TEST(Aligner, BatchExtenderRoutesThroughScheduler) {
   EXPECT_EQ(extender(batch), cpu.align(batch).results);
 }
 
+TEST(Aligner, TracedExtenderOnScoreOnlyAlignerThrows) {
+  Aligner score_only{AlignerOptions{}};
+  try {
+    score_only.traced_extender();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("AlignerOptions::traceback"), std::string::npos)
+        << e.what();
+  }
+  AlignerOptions opts;
+  opts.traceback = true;
+  Aligner traced(opts);
+  auto batch = saloba::testing::related_batch(169, 6, 60, 80);
+  EXPECT_EQ(traced.traced_extender()(batch), traced.align(batch).traced);
+}
+
 TEST(Aligner, GcupsReported) {
   Aligner aligner{AlignerOptions{}};
   auto batch = saloba::testing::related_batch(164, 40, 200, 200);
