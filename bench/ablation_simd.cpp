@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   // Both sides single-threaded: this measures the engines, not the thread
   // count.
-  core::HostBackend simd(scoring, 1, /*threads_total=*/1);
+  core::HostBackend simd(scoring, /*threads=*/1);
   bool ok = true;
 
   // --- 1. Identity: results and cell accounting, bit for bit -------------

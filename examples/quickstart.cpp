@@ -1,5 +1,6 @@
 // Quickstart: align two sequences with the public API — CPU backend for the
-// scores, traceback for the CIGAR, and a simulated SALoBa run for kicks.
+// scores, traceback for the CIGAR, and a simulated SALoBa run that must
+// match the CPU result (the exit status is 1 if it does not).
 //
 //   $ ./quickstart
 //   $ ./quickstart ACGTTGCA ACGTGCA
@@ -44,8 +45,9 @@ int main(int argc, char** argv) {
   sim_opts.device = "rtx3090";
   core::Aligner sim(sim_opts);
   auto sim_out = sim.align(batch);
+  const bool matches = sim_out.results[0] == r;
   std::printf("simulated SALoBa on %s: score %d (matches CPU: %s), %.3f ms simulated\n",
-              sim_opts.device.c_str(), sim_out.results[0].score,
-              sim_out.results[0] == r ? "yes" : "NO", sim_out.time_ms);
-  return 0;
+              sim_opts.device.c_str(), sim_out.results[0].score, matches ? "yes" : "NO",
+              sim_out.time_ms);
+  return matches ? 0 : 1;
 }

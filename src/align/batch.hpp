@@ -22,12 +22,9 @@ struct BatchTiming {
 ///
 /// Pairs carrying a band (seq::PairBatch::band_of) run through
 /// smith_waterman_banded at that band — bit-identical to what the banded
-/// simulated kernels produce for the same batch. `zdrop > 0` additionally
-/// applies z-drop row pruning to every pair (a results-changing heuristic;
-/// see BandedParams::zdrop).
+/// simulated kernels produce for the same batch.
 std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          const ScoringScheme& scoring,
-                                         BatchTiming* timing = nullptr, int threads = 0,
-                                         Score zdrop = 0);
+                                         BatchTiming* timing = nullptr, int threads = 0);
 
 }  // namespace saloba::align

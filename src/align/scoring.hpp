@@ -41,6 +41,11 @@ struct ScoringScheme {
   }
 };
 
+/// Throws std::invalid_argument naming `field` (the caller's option, e.g.
+/// "AlignerOptions::scoring") unless `scoring` is valid(): a scheme is
+/// caller input, so an unusable one is an input error, not a CHECK abort.
+void require_valid(const ScoringScheme& scoring, const char* field);
+
 /// The scheme used throughout the paper reproduction.
 ScoringScheme default_scheme();
 

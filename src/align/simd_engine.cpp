@@ -47,21 +47,21 @@ namespace {
 using detail::PassRequest;
 
 /// int32 scalar settlement for one pair: the striped engine when the pair is
-/// unbanded and un-pruned (full-table cell count), the banded oracle
-/// otherwise. align::align_batch splits pairs the same way but runs
-/// smith_waterman on the unbanded side; the striped engine is bit-identical
-/// to it (sw_striped_test), so results and cells match.
-void settle_scalar(const seq::PairBatch& batch, const ScoringScheme& scoring, Score zdrop,
-                   std::size_t p, AlignmentResult& result, std::size_t& cell_count) {
+/// unbanded (full-table cell count), the banded oracle otherwise.
+/// align::align_batch splits pairs the same way but runs smith_waterman on
+/// the unbanded side; the striped engine is bit-identical to it
+/// (sw_striped_test), so results and cells match.
+void settle_scalar(const seq::PairBatch& batch, const ScoringScheme& scoring, std::size_t p,
+                   AlignmentResult& result, std::size_t& cell_count) {
   const auto& ref = batch.refs[p];
   const auto& query = batch.queries[p];
   const std::size_t band = batch.band_of(p);
-  if (band == 0 && zdrop <= 0) {
+  if (band == 0) {
     result = smith_waterman_striped_ends(ref, query, scoring);
     cell_count = ref.size() * query.size();
     return;
   }
-  const BandedResult br = smith_waterman_banded(ref, query, scoring, BandedParams{band, zdrop});
+  const BandedResult br = smith_waterman_banded(ref, query, scoring, band);
   result = br.result;
   cell_count = br.cells_computed;
 }
@@ -123,7 +123,7 @@ std::vector<std::size_t> run_ladder(PassRequest& req, const std::vector<std::siz
 
 std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          const ScoringScheme& scoring, EngineStats* stats,
-                                         int threads, Score zdrop) {
+                                         int threads) {
   SALOBA_CHECK(scoring.valid());
   const util::Timer timer;
   const std::size_t n_pairs = batch.size();
@@ -156,7 +156,6 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
   PassRequest req;
   req.batch = &batch;
   req.scoring = &scoring;
-  req.zdrop = zdrop;
   req.results = &results;
   req.cells = &cells;
   req.overflowed = &overflowed;
@@ -174,7 +173,7 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
         scalar_pairs.size(),
         [&](std::size_t k) {
           const std::size_t p = scalar_pairs[k];
-          settle_scalar(batch, scoring, zdrop, p, results[p], cells[p]);
+          settle_scalar(batch, scoring, p, results[p], cells[p]);
         },
         threads);
   }
@@ -190,7 +189,7 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
 std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
                                          std::span<const AlignmentResult> ends,
                                          const ScoringScheme& scoring, TraceStats* stats,
-                                         int threads, Score zdrop, std::size_t checkpoint_rows) {
+                                         int threads, std::size_t checkpoint_rows) {
   SALOBA_CHECK(scoring.valid());
   SALOBA_CHECK_MSG(ends.size() == batch.size(), "trace_batch got " << ends.size()
                                                     << " score results for a " << batch.size()
@@ -225,7 +224,6 @@ std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
   PassRequest req;
   req.batch = &batch;
   req.scoring = &scoring;
-  req.zdrop = zdrop;
   req.cells = &forward;
   req.overflowed = &overflowed;
   req.threads = threads;
@@ -244,7 +242,6 @@ std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
         const std::size_t p = scalar_pairs[k];
         TracebackParams params;
         params.band = batch.band_of(p);
-        params.zdrop = zdrop;
         params.checkpoint_rows = checkpoint_rows;
         TracebackResult r = banded_traceback(batch.refs[p], batch.queries[p], scoring, params);
         SALOBA_CHECK_MSG(r.traced.end == ends[p],

@@ -1,8 +1,8 @@
 // Inter-sequence SIMD extension engine (ROADMAP: "SIMD-striped extension on
 // the host path"). Packs independent (query, reference) extension jobs into
-// vector lanes — 32 pairs at 8-bit, 16 at 16-bit — and runs the banded,
-// z-drop-aware affine DP on all of them in lockstep, AnySeq/GPU-style
-// inter-task parallelism on the host. Results (score, ref_end, query_end,
+// vector lanes — 32 pairs at 8-bit, 16 at 16-bit — and runs the banded
+// affine DP on all of them in lockstep, AnySeq/GPU-style inter-task
+// parallelism on the host. Results (score, ref_end, query_end,
 // cells computed) are bit-identical to align::smith_waterman_banded /
 // align::align_batch; overflow is handled by a widening rescue ladder:
 //
@@ -10,7 +10,7 @@
 //
 // A lane whose running score saturates is evicted and re-run in the next
 // wider pass; pairs too long for 16-bit index bookkeeping go straight to
-// the int32 path (smith_waterman_striped_ends when unbanded and un-pruned,
+// the int32 path (smith_waterman_striped_ends when unbanded,
 // smith_waterman_banded otherwise).
 //
 // trace_batch is the same ladder in traced mode: one checkpointed cohort
@@ -57,14 +57,12 @@ struct EngineStats {
 };
 
 /// Aligns every pair of `batch` through the SIMD ladder. Honors per-pair
-/// bands (seq::PairBatch::band_of) and z-drop exactly like
-/// align::align_batch — same scores, same endpoints, same cell counts,
-/// deterministic input-order output. `threads` caps host threads across
-/// cohorts (0 = default team).
+/// bands (seq::PairBatch::band_of) exactly like align::align_batch — same
+/// scores, same endpoints, same cell counts, deterministic input-order
+/// output. `threads` caps host threads across cohorts (0 = default team).
 std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          const ScoringScheme& scoring,
-                                         EngineStats* stats = nullptr, int threads = 0,
-                                         Score zdrop = 0);
+                                         EngineStats* stats = nullptr, int threads = 0);
 
 /// Per-call telemetry of trace_batch.
 struct TraceStats {
@@ -89,15 +87,15 @@ struct TraceStats {
 /// traced kernel: a forward sweep saving H/F every K rows, then bottom-up
 /// K-row block replays storing per-cell flag bytes that each lane walks.
 /// K = `checkpoint_rows`, or ~sqrt(rows) when 0 (align::TracebackParams
-/// semantics). Per-pair bands and `zdrop` mirror the score pass, whose
-/// endpoints every forward sweep must reproduce (a CHECK). Traces are
-/// bit-identical to align::banded_traceback with the same band, zdrop and
-/// checkpoint_rows, deterministic and in input order. `threads` caps host
-/// threads across cohorts (0 = default team).
+/// semantics). Per-pair bands mirror the score pass, whose endpoints every
+/// forward sweep must reproduce (a CHECK). Traces are bit-identical to
+/// align::banded_traceback with the same band and checkpoint_rows,
+/// deterministic and in input order. `threads` caps host threads across
+/// cohorts (0 = default team).
 std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
                                          std::span<const AlignmentResult> ends,
                                          const ScoringScheme& scoring,
                                          TraceStats* stats = nullptr, int threads = 0,
-                                         Score zdrop = 0, std::size_t checkpoint_rows = 0);
+                                         std::size_t checkpoint_rows = 0);
 
 }  // namespace saloba::align::simd

@@ -1,5 +1,5 @@
-// Internal header of the inter-sequence SIMD extension engine: the banded,
-// z-drop-aware Smith–Waterman cohort kernel, written once against the Ops
+// Internal header of the inter-sequence SIMD extension engine: the banded
+// Smith–Waterman cohort kernel, written once against the Ops
 // vocabulary of simd_vec.hpp and instantiated per ISA
 // (simd_engine.cpp: generic fallback; simd_engine_avx2.cpp: AVX2).
 //
@@ -16,9 +16,7 @@
 //     domain, equivalent to the oracle's -inf because the zero floor of H
 //     dominates any non-positive gap chain),
 //   * the global best is tracked with the canonical row-major tie-break
-//     (smallest ref_end, then smallest query_end — align::improves),
-//   * z-drop terminates a lane's row sweep under exactly the oracle's
-//     condition, and
+//     (smallest ref_end, then smallest query_end — align::improves), and
 //   * a lane whose score saturates (kSatMax) is evicted for the wider pass
 //     — saturation can only surface as a stored in-band kSatMax, so the
 //     per-row detection is exact, never silent.
@@ -79,7 +77,6 @@ inline std::size_t trace_cohort_bytes(std::size_t rows, std::size_t cols,
 struct PassRequest {
   const seq::PairBatch* batch = nullptr;
   const ScoringScheme* scoring = nullptr;
-  Score zdrop = 0;
   std::span<const std::size_t> pairs;
   std::vector<AlignmentResult>* results = nullptr;
   std::vector<std::size_t>* cells = nullptr;  ///< in-band cells of the (forward) sweep
@@ -231,24 +228,22 @@ class CohortKernel {
   /// rewrites. The score pass, the traced forward sweep and the block
   /// replays all run its one row body (sweep_row).
   struct Cohort {
-    std::int64_t n[kW] = {}, m[kW] = {}, band[kW] = {}, last_row[kW] = {};
+    std::int64_t n[kW] = {}, m[kW] = {}, band[kW] = {};
     /// Lane l sweeps rows [0, row_end[l]) in the forward sweep (its length,
-    /// cut short by z-drop, saturation or the band leaving the query); a
-    /// block replay narrows it to the rows the lane's walk needs.
+    /// cut short by saturation or the band leaving the query); a block
+    /// replay narrows it to the rows the lane's walk needs.
     std::int64_t row_end[kW] = {};
     std::int64_t max_n = 0, max_m = 0;
     std::vector<std::uint8_t> refs_t, queries_t;
     /// H[j] / F[j] column state vectors. Zero-initialisation doubles as the
     /// out-of-band value (H = 0; F = 0 is the saturating image of -inf).
     VecBuffer h_col, f_col;
-    Score zdrop = 0;
-    Vec alpha_v{}, beta_v{}, match_v{}, mism_v{}, n_code{}, sat_v{}, zdrop_v{};
+    Vec alpha_v{}, beta_v{}, match_v{}, mism_v{}, n_code{}, sat_v{};
     /// The current row's windows (windows()): empty = {0xFFFF, 0}.
     alignas(32) std::uint16_t lo16[kW], hi16[kW];
     std::int64_t union_lo = 0, union_hi = -1;
 
-    Cohort(const PassRequest& req, std::span<const std::size_t> lane_pairs)
-        : zdrop(req.zdrop) {
+    Cohort(const PassRequest& req, std::span<const std::size_t> lane_pairs) {
       const seq::PairBatch& batch = *req.batch;
       const ScoringScheme& scoring = *req.scoring;
       for (std::size_t l = 0; l < lane_pairs.size(); ++l) {
@@ -260,7 +255,6 @@ class CohortKernel {
         const std::size_t b = batch.band_of(p);
         band[l] = b != 0 ? static_cast<std::int64_t>(std::min(b, 2 * kMaxSimdLen))
                          : std::max(n[l], m[l]);
-        last_row[l] = std::min(n[l] - 1, m[l] - 1 + band[l]);
         row_end[l] = m[l] > 0 ? n[l] : 0;
         max_n = std::max(max_n, n[l]);
         max_m = std::max(max_m, m[l]);
@@ -295,7 +289,6 @@ class CohortKernel {
       mism_v = Ops::splat(clamp_elem(scoring.mismatch));
       n_code = Ops::splat(static_cast<Elem>(seq::kBaseN));
       sat_v = Ops::splat(static_cast<Elem>(Ops::kSatMax));
-      zdrop_v = Ops::splat(clamp_elem(std::max<Score>(zdrop, 0)));
     }
 
     std::int64_t window_lo(int l, std::int64_t i) const { return i > band[l] ? i - band[l] : 0; }
@@ -416,8 +409,8 @@ class CohortKernel {
     }
 
     /// The forward sweep: rows in order until no lane has a window, with
-    /// the global best (canonical tie-break), saturation eviction and
-    /// z-drop per row. `before_row(i)` runs ahead of each swept row.
+    /// the global best (canonical tie-break) and saturation eviction per
+    /// row. `before_row(i)` runs ahead of each swept row.
     template <typename BeforeRow>
     Ends forward(const BeforeRow& before_row, std::size_t* cells) {
       Ends out;
@@ -453,19 +446,6 @@ class CohortKernel {
           overflow = Ops::vor(overflow, sat);
           for (int l = 0; l < kW; ++l) {
             if (mask_bytes[l]) row_end[l] = std::min(row_end[l], i + 1);
-          }
-        }
-
-        // Z-drop (oracle rule): while rows with in-band cells remain, stop a
-        // lane whose row best trails its global best by more than zdrop.
-        // The clamped-domain comparison is exact for unsaturated lanes.
-        if (zdrop > 0) {
-          const Vec drop = Ops::cmpgt(Ops::subs(best, zdrop_v), row.best);
-          if (Ops::any(drop)) {
-            Ops::store_mask(mask_bytes, drop);
-            for (int l = 0; l < kW; ++l) {
-              if (mask_bytes[l] && row_end[l] > i && i < last_row[l]) row_end[l] = i + 1;
-            }
           }
         }
       }

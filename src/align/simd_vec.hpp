@@ -125,7 +125,7 @@ struct OpsGeneric {
     for (int k = 0; k < kLanes; ++k) dst[k] = v.v[k];
   }
   /// One byte per lane, nonzero where the mask lane is set — the scalar-side
-  /// readout for overflow / z-drop decisions.
+  /// readout for overflow decisions.
   static void store_mask(std::uint8_t* dst, const Vec& m) {
     for (int k = 0; k < kLanes; ++k) dst[k] = m.v[k] ? 1 : 0;
   }

@@ -14,19 +14,12 @@ constexpr Score kNegInf = std::numeric_limits<Score>::min() / 4;
 BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
                                    std::span<const seq::BaseCode> query,
                                    const ScoringScheme& scoring, std::size_t band) {
-  SALOBA_CHECK_MSG(band >= 1, "band must be >= 1");
-  return smith_waterman_banded(ref, query, scoring, BandedParams{band, 0});
-}
-
-BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
-                                   std::span<const seq::BaseCode> query,
-                                   const ScoringScheme& scoring, const BandedParams& params) {
   SALOBA_CHECK(scoring.valid());
   const std::size_t n = ref.size();
   const std::size_t m = query.size();
   // band == 0 means unbanded: a band covering the whole table reproduces
   // plain Smith–Waterman exactly, so this one loop serves both.
-  const std::size_t band = params.band != 0 ? params.band : std::max(n, m);
+  if (band == 0) band = std::max(n, m);
   BandedResult out;
   if (n == 0 || m == 0) return out;
 
@@ -36,11 +29,6 @@ BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
   // while gaps cannot extend across the band boundary.
   std::vector<Score> h_row(m + 1, 0), f_col(m + 1, kNegInf);
   AlignmentResult best;
-
-  // Last row whose band window is non-empty (rows past m-1+band hold no
-  // in-band cells): z-drop only counts as a drop while rows with real work
-  // remain, so `zdropped` always implies cells were actually pruned.
-  const std::size_t last_row = std::min(n - 1, m - 1 + band);
   for (std::size_t i = 0; i < n; ++i) {
     // Band limits for this row: j in [i-band, i+band] (clamped).
     std::size_t j_lo = (i >= band) ? i - band : 0;
@@ -51,7 +39,6 @@ BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
     // Cells left of the band boundary are out of band for this row.
     Score h_left = 0;
     Score e = kNegInf;
-    Score row_best = kNegInf;
     for (std::size_t j = j_lo; j <= j_hi; ++j) {
       e = std::max(h_left - scoring.alpha(), e - scoring.beta());
       Score f = std::max(h_row[j + 1] - scoring.alpha(), f_col[j + 1] - scoring.beta());
@@ -63,7 +50,6 @@ BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
       f_col[j + 1] = f;
       h_left = h;
       ++out.cells_computed;
-      row_best = std::max(row_best, h);
 
       if (h > best.score) {
         best = AlignmentResult{h, static_cast<std::int32_t>(i), static_cast<std::int32_t>(j)};
@@ -73,13 +59,6 @@ BandedResult smith_waterman_banded(std::span<const seq::BaseCode> ref,
     // so every neighbour an in-band cell reads was either in-band on the
     // previous row (true value) or never written (0 / -inf initial state,
     // the out-of-band semantics).
-
-    // Z-drop (align::extend's rule, applied to the local sweep): once even
-    // this row's best trails the global best by more than zdrop, stop.
-    if (params.zdrop > 0 && i < last_row && row_best < best.score - params.zdrop) {
-      out.zdropped = true;
-      break;
-    }
   }
   out.result = best;
   return out;

@@ -122,12 +122,12 @@ struct Engine {
   /// Forward sweep over 0-based rows [row_begin, row_end) from the given row
   /// state — the exact loop of align::smith_waterman_banded. With kFlags,
   /// `capture(i, j, flags)` receives every computed cell's flag byte (a
-  /// block re-derivation); `cells` counts the work. `best`/`row_best_out`
-  /// receive the best endpoint and the last row's best when non-null.
+  /// block re-derivation); `cells` counts the work. `best` receives the best
+  /// endpoint when non-null.
   template <bool kFlags, typename Capture>
   void sweep(std::size_t row_begin, std::size_t row_end, std::vector<Score>& h_row,
              std::vector<Score>& f_col, std::size_t& cells, AlignmentResult* best,
-             Score* row_best_out, const Capture& capture) const {
+             const Capture& capture) const {
     const Score alpha = scoring.alpha();
     const Score beta = scoring.beta();
     for (std::size_t i = row_begin; i < row_end; ++i) {
@@ -138,7 +138,6 @@ struct Engine {
       Score h_diag = (j_lo == 0) ? 0 : h_row[j_lo];
       Score h_left = 0;
       Score e = kNegInf;
-      Score row_best = kNegInf;
       for (std::size_t j = j_lo; j <= j_hi; ++j) {
         const Score e_open = h_left - alpha;
         e = std::max(e_open, e - beta);
@@ -152,7 +151,6 @@ struct Engine {
         f_col[j + 1] = f;
         h_left = h;
         ++cells;
-        row_best = std::max(row_best, h);
         if constexpr (kFlags) capture(i, j, trace_flags(h, diag, e, f, e_open, f_open));
 
         if (best && h > best->score) {
@@ -160,7 +158,6 @@ struct Engine {
                                   static_cast<std::int32_t>(j)};
         }
       }
-      if (row_best_out) *row_best_out = row_best;
     }
   }
 
@@ -178,7 +175,7 @@ struct Engine {
     blk.rows.reserve(end0 - first0);
     std::size_t current = static_cast<std::size_t>(-1);
     std::size_t block_cells = 0;
-    sweep<true>(first0, end0, walk_h, walk_f, block_cells, nullptr, nullptr,
+    sweep<true>(first0, end0, walk_h, walk_f, block_cells, nullptr,
                 [&](std::size_t i, std::size_t j, std::uint8_t flags) {
                   if (i != current) {
                     current = i;
@@ -215,20 +212,14 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
              {}};
 
   // --- Phase A: checkpointed forward sweep (smith_waterman_banded's loop,
-  // z-drop rule included, snapshotting the row state every `chunk` rows).
+  // snapshotting the row state ahead of every `chunk`-row block).
   std::vector<Score> h_row(m + 1, 0), f_col(m + 1, kNegInf);
   AlignmentResult best;
-  const std::size_t last_row = std::min(n - 1, m - 1 + eng.band);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i % eng.chunk == 0) eng.snapshot(i, h_row, f_col);
-    Score row_best = kNegInf;
-    eng.sweep<false>(i, i + 1, h_row, f_col, eng.stats.forward_cells, &best, &row_best,
+  for (std::size_t first0 = 0; first0 < n; first0 += eng.chunk) {
+    eng.snapshot(first0, h_row, f_col);
+    eng.sweep<false>(first0, std::min(n, first0 + eng.chunk), h_row, f_col,
+                     eng.stats.forward_cells, &best,
                      [](std::size_t, std::size_t, std::uint8_t) {});
-    if (params.zdrop > 0 && i < last_row && row_best < best.score - params.zdrop &&
-        row_best != kNegInf) {
-      eng.stats.zdropped = true;
-      break;
-    }
   }
 
   out.traced.end = best;

@@ -7,9 +7,9 @@
 // eliminate. This engine instead:
 //
 //   1. re-runs the banded forward sweep (bit-identical to
-//      align::smith_waterman_banded, z-drop included) keeping only two row
-//      arrays, snapshotting the row state every `checkpoint_rows` rows —
-//      each snapshot is just the band window, O(band) scores;
+//      align::smith_waterman_banded) keeping only two row arrays,
+//      snapshotting the row state every `checkpoint_rows` rows — each
+//      snapshot is just the band window, O(band) scores;
 //   2. walks the optimal path backwards, re-deriving one
 //      `checkpoint_rows`-row block at a time from the nearest snapshot and
 //      storing one flag byte per cell (TraceFlag), so at most
@@ -34,7 +34,6 @@
 
 #include "align/alignment_result.hpp"
 #include "align/scoring.hpp"
-#include "align/sw_banded.hpp"
 #include "seq/alphabet.hpp"
 #include "util/check.hpp"
 
@@ -43,10 +42,6 @@ namespace saloba::align {
 struct TracebackParams {
   /// Only cells with |i - j| <= band are computed; 0 = full table.
   std::size_t band = 0;
-  /// Z-drop row pruning for the forward sweep, mirroring
-  /// align::BandedParams::zdrop so traced endpoints stay bit-identical to a
-  /// z-dropped score pass (<= 0 disables).
-  Score zdrop = 0;
   /// Rows between row-state snapshots — the height K of the blocks the
   /// walk re-derives; 0 picks ~sqrt(|ref|) (checkpoint_block_rows), the
   /// memory sweet spot. 1 degenerates to "snapshot every row" (fuzzed).
@@ -67,7 +62,6 @@ struct TracebackStats {
   /// simulated phase's traffic model, independent of the host's flag-byte
   /// blocks.
   std::size_t traffic_bytes = 0;
-  bool zdropped = false;  ///< forward sweep ended on the z-drop rule
 
   std::size_t cells() const { return forward_cells + replay_cells; }
 };
@@ -181,11 +175,10 @@ class TraceWalk {
 };
 
 /// Traces one pair. Endpoints follow the canonical improves() tie-break of
-/// every score-pass implementation; the CIGAR is bit-identical to
-/// smith_waterman_traceback(ref, query, scoring, band) whenever zdrop is off
-/// (with zdrop the forward sweep — and hence the endpoint — matches
-/// align::smith_waterman_banded instead). A banded trace never leaves
-/// |i - j| <= band.
+/// every score-pass implementation (align::smith_waterman_banded at the
+/// same band); the CIGAR is bit-identical to
+/// smith_waterman_traceback(ref, query, scoring, band). A banded trace never
+/// leaves |i - j| <= band.
 TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
                                  std::span<const seq::BaseCode> query,
                                  const ScoringScheme& scoring,

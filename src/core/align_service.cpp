@@ -469,7 +469,9 @@ bool AlignService::submit(SessionId id, seq::PairBatch pairs) {
   std::unique_lock<std::mutex> lock(impl_->mutex);
   if (impl_->failure) std::rethrow_exception(impl_->failure);
   Session& s = impl_->session_ref(id);
-  SALOBA_CHECK_MSG(!s.finished, "submit() after finish() on session " << id);
+  if (s.finished) {
+    throw std::invalid_argument("submit() after finish() on session " + std::to_string(id));
+  }
   const std::size_t cap = s.opts.max_queued_pairs > 0
                               ? s.opts.max_queued_pairs
                               : service_.max_queued_pairs_per_session;

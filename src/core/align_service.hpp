@@ -146,6 +146,9 @@ class AlignService {
   /// batcher takes them). Each pair keeps its band (PairBatch::band_of).
   /// Returns false (admitting nothing further) once the session is
   /// cancelled or the service stopped; throws a failed worker's exception.
+  /// Throws std::invalid_argument naming the session for an unknown id or a
+  /// session already finish()ed; the service and its other sessions carry
+  /// on.
   bool submit(SessionId id, seq::PairBatch pairs);
 
   /// Declares end-of-input: once the queue drains and every in-flight pair

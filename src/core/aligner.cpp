@@ -8,8 +8,7 @@ namespace saloba::core {
 
 Aligner::Aligner(AlignerOptions options) : options_(std::move(options)) {
   backend_ = make_backend(options_);
-  SchedulerOptions sched;
-  sched.max_shard_pairs = options_.max_shard_pairs;
+  SchedulerOptions sched;  // uncapped: one shard per lane
   sched.policy = options_.split_policy;
   sched.longread = options_.longread_policy();
   sched.traceback = options_.traceback;

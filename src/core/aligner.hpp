@@ -7,10 +7,10 @@
 // Switching `opts.backend` to kSimulated runs the same batch through any of
 // the reproduced GPU kernels on a simulated device and reports simulated
 // kernel time plus the execution counters behind it. Setting `opts.devices`
-// and/or `opts.max_shard_pairs` makes the BatchScheduler shard the batch
-// into length-bucketed sub-batches and dispatch them asynchronously across
-// several simulated devices (Sec. VII-C), merging results back in input
-// order. Every align() call is routed
+// above 1 makes the BatchScheduler pack the batch into one sub-batch per
+// device (`opts.split_policy`) and dispatch them asynchronously across the
+// simulated devices (Sec. VII-C), merging results back in input order.
+// Every align() call is routed
 //
 //   Aligner → BatchScheduler → AlignBackend → kernels → gpusim
 //

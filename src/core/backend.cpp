@@ -19,17 +19,6 @@
 namespace saloba::core {
 namespace {
 
-/// A scoring scheme is caller input: an unusable one throws
-/// std::invalid_argument naming AlignerOptions::scoring.
-void require_valid(const align::ScoringScheme& s) {
-  if (s.valid()) return;
-  throw std::invalid_argument(
-      "AlignerOptions::scoring is invalid (match " + std::to_string(s.match) + ", mismatch " +
-      std::to_string(s.mismatch) + ", gap_open " + std::to_string(s.gap_open) +
-      ", gap_extend " + std::to_string(s.gap_extend) +
-      "): need match > 0, mismatch >= 0, gap_open >= 0 and gap_extend > 0");
-}
-
 /// Indices of the pairs an enabled long-read policy routes to the X-drop
 /// wavefront engine, ascending (empty when the policy is disabled).
 std::vector<std::size_t> longread_routed(const seq::PairBatch& batch,
@@ -141,12 +130,12 @@ std::pair<PhaseOutput<align::AlignmentResult>, LongReadPhase> run_with_longread(
 
 /// Shared traceback-phase body of every backend: every pair with a non-zero
 /// score-pass result is traced, host-parallel, output order matching input
-/// order. `zdrop` mirrors the backend's score pass so endpoints stay
-/// bit-identical. Pairs an enabled `longread` policy routes go through the
-/// X-drop wavefront's checkpointed traceback (same xdrop as their score
-/// pass, so endpoints agree there too); their cells — the traced forward
-/// sweep plus the block replays — and traffic are attributed separately. The rest go through the banded linear-memory
-/// engine: align::banded_traceback per pair, whose TracebackStats price the
+/// order. Pairs an enabled `longread` policy routes go through the X-drop
+/// wavefront's checkpointed traceback (same xdrop as their score pass, so
+/// endpoints agree); their cells — the traced forward sweep plus the block
+/// replays — and traffic are attributed separately. The rest go through the
+/// banded linear-memory engine, whose endpoints reproduce the banded score
+/// pass: align::banded_traceback per pair, whose TracebackStats price the
 /// simulated backend's modeled traffic, or with `cohorts` the checkpointed
 /// SIMD cohort pass (align::simd::trace_batch), which traces identically but
 /// prices no modeled traffic.
@@ -162,8 +151,8 @@ struct EnginePhase {
 
 EnginePhase trace_phase(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
-                        const align::ScoringScheme& scoring, align::Score zdrop,
-                        int threads, const LongReadPolicy& longread, bool cohorts) {
+                        const align::ScoringScheme& scoring, int threads,
+                        const LongReadPolicy& longread, bool cohorts) {
   SALOBA_CHECK_MSG(results.size() == batch.size(),
                    "traceback got " << results.size() << " score results for a "
                                     << batch.size() << "-pair batch");
@@ -196,7 +185,6 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
         if (cohorts) return;
         align::TracebackParams params;
         params.band = batch.band_of(i);
-        params.zdrop = zdrop;
         auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
         out.traced[i] = std::move(r.traced);
         cells[i] = r.stats.cells();
@@ -208,8 +196,8 @@ EnginePhase trace_phase(const seq::PairBatch& batch,
   }
   if (cohorts) {
     align::simd::TraceStats stats;
-    std::vector<align::TracedAlignment> traced = align::simd::trace_batch(
-        batch, simd_ends, scoring, &stats, threads, zdrop);
+    std::vector<align::TracedAlignment> traced =
+        align::simd::trace_batch(batch, simd_ends, scoring, &stats, threads);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (simd_ends[i].score > 0) out.traced[i] = std::move(traced[i]);
     }
@@ -267,30 +255,18 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
   return weights;
 }
 
-HostBackend::HostBackend(align::ScoringScheme scoring, int lanes, int threads_total,
-                         align::Score zdrop, LongReadPolicy longread)
-    : scoring_(scoring), lanes_(lanes), zdrop_(zdrop), longread_(longread) {
-  require_valid(scoring_);
-  if (lanes_ < 1) {
-    throw std::invalid_argument("HostBackend lanes must be >= 1, got " + std::to_string(lanes_));
-  }
-  if (lanes_ > 1) {
-    // Divide the host budget so concurrent lanes share, not fight over,
-    // the cores. A single lane keeps the library-default team.
-    int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
-    threads_per_lane_ = std::max(1, total / lanes_);
-  } else if (threads_total > 0) {
-    threads_per_lane_ = threads_total;
-  }
+HostBackend::HostBackend(align::ScoringScheme scoring, int threads, LongReadPolicy longread)
+    : scoring_(scoring), threads_(threads), longread_(longread) {
+  align::require_valid(scoring_, "AlignerOptions::scoring");
 }
 
 PhaseOutput<align::AlignmentResult> HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   auto [out, lr] = run_with_longread(
-      batch, longread_, scoring_, threads_per_lane_, [&](const seq::PairBatch& b) {
+      batch, longread_, scoring_, threads_, [&](const seq::PairBatch& b) {
         align::simd::EngineStats stats;
         PhaseOutput<align::AlignmentResult> engine_out;
-        engine_out.items = align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
+        engine_out.items = align::simd::align_batch(b, scoring_, &stats, threads_);
         engine_out.time_ms = stats.wall_ms;
         engine_out.work = stats.cells;
         return engine_out;
@@ -303,8 +279,8 @@ PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
     const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase = trace_phase(batch, results, scoring_, zdrop_, threads_per_lane_,
-                                  longread_, /*cohorts=*/true);
+  EnginePhase phase =
+      trace_phase(batch, results, scoring_, threads_, longread_, /*cohorts=*/true);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();
@@ -315,12 +291,12 @@ PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
 PhaseOutput<std::vector<seedext::Chain>> HostBackend::run_chaining(
     const seedext::ChainBatch& batch, std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  return chain_shard(batch, tasks, threads_per_lane_);
+  return chain_shard(batch, tasks, threads_);
 }
 
 SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
     : scoring_(options.scoring), longread_(options.longread_policy()) {
-  require_valid(scoring_);
+  align::require_valid(scoring_, "AlignerOptions::scoring");
   if (options.devices < 1) {
     throw std::invalid_argument("AlignerOptions::devices must be >= 1, got " +
                                 std::to_string(options.devices));
@@ -393,11 +369,11 @@ PhaseOutput<align::AlignmentResult> SimulatedGpuBackend::run(const seq::PairBatc
 PhaseOutput<align::TracedAlignment> SimulatedGpuBackend::run_traceback(
     const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  // Functional pass on the host (no zdrop: the kernels apply none, so traced
-  // endpoints match the kernels bit-for-bit; routed long-read pairs mirror
-  // their wavefront score pass instead)...
-  EnginePhase phase = trace_phase(batch, results, scoring_, /*zdrop=*/0, /*threads=*/0,
-                                  longread_, /*cohorts=*/false);
+  // Functional pass on the host (traced endpoints match the kernels
+  // bit-for-bit; routed long-read pairs mirror their wavefront score pass
+  // instead)...
+  EnginePhase phase =
+      trace_phase(batch, results, scoring_, /*threads=*/0, longread_, /*cohorts=*/false);
   PhaseOutput<align::TracedAlignment> out;
   out.items = std::move(phase.traced);
   out.work = phase.cells();
@@ -427,22 +403,22 @@ PhaseOutput<std::vector<seedext::Chain>> SimulatedGpuBackend::run_chaining(
 
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
   if (options.backend != Backend::kCpu) return std::make_unique<SimulatedGpuBackend>(options);
-  return std::make_unique<HostBackend>(options.scoring, std::max(1, options.cpu_lanes),
-                                       options.cpu_threads, options.zdrop,
-                                       options.longread_policy());
+  return std::make_unique<HostBackend>(options.scoring, /*threads=*/0, options.longread_policy());
 }
 
 std::vector<std::unique_ptr<AlignBackend>> make_worker_replicas(const AlignerOptions& options,
                                                                 std::size_t workers) {
   std::vector<std::unique_ptr<AlignBackend>> replicas;
   if (workers <= 1) return replicas;
-  AlignerOptions wopts = options;
-  if (options.backend == Backend::kCpu) {
-    const int total =
-        options.cpu_threads > 0 ? options.cpu_threads : util::max_parallel_threads();
-    wopts.cpu_threads = std::max(1, total / static_cast<int>(workers));
+  const int threads = std::max(1, util::max_parallel_threads() / static_cast<int>(workers));
+  for (std::size_t w = 0; w < workers; ++w) {
+    if (options.backend == Backend::kCpu) {
+      replicas.push_back(
+          std::make_unique<HostBackend>(options.scoring, threads, options.longread_policy()));
+    } else {
+      replicas.push_back(make_backend(options));
+    }
   }
-  for (std::size_t w = 0; w < workers; ++w) replicas.push_back(make_backend(wopts));
   return replicas;
 }
 

@@ -54,9 +54,9 @@ class AlignBackend {
   virtual double lane_weight(int /*lane*/) const { return 1.0; }
 
   /// Runs the batch on `lane` (in [0, lanes())): one result per pair. `work`
-  /// is the DP cells actually computed — in-band cells for banded pairs,
-  /// minus any rows a CPU-side zdrop pruned; 0 = the backend did not count
-  /// (the scheduler then falls back to the batch's nominal banded cells).
+  /// is the DP cells actually computed — in-band cells for banded pairs;
+  /// 0 = the backend did not count (the scheduler then falls back to the
+  /// batch's nominal banded cells).
   /// May throw kernels::KernelUnsupportedError or gpusim::DeviceOomError,
   /// faithfully to the modelled library.
   virtual PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) = 0;
@@ -64,8 +64,8 @@ class AlignBackend {
   /// Traceback phase for a batch whose score pass produced `results`
   /// (size == batch.size()): one TracedAlignment per pair through a
   /// linear-memory checkpointed engine — align::banded_traceback per pair,
-  /// or on host lanes the traced cohort pass align::simd::trace_batch, whose
-  /// traces are identical — honoring the batch's per-pair bands.
+  /// or on the host lane the traced cohort pass align::simd::trace_batch,
+  /// whose traces are identical — honoring the batch's per-pair bands.
   /// Pairs with a zero score-pass result are skipped (their trace is empty
   /// by construction). The banded engines replay blocks of ~sqrt(rows) rows
   /// (the pair's |ref|, or a SIMD cohort's longest). Endpoints reproduce
@@ -90,38 +90,33 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// The host backend: `lanes` identical lanes, each running the
-/// inter-sequence SIMD ladder — 8/16-bit saturating vector cohorts with an
-/// int32 rescue (align::simd::align_batch; traced: align::simd::trace_batch),
+/// The host backend: one lane running the inter-sequence SIMD ladder —
+/// 8/16-bit saturating vector cohorts with an int32 rescue
+/// (align::simd::align_batch; traced: align::simd::trace_batch),
 /// bit-identical to the scalar oracles align::align_batch and
-/// align::banded_traceback (scores, endpoints, cell counts; traces). Lanes
-/// split one thread budget so overlapping shard runs never oversubscribe the
-/// machine and wall-clock timing stays honest. Identical lanes keep the
-/// default lane weight of 1.0, so the scheduler packs them unweighted. Named
-/// "cpu".
+/// align::banded_traceback (scores, endpoints, cell counts; traces). The
+/// lane parallelizes across cohorts itself, so there are no host lanes for
+/// the scheduler to overlap. Named "cpu".
 class HostBackend final : public AlignBackend {
  public:
-  /// `lanes` lanes. Several lanes are each budgeted `threads_total / lanes`
-  /// OpenMP threads (threads_total 0 = hardware concurrency, at least one
-  /// per lane); a single lane keeps the library's default team unless
-  /// `threads_total > 0`. `zdrop > 0` applies z-drop row pruning to every
-  /// pair (the rule of align::BandedParams::zdrop); per-pair bands come from
-  /// the batch itself. An enabled `longread` policy routes qualifying pairs
-  /// to the X-drop wavefront engine in both run() and run_traceback() —
-  /// routed pairs ignore band and zdrop (see core::LongReadPolicy). Throws
-  /// std::invalid_argument naming the field for an invalid `scoring` or
-  /// `lanes < 1`.
-  explicit HostBackend(align::ScoringScheme scoring, int lanes = 1, int threads_total = 0,
-                       align::Score zdrop = 0, LongReadPolicy longread = {});
+  /// Runs every phase on at most `threads` OpenMP threads (0 = the
+  /// library's default team); per-pair bands come from the batch itself. An
+  /// enabled `longread` policy routes qualifying pairs to the X-drop
+  /// wavefront engine in both run() and run_traceback() — routed pairs
+  /// ignore their band (see core::LongReadPolicy). Throws
+  /// std::invalid_argument naming AlignerOptions::scoring for an invalid
+  /// `scoring`.
+  explicit HostBackend(align::ScoringScheme scoring, int threads = 0,
+                       LongReadPolicy longread = {});
 
   const std::string& name() const override { return name_; }
-  int lanes() const override { return lanes_; }
-  /// OpenMP thread cap per lane run; 0 = the default team (single lane).
-  int threads_per_lane() const { return threads_per_lane_; }
+  int lanes() const override { return 1; }
+  /// OpenMP thread cap of every run; 0 = the default team.
+  int threads() const { return threads_; }
   PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
-  /// Engine params mirror the score pass (per-pair band + this backend's
-  /// zdrop), so traced endpoints are bit-identical to run()'s results. Whole
-  /// cohorts trace at once through align::simd::trace_batch.
+  /// Engine params mirror the score pass (per-pair band), so traced
+  /// endpoints are bit-identical to run()'s results. Whole cohorts trace at
+  /// once through align::simd::trace_batch.
   PhaseOutput<align::TracedAlignment> run_traceback(
       const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
       int lane) override;
@@ -133,9 +128,7 @@ class HostBackend final : public AlignBackend {
 
  private:
   align::ScoringScheme scoring_;
-  int lanes_ = 1;
-  int threads_per_lane_ = 0;
-  align::Score zdrop_ = 0;
+  int threads_ = 0;
   LongReadPolicy longread_;
   std::string name_ = "cpu";
 };
@@ -161,10 +154,10 @@ class SimulatedGpuBackend final : public AlignBackend {
   /// (>= 1.0; uniform presets yield exactly 1.0 everywhere).
   double lane_weight(int lane) const override;
   PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
-  /// Functionally runs the engine on the host (kernels apply no zdrop, so
-  /// endpoints match the kernels bit-for-bit), then models the phase's time
-  /// and memory traffic on the lane's device (gpusim::estimate_phase_time,
-  /// Phase::kTraceback; routed long-read pairs are charged to kXdrop).
+  /// Functionally runs the engine on the host (endpoints match the kernels
+  /// bit-for-bit), then models the phase's time and memory traffic on the
+  /// lane's device (gpusim::estimate_phase_time, Phase::kTraceback; routed
+  /// long-read pairs are charged to kXdrop).
   PhaseOutput<align::TracedAlignment> run_traceback(
       const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
       int lane) override;
@@ -187,14 +180,15 @@ class SimulatedGpuBackend final : public AlignBackend {
 };
 
 /// Builds the backend `options` asks for: a SimulatedGpuBackend, or under
-/// Backend::kCpu a HostBackend of `cpu_lanes` lanes (options.device is not
+/// Backend::kCpu a HostBackend on the default team (options.device is not
 /// read there).
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
 
 /// Backend replicas for `workers` concurrent align threads, one each, so no
-/// lane is ever shared across threads; host replicas split the host thread
-/// budget between them (HostBackend's no-oversubscription promise, one level
-/// up). Empty for a single worker, which runs on the primary backend.
+/// lane is ever shared across threads. Host replicas split the host's
+/// threads between them, max(1, util::max_parallel_threads() / workers)
+/// each, so concurrent workers never oversubscribe the machine. Empty for a
+/// single worker, which runs on the primary backend.
 std::vector<std::unique_ptr<AlignBackend>> make_worker_replicas(const AlignerOptions& options,
                                                                 std::size_t workers);
 

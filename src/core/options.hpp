@@ -20,10 +20,10 @@ enum class Backend {
 /// for the X-drop wavefront engine (align::xdrop_wavefront) — anti-diagonal
 /// execution, X-drop termination, O(N+M) checkpointed traceback walked by
 /// the same align::TraceWalk as every other trace engine. Routed
-/// pairs ignore band and z-drop: the long-read regime carries its own
-/// pruning, and a 100kb pair has no meaningful |i-j| band anyway. The
-/// default (0) disables routing, keeping every workload bit-identical to
-/// the classic path.
+/// pairs ignore their band: the long-read regime carries its own pruning,
+/// and a 100kb pair has no meaningful |i-j| band anyway. The default (0)
+/// disables routing, keeping every workload bit-identical to the classic
+/// path.
 struct LongReadPolicy {
   /// Route a pair when max(|ref|, |query|) >= this; 0 = never.
   std::size_t min_pair_bases = 0;
@@ -54,18 +54,13 @@ struct AlignerOptions {
   /// "gtx1650,rtx3090") for a heterogeneous backend with one lane per
   /// preset; the scheduler then partitions work by each lane's relative
   /// throughput (cost-aware weighted LPT). Backend::kCpu does not read it:
-  /// the host backend always runs cpu_lanes lanes of the SIMD engine.
+  /// the host backend is always one lane of the SIMD engine.
   std::string device = "rtx3090";
   /// Checked when the backend is built: every front end throws
-  /// std::invalid_argument naming this field if it is not valid().
+  /// std::invalid_argument naming this field if it is not valid(). Bands
+  /// are not an option: they ride on the batch (seq::PairBatch::band_of,
+  /// Sec. VII-B).
   align::ScoringScheme scoring;
-
-  /// Z-drop early termination for the CPU backend's sweep (<= 0 disables).
-  /// A pruning heuristic like BWA-MEM's: it can change results, so the
-  /// simulated kernels — verified bit-exact against smith_waterman_banded —
-  /// do not apply it. Bands are not an option: they ride on the batch
-  /// (seq::PairBatch::band_of, Sec. VII-B).
-  align::Score zdrop = 0;
 
   // --- Long-read routing (X-drop wavefront engine) ------------------------
   /// Pairs whose longer sequence has at least this many bases are routed to
@@ -84,31 +79,21 @@ struct AlignerOptions {
   /// traceback pass that produces one align::TracedAlignment — start
   /// coordinates + CIGAR — per pair (AlignOutput::traced, input order).
   /// Banded pairs trace inside |i - j| <= band, bit-consistently with the
-  /// banded score pass; the CPU backend's zdrop is mirrored so endpoints
-  /// agree there too.
+  /// banded score pass.
   bool traceback = false;
 
   // --- Scheduler (host-side batching) ------------------------------------
   /// Simulated devices the scheduler spreads shards across (Sec. VII-C
-  /// multi-GPU dispatch; simulated backend only — host lanes come from
-  /// cpu_lanes). With 1 device and no shard cap, align() degenerates to the
-  /// classic single-launch path. When `device` lists several presets the
-  /// lane count comes from the list instead; `devices` must then be 1 (the
-  /// default) or match the list length. Either violation throws
-  /// std::invalid_argument when the backend is built.
+  /// multi-GPU dispatch; simulated backend only — the host backend is one
+  /// lane). Aligner::align cuts one shard per device, so with 1 device it
+  /// degenerates to the classic single-launch path. When `device` lists
+  /// several presets the lane count comes from the list instead; `devices`
+  /// must then be 1 (the default) or match the list length. Either
+  /// violation throws std::invalid_argument when the backend is built.
   int devices = 1;
-  /// Shard size cap in pairs: 0 = one shard per device.
-  std::size_t max_shard_pairs = 0;
   /// How pairs are packed into shards; kSorted is the paper's "approximate
   /// sorting" mitigation for inter-device imbalance.
   gpusim::SplitPolicy split_policy = gpusim::SplitPolicy::kSorted;
-  /// CPU backend lanes (>= 1): more than one splits the host into
-  /// independent lanes the scheduler can overlap, each budgeted
-  /// cpu_threads / cpu_lanes OpenMP threads so concurrent shards never
-  /// oversubscribe the machine.
-  int cpu_lanes = 1;
-  /// Total host threads the CPU backend may use (0 = hardware concurrency).
-  int cpu_threads = 0;
 };
 
 /// Per-tenant quality-of-service knobs for one core::AlignService session.
@@ -146,7 +131,8 @@ struct ServiceOptions {
   std::size_t max_inflight_batches = 4;
   /// Concurrent align workers. Above 1, each worker owns its own backend
   /// replica (built from the same AlignerOptions), so simulated lanes are
-  /// never shared across threads.
+  /// never shared across threads and host replicas split the host's threads
+  /// (core::make_worker_replicas).
   std::size_t align_threads = 1;
 };
 

@@ -97,9 +97,8 @@ struct AlignOutput {
   /// milliseconds (makespan across devices) for the simulated backend.
   double time_ms = 0.0;
   /// DP cells actually computed (the score pass's `work` summed over shards):
-  /// in-band cells for banded pairs, minus any zdrop-pruned rows on the CPU
-  /// backend; Σ |q|·|r| for plain full-table runs — the numerator of
-  /// `gcups`.
+  /// in-band cells for banded pairs; Σ |q|·|r| for plain full-table runs —
+  /// the numerator of `gcups`.
   std::size_t cells = 0;
   double gcups = 0.0;  ///< giga cell-updates per second at `time_ms`
   /// Simulated backend only; aggregated over every shard. The breakdown is

@@ -35,12 +35,18 @@ void validate(std::span<const seq::BaseCode> genome, const MapperParams& params)
                                 std::to_string(KmerIndex::kMaxK) + "] for k-mer seeding, got " +
                                 std::to_string(params.k));
   }
+  if (!params.use_fm_seeding && params.seeding.stride < 1) {
+    throw std::invalid_argument(
+        "MapperParams::seeding.stride must be >= 1 for k-mer seeding, got " +
+        std::to_string(params.seeding.stride));
+  }
   for (double w : params.index_lane_weights) {
     if (!std::isfinite(w) || w <= 0.0) {
       throw std::invalid_argument(
           "MapperParams::index_lane_weights must be finite and > 0, got " + std::to_string(w));
     }
   }
+  align::require_valid(params.scoring, "MapperParams::scoring");
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ std::vector<AlignmentResult> banded_reference(const seq::PairBatch& batch,
   std::vector<AlignmentResult> out(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     out[i] = smith_waterman_banded(batch.refs[i], batch.queries[i], s,
-                                   BandedParams{batch.band_of(i), 0})
+                                   batch.band_of(i))
                  .result;
   }
   return out;
@@ -127,11 +127,12 @@ TEST(BandedConformance, SimulatedShardedAlignerMatchesBandedReference) {
   opts.backend = core::Backend::kSimulated;
   opts.kernel = "saloba";
   opts.devices = 3;
-  opts.max_shard_pairs = 7;
-  core::Aligner aligner(opts);
+  core::SimulatedGpuBackend backend(opts);
+  core::SchedulerOptions sched;
+  sched.max_shard_pairs = 7;
   auto batch = saloba::testing::imbalanced_batch(508, 40, 4, 180);
   batch.default_band = 12;
-  auto out = aligner.align(batch);
+  auto out = core::BatchScheduler(&backend, sched).run(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     auto expected =
         smith_waterman_banded(batch.refs[i], batch.queries[i], opts.scoring, 12).result;
@@ -141,37 +142,6 @@ TEST(BandedConformance, SimulatedShardedAlignerMatchesBandedReference) {
   EXPECT_EQ(out.kernel_stats->totals.dp_cells, batch.total_banded_cells());
   EXPECT_EQ(out.kernel_stats->totals.dp_cells + out.kernel_stats->totals.dp_cells_skipped,
             batch.total_cells());
-}
-
-TEST(BandedConformance, ZdropBatchMatchesPerPairZdropReference) {
-  ScoringScheme s;
-  auto batch = random_banded_batch(509, 30, 150);
-  const Score zdrop = 20;
-  auto got = align_batch(batch, s, nullptr, 0, zdrop);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto expected = smith_waterman_banded(batch.refs[i], batch.queries[i], s,
-                                          BandedParams{batch.band_of(i), zdrop})
-                        .result;
-    EXPECT_EQ(got[i], expected) << "pair " << i;
-  }
-}
-
-TEST(BandedConformance, CpuAlignerZdropOptionFlowsToBackend) {
-  AlignerOptions opts;
-  opts.zdrop = 15;
-  core::Aligner aligner(opts);
-  auto batch = saloba::testing::related_batch(510, 20, 90, 160);
-  auto out = aligner.align(batch);
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto expected = smith_waterman_banded(batch.refs[i], batch.queries[i], opts.scoring,
-                                          BandedParams{0, 15});
-    EXPECT_EQ(out.results[i], expected.result) << "pair " << i;
-    executed += expected.cells_computed;
-  }
-  // Reported cells (and so gcups) count only what zdrop actually ran.
-  EXPECT_EQ(out.cells, executed);
-  EXPECT_LE(out.cells, batch.total_cells());
 }
 
 // --- banded_cells unit behaviour ------------------------------------------

@@ -137,18 +137,19 @@ TEST(CigarConformance, ShardedMultiLaneMergesTracesInInputOrder) {
   opts.backend = Backend::kSimulated;
   opts.kernel = "saloba";
   opts.devices = 3;
-  opts.max_shard_pairs = 5;
   opts.traceback = true;
-  Aligner aligner(opts);
+  SimulatedGpuBackend backend(opts);
+  SchedulerOptions capped;
+  capped.max_shard_pairs = 5;
+  capped.traceback = true;
   auto batch = conformance_batch(911, 0);
-  auto out = aligner.align(batch);
+  auto out = BatchScheduler(&backend, capped).run(batch);
   ASSERT_GT(out.schedule.shards, 1u);
   check_conformance(batch, out, opts.scoring, "sharded");
 
   // The sharded traced channel must equal the unsharded one, pair for pair.
   AlignerOptions single = opts;
   single.devices = 1;
-  single.max_shard_pairs = 0;
   auto want = Aligner(single).align(batch);
   ASSERT_EQ(out.traced.size(), want.traced.size());
   for (std::size_t i = 0; i < want.traced.size(); ++i) {

@@ -1,6 +1,6 @@
 // Differential conformance suite for the inter-sequence SIMD engine
-// (align::simd::align_batch): every cohort shape, band, z-drop setting, and
-// rescue tier must be bit-identical — scores, endpoints, cell counts — to
+// (align::simd::align_batch): every cohort shape, band, and rescue tier
+// must be bit-identical — scores, endpoints, cell counts — to
 // the scalar oracles (align::align_batch / smith_waterman_banded /
 // smith_waterman). `ctest -L simd`.
 #include "align/simd_engine.hpp"
@@ -26,19 +26,19 @@ struct Oracle {
   std::size_t cells = 0;
 };
 
-Oracle oracle_of(const seq::PairBatch& batch, const ScoringScheme& scoring, Score zdrop) {
+Oracle oracle_of(const seq::PairBatch& batch, const ScoringScheme& scoring) {
   Oracle o;
   BatchTiming timing;
-  o.results = align_batch(batch, scoring, &timing, /*threads=*/1, zdrop);
+  o.results = align_batch(batch, scoring, &timing, /*threads=*/1);
   o.cells = timing.cells;
   return o;
 }
 
 void expect_identical(const seq::PairBatch& batch, const ScoringScheme& scoring,
-                      Score zdrop, const char* what) {
-  const Oracle want = oracle_of(batch, scoring, zdrop);
+                      const char* what) {
+  const Oracle want = oracle_of(batch, scoring);
   simd::EngineStats stats;
-  const auto got = simd::align_batch(batch, scoring, &stats, /*threads=*/1, zdrop);
+  const auto got = simd::align_batch(batch, scoring, &stats, /*threads=*/1);
   ASSERT_EQ(got.size(), want.results.size()) << what;
   for (std::size_t p = 0; p < got.size(); ++p) {
     EXPECT_EQ(got[p].score, want.results[p].score) << what << " pair " << p;
@@ -60,7 +60,7 @@ TEST(SimdConformance, CohortWidthsUnbanded) {
   ScoringScheme s;
   for (std::size_t pairs : {1u, 5u, 16u, 32u, 33u, 70u}) {
     auto batch = saloba::testing::related_batch(900 + pairs, pairs, 90, 120);
-    expect_identical(batch, s, /*zdrop=*/0, "unbanded cohort");
+    expect_identical(batch, s, "unbanded cohort");
   }
 }
 
@@ -73,7 +73,7 @@ TEST(SimdConformance, ImbalancedLengthsWithN) {
       batch.add(saloba::testing::random_seq_with_n(rng, rng.below(180), 0.1),
                 saloba::testing::random_seq_with_n(rng, rng.below(220), 0.1));
     }
-    expect_identical(batch, s, /*zdrop=*/0, "imbalanced+N");
+    expect_identical(batch, s, "imbalanced+N");
   }
 }
 
@@ -93,7 +93,7 @@ TEST(SimdConformance, BandSweep) {
           0.12);
       batch.add(std::move(query), std::move(ref), band);
     }
-    expect_identical(batch, s, /*zdrop=*/0, "band sweep");
+    expect_identical(batch, s, "band sweep");
   }
 }
 
@@ -107,28 +107,7 @@ TEST(SimdConformance, MixedPerPairBands) {
     auto query = saloba::testing::random_seq(rng, 40 + rng.below(160));
     batch.add(std::move(query), std::move(ref), bands[static_cast<std::size_t>(p) % 6]);
   }
-  expect_identical(batch, s, /*zdrop=*/0, "mixed per-pair bands");
-}
-
-TEST(SimdConformance, ZdropOnAndOff) {
-  ScoringScheme s;
-  for (Score zdrop : {Score{0}, Score{5}, Score{25}, Score{400}}) {
-    // Related heads + unrelated tails: the shape that actually triggers
-    // z-drop mid-sweep.
-    util::Xoshiro256 rng(500 + static_cast<std::uint64_t>(zdrop));
-    seq::PairBatch batch;
-    for (int p = 0; p < 40; ++p) {
-      auto head = saloba::testing::random_seq(rng, 70);
-      auto ref = head;
-      auto tail = saloba::testing::random_seq(rng, 90);
-      ref.insert(ref.end(), tail.begin(), tail.end());
-      auto query = saloba::testing::mutate(rng, head, 0.05);
-      auto qtail = saloba::testing::random_seq(rng, 90);
-      query.insert(query.end(), qtail.begin(), qtail.end());
-      batch.add(std::move(query), std::move(ref), p % 2 == 0 ? 0 : 12);
-    }
-    expect_identical(batch, s, zdrop, "zdrop sweep");
-  }
+  expect_identical(batch, s, "mixed per-pair bands");
 }
 
 TEST(SimdConformance, RescueLadder8To16) {
@@ -137,9 +116,9 @@ TEST(SimdConformance, RescueLadder8To16) {
   // 16-bit pass.
   ScoringScheme s;
   auto batch = saloba::testing::related_batch(600, 24, 500, 520);
-  const Oracle want = oracle_of(batch, s, 0);
+  const Oracle want = oracle_of(batch, s);
   simd::EngineStats stats;
-  const auto got = simd::align_batch(batch, s, &stats, 1, 0);
+  const auto got = simd::align_batch(batch, s, &stats, 1);
   for (std::size_t p = 0; p < got.size(); ++p) {
     ASSERT_EQ(got[p], want.results[p]) << "pair " << p;
     ASSERT_GT(got[p].score, 255) << "test needs saturating scores to mean anything";
@@ -155,9 +134,9 @@ TEST(SimdConformance, RescueLadderTo32Bit) {
   ScoringScheme s;
   s.match = 1000;
   auto batch = saloba::testing::related_batch(601, 12, 90, 110);
-  const Oracle want = oracle_of(batch, s, 0);
+  const Oracle want = oracle_of(batch, s);
   simd::EngineStats stats;
-  const auto got = simd::align_batch(batch, s, &stats, 1, 0);
+  const auto got = simd::align_batch(batch, s, &stats, 1);
   for (std::size_t p = 0; p < got.size(); ++p) {
     ASSERT_EQ(got[p], want.results[p]) << "pair " << p;
     ASSERT_GT(got[p].score, 65535);
@@ -167,7 +146,7 @@ TEST(SimdConformance, RescueLadderTo32Bit) {
 }
 
 TEST(SimdConformance, RescueLadderMixedTiers) {
-  // One batch spanning all three tiers (plus banded/z-drop flavors).
+  // One batch spanning all three tiers (plus banded flavors).
   ScoringScheme s;
   util::Xoshiro256 rng(602);
   seq::PairBatch batch;
@@ -178,8 +157,7 @@ TEST(SimdConformance, RescueLadderMixedTiers) {
     query = saloba::testing::mutate(rng, query, p % 3 == 2 ? 0.5 : 0.02);
     batch.add(std::move(query), std::move(ref), p % 4 == 0 ? 16 : 0);
   }
-  expect_identical(batch, s, /*zdrop=*/0, "mixed tiers");
-  expect_identical(batch, s, /*zdrop=*/30, "mixed tiers + zdrop");
+  expect_identical(batch, s, "mixed tiers");
 }
 
 TEST(SimdConformance, OversizePairsRouteToScalar) {
@@ -192,9 +170,9 @@ TEST(SimdConformance, OversizePairsRouteToScalar) {
   for (int p = 0; p < 7; ++p) {
     batch.add(saloba::testing::random_seq(rng, 100), saloba::testing::random_seq(rng, 120));
   }
-  const Oracle want = oracle_of(batch, s, 0);
+  const Oracle want = oracle_of(batch, s);
   simd::EngineStats stats;
-  const auto got = simd::align_batch(batch, s, &stats, 1, 0);
+  const auto got = simd::align_batch(batch, s, &stats, 1);
   for (std::size_t p = 0; p < got.size(); ++p) {
     EXPECT_EQ(got[p], want.results[p]) << "pair " << p;
   }
@@ -210,8 +188,7 @@ TEST(SimdConformance, EmptyAndDegeneratePairs) {
   batch.add({}, {});
   batch.add(seq::encode_string("A"), seq::encode_string("A"));
   batch.add(seq::encode_string("T"), seq::encode_string("A"));
-  expect_identical(batch, s, /*zdrop=*/0, "degenerate");
-  expect_identical(batch, s, /*zdrop=*/3, "degenerate + zdrop");
+  expect_identical(batch, s, "degenerate");
 }
 
 TEST(SimdConformance, NonDefaultScoringSchemes) {
@@ -221,8 +198,7 @@ TEST(SimdConformance, NonDefaultScoringSchemes) {
   tweaked.gap_open = 4;
   tweaked.gap_extend = 2;
   auto batch = saloba::testing::imbalanced_batch(604, 50, 1, 200);
-  expect_identical(batch, tweaked, /*zdrop=*/0, "tweaked scheme");
-  expect_identical(batch, tweaked, /*zdrop=*/8, "tweaked scheme + zdrop");
+  expect_identical(batch, tweaked, "tweaked scheme");
 }
 
 TEST(SimdConformance, SingleCellsAgainstReference) {
@@ -234,7 +210,7 @@ TEST(SimdConformance, SingleCellsAgainstReference) {
     batch.add(saloba::testing::random_seq(rng, 1 + rng.below(4)),
               saloba::testing::random_seq(rng, 1 + rng.below(4)));
   }
-  const auto got = simd::align_batch(batch, s, nullptr, 1, 0);
+  const auto got = simd::align_batch(batch, s, nullptr, 1);
   for (std::size_t p = 0; p < batch.size(); ++p) {
     EXPECT_EQ(got[p], smith_waterman(batch.refs[p], batch.queries[p], s)) << "pair " << p;
   }
@@ -243,15 +219,15 @@ TEST(SimdConformance, SingleCellsAgainstReference) {
 TEST(SimdConformance, ThreadedMatchesSingleThread) {
   ScoringScheme s;
   auto batch = saloba::testing::imbalanced_batch(606, 120, 10, 250);
-  const auto single = simd::align_batch(batch, s, nullptr, 1, 0);
-  const auto teamed = simd::align_batch(batch, s, nullptr, 0, 0);
+  const auto single = simd::align_batch(batch, s, nullptr, 1);
+  const auto teamed = simd::align_batch(batch, s, nullptr, 0);
   EXPECT_EQ(single, teamed);
 }
 
 TEST(SimdConformance, IsaReportingIsConsistent) {
   simd::EngineStats stats;
   auto batch = saloba::testing::related_batch(607, 8, 50, 60);
-  simd::align_batch(batch, ScoringScheme{}, &stats, 1, 0);
+  simd::align_batch(batch, ScoringScheme{}, &stats, 1);
   const bool expect_avx2 = simd::compiled_with_avx2() && simd::cpu_supports_avx2();
   EXPECT_EQ(stats.avx2, expect_avx2);
   EXPECT_STREQ(simd::isa_name(), expect_avx2 ? "avx2" : "generic");

@@ -1,10 +1,10 @@
 // Differential fuzz for the SIMD engine's traced mode
 // (align::simd::trace_batch): every trace must be bit-identical to the
-// scalar checkpointed engine (align::banded_traceback) and, without z-drop,
-// to the full-matrix masked-DP oracle (smith_waterman_traceback) —
-// endpoints, start coordinates and CIGAR — across random scorings
-// (mismatch 0 and gap_open 0 included), N bases, indels, bands
-// {0, 1, 8, 32, huge}, z-drop, checkpoint_rows {0, 1, 3, 17, 1024}, cohort
+// scalar checkpointed engine (align::banded_traceback) and to the
+// full-matrix masked-DP oracle (smith_waterman_traceback) — endpoints,
+// start coordinates and CIGAR — across random scorings (mismatch 0 and
+// gap_open 0 included), N bases, indels, bands {0, 1, 8, 32, huge},
+// checkpoint_rows {0, 1, 3, 5, 17, 1024}, cohort
 // fills {1, 31, 32, 33}, the 16-bit rescue, the int32 and over-budget
 // fallbacks, and empty / zero-score pairs. The suite runs through whichever
 // kernels the host dispatches: AVX2, or OpsGeneric on builds without it.
@@ -74,16 +74,15 @@ seq::PairBatch random_batch(util::Xoshiro256& rng, std::size_t pairs, std::size_
 }
 
 /// Traces `batch` through the SIMD pass (ends from the scalar score pass)
-/// and checks every pair against banded_traceback with the same knobs and,
-/// when `zdrop` is off, against the full-matrix oracle. Returns the stats.
+/// and checks every pair against banded_traceback with the same knobs and
+/// against the full-matrix oracle. Returns the stats.
 simd::TraceStats expect_identical(const seq::PairBatch& batch, const ScoringScheme& s,
-                                  Score zdrop, std::size_t checkpoint_rows,
-                                  const std::string& label) {
+                                  std::size_t checkpoint_rows, const std::string& label) {
   BatchTiming timing;
-  const auto ends = align_batch(batch, s, &timing, /*threads=*/0, zdrop);
+  const auto ends = align_batch(batch, s, &timing);
   simd::TraceStats stats;
-  const auto traced = simd::trace_batch(batch, ends, s, &stats, /*threads=*/0, zdrop,
-                                        checkpoint_rows);
+  const auto traced =
+      simd::trace_batch(batch, ends, s, &stats, /*threads=*/0, checkpoint_rows);
   EXPECT_EQ(traced.size(), batch.size()) << label;
   std::size_t forward_want = 0;
   std::size_t traced_pairs = 0;
@@ -91,7 +90,6 @@ simd::TraceStats expect_identical(const seq::PairBatch& batch, const ScoringSche
     const std::string where = label + " pair " + std::to_string(p);
     TracebackParams params;
     params.band = batch.band_of(p);
-    params.zdrop = zdrop;
     params.checkpoint_rows = checkpoint_rows;
     const TracebackResult want = banded_traceback(batch.refs[p], batch.queries[p], s, params);
     if (ends[p].score <= 0) {
@@ -101,11 +99,9 @@ simd::TraceStats expect_identical(const seq::PairBatch& batch, const ScoringSche
     ++traced_pairs;
     forward_want += want.stats.forward_cells;
     EXPECT_EQ(traced[p], want.traced) << where;
-    if (zdrop <= 0) {
-      EXPECT_EQ(traced[p], smith_waterman_traceback(batch.refs[p], batch.queries[p], s,
-                                                    params.band))
-          << where;
-    }
+    EXPECT_EQ(traced[p],
+              smith_waterman_traceback(batch.refs[p], batch.queries[p], s, params.band))
+        << where;
   }
   EXPECT_EQ(stats.pairs, traced_pairs) << label;
   EXPECT_EQ(stats.pairs_8bit + stats.rescued_16bit + stats.scalar_pairs, stats.pairs) << label;
@@ -127,7 +123,7 @@ TEST(SimdTraceback, MatchesScalarEngineAndOracleAcrossBandsAndCheckpoints) {
       batch.default_band = band;
       for (std::size_t chk : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{17},
                               std::size_t{1024}}) {
-        const auto stats = expect_identical(batch, s, /*zdrop=*/0, chk,
+        const auto stats = expect_identical(batch, s, chk,
                                             "trial " + std::to_string(trial) + " band " +
                                                 std::to_string(band) + " chk " +
                                                 std::to_string(chk));
@@ -151,7 +147,7 @@ TEST(SimdTraceback, ShortPairsUnderWideScorings) {
     s.gap_extend = 1 + static_cast<Score>(rng.below(3));
     seq::PairBatch batch = random_batch(rng, 32, 24);
     batch.default_band = trial % 3 == 0 ? 4 : 0;
-    expect_identical(batch, s, 0, trial % 4, "short trial " + std::to_string(trial));
+    expect_identical(batch, s, trial % 4, "short trial " + std::to_string(trial));
   }
 }
 
@@ -163,27 +159,10 @@ TEST(SimdTraceback, EdgeScoringsMismatchZeroAndGapOpenZero) {
     for (std::size_t band : {std::size_t{0}, std::size_t{8}}) {
       batch.default_band = band;
       for (std::size_t chk : {std::size_t{0}, std::size_t{3}}) {
-        expect_identical(batch, s, 0, chk,
+        expect_identical(batch, s, chk,
                          "scoring " + std::to_string(s.match) + "/" +
                              std::to_string(s.mismatch) + "/" + std::to_string(s.gap_open) +
                              "/" + std::to_string(s.gap_extend));
-      }
-    }
-  }
-}
-
-TEST(SimdTraceback, ZdropMatchesScalarEngine) {
-  util::Xoshiro256 rng(7303);
-  for (int trial = 0; trial < 4; ++trial) {
-    const ScoringScheme s = random_scoring(rng);
-    seq::PairBatch batch = random_batch(rng, 40, 120);
-    for (Score zdrop : {Score{3}, Score{12}, Score{40}}) {
-      for (std::size_t band : {std::size_t{0}, std::size_t{8}, std::size_t{32}}) {
-        batch.default_band = band;
-        for (std::size_t chk : {std::size_t{0}, std::size_t{1}, std::size_t{17}}) {
-          expect_identical(batch, s, zdrop, chk,
-                           "zdrop " + std::to_string(zdrop) + " band " + std::to_string(band));
-        }
       }
     }
   }
@@ -198,15 +177,15 @@ TEST(SimdTraceback, MixedPerPairBandsInOneCohort) {
     auto query = derived_query(rng, ref, 110);
     batch.add(std::move(query), std::move(ref), bands[p % 5]);
   }
-  expect_identical(batch, ScoringScheme{}, 0, 0, "mixed bands");
-  expect_identical(batch, ScoringScheme{}, 15, 5, "mixed bands zdrop");
+  expect_identical(batch, ScoringScheme{}, 0, "mixed bands");
+  expect_identical(batch, ScoringScheme{}, 5, "mixed bands chk 5");
 }
 
 TEST(SimdTraceback, CohortFills) {
   for (std::size_t pairs : {std::size_t{1}, std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
     util::Xoshiro256 rng(7400 + pairs);
     const seq::PairBatch batch = random_batch(rng, pairs, 100);
-    const auto stats = expect_identical(batch, ScoringScheme{}, 0, 0,
+    const auto stats = expect_identical(batch, ScoringScheme{}, 0,
                                         "fill " + std::to_string(pairs));
     EXPECT_EQ(stats.scalar_pairs, 0u) << pairs;
   }
@@ -226,7 +205,7 @@ TEST(SimdTraceback, SixteenBitRescueCohortFills) {
     }
     const ScoringScheme s{2, 4, 6, 1};
     for (std::size_t chk : {std::size_t{0}, std::size_t{17}}) {
-      const auto stats = expect_identical(batch, s, 0, chk, "rescue " + std::to_string(pairs));
+      const auto stats = expect_identical(batch, s, chk, "rescue " + std::to_string(pairs));
       EXPECT_EQ(stats.rescued_16bit, pairs);
       EXPECT_EQ(stats.pairs_8bit, 0u);
     }
@@ -250,7 +229,7 @@ TEST(SimdTraceback, Int32AndOverBudgetFallbacks) {
   batch.add(saloba::testing::mutate(rng, small_ref, 0.05), small_ref);
 
   const ScoringScheme heavy{1000, 4, 6, 1};
-  const auto stats = expect_identical(batch, heavy, 0, 0, "int32");
+  const auto stats = expect_identical(batch, heavy, 0, "int32");
   EXPECT_EQ(stats.scalar_pairs, 3u);
   EXPECT_EQ(stats.rescued_16bit, 1u);
 
@@ -260,7 +239,7 @@ TEST(SimdTraceback, Int32AndOverBudgetFallbacks) {
   auto mid_ref = saloba::testing::random_seq(rng, 200);
   budget.add(saloba::testing::mutate(rng, mid_ref, 0.1), mid_ref);
   budget.add(saloba::testing::mutate(rng, small_ref, 0.1), small_ref);
-  const auto budget_stats = expect_identical(budget, ScoringScheme{}, 0, 1, "over budget");
+  const auto budget_stats = expect_identical(budget, ScoringScheme{}, 1, "over budget");
   EXPECT_EQ(budget_stats.scalar_pairs, 1u);
   EXPECT_EQ(budget_stats.pairs_8bit, 1u);
 }
@@ -277,7 +256,7 @@ TEST(SimdTraceback, CohortsSplitUnderTheWorkingSetCap) {
   auto wide_query = saloba::testing::random_seq(rng, 490);
   std::copy(wide_ref.begin(), wide_ref.end(), wide_query.begin() + 200);
   batch.add(std::move(wide_query), std::move(wide_ref));
-  const auto stats = expect_identical(batch, ScoringScheme{}, 0, 0, "cap split");
+  const auto stats = expect_identical(batch, ScoringScheme{}, 0, "cap split");
   EXPECT_EQ(stats.pairs_8bit, 2u);
   EXPECT_EQ(stats.scalar_pairs, 0u);
 }
@@ -290,7 +269,7 @@ TEST(SimdTraceback, EmptyAndZeroScorePairs) {
   batch.add(std::vector<seq::BaseCode>(12, 0), std::vector<seq::BaseCode>(12, 1));  // hopeless
   batch.add(std::vector<seq::BaseCode>(5, seq::kBaseN), std::vector<seq::BaseCode>(5, seq::kBaseN));
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // the one real alignment
-  const auto stats = expect_identical(batch, ScoringScheme{}, 0, 0, "degenerate");
+  const auto stats = expect_identical(batch, ScoringScheme{}, 0, "degenerate");
   EXPECT_EQ(stats.pairs, 1u);
 
   // An empty batch is a no-op.

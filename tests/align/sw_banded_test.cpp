@@ -76,10 +76,16 @@ TEST(BandedSW, EmptyInputs) {
   EXPECT_EQ(r.cells_computed, 0u);
 }
 
-TEST(BandedSWDeath, RejectsZeroBand) {
+TEST(BandedSW, ZeroBandComputesTheFullTable) {
+  // band == 0 is seq::PairBatch::band_of's "unbanded": exact Smith–Waterman
+  // over every cell.
+  util::Xoshiro256 rng(45);
   ScoringScheme s;
-  auto codes = seq::encode_string("ACGT");
-  EXPECT_DEATH(smith_waterman_banded(codes, codes, s, 0), "band");
+  auto ref = saloba::testing::random_seq(rng, 70);
+  auto query = saloba::testing::random_seq(rng, 90);
+  auto banded = smith_waterman_banded(ref, query, s, 0);
+  EXPECT_EQ(banded.result, smith_waterman(ref, query, s));
+  EXPECT_EQ(banded.cells_computed, ref.size() * query.size());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Conformance layer for the long-read X-drop wavefront engine: pruning off
-// == exact Smith-Waterman, effectively-infinite X-drop and z-drop agree, the
+// == exact Smith-Waterman, an effectively-infinite X-drop prunes nothing, the
 // three-way oracle (row-major reference / banded / unpruned wavefront) holds
 // on short and degenerate pairs, and traced output rescores exactly.
 #include <gtest/gtest.h>
@@ -53,7 +53,7 @@ TEST(XdropConformance, DisabledPruningIsExactSmithWaterman) {
   }
 }
 
-TEST(XdropConformance, InfiniteXdropAndZdropAgreeWithExact) {
+TEST(XdropConformance, InfiniteXdropAgreesWithExact) {
   ScoringScheme s;
   util::Xoshiro256 rng(902);
   for (int it = 0; it < 20; ++it) {
@@ -65,15 +65,11 @@ TEST(XdropConformance, InfiniteXdropAndZdropAgreeWithExact) {
     WavefrontStats stats;
     const auto xd = xdrop_wavefront_score(ref, query, s,
                                           XDropParams{.xdrop = kHugeThreshold}, &stats);
-    const auto zd =
-        smith_waterman_banded(ref, query, s, BandedParams{.band = 0, .zdrop = kHugeThreshold});
 
-    // With both thresholds effectively infinite neither heuristic prunes:
-    // X-drop, z-drop, and the exact sweep are one result.
+    // With the threshold effectively infinite X-drop prunes nothing: it and
+    // the exact sweep are one result.
     EXPECT_EQ(xd, exact);
-    EXPECT_EQ(zd.result, exact);
     EXPECT_FALSE(stats.xdropped);
-    EXPECT_FALSE(zd.zdropped);
   }
 }
 
@@ -82,7 +78,7 @@ TEST(XdropConformance, ThreeWayOracleHoldsOnShortPairs) {
   auto expect_three_way = [&](const std::vector<seq::BaseCode>& ref,
                               const std::vector<seq::BaseCode>& query, const std::string& label) {
     const auto reference = smith_waterman(ref, query, s);
-    const auto banded = smith_waterman_banded(ref, query, s, BandedParams{});
+    const auto banded = smith_waterman_banded(ref, query, s, 0);
     const auto wavefront = xdrop_wavefront_score(ref, query, s, XDropParams{0});
     EXPECT_EQ(wavefront, reference) << label;
     EXPECT_EQ(banded.result, reference) << label;

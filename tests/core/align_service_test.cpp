@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -569,15 +570,28 @@ TEST(AlignService, OpenRejectsBadWeightsAndKeepsServing) {
   EXPECT_EQ(service.align(batch).results, Aligner(opts).align(batch).results);
 }
 
-TEST(AlignServiceDeath, SubmitAfterFinishIsRejected) {
-  EXPECT_DEATH(
-      {
-        AlignService service(AlignerOptions{});
-        SessionId id = service.open();
-        service.finish(id);
-        service.submit(id, saloba::testing::related_batch(999, 2, 20, 20));
-      },
-      "submit\\(\\) after finish\\(\\)");
+TEST(AlignService, SubmitAfterFinishThrowsAndOtherTenantsDrain) {
+  // One tenant's misuse is its own input error: submit() after finish()
+  // throws naming the session instead of aborting the process, and a second
+  // tenant's session still drains bit-identically.
+  AlignerOptions opts;  // CPU
+  AlignService service(opts);
+  const SessionId done = service.open();
+  const SessionId other = service.open();
+  auto batch = saloba::testing::related_batch(999, 24, 60, 80);
+  ASSERT_TRUE(service.submit(other, batch));
+  service.finish(done);
+  try {
+    service.submit(done, saloba::testing::related_batch(998, 2, 20, 20));
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("after finish()"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("session " + std::to_string(done)), std::string::npos) << msg;
+  }
+  service.finish(other);
+  EXPECT_EQ(drain_session(service, other).results, Aligner(opts).align(batch).results);
+  EXPECT_FALSE(service.poll(done).has_value());
 }
 
 TEST(AlignService, UnknownSessionThrows) {

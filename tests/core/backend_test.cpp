@@ -1,10 +1,11 @@
 // AlignBackend implementations: lane bookkeeping, CPU/simulated parity,
-// registry-backed construction errors, and the typed errors every front end
-// throws for bad AlignerOptions.
+// registry-backed construction errors, the typed errors every front end
+// throws for bad AlignerOptions, and the worker replicas' thread budget.
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "core/aligner.hpp"
 #include "core/stream_aligner.hpp"
 #include "gpusim/device_registry.hpp"
+#include "util/parallel.hpp"
 
 namespace saloba::core {
 namespace {
@@ -28,45 +30,6 @@ TEST(HostBackend, RunsBatchOnSingleLane) {
   EXPECT_EQ(out.items, align::align_batch(batch, align::ScoringScheme{}));
   EXPECT_FALSE(out.kernel_stats.has_value());
   EXPECT_GT(out.time_ms, 0.0);
-}
-
-TEST(HostBackend, MultiLaneSplitsThreadBudget) {
-  // 3 lanes over a 6-thread budget: 2 OpenMP threads per lane, every lane
-  // produces the same results as the single-lane reference.
-  HostBackend backend{align::ScoringScheme{}, 3, 6};
-  EXPECT_EQ(backend.lanes(), 3);
-  EXPECT_EQ(backend.threads_per_lane(), 2);
-  auto batch = saloba::testing::related_batch(705, 10, 70, 90);
-  auto expected = align::align_batch(batch, align::ScoringScheme{});
-  for (int lane = 0; lane < backend.lanes(); ++lane) {
-    EXPECT_EQ(backend.run(batch, lane).items, expected) << "lane " << lane;
-  }
-}
-
-TEST(HostBackend, MultiLaneBudgetNeverRoundsToZero) {
-  // More lanes than budgeted threads: each lane still gets one thread.
-  HostBackend backend{align::ScoringScheme{}, 4, 2};
-  EXPECT_EQ(backend.threads_per_lane(), 1);
-}
-
-TEST(HostBackend, SchedulerOverlapsMultiLaneCpuShards) {
-  // The ROADMAP item: with lanes > 1 the scheduler spreads shards over CPU
-  // lanes concurrently, results stay bit-identical and lane accounting
-  // covers every lane.
-  auto batch = saloba::testing::imbalanced_batch(706, 30, 30, 300);
-  AlignerOptions opts;  // CPU backend
-  auto expected = Aligner(opts).align(batch);
-
-  AlignerOptions multi = opts;
-  multi.cpu_lanes = 2;
-  multi.cpu_threads = 2;
-  auto out = Aligner(multi).align(batch);
-  EXPECT_EQ(out.results, expected.results);
-  EXPECT_EQ(out.schedule.lanes, 2);
-  ASSERT_EQ(out.schedule.lane_ms.size(), 2u);
-  EXPECT_GT(out.schedule.lane_ms[0], 0.0);
-  EXPECT_GT(out.schedule.lane_ms[1], 0.0);
-  EXPECT_EQ(out.schedule.shards, 2u);  // one shard per lane by default
 }
 
 TEST(SimulatedGpuBackend, LanesOwnIndependentDevices) {
@@ -119,11 +82,9 @@ TEST(SimulatedGpuBackend, UnknownDeviceThrowsListingValidNames) {
   }
 }
 
-TEST(HostBackend, LaneWeightsAreUniform) {
-  HostBackend single{align::ScoringScheme{}};
-  EXPECT_DOUBLE_EQ(single.lane_weight(0), 1.0);
-  HostBackend multi{align::ScoringScheme{}, 3, 6};
-  EXPECT_EQ(lane_weights(multi), (std::vector<double>{1.0, 1.0, 1.0}));
+TEST(HostBackend, OneLaneOfUnitWeight) {
+  HostBackend backend{align::ScoringScheme{}};
+  EXPECT_EQ(lane_weights(backend), (std::vector<double>{1.0}));
 }
 
 TEST(SimulatedGpuBackend, MixedPresetsBuildOneWeightedLanePerPreset) {
@@ -227,8 +188,6 @@ TEST(AlignerOptionsErrors, EveryFrontEndThrowsNamingTheField) {
     expect_invalid_naming([&] { AlignService service(opts); }, c.second, "AlignService");
     expect_invalid_naming([&] { StreamAligner streamer(opts); }, c.second, "StreamAligner");
   }
-  expect_invalid_naming([] { HostBackend backend(align::ScoringScheme{}, 0); }, "lanes",
-                        "HostBackend");
 }
 
 TEST(MakeBackend, DispatchesOnOptions) {
@@ -238,6 +197,49 @@ TEST(MakeBackend, DispatchesOnOptions) {
   sim.backend = Backend::kSimulated;
   auto backend = make_backend(sim);
   EXPECT_EQ(backend->name().find("sim:"), 0u) << backend->name();
+}
+
+/// The thread cap of a host replica.
+int host_threads(const AlignBackend& backend) {
+  const auto* host = dynamic_cast<const HostBackend*>(&backend);
+  EXPECT_NE(host, nullptr) << backend.name();
+  return host != nullptr ? host->threads() : -1;
+}
+
+TEST(MakeWorkerReplicas, HostReplicasSplitTheHostThreads) {
+  AlignerOptions cpu;
+  // A single worker runs on the primary backend.
+  EXPECT_TRUE(make_worker_replicas(cpu, 1).empty());
+
+  // Three workers: three one-lane host backends sharing the machine.
+  const int total = util::max_parallel_threads();
+  auto replicas = make_worker_replicas(cpu, 3);
+  ASSERT_EQ(replicas.size(), 3u);
+  for (const auto& replica : replicas) {
+    EXPECT_EQ(replica->lanes(), 1);
+    EXPECT_EQ(host_threads(*replica), std::max(1, total / 3));
+  }
+
+  // More workers than threads: one thread each, never 0 (0 would mean the
+  // default team, oversubscribing the machine).
+  const auto workers = static_cast<std::size_t>(total) + 1;
+  replicas = make_worker_replicas(cpu, workers);
+  ASSERT_EQ(replicas.size(), workers);
+  for (const auto& replica : replicas) EXPECT_EQ(host_threads(*replica), 1);
+}
+
+TEST(MakeWorkerReplicas, SimulatedReplicasCopyTheBackend) {
+  AlignerOptions sim;
+  sim.backend = Backend::kSimulated;
+  sim.device = "gtx1650";
+  sim.devices = 2;
+  const std::string name = make_backend(sim)->name();
+  auto replicas = make_worker_replicas(sim, 2);
+  ASSERT_EQ(replicas.size(), 2u);
+  for (const auto& replica : replicas) {
+    EXPECT_EQ(replica->name(), name);
+    EXPECT_EQ(replica->lanes(), 2);
+  }
 }
 
 }  // namespace

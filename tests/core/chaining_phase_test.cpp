@@ -62,17 +62,26 @@ TEST(ChainingPhase, ShardedMultiLaneMatchesSingleLane) {
   auto batch = test_chain_batch(12, 55);
   auto expected = oracle_chains(batch);
 
-  // CPU, two to five lanes: one shard per lane.
-  ChainPhaseOutput cpu_out;
+  // CPU, one lane: one shard.
+  auto cpu_backend = make_backend(AlignerOptions{});
+  BatchScheduler cpu_sched(cpu_backend.get());
+  auto cpu_out = cpu_sched.chain(batch);
+  EXPECT_EQ(cpu_out.items, expected);
+  EXPECT_EQ(cpu_out.schedule.shards, 1u);
+
+  // Simulated, two to five identical devices: one shard per lane.
   for (int lanes : {2, 3, 5}) {
-    AlignerOptions cpu;
-    cpu.cpu_lanes = lanes;
-    auto cpu_backend = make_backend(cpu);
-    BatchScheduler cpu_sched(cpu_backend.get());
-    cpu_out = cpu_sched.chain(batch);
-    EXPECT_EQ(cpu_out.items, expected) << "lanes " << lanes;
-    EXPECT_EQ(cpu_out.schedule.shards, static_cast<std::size_t>(lanes)) << "lanes " << lanes;
-    EXPECT_EQ(cpu_out.schedule.lanes, lanes) << "lanes " << lanes;
+    AlignerOptions uniform;
+    uniform.backend = Backend::kSimulated;
+    uniform.device = "gtx1650";
+    uniform.devices = lanes;
+    auto uniform_backend = make_backend(uniform);
+    BatchScheduler uniform_sched(uniform_backend.get());
+    auto out = uniform_sched.chain(batch);
+    EXPECT_EQ(out.items, expected) << "lanes " << lanes;
+    EXPECT_EQ(out.schedule.shards, static_cast<std::size_t>(lanes)) << "lanes " << lanes;
+    EXPECT_EQ(out.schedule.lanes, lanes) << "lanes " << lanes;
+    EXPECT_EQ(out.work, cpu_out.work) << "lanes " << lanes;
   }
 
   // Simulated, two unequal devices (weighted LPT) — still the same chains.
@@ -138,8 +147,9 @@ TEST(ChainingPhase, MapperWithInjectedChainerMatchesDefault) {
   auto extend = extender.batch_extender();
   auto want = plain.map_batch(reads, extend);
 
-  AlignerOptions chain_opts;
-  chain_opts.cpu_lanes = 3;
+  AlignerOptions chain_opts;  // three simulated lanes: the phase really shards
+  chain_opts.backend = Backend::kSimulated;
+  chain_opts.devices = 3;
   Aligner chain_aligner(chain_opts);
   seedext::ReadMapper routed(genome, seedext::MapperParams{});
   routed.set_batch_chainer(chain_aligner.batch_chainer());

@@ -119,16 +119,18 @@ TEST(LongReadRoute, AllBackendsAgreeOnRoutedBatches) {
   EXPECT_EQ(sim.results, cpu.results);
 }
 
-TEST(LongReadRoute, ShardedRoutedRunMatchesSingleLane) {
+TEST(LongReadRoute, ShardedRoutedRunMatchesUnsharded) {
   // Routed pairs are priced by the wavefront estimate in shard packing; the
   // merged output must stay bit-identical to the unsharded run regardless.
   const auto batch = mixed_batch(9104, 18, 5);
   const auto single = Aligner(routed_options(Backend::kCpu)).align(batch);
 
-  AlignerOptions sharded = routed_options(Backend::kCpu);
+  const AlignerOptions opts = routed_options(Backend::kCpu);
+  HostBackend backend(opts.scoring, /*threads=*/0, opts.longread_policy());
+  SchedulerOptions sharded;
   sharded.max_shard_pairs = 4;
-  sharded.cpu_lanes = 2;
-  const auto out = Aligner(sharded).align(batch);
+  sharded.longread = opts.longread_policy();
+  const auto out = BatchScheduler(&backend, sharded).run(batch);
   EXPECT_EQ(out.results, single.results);
   EXPECT_GT(out.schedule.shards, 1u);
 }
@@ -143,7 +145,7 @@ TEST(LongReadRoute, TracebackPhaseMirrorsRoutedScorePass) {
   const auto out = Aligner(opts).align(batch);
   ASSERT_EQ(out.traced.size(), batch.size());
 
-  const auto oracle = saloba::testing::oracle_traces(batch, opts.scoring, opts.zdrop);
+  const auto oracle = saloba::testing::oracle_traces(batch, opts.scoring);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto& t = out.traced[i];
     EXPECT_EQ(t.end, out.results[i]) << "pair " << i;

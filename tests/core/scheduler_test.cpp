@@ -19,16 +19,23 @@
 namespace saloba::core {
 namespace {
 
-AlignerOptions sim_options(int devices, std::size_t max_shard_pairs,
-                           gpusim::SplitPolicy policy = gpusim::SplitPolicy::kSorted) {
+AlignerOptions sim_options(int devices) {
   AlignerOptions opts;
   opts.backend = Backend::kSimulated;
   opts.kernel = "saloba";
   opts.device = "gtx1650";
   opts.devices = devices;
-  opts.max_shard_pairs = max_shard_pairs;
-  opts.split_policy = policy;
   return opts;
+}
+
+/// Runs `batch` through a BatchScheduler over the simulated backend `opts`
+/// builds, with shards capped at `max_shard_pairs` (sorted packing).
+AlignOutput run_sim(const seq::PairBatch& batch, const AlignerOptions& opts,
+                    std::size_t max_shard_pairs) {
+  SimulatedGpuBackend backend(opts);
+  SchedulerOptions sched;
+  sched.max_shard_pairs = max_shard_pairs;
+  return BatchScheduler(&backend, sched).run(batch);
 }
 
 TEST(BatchScheduler, ShardedCpuMatchesSingleBatch) {
@@ -36,9 +43,10 @@ TEST(BatchScheduler, ShardedCpuMatchesSingleBatch) {
   AlignerOptions plain;  // CPU, one shard
   auto expected = Aligner(plain).align(batch);
 
-  AlignerOptions sharded = plain;
+  HostBackend backend{plain.scoring};
+  SchedulerOptions sharded;
   sharded.max_shard_pairs = 5;  // 8 shards on one lane
-  auto out = Aligner(sharded).align(batch);
+  auto out = BatchScheduler(&backend, sharded).run(batch);
 
   EXPECT_EQ(out.results, expected.results);
   EXPECT_EQ(out.cells, expected.cells);
@@ -48,8 +56,8 @@ TEST(BatchScheduler, ShardedCpuMatchesSingleBatch) {
 
 TEST(BatchScheduler, ShardedSimMatchesSingleBatch) {
   auto batch = saloba::testing::imbalanced_batch(602, 33, 30, 500);
-  auto expected = Aligner(sim_options(1, 0)).align(batch);
-  auto out = Aligner(sim_options(2, 6)).align(batch);
+  auto expected = Aligner(sim_options(1)).align(batch);
+  auto out = run_sim(batch, sim_options(2), 6);
   EXPECT_EQ(out.results, expected.results);
   ASSERT_TRUE(out.kernel_stats.has_value());
   // Functional work is conserved exactly across shards.
@@ -67,7 +75,7 @@ TEST(BatchScheduler, OrderPreservedUnderUnequalShardCompletion) {
   }
   auto expected = align::align_batch(batch, align::ScoringScheme{});
   for (int devices : {1, 2, 3}) {
-    auto out = Aligner(sim_options(devices, 4)).align(batch);
+    auto out = run_sim(batch, sim_options(devices), 4);
     ASSERT_EQ(out.results.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(out.results[i], expected[i]) << "devices=" << devices << " pair " << i;
@@ -77,7 +85,7 @@ TEST(BatchScheduler, OrderPreservedUnderUnequalShardCompletion) {
 
 TEST(BatchScheduler, StatsAndTimesAggregateAcrossShards) {
   auto batch = saloba::testing::related_batch(604, 24, 150, 200);
-  auto out = Aligner(sim_options(2, 5)).align(batch);
+  auto out = run_sim(batch, sim_options(2), 5);
 
   ASSERT_TRUE(out.time_breakdown.has_value());
   EXPECT_EQ(out.schedule.lanes, 2);
@@ -102,9 +110,9 @@ TEST(BatchScheduler, MultiDeviceReducesWallTimeOnDatasetB) {
   auto ds = make_dataset_b(genome, 40, 7);
   ASSERT_GT(ds.batch.size(), 8u);
 
-  AlignerOptions one = sim_options(1, 0);
+  AlignerOptions one = sim_options(1);
   one.kernel = "saloba-sw16";
-  AlignerOptions two = sim_options(2, 0);
+  AlignerOptions two = sim_options(2);
   two.kernel = "saloba-sw16";
   auto t1 = Aligner(one).align(ds.batch);
   auto t2 = Aligner(two).align(ds.batch);
@@ -115,7 +123,7 @@ TEST(BatchScheduler, MultiDeviceReducesWallTimeOnDatasetB) {
 
 TEST(BatchScheduler, EmptyBatchYieldsEmptyOutput) {
   seq::PairBatch empty;
-  auto out = Aligner(sim_options(2, 3)).align(empty);
+  auto out = run_sim(empty, sim_options(2), 3);
   EXPECT_TRUE(out.results.empty());
   EXPECT_EQ(out.schedule.shards, 0u);
   EXPECT_DOUBLE_EQ(out.time_ms, 0.0);
@@ -123,7 +131,7 @@ TEST(BatchScheduler, EmptyBatchYieldsEmptyOutput) {
 
 TEST(BatchScheduler, SingleShardFastPathReportsOneShard) {
   auto batch = saloba::testing::related_batch(605, 10, 80, 100);
-  auto out = Aligner(sim_options(1, 0)).align(batch);
+  auto out = Aligner(sim_options(1)).align(batch);
   EXPECT_EQ(out.schedule.shards, 1u);
   EXPECT_EQ(out.schedule.lanes, 1);
   ASSERT_EQ(out.schedule.lane_ms.size(), 1u);
@@ -149,15 +157,19 @@ TEST(BatchScheduler, IdleLanesRaiseReportedImbalance) {
   seq::PairBatch one;
   util::Xoshiro256 rng(608);
   one.add(saloba::testing::random_seq(rng, 100), saloba::testing::random_seq(rng, 120));
-  auto out = Aligner(sim_options(4, 0)).align(one);
+  auto out = Aligner(sim_options(4)).align(one);
   EXPECT_EQ(out.schedule.lanes, 4);
   EXPECT_EQ(out.schedule.busy_lanes, 1);
   EXPECT_DOUBLE_EQ(out.schedule.imbalance, 4.0);
 }
 
 TEST(BatchScheduler, BalancedLanesStillReportNearOneImbalance) {
+  // Two simulated devices run one shard each concurrently, with results
+  // bit-identical to the host backend's.
   auto batch = saloba::testing::related_batch(609, 32, 150, 150);
-  auto out = Aligner(sim_options(2, 0)).align(batch);
+  auto out = Aligner(sim_options(2)).align(batch);
+  EXPECT_EQ(out.results, Aligner(AlignerOptions{}).align(batch).results);
+  EXPECT_EQ(out.schedule.shards, 2u);
   EXPECT_EQ(out.schedule.busy_lanes, 2);
   EXPECT_GE(out.schedule.imbalance, 1.0);
   EXPECT_LT(out.schedule.imbalance, 1.5);
@@ -167,9 +179,9 @@ TEST(BatchScheduler, MixedPresetAlignerMatchesHomogeneousResults) {
   // Heterogeneous lanes are a cost property only: a gtx1650+rtx3090 run
   // returns exactly the single-device results, with weights in the report.
   auto batch = saloba::testing::imbalanced_batch(610, 40, 30, 500);
-  auto expected = Aligner(sim_options(1, 0)).align(batch);
+  auto expected = Aligner(sim_options(1)).align(batch);
 
-  AlignerOptions mixed = sim_options(1, 0);
+  AlignerOptions mixed = sim_options(1);
   mixed.device = "gtx1650,rtx3090";
   auto out = Aligner(mixed).align(batch);
   EXPECT_EQ(out.results, expected.results);
@@ -190,7 +202,7 @@ TEST(BatchScheduler, WeightedLptBeatsUniformLptOnMixedPresets) {
     batch.add(saloba::testing::random_seq(rng, len), saloba::testing::random_seq(rng, len));
   }
 
-  AlignerOptions mixed = sim_options(1, 0);
+  AlignerOptions mixed = sim_options(1);
   mixed.device = "gtx1650,rtx3090";
   auto backend = make_backend(mixed);
   const auto weighted = lane_weights(*backend);
@@ -224,10 +236,9 @@ TEST(BatchScheduler, WeightedLptBeatsUniformLptOnMixedPresets) {
 TEST(BatchScheduler, ShardExceptionsPropagate) {
   // ADEPT's 1024 bp structural limit must surface through the async path.
   auto batch = saloba::testing::imbalanced_batch(607, 12, 2000, 2100);
-  AlignerOptions opts = sim_options(2, 3);
+  AlignerOptions opts = sim_options(2);
   opts.kernel = "adept";
-  Aligner aligner(opts);
-  EXPECT_THROW(aligner.align(batch), kernels::KernelUnsupportedError);
+  EXPECT_THROW(run_sim(batch, opts, 3), kernels::KernelUnsupportedError);
 }
 
 }  // namespace

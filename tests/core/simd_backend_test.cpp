@@ -1,7 +1,7 @@
-// HostBackend runs the inter-sequence SIMD engine on every lane: its score
-// pass, banded/z-drop runs and two-phase traceback are bit-identical to the
-// scalar oracles (align::align_batch, per-pair align::banded_traceback)
-// through the whole scheduler stack, and every host device string builds
+// HostBackend runs the inter-sequence SIMD engine on its one lane: its score
+// pass, banded runs and two-phase traceback are bit-identical to the scalar
+// oracles (align::align_batch, per-pair align::banded_traceback) through the
+// whole scheduler stack, sharded or not, and every host device string builds
 // the same backend. `ctest -L simd`.
 #include "core/backend.hpp"
 
@@ -13,6 +13,7 @@
 #include "align/batch.hpp"
 #include "align/simd_engine.hpp"
 #include "core/aligner.hpp"
+#include "core/scheduler.hpp"
 
 namespace saloba::core {
 namespace {
@@ -32,13 +33,12 @@ TEST(SimdHostBackend, RunMatchesScalarOracle) {
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
-TEST(SimdHostBackend, BandedZdropRunMatchesScalarOracle) {
+TEST(SimdHostBackend, BandedRunMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(802, 30, 100, 140);
   batch.default_band = 16;
-  HostBackend backend{align::ScoringScheme{}, 1, 0, /*zdrop=*/20};
+  HostBackend backend{align::ScoringScheme{}};
   align::BatchTiming timing;
-  const auto want =
-      align::align_batch(batch, align::ScoringScheme{}, &timing, /*threads=*/0, /*zdrop=*/20);
+  const auto want = align::align_batch(batch, align::ScoringScheme{}, &timing);
   auto got = backend.run(batch, 0);
   EXPECT_EQ(got.items, want);
   EXPECT_EQ(got.work, timing.cells);
@@ -49,7 +49,7 @@ TEST(SimdHostBackend, TracebackPhaseMatchesScalarOracle) {
   HostBackend backend{align::ScoringScheme{}};
   auto score = backend.run(batch, 0);
   auto got = backend.run_traceback(batch, score.items, 0);
-  EXPECT_EQ(got.items, oracle_traces(batch, align::ScoringScheme{}, /*zdrop=*/0));
+  EXPECT_EQ(got.items, oracle_traces(batch, align::ScoringScheme{}));
   // The backend traces with align::simd::trace_batch, so its cells are that
   // engine's: a forward share equal to the score pass's in-band cells of the
   // traced pairs, plus at most as many replayed.
@@ -65,19 +65,16 @@ TEST(SimdHostBackend, TracebackPhaseMatchesScalarOracle) {
   EXPECT_LE(got.work, 2 * forward);
 }
 
-TEST(MakeBackend, EveryHostDeviceStringBuildsCpuLanes) {
+TEST(MakeBackend, EveryHostDeviceStringBuildsOneCpuLane) {
   // Backend::kCpu does not read the device string: the default GPU preset,
-  // the former host-engine names and a host/GPU mix all build cpu_lanes
-  // identical lanes.
-  for (int lanes : {1, 3}) {
-    AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
-    opts.cpu_lanes = lanes;
-    for (const char* device : {"rtx3090", "cpu", "simd", "simd,cpu", "simd,rtx3090"}) {
-      opts.device = device;
-      auto backend = make_backend(opts);
-      EXPECT_EQ(backend->name(), "cpu") << device;
-      EXPECT_EQ(backend->lanes(), lanes) << device;
-    }
+  // the former host-engine names and a host/GPU mix all build the one-lane
+  // host backend.
+  AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
+  for (const char* device : {"rtx3090", "cpu", "simd", "simd,cpu", "simd,rtx3090"}) {
+    opts.device = device;
+    auto backend = make_backend(opts);
+    EXPECT_EQ(backend->name(), "cpu") << device;
+    EXPECT_EQ(backend->lanes(), 1) << device;
   }
 }
 
@@ -95,27 +92,28 @@ TEST(SimdAligner, BandedTracebackMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(805, 25, 110, 150);
   batch.default_band = 24;
   AlignerOptions opts;
-  opts.zdrop = 60;
   opts.traceback = true;
   auto got = Aligner(opts).align(batch);
 
-  EXPECT_EQ(got.results,
-            align::align_batch(batch, opts.scoring, nullptr, /*threads=*/0, opts.zdrop));
-  EXPECT_EQ(got.traced, oracle_traces(batch, opts.scoring, opts.zdrop));
+  EXPECT_EQ(got.results, align::align_batch(batch, opts.scoring));
+  EXPECT_EQ(got.traced, oracle_traces(batch, opts.scoring));
 }
 
-TEST(SimdAligner, MultiLaneScheduleMatchesScalarOracle) {
+TEST(SimdAligner, ShardedScheduleMatchesScalarOracle) {
+  // Capped shards put SIMD cohorts of every shard shape through the one
+  // host lane, score pass and traceback alike.
   auto batch = saloba::testing::imbalanced_batch(806, 50, 20, 280);
-  AlignerOptions opts;
-  opts.cpu_lanes = 2;
-  opts.cpu_threads = 2;
-  opts.max_shard_pairs = 8;  // force several shards across both lanes
-  auto got = Aligner(opts).align(batch);
-  EXPECT_EQ(got.results, align::align_batch(batch, opts.scoring));
-  EXPECT_EQ(got.schedule.lanes, 2);
+  const align::ScoringScheme scoring;
+  HostBackend backend{scoring};
+  SchedulerOptions sched;
+  sched.max_shard_pairs = 8;
+  sched.traceback = true;
+  auto got = BatchScheduler(&backend, sched).run(batch);
+  EXPECT_EQ(got.results, align::align_batch(batch, scoring));
+  EXPECT_EQ(got.traced, oracle_traces(batch, scoring));
+  EXPECT_EQ(got.schedule.lanes, 1);
   EXPECT_GT(got.schedule.shards, 2u);
-  // Identical lanes weigh alike, so the scheduler packs them unweighted.
-  EXPECT_EQ(got.schedule.lane_weights, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(got.schedule.lane_weights, (std::vector<double>{1.0}));
 }
 
 }  // namespace

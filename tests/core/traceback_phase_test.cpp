@@ -1,11 +1,11 @@
 // The traceback phase as a scheduler/backend concern: phase stats and time
-// split, z-drop endpoint parity on the CPU backend, sharded vs single-lane
-// trace identity, and the streaming aggregates.
+// split, sharded vs unsharded trace identity, and the streaming aggregates.
 #include <gtest/gtest.h>
 
 #include "../support/test_support.hpp"
 #include "core/aligner.hpp"
 #include "core/backend.hpp"
+#include "core/scheduler.hpp"
 #include "core/stream_aligner.hpp"
 
 namespace saloba::core {
@@ -41,32 +41,18 @@ TEST(TracebackPhase, SimulatedBackendModelsPhaseCostInStatsAndBreakdown) {
   EXPECT_DOUBLE_EQ(out.time_ms, base.time_ms);
 }
 
-TEST(TracebackPhase, CpuZdropEndpointsStayBitIdentical) {
-  // Z-drop changes score-pass results; the engine mirrors it, so traced
-  // endpoints must still equal the (z-dropped) score pass bit for bit.
-  auto batch = saloba::testing::imbalanced_batch(33, 40, 20, 300);
-  batch.default_band = 24;
-  AlignerOptions opts;
-  opts.zdrop = 25;
-  opts.traceback = true;
-  auto out = Aligner(opts).align(batch);
-  ASSERT_EQ(out.traced.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(out.traced[i].end, out.results[i]) << "pair " << i;
-  }
-}
-
-TEST(TracebackPhase, CpuMultiLaneShardedTracesMatchSingleLane) {
+TEST(TracebackPhase, CpuShardedTracesMatchUnsharded) {
   auto batch = saloba::testing::imbalanced_batch(7, 60, 16, 200);
 
   AlignerOptions single;
   single.traceback = true;
   auto want = Aligner(single).align(batch);
 
-  AlignerOptions sharded = single;
-  sharded.cpu_lanes = 3;
+  HostBackend backend{single.scoring};
+  SchedulerOptions sharded;
   sharded.max_shard_pairs = 9;
-  auto got = Aligner(sharded).align(batch);
+  sharded.traceback = true;
+  auto got = BatchScheduler(&backend, sharded).run(batch);
   ASSERT_GT(got.schedule.shards, 1u);
   ASSERT_EQ(got.traced.size(), want.traced.size());
   for (std::size_t i = 0; i < want.traced.size(); ++i) {
@@ -86,10 +72,13 @@ TEST(TracebackPhase, HeterogeneousLanesTraceEveryPair) {
   AlignerOptions opts;
   opts.backend = Backend::kSimulated;
   opts.device = "gtx1650,rtx3090";
-  opts.max_shard_pairs = 8;
   opts.traceback = true;
   auto batch = saloba::testing::related_batch(5, 32, 80, 120);
-  auto out = Aligner(opts).align(batch);
+  SimulatedGpuBackend backend(opts);
+  SchedulerOptions capped;
+  capped.max_shard_pairs = 8;
+  capped.traceback = true;
+  auto out = BatchScheduler(&backend, capped).run(batch);
   ASSERT_GT(out.schedule.shards, 1u);
   ASSERT_EQ(out.traced.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -101,7 +90,6 @@ TEST(TracebackPhase, HeterogeneousLanesTraceEveryPair) {
   // pair is traced once, wherever its shard landed.
   AlignerOptions one = opts;
   one.device = "gtx1650";
-  one.max_shard_pairs = 0;
   auto want = Aligner(one).align(batch);
   EXPECT_EQ(out.traceback_cells, want.traceback_cells);
   ASSERT_TRUE(out.kernel_stats.has_value());

@@ -24,7 +24,7 @@ std::vector<align::AlignmentResult> banded_reference(const seq::PairBatch& batch
   std::vector<align::AlignmentResult> out(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     out[i] = align::smith_waterman_banded(batch.refs[i], batch.queries[i], s,
-                                          align::BandedParams{batch.band_of(i), 0})
+                                          batch.band_of(i))
                  .result;
   }
   return out;

@@ -81,7 +81,7 @@ TEST_P(KernelEquivalence, BandedBatchMatchesBandedReference) {
     auto result = kernel->run(dev, banded_batch, s);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto expected = align::smith_waterman_banded(batch.refs[i], batch.queries[i], s,
-                                                   align::BandedParams{band, 0})
+                                                   band)
                           .result;
       EXPECT_EQ(result.results[i], expected)
           << kernel->info().name << " band " << band << " pair " << i;

@@ -186,21 +186,21 @@ TEST(GoldenSam, StreamedTracebackSamMatchesOneShotAndLegacy) {
   EXPECT_EQ(streamed.str(), want);
 }
 
-TEST(GoldenSam, ShardedLanesPipelineMatchesLegacyByteForByte) {
-  // The batched two-phase pipeline split into many shards across two host
-  // lanes must still reproduce the scalar golden SAM byte for byte (scores,
-  // endpoints, CIGARs, positions).
+TEST(GoldenSam, ShardedPipelineMatchesLegacyByteForByte) {
+  // The batched two-phase pipeline split into many shards must still
+  // reproduce the scalar golden SAM byte for byte (scores, endpoints,
+  // CIGARs, positions).
   Fixture f;
   std::string want = f.golden();
 
-  core::AlignerOptions opts;
-  opts.cpu_lanes = 2;
-  opts.cpu_threads = 2;
+  core::HostBackend backend{align::ScoringScheme{}};
+  core::SchedulerOptions opts;
   opts.max_shard_pairs = 8;
   opts.traceback = true;
-  core::Aligner sharded(opts);
-  auto mappings =
-      f.mapper->map_batch(f.read_seqs, sharded.batch_extender(), sharded.traced_extender());
+  core::BatchScheduler sharded(&backend, opts);
+  auto mappings = f.mapper->map_batch(
+      f.read_seqs, [&](const seq::PairBatch& batch) { return sharded.run(batch).results; },
+      [&](const seq::PairBatch& batch) { return sharded.run(batch).traced; });
   std::ostringstream out;
   seq::SamWriter writer(out, f.header());
   for (std::size_t i = 0; i < f.reads.size(); ++i) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "align/batch.hpp"
@@ -358,6 +359,26 @@ TEST(Pipeline, ConstructorRejectsBadParams) {
     params.index_shards = 2;
     params.index_lane_weights = {1.0, bad};
     EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument) << "weight " << bad;
+  }
+  // Fields no index build reads: without the check, a zero stride aborted
+  // the first map() and a zero gap_extend the first SAM record's trace.
+  const auto expect_throw_naming = [&](const MapperParams& params, const std::string& field) {
+    try {
+      ReadMapper mapper(genome, params);
+      ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (int stride : {0, -3}) {
+    MapperParams params;
+    params.seeding.stride = stride;
+    expect_throw_naming(params, "MapperParams::seeding.stride");
+  }
+  {
+    MapperParams params;
+    params.scoring.gap_extend = 0;
+    expect_throw_naming(params, "MapperParams::scoring");
   }
   // Nothing a rejected construction touched leaks into the next mapper.
   ReadMapper mapper(genome, MapperParams{});

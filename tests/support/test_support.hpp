@@ -74,16 +74,14 @@ inline seq::PairBatch imbalanced_batch(std::uint64_t seed, std::size_t pairs,
 }
 
 /// The scalar traceback oracle for `batch`: align::banded_traceback per pair
-/// with the pair's band and `zdrop`. Pairs scoring 0 keep the empty trace,
-/// as every backend's traceback phase reports them.
+/// with the pair's band. Pairs scoring 0 keep the empty trace, as every
+/// backend's traceback phase reports them.
 inline std::vector<align::TracedAlignment> oracle_traces(const seq::PairBatch& batch,
-                                                         const align::ScoringScheme& scoring,
-                                                         align::Score zdrop = 0) {
+                                                         const align::ScoringScheme& scoring) {
   std::vector<align::TracedAlignment> traced(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     align::TracebackParams params;
     params.band = batch.band_of(i);
-    params.zdrop = zdrop;
     auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
     if (r.traced.end.score > 0) traced[i] = std::move(r.traced);
   }
