@@ -101,20 +101,19 @@ int main(int argc, char** argv) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "saloba_bench_index.idx").string();
   std::filesystem::remove(path);
-  const seedext::IndexOptions options{k, /*kmer=*/true, /*fm=*/false};
 
   // --- 1. Cold build(+save) vs fresh mmap load, registry bypassed. --------
   util::Timer timer;
-  auto built = seedext::SharedIndex::build(genome, options);
+  auto built = seedext::SharedIndex::build(genome, k);
   const double build_ms = timer.millis();
   timer.reset();
-  seedext::write_shared_index(path, genome, k, &built->kmer(), nullptr);
+  seedext::write_shared_index(path, genome, built->kmer());
   const double save_ms = timer.millis();
 
   double load_ms = 1e30;  // best of 3: each load re-validates the checksum
   for (int r = 0; r < 3; ++r) {
     timer.reset();
-    auto loaded = seedext::SharedIndex::load(path, genome, options);
+    auto loaded = seedext::SharedIndex::load(path, genome, k);
     load_ms = std::min(load_ms, timer.millis());
     if (loaded->kmer().indexed_positions() != built->kmer().indexed_positions()) {
       std::printf("FAIL: loaded index disagrees with the built one\n");

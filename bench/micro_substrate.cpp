@@ -8,9 +8,7 @@
 #include "align/batch.hpp"
 #include "core/workload.hpp"
 #include "kernels/block_dp.hpp"
-#include "seedext/fm_index.hpp"
 #include "seedext/kmer_index.hpp"
-#include "seedext/suffix_array.hpp"
 #include "seq/packed_seq.hpp"
 #include "util/rng.hpp"
 
@@ -87,26 +85,6 @@ void BM_Pack4Bit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * (1 << 16));
 }
 BENCHMARK(BM_Pack4Bit);
-
-void BM_SuffixArray(benchmark::State& state) {
-  auto text = random_seq(static_cast<std::size_t>(state.range(0)), 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(seedext::build_suffix_array(text));
-  }
-}
-BENCHMARK(BM_SuffixArray)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_FmIndexSearch(benchmark::State& state) {
-  auto text = random_seq(1 << 18, 9);
-  seedext::FmIndex index(text);
-  util::Xoshiro256 rng(10);
-  for (auto _ : state) {
-    std::size_t pos = rng.below(text.size() - 24);
-    std::span<const seq::BaseCode> pattern(text.data() + pos, 24);
-    benchmark::DoNotOptimize(index.count(pattern));
-  }
-}
-BENCHMARK(BM_FmIndexSearch);
 
 void BM_KmerLookup(benchmark::State& state) {
   auto text = random_seq(1 << 20, 11);

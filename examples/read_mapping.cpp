@@ -2,7 +2,7 @@
 // reads, map them with the seed-and-extend pipeline, and report accuracy and
 // throughput — the workload the paper's introduction motivates.
 //
-//   $ ./read_mapping --reads=2000 --genome=4194304 --fm
+//   $ ./read_mapping --reads=2000 --genome=4194304
 #include <cstdio>
 
 #include "core/aligner.hpp"
@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   util::ArgParser args("read_mapping", "seed-and-extend read mapping demo");
   args.add_int("genome", "genome length in bases", 2 << 20);
   args.add_int("reads", "number of simulated 250 bp reads", 1000);
-  args.add_flag("fm", "use FM-index (BWT) seeding instead of the k-mer index");
   args.add_int("seed", "random seed", 42);
   if (!args.parse(argc, argv)) return 1;
 
@@ -34,12 +33,9 @@ int main(int argc, char** argv) {
                          static_cast<std::uint64_t>(args.get_int("seed")) + 1);
   auto reads = sim.simulate(n_reads);
 
-  seedext::MapperParams params;
-  params.use_fm_seeding = args.get_flag("fm");
   util::Timer index_timer;
-  seedext::ReadMapper mapper(genome, params);
-  std::printf("index built in %.1f ms (%s seeding)\n", index_timer.millis(),
-              params.use_fm_seeding ? "FM-index" : "k-mer");
+  seedext::ReadMapper mapper(genome, seedext::MapperParams{});
+  std::printf("index built in %.1f ms (k-mer seeding)\n", index_timer.millis());
 
   std::vector<std::vector<seq::BaseCode>> read_seqs;
   read_seqs.reserve(reads.size());

@@ -7,7 +7,6 @@
 #include "align/simd_kernel.hpp"
 #include "align/simd_vec.hpp"
 #include "align/sw_banded.hpp"
-#include "align/sw_striped.hpp"
 #include "align/traceback_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -46,22 +45,14 @@ namespace {
 
 using detail::PassRequest;
 
-/// int32 scalar settlement for one pair: the striped engine when the pair is
-/// unbanded (full-table cell count), the banded oracle otherwise.
-/// align::align_batch splits pairs the same way but runs smith_waterman on
-/// the unbanded side; the striped engine is bit-identical to it
-/// (sw_striped_test), so results and cells match.
+/// int32 scalar settlement for one pair through the banded oracle, whose
+/// band 0 is the full table (n·m cells). align::align_batch runs
+/// smith_waterman on unbanded pairs instead; the two are bit-identical
+/// (BandedSW.ZeroBandComputesTheFullTable), so results and cells match.
 void settle_scalar(const seq::PairBatch& batch, const ScoringScheme& scoring, std::size_t p,
                    AlignmentResult& result, std::size_t& cell_count) {
-  const auto& ref = batch.refs[p];
-  const auto& query = batch.queries[p];
-  const std::size_t band = batch.band_of(p);
-  if (band == 0) {
-    result = smith_waterman_striped_ends(ref, query, scoring);
-    cell_count = ref.size() * query.size();
-    return;
-  }
-  const BandedResult br = smith_waterman_banded(ref, query, scoring, band);
+  const BandedResult br =
+      smith_waterman_banded(batch.refs[p], batch.queries[p], scoring, batch.band_of(p));
   result = br.result;
   cell_count = br.cells_computed;
 }

@@ -10,8 +10,7 @@
 //
 // A lane whose running score saturates is evicted and re-run in the next
 // wider pass; pairs too long for 16-bit index bookkeeping go straight to
-// the int32 path (smith_waterman_striped_ends when unbanded,
-// smith_waterman_banded otherwise).
+// the int32 path, smith_waterman_banded (whose band 0 is the full table).
 //
 // trace_batch is the same ladder in traced mode: one checkpointed cohort
 // pass per width produces every lane's CIGAR (bit-identical to

@@ -1,6 +1,7 @@
 #include "gpusim/multi_device.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "util/check.hpp"
@@ -117,11 +118,11 @@ std::vector<Shard> make_shards(const seq::PairBatch& batch, int devices, SplitPo
 
   std::vector<Shard> shards;
   if (max_shard_pairs == 0) {
-    // One shard per lane, dealt over the policy order (the classic
-    // dispatch_shards partition). Under kSorted the order is descending by
-    // area, so a plain round-robin deal hands lane 0 the largest pair of
-    // every stripe; snake (boustrophedon) order alternates the deal
-    // direction per stripe and cancels that systematic skew.
+    // One shard per lane, dealt over the policy order. Under kSorted the
+    // order is descending by area, so a plain round-robin deal hands lane 0
+    // the largest pair of every stripe; snake (boustrophedon) order
+    // alternates the deal direction per stripe and cancels that systematic
+    // skew.
     const auto lanes = static_cast<std::size_t>(devices);
     shards.resize(lanes);
     for (int d = 0; d < devices; ++d) shards[static_cast<std::size_t>(d)].lane = d;
@@ -197,33 +198,6 @@ std::vector<Shard> make_shards(const seq::PairBatch& batch,
   return make_shards_weighted(
       batch, lane_weights, order, max_shard_pairs,
       [&](std::size_t i) { return static_cast<double>(loads[i]); });
-}
-
-ShardResult dispatch_shards(
-    const seq::PairBatch& batch, int devices, SplitPolicy policy,
-    const std::function<double(const seq::PairBatch&)>& run_shard,
-    std::size_t max_shard_pairs) {
-  auto shards = make_shards(batch, devices, policy, max_shard_pairs);
-
-  ShardResult out;
-  out.shard_ms.assign(static_cast<std::size_t>(devices), 0.0);
-  for (const Shard& s : shards) {
-    // Accumulate: with a shard cap a device owns several shards, and its
-    // reported time is the sum, not the last shard to run on it.
-    out.shard_ms[static_cast<std::size_t>(s.lane)] += run_shard(s.batch);
-  }
-  double sum = 0.0;
-  for (double ms : out.shard_ms) {
-    out.makespan_ms = std::max(out.makespan_ms, ms);
-    sum += ms;
-    out.busy_devices += ms > 0.0;
-  }
-  // Normalize by every device, busy or not: idle devices are imbalance, and
-  // averaging only busy ones would let a run that strands all work on one
-  // of N devices report a perfect 1.0.
-  out.imbalance =
-      devices > 0 && sum > 0.0 ? out.makespan_ms / (sum / static_cast<double>(devices)) : 0.0;
-  return out;
 }
 
 }  // namespace saloba::gpusim

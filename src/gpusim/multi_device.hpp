@@ -1,12 +1,11 @@
-// Multi-GPU dispatch (paper Sec. VII-C): split a batch across several
-// simulated devices and report the makespan. Policies implement the paper's
-// discussion — naive static splitting vs. approximate sorting to narrow the
-// inter-device imbalance.
+// Multi-GPU sharding (paper Sec. VII-C): split a batch across several
+// simulated devices; core::BatchScheduler runs the shards and reports the
+// makespan. Policies implement the paper's discussion — naive static
+// splitting vs. approximate sorting to narrow the inter-device imbalance.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,26 +18,6 @@ enum class SplitPolicy {
   kStatic,  ///< round-robin in input order (the paper's "splitting into equal numbers")
   kSorted,  ///< round-robin after sorting by DP area, descending ("approximate sorting")
 };
-
-struct ShardResult {
-  std::vector<double> shard_ms;  ///< per-device simulated time (sum over that device's shards)
-  double makespan_ms = 0.0;      ///< max over devices
-  /// makespan / mean per-device time over ALL devices (1 = balanced). Idle
-  /// devices count toward the mean, so a run that strands work on one of N
-  /// devices reports N, not 1.
-  double imbalance = 0.0;
-  int busy_devices = 0;  ///< devices that ran at least one shard
-};
-
-/// Splits `batch` across `devices` by `policy` and runs `run_shard`
-/// (typically a kernel invocation on a fresh Device) on each shard;
-/// aggregates the simulated times. `max_shard_pairs` is forwarded to
-/// make_shards: 0 keeps one shard per device, > 0 cuts the batch into
-/// capped runs so a device may own several shards (times accumulate).
-ShardResult dispatch_shards(
-    const seq::PairBatch& batch, int devices, SplitPolicy policy,
-    const std::function<double(const seq::PairBatch&)>& run_shard,
-    std::size_t max_shard_pairs = 0);
 
 /// The shard index sequence a policy produces (exposed for tests).
 std::vector<std::size_t> shard_order(const seq::PairBatch& batch, SplitPolicy policy);
@@ -54,7 +33,8 @@ struct Shard {
 /// Shards `batch` for `devices` lanes under `policy`.
 ///
 /// * `max_shard_pairs == 0`: one shard per lane, dealt over the policy order
-///   — exactly the partition dispatch_shards runs. Under kSorted the deal is
+///   — the partition an uncapped core::BatchScheduler (core::Aligner's) runs
+///   on several uniform lanes. Under kSorted the deal is
 ///   boustrophedon (snake: lane 0..N-1, then N-1..0, ...) so no lane
 ///   systematically receives the largest pair of every stripe of the
 ///   descending order; kStatic keeps plain round-robin (input order carries

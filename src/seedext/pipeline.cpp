@@ -24,21 +24,15 @@ namespace {
 /// the index layer.
 void validate(std::span<const seq::BaseCode> genome, const MapperParams& params) {
   if (genome.empty()) throw std::invalid_argument("ReadMapper: the genome is empty");
-  if (params.index_shards > 1 && params.use_fm_seeding) {
-    throw std::invalid_argument(
-        "MapperParams::index_shards > 1 shards the k-mer index only, but use_fm_seeding "
-        "is set");
-  }
-  if (!params.use_fm_seeding && (params.k < KmerIndex::kMinK || params.k > KmerIndex::kMaxK)) {
+  if (params.k < KmerIndex::kMinK || params.k > KmerIndex::kMaxK) {
     throw std::invalid_argument("MapperParams::k must be in [" +
                                 std::to_string(KmerIndex::kMinK) + ", " +
-                                std::to_string(KmerIndex::kMaxK) + "] for k-mer seeding, got " +
+                                std::to_string(KmerIndex::kMaxK) + "], got " +
                                 std::to_string(params.k));
   }
-  if (!params.use_fm_seeding && params.seeding.stride < 1) {
-    throw std::invalid_argument(
-        "MapperParams::seeding.stride must be >= 1 for k-mer seeding, got " +
-        std::to_string(params.seeding.stride));
+  if (params.seeding.stride < 1) {
+    throw std::invalid_argument("MapperParams::seeding.stride must be >= 1, got " +
+                                std::to_string(params.seeding.stride));
   }
   for (double w : params.index_lane_weights) {
     if (!std::isfinite(w) || w <= 0.0) {
@@ -55,19 +49,17 @@ ReadMapper::ReadMapper(std::vector<seq::BaseCode> genome, MapperParams params)
     : genome_(std::move(genome)), params_(std::move(params)) {
   validate(genome_, params_);
   // Every index acquisition routes through the shared registry: two mappers
-  // over the same reference (same content, k, and sections) share one
-  // index instead of each rebuilding — the reference is the invariant,
-  // reads are the traffic.
+  // over the same reference (same content and k) share one index instead
+  // of each rebuilding — the reference is the invariant, reads are the
+  // traffic.
   if (params_.index_shards > 1) {
     IndexShardingOptions sharding{params_.index_shards, params_.index_lane_weights,
                                   params_.index_path};
     sharded_index_ = std::make_unique<ShardedKmerIndex>(genome_, params_.k, sharding);
   } else {
-    IndexOptions options{params_.k, /*kmer=*/!params_.use_fm_seeding,
-                         /*fm=*/params_.use_fm_seeding};
     index_ = params_.index_path.empty()
-                 ? IndexRegistry::instance().acquire_memory(genome_, options)
-                 : IndexRegistry::instance().acquire_file(params_.index_path, genome_, options);
+                 ? IndexRegistry::instance().acquire_memory(genome_, params_.k)
+                 : IndexRegistry::instance().acquire_file(params_.index_path, genome_, params_.k);
   }
 }
 
@@ -77,9 +69,6 @@ ReadMapper::ReadMapper(ReadMapper&&) noexcept = default;
 std::vector<Seed> ReadMapper::seeds_of(std::span<const seq::BaseCode> read) const {
   if (sharded_index_) {
     return find_seeds(*sharded_index_, genome_, read, params_.seeding);
-  }
-  if (params_.use_fm_seeding) {
-    return find_seeds_fm(index_->fm(), read, params_.seeding);
   }
   return find_seeds(index_->kmer(), genome_, read, params_.seeding);
 }

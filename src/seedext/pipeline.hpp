@@ -1,7 +1,8 @@
 // End-to-end seed-and-extend read mapping — the BWA-MEM stand-in that feeds
-// the extension kernels (paper Sec. V-D). Seeding (k-mer or FM-index) →
-// chaining → extension-job extraction → local-alignment extension → mapping
-// → optional traceback of every mapped window for SAM.
+// the extension kernels (paper Sec. V-D). Seeding (k-mer index, monolithic
+// or reference-sharded) → chaining → extension-job extraction →
+// local-alignment extension → mapping → optional traceback of every mapped
+// window for SAM.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "seedext/chain_engine.hpp"
 #include "seedext/chaining.hpp"
 #include "seedext/extension_jobs.hpp"
-#include "seedext/fm_index.hpp"
 #include "seedext/kmer_index.hpp"
 #include "seedext/seeding.hpp"
 #include "seedext/shared_index.hpp"
@@ -30,8 +30,7 @@ class SequenceChunkReader;  // seq/chunk_reader.hpp
 namespace saloba::seedext {
 
 struct MapperParams {
-  int k = 16;
-  bool use_fm_seeding = false;  ///< k-mer index by default; FM-index optional
+  int k = 16;  ///< k-mer length of the seeding index, in [KmerIndex::kMinK, kMaxK]
 
   // --- Shared-index routing (seedext::SharedIndex) -------------------------
   /// Non-empty: the reference index is acquired through the shared-index
@@ -44,8 +43,7 @@ struct MapperParams {
   /// > 1: k-mer seeding goes through a reference-sharded index — the genome
   /// is cut into this many overlapping windows with one sub-index each,
   /// placed across lanes by weighted LPT. Seeds (and therefore mappings and
-  /// SAM bytes) are bit-identical to the monolithic index. K-mer seeding
-  /// only; incompatible with use_fm_seeding.
+  /// SAM bytes) are bit-identical to the monolithic index.
   std::size_t index_shards = 1;
   /// Heterogeneous lane weights for index-shard placement (empty = 1 lane).
   std::vector<double> index_lane_weights;
@@ -124,9 +122,8 @@ class ReadMapper {
  public:
   /// Builds (or acquires) the reference index. Throws std::invalid_argument,
   /// naming the field, before any index is built when the genome is empty,
-  /// k is outside [KmerIndex::kMinK, kMaxK] for k-mer seeding, index_shards
-  /// > 1 is combined with use_fm_seeding, or a lane weight is not finite
-  /// and > 0.
+  /// k is outside [KmerIndex::kMinK, kMaxK], seeding.stride is < 1, a lane
+  /// weight is not finite and > 0, or the scoring scheme is not valid.
   ReadMapper(std::vector<seq::BaseCode> genome, MapperParams params);
   ~ReadMapper();
   ReadMapper(ReadMapper&&) noexcept;

@@ -1,7 +1,6 @@
 #include "seedext/seeding.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/check.hpp"
 
@@ -104,47 +103,6 @@ std::vector<Seed> find_seeds(const ShardedKmerIndex& index,
                              std::span<const seq::BaseCode> read,
                              const SeedingParams& params) {
   return find_seeds_impl(index, genome, read, params);
-}
-
-std::vector<Seed> find_seeds_fm(const FmIndex& index, std::span<const seq::BaseCode> read,
-                                const SeedingParams& params) {
-  std::vector<Seed> seeds;
-  std::set<std::pair<std::int64_t, std::uint32_t>> seen;
-
-  // For each end position (right to left), grow the match leftwards while
-  // the backward-search interval stays nonempty; emit the longest match
-  // ending there. Greedy SMEM approximation: skip ends interior to the
-  // previous reported match to avoid quadratic blowup.
-  std::size_t next_allowed_end = read.size();
-  for (std::size_t end = read.size(); end > 0; --end) {
-    if (end > next_allowed_end) continue;
-    if (read[end - 1] >= seq::kAlphabetSize) continue;
-    FmIndex::Interval iv = index.whole_text();
-    std::size_t start = end;
-    FmIndex::Interval last = iv;
-    while (start > 0 && read[start - 1] < 4) {
-      FmIndex::Interval nxt = index.extend_left(iv, read[start - 1]);
-      if (nxt.size() == 0) break;
-      iv = nxt;
-      --start;
-      last = iv;
-    }
-    std::size_t len = end - start;
-    if (len < static_cast<std::size_t>(params.min_seed_len)) continue;
-    if (last.size() == 0 || last.size() > params.max_hits) continue;
-    for (std::uint32_t rpos :
-         index.locate(read.subspan(start, len), params.max_hits)) {
-      Seed seed{static_cast<std::uint32_t>(start), rpos, static_cast<std::uint32_t>(len)};
-      auto key = std::make_pair(seed.diagonal(), seed.qpos + seed.len);
-      if (seen.insert(key).second) seeds.push_back(seed);
-    }
-    next_allowed_end = start == 0 ? 0 : start + static_cast<std::size_t>(params.min_seed_len) - 1;
-    if (next_allowed_end >= end) next_allowed_end = end - 1;
-  }
-  std::sort(seeds.begin(), seeds.end(), [](const Seed& a, const Seed& b) {
-    return a.qpos != b.qpos ? a.qpos < b.qpos : a.rpos < b.rpos;
-  });
-  return seeds;
 }
 
 }  // namespace saloba::seedext

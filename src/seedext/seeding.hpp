@@ -1,14 +1,12 @@
-// Seeding: find maximal exact matches between a read and the genome, via
-// either the k-mer index (fast path, default) or FM-index backward search
-// (BWT path, as in BWA-MEM). Produces the Seed lists that chaining and
-// extension-job extraction consume.
+// Seeding: find maximal exact matches between a read and the genome through
+// the k-mer index, monolithic or reference-sharded. Produces the Seed lists
+// that chaining and extension-job extraction consume.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "seedext/fm_index.hpp"
 #include "seedext/kmer_index.hpp"
 #include "seedext/shared_index.hpp"
 #include "seq/alphabet.hpp"
@@ -47,11 +45,5 @@ std::vector<Seed> find_seeds(const KmerIndex& index, std::span<const seq::BaseCo
 std::vector<Seed> find_seeds(const ShardedKmerIndex& index,
                              std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read, const SeedingParams& params);
-
-/// FM-index seeding: greedy SMEM-like pass — at each query position, the
-/// longest exact match is found by backward search, reported with all its
-/// genome occurrences (up to max_hits).
-std::vector<Seed> find_seeds_fm(const FmIndex& index, std::span<const seq::BaseCode> read,
-                                const SeedingParams& params);
 
 }  // namespace saloba::seedext

@@ -1,11 +1,14 @@
 #include "seedext/shared_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
+
+#include <unistd.h>
 
 #include "gpusim/multi_device.hpp"
 #include "util/check.hpp"
@@ -17,6 +20,7 @@ namespace {
 
 constexpr char kIndexMagic[8] = {'S', 'L', 'B', 'A', 'I', 'D', 'X', '\0'};
 constexpr std::uint32_t kFlagKmer = 1u << 0;
+/// The FM-index section older builds could write; this build rejects it.
 constexpr std::uint32_t kFlagFm = 1u << 1;
 
 [[noreturn]] void reject(const std::string& path, const std::string& why) {
@@ -25,43 +29,24 @@ constexpr std::uint32_t kFlagFm = 1u << 1;
 
 std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-/// Byte offsets of every section from the start of the payload (the byte
-/// after the header), plus the payload's total size and the k-mer suffix
+/// Byte offsets of every k-mer array from the start of the payload (the
+/// byte after the header), plus the payload's total size and the suffix
 /// width. Shared by the writer and the loader so the two can never disagree
 /// about geometry.
 struct SectionLayout {
-  std::size_t directory = 0;
-  std::size_t suffixes = 0;
+  std::size_t suffixes = 0;  ///< the directory starts the payload
   std::size_t suffix_bytes = 0;
   std::size_t entries = 0;
-  std::size_t bwt = 0;
-  std::size_t checkpoints = 0;
-  std::size_t sa = 0;
   std::size_t total = 0;
 };
 
 SectionLayout layout_of(const IndexFileHeader& h) {
   SectionLayout lay;
-  std::size_t at = 0;
-  if (h.flags & kFlagKmer) {
-    lay.suffix_bytes = static_cast<std::size_t>(
-        KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).suffix_bytes);
-    lay.directory = at;
-    at = align8(at + (h.kmer_buckets + 1) * sizeof(std::uint32_t));
-    lay.suffixes = at;
-    at = align8(at + h.kmer_entries * lay.suffix_bytes);
-    lay.entries = at;
-    at = align8(at + h.kmer_entries * sizeof(std::uint32_t));
-  }
-  if (h.flags & kFlagFm) {
-    lay.bwt = at;
-    at = align8(at + h.fm_bwt_rows * sizeof(std::uint8_t));
-    lay.checkpoints = at;
-    at = align8(at + h.fm_checkpoints * sizeof(std::array<std::uint32_t, 6>));
-    lay.sa = at;
-    at = align8(at + h.fm_sa * sizeof(std::int32_t));
-  }
-  lay.total = at;
+  lay.suffix_bytes = static_cast<std::size_t>(
+      KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).suffix_bytes);
+  lay.suffixes = align8((h.kmer_buckets + 1) * sizeof(std::uint32_t));
+  lay.entries = align8(lay.suffixes + h.kmer_entries * lay.suffix_bytes);
+  lay.total = align8(lay.entries + h.kmer_entries * sizeof(std::uint32_t));
   return lay;
 }
 
@@ -75,10 +60,13 @@ std::string canonical_path(const std::string& path) {
   return ec ? path : canon.string();
 }
 
-std::string section_suffix(const IndexOptions& options) {
-  std::ostringstream oss;
-  oss << ":k=" << options.k << (options.kmer ? ":kmer" : "") << (options.fm ? ":fm" : "");
-  return oss.str();
+/// A temp-file name next to `path` that no other write, in this process or
+/// another, uses: concurrent cold starts of one path each write their own
+/// file and rename it into place.
+std::string unique_temp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace
@@ -88,21 +76,17 @@ std::string section_suffix(const IndexOptions& options) {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const SharedIndex> SharedIndex::build(std::span<const seq::BaseCode> genome,
-                                                      const IndexOptions& options) {
-  SALOBA_CHECK_MSG(options.kmer || options.fm, "index options select no sections");
+                                                      int k) {
   auto out = std::shared_ptr<SharedIndex>(new SharedIndex());
-  out->options_ = options;
   out->genome_bases_ = genome.size();
   out->genome_checksum_ = genome_fingerprint(genome);
-  if (options.kmer) out->kmer_.emplace(genome, options.k);
-  if (options.fm) out->fm_.emplace(genome);
+  out->kmer_.emplace(genome, k);
   return out;
 }
 
 std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
                                                      std::span<const seq::BaseCode> genome,
-                                                     const IndexOptions& options) {
-  SALOBA_CHECK_MSG(options.kmer || options.fm, "index options select no sections");
+                                                     int k) {
   auto out = std::shared_ptr<SharedIndex>(new SharedIndex());
   try {
     out->map_.emplace(path);
@@ -125,26 +109,29 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
     oss << "format version " << h.version << ", this build reads " << kIndexFormatVersion;
     reject(path, oss.str());
   }
+  if (h.flags & kFlagFm) {
+    reject(path, "holds an FM-index section, which this build no longer reads");
+  }
+  if (h.flags != kFlagKmer) reject(path, "section flags other than exactly the k-mer section");
+  if (h.reserved32 != 0 ||
+      std::any_of(std::begin(h.reserved64), std::end(h.reserved64),
+                  [](std::uint64_t v) { return v != 0; })) {
+    reject(path, "a reserved header field is not zero");
+  }
   if (h.genome_bases > KmerIndex::kMaxReferenceBases) {
     reject(path, "header reference length exceeds the 32-bit position limit");
   }
-  if ((h.flags & kFlagKmer) && (h.k < KmerIndex::kMinK || h.k > KmerIndex::kMaxK)) {
+  if (h.k < KmerIndex::kMinK || h.k > KmerIndex::kMaxK) {
     reject(path, "header k outside [4, 31]");
-  }
-  if ((h.flags & kFlagFm) && h.checkpoint_every != FmIndex::kCheckpointEvery) {
-    reject(path, "FM checkpoint stride mismatch");
   }
   // The k-mer counts size the sections, so they are bounded before any
   // geometry arithmetic: entries by the reference length, the bucket count
   // by what k and the entries derive.
-  if (h.flags & kFlagKmer) {
-    if (h.kmer_entries > h.genome_bases) {
-      reject(path, "more k-mer entries than reference positions");
-    }
-    if (h.kmer_buckets !=
-        KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).buckets()) {
-      reject(path, "k-mer bucket count does not match k and the entry count");
-    }
+  if (h.kmer_entries > h.genome_bases) {
+    reject(path, "more k-mer entries than reference positions");
+  }
+  if (h.kmer_buckets != KmerIndex::geometry(h.kmer_entries, static_cast<int>(h.k)).buckets()) {
+    reject(path, "k-mer bucket count does not match k and the entry count");
   }
 
   // Geometry first: a truncated file must reject before the checksum walks
@@ -162,55 +149,34 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
   }
 
   // The file is internally consistent; now require it to be *this* genome's
-  // index with the sections the caller needs.
+  // index with the k the caller needs.
   if (h.genome_bases != genome.size() || h.genome_checksum != genome_fingerprint(genome)) {
     reject(path, "built for a different reference (length/fingerprint mismatch)");
   }
-  if (options.kmer && !(h.flags & kFlagKmer)) reject(path, "lacks the k-mer section");
-  if (options.fm && !(h.flags & kFlagFm)) reject(path, "lacks the FM section");
-  if (options.kmer && static_cast<int>(h.k) != options.k) {
+  if (static_cast<int>(h.k) != k) {
     std::ostringstream oss;
-    oss << "built with k=" << h.k << ", caller wants k=" << options.k;
+    oss << "built with k=" << h.k << ", caller wants k=" << k;
     reject(path, oss.str());
   }
 
-  // Validate-and-adopt: spans alias the mapping, zero copy.
+  // Validate-and-adopt: spans alias the mapping, zero copy. A lookup reads
+  // entries directory[b]..directory[b + 1] unchecked, so the directory must
+  // be a nondecreasing partition of the entries even in a file whose
+  // checksum holds.
   const std::byte* base = payload.data();
-  if (options.kmer) {
-    // A lookup reads entries directory[b]..directory[b + 1] unchecked, so
-    // the directory must be a nondecreasing partition of the entries even
-    // in a file whose checksum holds.
-    const auto* dir_first = reinterpret_cast<const std::uint32_t*>(base + lay.directory);
-    const auto* dir_last = dir_first + h.kmer_buckets + 1;
-    if (*dir_first != 0) reject(path, "k-mer directory does not start at entry 0");
-    if (!std::is_sorted(dir_first, dir_last)) reject(path, "k-mer directory decreases");
-    if (dir_last[-1] != h.kmer_entries) {
-      reject(path, "k-mer directory does not end at the entry count");
-    }
-    out->kmer_.emplace(
-        static_cast<int>(h.k), std::span<const std::uint32_t>(dir_first, dir_last),
-        payload.subspan(lay.suffixes, h.kmer_entries * lay.suffix_bytes),
-        std::span<const std::uint32_t>(
-            reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries));
+  const auto* dir_first = reinterpret_cast<const std::uint32_t*>(base);
+  const auto* dir_last = dir_first + h.kmer_buckets + 1;
+  if (*dir_first != 0) reject(path, "k-mer directory does not start at entry 0");
+  if (!std::is_sorted(dir_first, dir_last)) reject(path, "k-mer directory decreases");
+  if (dir_last[-1] != h.kmer_entries) {
+    reject(path, "k-mer directory does not end at the entry count");
   }
-  if (options.fm) {
-    std::span<const std::uint8_t> bwt(reinterpret_cast<const std::uint8_t*>(base + lay.bwt),
-                                      h.fm_bwt_rows);
-    std::span<const std::array<std::uint32_t, 6>> checkpoints(
-        reinterpret_cast<const std::array<std::uint32_t, 6>*>(base + lay.checkpoints),
-        h.fm_checkpoints);
-    std::span<const std::int32_t> sa(reinterpret_cast<const std::int32_t*>(base + lay.sa),
-                                     h.fm_sa);
-    if (h.fm_bwt_rows != h.genome_bases + 1 ||
-        h.fm_checkpoints != h.fm_bwt_rows / FmIndex::kCheckpointEvery + 1 ||
-        h.fm_sa != h.genome_bases) {
-      reject(path, "FM section geometry inconsistent with the reference length");
-    }
-    out->fm_.emplace(static_cast<std::size_t>(h.genome_bases),
-                     static_cast<std::size_t>(h.fm_primary), bwt, checkpoints, sa);
-  }
+  out->kmer_.emplace(
+      static_cast<int>(h.k), std::span<const std::uint32_t>(dir_first, dir_last),
+      payload.subspan(lay.suffixes, h.kmer_entries * lay.suffix_bytes),
+      std::span<const std::uint32_t>(reinterpret_cast<const std::uint32_t*>(base + lay.entries),
+                                     h.kmer_entries));
 
-  out->options_ = options;
   out->genome_bases_ = h.genome_bases;
   out->genome_checksum_ = h.genome_checksum;
   return out;
@@ -221,8 +187,7 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
 // ---------------------------------------------------------------------------
 
 void write_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
-                        int k, const KmerIndex* kmer, const FmIndex* fm) {
-  SALOBA_CHECK_MSG(kmer != nullptr || fm != nullptr, "nothing to serialize");
+                        const KmerIndex& kmer) {
   SALOBA_CHECK_MSG(genome.size() <= KmerIndex::kMaxReferenceBases,
                    "reference of " << genome.size()
                                    << " bases overflows the format's 32-bit positions");
@@ -230,67 +195,45 @@ void write_shared_index(const std::string& path, std::span<const seq::BaseCode> 
   IndexFileHeader h{};
   std::memcpy(h.magic, kIndexMagic, sizeof(kIndexMagic));
   h.version = kIndexFormatVersion;
-  h.k = static_cast<std::uint32_t>(k);
+  h.flags = kFlagKmer;
+  h.k = static_cast<std::uint32_t>(kmer.k());
   h.genome_bases = genome.size();
   h.genome_checksum = genome_fingerprint(genome);
-  if (kmer != nullptr) {
-    SALOBA_CHECK_MSG(kmer->k() == k, "k-mer index k " << kmer->k() << " != " << k);
-    h.flags |= kFlagKmer;
-    h.kmer_buckets = kmer->directory().size() - 1;
-    h.kmer_entries = kmer->entries().size();
-  }
-  if (fm != nullptr) {
-    SALOBA_CHECK_MSG(fm->text_size() == genome.size(),
-                     "FM index text size " << fm->text_size() << " != genome size "
-                                           << genome.size());
-    h.flags |= kFlagFm;
-    h.checkpoint_every = FmIndex::kCheckpointEvery;
-    h.fm_bwt_rows = fm->bwt().size();
-    h.fm_primary = fm->primary();
-    h.fm_checkpoints = fm->checkpoints().size();
-    h.fm_sa = fm->suffix_array().size();
-  }
+  h.kmer_buckets = kmer.directory().size() - 1;
+  h.kmer_entries = kmer.entries().size();
 
   SectionLayout lay = layout_of(h);
   std::vector<std::byte> payload(lay.total, std::byte{0});
   auto put = [&](std::size_t at, const void* src, std::size_t bytes) {
     if (bytes > 0) std::memcpy(payload.data() + at, src, bytes);
   };
-  if (kmer != nullptr) {
-    put(lay.directory, kmer->directory().data(), kmer->directory().size_bytes());
-    put(lay.suffixes, kmer->suffixes().data(), kmer->suffixes().size_bytes());
-    put(lay.entries, kmer->entries().data(), kmer->entries().size_bytes());
-  }
-  if (fm != nullptr) {
-    put(lay.bwt, fm->bwt().data(), fm->bwt().size_bytes());
-    put(lay.checkpoints, fm->checkpoints().data(), fm->checkpoints().size_bytes());
-    put(lay.sa, fm->suffix_array().data(), fm->suffix_array().size_bytes());
-  }
+  put(0, kmer.directory().data(), kmer.directory().size_bytes());
+  put(lay.suffixes, kmer.suffixes().data(), kmer.suffixes().size_bytes());
+  put(lay.entries, kmer.entries().data(), kmer.entries().size_bytes());
   h.payload_checksum = util::fnv1a64(payload);
 
-  // Atomic publish: write a sibling temp file, fsync-free rename into place.
-  // A concurrent loader sees either the old file or the complete new one.
-  const std::string tmp = path + ".tmp";
-  {
+  // Atomic publish: write a sibling temp file of this write's own, then an
+  // fsync-free rename into place. A concurrent loader sees either the old
+  // file or a complete new one.
+  const std::string tmp = unique_temp_path(path);
+  try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write index temp file " + tmp);
     out.write(reinterpret_cast<const char*>(&h), sizeof(h));
     out.write(reinterpret_cast<const char*>(payload.data()),
               static_cast<std::streamsize>(payload.size()));
+    out.close();
     if (!out) throw std::runtime_error("short write to index temp file " + tmp);
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
   }
-  std::filesystem::rename(tmp, path);
 }
 
-void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
-                       const IndexOptions& options) {
-  SALOBA_CHECK_MSG(options.kmer || options.fm, "index options select no sections");
-  std::optional<KmerIndex> kmer;
-  std::optional<FmIndex> fm;
-  if (options.kmer) kmer.emplace(genome, options.k);
-  if (options.fm) fm.emplace(genome);
-  write_shared_index(path, genome, options.k, options.kmer ? &*kmer : nullptr,
-                     options.fm ? &*fm : nullptr);
+void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome, int k) {
+  write_shared_index(path, genome, KmerIndex(genome, k));
 }
 
 // ---------------------------------------------------------------------------
@@ -335,29 +278,26 @@ std::shared_ptr<const SharedIndex> IndexRegistry::acquire(
 }
 
 std::shared_ptr<const SharedIndex> IndexRegistry::acquire_memory(
-    std::span<const seq::BaseCode> genome, const IndexOptions& options) {
+    std::span<const seq::BaseCode> genome, int k) {
   std::ostringstream key;
-  key << "mem:" << std::hex << genome_fingerprint(genome) << std::dec << ":"
-      << genome.size() << section_suffix(options);
+  key << "mem:" << std::hex << genome_fingerprint(genome) << std::dec << ":" << genome.size()
+      << ":k=" << k;
   return acquire(
-      key.str(), [&] { return SharedIndex::build(genome, options); },
-      /*counts_as_build=*/true);
+      key.str(), [&] { return SharedIndex::build(genome, k); }, /*counts_as_build=*/true);
 }
 
 std::shared_ptr<const SharedIndex> IndexRegistry::acquire_file(
-    const std::string& path, std::span<const seq::BaseCode> genome,
-    const IndexOptions& options) {
-  const std::string canon = canonical_path(path);
-  const std::string key = "file:" + canon + section_suffix(options);
+    const std::string& path, std::span<const seq::BaseCode> genome, int k) {
+  const std::string key = "file:" + canonical_path(path) + ":k=" + std::to_string(k);
   bool cold = false;
   auto handle = acquire(
       key,
       [&] {
         if (!std::filesystem::exists(path)) {
-          save_shared_index(path, genome, options);  // build-once cold start
+          save_shared_index(path, genome, k);  // build-once cold start
           cold = true;
         }
-        return SharedIndex::load(path, genome, options);
+        return SharedIndex::load(path, genome, k);
       },
       /*counts_as_build=*/false);
   if (cold) {
@@ -427,7 +367,6 @@ ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
 
   // Sub-index builds/loads fan out host-parallel; the registry dedups each
   // window against any other sharded mapper over the same reference.
-  IndexOptions sub{k, /*kmer=*/true, /*fm=*/false};
   std::exception_ptr failure;
   std::mutex failure_mu;
   util::parallel_for_indexed(count, [&](std::size_t s) {
@@ -436,10 +375,10 @@ ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
       std::span<const seq::BaseCode> window =
           genome.subspan(shard.begin, shard.text_end - shard.begin);
       if (options.path_prefix.empty()) {
-        shard.index = IndexRegistry::instance().acquire_memory(window, sub);
+        shard.index = IndexRegistry::instance().acquire_memory(window, k);
       } else {
         shard.index = IndexRegistry::instance().acquire_file(
-            options.path_prefix + ".shard" + std::to_string(s), window, sub);
+            options.path_prefix + ".shard" + std::to_string(s), window, k);
       }
     } catch (...) {
       std::lock_guard<std::mutex> lock(failure_mu);

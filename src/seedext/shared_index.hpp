@@ -1,8 +1,8 @@
 // Genome-scale shared index: build-once, mmap-shared, reference-sharded.
 //
 // At service scale the reference is the invariant and reads are the traffic,
-// yet every ReadMapper used to rebuild its k-mer/FM index from scratch. This
-// layer makes indices
+// yet every ReadMapper used to rebuild its k-mer index from scratch. This
+// layer makes the index
 //   * serializable — a versioned, checksummed on-disk format holding the
 //     flat index arrays verbatim (load is a validate-and-adopt, no rebuild);
 //   * mmap-shared — a read-only loader whose spans alias the mapping with
@@ -15,22 +15,23 @@
 //     lanes by the PR 3 weighted-LPT machinery, whose merged lookups are
 //     bit-identical to the monolithic index.
 //
-// On-disk format (little-endian, all sections 8-byte aligned):
-//   IndexFileHeader   magic "SLBAIDX\0", version, flags (kmer/FM sections),
-//                     k, FM checkpoint stride, genome length + FNV-1a
-//                     fingerprint, payload checksum, section element counts.
-//                     genome length is stored as u64 but must not exceed
+// On-disk format, version 2 (little-endian, all sections 8-byte aligned):
+//   IndexFileHeader   magic "SLBAIDX\0", version, flags (exactly the k-mer
+//                     section bit), k, genome length + FNV-1a fingerprint,
+//                     payload checksum, k-mer section counts, and five
+//                     reserved fields written as zero. genome length is
+//                     stored as u64 but must not exceed
 //                     KmerIndex::kMaxReferenceBases — positions are 32-bit
 //                     on disk as in memory; larger references must shard.
+//                     The loader rejects any other flags value (a file with
+//                     the FM-index section older builds could write among
+//                     them) and any nonzero reserved field.
 //   k-mer section     directory (u32, buckets + 1 slots), key suffixes
 //                     (u16/u32/u64, one per entry), entries (u32 positions)
 //                     — exactly KmerIndex's arrays. The bucket count and the
 //                     suffix width derive from k and the entry count; the
 //                     loader re-derives both and checks the directory is a
 //                     nondecreasing partition of the entries before adopting.
-//   FM section        BWT codes (u8, n+1 rows), occurrence checkpoints
-//                     (6 x u32 each), suffix array (i32) — exactly
-//                     FmIndex's arrays; `first_` is derived on load.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "seedext/fm_index.hpp"
 #include "seedext/kmer_index.hpp"
 #include "seq/alphabet.hpp"
 #include "util/mmap_file.hpp"
@@ -58,60 +58,44 @@ class IndexFormatError : public std::runtime_error {
   explicit IndexFormatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Which indices a SharedIndex carries, and for what k.
-struct IndexOptions {
-  int k = 16;
-  bool kmer = true;  ///< build/serialize the k-mer section
-  bool fm = false;   ///< build/serialize the FM/suffix-array section
-};
-
 /// Fixed header of the on-disk format. Trivially copyable by design — it is
 /// written and mapped verbatim.
 struct IndexFileHeader {
   char magic[8];
   std::uint32_t version;
-  std::uint32_t flags;  ///< bit 0: k-mer section, bit 1: FM section
+  std::uint32_t flags;  ///< bit 0: k-mer section; the only value this version writes
   std::uint32_t k;
-  std::uint32_t checkpoint_every;  ///< FM occ stride (0 without an FM section)
+  std::uint32_t reserved32;  ///< zero (older builds' FM checkpoint stride)
   std::uint64_t genome_bases;     ///< reference length; <= KmerIndex::kMaxReferenceBases
   std::uint64_t genome_checksum;  ///< util::fnv1a64 over the reference bytes
   std::uint64_t payload_checksum; ///< util::fnv1a64 over everything after this header
   std::uint64_t kmer_buckets;  ///< KmerIndex::geometry(kmer_entries, k).buckets()
   std::uint64_t kmer_entries;
-  std::uint64_t fm_bwt_rows;
-  std::uint64_t fm_primary;
-  std::uint64_t fm_checkpoints;
-  std::uint64_t fm_sa;
+  std::uint64_t reserved64[4];  ///< zero (older builds' FM section counts)
 };
 static_assert(sizeof(IndexFileHeader) == 96, "on-disk header layout is part of the format");
 
 inline constexpr std::uint32_t kIndexFormatVersion = 2;
 
-/// One immutable, shareable reference index: a k-mer and/or FM index either
-/// built in memory or adopted zero-copy from a read-only mapping (which the
-/// handle keeps alive). Handles are created through the factories / the
+/// One immutable, shareable reference index: a k-mer index either built in
+/// memory or adopted zero-copy from a read-only mapping (which the handle
+/// keeps alive). Handles are created through the factories / the
 /// IndexRegistry and passed around as shared_ptr<const SharedIndex>; the
 /// last owner unmaps.
 class SharedIndex {
  public:
-  /// Builds the requested indices in memory.
-  static std::shared_ptr<const SharedIndex> build(std::span<const seq::BaseCode> genome,
-                                                  const IndexOptions& options);
+  /// Builds the k-mer index in memory.
+  static std::shared_ptr<const SharedIndex> build(std::span<const seq::BaseCode> genome, int k);
 
   /// Maps `path` read-only and adopts its arrays with zero copy, after
-  /// validating magic, version, payload checksum, section geometry, and
-  /// that the file was built for `genome` (length + fingerprint) with
-  /// `options.k` and the requested sections. Throws IndexFormatError.
+  /// validating magic, version, flags, reserved fields, payload checksum,
+  /// section geometry, and that the file was built for `genome` (length +
+  /// fingerprint) with `k`. Throws IndexFormatError.
   static std::shared_ptr<const SharedIndex> load(const std::string& path,
-                                                 std::span<const seq::BaseCode> genome,
-                                                 const IndexOptions& options);
+                                                 std::span<const seq::BaseCode> genome, int k);
 
-  int k() const { return options_.k; }
-  const IndexOptions& options() const { return options_; }
-  bool has_kmer() const { return kmer_.has_value(); }
-  bool has_fm() const { return fm_.has_value(); }
+  int k() const { return kmer_->k(); }
   const KmerIndex& kmer() const { return *kmer_; }
-  const FmIndex& fm() const { return *fm_; }
   bool mmap_backed() const { return map_.has_value(); }
   std::size_t genome_bases() const { return genome_bases_; }
   std::uint64_t genome_checksum() const { return genome_checksum_; }
@@ -119,24 +103,23 @@ class SharedIndex {
  private:
   SharedIndex() = default;
 
-  IndexOptions options_;
   std::size_t genome_bases_ = 0;
   std::uint64_t genome_checksum_ = 0;
   std::optional<util::MmapFile> map_;  ///< backing pages of adopted spans
-  std::optional<KmerIndex> kmer_;
-  std::optional<FmIndex> fm_;
+  std::optional<KmerIndex> kmer_;      ///< always set once a factory returns
 };
 
-/// Serializes already-built indices for `genome` to `path` (at least one of
-/// `kmer`/`fm` non-null). The write is atomic: a temp file in the target
-/// directory is renamed into place, so a concurrent loader never sees a
-/// half-written index.
+/// Serializes an already-built k-mer index of `genome` to `path`. The write
+/// is atomic: the bytes go to a temp file in the target directory whose name
+/// no other write shares (`path` + ".tmp.<pid>.<n>"), which is then renamed
+/// into place, so a concurrent loader never sees a half-written index and
+/// concurrent writers of one path never write into each other's file. A
+/// failed write removes its temp file.
 void write_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
-                        int k, const KmerIndex* kmer, const FmIndex* fm);
+                        const KmerIndex& kmer);
 
 /// Build-and-write convenience (the cold path of the amortization story).
-void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
-                       const IndexOptions& options);
+void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome, int k);
 
 /// What the registry has done since construction / reset_stats().
 struct IndexRegistryStats {
@@ -146,8 +129,8 @@ struct IndexRegistryStats {
 };
 
 /// In-process registry of live SharedIndex instances, keyed by
-/// (canonical path, k, sections) for file-backed indices and by
-/// (genome fingerprint, length, k, sections) for in-memory ones. Entries
+/// (canonical path, k) for file-backed indices and by
+/// (genome fingerprint, length, k) for in-memory ones. Entries
 /// are weak: the registry never extends an index's lifetime, it only
 /// deduplicates concurrent users — when the last ReadMapper/tenant releases
 /// its handle the index is freed, and the next acquire rebuilds/reloads.
@@ -155,17 +138,18 @@ class IndexRegistry {
  public:
   static IndexRegistry& instance();
 
-  /// The shared in-memory index for (genome, options): returns the live one
-  /// if some other owner holds it, builds and registers otherwise.
+  /// The shared in-memory index for (genome, k): returns the live one if
+  /// some other owner holds it, builds and registers otherwise.
   std::shared_ptr<const SharedIndex> acquire_memory(std::span<const seq::BaseCode> genome,
-                                                    const IndexOptions& options);
+                                                    int k);
 
-  /// The shared mmap-backed index for (path, options): returns the live
-  /// mapping if one is held, loads otherwise — and when the file does not
-  /// exist yet, builds from `genome`, saves, and loads (build-once).
+  /// The shared mmap-backed index for (path, k): returns the live mapping
+  /// if one is held, loads otherwise — and when the file does not exist
+  /// yet, builds from `genome`, saves, and loads (build-once). Callers that
+  /// cold-start one path at once may each build and save; every save is
+  /// atomic, so each of them loads a complete file.
   std::shared_ptr<const SharedIndex> acquire_file(const std::string& path,
-                                                  std::span<const seq::BaseCode> genome,
-                                                  const IndexOptions& options);
+                                                  std::span<const seq::BaseCode> genome, int k);
 
   IndexRegistryStats stats() const;
   void reset_stats();

@@ -2,9 +2,9 @@
 // (or tie) against the default on the workload class it was tuned for.
 #include <gtest/gtest.h>
 
+#include "core/aligner.hpp"
 #include "core/autotune.hpp"
 #include "core/workload.hpp"
-#include "gpusim/multi_device.hpp"
 #include "kernels/saloba_kernel.hpp"
 
 namespace saloba::core {
@@ -51,17 +51,23 @@ TEST_F(AutotuneE2E, RecommendationCompetitiveOnShortReads) {
 }
 
 TEST_F(AutotuneE2E, MultiDeviceSortedSplitHelpsOnDatasetB) {
-  // Sec. VII-C through the library API: sorted split's makespan is no worse
-  // than static on the imbalanced dataset.
+  // Sec. VII-C through the public Aligner: on 3 simulated devices the
+  // sorted split's makespan is no worse than the static one on the
+  // imbalanced dataset, and the split changes no result.
   auto ds = make_dataset_b(*genome_, 30, 9);
-  auto cfg = recommend_config(ds.stats);
-  auto runner = [&](const seq::PairBatch& shard) { return run_with(cfg, shard); };
-  auto statik =
-      gpusim::dispatch_shards(ds.batch, 3, gpusim::SplitPolicy::kStatic, runner);
-  auto sorted =
-      gpusim::dispatch_shards(ds.batch, 3, gpusim::SplitPolicy::kSorted, runner);
-  EXPECT_LE(sorted.makespan_ms, statik.makespan_ms * 1.05);
-  EXPECT_GT(sorted.makespan_ms, 0.0);
+  auto run = [&](gpusim::SplitPolicy policy) {
+    AlignerOptions opts;
+    opts.backend = Backend::kSimulated;
+    opts.devices = 3;
+    opts.split_policy = policy;
+    return Aligner(opts).align(ds.batch);
+  };
+  const AlignOutput statik = run(gpusim::SplitPolicy::kStatic);
+  const AlignOutput sorted = run(gpusim::SplitPolicy::kSorted);
+  EXPECT_EQ(sorted.results, statik.results);
+  EXPECT_EQ(sorted.schedule.lanes, 3);
+  EXPECT_LE(sorted.time_ms, statik.time_ms * 1.05);
+  EXPECT_GT(sorted.time_ms, 0.0);
 }
 
 }  // namespace

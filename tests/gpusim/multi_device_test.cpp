@@ -4,35 +4,54 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 
 #include "../support/test_support.hpp"
 
 namespace saloba::gpusim {
 namespace {
 
-// A fake shard runner whose "time" is the shard's total DP area.
-double area_runner(const seq::PairBatch& shard) {
-  return static_cast<double>(shard.total_cells());
+/// DP cells each of `devices` lanes receives from make_shards — the load a
+/// lane's simulated time follows.
+std::vector<std::uint64_t> lane_cells(const seq::PairBatch& batch, int devices,
+                                      SplitPolicy policy) {
+  std::vector<std::uint64_t> cells(static_cast<std::size_t>(devices), 0);
+  for (const Shard& s : make_shards(batch, devices, policy)) {
+    cells.at(static_cast<std::size_t>(s.lane)) += s.batch.total_cells();
+  }
+  return cells;
 }
 
-TEST(MultiDevice, SingleDeviceGetsEverything) {
-  auto batch = saloba::testing::imbalanced_batch(401, 30, 10, 200);
-  auto r = dispatch_shards(batch, 1, SplitPolicy::kStatic, area_runner);
-  ASSERT_EQ(r.shard_ms.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.makespan_ms, static_cast<double>(batch.total_cells()));
-  EXPECT_DOUBLE_EQ(r.imbalance, 1.0);
+std::uint64_t makespan(const std::vector<std::uint64_t>& cells) {
+  return *std::max_element(cells.begin(), cells.end());
+}
+
+/// makespan / mean lane load over every lane, idle ones included.
+double imbalance(const std::vector<std::uint64_t>& cells) {
+  const double sum = static_cast<double>(std::accumulate(cells.begin(), cells.end(),
+                                                         std::uint64_t{0}));
+  return static_cast<double>(makespan(cells)) / (sum / static_cast<double>(cells.size()));
 }
 
 TEST(MultiDevice, ShardsPartitionTheBatch) {
   auto batch = saloba::testing::imbalanced_batch(402, 41, 10, 100);
-  double total = 0;
-  auto r = dispatch_shards(batch, 4, SplitPolicy::kStatic,
-                           [&](const seq::PairBatch& shard) {
-                             total += static_cast<double>(shard.total_cells());
-                             return area_runner(shard);
-                           });
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(batch.total_cells()));
-  EXPECT_EQ(r.shard_ms.size(), 4u);
+  for (auto policy : {SplitPolicy::kStatic, SplitPolicy::kSorted}) {
+    auto shards = make_shards(batch, 4, policy);
+    EXPECT_EQ(shards.size(), 4u);
+    std::vector<int> seen(batch.size(), 0);
+    for (const Shard& s : shards) {
+      ASSERT_EQ(s.indices.size(), s.batch.size());
+      for (std::size_t i = 0; i < s.indices.size(); ++i) {
+        ++seen.at(s.indices[i]);
+        EXPECT_EQ(s.batch.queries[i], batch.queries[s.indices[i]]);
+        EXPECT_EQ(s.batch.refs[i], batch.refs[s.indices[i]]);
+      }
+    }
+    EXPECT_TRUE(std::ranges::all_of(seen, [](int n) { return n == 1; }));
+    auto cells = lane_cells(batch, 4, policy);
+    EXPECT_EQ(std::accumulate(cells.begin(), cells.end(), std::uint64_t{0}),
+              batch.total_cells());
+  }
 }
 
 TEST(MultiDevice, SortedOrderIsByAreaDescending) {
@@ -53,29 +72,38 @@ TEST(MultiDevice, SortedSplitBalancesBetterThanStatic) {
     std::size_t len = rng.bernoulli(0.15) ? 2000 : 50;
     batch.add(saloba::testing::random_seq(rng, len), saloba::testing::random_seq(rng, len));
   }
-  auto statik = dispatch_shards(batch, 4, SplitPolicy::kStatic, area_runner);
-  auto sorted = dispatch_shards(batch, 4, SplitPolicy::kSorted, area_runner);
-  EXPECT_LE(sorted.makespan_ms, statik.makespan_ms);
-  EXPECT_LE(sorted.imbalance, statik.imbalance + 1e-9);
+  auto statik = lane_cells(batch, 4, SplitPolicy::kStatic);
+  auto sorted = lane_cells(batch, 4, SplitPolicy::kSorted);
+  EXPECT_LE(makespan(sorted), makespan(statik));
+  EXPECT_LE(imbalance(sorted), imbalance(statik) + 1e-9);
 }
 
 TEST(MultiDevice, MoreDevicesNeverIncreaseMakespan) {
   auto batch = saloba::testing::imbalanced_batch(405, 48, 20, 400);
-  double prev = dispatch_shards(batch, 1, SplitPolicy::kSorted, area_runner).makespan_ms;
+  std::uint64_t prev = makespan(lane_cells(batch, 1, SplitPolicy::kSorted));
+  EXPECT_EQ(prev, batch.total_cells());
   for (int k : {2, 3, 4}) {
-    double cur = dispatch_shards(batch, k, SplitPolicy::kSorted, area_runner).makespan_ms;
-    EXPECT_LE(cur, prev + 1e-9);
+    std::uint64_t cur = makespan(lane_cells(batch, k, SplitPolicy::kSorted));
+    EXPECT_LE(cur, prev);
     prev = cur;
   }
 }
 
 TEST(MultiDevice, MoreDevicesThanJobs) {
+  // Empty shards are dropped: three pairs over eight lanes make three
+  // one-pair shards on distinct lanes, and five lanes stay idle.
   auto batch = saloba::testing::imbalanced_batch(406, 3, 10, 50);
-  auto r = dispatch_shards(batch, 8, SplitPolicy::kStatic, area_runner);
-  EXPECT_EQ(r.shard_ms.size(), 8u);
-  int busy = 0;
-  for (double ms : r.shard_ms) busy += ms > 0;
-  EXPECT_EQ(busy, 3);
+  auto shards = make_shards(batch, 8, SplitPolicy::kStatic);
+  ASSERT_EQ(shards.size(), 3u);
+  std::vector<int> lanes;
+  for (const Shard& s : shards) {
+    EXPECT_EQ(s.batch.size(), 1u);
+    lanes.push_back(s.lane);
+  }
+  std::ranges::sort(lanes);
+  EXPECT_EQ(std::ranges::adjacent_find(lanes), lanes.end());
+  auto cells = lane_cells(batch, 8, SplitPolicy::kStatic);
+  EXPECT_EQ(std::ranges::count(cells, std::uint64_t{0}), 5);
 }
 
 TEST(MultiDevice, SortedSnakeTightensPerLaneCellTotals) {
@@ -152,31 +180,9 @@ TEST(MultiDevice, WeightedLptLowersWeightedMakespanOnSkewedWeights) {
   EXPECT_LT(weighted, uniform);
 }
 
-TEST(MultiDevice, DispatchAccumulatesLaneTimesAcrossShards) {
-  // With a shard cap a device owns several shards; its reported time is the
-  // sum over them (the pre-fix code overwrote, keeping only the last).
-  auto batch = saloba::testing::imbalanced_batch(412, 24, 30, 300);
-  auto r = dispatch_shards(batch, 2, SplitPolicy::kSorted, area_runner, 3);
-  double sum = 0.0;
-  for (double ms : r.shard_ms) sum += ms;
-  EXPECT_DOUBLE_EQ(sum, static_cast<double>(batch.total_cells()));
-  EXPECT_EQ(r.busy_devices, 2);
-}
-
-TEST(MultiDevice, DispatchImbalanceCountsIdleDevices) {
-  // One pair over four devices: three devices idle. The old busy-lane
-  // normalization reported a perfect 1.0 here.
-  seq::PairBatch one;
-  util::Xoshiro256 rng(413);
-  one.add(saloba::testing::random_seq(rng, 80), saloba::testing::random_seq(rng, 90));
-  auto r = dispatch_shards(one, 4, SplitPolicy::kSorted, area_runner);
-  EXPECT_EQ(r.busy_devices, 1);
-  EXPECT_DOUBLE_EQ(r.imbalance, 4.0);
-}
-
 TEST(MultiDeviceDeath, RejectsZeroDevices) {
   auto batch = saloba::testing::imbalanced_batch(407, 4, 10, 50);
-  EXPECT_DEATH(dispatch_shards(batch, 0, SplitPolicy::kStatic, area_runner), "at least one");
+  EXPECT_DEATH(make_shards(batch, 0, SplitPolicy::kStatic), "at least one");
 }
 
 TEST(MultiDeviceDeath, RejectsEmptyOrNonPositiveWeights) {

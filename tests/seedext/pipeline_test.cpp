@@ -117,23 +117,6 @@ TEST(Pipeline, CollectJobsProducesRealisticLengthSpread) {
   EXPECT_GT(util::coeff_variation(qlens), 0.3);
 }
 
-TEST(Pipeline, FmSeedingPathWorks) {
-  auto genome = pipeline_genome(46);
-  seq::ReadProfile profile = seq::ReadProfile::equal_length(100);
-  profile.mutation_rate = 0.0;
-  profile.error_rate = 0.0;
-  seq::ReadSimulator sim(genome, profile, 11);
-  MapperParams params;
-  params.use_fm_seeding = true;
-  ReadMapper mapper(genome, params);
-  int mapped = 0;
-  for (const auto& r : sim.simulate(15)) {
-    auto m = mapper.map(r.read.bases);
-    mapped += m.mapped && m.ref_pos == r.true_pos;
-  }
-  EXPECT_GE(mapped, 13);
-}
-
 TEST(Pipeline, EmptyReadDoesNotMap) {
   auto genome = pipeline_genome(47);
   ReadMapper mapper(genome, MapperParams{});
@@ -347,12 +330,6 @@ TEST(Pipeline, ConstructorRejectsBadParams) {
     MapperParams params;
     params.k = k;
     EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument) << "k " << k;
-  }
-  {
-    MapperParams params;
-    params.index_shards = 2;
-    params.use_fm_seeding = true;
-    EXPECT_THROW(ReadMapper(genome, params), std::invalid_argument);
   }
   for (double bad : {0.0, std::nan("")}) {
     MapperParams params;

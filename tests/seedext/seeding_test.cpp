@@ -122,30 +122,6 @@ TEST(KmerSeeding, RespectsMaxHits) {
   EXPECT_TRUE(seeds.empty());  // every k-mer exceeds the cap
 }
 
-TEST(FmSeeding, FindsPlantedExactRead) {
-  auto f = Fixture::make(144, 8000, 80, 0.0);
-  FmIndex index(f.genome);
-  SeedingParams params;
-  auto seeds = find_seeds_fm(index, f.read, params);
-  ASSERT_FALSE(seeds.empty());
-  bool found = false;
-  for (const Seed& s : seeds) {
-    found |= s.rpos == f.planted_pos && s.len == 80;
-  }
-  EXPECT_TRUE(found);
-  expect_seeds_are_exact_matches(seeds, f.genome, f.read);
-}
-
-TEST(FmSeeding, SeedsAreExactMatchesOnMutatedReads) {
-  auto f = Fixture::make(145, 8000, 150, 0.04);
-  FmIndex index(f.genome);
-  SeedingParams params;
-  params.min_seed_len = 15;
-  auto seeds = find_seeds_fm(index, f.read, params);
-  ASSERT_FALSE(seeds.empty());
-  expect_seeds_are_exact_matches(seeds, f.genome, f.read);
-}
-
 /// Brute-force k-mer seeding oracle, independent of KmerIndex and pack_kmer:
 /// hit lists come from a std::map keyed by k-mer bases, every hit of every
 /// sampled k-mer is extended to its maximal match, and the matches are

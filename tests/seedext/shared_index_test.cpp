@@ -1,6 +1,7 @@
 // seedext::SharedIndex coverage: on-disk round trips (mmap load bit-identical
-// to the in-memory build), malformed-file rejection, the in-process registry
-// (dedup, stats, weak lifetime), reference sharding (merged lookups and seeds
+// to the in-memory build, file bytes pinned), malformed-file rejection (every
+// header bit), the in-process registry (dedup, stats, weak lifetime,
+// concurrent cold starts of one path), reference sharding (merged lookups and seeds
 // bit-identical to the monolithic index, weighted-LPT lane placement, the
 // 32-bit position limit), and end-to-end SAM byte-identity through
 // ReadMapper for the mmap-backed and sharded seeding paths.
@@ -9,8 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,12 +81,11 @@ TEST(SharedIndexRoundTrip, KmerBitIdenticalAcrossKBoundaries) {
   // so must every lookup and seed list.
   for (int k : {KmerIndex::kMinK, 16, KmerIndex::kMaxK}) {
     auto genome = fuzz_genome(11 + static_cast<std::uint64_t>(k), 20000);
-    IndexOptions options{k, /*kmer=*/true, /*fm=*/false};
-    auto built = SharedIndex::build(genome, options);
+    auto built = SharedIndex::build(genome, k);
     std::string path = temp_path("roundtrip_k" + std::to_string(k));
-    write_shared_index(path, genome, k, &built->kmer(), nullptr);
+    write_shared_index(path, genome, built->kmer());
 
-    auto loaded = SharedIndex::load(path, genome, options);
+    auto loaded = SharedIndex::load(path, genome, k);
     EXPECT_TRUE(loaded->mmap_backed());
     EXPECT_FALSE(built->mmap_backed());
     EXPECT_EQ(loaded->genome_bases(), genome.size());
@@ -112,99 +114,112 @@ TEST(SharedIndexRoundTrip, KmerBitIdenticalAcrossKBoundaries) {
   }
 }
 
-TEST(SharedIndexRoundTrip, FmSectionBitIdentical) {
-  auto genome = fuzz_genome(23, 9000);
-  IndexOptions options{16, /*kmer=*/false, /*fm=*/true};
-  auto built = SharedIndex::build(genome, options);
-  std::string path = temp_path("roundtrip_fm");
-  save_shared_index(path, genome, options);
-
-  auto loaded = SharedIndex::load(path, genome, options);
-  ASSERT_TRUE(loaded->has_fm());
-  EXPECT_FALSE(loaded->has_kmer());
-  const FmIndex& a = built->fm();
-  const FmIndex& b = loaded->fm();
-  ASSERT_EQ(a.bwt().size(), b.bwt().size());
-  EXPECT_TRUE(std::equal(a.bwt().begin(), a.bwt().end(), b.bwt().begin()));
-  EXPECT_EQ(a.primary(), b.primary());
-  ASSERT_EQ(a.suffix_array().size(), b.suffix_array().size());
-  EXPECT_TRUE(std::equal(a.suffix_array().begin(), a.suffix_array().end(),
-                         b.suffix_array().begin()));
-
-  util::Xoshiro256 rng(5);
-  SeedingParams params;
-  for (int trial = 0; trial < 20; ++trial) {
-    std::size_t len = 20 + rng.below(60);
-    std::size_t pos = rng.below(genome.size() - len);
-    std::span<const seq::BaseCode> pattern(genome.data() + pos, len);
-    EXPECT_EQ(a.count(pattern), b.count(pattern));
-    EXPECT_EQ(a.locate(pattern), b.locate(pattern));
-    std::vector<seq::BaseCode> read(pattern.begin(), pattern.end());
-    EXPECT_EQ(find_seeds_fm(a, read, params), find_seeds_fm(b, read, params));
-  }
-}
-
-TEST(SharedIndexRoundTrip, BothSectionsInOneFile) {
-  auto genome = fuzz_genome(31, 6000);
-  IndexOptions both{12, /*kmer=*/true, /*fm=*/true};
-  std::string path = temp_path("roundtrip_both");
-  save_shared_index(path, genome, both);
-  auto loaded = SharedIndex::load(path, genome, both);
-  EXPECT_TRUE(loaded->has_kmer());
-  EXPECT_TRUE(loaded->has_fm());
-  auto built = SharedIndex::build(genome, both);
-  expect_same_kmer_arrays(built->kmer(), loaded->kmer());
-  // A kmer-only consumer can open the same file too.
-  auto kmer_only =
-      SharedIndex::load(path, genome, IndexOptions{12, /*kmer=*/true, /*fm=*/false});
-  EXPECT_TRUE(kmer_only->has_kmer());
+TEST(SharedIndexRoundTrip, FileBytesArePinned) {
+  // The on-disk format is a contract with every cache file already written:
+  // the bytes for one fixed genome and k must not move.
+  seq::GenomeParams gp;
+  gp.length = 4096;
+  gp.seed = 7;
+  const auto genome = seq::generate_genome(gp);
+  const std::string path = temp_path("pinned");
+  save_shared_index(path, genome, 12);
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 28624u);
+  EXPECT_EQ(util::fnv1a64(std::as_bytes(std::span<const char>(bytes.data(), bytes.size()))),
+            0x0d72d472d2d005b7ull);
+  EXPECT_EQ(SharedIndex::load(path, genome, 12)->kmer().indexed_positions(),
+            KmerIndex(genome, 12).indexed_positions());
 }
 
 struct RejectionFixture : ::testing::Test {
   std::vector<seq::BaseCode> genome = fuzz_genome(47, 4000);
-  IndexOptions options{14, /*kmer=*/true, /*fm=*/false};
+  int k = 14;
   std::string path = temp_path("rejection");
 
-  void SetUp() override { save_shared_index(path, genome, options); }
+  void SetUp() override { save_shared_index(path, genome, k); }
 };
 
 TEST_F(RejectionFixture, RejectsTruncatedFile) {
   std::string bytes = slurp(path);
   ASSERT_GT(bytes.size(), 200u);
   spew(path, bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
   // Shorter than the header entirely.
   spew(path, bytes.substr(0, 40));
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
+  // A strided sample of shorter lengths, from the empty file on, and one
+  // byte short.
+  for (std::size_t len = 0; len < bytes.size(); len += 97) {
+    spew(path, bytes.substr(0, len));
+    EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "length " << len;
+  }
+  spew(path, bytes.substr(0, bytes.size() - 1));
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
 }
 
 TEST_F(RejectionFixture, RejectsCorruptedPayloadByte) {
-  std::string bytes = slurp(path);
-  ASSERT_GT(bytes.size(), sizeof(IndexFileHeader) + 16);
+  const std::string original = slurp(path);
+  ASSERT_GT(original.size(), sizeof(IndexFileHeader) + 16);
+  std::string bytes = original;
   bytes[sizeof(IndexFileHeader) + 11] ^= 0x40;  // one flipped payload bit
   spew(path, bytes);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
+  // A seeded sample of single-bit flips across the whole payload.
+  util::Xoshiro256 rng(53);
+  const std::size_t payload_bits = (original.size() - sizeof(IndexFileHeader)) * 8;
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t bit = rng.below(payload_bits);
+    bytes = original;
+    bytes[sizeof(IndexFileHeader) + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    spew(path, bytes);
+    EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "payload bit " << bit;
+  }
 }
 
 TEST_F(RejectionFixture, RejectsTrailingGarbage) {
-  std::string bytes = slurp(path);
-  bytes += std::string(16, '\x7f');
-  spew(path, bytes);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  const std::string original = slurp(path);
+  spew(path, original + std::string(16, '\x7f'));
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
+  spew(path, original + '\0');
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
+}
+
+TEST_F(RejectionFixture, RejectsEverySingleBitHeaderFlip) {
+  // Every header field is checked: the section flags must be exactly the
+  // k-mer bit and the reserved fields zero, so no flipped bit of the 96
+  // header bytes loads.
+  const std::string original = slurp(path);
+  EXPECT_NO_THROW(SharedIndex::load(path, genome, k));
+  for (std::size_t bit = 0; bit < sizeof(IndexFileHeader) * 8; ++bit) {
+    std::string bytes = original;
+    bytes[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    spew(path, bytes);
+    EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "header bit " << bit;
+  }
+  // The FM-index section bit (flags bit 1) is named in the rejection.
+  std::string fm = original;
+  fm[offsetof(IndexFileHeader, flags)] |= 2;
+  spew(path, fm);
+  try {
+    SharedIndex::load(path, genome, k);
+    ADD_FAILURE() << "a file flagged with an FM-index section loaded";
+  } catch (const IndexFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("FM-index section"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(RejectionFixture, RejectsWrongMagic) {
   std::string bytes = slurp(path);
   bytes[0] = 'X';
   spew(path, bytes);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
 }
 
 TEST_F(RejectionFixture, RejectsWrongVersion) {
   std::string bytes = slurp(path);
   bytes[8] = static_cast<char>(kIndexFormatVersion + 1);  // header version field
   spew(path, bytes);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
 }
 
 TEST_F(RejectionFixture, RejectsVersion1File) {
@@ -213,7 +228,7 @@ TEST_F(RejectionFixture, RejectsVersion1File) {
   std::string bytes = slurp(path);
   bytes[8] = 1;  // header version field
   spew(path, bytes);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError);
 }
 
 TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
@@ -243,7 +258,7 @@ TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
   };
 
   spew_rechecksummed(original);  // the rewrite alone changes nothing
-  EXPECT_NO_THROW(SharedIndex::load(path, genome, options));
+  EXPECT_NO_THROW(SharedIndex::load(path, genome, k));
 
   std::size_t i = 0;
   while (i + 1 < last && get(i) == get(i + 1)) ++i;
@@ -252,55 +267,50 @@ TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
   set(swapped, i, get(i + 1));
   set(swapped, i + 1, get(i));
   spew_rechecksummed(swapped);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "decreasing";
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "decreasing";
 
   std::string offset_start = original;
   set(offset_start, 0, 1);
   spew_rechecksummed(offset_start);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "start != 0";
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "start != 0";
 
   std::string short_end = original;
   set(short_end, last, get(last) - 1);
   spew_rechecksummed(short_end);
-  EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError) << "end != entries";
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "end != entries";
 }
 
 TEST_F(RejectionFixture, RejectsDifferentGenome) {
   util::Xoshiro256 rng(3);
   auto other = testing::mutate(rng, genome, 0.01);
-  EXPECT_THROW(SharedIndex::load(path, other, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, other, k), IndexFormatError);
   // Same content, different length.
   auto shorter = genome;
   shorter.pop_back();
-  EXPECT_THROW(SharedIndex::load(path, shorter, options), IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(path, shorter, k), IndexFormatError);
 }
 
-TEST_F(RejectionFixture, RejectsMissingSectionAndWrongK) {
-  IndexOptions wants_fm{options.k, /*kmer=*/true, /*fm=*/true};
-  EXPECT_THROW(SharedIndex::load(path, genome, wants_fm), IndexFormatError);
-  IndexOptions wrong_k{options.k + 1, /*kmer=*/true, /*fm=*/false};
-  EXPECT_THROW(SharedIndex::load(path, genome, wrong_k), IndexFormatError);
+TEST_F(RejectionFixture, RejectsWrongK) {
+  EXPECT_THROW(SharedIndex::load(path, genome, k + 1), IndexFormatError);
 }
 
 TEST_F(RejectionFixture, RejectsMissingFile) {
-  EXPECT_THROW(SharedIndex::load(temp_path("never_written"), genome, options),
-               IndexFormatError);
+  EXPECT_THROW(SharedIndex::load(temp_path("never_written"), genome, k), IndexFormatError);
 }
 
 TEST(SharedIndexRegistry, DeduplicatesLiveInstancesAndRebuildsAfterExpiry) {
   auto& reg = IndexRegistry::instance();
   reg.reset_stats();
   auto genome = fuzz_genome(61, 5000);
-  IndexOptions options{16, true, false};
 
-  auto a = reg.acquire_memory(genome, options);
-  auto b = reg.acquire_memory(genome, options);
+  auto a = reg.acquire_memory(genome, 16);
+  auto b = reg.acquire_memory(genome, 16);
   EXPECT_EQ(a.get(), b.get());  // one physical index, two handles
   EXPECT_EQ(reg.stats().builds, 1u);
   EXPECT_EQ(reg.stats().hits, 1u);
 
   // Different k is a different index.
-  auto c = reg.acquire_memory(genome, IndexOptions{18, true, false});
+  auto c = reg.acquire_memory(genome, 18);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(reg.stats().builds, 2u);
 
@@ -308,7 +318,7 @@ TEST(SharedIndexRegistry, DeduplicatesLiveInstancesAndRebuildsAfterExpiry) {
   // builds anew rather than resurrecting a dead pointer.
   a.reset();
   b.reset();
-  auto d = reg.acquire_memory(genome, options);
+  auto d = reg.acquire_memory(genome, 16);
   EXPECT_EQ(reg.stats().builds, 3u);
   EXPECT_GE(reg.live_entries(), 2u);
 }
@@ -317,29 +327,92 @@ TEST(SharedIndexRegistry, FileAcquireBuildsOnceThenMapsAndShares) {
   auto& reg = IndexRegistry::instance();
   reg.reset_stats();
   auto genome = fuzz_genome(71, 5000);
-  IndexOptions options{16, true, false};
+  const int k = 16;
   std::string path = temp_path("registry_file");
   fs::remove(path);
 
   // Missing file: build + save + load (build-once cold start).
-  auto a = reg.acquire_file(path, genome, options);
+  auto a = reg.acquire_file(path, genome, k);
   EXPECT_TRUE(a->mmap_backed());
   EXPECT_TRUE(fs::exists(path));
   EXPECT_EQ(reg.stats().builds, 1u);
   EXPECT_EQ(reg.stats().loads, 1u);
 
   // Live mapping is shared, not re-mapped.
-  auto b = reg.acquire_file(path, genome, options);
+  auto b = reg.acquire_file(path, genome, k);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(reg.stats().hits, 1u);
 
   // After every handle dies, the warm path is a pure load — no rebuild.
   a.reset();
   b.reset();
-  auto c = reg.acquire_file(path, genome, options);
+  auto c = reg.acquire_file(path, genome, k);
   EXPECT_TRUE(c->mmap_backed());
   EXPECT_EQ(reg.stats().builds, 1u);
   EXPECT_EQ(reg.stats().loads, 2u);
+}
+
+TEST(SharedIndexRegistry, ConcurrentColdStartsOfOnePathAllSucceed) {
+  // Acquirers that cold-start one path at once each build and save it
+  // outside the registry lock. Every save must publish a complete file of
+  // its own (no shared temp file to truncate or rename half-written), so
+  // every acquire loads the right index and no temp file is left behind.
+  auto& reg = IndexRegistry::instance();
+  const auto genome = fuzz_genome(79, 64 * 1024);
+  const int k = 14;
+  const KmerIndex mono(genome, k);
+  const std::string path = temp_path("cold_race");
+  const std::string temp_prefix = fs::path(path).filename().string() + ".tmp";
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+
+  util::Xoshiro256 rng(37);
+  std::vector<std::vector<seq::BaseCode>> reads;
+  for (int r = 0; r < 5; ++r) {
+    const std::size_t pos = rng.below(genome.size() - 150);
+    reads.push_back(testing::mutate(
+        rng,
+        std::vector<seq::BaseCode>(genome.begin() + static_cast<std::ptrdiff_t>(pos),
+                                   genome.begin() + static_cast<std::ptrdiff_t>(pos + 150)),
+        0.02));
+  }
+  const SeedingParams params;
+
+  for (int round = 0; round < kRounds; ++round) {
+    fs::remove(path);
+    std::vector<std::shared_ptr<const SharedIndex>> handles(kThreads);
+    std::vector<std::string> errors(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        try {
+          handles[static_cast<std::size_t>(t)] = reg.acquire_file(path, genome, k);
+        } catch (const std::exception& e) {
+          errors[static_cast<std::size_t>(t)] = e.what();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      ASSERT_TRUE(errors[ti].empty()) << "round " << round << ", thread " << t << ": "
+                                      << errors[ti];
+      ASSERT_NE(handles[ti], nullptr);
+      EXPECT_TRUE(handles[ti]->mmap_backed());
+      for (const auto& read : reads) {
+        EXPECT_EQ(find_seeds(handles[ti]->kmer(), genome, read, params),
+                  find_seeds(mono, genome, read, params))
+            << "round " << round << ", thread " << t;
+      }
+    }
+    for (const auto& entry : fs::directory_iterator(fs::path(path).parent_path())) {
+      EXPECT_FALSE(entry.path().filename().string().starts_with(temp_prefix))
+          << "left behind: " << entry.path();
+    }
+  }  // every handle dies here, so the next round cold-starts again
 }
 
 TEST(ShardedIndex, LookupBitIdenticalToMonolithicAcrossShardCounts) {
