@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
 
   seedext::MapperParams shard_params = plain_params;
   shard_params.index_shards = shards;
-  shard_params.index_lane_weights = {2.0, 1.0};
   seedext::ReadMapper sharded(genome, shard_params);
   std::vector<seedext::ReadMapping> shard_map;
   const double shard_rps = best_reads_per_sec(sharded, reads, extend, repeats, &shard_map);

@@ -51,30 +51,6 @@ SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& batch,
   return wanted;
 }
 
-/// A small owning cache of BatchSchedulers keyed by their options, one per
-/// align worker: autotuned options oscillate between a handful of
-/// configurations, and rebuilding a BatchScheduler would respawn its
-/// thread pool. Not thread-safe (schedulers' pools are never shared across
-/// workers).
-class ScheduleCache {
- public:
-  /// `backend` must outlive the cache; every cached scheduler runs on it.
-  explicit ScheduleCache(AlignBackend* backend) : backend_(backend) {}
-
-  /// The cached scheduler for `wanted`, building (and keeping) one on miss.
-  BatchScheduler& scheduler(const SchedulerOptions& wanted) {
-    for (auto& [opts, sched] : cache_) {
-      if (opts == wanted) return *sched;
-    }
-    cache_.emplace_back(wanted, std::make_unique<BatchScheduler>(backend_, wanted));
-    return *cache_.back().second;
-  }
-
- private:
-  AlignBackend* backend_;
-  std::vector<std::pair<SchedulerOptions, std::unique_ptr<BatchScheduler>>> cache_;
-};
-
 /// One admitted pair waiting in a session queue, with its band resolved at
 /// admission (PairBatch::band_of), so the batcher can merge pairs from
 /// differently-banded tenants verbatim.
@@ -363,7 +339,6 @@ struct AlignService::Impl {
 
   void worker_loop(AlignBackend* backend) {
     try {
-      ScheduleCache cache(backend);
       // stop() closes the in-flight queue, which wakes a worker parked here;
       // pop() still hands out batches queued before the close, so check
       // `stopping` and drop them instead of aligning abandoned work.
@@ -374,7 +349,8 @@ struct AlignService::Impl {
         }
         util::Timer timer;
         AlignOutput out =
-            cache.scheduler(resolve_chunk_schedule(mb->batch, options, *backend)).run(mb->batch);
+            BatchScheduler(backend, resolve_chunk_schedule(mb->batch, options, *backend))
+                .run(mb->batch);
         double wall = timer.millis();
         std::lock_guard<std::mutex> lock(mutex);
         if (stopping) return;

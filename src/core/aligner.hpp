@@ -8,8 +8,8 @@
 // the reproduced GPU kernels on a simulated device and reports simulated
 // kernel time plus the execution counters behind it. Setting `opts.devices`
 // above 1 makes the BatchScheduler pack the batch into one sub-batch per
-// device (`opts.split_policy`) and dispatch them asynchronously across the
-// simulated devices (Sec. VII-C), merging results back in input order.
+// device (`opts.split_policy`) and run the devices concurrently, one host
+// task per busy device (Sec. VII-C), merging results back in input order.
 // Every align() call is routed
 //
 //   Aligner → BatchScheduler → AlignBackend → kernels → gpusim

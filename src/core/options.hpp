@@ -41,8 +41,6 @@ struct LongReadPolicy {
   /// gap-extend) instead of the nominal n·m table that would absurdly
   /// overweight a long pair. A cost hint only, never a correctness input.
   std::size_t cells_estimate(std::size_t ref_len, std::size_t query_len) const;
-
-  bool operator==(const LongReadPolicy&) const = default;
 };
 
 struct AlignerOptions {

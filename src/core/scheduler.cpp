@@ -38,24 +38,30 @@ double gcups_at(std::size_t cells, double time_ms) {
   return time_ms > 0 ? static_cast<double>(cells) / (time_ms * 1e6) : 0.0;
 }
 
-/// Runs `run_shard(s)` for every shard index: one pool future per lane,
-/// each draining that lane's shards in shard order — lanes run concurrently
-/// and no pool thread ever blocks waiting for a lane another thread holds.
-/// Waits for every future, even when one failed, then rethrows the first
-/// failure, so callers never touch outputs a shard is still writing.
+/// Runs `run_shard(s)` for every shard index, each lane's shards in shard
+/// order. When at most one lane is busy its shards run on the calling
+/// thread; otherwise every busy lane drains its shards on one std::async
+/// task, so lanes run concurrently. Waits for every lane, even when one
+/// failed, then rethrows the first failure in lane order, so callers never
+/// touch outputs a shard is still writing.
 template <typename Shard, typename RunShard>
-void run_per_lane(util::ThreadPool& pool, int lanes, const std::vector<Shard>& shards,
-                  RunShard&& run_shard) {
+void run_per_lane(int lanes, const std::vector<Shard>& shards, RunShard&& run_shard) {
   std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
   for (std::size_t s = 0; s < shards.size(); ++s) {
     lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
   }
+  std::erase_if(lane_shards, [](const std::vector<std::size_t>& mine) { return mine.empty(); });
+  const auto drain = [&run_shard](const std::vector<std::size_t>& mine) {
+    for (std::size_t s : mine) run_shard(s);
+  };
+  if (lane_shards.size() <= 1) {
+    for (const std::vector<std::size_t>& mine : lane_shards) drain(mine);
+    return;
+  }
   std::vector<std::future<void>> futures;
+  futures.reserve(lane_shards.size());
   for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool.submit([&run_shard, &mine] {
-      for (std::size_t s : mine) run_shard(s);
-    }));
+    futures.push_back(std::async(std::launch::async, [&drain, &mine] { drain(mine); }));
   }
   std::exception_ptr failure;
   for (auto& f : futures) {
@@ -110,25 +116,12 @@ BatchScheduler::BatchScheduler(AlignBackend* backend, SchedulerOptions options)
   SALOBA_CHECK_MSG(backend_->lanes() >= 1, "backend exposes no lanes");
 }
 
-util::ThreadPool& BatchScheduler::pool() {
-  if (!pool_) {
-    pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(backend_->lanes()));
-  }
-  return *pool_;
-}
-
 template <typename Item, typename RunShard>
 ScheduledPhase<Item> BatchScheduler::run_phase(std::size_t inputs,
                                                const std::vector<PhaseShard>& shards,
                                                RunShard&& run_shard) {
   std::vector<PhaseOutput<Item>> outputs(shards.size());
-  if (shards.size() == 1) {
-    // Nothing to overlap: run on the caller's thread, no pool hop.
-    outputs[0] = run_shard(std::size_t{0});
-  } else {
-    run_per_lane(pool(), backend_->lanes(), shards,
-                 [&](std::size_t s) { outputs[s] = run_shard(s); });
-  }
+  run_per_lane(backend_->lanes(), shards, [&](std::size_t s) { outputs[s] = run_shard(s); });
 
   ScheduledPhase<Item> merged;
   const bool in_place = shards.size() == 1 && shards[0].positions.empty();

@@ -5,17 +5,18 @@
 //
 // The scheduler shards a PairBatch into length-bucketed sub-batches
 // (sorted-by-area packing — the paper's workload-balance goal applied at
-// host granularity), dispatches them asynchronously over util::ThreadPool
-// futures across the backend's lanes (N simulated devices for the
-// multi-GPU path of Sec. VII-C), and merges results back in input order
-// with aggregated stats. Every phase (score pass, traceback, chaining) goes
-// through one shard runner; with one lane and no shard cap it degenerates
-// to a single synchronous backend run on the caller's batch — bit-identical
-// to the classic path.
+// host granularity), places them on the backend's lanes (N simulated
+// devices for the multi-GPU path of Sec. VII-C), and merges results back in
+// input order with aggregated stats. Every phase (score pass, traceback,
+// chaining) goes through one shard runner: shards that all sit on one lane
+// run in shard order on the calling thread, and two or more busy lanes get
+// one std::async task each. With one lane and no shard cap that is a single
+// backend run on the caller's batch — bit-identical to the classic path.
+// A scheduler holds only its backend pointer and options, so it is cheap to
+// build per batch.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "align/alignment_result.hpp"
 #include "core/backend.hpp"
 #include "gpusim/multi_device.hpp"
-#include "util/thread_pool.hpp"
 
 namespace saloba::core {
 
@@ -40,12 +40,10 @@ struct SchedulerOptions {
   /// score-bounded window), not the absurd nominal n·m table.
   LongReadPolicy longread;
   /// Two-phase alignment (AlignerOptions::traceback): after the score pass
-  /// settles, a second ThreadPool wave runs the backend's traceback phase
-  /// shard by shard on the same lanes and merges one TracedAlignment per
-  /// pair back in input order (AlignOutput::traced).
+  /// settles, a second phase runs the backend's traceback shard by shard on
+  /// the same lanes and merges one TracedAlignment per pair back in input
+  /// order (AlignOutput::traced).
   bool traceback = false;
-
-  bool operator==(const SchedulerOptions&) const = default;
 };
 
 /// How a batch was executed: shard count and per-lane time accounting.
@@ -158,14 +156,14 @@ class BatchScheduler {
   /// Aligns every pair of the batch across the backend's lanes, each pair
   /// at its own band (seq::PairBatch::band_of). Exceptions from shard runs
   /// (kernels::KernelUnsupportedError, gpusim::DeviceOomError) propagate
-  /// after every in-flight shard settled.
+  /// after every lane has settled; the first failure in lane order wins.
   AlignOutput run(const seq::PairBatch& batch);
 
   /// Chaining phase: shards the ChainBatch's tasks into one shard per
   /// backend lane by weighted LPT on anchor work (seedext::make_chain_shards,
-  /// the extension shards' packing discipline), dispatches one future per
-  /// lane over the same ThreadPool, and merges chains back by task id. One
-  /// lane degenerates to a single synchronous run_chaining call.
+  /// the extension shards' packing discipline), runs them through the same
+  /// phase runner, and merges chains back by task id. One lane degenerates
+  /// to a single run_chaining call on the calling thread.
   ChainPhaseOutput chain(const seedext::ChainBatch& batch);
 
  private:
@@ -177,18 +175,17 @@ class BatchScheduler {
     std::span<const std::size_t> positions;
   };
 
-  /// The phase runner: `run_shard(s)` for every shard — on the calling
-  /// thread when there is one, else one pool future per lane — then the
-  /// shards' items scattered to their positions among the phase's `inputs`,
-  /// in shard-id order.
+  /// The phase runner: `run_shard(s)` for every shard, each lane's shards
+  /// in shard-id order — on the calling thread when at most one lane is
+  /// busy, else on one std::async task per busy lane — then the shards'
+  /// items scattered to their positions among the phase's `inputs`, in
+  /// shard-id order.
   template <typename Item, typename RunShard>
   ScheduledPhase<Item> run_phase(std::size_t inputs, const std::vector<PhaseShard>& shards,
                                  RunShard&& run_shard);
-  util::ThreadPool& pool();
 
   AlignBackend* backend_;
   SchedulerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< one thread per lane, made on first sharded run
 };
 
 }  // namespace saloba::core

@@ -17,8 +17,9 @@ void append_pair(Shard& s, const seq::PairBatch& batch, std::size_t i) {
   s.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
 }
 
-/// Shared weighted-LPT body of the two cost-aware make_shards overloads:
-/// `order` is the packing order (descending cost under kSorted), `load_of`
+/// Shared weighted-LPT body of the two cost-aware make_shards overloads and
+/// of the unweighted capped packing (at uniform weights): `order` is the
+/// packing order (descending cost under kSorted), `load_of`
 /// prices pair i. One shard per lane when uncapped; capped runs of the
 /// order otherwise, each assigned whole to the lane with the earliest
 /// weighted finish time.
@@ -115,44 +116,30 @@ std::vector<Shard> make_shards(const seq::PairBatch& batch, int devices, SplitPo
                                std::size_t max_shard_pairs) {
   SALOBA_CHECK_MSG(devices >= 1, "need at least one device");
   auto order = shard_order(batch, policy);
-
-  std::vector<Shard> shards;
-  if (max_shard_pairs == 0) {
-    // One shard per lane, dealt over the policy order. Under kSorted the
-    // order is descending by area, so a plain round-robin deal hands lane 0
-    // the largest pair of every stripe; snake (boustrophedon) order
-    // alternates the deal direction per stripe and cancels that systematic
-    // skew.
-    const auto lanes = static_cast<std::size_t>(devices);
-    shards.resize(lanes);
-    for (int d = 0; d < devices; ++d) shards[static_cast<std::size_t>(d)].lane = d;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      std::size_t pos = i % lanes;
-      if (policy == SplitPolicy::kSorted && (i / lanes) % 2 == 1) pos = lanes - 1 - pos;
-      Shard& s = shards[pos];
-      append_pair(s, batch, order[i]);
-      s.indices.push_back(order[i]);
-    }
-  } else {
-    // Length-bucketed packing: contiguous runs of the policy order, then
-    // greedy LPT (runs come largest-area-first under kSorted) onto lanes.
-    for (std::size_t begin = 0; begin < order.size(); begin += max_shard_pairs) {
-      std::size_t end = std::min(begin + max_shard_pairs, order.size());
-      Shard s;
-      for (std::size_t i = begin; i < end; ++i) {
-        append_pair(s, batch, order[i]);
-        s.indices.push_back(order[i]);
-      }
-      shards.push_back(std::move(s));
-    }
-    std::vector<std::uint64_t> lane_load(static_cast<std::size_t>(devices), 0);
-    for (Shard& s : shards) {
-      auto least = std::min_element(lane_load.begin(), lane_load.end());
-      s.lane = static_cast<int>(least - lane_load.begin());
-      *least += s.batch.total_banded_cells();
-    }
+  if (max_shard_pairs > 0) {
+    // Length-bucketed packing: contiguous runs of the policy order (largest
+    // area first under kSorted) onto lanes by LPT — weighted LPT at uniform
+    // weights.
+    return make_shards_weighted(
+        batch, std::vector<double>(static_cast<std::size_t>(devices), 1.0), order,
+        max_shard_pairs, [&](std::size_t i) { return static_cast<double>(batch.cells_of(i)); });
   }
 
+  // One shard per lane, dealt over the policy order. Under kSorted the
+  // order is descending by area, so a plain round-robin deal hands lane 0
+  // the largest pair of every stripe; snake (boustrophedon) order
+  // alternates the deal direction per stripe and cancels that systematic
+  // skew.
+  const auto lanes = static_cast<std::size_t>(devices);
+  std::vector<Shard> shards(lanes);
+  for (int d = 0; d < devices; ++d) shards[static_cast<std::size_t>(d)].lane = d;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    std::size_t pos = i % lanes;
+    if (policy == SplitPolicy::kSorted && (i / lanes) % 2 == 1) pos = lanes - 1 - pos;
+    Shard& s = shards[pos];
+    append_pair(s, batch, order[i]);
+    s.indices.push_back(order[i]);
+  }
   std::erase_if(shards, [](const Shard& s) { return s.batch.size() == 0; });
   return shards;
 }

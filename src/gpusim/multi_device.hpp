@@ -65,9 +65,9 @@ std::vector<Shard> make_shards(const seq::PairBatch& batch,
 /// weighted finish time (lane_load + loads[i]) / lane_weights[lane] — the
 /// same rule the cost-aware make_shards overloads apply to pair batches
 /// (ties break to the lowest lane). Returns the lane of each item,
-/// index-aligned with `loads`. The shared-index layer uses this to place
-/// reference shards (priced by their window length) across heterogeneous
-/// lanes; make_shards routes through it too, so the two stay one machinery.
+/// index-aligned with `loads`. Every lane placement runs this one loop:
+/// the weighted make_shards overloads, the unweighted capped packing (at
+/// uniform weights) and seedext::make_chain_shards.
 std::vector<int> weighted_lpt_lanes(std::span<const double> loads,
                                     std::span<const double> lane_weights);
 

@@ -4,7 +4,7 @@
 #include <limits>
 #include <numeric>
 
-#include "util/check.hpp"
+#include "gpusim/multi_device.hpp"
 
 namespace saloba::seedext {
 
@@ -84,12 +84,6 @@ bool ChainBatch::task_simd_safe(std::size_t t) const { return simd_safe_[t] != 0
 
 std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
                                           const std::vector<double>& lane_weights) {
-  SALOBA_CHECK_MSG(!lane_weights.empty(), "make_chain_shards: need at least one lane");
-  for (double w : lane_weights) {
-    SALOBA_CHECK_MSG(w > 0.0, "make_chain_shards: lane weights must be positive");
-  }
-  const std::size_t lanes = lane_weights.size();
-
   // Descending work order (index tie-break for determinism), so LPT sees
   // the big tasks first.
   std::vector<std::size_t> order(batch.tasks());
@@ -100,26 +94,20 @@ std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
     }
     return a < b;
   });
-
-  std::vector<ChainShard> shards(lanes);
-  std::vector<double> load(lanes, 0.0);
-  for (std::size_t l = 0; l < lanes; ++l) shards[l].lane = static_cast<int>(l);
+  std::vector<double> loads;
+  loads.reserve(order.size());
   for (std::size_t idx : order) {
-    const double work = static_cast<double>(std::max<std::size_t>(batch.task_work(idx), 1));
-    std::size_t best = 0;
-    double best_finish = (load[0] + work) / lane_weights[0];
-    for (std::size_t l = 1; l < lanes; ++l) {
-      const double finish = (load[l] + work) / lane_weights[l];
-      if (finish < best_finish) {
-        best_finish = finish;
-        best = l;
-      }
-    }
-    shards[best].tasks.push_back(idx);
-    shards[best].work += batch.task_work(idx);
-    load[best] += work;
+    loads.push_back(static_cast<double>(std::max<std::size_t>(batch.task_work(idx), 1)));
   }
+  const std::vector<int> lanes = gpusim::weighted_lpt_lanes(loads, lane_weights);
 
+  std::vector<ChainShard> shards(lane_weights.size());
+  for (std::size_t l = 0; l < shards.size(); ++l) shards[l].lane = static_cast<int>(l);
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    ChainShard& shard = shards[static_cast<std::size_t>(lanes[n])];
+    shard.tasks.push_back(order[n]);
+    shard.work += batch.task_work(order[n]);
+  }
   std::erase_if(shards, [](const ChainShard& s) { return s.tasks.empty(); });
   return shards;
 }

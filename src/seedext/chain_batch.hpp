@@ -85,10 +85,11 @@ struct ChainShard {
 };
 
 /// Shards a ChainBatch's tasks into one shard per lane of
-/// `lane_weights.size()` by weighted LPT on task_work (gpusim::make_shards
-/// discipline): tasks are taken in descending work order and each goes to
-/// the lane minimising weighted finish time (load + work) / weight. Empty
-/// shards are dropped; every task lands in exactly one shard.
+/// `lane_weights.size()` by weighted LPT on task_work
+/// (gpusim::weighted_lpt_lanes, the extension shards' placement): tasks are
+/// taken in descending work order and each goes to the lane minimising
+/// weighted finish time (load + work) / weight. Empty shards are dropped;
+/// every task lands in exactly one shard.
 std::vector<ChainShard> make_chain_shards(const ChainBatch& batch,
                                           const std::vector<double>& lane_weights);
 

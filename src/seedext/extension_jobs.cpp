@@ -31,7 +31,7 @@ std::vector<ExtensionJob> make_extension_jobs(std::span<const seq::BaseCode> gen
       ExtensionJob job;
       job.read_id = read_id;
       job.left = true;
-      job.band = params.banded ? std::max<std::size_t>(1, band_for(qlen, params)) : 0;
+      job.band = std::max<std::size_t>(1, band_for(qlen, params));
       job.ref_origin = anchor.rpos - static_cast<std::uint32_t>(window);
       job.query.assign(read.rend() - anchor.qpos, read.rend());  // reversed prefix
       job.ref.assign(genome.rbegin() + static_cast<std::ptrdiff_t>(genome.size() - anchor.rpos),
@@ -51,7 +51,7 @@ std::vector<ExtensionJob> make_extension_jobs(std::span<const seq::BaseCode> gen
     ExtensionJob job;
     job.read_id = read_id;
     job.left = false;
-    job.band = params.banded ? std::max<std::size_t>(1, band_for(qlen, params)) : 0;
+    job.band = std::max<std::size_t>(1, band_for(qlen, params));
     job.ref_origin = static_cast<std::uint32_t>(r_end);
     job.query.assign(read.begin() + static_cast<std::ptrdiff_t>(q_end), read.end());
     job.ref.assign(genome.begin() + static_cast<std::ptrdiff_t>(r_end),

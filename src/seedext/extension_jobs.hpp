@@ -30,22 +30,19 @@ struct ExtensionJob {
   /// DP band for this job (Sec. VII-B): only cells with |i - j| <= band are
   /// computed, with out-of-band cells reading H = 0, E/F = -inf. Matches the
   /// gap budget that sized the reference window, so the whole corridor the
-  /// extension can plausibly use stays in band. 0 = full table
-  /// (JobParams::banded == false).
+  /// extension can plausibly use stays in band; always >= 1.
   std::size_t band = 0;
 };
 
 struct JobParams {
   /// Reference window = query remainder + max(min_band, query·band_frac).
+  /// Every job also carries that budget (at least 1) as its DP band
+  /// (ExtensionJob::band), so downstream extension — CPU align_batch or any
+  /// simulated kernel — prunes blocks outside |i - j| <= band.
   std::size_t min_band = 100;
   double band_frac = 1.0;
   /// Jobs shorter than this on the query side are dropped (nothing to do).
   std::size_t min_query = 1;
-  /// When true (default), every job carries the same max(min_band,
-  /// query·band_frac) budget as its DP band (ExtensionJob::band), so
-  /// downstream extension — CPU align_batch or any simulated kernel — prunes
-  /// blocks outside |i - j| <= band. false restores full-table extension.
-  bool banded = true;
 };
 
 /// Jobs for one chain: left + right extension of the anchor (first) seed.

@@ -1,7 +1,6 @@
 #include "seedext/pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -34,12 +33,6 @@ void validate(std::span<const seq::BaseCode> genome, const MapperParams& params)
     throw std::invalid_argument("MapperParams::seeding.stride must be >= 1, got " +
                                 std::to_string(params.seeding.stride));
   }
-  for (double w : params.index_lane_weights) {
-    if (!std::isfinite(w) || w <= 0.0) {
-      throw std::invalid_argument(
-          "MapperParams::index_lane_weights must be finite and > 0, got " + std::to_string(w));
-    }
-  }
   align::require_valid(params.scoring, "MapperParams::scoring");
 }
 
@@ -53,8 +46,7 @@ ReadMapper::ReadMapper(std::vector<seq::BaseCode> genome, MapperParams params)
   // of each rebuilding — the reference is the invariant, reads are the
   // traffic.
   if (params_.index_shards > 1) {
-    IndexShardingOptions sharding{params_.index_shards, params_.index_lane_weights,
-                                  params_.index_path};
+    IndexShardingOptions sharding{params_.index_shards, params_.index_path};
     sharded_index_ = std::make_unique<ShardedKmerIndex>(genome_, params_.k, sharding);
   } else {
     index_ = params_.index_path.empty()

@@ -42,11 +42,9 @@ struct MapperParams {
   std::string index_path;
   /// > 1: k-mer seeding goes through a reference-sharded index — the genome
   /// is cut into this many overlapping windows with one sub-index each,
-  /// placed across lanes by weighted LPT. Seeds (and therefore mappings and
-  /// SAM bytes) are bit-identical to the monolithic index.
+  /// every one probed per lookup. Seeds (and therefore mappings and SAM
+  /// bytes) are bit-identical to the monolithic index.
   std::size_t index_shards = 1;
-  /// Heterogeneous lane weights for index-shard placement (empty = 1 lane).
-  std::vector<double> index_lane_weights;
 
   SeedingParams seeding;
   ChainingParams chaining;

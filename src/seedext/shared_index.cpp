@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include "gpusim/multi_device.hpp"
 #include "util/check.hpp"
 #include "util/checksum.hpp"
 #include "util/parallel.hpp"
@@ -245,11 +244,12 @@ IndexRegistry& IndexRegistry::instance() {
   return registry;
 }
 
-std::shared_ptr<const SharedIndex> IndexRegistry::acquire(
-    const std::string& key, const std::function<std::shared_ptr<const SharedIndex>()>& make,
-    bool counts_as_build) {
+IndexRegistry::Handle IndexRegistry::acquire(const std::string& key,
+                                             const std::function<Handle()>& make,
+                                             bool counts_as_build) {
+  std::promise<Made> promise;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     auto it = live_.find(key);
     if (it != live_.end()) {
       if (auto held = it->second.lock()) {
@@ -257,24 +257,52 @@ std::shared_ptr<const SharedIndex> IndexRegistry::acquire(
         return held;
       }
     }
+    auto pending = pending_.find(key);
+    if (pending != pending_.end()) {
+      // Another acquirer is making this index: wait for its handle (or its
+      // failure) rather than building a second copy.
+      std::shared_future<Made> result = pending->second;
+      lock.unlock();
+      const Made& theirs = result.get();
+      if (!theirs.handle) {
+        if (theirs.format_error) throw IndexFormatError(theirs.error);
+        throw std::runtime_error(theirs.error);
+      }
+      lock.lock();
+      ++stats_.hits;
+      return theirs.handle;
+    }
+    pending_.emplace(key, promise.get_future().share());
   }
-  // Build/load outside the lock so distinct genomes index concurrently
-  // (shard builds fan out through parallel_for). Two racers on one key both
-  // do the work; the first to re-lock publishes, the loser adopts the
-  // winner's instance.
-  std::shared_ptr<const SharedIndex> made = make();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (counts_as_build) {
-    ++stats_.builds;
-  } else {
-    ++stats_.loads;
+  // Build/load outside the lock so distinct keys index concurrently (shard
+  // builds fan out through parallel_for).
+  Made made;
+  std::exception_ptr failure;
+  try {
+    made.handle = make();
+  } catch (const std::exception& e) {
+    failure = std::current_exception();
+    made.error = e.what();
+    made.format_error = dynamic_cast<const IndexFormatError*>(&e) != nullptr;
+  } catch (...) {
+    failure = std::current_exception();
+    made.error = "index acquire of " + key + " failed";
   }
-  auto it = live_.find(key);
-  if (it != live_.end()) {
-    if (auto held = it->second.lock()) return held;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.erase(key);
+    if (made.handle) {
+      if (counts_as_build) {
+        ++stats_.builds;
+      } else {
+        ++stats_.loads;
+      }
+      live_[key] = made.handle;
+    }
   }
-  live_[key] = made;
-  return made;
+  promise.set_value(made);
+  if (failure) std::rethrow_exception(failure);
+  return made.handle;
 }
 
 std::shared_ptr<const SharedIndex> IndexRegistry::acquire_memory(
@@ -354,17 +382,6 @@ ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
     shard.text_end = std::min(genome.size(), shard.end + static_cast<std::size_t>(k) - 1);
   }
 
-  // Heterogeneous placement: shards priced by window length through the
-  // same weighted-LPT rule the batch scheduler applies to pair shards.
-  std::vector<double> weights = options.lane_weights.empty()
-                                    ? std::vector<double>{1.0}
-                                    : options.lane_weights;
-  std::vector<double> loads;
-  loads.reserve(count);
-  for (const Shard& s : shards_) loads.push_back(static_cast<double>(s.text_end - s.begin));
-  std::vector<int> lanes = gpusim::weighted_lpt_lanes(loads, weights);
-  for (std::size_t s = 0; s < count; ++s) shards_[s].lane = lanes[s];
-
   // Sub-index builds/loads fan out host-parallel; the registry dedups each
   // window against any other sharded mapper over the same reference.
   std::exception_ptr failure;
@@ -386,16 +403,6 @@ ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
     }
   });
   if (failure) std::rethrow_exception(failure);
-}
-
-std::vector<double> ShardedKmerIndex::lane_loads() const {
-  std::vector<double> loads;
-  for (const Shard& s : shards_) {
-    auto lane = static_cast<std::size_t>(s.lane);
-    if (lane >= loads.size()) loads.resize(lane + 1, 0.0);
-    loads[lane] += static_cast<double>(s.text_end - s.begin);
-  }
-  return loads;
 }
 
 std::vector<std::uint32_t> ShardedKmerIndex::lookup(

@@ -11,8 +11,7 @@
 //     Pipeline / ReadMapper (service tenant or not) over one reference
 //     shares one physical index;
 //   * shardable — a chromosome-scale genome partitioned into overlapping
-//     windows with one sub-index per shard, placed across heterogeneous
-//     lanes by the PR 3 weighted-LPT machinery, whose merged lookups are
+//     windows with one sub-index per shard, whose merged lookups are
 //     bit-identical to the monolithic index.
 //
 // On-disk format, version 2 (little-endian, all sections 8-byte aligned):
@@ -36,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -125,7 +125,7 @@ void save_shared_index(const std::string& path, std::span<const seq::BaseCode> g
 struct IndexRegistryStats {
   std::size_t builds = 0;  ///< index constructions (in-memory + cold-start saves)
   std::size_t loads = 0;   ///< mmap file loads
-  std::size_t hits = 0;    ///< acquisitions served by a live shared instance
+  std::size_t hits = 0;    ///< acquisitions served by a live or in-flight shared instance
 };
 
 /// In-process registry of live SharedIndex instances, keyed by
@@ -134,6 +134,11 @@ struct IndexRegistryStats {
 /// are weak: the registry never extends an index's lifetime, it only
 /// deduplicates concurrent users — when the last ReadMapper/tenant releases
 /// its handle the index is freed, and the next acquire rebuilds/reloads.
+/// Acquirers that miss one key at once make it once: the first builds (or
+/// loads) outside the lock while the others wait for its handle and count
+/// as hits. A failed build reaches every waiter (as an IndexFormatError
+/// when it was one, else a std::runtime_error with its message) and leaves
+/// nothing behind, so the next acquire of the key tries again.
 class IndexRegistry {
  public:
   static IndexRegistry& instance();
@@ -145,9 +150,7 @@ class IndexRegistry {
 
   /// The shared mmap-backed index for (path, k): returns the live mapping
   /// if one is held, loads otherwise — and when the file does not exist
-  /// yet, builds from `genome`, saves, and loads (build-once). Callers that
-  /// cold-start one path at once may each build and save; every save is
-  /// atomic, so each of them loads a complete file.
+  /// yet, builds from `genome`, saves, and loads (build-once).
   std::shared_ptr<const SharedIndex> acquire_file(const std::string& path,
                                                   std::span<const seq::BaseCode> genome, int k);
 
@@ -156,12 +159,26 @@ class IndexRegistry {
   std::size_t live_entries() const;  ///< live (non-expired) registered indices
 
  private:
-  std::shared_ptr<const SharedIndex> acquire(
-      const std::string& key, const std::function<std::shared_ptr<const SharedIndex>()>& make,
-      bool counts_as_build);
+  using Handle = std::shared_ptr<const SharedIndex>;
+
+  /// What the acquirer making a key hands the acquirers waiting on it: the
+  /// handle, or its failure's message. Waiters throw an exception of their
+  /// own (IndexFormatError or std::runtime_error) rather than rethrowing
+  /// the maker's, so no exception object is shared between threads.
+  struct Made {
+    Handle handle;
+    std::string error;
+    bool format_error = false;
+  };
+
+  Handle acquire(const std::string& key, const std::function<Handle()>& make,
+                 bool counts_as_build);
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::weak_ptr<const SharedIndex>> live_;
+  /// Keys whose first acquirer is building or loading right now; later
+  /// acquirers of the key wait on the result instead of making their own.
+  std::unordered_map<std::string, std::shared_future<Made>> pending_;
   IndexRegistryStats stats_;
 };
 
@@ -169,11 +186,10 @@ class IndexRegistry {
 /// `shards` equal owned ranges; shard s additionally sees the next k - 1
 /// bases (the overlap), so every k-mer start position belongs to exactly
 /// one shard and merged lookups reproduce the monolithic index exactly.
+/// A lookup probes every shard on the calling thread, so shards are not
+/// placed on lanes.
 struct IndexShardingOptions {
   std::size_t shards = 1;
-  /// Heterogeneous lane weights for shard placement (gpusim weighted LPT,
-  /// shards priced by window length). Empty = one lane.
-  std::vector<double> lane_weights;
   /// Non-empty: each shard's sub-index is persisted at
   /// "<path_prefix>.shard<i>" and acquired through the registry (mmap), so
   /// sharded cold starts amortize exactly like monolithic ones.
@@ -186,7 +202,6 @@ class ShardedKmerIndex {
     std::size_t begin = 0;     ///< first owned base
     std::size_t end = 0;       ///< one past the last owned k-mer start
     std::size_t text_end = 0;  ///< window end including the k - 1 overlap
-    int lane = 0;              ///< weighted-LPT placement
     std::shared_ptr<const SharedIndex> index;  ///< k-mer sub-index over [begin, text_end)
   };
 
@@ -196,8 +211,6 @@ class ShardedKmerIndex {
   int k() const { return k_; }
   std::size_t genome_bases() const { return genome_bases_; }
   const std::vector<Shard>& shards() const { return shards_; }
-  /// Sum of shard window loads per lane (placement diagnostics / tests).
-  std::vector<double> lane_loads() const;
 
   /// Merged global positions of the k-mer — bit-identical (same positions,
   /// same ascending order) to the monolithic KmerIndex::lookup.

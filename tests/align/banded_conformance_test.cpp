@@ -226,8 +226,8 @@ TEST(BandedGuards, EmptyBatchAndEmptySequences) {
 TEST(BandedGuards, MapBatchPathDegenerateBands) {
   // The whole ReadMapper::map_batch path — seeding, chaining, job
   // extraction, batched extension through an Aligner — must neither assert
-  // nor diverge from the per-job CPU reference at full-table (banded=false),
-  // band-1, and default banded job parameters.
+  // nor diverge from the per-job CPU reference at band-1 and default job
+  // parameters.
   seq::GenomeParams gp;
   gp.length = 20000;
   gp.seed = 99;
@@ -237,10 +237,9 @@ TEST(BandedGuards, MapBatchPathDegenerateBands) {
   for (const auto& r : sim.simulate(12)) reads.push_back(r.read.bases);
   reads.emplace_back();  // empty read rides along
 
-  for (int mode = 0; mode < 3; ++mode) {
+  for (int mode = 0; mode < 2; ++mode) {
     seedext::MapperParams params;
-    if (mode == 0) params.jobs.banded = false;  // full table
-    if (mode == 1) {                            // band 1
+    if (mode == 0) {  // band 1
       params.jobs.min_band = 1;
       params.jobs.band_frac = 0.0;
     }

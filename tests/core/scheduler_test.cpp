@@ -1,13 +1,19 @@
 // BatchScheduler invariants: sharded + async output is element-wise
 // identical to the single-batch path on both backends, input order is
-// preserved no matter how shards complete, stats aggregate exactly, and
+// preserved no matter how shards complete, stats aggregate exactly,
 // spreading a length-skewed batch over more simulated devices reduces the
-// reported wall time.
+// reported wall time, and shards run where the phase runner says: one busy
+// lane on the caller's thread, several on one task each, in shard order.
 #include "core/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
@@ -231,6 +237,241 @@ TEST(BatchScheduler, WeightedLptBeatsUniformLptOnMixedPresets) {
   auto [weighted_makespan, weighted_results] = run_scheme(weighted);
   EXPECT_LT(weighted_makespan, uniform_makespan);
   EXPECT_EQ(weighted_results, uniform_results);
+}
+
+/// A backend that aligns nothing: each call records its phase, lane,
+/// calling thread and inputs (pair ids or task ids) once it is done, and
+/// answers input i with i (score, trace start, chain score), so merges can
+/// be checked against input order. Pair i of an id_batch has a query of
+/// i + 1 bases. Calls on `failing_lane` throw; the other lanes first sleep
+/// for `delay`, so a runner that rethrew early would miss their calls.
+class RecordingBackend final : public AlignBackend {
+ public:
+  struct Call {
+    std::string phase;
+    int lane = 0;
+    std::thread::id thread;
+    std::vector<std::size_t> inputs;
+  };
+
+  explicit RecordingBackend(int lanes, int failing_lane = -1,
+                            std::chrono::milliseconds delay = std::chrono::milliseconds(0))
+      : lanes_(lanes), failing_lane_(failing_lane), delay_(delay) {}
+
+  const std::string& name() const override { return name_; }
+  int lanes() const override { return lanes_; }
+
+  PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override {
+    const std::vector<std::size_t> ids = pair_ids(batch);
+    finish("run", lane, ids);
+    PhaseOutput<align::AlignmentResult> out;
+    for (std::size_t id : ids) out.items.push_back({static_cast<align::Score>(id), 0, 0});
+    out.time_ms = 1.0;
+    return out;
+  }
+
+  PhaseOutput<align::TracedAlignment> run_traceback(
+      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
+      int lane) override {
+    const std::vector<std::size_t> ids = pair_ids(batch);
+    finish("traceback", lane, ids);
+    PhaseOutput<align::TracedAlignment> out;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      align::TracedAlignment t;
+      t.end = results[i];
+      t.ref_start = static_cast<std::int32_t>(ids[i]);
+      out.items.push_back(t);
+    }
+    return out;
+  }
+
+  PhaseOutput<std::vector<seedext::Chain>> run_chaining(const seedext::ChainBatch&,
+                                                        std::span<const std::size_t> tasks,
+                                                        int lane) override {
+    const std::vector<std::size_t> ids(tasks.begin(), tasks.end());
+    finish("chain", lane, ids);
+    PhaseOutput<std::vector<seedext::Chain>> out;
+    for (std::size_t id : ids) {
+      seedext::Chain chain;
+      chain.score = static_cast<std::int64_t>(id);
+      out.items.push_back({chain});
+    }
+    return out;
+  }
+
+  std::vector<Call> calls(const std::string& phase) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Call> mine;
+    for (const Call& c : calls_) {
+      if (c.phase == phase) mine.push_back(c);
+    }
+    return mine;
+  }
+
+ private:
+  static std::vector<std::size_t> pair_ids(const seq::PairBatch& batch) {
+    std::vector<std::size_t> ids;
+    for (const auto& query : batch.queries) ids.push_back(query.size() - 1);
+    return ids;
+  }
+
+  void finish(const std::string& phase, int lane, const std::vector<std::size_t>& inputs) {
+    if (lane != failing_lane_) std::this_thread::sleep_for(delay_);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_.push_back({phase, lane, std::this_thread::get_id(), inputs});
+    }
+    if (lane == failing_lane_) throw std::runtime_error("lane " + std::to_string(lane));
+  }
+
+  int lanes_;
+  int failing_lane_;
+  std::chrono::milliseconds delay_;
+  std::string name_ = "recording";
+  mutable std::mutex mu_;
+  std::vector<Call> calls_;
+};
+
+/// `pairs` pairs whose query lengths encode their input index (see
+/// RecordingBackend); reference lengths vary so sorted packing reorders them.
+seq::PairBatch id_batch(std::size_t pairs) {
+  seq::PairBatch batch;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    batch.add(std::vector<seq::BaseCode>(i + 1, 0), std::vector<seq::BaseCode>(1 + (i * 7) % 11, 1));
+  }
+  return batch;
+}
+
+/// `tasks` chaining tasks of 1..tasks seeds, so their work differs.
+seedext::ChainBatch id_chain_batch(std::size_t tasks) {
+  seedext::ChainBatch batch;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    std::vector<seedext::Seed> seeds;
+    for (std::uint32_t s = 0; s <= t; ++s) seeds.push_back({s * 30, 1000 + s * 30, 20});
+    batch.add_task(std::move(seeds));
+  }
+  return batch;
+}
+
+/// The shard id of each call: the shard whose pair positions it received.
+std::vector<std::size_t> shard_ids(const std::vector<RecordingBackend::Call>& calls,
+                                   const std::vector<gpusim::Shard>& shards) {
+  std::vector<std::size_t> ids;
+  for (const auto& call : calls) {
+    auto it = std::find_if(shards.begin(), shards.end(),
+                           [&](const gpusim::Shard& s) { return s.indices == call.inputs; });
+    EXPECT_NE(it, shards.end()) << "a call matched no shard";
+    ids.push_back(static_cast<std::size_t>(it - shards.begin()));
+  }
+  return ids;
+}
+
+TEST(BatchScheduler, OneBusyLaneRunsEveryShardOnTheCallersThreadInShardOrder) {
+  RecordingBackend backend(1);
+  const seq::PairBatch batch = id_batch(12);
+  SchedulerOptions opts;
+  opts.max_shard_pairs = 3;
+  opts.traceback = true;
+  BatchScheduler scheduler(&backend, opts);
+  const auto out = scheduler.run(batch);
+  const auto chained = scheduler.chain(id_chain_batch(5));
+
+  const auto shards = gpusim::make_shards(batch, lane_weights(backend), opts.policy, 3);
+  ASSERT_EQ(shards.size(), 4u);
+  EXPECT_EQ(out.schedule.shards, 4u);
+  const std::vector<std::size_t> in_order{0, 1, 2, 3};
+  for (const std::string phase : {"run", "traceback"}) {
+    const auto calls = backend.calls(phase);
+    EXPECT_EQ(shard_ids(calls, shards), in_order) << phase;
+    for (const auto& call : calls) EXPECT_EQ(call.thread, std::this_thread::get_id()) << phase;
+  }
+  const auto chain_calls = backend.calls("chain");
+  ASSERT_EQ(chain_calls.size(), 1u);
+  EXPECT_EQ(chain_calls[0].thread, std::this_thread::get_id());
+  EXPECT_EQ(chain_calls[0].inputs, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(out.results[i].score, static_cast<align::Score>(i));
+    EXPECT_EQ(out.traced[i].ref_start, static_cast<std::int32_t>(i));
+  }
+  for (std::size_t t = 0; t < chained.items.size(); ++t) {
+    EXPECT_EQ(chained.items[t].at(0).score, static_cast<std::int64_t>(t));
+  }
+}
+
+TEST(BatchScheduler, EachBusyLaneDrainsItsShardsInOrderOnOneTask) {
+  RecordingBackend backend(3);
+  const seq::PairBatch batch = id_batch(18);
+  SchedulerOptions opts;
+  opts.max_shard_pairs = 2;
+  opts.traceback = true;
+  BatchScheduler scheduler(&backend, opts);
+  const auto out = scheduler.run(batch);
+  const auto chained = scheduler.chain(id_chain_batch(6));
+
+  const auto shards = gpusim::make_shards(batch, lane_weights(backend), opts.policy, 2);
+  ASSERT_EQ(shards.size(), 9u);
+  EXPECT_EQ(out.schedule.busy_lanes, 3);
+  for (const std::string phase : {"run", "traceback"}) {
+    const auto calls = backend.calls(phase);
+    const auto ids = shard_ids(calls, shards);
+    ASSERT_EQ(ids.size(), shards.size()) << phase;
+    for (int lane = 0; lane < 3; ++lane) {
+      std::vector<std::size_t> expected;
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        if (shards[s].lane == lane) expected.push_back(s);
+      }
+      ASSERT_GE(expected.size(), 2u) << "lane " << lane;
+      std::vector<std::size_t> ran;
+      std::thread::id thread;
+      for (std::size_t c = 0; c < calls.size(); ++c) {
+        if (calls[c].lane != lane) continue;
+        if (ran.empty()) thread = calls[c].thread;
+        EXPECT_EQ(calls[c].thread, thread) << phase << " lane " << lane;
+        ran.push_back(ids[c]);
+      }
+      EXPECT_EQ(ran, expected) << phase << " lane " << lane;
+      EXPECT_NE(thread, std::this_thread::get_id()) << phase << " lane " << lane;
+    }
+  }
+  const auto chain_calls = backend.calls("chain");
+  ASSERT_EQ(chain_calls.size(), 3u);
+  for (const auto& call : chain_calls) EXPECT_NE(call.thread, std::this_thread::get_id());
+
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(out.results[i].score, static_cast<align::Score>(i));
+    EXPECT_EQ(out.traced[i].ref_start, static_cast<std::int32_t>(i));
+  }
+  ASSERT_EQ(chained.items.size(), 6u);
+  for (std::size_t t = 0; t < chained.items.size(); ++t) {
+    EXPECT_EQ(chained.items[t].at(0).score, static_cast<std::int64_t>(t));
+  }
+}
+
+TEST(BatchScheduler, FailingLaneRethrowsAfterTheOtherLanesFinish) {
+  RecordingBackend backend(3, /*failing_lane=*/1, std::chrono::milliseconds(20));
+  const seq::PairBatch batch = id_batch(18);
+  SchedulerOptions opts;
+  opts.max_shard_pairs = 2;
+  try {
+    BatchScheduler(&backend, opts).run(batch);
+    ADD_FAILURE() << "expected lane 1's failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lane 1");
+  }
+  const auto calls = backend.calls("run");
+  const auto shards = gpusim::make_shards(batch, lane_weights(backend), opts.policy, 2);
+  for (int lane : {0, 2}) {
+    std::vector<std::size_t> expected;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      if (shards[s].lane == lane) expected.push_back(s);
+    }
+    std::vector<RecordingBackend::Call> mine;
+    for (const auto& call : calls) {
+      if (call.lane == lane) mine.push_back(call);
+    }
+    EXPECT_EQ(shard_ids(mine, shards), expected) << "lane " << lane;
+  }
 }
 
 TEST(BatchScheduler, ShardExceptionsPropagate) {

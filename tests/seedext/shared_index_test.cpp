@@ -1,10 +1,11 @@
 // seedext::SharedIndex coverage: on-disk round trips (mmap load bit-identical
 // to the in-memory build, file bytes pinned), malformed-file rejection (every
 // header bit), the in-process registry (dedup, stats, weak lifetime,
-// concurrent cold starts of one path), reference sharding (merged lookups and seeds
-// bit-identical to the monolithic index, weighted-LPT lane placement, the
-// 32-bit position limit), and end-to-end SAM byte-identity through
-// ReadMapper for the mmap-backed and sharded seeding paths.
+// concurrent cold starts of one path making one index, a failed cold start
+// reaching every acquirer), reference sharding (merged lookups and seeds
+// bit-identical to the monolithic index, the 32-bit position limit), and
+// end-to-end SAM byte-identity through ReadMapper for the mmap-backed and
+// sharded seeding paths.
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -353,10 +354,10 @@ TEST(SharedIndexRegistry, FileAcquireBuildsOnceThenMapsAndShares) {
 }
 
 TEST(SharedIndexRegistry, ConcurrentColdStartsOfOnePathAllSucceed) {
-  // Acquirers that cold-start one path at once each build and save it
-  // outside the registry lock. Every save must publish a complete file of
-  // its own (no shared temp file to truncate or rename half-written), so
-  // every acquire loads the right index and no temp file is left behind.
+  // Acquirers that cold-start one path at once make it once: the first
+  // builds, saves and maps it while the others wait for its handle. Every
+  // acquire gets the same complete index, the registry counts one build,
+  // one load and a hit per waiter, and no temp file is left behind.
   auto& reg = IndexRegistry::instance();
   const auto genome = fuzz_genome(79, 64 * 1024);
   const int k = 14;
@@ -380,6 +381,7 @@ TEST(SharedIndexRegistry, ConcurrentColdStartsOfOnePathAllSucceed) {
 
   for (int round = 0; round < kRounds; ++round) {
     fs::remove(path);
+    reg.reset_stats();
     std::vector<std::shared_ptr<const SharedIndex>> handles(kThreads);
     std::vector<std::string> errors(kThreads);
     std::latch start(kThreads);
@@ -401,6 +403,7 @@ TEST(SharedIndexRegistry, ConcurrentColdStartsOfOnePathAllSucceed) {
       ASSERT_TRUE(errors[ti].empty()) << "round " << round << ", thread " << t << ": "
                                       << errors[ti];
       ASSERT_NE(handles[ti], nullptr);
+      EXPECT_EQ(handles[ti].get(), handles[0].get()) << "round " << round << ", thread " << t;
       EXPECT_TRUE(handles[ti]->mmap_backed());
       for (const auto& read : reads) {
         EXPECT_EQ(find_seeds(handles[ti]->kmer(), genome, read, params),
@@ -408,11 +411,61 @@ TEST(SharedIndexRegistry, ConcurrentColdStartsOfOnePathAllSucceed) {
             << "round " << round << ", thread " << t;
       }
     }
+    const IndexRegistryStats stats = reg.stats();
+    EXPECT_EQ(stats.builds, 1u) << "round " << round;
+    EXPECT_EQ(stats.loads, 1u) << "round " << round;
+    EXPECT_EQ(stats.hits, static_cast<std::size_t>(kThreads - 1)) << "round " << round;
     for (const auto& entry : fs::directory_iterator(fs::path(path).parent_path())) {
       EXPECT_FALSE(entry.path().filename().string().starts_with(temp_prefix))
           << "left behind: " << entry.path();
     }
   }  // every handle dies here, so the next round cold-starts again
+}
+
+TEST(SharedIndexRegistry, FailedColdStartReachesEveryAcquirerAndRetries) {
+  // A cold start whose save fails (its directory does not exist) must fail
+  // every acquirer of the key, register nothing, and leave the key free, so
+  // once the directory exists the same key builds, saves and maps.
+  auto& reg = IndexRegistry::instance();
+  const auto genome = fuzz_genome(83, 64 * 1024);
+  const int k = 14;
+  const fs::path dir = fs::path(::testing::TempDir()) / "saloba_index_missing_dir";
+  fs::remove_all(dir);
+  const std::string path = (dir / "cold.idx").string();
+  constexpr int kThreads = 4;
+
+  reg.reset_stats();
+  std::vector<std::string> errors(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        reg.acquire_file(path, genome, k);
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(t)] = e.what();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_NE(errors[static_cast<std::size_t>(t)].find("cannot write index temp file"),
+              std::string::npos)
+        << "thread " << t << ": " << errors[static_cast<std::size_t>(t)];
+  }
+  EXPECT_EQ(reg.stats().builds, 0u);
+  EXPECT_EQ(reg.stats().loads, 0u);
+  EXPECT_EQ(reg.stats().hits, 0u);
+
+  fs::create_directories(dir);
+  auto handle = reg.acquire_file(path, genome, k);
+  ASSERT_NE(handle, nullptr);
+  EXPECT_TRUE(handle->mmap_backed());
+  EXPECT_EQ(reg.stats().builds, 1u);
+  EXPECT_EQ(reg.stats().loads, 1u);
+  handle.reset();
+  fs::remove_all(dir);
 }
 
 TEST(ShardedIndex, LookupBitIdenticalToMonolithicAcrossShardCounts) {
@@ -489,25 +542,6 @@ TEST(ShardedIndexDeath, RejectsReferencePast32BitPositions) {
   options.shards = 4;
   EXPECT_DEATH(ShardedKmerIndex(genome, 15, options), "overflows the index's 32-bit positions");
   munmap(mem, bases);
-}
-
-TEST(ShardedIndex, WeightedLptPlacementSkewsTowardFastLanes) {
-  auto genome = fuzz_genome(97, 40000);
-  IndexShardingOptions options;
-  options.shards = 8;
-  options.lane_weights = {3.0, 1.0};
-  ShardedKmerIndex sharded(genome, 16, options);
-  auto loads = sharded.lane_loads();
-  ASSERT_EQ(loads.size(), 2u);
-  EXPECT_GT(loads[0], 0.0);
-  EXPECT_GT(loads[1], 0.0);
-  // The 3x lane should carry roughly 3x the window bases (equal shard sizes
-  // make LPT land 6/2 of 8 shards).
-  EXPECT_GT(loads[0], 2.0 * loads[1]);
-  for (const auto& s : sharded.shards()) {
-    EXPECT_GE(s.lane, 0);
-    EXPECT_LT(s.lane, 2);
-  }
 }
 
 TEST(ShardedIndex, PersistedShardsRoundTripThroughRegistry) {
@@ -605,7 +639,6 @@ TEST_F(EndToEnd, ShardedMapperEmitsIdenticalSamBytes) {
 
   MapperParams sharded;
   sharded.index_shards = 3;
-  sharded.index_lane_weights = {2.0, 1.0};
   EXPECT_EQ(sam_of(ReadMapper(genome, sharded)), want);
 
   // Sharded + persisted sub-indices (the mmap'd sharded cold/warm start).
