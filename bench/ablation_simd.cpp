@@ -2,13 +2,14 @@
 // speedup in the repo. An asserting harness — CI runs `ablation_simd
 // --quick` — that puts a HostBackend lane (the inter-sequence SIMD engine)
 // against the scalar oracles on the same medium-read batch, for the score
-// pass (align::align_batch) and for the traceback phase (run_traceback: the
-// checkpointed SIMD cohort pass vs a per-pair align::banded_traceback loop),
+// pass (run vs align::align_batch) and for traced alignment (run_traced:
+// the checkpointed SIMD cohort pass vs a per-pair align::banded_traceback
+// loop; each produces every pair's end and trace from one forward sweep),
 // and requires:
 //
 //   1. bit-identical results (scores, endpoints) and cell counts from the
-//      score pass, and bit-identical traces (CIGARs, start coordinates)
-//      from the traceback phase,
+//      score pass, and bit-identical ends, forward cells and traces
+//      (CIGARs, start coordinates) from the traced runs,
 //   2. when the AVX2 kernels are dispatched, a strict >= 2x wall-clock win
 //      in each section (on the generic-fallback build only identity is
 //      asserted — the portable kernels exist for correctness, not speed),
@@ -41,23 +42,22 @@ bool check(bool ok, const char* what) {
 
 struct ScalarTraces {
   std::vector<align::TracedAlignment> traced;
-  std::size_t cells = 0;  ///< the engine's forward + replay cells
+  std::size_t forward_cells = 0;
+  std::size_t replay_cells = 0;
 };
 
-/// The scalar traceback phase: align::banded_traceback per pair with the
-/// pair's band, skipping zero-score pairs as run_traceback does.
-ScalarTraces scalar_traceback(const seq::PairBatch& batch,
-                              const std::vector<align::AlignmentResult>& ends,
-                              const align::ScoringScheme& scoring) {
+/// The scalar traced run: align::banded_traceback per pair with the pair's
+/// band, each run's forward sweep settling the pair's end.
+ScalarTraces scalar_traceback(const seq::PairBatch& batch, const align::ScoringScheme& scoring) {
   ScalarTraces out;
   out.traced.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (ends[i].score <= 0) continue;
     align::TracebackParams params;
     params.band = batch.band_of(i);
     auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
     out.traced[i] = std::move(r.traced);
-    out.cells += r.stats.cells();
+    out.forward_cells += r.stats.forward_cells;
+    out.replay_cells += r.stats.replay_cells;
   }
   return out;
 }
@@ -134,30 +134,34 @@ int main(int argc, char** argv) {
   std::printf("  measured speedup  : %9.2fx  (8-bit %zu, 16-bit %zu, int32 %zu)\n\n",
               speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit);
 
-  // --- 3. Traceback phase: identical traces, measured wall-clock -----------
-  const ScalarTraces tb_scalar = scalar_traceback(batch, scalar_out, scoring);
-  const auto tb_simd = simd.run_traceback(batch, scalar_out, 0);
+  // --- 3. Traced runs: identical ends and traces, measured wall-clock -----
+  const ScalarTraces tb_scalar = scalar_traceback(batch, scoring);
+  const core::TracedRun tb_simd = simd.run_traced(batch, 0);
   std::size_t tb_identical = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    tb_identical += tb_scalar.traced[i] == tb_simd.items[i];
+    tb_identical += tb_scalar.traced[i] == tb_simd.trace.items[i] &&
+                    tb_simd.score.items[i] == scalar_out[i];
   }
   ok &= check(tb_identical == batch.size(),
-              "SIMD traceback (CIGARs + starts) bit-identical to align::banded_traceback");
-  const double tb_scalar_ms =
-      min_ms(reps, [&] { scalar_traceback(batch, scalar_out, scoring); });
-  const double tb_simd_ms =
-      min_ms(reps, [&] { simd.run_traceback(batch, scalar_out, 0); });
+              "SIMD traced run (ends, CIGARs, starts) bit-identical to align::banded_traceback");
+  ok &= check(tb_simd.score.work == tb_scalar.forward_cells &&
+                  tb_scalar.forward_cells == scalar_timing.cells,
+              "one forward sweep per pair: traced cells equal align::align_batch's");
+  const double tb_scalar_ms = min_ms(reps, [&] { scalar_traceback(batch, scoring); });
+  const double tb_simd_ms = min_ms(reps, [&] { simd.run_traced(batch, 0); });
   const double tb_speedup = tb_scalar_ms / std::max(tb_simd_ms, 1e-9);
-  std::printf("  traceback, scalar : %9.3f ms  (%.1f M engine cells)\n", tb_scalar_ms,
-              static_cast<double>(tb_scalar.cells) / 1e6);
-  std::printf("  traceback, SIMD   : %9.3f ms  (%.1f M engine cells)\n", tb_simd_ms,
-              static_cast<double>(tb_simd.work) / 1e6);
-  std::printf("  traceback speedup : %9.2fx\n\n", tb_speedup);
+  std::printf("  traced, scalar    : %9.3f ms  (%.1f M forward + %.1f M replayed cells)\n",
+              tb_scalar_ms, static_cast<double>(tb_scalar.forward_cells) / 1e6,
+              static_cast<double>(tb_scalar.replay_cells) / 1e6);
+  std::printf("  traced, SIMD      : %9.3f ms  (%.1f M forward + %.1f M replayed cells)\n",
+              tb_simd_ms, static_cast<double>(tb_simd.score.work) / 1e6,
+              static_cast<double>(tb_simd.trace.work) / 1e6);
+  std::printf("  traced speedup    : %9.2fx\n\n", tb_speedup);
 
   if (avx2) {
     ok &= check(speedup >= 2.0, ">= 2x measured wall-clock win over align::align_batch");
     ok &= check(tb_speedup >= 2.0,
-                ">= 2x measured traceback-phase wall-clock win over align::banded_traceback");
+                ">= 2x measured traced-run wall-clock win over align::banded_traceback");
   } else {
     std::printf("note: AVX2 unavailable (generic fallback) — asserting identity only.\n");
   }

@@ -3,7 +3,9 @@
 // Asserting harness (the CI smoke contract):
 //   1. Turning the traceback phase on changes nothing about the score pass:
 //      AlignOutput::results identical with and without it, on the CPU
-//      backend and on a simulated kernel.
+//      backend (whose traced run takes its results from the traced sweep
+//      itself, so this checks that one wave against a score-only run) and
+//      on a simulated kernel.
 //   2. Every traced endpoint equals its score-pass result and the SAM
 //      records the batched pipeline emits are byte-identical to the legacy
 //      per-read full-matrix recompute.

@@ -178,13 +178,9 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
 }
 
 std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
-                                         std::span<const AlignmentResult> ends,
                                          const ScoringScheme& scoring, TraceStats* stats,
                                          int threads, std::size_t checkpoint_rows) {
   SALOBA_CHECK(scoring.valid());
-  SALOBA_CHECK_MSG(ends.size() == batch.size(), "trace_batch got " << ends.size()
-                                                    << " score results for a " << batch.size()
-                                                    << "-pair batch");
   const std::size_t n_pairs = batch.size();
   std::vector<TracedAlignment> traced(n_pairs);
   std::vector<std::size_t> forward(n_pairs, 0), replay(n_pairs, 0);
@@ -193,15 +189,15 @@ std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
   const bool use_avx2 = compiled_with_avx2() && cpu_supports_avx2();
   TraceStats local;
 
-  // Route: zero-score pairs keep the empty trace; pairs beyond the 16-bit
-  // index guard, or whose cohort working set alone would exceed the cap,
-  // go to the scalar engine; everything else enters the 8-bit traced pass.
+  // Route: empty pairs keep the empty trace; pairs beyond the 16-bit index
+  // guard, or whose cohort working set alone would exceed the cap, go to
+  // the scalar engine; everything else enters the 8-bit traced pass.
   std::vector<std::size_t> vec_pairs, scalar_pairs;
   for (std::size_t p = 0; p < n_pairs; ++p) {
-    if (ends[p].score <= 0) continue;
-    ++local.pairs;
     const std::size_t n = batch.refs[p].size();
     const std::size_t m = batch.queries[p].size();
+    if (n == 0 || m == 0) continue;
+    ++local.pairs;
     if (std::max(n, m) > detail::kMaxSimdLen ||
         detail::trace_cohort_bytes(n, m, checkpoint_block_rows(n, checkpoint_rows)) >
             detail::kMaxTraceCohortBytes) {
@@ -219,7 +215,6 @@ std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
   req.overflowed = &overflowed;
   req.threads = threads;
   req.traced = &traced;
-  req.ends = ends;
   req.replay_cells = &replay;
   req.checkpoint_rows = checkpoint_rows;
   const std::vector<std::size_t> saturated =
@@ -235,9 +230,6 @@ std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
         params.band = batch.band_of(p);
         params.checkpoint_rows = checkpoint_rows;
         TracebackResult r = banded_traceback(batch.refs[p], batch.queries[p], scoring, params);
-        SALOBA_CHECK_MSG(r.traced.end == ends[p],
-                         "pair " << p << ": traceback ends at " << format_result(r.traced.end)
-                                 << ", score pass at " << format_result(ends[p]));
         traced[p] = std::move(r.traced);
         forward[p] = r.stats.forward_cells;
         replay[p] = r.stats.replay_cells;

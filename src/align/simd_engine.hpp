@@ -13,9 +13,9 @@
 // the int32 path, smith_waterman_banded (whose band 0 is the full table).
 //
 // trace_batch is the same ladder in traced mode: one checkpointed cohort
-// pass per width produces every lane's CIGAR (bit-identical to
-// align::banded_traceback), and align::banded_traceback itself is the int32
-// rung.
+// pass per width produces every lane's end (align_batch's) and CIGAR
+// (bit-identical to align::banded_traceback) from one forward sweep, and
+// align::banded_traceback itself is the int32 rung.
 //
 // ISA selection is a runtime decision: when the build enables AVX2
 // (SALOBA_SIMD_AVX2) and the CPU reports it, the intrinsic kernels from
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "align/alignment_result.hpp"
@@ -65,34 +64,32 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
 
 /// Per-call telemetry of trace_batch.
 struct TraceStats {
-  std::size_t pairs = 0;          ///< pairs traced (positive score-pass result)
+  std::size_t pairs = 0;          ///< non-empty pairs swept
   std::size_t pairs_8bit = 0;     ///< traced by the 8-bit cohort pass
   std::size_t rescued_16bit = 0;  ///< traced by the 16-bit rescue pass
   /// Traced by align::banded_traceback: oversize pairs, pairs whose cohort
   /// working set alone would exceed the cap, and 16-bit saturations.
   std::size_t scalar_pairs = 0;
-  /// In-band cells of the forward sweeps — the score pass's count for the
-  /// traced pairs.
+  /// In-band cells of the forward sweeps: align_batch's count for the same
+  /// batch.
   std::size_t forward_cells = 0;
   /// In-band cells re-derived for the walks (at most forward_cells).
   std::size_t replay_cells = 0;
-
-  std::size_t cells() const { return forward_cells + replay_cells; }
 };
 
-/// Traces every pair of `batch` whose score-pass result in `ends` (size ==
-/// batch.size()) is positive; other pairs get the empty TracedAlignment.
-/// Cohorts of 32 (8-bit) or 16 (16-bit rescue) pairs run the checkpointed
-/// traced kernel: a forward sweep saving H/F every K rows, then bottom-up
-/// K-row block replays storing per-cell flag bytes that each lane walks.
-/// K = `checkpoint_rows`, or ~sqrt(rows) when 0 (align::TracebackParams
-/// semantics). Per-pair bands mirror the score pass, whose endpoints every
-/// forward sweep must reproduce (a CHECK). Traces are bit-identical to
-/// align::banded_traceback with the same band and checkpoint_rows,
-/// deterministic and in input order. `threads` caps host threads across
-/// cohorts (0 = default team).
+/// Aligns and traces every pair of `batch` in one forward sweep per pair:
+/// each TracedAlignment's `end` is align_batch's result for that pair, and
+/// its start coordinates and CIGAR are bit-identical to
+/// align::banded_traceback with the same band and checkpoint_rows. Empty
+/// and zero-score pairs get the empty TracedAlignment. Cohorts of 32
+/// (8-bit) or 16 (16-bit rescue) pairs run the checkpointed traced kernel:
+/// a forward sweep saving H/F every K rows, then bottom-up K-row block
+/// replays storing per-cell flag bytes that each lane walks. K =
+/// `checkpoint_rows`, or ~sqrt(rows) when 0 (align::TracebackParams
+/// semantics). Per-pair bands come from the batch. Output is deterministic
+/// and in input order. `threads` caps host threads across cohorts (0 =
+/// default team).
 std::vector<TracedAlignment> trace_batch(const seq::PairBatch& batch,
-                                         std::span<const AlignmentResult> ends,
                                          const ScoringScheme& scoring,
                                          TraceStats* stats = nullptr, int threads = 0,
                                          std::size_t checkpoint_rows = 0);

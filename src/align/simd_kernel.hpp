@@ -28,7 +28,9 @@
 // lane-width slot, so the 16-bit rescue keeps it in each lane's low byte —
 // and every lane walks its own path (align::TraceWalk) through the block in
 // memory. The forward sweep and the replays run the score pass's row body;
-// only the flag stores are switched on at compile time.
+// only the flag stores are switched on at compile time. So the forward
+// sweep settles each lane's end and cell count exactly as the score pass
+// does, and a traced pair needs no score pass of its own.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +42,6 @@
 #include "align/scoring.hpp"
 #include "align/traceback_engine.hpp"
 #include "seq/sequence.hpp"
-#include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace saloba::align::simd::detail {
@@ -84,10 +85,8 @@ struct PassRequest {
   int threads = 0;
 
   // --- Traced mode (set `traced` to select it) -----------------------------
+  /// Each settled pair's trace, its `end` the forward sweep's best cell.
   std::vector<TracedAlignment>* traced = nullptr;
-  /// The score pass's result per batch pair; each traced pair's forward
-  /// sweep must reproduce it.
-  std::span<const AlignmentResult> ends;
   std::vector<std::size_t>* replay_cells = nullptr;  ///< in-band cells replayed
   std::size_t checkpoint_rows = 0;                   ///< K (0 = ~sqrt(rows))
 };
@@ -131,10 +130,11 @@ class CohortKernel {
     }
   }
 
-  /// Traced mode: the forward sweep snapshots H/F every `block_rows` rows;
-  /// then, bottom-up, each block some lane's walk still needs is replayed
-  /// from its snapshot (rows up to the deepest such walk) with flag stores
-  /// on, and every lane walks through it.
+  /// Traced mode: the forward sweep snapshots H/F every `block_rows` rows
+  /// and settles each lane's best cell exactly as run_cohort does; then,
+  /// bottom-up, each block some lane's walk still needs is replayed from its
+  /// snapshot (rows up to the deepest such walk) with flag stores on, and
+  /// every lane walks through it. A lane whose best is zero walks nothing.
   static void trace_cohort(const PassRequest& req, std::span<const std::size_t> lane_pairs,
                            std::size_t block_rows) {
     Cohort c(req, lane_pairs);
@@ -155,15 +155,10 @@ class CohortKernel {
 
     TraceWalk walks[kW];
     for (std::size_t l = 0; l < lane_pairs.size(); ++l) {
-      const std::size_t p = lane_pairs[l];
       if (ends.overflow[l]) {
-        (*req.overflowed)[p] = 1;
+        (*req.overflowed)[lane_pairs[l]] = 1;
         continue;
       }
-      SALOBA_CHECK_MSG(ends.best[l] == req.ends[p],
-                       "pair " << p << ": traced forward sweep ends at "
-                               << format_result(ends.best[l]) << ", score pass at "
-                               << format_result(req.ends[p]));
       walks[l] = TraceWalk(ends.best[l]);
     }
 

@@ -61,9 +61,10 @@ struct SessionStats {
   /// split by the tenants' in-band DP-cell shares of that batch.
   double align_ms = 0.0;
   std::size_t cells = 0;  ///< the tenant's in-band DP cells (the share basis)
-  /// Traceback phase (two-phase runs only): each merged batch's
-  /// AlignOutput::traceback_ms / traceback_cells split by the same cell
-  /// share as align_ms.
+  /// Traced runs only: each merged batch's AlignOutput::traceback_ms /
+  /// traceback_cells — the time and cells its traces took beyond align_ms
+  /// and cells (on the host: 0 ms and the replayed cells) — split by the
+  /// same cell share as align_ms.
   double traceback_ms = 0.0;
   std::size_t traceback_cells = 0;
   /// submit-to-delivery latency quantiles over the latest 4,096 delivered
@@ -93,8 +94,9 @@ struct ServiceStats {
   /// wall-clock on host backends, modeled ms on simulated devices).
   double align_ms = 0.0;
   double gcups = 0.0;  ///< cells / align_ms — the aggregate-throughput figure
-  /// Traceback phase (two-phase runs only): the merged batches'
-  /// AlignOutput::traceback_ms and traceback_cells, summed.
+  /// Traced runs only: the merged batches' AlignOutput::traceback_ms and
+  /// traceback_cells, summed (align_ms + traceback_ms is the whole align
+  /// time, cells + traceback_cells every cell computed).
   double traceback_ms = 0.0;
   std::size_t traceback_cells = 0;
   /// How the merged batches ran, serialized: shards and per-lane busy ms
@@ -118,7 +120,7 @@ struct ServiceStats {
 struct SessionResult {
   std::size_t first_pair = 0;
   std::vector<align::AlignmentResult> results;
-  /// Two-phase runs only (AlignerOptions::traceback): one traced alignment
+  /// Traced runs only (AlignerOptions::traceback): one traced alignment
   /// per result, same indexing.
   std::vector<align::TracedAlignment> traced;
 };

@@ -6,7 +6,8 @@
 //
 // Switching `opts.backend` to kSimulated runs the same batch through any of
 // the reproduced GPU kernels on a simulated device and reports simulated
-// kernel time plus the execution counters behind it. Setting `opts.devices`
+// kernel time plus the execution counters behind it. `opts.traceback` adds
+// one traced alignment per pair (AlignOutput::traced) to every run. Setting `opts.devices`
 // above 1 makes the BatchScheduler pack the batch into one sub-batch per
 // device (`opts.split_policy`) and run the devices concurrently, one host
 // task per busy device (Sec. VII-C), merging results back in input order.
@@ -52,14 +53,17 @@ class Aligner {
   /// Adapter for pipeline stages (seedext::BatchExtender-compatible):
   /// aligns batches through this aligner's scheduler and returns just the
   /// per-pair results. The aligner must outlive the returned function.
-  /// Note: on a traceback-enabled aligner this still runs (and discards)
-  /// the traceback phase per batch — pipelines that only need traces for a
-  /// later stage should keep a separate score-only aligner for extension.
+  /// Note: on a traceback-enabled aligner every batch runs traced and the
+  /// traces are discarded — the block replays on the host, the whole
+  /// functional trace phase on simulated devices — so pipelines that only
+  /// need traces for a later stage should keep a separate score-only
+  /// aligner for extension.
   std::function<std::vector<align::AlignmentResult>(const seq::PairBatch&)> batch_extender();
 
-  /// Two-phase adapter (seedext::TracedBatchExtender-compatible): runs the
-  /// score pass plus the batched traceback phase and returns one
-  /// TracedAlignment per pair. Requires AlignerOptions::traceback = true
+  /// Traced adapter (seedext::TracedBatchExtender-compatible): runs the
+  /// batch traced — on the host one DP sweep per pair, its results taken
+  /// from the traces — and returns one TracedAlignment per pair, `end`
+  /// holding the pair's result. Requires AlignerOptions::traceback = true
   /// (throws std::invalid_argument otherwise); the aligner must outlive the
   /// returned function.
   std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)> traced_extender();

@@ -60,90 +60,44 @@ std::uint64_t xdrop_traffic_bytes(std::uint64_t cells, std::size_t bases) {
   return cells * 16 + static_cast<std::uint64_t>(bases);
 }
 
-/// X-drop wavefront score pass over the routed pairs, host-parallel.
-/// `results[k]` belongs to batch pair `routed[k]`.
-struct LongReadPhase {
-  std::vector<align::AlignmentResult> results;
-  gpusim::PhaseCost cost;  ///< wavefront cells and modeled traffic
-  double wall_ms = 0.0;
-};
-
-LongReadPhase score_longread(const seq::PairBatch& batch,
-                             std::span<const std::size_t> routed,
-                             const align::ScoringScheme& scoring, align::Score xdrop,
-                             int threads) {
-  util::Timer timer;
-  LongReadPhase out;
-  out.results.resize(routed.size());
-  std::vector<align::WavefrontStats> stats(routed.size());
-  util::parallel_for_indexed(
-      routed.size(),
-      [&](std::size_t k) {
-        const std::size_t i = routed[k];
-        out.results[k] = align::xdrop_wavefront_score(
-            batch.refs[i], batch.queries[i], scoring, align::XDropParams{xdrop}, &stats[k]);
-      },
-      threads);
-  for (std::size_t k = 0; k < routed.size(); ++k) {
-    const std::size_t i = routed[k];
-    out.cost.work += stats[k].cells;
-    out.cost.bytes += xdrop_traffic_bytes(stats[k].cells,
-                                          batch.refs[i].size() + batch.queries[i].size());
+/// The body every backend's run() and HostBackend::run_traced() share: the
+/// pairs in `routed` (ascending) go to `run_routed(k)` for routed[k],
+/// host-parallel, and the rest to `run_engine` as one batch — the whole
+/// batch, uncopied, when nothing is routed; skipped when nothing is left.
+/// Returns the engine's output (its time, work and modeled counters as it
+/// reported them) with every pair's item in input order.
+template <typename Item, typename RunEngine, typename RunRouted>
+PhaseOutput<Item> run_split(const seq::PairBatch& batch, std::span<const std::size_t> routed,
+                            int threads, RunEngine&& run_engine, RunRouted&& run_routed) {
+  if (routed.empty()) return run_engine(batch);
+  const RestSplit rest = split_rest(batch, routed);
+  PhaseOutput<Item> out;
+  if (!rest.indices.empty()) out = run_engine(rest.batch);
+  std::vector<Item> items(batch.size());
+  for (std::size_t k = 0; k < rest.indices.size(); ++k) {
+    items[rest.indices[k]] = std::move(out.items[k]);
   }
-  out.wall_ms = timer.millis();
+  util::parallel_for_indexed(
+      routed.size(), [&](std::size_t k) { items[routed[k]] = run_routed(k); }, threads);
+  out.items = std::move(items);
   return out;
 }
 
-/// run() body shared by all backends: pairs an enabled `policy` routes go
-/// through the wavefront phase, the rest through `run_engine` (skipped when
-/// empty; its kernel stats and breakdown carried through), merged back into
-/// input order. With nothing routed the whole batch goes to `run_engine`
-/// uncopied and the phase is empty. The caller owns how the long-read phase
-/// is *costed* — hosts add its wall-clock, the simulated backend charges a
-/// modeled estimate — so only results and cells are merged here.
-template <typename RunEngine>
-std::pair<PhaseOutput<align::AlignmentResult>, LongReadPhase> run_with_longread(
-    const seq::PairBatch& batch, const LongReadPolicy& policy,
-    const align::ScoringScheme& scoring, int threads, RunEngine&& run_engine) {
-  const std::vector<std::size_t> routed = longread_routed(batch, policy);
-  if (routed.empty()) return {run_engine(batch), LongReadPhase{}};
-  const RestSplit rest = split_rest(batch, routed);
-  PhaseOutput<align::AlignmentResult> out;
-  out.items.resize(batch.size());
-  if (!rest.indices.empty()) {
-    PhaseOutput<align::AlignmentResult> rest_out = run_engine(rest.batch);
-    for (std::size_t k = 0; k < rest.indices.size(); ++k) {
-      out.items[rest.indices[k]] = rest_out.items[k];
-    }
-    out.time_ms = rest_out.time_ms;
-    out.work = rest_out.work;
-    out.kernel_stats = std::move(rest_out.kernel_stats);
-    out.time_breakdown = rest_out.time_breakdown;
-  }
-  LongReadPhase lr = score_longread(batch, routed, scoring, policy.xdrop, threads);
-  for (std::size_t k = 0; k < routed.size(); ++k) {
-    out.items[routed[k]] = lr.results[k];
-  }
-  out.work += lr.cost.work;
-  return {std::move(out), std::move(lr)};
-}
-
-/// Shared traceback-phase body of every backend: every pair with a non-zero
-/// score-pass result is traced, host-parallel, output order matching input
-/// order. Pairs an enabled `longread` policy routes go through the X-drop
-/// wavefront's checkpointed traceback (same xdrop as their score pass, so
-/// endpoints agree); their cells — the traced forward sweep plus the block
-/// replays — and traffic are attributed separately. The rest go through the
-/// banded linear-memory engine, whose endpoints reproduce the banded score
-/// pass: align::banded_traceback per pair, whose TracebackStats price the
-/// simulated backend's modeled traffic, or with `cohorts` the checkpointed
-/// SIMD cohort pass (align::simd::trace_batch), which traces identically but
-/// prices no modeled traffic.
+/// The simulated backend's functional trace phase: every pair with a
+/// non-zero score-pass result is traced, host-parallel, output order
+/// matching input order (a zero result means the empty local alignment,
+/// which is the empty trace). Pairs an enabled `longread` policy routes go
+/// through the X-drop wavefront's checkpointed traceback (same xdrop as
+/// their score pass, so endpoints agree); their cells — the traced forward
+/// sweep plus the block replays — and traffic are attributed separately.
+/// The rest go through align::banded_traceback at their band, whose
+/// endpoints reproduce the banded score pass and whose TracebackStats price
+/// the modeled traffic.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
   gpusim::PhaseCost traceback;  ///< the banded linear-memory engine's share
   /// Routed long-read pairs' share, attributed apart from the banded
-  /// engine so the simulated backend can model the two phases separately.
+  /// engine so the two phases are modeled separately.
   gpusim::PhaseCost xdrop;
 
   std::size_t cells() const { return traceback.work + xdrop.work; }
@@ -151,57 +105,33 @@ struct EnginePhase {
 
 EnginePhase trace_phase(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
-                        const align::ScoringScheme& scoring, int threads,
-                        const LongReadPolicy& longread, bool cohorts) {
-  SALOBA_CHECK_MSG(results.size() == batch.size(),
-                   "traceback got " << results.size() << " score results for a "
-                                    << batch.size() << "-pair batch");
+                        const align::ScoringScheme& scoring, const LongReadPolicy& longread) {
   EnginePhase out;
   out.traced.resize(batch.size());
   std::vector<std::size_t> cells(batch.size(), 0);
   std::vector<std::size_t> bytes(batch.size(), 0);
   std::vector<char> is_xdrop(batch.size(), 0);
-  // The ends the SIMD cohort pass traces: the score pass's, minus routed pairs.
-  std::vector<align::AlignmentResult> simd_ends;
-  if (cohorts) simd_ends.assign(results.begin(), results.end());
-  util::parallel_for_indexed(
-      batch.size(),
-      [&](std::size_t i) {
-        // A zero score pass means the empty local alignment — the engine
-        // would re-derive exactly that, so skip the sweep.
-        if (results[i].score <= 0) return;
-        if (longread.routes(batch.refs[i].size(), batch.queries[i].size())) {
-          align::WavefrontStats stats;
-          out.traced[i] = align::xdrop_wavefront_align(
-              batch.refs[i], batch.queries[i], scoring,
-              align::XDropParams{longread.xdrop}, &stats);
-          cells[i] = stats.cells + stats.traceback_cells;
-          bytes[i] = xdrop_traffic_bytes(cells[i],
-                                         batch.refs[i].size() + batch.queries[i].size());
-          is_xdrop[i] = 1;
-          if (cohorts) simd_ends[i] = align::AlignmentResult{};
-          return;
-        }
-        if (cohorts) return;
-        align::TracebackParams params;
-        params.band = batch.band_of(i);
-        auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
-        out.traced[i] = std::move(r.traced);
-        cells[i] = r.stats.cells();
-        bytes[i] = r.stats.traffic_bytes;
-      },
-      threads);
+  util::parallel_for_indexed(batch.size(), [&](std::size_t i) {
+    if (results[i].score <= 0) return;
+    if (longread.routes(batch.refs[i].size(), batch.queries[i].size())) {
+      align::WavefrontStats stats;
+      out.traced[i] = align::xdrop_wavefront_align(batch.refs[i], batch.queries[i], scoring,
+                                                   align::XDropParams{longread.xdrop}, &stats);
+      cells[i] = stats.cells + stats.traceback_cells;
+      bytes[i] =
+          xdrop_traffic_bytes(cells[i], batch.refs[i].size() + batch.queries[i].size());
+      is_xdrop[i] = 1;
+      return;
+    }
+    align::TracebackParams params;
+    params.band = batch.band_of(i);
+    auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
+    out.traced[i] = std::move(r.traced);
+    cells[i] = r.stats.cells();
+    bytes[i] = r.stats.traffic_bytes;
+  });
   for (std::size_t i = 0; i < batch.size(); ++i) {
     (is_xdrop[i] ? out.xdrop : out.traceback) += gpusim::PhaseCost{cells[i], bytes[i]};
-  }
-  if (cohorts) {
-    align::simd::TraceStats stats;
-    std::vector<align::TracedAlignment> traced =
-        align::simd::trace_batch(batch, simd_ends, scoring, &stats, threads);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (simd_ends[i].score > 0) out.traced[i] = std::move(traced[i]);
-    }
-    out.traceback.work += stats.cells();
   }
   return out;
 }
@@ -262,29 +192,57 @@ HostBackend::HostBackend(align::ScoringScheme scoring, int threads, LongReadPoli
 
 PhaseOutput<align::AlignmentResult> HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  auto [out, lr] = run_with_longread(
-      batch, longread_, scoring_, threads_, [&](const seq::PairBatch& b) {
+  util::Timer timer;
+  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
+  std::vector<align::WavefrontStats> wavefront(routed.size());
+  PhaseOutput<align::AlignmentResult> out = run_split<align::AlignmentResult>(
+      batch, routed, threads_,
+      [&](const seq::PairBatch& b) {
         align::simd::EngineStats stats;
         PhaseOutput<align::AlignmentResult> engine_out;
         engine_out.items = align::simd::align_batch(b, scoring_, &stats, threads_);
-        engine_out.time_ms = stats.wall_ms;
         engine_out.work = stats.cells;
         return engine_out;
+      },
+      [&](std::size_t k) {
+        const std::size_t i = routed[k];
+        return align::xdrop_wavefront_score(batch.refs[i], batch.queries[i], scoring_,
+                                            align::XDropParams{longread_.xdrop}, &wavefront[k]);
       });
-  out.time_ms += lr.wall_ms;
-  return std::move(out);
+  for (const align::WavefrontStats& stats : wavefront) out.work += stats.cells;
+  out.time_ms = timer.millis();
+  return out;
 }
 
-PhaseOutput<align::TracedAlignment> HostBackend::run_traceback(
-    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
+TracedRun HostBackend::run_traced(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase =
-      trace_phase(batch, results, scoring_, threads_, longread_, /*cohorts=*/true);
-  PhaseOutput<align::TracedAlignment> out;
-  out.items = std::move(phase.traced);
-  out.work = phase.cells();
-  out.time_ms = timer.millis();
+  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
+  std::vector<align::WavefrontStats> wavefront(routed.size());
+  align::simd::TraceStats stats;
+  TracedRun out;
+  out.trace = run_split<align::TracedAlignment>(
+      batch, routed, threads_,
+      [&](const seq::PairBatch& b) {
+        PhaseOutput<align::TracedAlignment> engine_out;
+        engine_out.items = align::simd::trace_batch(b, scoring_, &stats, threads_);
+        return engine_out;
+      },
+      [&](std::size_t k) {
+        const std::size_t i = routed[k];
+        return align::xdrop_wavefront_align(batch.refs[i], batch.queries[i], scoring_,
+                                            align::XDropParams{longread_.xdrop}, &wavefront[k]);
+      });
+  // The forward sweeps are run()'s; only the replays are the trace's own.
+  out.score.work = stats.forward_cells;
+  out.trace.work = stats.replay_cells;
+  for (const align::WavefrontStats& s : wavefront) {
+    out.score.work += s.cells;
+    out.trace.work += s.traceback_cells;
+  }
+  out.score.items.reserve(batch.size());
+  for (const align::TracedAlignment& t : out.trace.items) out.score.items.push_back(t.end);
+  out.score.time_ms = timer.millis();
   return out;
 }
 
@@ -349,8 +307,11 @@ PhaseOutput<align::AlignmentResult> SimulatedGpuBackend::run(const seq::PairBatc
   // The kernel on this lane's device for the classic pairs; the functional
   // wavefront pass on the host for routed ones (the sweep is
   // backend-independent)...
-  auto [out, lr] = run_with_longread(
-      batch, longread_, scoring_, /*threads=*/0, [&](const seq::PairBatch& b) {
+  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
+  std::vector<align::WavefrontStats> wavefront(routed.size());
+  PhaseOutput<align::AlignmentResult> out = run_split<align::AlignmentResult>(
+      batch, routed, /*threads=*/0,
+      [&](const seq::PairBatch& b) {
         kernels::KernelResult kr = kernel_->run(dev, b, scoring_);
         PhaseOutput<align::AlignmentResult> engine_out;
         engine_out.items = std::move(kr.results);
@@ -359,29 +320,40 @@ PhaseOutput<align::AlignmentResult> SimulatedGpuBackend::run(const seq::PairBatc
         engine_out.kernel_stats = kr.stats;
         engine_out.time_breakdown = kr.time;
         return engine_out;
+      },
+      [&](std::size_t k) {
+        const std::size_t i = routed[k];
+        return align::xdrop_wavefront_score(batch.refs[i], batch.queries[i], scoring_,
+                                            align::XDropParams{longread_.xdrop}, &wavefront[k]);
       });
-  // ...then the routed phase's modeled cost on this lane's device replaces
-  // its host wall-clock (a no-op when nothing was routed).
-  charge_phase(out, dev, gpusim::Phase::kXdrop, lr.cost);
-  return std::move(out);
+  // ...then the routed pairs' modeled cost on this lane's device (a no-op
+  // when nothing was routed).
+  gpusim::PhaseCost xdrop;
+  for (std::size_t k = 0; k < routed.size(); ++k) {
+    const std::size_t i = routed[k];
+    xdrop += gpusim::PhaseCost{
+        wavefront[k].cells,
+        xdrop_traffic_bytes(wavefront[k].cells, batch.refs[i].size() + batch.queries[i].size())};
+  }
+  out.work += xdrop.work;
+  charge_phase(out, dev, gpusim::Phase::kXdrop, xdrop);
+  return out;
 }
 
-PhaseOutput<align::TracedAlignment> SimulatedGpuBackend::run_traceback(
-    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  // Functional pass on the host (traced endpoints match the kernels
-  // bit-for-bit; routed long-read pairs mirror their wavefront score pass
-  // instead)...
-  EnginePhase phase =
-      trace_phase(batch, results, scoring_, /*threads=*/0, longread_, /*cohorts=*/false);
-  PhaseOutput<align::TracedAlignment> out;
-  out.items = std::move(phase.traced);
-  out.work = phase.cells();
+TracedRun SimulatedGpuBackend::run_traced(const seq::PairBatch& batch, int lane) {
+  TracedRun out;
+  out.score = run(batch, lane);
+  // The functional trace phase on the host (traced endpoints match the
+  // kernels bit-for-bit; routed long-read pairs mirror their wavefront
+  // score pass instead)...
+  EnginePhase phase = trace_phase(batch, out.score.items, scoring_, longread_);
+  out.trace.items = std::move(phase.traced);
+  out.trace.work = phase.cells();
   // ...then each engine's modeled cost on this lane's device, attributed
   // apart (Phase::kTraceback vs Phase::kXdrop).
   const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  charge_phase(out, dev, gpusim::Phase::kTraceback, phase.traceback);
-  charge_phase(out, dev, gpusim::Phase::kXdrop, phase.xdrop);
+  charge_phase(out.trace, dev, gpusim::Phase::kTraceback, phase.traceback);
+  charge_phase(out.trace, dev, gpusim::Phase::kXdrop, phase.xdrop);
   return out;
 }
 

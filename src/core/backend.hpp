@@ -1,8 +1,9 @@
 // The execution-backend layer between the Aligner facade / BatchScheduler
 // and the alignment engines. A backend turns one (sub-)batch into results
-// plus timing on one of its lanes; the scheduler decides how a user batch
-// is split across lanes and merges the outputs (see core/scheduler.hpp for
-// the layering diagram).
+// plus timing on one of its lanes — score-only (run), aligned and traced
+// (run_traced) or chained (run_chaining); the scheduler decides how a user
+// batch is split across lanes and merges the outputs (see
+// core/scheduler.hpp for the layering diagram).
 #pragma once
 
 #include <memory>
@@ -37,6 +38,16 @@ struct PhaseOutput {
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
 
+/// What one traced run on one lane produced (AlignBackend::run_traced): the
+/// shard's score output and its trace output, one item per pair each, in
+/// shard order. Together they account for the whole run: `score.time_ms +
+/// trace.time_ms` is its time and `score.work + trace.work` every DP cell it
+/// computed; each backend documents where it draws the line.
+struct TracedRun {
+  PhaseOutput<align::AlignmentResult> score;
+  PhaseOutput<align::TracedAlignment> trace;
+};
+
 class AlignBackend {
  public:
   virtual ~AlignBackend() = default;
@@ -61,20 +72,13 @@ class AlignBackend {
   /// faithfully to the modelled library.
   virtual PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) = 0;
 
-  /// Traceback phase for a batch whose score pass produced `results`
-  /// (size == batch.size()): one TracedAlignment per pair through a
-  /// linear-memory checkpointed engine — align::banded_traceback per pair,
-  /// or on the host lane the traced cohort pass align::simd::trace_batch,
-  /// whose traces are identical — honoring the batch's per-pair bands.
-  /// Pairs with a zero score-pass result are skipped (their trace is empty
-  /// by construction). The banded engines replay blocks of ~sqrt(rows) rows
-  /// (the pair's |ref|, or a SIMD cohort's longest). Endpoints reproduce
-  /// `results` for any score pass that is bit-identical to the CPU
-  /// reference. `work` is the engine's own forward + replay cells, so it
-  /// differs between backends. Simulated lanes model the phase in the
-  /// gpusim::Phase::kTraceback slots (routed long-read pairs in kXdrop).
-  virtual PhaseOutput<align::TracedAlignment> run_traceback(
-      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) = 0;
+  /// Aligns and traces the batch on `lane`. `score.items` are run()'s
+  /// results and `score.work` its cells; `trace.items` hold one
+  /// TracedAlignment per pair — start coordinates and CIGAR from a
+  /// linear-memory checkpointed engine at the pair's band, `end` equal to
+  /// the pair's result, the empty trace for a zero-score pair. `trace.work`
+  /// is the cells the run computed beyond run()'s. Throws what run() throws.
+  virtual TracedRun run_traced(const seq::PairBatch& batch, int lane) = 0;
 
   /// Chaining phase for shard `tasks` of a ChainBatch: the forward-only
   /// fixed-lookahead engine (seedext::chain_tasks_run) on `lane`, one chain
@@ -94,15 +98,17 @@ std::vector<double> lane_weights(const AlignBackend& backend);
 /// 8/16-bit saturating vector cohorts with an int32 rescue
 /// (align::simd::align_batch; traced: align::simd::trace_batch),
 /// bit-identical to the scalar oracles align::align_batch and
-/// align::banded_traceback (scores, endpoints, cell counts; traces). The
-/// lane parallelizes across cohorts itself, so there are no host lanes for
-/// the scheduler to overlap. Named "cpu".
+/// align::banded_traceback (scores, endpoints, cell counts; traces). A
+/// traced run is one DP sweep per pair: its results come from the traced
+/// forward sweep, so it runs no separate score pass. The lane parallelizes
+/// across cohorts itself, so there are no host lanes for the scheduler to
+/// overlap. Named "cpu".
 class HostBackend final : public AlignBackend {
  public:
   /// Runs every phase on at most `threads` OpenMP threads (0 = the
   /// library's default team); per-pair bands come from the batch itself. An
   /// enabled `longread` policy routes qualifying pairs to the X-drop
-  /// wavefront engine in both run() and run_traceback() — routed pairs
+  /// wavefront engine in both run() and run_traced() — routed pairs
   /// ignore their band (see core::LongReadPolicy). Throws
   /// std::invalid_argument naming AlignerOptions::scoring for an invalid
   /// `scoring`.
@@ -114,12 +120,12 @@ class HostBackend final : public AlignBackend {
   /// OpenMP thread cap of every run; 0 = the default team.
   int threads() const { return threads_; }
   PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
-  /// Engine params mirror the score pass (per-pair band), so traced
-  /// endpoints are bit-identical to run()'s results. Whole cohorts trace at
-  /// once through align::simd::trace_batch.
-  PhaseOutput<align::TracedAlignment> run_traceback(
-      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      int lane) override;
+  /// One wave, wall-clock timed: align::simd::trace_batch over the classic
+  /// pairs and align::xdrop_wavefront_align over routed ones, each pair's
+  /// result taken from its trace's `end`. `score` carries the whole wave's
+  /// time and the forward sweeps' cells (run()'s count, bit for bit);
+  /// `trace` carries time 0 and the replayed cells alone.
+  TracedRun run_traced(const seq::PairBatch& batch, int lane) override;
   /// The forward-only chaining engine; its scalar/vector split is a per-task
   /// ISA dispatch inside seedext::chain_tasks_run.
   PhaseOutput<std::vector<seedext::Chain>> run_chaining(
@@ -154,13 +160,15 @@ class SimulatedGpuBackend final : public AlignBackend {
   /// (>= 1.0; uniform presets yield exactly 1.0 everywhere).
   double lane_weight(int lane) const override;
   PhaseOutput<align::AlignmentResult> run(const seq::PairBatch& batch, int lane) override;
-  /// Functionally runs the engine on the host (endpoints match the kernels
-  /// bit-for-bit), then models the phase's time and memory traffic on the
-  /// lane's device (gpusim::estimate_phase_time, Phase::kTraceback; routed
-  /// long-read pairs are charged to kXdrop).
-  PhaseOutput<align::TracedAlignment> run_traceback(
-      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      int lane) override;
+  /// run() — the kernel pass and its modeled time — followed by the
+  /// functional trace phase on the host: align::banded_traceback for every
+  /// pair with a positive result (routed long-read pairs:
+  /// align::xdrop_wavefront_align), endpoints matching the kernels
+  /// bit-for-bit. `trace` carries that phase's forward plus replay cells
+  /// and its modeled time and traffic on the lane's device
+  /// (gpusim::estimate_phase_time, Phase::kTraceback; routed pairs charged
+  /// to kXdrop).
+  TracedRun run_traced(const seq::PairBatch& batch, int lane) override;
   /// Functionally runs the forward-only engine on the host (bit-identical to
   /// every other backend), then models the phase's time and traffic on the
   /// lane's device (gpusim::estimate_phase_time, Phase::kChaining).

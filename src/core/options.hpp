@@ -71,13 +71,14 @@ struct AlignerOptions {
   /// The long-read knobs above as the policy backends and the scheduler use.
   LongReadPolicy longread_policy() const { return LongReadPolicy{longread_threshold, xdrop}; }
 
-  // --- Traceback phase (two-phase alignment) ------------------------------
-  /// When true every align() becomes a two-phase run: the usual score pass
-  /// (any backend/kernel, banded or not), then a scheduler-orchestrated
-  /// traceback pass that produces one align::TracedAlignment — start
-  /// coordinates + CIGAR — per pair (AlignOutput::traced, input order).
-  /// Banded pairs trace inside |i - j| <= band, bit-consistently with the
-  /// banded score pass.
+  // --- Traced alignment ----------------------------------------------------
+  /// When true every align() is a traced run (AlignBackend::run_traced):
+  /// besides the results, one align::TracedAlignment — start coordinates +
+  /// CIGAR — per pair (AlignOutput::traced, input order). The host backend
+  /// aligns and traces each pair in one DP sweep; the simulated backend
+  /// runs its kernel pass (any kernel, banded or not), then a modeled trace
+  /// phase. Banded pairs trace inside |i - j| <= band, bit-consistently
+  /// with the banded score pass.
   bool traceback = false;
 
   // --- Scheduler (host-side batching) ------------------------------------

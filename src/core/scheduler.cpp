@@ -122,7 +122,13 @@ ScheduledPhase<Item> BatchScheduler::run_phase(std::size_t inputs,
                                                RunShard&& run_shard) {
   std::vector<PhaseOutput<Item>> outputs(shards.size());
   run_per_lane(backend_->lanes(), shards, [&](std::size_t s) { outputs[s] = run_shard(s); });
+  return merge_phase(inputs, shards, std::move(outputs));
+}
 
+template <typename Item>
+ScheduledPhase<Item> BatchScheduler::merge_phase(std::size_t inputs,
+                                                 const std::vector<PhaseShard>& shards,
+                                                 std::vector<PhaseOutput<Item>> outputs) const {
   ScheduledPhase<Item> merged;
   const bool in_place = shards.size() == 1 && shards[0].positions.empty();
   if (!in_place) merged.items.resize(inputs);
@@ -178,14 +184,31 @@ AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   const auto shard_batch = [&](std::size_t s) -> const seq::PairBatch& {
     return shards.empty() ? batch : shards[s].batch;
   };
+  // A backend that counts no cells is charged its shard's nominal ones.
+  const auto counted = [&](std::size_t s, PhaseOutput<align::AlignmentResult> out) {
+    if (out.work == 0) out.work = shard_batch(s).total_banded_cells();
+    return out;
+  };
 
-  ScheduledPhase<align::AlignmentResult> score =
-      run_phase<align::AlignmentResult>(batch.size(), phase_shards, [&](std::size_t s) {
-        const seq::PairBatch& b = shard_batch(s);
-        PhaseOutput<align::AlignmentResult> out = backend_->run(b, phase_shards[s].lane);
-        if (out.work == 0) out.work = b.total_banded_cells();
-        return out;
-      });
+  // Score-only runs take run()'s wave. Traced runs take one run_traced()
+  // wave, whose shards return their results and traces together.
+  ScheduledPhase<align::AlignmentResult> score;
+  ScheduledPhase<align::TracedAlignment> traced;
+  if (!options_.traceback) {
+    score = run_phase<align::AlignmentResult>(batch.size(), phase_shards, [&](std::size_t s) {
+      return counted(s, backend_->run(shard_batch(s), phase_shards[s].lane));
+    });
+  } else {
+    std::vector<PhaseOutput<align::AlignmentResult>> scores(phase_shards.size());
+    std::vector<PhaseOutput<align::TracedAlignment>> traces(phase_shards.size());
+    run_per_lane(backend_->lanes(), phase_shards, [&](std::size_t s) {
+      TracedRun shard_run = backend_->run_traced(shard_batch(s), phase_shards[s].lane);
+      scores[s] = counted(s, std::move(shard_run.score));
+      traces[s] = std::move(shard_run.trace);
+    });
+    score = merge_phase(batch.size(), phase_shards, std::move(scores));
+    traced = merge_phase(batch.size(), phase_shards, std::move(traces));
+  }
   AlignOutput out;
   out.results = std::move(score.items);
   out.cells = score.work;
@@ -194,21 +217,6 @@ AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   out.schedule = std::move(score.schedule);
   merge_modeled(out, score);
   if (!options_.traceback) return out;
-
-  // Second wave on the same shard→lane assignment: a shard's traceback
-  // needs only that shard's score results, so lanes drain their shards
-  // independently again — no barrier beyond the settled score pass.
-  ScheduledPhase<align::TracedAlignment> traced =
-      run_phase<align::TracedAlignment>(batch.size(), phase_shards, [&](std::size_t s) {
-        const PhaseShard& shard = phase_shards[s];
-        std::span<const align::AlignmentResult> results = out.results;
-        std::vector<align::AlignmentResult> own;
-        if (!shard.positions.empty()) {
-          for (std::size_t i : shard.positions) own.push_back(out.results[i]);
-          results = own;
-        }
-        return backend_->run_traceback(shard_batch(s), results, shard.lane);
-      });
   out.traced = std::move(traced.items);
   out.traceback_ms = traced.time_ms;
   out.traceback_cells = traced.work;

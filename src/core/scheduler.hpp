@@ -7,10 +7,12 @@
 // (sorted-by-area packing — the paper's workload-balance goal applied at
 // host granularity), places them on the backend's lanes (N simulated
 // devices for the multi-GPU path of Sec. VII-C), and merges results back in
-// input order with aggregated stats. Every phase (score pass, traceback,
+// input order with aggregated stats. Every wave (score-only, traced,
 // chaining) goes through one shard runner: shards that all sit on one lane
 // run in shard order on the calling thread, and two or more busy lanes get
-// one std::async task each. With one lane and no shard cap that is a single
+// one std::async task each. A traced run is one wave: each shard's
+// AlignBackend::run_traced returns its results and its traces together.
+// With one lane and no shard cap that is a single
 // backend run on the caller's batch — bit-identical to the classic path.
 // A scheduler holds only its backend pointer and options, so it is cheap to
 // build per batch.
@@ -39,10 +41,9 @@ struct SchedulerOptions {
   /// routed pair costs LongReadPolicy::cells_estimate (the wavefront's
   /// score-bounded window), not the absurd nominal n·m table.
   LongReadPolicy longread;
-  /// Two-phase alignment (AlignerOptions::traceback): after the score pass
-  /// settles, a second phase runs the backend's traceback shard by shard on
-  /// the same lanes and merges one TracedAlignment per pair back in input
-  /// order (AlignOutput::traced).
+  /// Traced alignment (AlignerOptions::traceback): every shard runs the
+  /// backend's run_traced instead of run, and one TracedAlignment per pair
+  /// is merged back in input order (AlignOutput::traced) with the results.
   bool traceback = false;
 };
 
@@ -88,15 +89,22 @@ void merge_modeled(Into& into, const From& from) {
 /// totals (ServiceStats::schedule), so the two cannot drift apart again.
 void finalize_balance(ScheduleReport& report);
 
+/// One aligned batch. On every backend the run's time and cells split
+/// into a score part and a traceback part that add up: `time_ms +
+/// traceback_ms` is the run's whole time and `cells + traceback_cells`
+/// every DP cell it computed. `results` and `cells` are bit-identical to a
+/// score-only run's whether or not the batch was traced.
 struct AlignOutput {
   /// One result per input pair, in input order regardless of sharding.
   std::vector<align::AlignmentResult> results;
   /// Wall-clock milliseconds for the CPU backend; simulated kernel
-  /// milliseconds (makespan across devices) for the simulated backend.
+  /// milliseconds (makespan across devices) for the simulated backend. A
+  /// traced host run is one wave, all of it here.
   double time_ms = 0.0;
-  /// DP cells actually computed (the score pass's `work` summed over shards):
-  /// in-band cells for banded pairs; Σ |q|·|r| for plain full-table runs —
-  /// the numerator of `gcups`.
+  /// DP cells of the score sweep (`work` of the score outputs, summed over
+  /// shards): in-band cells for banded pairs; Σ |q|·|r| for plain
+  /// full-table runs — the numerator of `gcups`. A traced host run counts
+  /// its forward sweeps here, the cells a score-only run counts.
   std::size_t cells = 0;
   double gcups = 0.0;  ///< giga cell-updates per second at `time_ms`
   /// Simulated backend only; aggregated over every shard. The breakdown is
@@ -107,16 +115,20 @@ struct AlignOutput {
   std::optional<gpusim::TimeBreakdown> time_breakdown;
   ScheduleReport schedule;
 
-  // --- Traceback phase (two-phase runs only, SchedulerOptions::traceback) --
+  // --- Traced runs only (SchedulerOptions::traceback) ----------------------
   /// One traced alignment (start coords + CIGAR) per input pair, in input
   /// order regardless of sharding; empty for score-only runs. Endpoints
   /// equal `results` under the canonical improves() tie-break.
   std::vector<align::TracedAlignment> traced;
-  /// Traceback-phase makespan across lanes — wall-clock for the CPU
-  /// backend, modeled phase time for simulated devices. `time_ms` keeps the
-  /// score pass only, so the two report the score-vs-traceback cost split.
+  /// Time the traces took beyond `time_ms`, as a makespan across lanes: 0
+  /// on the host, whose one wave is all in `time_ms`; the modeled
+  /// traceback phase on simulated devices, which model it apart from the
+  /// kernel pass.
   double traceback_ms = 0.0;
-  /// Engine cells the phase spent (forward sweep + backward replay).
+  /// Cells the traces computed beyond `cells`: on the host the replayed
+  /// cells alone (align::simd::TraceStats::replay_cells plus the X-drop
+  /// WavefrontStats::traceback_cells); on simulated devices the functional
+  /// trace phase's engine cells, forward sweep plus replay.
   std::size_t traceback_cells = 0;
 };
 
@@ -177,12 +189,18 @@ class BatchScheduler {
 
   /// The phase runner: `run_shard(s)` for every shard, each lane's shards
   /// in shard-id order — on the calling thread when at most one lane is
-  /// busy, else on one std::async task per busy lane — then the shards'
-  /// items scattered to their positions among the phase's `inputs`, in
-  /// shard-id order.
+  /// busy, else on one std::async task per busy lane — then merged
+  /// (merge_phase).
   template <typename Item, typename RunShard>
   ScheduledPhase<Item> run_phase(std::size_t inputs, const std::vector<PhaseShard>& shards,
                                  RunShard&& run_shard);
+
+  /// One phase's shard outputs (one per shard) merged in shard-id order:
+  /// items scattered to their positions among the phase's `inputs`, work
+  /// summed, modeled counters merged, time the makespan across lanes.
+  template <typename Item>
+  ScheduledPhase<Item> merge_phase(std::size_t inputs, const std::vector<PhaseShard>& shards,
+                                   std::vector<PhaseOutput<Item>> outputs) const;
 
   AlignBackend* backend_;
   SchedulerOptions options_;

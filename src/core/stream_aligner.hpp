@@ -61,11 +61,12 @@ struct StreamStats {
   /// devices).
   double align_ms = 0.0;
   double gcups = 0.0;  ///< cells / align_ms (0 when nothing aligned)
-  /// Traceback-phase time summed over merged batches (two-phase runs only);
-  /// kept out of align_ms so the stream reports the same phase split as
-  /// AlignOutput.
+  /// Traced runs only: AlignOutput::traceback_ms and traceback_cells
+  /// summed over merged batches — the time and cells the traces took beyond
+  /// align_ms and cells, the same split as AlignOutput (on the host: 0 ms,
+  /// the traced wave being all in align_ms, and the replayed cells).
   double traceback_ms = 0.0;
-  std::size_t traceback_cells = 0;  ///< engine cells over the whole stream
+  std::size_t traceback_cells = 0;
   /// Host wall-clock for the whole stream, ingest to last emit — the
   /// pipelined figure benches compare against resident runs.
   double wall_ms = 0.0;
@@ -77,7 +78,7 @@ struct StreamStats {
 
 /// Ordered consumer: called once per non-empty chunk, in input order, on
 /// the thread that called run(). `first_pair` is the stream index of
-/// results[0]; `output` carries the chunk's results and, on two-phase runs,
+/// results[0]; `output` carries the chunk's results and, on traced runs,
 /// its traces (the run's figures are in StreamStats).
 using ChunkSink = std::function<void(std::size_t chunk_index, std::size_t first_pair,
                                      AlignOutput&& output)>;

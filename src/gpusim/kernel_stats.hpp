@@ -12,8 +12,9 @@ namespace saloba::gpusim {
 
 /// The batch phases modeled apart from the score pass, each with its own
 /// work counter, traffic counter and time slot:
-///   kTraceback — the two-phase run's traceback pass: cells the checkpointed
-///                engine swept forward plus cells re-derived walking back;
+///   kTraceback — a traced run's trace phase on a simulated device: cells
+///                the checkpointed engine swept forward plus cells
+///                re-derived walking back;
 ///   kChaining  — the batched forward-only chaining pass: push + settlement
 ///                candidates evaluated (structural, ISA-independent);
 ///   kXdrop     — long-read X-drop wavefront pairs routed off the block

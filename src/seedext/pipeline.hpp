@@ -90,8 +90,9 @@ struct MapStats {
 using BatchExtender =
     std::function<std::vector<align::AlignmentResult>(const seq::PairBatch&)>;
 
-/// A batched two-phase engine: score pass + traceback phase for every pair
-/// of a PairBatch, one TracedAlignment per pair in input order.
+/// A batched traced engine: one TracedAlignment — the pair's result in
+/// `end`, plus its start and CIGAR — per pair of a PairBatch, in input
+/// order.
 /// core::Aligner::traced_extender() (AlignerOptions::traceback = true)
 /// adapts the scheduler-backed public path to this signature. A null
 /// TracedBatchExtender means the mapper runs no traceback stage: mappings

@@ -185,39 +185,47 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
 // Serialization
 // ---------------------------------------------------------------------------
 
-void write_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
-                        const KmerIndex& kmer) {
+namespace {
+
+/// Writes the index file of `genome` with the k-mer index `kmer_of()`
+/// returns (by reference, or by value to build it here). The write is
+/// atomic: it opens a sibling temp file of its own first — so a directory
+/// that is missing or unwritable fails before `kmer_of` builds anything —
+/// writes it, then renames it into place without an fsync. A concurrent
+/// loader sees either the old file or a complete new one; a failed write
+/// removes its temp file.
+template <typename KmerOf>
+void publish_index(const std::string& path, std::span<const seq::BaseCode> genome,
+                   const KmerOf& kmer_of) {
   SALOBA_CHECK_MSG(genome.size() <= KmerIndex::kMaxReferenceBases,
                    "reference of " << genome.size()
                                    << " bases overflows the format's 32-bit positions");
-
-  IndexFileHeader h{};
-  std::memcpy(h.magic, kIndexMagic, sizeof(kIndexMagic));
-  h.version = kIndexFormatVersion;
-  h.flags = kFlagKmer;
-  h.k = static_cast<std::uint32_t>(kmer.k());
-  h.genome_bases = genome.size();
-  h.genome_checksum = genome_fingerprint(genome);
-  h.kmer_buckets = kmer.directory().size() - 1;
-  h.kmer_entries = kmer.entries().size();
-
-  SectionLayout lay = layout_of(h);
-  std::vector<std::byte> payload(lay.total, std::byte{0});
-  auto put = [&](std::size_t at, const void* src, std::size_t bytes) {
-    if (bytes > 0) std::memcpy(payload.data() + at, src, bytes);
-  };
-  put(0, kmer.directory().data(), kmer.directory().size_bytes());
-  put(lay.suffixes, kmer.suffixes().data(), kmer.suffixes().size_bytes());
-  put(lay.entries, kmer.entries().data(), kmer.entries().size_bytes());
-  h.payload_checksum = util::fnv1a64(payload);
-
-  // Atomic publish: write a sibling temp file of this write's own, then an
-  // fsync-free rename into place. A concurrent loader sees either the old
-  // file or a complete new one.
   const std::string tmp = unique_temp_path(path);
   try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write index temp file " + tmp);
+    const KmerIndex& kmer = kmer_of();
+
+    IndexFileHeader h{};
+    std::memcpy(h.magic, kIndexMagic, sizeof(kIndexMagic));
+    h.version = kIndexFormatVersion;
+    h.flags = kFlagKmer;
+    h.k = static_cast<std::uint32_t>(kmer.k());
+    h.genome_bases = genome.size();
+    h.genome_checksum = genome_fingerprint(genome);
+    h.kmer_buckets = kmer.directory().size() - 1;
+    h.kmer_entries = kmer.entries().size();
+
+    SectionLayout lay = layout_of(h);
+    std::vector<std::byte> payload(lay.total, std::byte{0});
+    auto put = [&](std::size_t at, const void* src, std::size_t bytes) {
+      if (bytes > 0) std::memcpy(payload.data() + at, src, bytes);
+    };
+    put(0, kmer.directory().data(), kmer.directory().size_bytes());
+    put(lay.suffixes, kmer.suffixes().data(), kmer.suffixes().size_bytes());
+    put(lay.entries, kmer.entries().data(), kmer.entries().size_bytes());
+    h.payload_checksum = util::fnv1a64(payload);
+
     out.write(reinterpret_cast<const char*>(&h), sizeof(h));
     out.write(reinterpret_cast<const char*>(payload.data()),
               static_cast<std::streamsize>(payload.size()));
@@ -231,8 +239,15 @@ void write_shared_index(const std::string& path, std::span<const seq::BaseCode> 
   }
 }
 
+}  // namespace
+
+void write_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
+                        const KmerIndex& kmer) {
+  publish_index(path, genome, [&]() -> const KmerIndex& { return kmer; });
+}
+
 void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome, int k) {
-  write_shared_index(path, genome, KmerIndex(genome, k));
+  publish_index(path, genome, [&] { return KmerIndex(genome, k); });
 }
 
 // ---------------------------------------------------------------------------

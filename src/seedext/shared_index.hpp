@@ -118,7 +118,10 @@ class SharedIndex {
 void write_shared_index(const std::string& path, std::span<const seq::BaseCode> genome,
                         const KmerIndex& kmer);
 
-/// Build-and-write convenience (the cold path of the amortization story).
+/// Build-and-write convenience (the cold path of the amortization story),
+/// as atomic as write_shared_index. The temp file is opened before the
+/// build, so a path whose directory is missing or unwritable throws
+/// ("cannot write index temp file ...") without building anything.
 void save_shared_index(const std::string& path, std::span<const seq::BaseCode> genome, int k);
 
 /// What the registry has done since construction / reset_stats().

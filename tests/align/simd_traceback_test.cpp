@@ -1,6 +1,7 @@
 // Differential fuzz for the SIMD engine's traced mode
-// (align::simd::trace_batch): every trace must be bit-identical to the
-// scalar checkpointed engine (align::banded_traceback) and to the
+// (align::simd::trace_batch): every end and forward cell count must be the
+// scalar score pass's (align::align_batch), and every trace bit-identical
+// to the scalar checkpointed engine (align::banded_traceback) and to the
 // full-matrix masked-DP oracle (smith_waterman_traceback) — endpoints,
 // start coordinates and CIGAR — across random scorings (mismatch 0 and
 // gap_open 0 included), N bases, indels, bands {0, 1, 8, 32, huge},
@@ -73,41 +74,40 @@ seq::PairBatch random_batch(util::Xoshiro256& rng, std::size_t pairs, std::size_
   return batch;
 }
 
-/// Traces `batch` through the SIMD pass (ends from the scalar score pass)
-/// and checks every pair against banded_traceback with the same knobs and
-/// against the full-matrix oracle. Returns the stats.
+/// Traces `batch` through the SIMD pass and checks every pair against the
+/// scalar score pass (align_batch: endpoints and cells), against
+/// banded_traceback with the same knobs and against the full-matrix oracle.
+/// Returns the stats.
 simd::TraceStats expect_identical(const seq::PairBatch& batch, const ScoringScheme& s,
                                   std::size_t checkpoint_rows, const std::string& label) {
   BatchTiming timing;
   const auto ends = align_batch(batch, s, &timing);
   simd::TraceStats stats;
-  const auto traced =
-      simd::trace_batch(batch, ends, s, &stats, /*threads=*/0, checkpoint_rows);
+  const auto traced = simd::trace_batch(batch, s, &stats, /*threads=*/0, checkpoint_rows);
   EXPECT_EQ(traced.size(), batch.size()) << label;
-  std::size_t forward_want = 0;
-  std::size_t traced_pairs = 0;
+  std::size_t swept = 0;
   for (std::size_t p = 0; p < batch.size(); ++p) {
     const std::string where = label + " pair " + std::to_string(p);
-    TracebackParams params;
-    params.band = batch.band_of(p);
-    params.checkpoint_rows = checkpoint_rows;
-    const TracebackResult want = banded_traceback(batch.refs[p], batch.queries[p], s, params);
+    swept += !batch.refs[p].empty() && !batch.queries[p].empty();
+    EXPECT_EQ(traced[p].end, ends[p]) << where;
     if (ends[p].score <= 0) {
       EXPECT_EQ(traced[p], TracedAlignment{}) << where;
       continue;
     }
-    ++traced_pairs;
-    forward_want += want.stats.forward_cells;
+    TracebackParams params;
+    params.band = batch.band_of(p);
+    params.checkpoint_rows = checkpoint_rows;
+    const TracebackResult want = banded_traceback(batch.refs[p], batch.queries[p], s, params);
     EXPECT_EQ(traced[p], want.traced) << where;
     EXPECT_EQ(traced[p],
               smith_waterman_traceback(batch.refs[p], batch.queries[p], s, params.band))
         << where;
   }
-  EXPECT_EQ(stats.pairs, traced_pairs) << label;
+  EXPECT_EQ(stats.pairs, swept) << label;
   EXPECT_EQ(stats.pairs_8bit + stats.rescued_16bit + stats.scalar_pairs, stats.pairs) << label;
-  // The forward sweeps count exactly the score pass's in-band cells; each
+  // The forward sweeps are the score pass: exactly its in-band cells. Each
   // row is replayed at most once.
-  EXPECT_EQ(stats.forward_cells, forward_want) << label;
+  EXPECT_EQ(stats.forward_cells, timing.cells) << label;
   EXPECT_LE(stats.replay_cells, stats.forward_cells) << label;
   return stats;
 }
@@ -270,41 +270,45 @@ TEST(SimdTraceback, EmptyAndZeroScorePairs) {
   batch.add(std::vector<seq::BaseCode>(5, seq::kBaseN), std::vector<seq::BaseCode>(5, seq::kBaseN));
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // the one real alignment
   const auto stats = expect_identical(batch, ScoringScheme{}, 0, "degenerate");
-  EXPECT_EQ(stats.pairs, 1u);
+  EXPECT_EQ(stats.pairs, 3u);  // the two zero-score pairs are swept too
 
   // An empty batch is a no-op.
   simd::TraceStats empty_stats;
-  EXPECT_TRUE(simd::trace_batch(seq::PairBatch{}, {}, ScoringScheme{}, &empty_stats).empty());
+  EXPECT_TRUE(simd::trace_batch(seq::PairBatch{}, ScoringScheme{}, &empty_stats).empty());
   EXPECT_EQ(empty_stats.pairs, 0u);
 }
 
-TEST(SimdTraceback, SkipsPairsWhoseScorePassIsZero) {
-  // The caller decides what gets traced: a zero end is never swept, even
-  // for a pair that would align.
+TEST(SimdTraceback, ZeroScorePairsGetTheEmptyTraceAndTheScorePassEnd) {
+  // Hopeless pairs share cohorts with aligning ones: each is swept, its
+  // cells counted as the score pass counts them, and it ends with the
+  // empty trace, whose end is the score pass's zero result.
   util::Xoshiro256 rng(7603);
-  const seq::PairBatch batch = random_batch(rng, 20, 80);
-  auto ends = align_batch(batch, ScoringScheme{});
-  for (std::size_t p = 0; p < ends.size(); p += 2) ends[p] = AlignmentResult{};
-  simd::TraceStats stats;
-  const auto traced = simd::trace_batch(batch, ends, ScoringScheme{}, &stats);
-  std::size_t positive = 0;
-  for (std::size_t p = 0; p < batch.size(); ++p) {
-    positive += ends[p].score > 0;
-    if (p % 2 == 0) {
-      EXPECT_EQ(traced[p], TracedAlignment{}) << p;
-    } else {
-      EXPECT_EQ(traced[p].end, ends[p]) << p;
-    }
+  seq::PairBatch batch = random_batch(rng, 20, 80);
+  for (std::size_t p = 0; p < 20; ++p) {
+    batch.add(std::vector<seq::BaseCode>(8 + p, 0), std::vector<seq::BaseCode>(30 + p, 1));
   }
-  EXPECT_EQ(stats.pairs, positive);
+  BatchTiming timing;
+  const auto ends = align_batch(batch, ScoringScheme{}, &timing);
+  simd::TraceStats stats;
+  const auto traced = simd::trace_batch(batch, ScoringScheme{}, &stats);
+  std::size_t zero = 0;
+  for (std::size_t p = 0; p < batch.size(); ++p) {
+    EXPECT_EQ(traced[p].end, ends[p]) << p;
+    if (ends[p].score > 0) continue;
+    ++zero;
+    EXPECT_EQ(traced[p], TracedAlignment{}) << p;
+  }
+  EXPECT_GE(zero, 20u);
+  EXPECT_EQ(stats.pairs, batch.size());
+  EXPECT_EQ(stats.scalar_pairs, 0u);
+  EXPECT_EQ(stats.forward_cells, timing.cells);
 }
 
 TEST(SimdTraceback, ThreadedMatchesSingleThread) {
   util::Xoshiro256 rng(7604);
   const seq::PairBatch batch = random_batch(rng, 150, 120);
-  const auto ends = align_batch(batch, ScoringScheme{});
-  const auto one = simd::trace_batch(batch, ends, ScoringScheme{}, nullptr, /*threads=*/1);
-  const auto many = simd::trace_batch(batch, ends, ScoringScheme{}, nullptr, /*threads=*/4);
+  const auto one = simd::trace_batch(batch, ScoringScheme{}, nullptr, /*threads=*/1);
+  const auto many = simd::trace_batch(batch, ScoringScheme{}, nullptr, /*threads=*/4);
   EXPECT_EQ(one, many);
 }
 

@@ -270,18 +270,18 @@ class RecordingBackend final : public AlignBackend {
     return out;
   }
 
-  PhaseOutput<align::TracedAlignment> run_traceback(
-      const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-      int lane) override {
+  TracedRun run_traced(const seq::PairBatch& batch, int lane) override {
     const std::vector<std::size_t> ids = pair_ids(batch);
-    finish("traceback", lane, ids);
-    PhaseOutput<align::TracedAlignment> out;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    finish("traced", lane, ids);
+    TracedRun out;
+    for (std::size_t id : ids) {
       align::TracedAlignment t;
-      t.end = results[i];
-      t.ref_start = static_cast<std::int32_t>(ids[i]);
-      out.items.push_back(t);
+      t.end = {static_cast<align::Score>(id), 0, 0};
+      t.ref_start = static_cast<std::int32_t>(id);
+      out.score.items.push_back(t.end);
+      out.trace.items.push_back(t);
     }
+    out.score.time_ms = 1.0;
     return out;
   }
 
@@ -380,11 +380,11 @@ TEST(BatchScheduler, OneBusyLaneRunsEveryShardOnTheCallersThreadInShardOrder) {
   ASSERT_EQ(shards.size(), 4u);
   EXPECT_EQ(out.schedule.shards, 4u);
   const std::vector<std::size_t> in_order{0, 1, 2, 3};
-  for (const std::string phase : {"run", "traceback"}) {
-    const auto calls = backend.calls(phase);
-    EXPECT_EQ(shard_ids(calls, shards), in_order) << phase;
-    for (const auto& call : calls) EXPECT_EQ(call.thread, std::this_thread::get_id()) << phase;
-  }
+  // A traced run is one wave: run_traced per shard, no score-only run.
+  EXPECT_TRUE(backend.calls("run").empty());
+  const auto calls = backend.calls("traced");
+  EXPECT_EQ(shard_ids(calls, shards), in_order);
+  for (const auto& call : calls) EXPECT_EQ(call.thread, std::this_thread::get_id());
   const auto chain_calls = backend.calls("chain");
   ASSERT_EQ(chain_calls.size(), 1u);
   EXPECT_EQ(chain_calls[0].thread, std::this_thread::get_id());
@@ -412,27 +412,26 @@ TEST(BatchScheduler, EachBusyLaneDrainsItsShardsInOrderOnOneTask) {
   const auto shards = gpusim::make_shards(batch, lane_weights(backend), opts.policy, 2);
   ASSERT_EQ(shards.size(), 9u);
   EXPECT_EQ(out.schedule.busy_lanes, 3);
-  for (const std::string phase : {"run", "traceback"}) {
-    const auto calls = backend.calls(phase);
-    const auto ids = shard_ids(calls, shards);
-    ASSERT_EQ(ids.size(), shards.size()) << phase;
-    for (int lane = 0; lane < 3; ++lane) {
-      std::vector<std::size_t> expected;
-      for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shards[s].lane == lane) expected.push_back(s);
-      }
-      ASSERT_GE(expected.size(), 2u) << "lane " << lane;
-      std::vector<std::size_t> ran;
-      std::thread::id thread;
-      for (std::size_t c = 0; c < calls.size(); ++c) {
-        if (calls[c].lane != lane) continue;
-        if (ran.empty()) thread = calls[c].thread;
-        EXPECT_EQ(calls[c].thread, thread) << phase << " lane " << lane;
-        ran.push_back(ids[c]);
-      }
-      EXPECT_EQ(ran, expected) << phase << " lane " << lane;
-      EXPECT_NE(thread, std::this_thread::get_id()) << phase << " lane " << lane;
+  EXPECT_TRUE(backend.calls("run").empty());
+  const auto calls = backend.calls("traced");
+  const auto ids = shard_ids(calls, shards);
+  ASSERT_EQ(ids.size(), shards.size());
+  for (int lane = 0; lane < 3; ++lane) {
+    std::vector<std::size_t> expected;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      if (shards[s].lane == lane) expected.push_back(s);
     }
+    ASSERT_GE(expected.size(), 2u) << "lane " << lane;
+    std::vector<std::size_t> ran;
+    std::thread::id thread;
+    for (std::size_t c = 0; c < calls.size(); ++c) {
+      if (calls[c].lane != lane) continue;
+      if (ran.empty()) thread = calls[c].thread;
+      EXPECT_EQ(calls[c].thread, thread) << "lane " << lane;
+      ran.push_back(ids[c]);
+    }
+    EXPECT_EQ(ran, expected) << "lane " << lane;
+    EXPECT_NE(thread, std::this_thread::get_id()) << "lane " << lane;
   }
   const auto chain_calls = backend.calls("chain");
   ASSERT_EQ(chain_calls.size(), 3u);

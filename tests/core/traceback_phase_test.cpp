@@ -64,7 +64,7 @@ TEST(TracebackPhase, CpuShardedTracesMatchUnsharded) {
   EXPECT_EQ(got.cells, want.cells);
   for (const AlignOutput* out : {&want, &got}) {
     EXPECT_GT(out->traceback_cells, 0u);
-    EXPECT_LE(out->traceback_cells, 2 * out->cells);
+    EXPECT_LE(out->traceback_cells, out->cells);
   }
 }
 
@@ -115,24 +115,30 @@ TEST(TracebackPhase, StreamStatsReportThePhaseSplit) {
     EXPECT_EQ(out.traced.size(), out.results.size());
   });
   EXPECT_EQ(traced_seen, batch.size());
-  EXPECT_GT(stats.traceback_ms, 0.0);
+  // The host traces in the score wave: no time apart from align_ms, and
+  // only the replayed cells beyond `cells`.
+  EXPECT_GT(stats.align_ms, 0.0);
+  EXPECT_EQ(stats.traceback_ms, 0.0);
   EXPECT_GT(stats.traceback_cells, 0u);
+  EXPECT_LE(stats.traceback_cells, stats.cells);
 }
 
-TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
+TEST(TracebackPhase, BackendRunTracedGivesZeroScorePairsTheEmptyTrace) {
   seq::PairBatch batch;
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // perfect match
   batch.add(std::vector<seq::BaseCode>(8, 0), std::vector<seq::BaseCode>(8, 1));  // hopeless
   align::ScoringScheme scoring;
   HostBackend backend(scoring);
-  auto results = backend.run(batch, 0).items;
-  ASSERT_EQ(results[1].score, 0);
-  auto tb = backend.run_traceback(batch, results, 0);
-  ASSERT_EQ(tb.items.size(), 2u);
-  EXPECT_EQ(tb.items[0].cigar, "4M");
-  EXPECT_EQ(tb.items[0].end, results[0]);
-  EXPECT_TRUE(tb.items[1].cigar.empty());
-  EXPECT_EQ(tb.items[1].end, results[1]);
+  const auto score = backend.run(batch, 0);
+  ASSERT_EQ(score.items[1].score, 0);
+  const TracedRun run = backend.run_traced(batch, 0);
+  EXPECT_EQ(run.score.items, score.items);
+  EXPECT_EQ(run.score.work, score.work);  // the hopeless pair is swept too
+  ASSERT_EQ(run.trace.items.size(), 2u);
+  EXPECT_EQ(run.trace.items[0].cigar, "4M");
+  EXPECT_EQ(run.trace.items[0].end, score.items[0]);
+  EXPECT_EQ(run.trace.items[1], align::TracedAlignment{});
+  EXPECT_EQ(run.trace.items[1].end, score.items[1]);
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 // to the in-memory build, file bytes pinned), malformed-file rejection (every
 // header bit), the in-process registry (dedup, stats, weak lifetime,
 // concurrent cold starts of one path making one index, a failed cold start
-// reaching every acquirer), reference sharding (merged lookups and seeds
-// bit-identical to the monolithic index, the 32-bit position limit), and
-// end-to-end SAM byte-identity through ReadMapper for the mmap-backed and
-// sharded seeding paths.
+// reaching every acquirer and failing before it builds), reference
+// sharding (merged lookups and seeds bit-identical to the monolithic index,
+// the 32-bit position limit), and end-to-end SAM byte-identity through
+// ReadMapper for the mmap-backed and sharded seeding paths.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <latch>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "../support/test_support.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace saloba::seedext {
 namespace {
@@ -466,6 +469,32 @@ TEST(SharedIndexRegistry, FailedColdStartReachesEveryAcquirerAndRetries) {
   EXPECT_EQ(reg.stats().loads, 1u);
   handle.reset();
   fs::remove_all(dir);
+}
+
+TEST(SharedIndexRegistry, ColdStartIntoAMissingDirectoryFailsBeforeBuilding) {
+  // The temp file opens before the k-mer build, so a cold start that cannot
+  // write its file fails in a small fraction of the build it would waste.
+  const auto genome = fuzz_genome(89, std::size_t{1} << 21);
+  const int k = 14;
+  const fs::path dir = fs::path(::testing::TempDir()) / "saloba_index_missing_dir_early";
+  fs::remove_all(dir);
+  const std::string path = (dir / "cold.idx").string();
+  const auto min_ms = [](int reps, const auto& run) {
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      const util::Timer timer;
+      run();
+      best = r == 0 ? timer.millis() : std::min(best, timer.millis());
+    }
+    return best;
+  };
+  const double build_ms = min_ms(2, [&] { EXPECT_GT(KmerIndex(genome, k).entries().size(), 0u); });
+  const double fail_ms = min_ms(3, [&] {
+    EXPECT_THROW(IndexRegistry::instance().acquire_file(path, genome, k), std::runtime_error);
+  });
+  EXPECT_LT(fail_ms * 10, build_ms)
+      << "failed cold start " << fail_ms << " ms against a " << build_ms << " ms build";
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(ShardedIndex, LookupBitIdenticalToMonolithicAcrossShardCounts) {
