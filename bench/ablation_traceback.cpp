@@ -44,39 +44,21 @@ bool check(bool ok, const char* what) {
 }
 
 /// The pre-refactor SAM path: full-matrix traceback of each mapped read's
-/// genome window, one read at a time on the caller thread.
+/// genome window, one read at a time on the caller thread, then the same
+/// record formatter as the batched path.
 seq::SamRecord legacy_record(const seedext::ReadMapper& mapper, const seq::Sequence& read,
-                             const seedext::ReadMapping& mapping) {
-  seq::SamRecord record;
-  record.qname = read.name;
-  record.seq = read.to_string();
-  if (!mapping.mapped) {
-    record.flags = seq::SamRecord::kFlagUnmapped;
-    return record;
+                             seedext::ReadMapping mapping) {
+  if (mapping.mapped) {
+    const auto& genome = mapper.genome();
+    std::vector<seq::BaseCode> oriented =
+        mapping.reverse_strand ? seq::reverse_complement(read.bases) : read.bases;
+    auto win = seedext::mapped_window(genome.size(), mapping.ref_pos, oriented.size());
+    std::span<const seq::BaseCode> window(genome.data() + win.start, win.end - win.start);
+    mapping.traced =
+        align::smith_waterman_traceback(window, oriented, mapper.params().scoring);
+    mapping.has_traceback = true;
   }
-  record.rname = "chrT";
-  record.flags = mapping.reverse_strand ? seq::SamRecord::kFlagReverse : 0;
-  const auto& genome = mapper.genome();
-  std::vector<seq::BaseCode> oriented =
-      mapping.reverse_strand ? seq::reverse_complement(read.bases) : read.bases;
-  auto win = seedext::mapped_window(genome.size(), mapping.ref_pos, oriented.size());
-  std::span<const seq::BaseCode> window(genome.data() + win.start, win.end - win.start);
-  auto traced = align::smith_waterman_traceback(window, oriented, mapper.params().scoring);
-  if (traced.end.score <= 0) {
-    record.flags |= seq::SamRecord::kFlagUnmapped;
-    return record;
-  }
-  record.pos = win.start + static_cast<std::size_t>(traced.ref_start) + 1;
-  std::string cigar;
-  if (traced.query_start > 0) cigar += std::to_string(traced.query_start) + "S";
-  cigar += traced.cigar;
-  std::size_t tail = oriented.size() - static_cast<std::size_t>(traced.end.query_end) - 1;
-  if (tail > 0) cigar += std::to_string(tail) + "S";
-  record.cigar = cigar;
-  record.mapq = seedext::mapq_from_score(traced.end.score, read.bases.size(),
-                                         mapper.params().scoring);
-  record.tags.push_back("AS:i:" + std::to_string(traced.end.score));
-  return record;
+  return seedext::to_sam_record(mapper, read, mapping, "chrT");
 }
 
 std::string render(const std::vector<seq::SamRecord>& records) {
@@ -173,7 +155,7 @@ int main(int argc, char** argv) {
       auto legacy_mappings = mapper.map_batch(read_seqs, aligner.batch_extender());
       out.clear();
       for (std::size_t i = 0; i < reads.size(); ++i) {
-        out.push_back(legacy_record(mapper, reads[i], legacy_mappings[i]));
+        out.push_back(legacy_record(mapper, reads[i], std::move(legacy_mappings[i])));
       }
       double ms = timer.millis();
       ms_out = rep == 0 ? ms : std::min(ms_out, ms);

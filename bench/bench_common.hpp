@@ -18,7 +18,6 @@
 #include "align/scoring.hpp"
 #include "core/aligner.hpp"
 #include "gpusim/device.hpp"
-#include "kernels/baselines.hpp"
 #include "kernels/kernel_iface.hpp"
 #include "kernels/saloba_kernel.hpp"
 #include "seq/sequence.hpp"

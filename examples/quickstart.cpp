@@ -1,13 +1,12 @@
-// Quickstart: align two sequences with the public API — CPU backend for the
-// scores, traceback for the CIGAR, and a simulated SALoBa run that must
-// match the CPU result (the exit status is 1 if it does not).
+// Quickstart: align two sequences with the public API — one traced run on
+// the CPU backend for the score and the CIGAR, and a simulated SALoBa run
+// that must match the CPU result (the exit status is 1 if it does not).
 //
 //   $ ./quickstart
 //   $ ./quickstart ACGTTGCA ACGTGCA
 #include <cstdio>
 #include <string>
 
-#include "align/traceback.hpp"
 #include "core/aligner.hpp"
 #include "seq/alphabet.hpp"
 
@@ -20,8 +19,11 @@ int main(int argc, char** argv) {
   auto ref = seq::encode_string(ref_text);
   auto query = seq::encode_string(query_text);
 
-  // 1. Batch alignment through the facade (CPU backend by default).
-  core::Aligner aligner{core::AlignerOptions{}};
+  // 1. Batch alignment through the facade (CPU backend by default), traced
+  // so the same run also yields the CIGAR.
+  core::AlignerOptions opts;
+  opts.traceback = true;
+  core::Aligner aligner(opts);
   seq::PairBatch batch;
   batch.add(query, ref);
   auto out = aligner.align(batch);
@@ -31,8 +33,8 @@ int main(int argc, char** argv) {
   std::printf("local alignment score %d, ends at ref[%d], query[%d]\n", r.score, r.ref_end,
               r.query_end);
 
-  // 2. Full traceback for the CIGAR.
-  auto traced = align::smith_waterman_traceback(ref, query, aligner.options().scoring);
+  // 2. The CIGAR from that run's trace.
+  const auto& traced = out.traced[0];
   if (traced.end.score > 0) {
     std::printf("CIGAR %s starting at ref[%d], query[%d]\n", traced.cigar.c_str(),
                 traced.ref_start, traced.query_start);

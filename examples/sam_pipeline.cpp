@@ -24,9 +24,6 @@ int main(int argc, char** argv) {
   args.add_string("workdir", "directory for generated files", "/tmp/saloba_sam_demo");
   args.add_int("genome", "genome length (bases)", 1 << 20);
   args.add_int("reads", "reads to simulate", 500);
-  args.add_flag("traceback",
-                "two-phase mapping: CIGARs from the batched traceback phase "
-                "(AlignerOptions::traceback) instead of the per-record fallback");
   if (!args.parse(argc, argv)) return 1;
 
   namespace fs = std::filesystem;
@@ -57,12 +54,12 @@ int main(int argc, char** argv) {
   std::printf("loaded %zu bp reference and %zu reads from %s\n",
               reference[0].bases.size(), reads.size(), dir.c_str());
 
-  // 4. Map (extensions batched through the public Aligner/scheduler path,
-  // as a production pipeline would hand them to the GPU) and write SAM.
+  // 4. Map (extensions and window CIGARs both batched through the public
+  // Aligner/scheduler path, as a production pipeline would hand them to the
+  // GPU) and write SAM.
   seedext::ReadMapper mapper(reference[0].bases, seedext::MapperParams{});
   std::vector<std::vector<seq::BaseCode>> read_seqs;
   for (const auto& r : reads) read_seqs.push_back(r.bases);
-  const bool traceback = args.get_flag("traceback");
   // Two aligners on purpose: extensions only need the score pass, and a
   // traceback-enabled Aligner would run (and discard) a traceback phase on
   // every extension batch; only the window batch needs the second phase.
@@ -71,12 +68,8 @@ int main(int argc, char** argv) {
   trace_opts.traceback = true;
   core::Aligner trace_aligner(trace_opts);
   util::Timer timer;
-  // With --traceback the window CIGARs come out of the batched two-phase
-  // pipeline; otherwise (null trace: no traceback stage) to_sam_record
-  // traces each record on demand.
-  auto mappings =
-      mapper.map_batch(read_seqs, extension_aligner.batch_extender(),
-                       traceback ? trace_aligner.traced_extender() : nullptr);
+  auto mappings = mapper.map_batch(read_seqs, extension_aligner.batch_extender(),
+                                   trace_aligner.traced_extender());
 
   std::ofstream sam_file(dir / "alignments.sam");
   seq::SamHeader header;
@@ -98,7 +91,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: nothing mapped\n");
     return 1;
   }
-  if (traceback && traced != mapped) {
+  if (traced != mapped) {
     std::fprintf(stderr, "FAIL: %zu mapped reads but only %zu batched CIGARs\n", mapped,
                  traced);
     return 1;

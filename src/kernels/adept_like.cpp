@@ -9,8 +9,8 @@
 #include <array>
 #include <vector>
 
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
+#include "kernels/kernel_iface.hpp"
 #include "util/check.hpp"
 
 namespace saloba::kernels {
@@ -224,16 +224,12 @@ class AdeptKernel final : public ExtensionKernel {
   KernelInfo info_;
 };
 
-}  // namespace
-
 KernelPtr make_adept_like(std::size_t nominal_pairs) {
   (void)nominal_pairs;  // structural limit only; no footprint scaling
   return std::make_unique<AdeptKernel>();
 }
 
-
-namespace {
 const KernelRegistrar reg_adept{"adept", {}, 60, &make_adept_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

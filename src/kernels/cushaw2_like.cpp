@@ -5,11 +5,12 @@
 // through the texture cache. Combined with GASAL2's on-GPU packing (the
 // paper applies it to all baselines), it edges out GASAL2 on RTX3090 at
 // long lengths, where DRAM traffic dominates.
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
 #include "kernels/inter_query_engine.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
+namespace {
 
 KernelPtr make_cushaw2_like(std::size_t nominal_pairs) {
   InterQueryParams p;
@@ -33,9 +34,7 @@ KernelPtr make_cushaw2_like(std::size_t nominal_pairs) {
   return std::make_unique<InterQueryKernel>(std::move(p));
 }
 
-
-namespace {
 const KernelRegistrar reg_cushaw2{"cushaw2-gpu", {"cushaw2"}, 20, &make_cushaw2_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

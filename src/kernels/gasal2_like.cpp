@@ -6,9 +6,9 @@
 // allocates and clears large per-batch buffers sized for the maximum
 // lengths, which dominates at 64 bp (Sec. V-C, "relatively large memory
 // initialization cost").
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
 #include "kernels/inter_query_engine.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
 namespace {
@@ -16,8 +16,6 @@ namespace {
 // Staging bytes memset per pair at batch setup (packed sequence staging,
 // per-pair metadata and result slots, sized at GASAL2's defaults).
 constexpr std::uint64_t kInitBytesPerPair = 40 << 10;
-
-}  // namespace
 
 KernelPtr make_gasal2_like(std::size_t nominal_pairs) {
   InterQueryParams p;
@@ -36,9 +34,7 @@ KernelPtr make_gasal2_like(std::size_t nominal_pairs) {
   return std::make_unique<InterQueryKernel>(std::move(p));
 }
 
-
-namespace {
 const KernelRegistrar reg_gasal2{"gasal2", {}, 40, &make_gasal2_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

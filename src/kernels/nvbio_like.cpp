@@ -5,11 +5,12 @@
 // cell: H and E stored as separate int words) and a large per-batch staging
 // matrix that exhausts device memory at long lengths (Fig. 6 (b)/(d):
 // "bounded device memory").
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
 #include "kernels/inter_query_engine.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
+namespace {
 
 KernelPtr make_nvbio_like(std::size_t nominal_pairs) {
   InterQueryParams p;
@@ -34,9 +35,7 @@ KernelPtr make_nvbio_like(std::size_t nominal_pairs) {
   return std::make_unique<InterQueryKernel>(std::move(p));
 }
 
-
-namespace {
 const KernelRegistrar reg_nvbio{"nvbio", {}, 30, &make_nvbio_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

@@ -4,11 +4,12 @@
 // length-proportional working buffers that exceed small-device memory for
 // long inputs (the paper's dataset-A failure on GTX1650 and the long-length
 // failures in Fig. 6 (b)).
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
 #include "kernels/inter_query_engine.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
+namespace {
 
 KernelPtr make_soap3dp_like(std::size_t nominal_pairs) {
   InterQueryParams p;
@@ -36,9 +37,7 @@ KernelPtr make_soap3dp_like(std::size_t nominal_pairs) {
   return std::make_unique<InterQueryKernel>(std::move(p));
 }
 
-
-namespace {
 const KernelRegistrar reg_soap3dp{"soap3-dp", {"soap3dp"}, 10, &make_soap3dp_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

@@ -9,8 +9,8 @@
 #include <array>
 #include <vector>
 
-#include "kernels/baselines.hpp"
 #include "kernels/block_dp.hpp"
+#include "kernels/kernel_iface.hpp"
 #include "util/check.hpp"
 
 namespace saloba::kernels {
@@ -270,16 +270,12 @@ class SwSharpKernel final : public ExtensionKernel {
   KernelInfo info_;
 };
 
-}  // namespace
-
 KernelPtr make_swsharp_like(std::size_t nominal_pairs) {
   (void)nominal_pairs;
   return std::make_unique<SwSharpKernel>();
 }
 
-
-namespace {
 const KernelRegistrar reg_swsharp{"sw#", {"swsharp"}, 50, &make_swsharp_like};
-}  // namespace
 
+}  // namespace
 }  // namespace saloba::kernels

@@ -59,10 +59,13 @@ struct ReadMapping {
   align::Score score = 0;       ///< seed matches + extension scores
   /// Traced alignment of the oriented read against its mapped genome window
   /// (window coordinates; seedext::mapped_window recovers the genome
-  /// offset), filled by the traceback-enabled mapping paths so
-  /// to_sam_record can emit the CIGAR without re-aligning anything.
+  /// offset), filled by map_batch/map_stream's traceback stage. It is the
+  /// only source of a SAM record's CIGAR: to_sam_record refuses a mapped
+  /// read without it.
   align::TracedAlignment traced;
-  bool has_traceback = false;  ///< `traced` is populated
+  /// `traced` is populated. False for every mapping of a score-only mapper
+  /// (null TracedBatchExtender) and of the per-read map().
+  bool has_traceback = false;
 };
 
 /// Aggregates of map_batch and map_stream calls. map_batch adds its reads,
@@ -96,7 +99,8 @@ using BatchExtender =
 /// core::Aligner::traced_extender() (AlignerOptions::traceback = true)
 /// adapts the scheduler-backed public path to this signature. A null
 /// TracedBatchExtender means the mapper runs no traceback stage: mappings
-/// keep has_traceback == false and to_sam_record traces each record.
+/// keep has_traceback == false, which suits score-only mapping; writing
+/// SAM needs the traced stage.
 using TracedBatchExtender =
     std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)>;
 
@@ -165,10 +169,10 @@ class ReadMapper {
   /// trace) on each and hands every (read, mapping) to `sink` in input
   /// order. Never more than queue_capacity + 2 chunks of reads are resident
   /// (the queue, plus the chunk in the producer's hands and the one being
-  /// mapped). Mappings are identical to map_batch over the same reads; a
-  /// sink that writes seedext::to_sam_record(...) is constant-memory
-  /// FASTQ-to-SAM. Exceptions from the reader, the extenders, or the sink
-  /// shut the pipeline down cleanly and rethrow here.
+  /// mapped). Mappings are identical to map_batch over the same reads; with
+  /// a non-null `trace`, a sink that writes seedext::to_sam_record(...) is
+  /// constant-memory FASTQ-to-SAM. Exceptions from the reader, the
+  /// extenders, or the sink shut the pipeline down cleanly and rethrow here.
   MapStats map_stream(
       seq::SequenceChunkReader& reader, const BatchExtender& extend,
       const TracedBatchExtender& trace,

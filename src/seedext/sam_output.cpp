@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-
-#include "align/traceback_engine.hpp"
-#include "util/check.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace saloba::seedext {
 
@@ -44,24 +42,21 @@ seq::SamRecord to_sam_record(const ReadMapper& mapper, const seq::Sequence& read
   record.rname = reference_name;
   record.flags = mapping.reverse_strand ? seq::SamRecord::kFlagReverse : 0;
 
+  if (!mapping.has_traceback) {
+    throw std::invalid_argument(
+        "to_sam_record: mapped record " + record.qname +
+        " has no stored trace (ReadMapping::has_traceback is false); map it with a "
+        "TracedBatchExtender");
+  }
   const std::size_t read_len = read.bases.size();
   MappedWindow win = mapped_window(mapper.genome().size(), mapping.ref_pos, read_len);
-  SALOBA_CHECK(win.end > win.start);
-
-  align::TracedAlignment traced;
-  if (mapping.has_traceback) {
-    // The batched traceback phase already produced this window's CIGAR.
-    traced = mapping.traced;
-  } else {
-    // Fallback for mappings that never went through the phase: the same
-    // linear-memory engine, one pair at a time.
-    const auto& genome = mapper.genome();
-    std::vector<seq::BaseCode> oriented =
-        mapping.reverse_strand ? seq::reverse_complement(read.bases) : read.bases;
-    std::span<const seq::BaseCode> window(genome.data() + win.start, win.end - win.start);
-    traced =
-        align::banded_traceback(window, oriented, mapper.params().scoring).traced;
+  if (win.end <= win.start) {
+    throw std::invalid_argument("to_sam_record: mapped record " + record.qname +
+                                " has ref_pos " + std::to_string(mapping.ref_pos) +
+                                " past the genome end");
   }
+
+  const align::TracedAlignment& traced = mapping.traced;
   if (traced.end.score <= 0) {
     record.flags |= seq::SamRecord::kFlagUnmapped;
     return record;

@@ -1,9 +1,7 @@
 // Bridges the read-mapping pipeline to SAM output. Mapped reads' CIGARs
-// come from the batched traceback phase (ReadMapping::traced, filled by the
-// traceback-enabled map_batch/map_stream paths); a mapping without a stored
-// trace falls back to the linear-memory engine on its genome window — the
-// old per-read full-matrix recompute is gone either way. MAPQ derives from
-// the score margin.
+// come from the batched traceback stage (ReadMapping::traced, filled by
+// map_batch/map_stream with a TracedBatchExtender); formatting a record runs
+// no alignment. MAPQ derives from the score margin.
 #pragma once
 
 #include "seedext/pipeline.hpp"
@@ -24,9 +22,11 @@ struct MappedWindow {
 MappedWindow mapped_window(std::size_t genome_len, std::size_t ref_pos,
                            std::size_t oriented_len);
 
-/// Builds a SAM record for one read. For mapped reads the CIGAR comes from
-/// the stored traceback (or the engine fallback above); unmapped reads get
-/// flag 0x4 and star fields.
+/// Builds a SAM record for one read. A mapped read's CIGAR, position and
+/// AS tag come from its stored trace; unmapped reads get flag 0x4 and star
+/// fields. Throws std::invalid_argument for a mapped read without a stored
+/// trace (ReadMapping::has_traceback false) or whose ref_pos puts its window
+/// past the genome end.
 seq::SamRecord to_sam_record(const ReadMapper& mapper, const seq::Sequence& read,
                              const ReadMapping& mapping,
                              const std::string& reference_name = "synthetic");

@@ -170,11 +170,18 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
   if (dir_last[-1] != h.kmer_entries) {
     reject(path, "k-mer directory does not end at the entry count");
   }
-  out->kmer_.emplace(
-      static_cast<int>(h.k), std::span<const std::uint32_t>(dir_first, dir_last),
-      payload.subspan(lay.suffixes, h.kmer_entries * lay.suffix_bytes),
-      std::span<const std::uint32_t>(reinterpret_cast<const std::uint32_t*>(base + lay.entries),
-                                     h.kmer_entries));
+  // Seeding reads the genome around every adopted position unchecked, so
+  // each entry must be a k-mer start inside the reference.
+  std::span<const std::uint32_t> entries(
+      reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries);
+  const std::uint64_t kmer_starts = h.genome_bases >= h.k ? h.genome_bases - h.k + 1 : 0;
+  if (std::any_of(entries.begin(), entries.end(),
+                  [&](std::uint32_t pos) { return pos >= kmer_starts; })) {
+    reject(path, "a k-mer entry lies past the reference's last k-mer start");
+  }
+  out->kmer_.emplace(static_cast<int>(h.k),
+                     std::span<const std::uint32_t>(dir_first, dir_last),
+                     payload.subspan(lay.suffixes, h.kmer_entries * lay.suffix_bytes), entries);
 
   out->genome_bases_ = h.genome_bases;
   out->genome_checksum_ = h.genome_checksum;

@@ -30,7 +30,8 @@
 //                     — exactly KmerIndex's arrays. The bucket count and the
 //                     suffix width derive from k and the entry count; the
 //                     loader re-derives both and checks the directory is a
-//                     nondecreasing partition of the entries before adopting.
+//                     nondecreasing partition of the entries and every entry
+//                     a k-mer start inside the reference before adopting.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +90,9 @@ class SharedIndex {
 
   /// Maps `path` read-only and adopts its arrays with zero copy, after
   /// validating magic, version, flags, reserved fields, payload checksum,
-  /// section geometry, and that the file was built for `genome` (length +
-  /// fingerprint) with `k`. Throws IndexFormatError.
+  /// section geometry, the directory and entry positions, and that the file
+  /// was built for `genome` (length + fingerprint) with `k`. Throws
+  /// IndexFormatError.
   static std::shared_ptr<const SharedIndex> load(const std::string& path,
                                                  std::span<const seq::BaseCode> genome, int k);
 

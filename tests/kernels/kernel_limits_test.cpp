@@ -5,7 +5,6 @@
 
 #include "../support/test_support.hpp"
 #include "gpusim/device.hpp"
-#include "kernels/baselines.hpp"
 #include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
@@ -14,7 +13,7 @@ namespace {
 constexpr std::size_t kPaperBatch = 5000;
 
 TEST(Limits, AdeptRefusesBeyond1024) {
-  auto kernel = make_adept_like();
+  auto kernel = make_kernel("adept");
   EXPECT_EQ(kernel->info().max_len, 1024u);
   gpusim::Device dev(gpusim::DeviceSpec::rtx3090());
   auto batch = saloba::testing::related_batch(1, 4, 1030, 1030);
@@ -22,7 +21,7 @@ TEST(Limits, AdeptRefusesBeyond1024) {
 }
 
 TEST(Limits, AdeptAccepts1024) {
-  auto kernel = make_adept_like();
+  auto kernel = make_kernel("adept");
   gpusim::Device dev(gpusim::DeviceSpec::rtx3090());
   auto batch = saloba::testing::related_batch(2, 2, 1024, 1024);
   EXPECT_NO_THROW(kernel->run(dev, batch, align::ScoringScheme{}));
@@ -30,7 +29,7 @@ TEST(Limits, AdeptAccepts1024) {
 
 TEST(Limits, NvbioOomAtPaperScaleLongReads) {
   // 5000 pairs x 2048^2 x 2 B staging = ~42 GB > RTX3090's 24 GB.
-  auto kernel = make_nvbio_like(kPaperBatch);
+  auto kernel = make_kernel("nvbio", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::rtx3090());
   auto batch = saloba::testing::related_batch(3, 4, 2048, 2048);
   EXPECT_THROW(kernel->run(dev, batch, align::ScoringScheme{}), gpusim::DeviceOomError);
@@ -38,14 +37,14 @@ TEST(Limits, NvbioOomAtPaperScaleLongReads) {
 
 TEST(Limits, NvbioOomEarlierOnGtx1650) {
   // 5000 x 1024^2 x 2 B = ~10 GB > 4 GB.
-  auto kernel = make_nvbio_like(kPaperBatch);
+  auto kernel = make_kernel("nvbio", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   auto batch = saloba::testing::related_batch(4, 4, 1024, 1024);
   EXPECT_THROW(kernel->run(dev, batch, align::ScoringScheme{}), gpusim::DeviceOomError);
 }
 
 TEST(Limits, NvbioRunsAtShortLengths) {
-  auto kernel = make_nvbio_like(kPaperBatch);
+  auto kernel = make_kernel("nvbio", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   auto batch = saloba::testing::related_batch(5, 4, 256, 256);
   EXPECT_NO_THROW(kernel->run(dev, batch, align::ScoringScheme{}));
@@ -53,21 +52,21 @@ TEST(Limits, NvbioRunsAtShortLengths) {
 
 TEST(Limits, Soap3OomOnLongInputsOnGtx1650) {
   // 5000 x 1024 x 1 KiB = ~5 GB > 4 GB (paper: dataset-A failure, Fig 6(b)).
-  auto kernel = make_soap3dp_like(kPaperBatch);
+  auto kernel = make_kernel("soap3-dp", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   auto batch = saloba::testing::related_batch(6, 4, 1024, 1024);
   EXPECT_THROW(kernel->run(dev, batch, align::ScoringScheme{}), gpusim::DeviceOomError);
 }
 
 TEST(Limits, Soap3SurvivesShortReadsOnGtx1650) {
-  auto kernel = make_soap3dp_like(kPaperBatch);
+  auto kernel = make_kernel("soap3-dp", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   auto batch = saloba::testing::related_batch(7, 4, 512, 512);
   EXPECT_NO_THROW(kernel->run(dev, batch, align::ScoringScheme{}));
 }
 
 TEST(Limits, Soap3LongInputsFitOnRtx3090) {
-  auto kernel = make_soap3dp_like(kPaperBatch);
+  auto kernel = make_kernel("soap3-dp", kPaperBatch);
   gpusim::Device dev(gpusim::DeviceSpec::rtx3090());
   auto batch = saloba::testing::related_batch(8, 4, 2048, 2048);
   EXPECT_NO_THROW(kernel->run(dev, batch, align::ScoringScheme{}));
@@ -75,7 +74,7 @@ TEST(Limits, Soap3LongInputsFitOnRtx3090) {
 
 TEST(Limits, WithoutNominalScalingSmallBatchesFit) {
   // Tests run with nominal = 0: the actual 4-pair batch fits everywhere.
-  auto kernel = make_nvbio_like(0);
+  auto kernel = make_kernel("nvbio", 0);
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   auto batch = saloba::testing::related_batch(9, 4, 1024, 1024);
   EXPECT_NO_THROW(kernel->run(dev, batch, align::ScoringScheme{}));
@@ -83,7 +82,7 @@ TEST(Limits, WithoutNominalScalingSmallBatchesFit) {
 
 TEST(Limits, SwSharpLaunchesTwicePerWavePerPair) {
   // One compute kernel plus one reduction kernel per anti-diagonal wave.
-  auto kernel = make_swsharp_like();
+  auto kernel = make_kernel("sw#");
   gpusim::Device dev(gpusim::DeviceSpec::gtx1650());
   // 300 bp -> 2x2 tiles of 256 -> 3 waves per pair.
   auto batch = saloba::testing::related_batch(10, 5, 300, 300);

@@ -5,7 +5,6 @@
 
 #include "../support/test_support.hpp"
 #include "align/sw_reference.hpp"
-#include "kernels/baselines.hpp"
 #include "kernels/kernel_iface.hpp"
 #include "kernels/saloba_kernel.hpp"
 
@@ -81,7 +80,7 @@ TEST(Saloba, IntermediateTrafficFarBelowGasal2) {
   // 1/32 of GASAL2's strip boundaries for a 32-thread warp.
   auto batch = saloba::testing::related_batch(95, 8, 2048, 2048);
   gpusim::Device dev_a(gpusim::DeviceSpec::gtx1650());
-  auto gasal = make_gasal2_like()->run(dev_a, batch, ScoringScheme{});
+  auto gasal = make_kernel("gasal2")->run(dev_a, batch, ScoringScheme{});
   SalobaConfig cfg;
   cfg.subwarp_size = 32;
   auto saloba = run_config(cfg, batch);

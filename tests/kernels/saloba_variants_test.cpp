@@ -95,7 +95,13 @@ TEST(BandedSaloba, NearDiagonalPairsKeepFullScore) {
   seq::PairBatch batch;
   for (int i = 0; i < 12; ++i) {
     auto ref = saloba::testing::random_seq(rng, 384);
-    batch.add(saloba::testing::mutate(rng, ref, 0.05), std::move(ref));
+    // Built before the call: argument order is unspecified, and moving
+    // `ref` first would leave mutate an empty copy.
+    auto query = saloba::testing::mutate(rng, ref, 0.05);
+    batch.add(std::move(query), std::move(ref));
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_FALSE(batch.queries[i].empty()) << i;
   }
   SalobaConfig banded;
   banded.band = 64;
@@ -104,6 +110,7 @@ TEST(BandedSaloba, NearDiagonalPairsKeepFullScore) {
   auto banded_results = run_cfg(banded, batch, spec).results;
   int equal = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_GT(full_results[i].score, 0) << i;
     equal += banded_results[i] == full_results[i];
   }
   EXPECT_GE(equal, 11);

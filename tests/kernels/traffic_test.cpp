@@ -4,7 +4,7 @@
 
 #include "../support/test_support.hpp"
 #include "gpusim/device.hpp"
-#include "kernels/baselines.hpp"
+#include "kernels/kernel_iface.hpp"
 
 namespace saloba::kernels {
 namespace {
@@ -13,7 +13,7 @@ using align::ScoringScheme;
 
 KernelResult run_gasal(const seq::PairBatch& batch, const gpusim::DeviceSpec& spec) {
   gpusim::Device dev(spec);
-  return make_gasal2_like()->run(dev, batch, ScoringScheme{});
+  return make_kernel("gasal2")->run(dev, batch, ScoringScheme{});
 }
 
 TEST(TableOne, StoredIntermediateScalesAsNSquaredOverEight) {
@@ -54,9 +54,9 @@ TEST(TableOne, MovedBytesCarryGranularityWaste) {
 TEST(Traffic, Cushaw2CompactionHalvesIntermediateUseful) {
   auto batch = saloba::testing::related_batch(104, 4, 512, 512);
   gpusim::Device d1(gpusim::DeviceSpec::rtx3090());
-  auto gasal = make_gasal2_like()->run(d1, batch, ScoringScheme{});
+  auto gasal = make_kernel("gasal2")->run(d1, batch, ScoringScheme{});
   gpusim::Device d2(gpusim::DeviceSpec::rtx3090());
-  auto cushaw = make_cushaw2_like()->run(d2, batch, ScoringScheme{});
+  auto cushaw = make_kernel("cushaw2-gpu")->run(d2, batch, ScoringScheme{});
   EXPECT_LT(cushaw.stats.totals.global_bytes_useful,
             gasal.stats.totals.global_bytes_useful * 0.7);
 }
@@ -64,9 +64,9 @@ TEST(Traffic, Cushaw2CompactionHalvesIntermediateUseful) {
 TEST(Traffic, AdeptHasNoIntermediateGlobalTraffic) {
   auto batch = saloba::testing::related_batch(105, 8, 512, 512);
   gpusim::Device d1(gpusim::DeviceSpec::rtx3090());
-  auto adept = make_adept_like()->run(d1, batch, ScoringScheme{});
+  auto adept = make_kernel("adept")->run(d1, batch, ScoringScheme{});
   gpusim::Device d2(gpusim::DeviceSpec::rtx3090());
-  auto gasal = make_gasal2_like()->run(d2, batch, ScoringScheme{});
+  auto gasal = make_kernel("gasal2")->run(d2, batch, ScoringScheme{});
   // ADEPT only reads inputs and writes results: orders of magnitude less.
   EXPECT_LT(adept.stats.totals.global_bytes_useful,
             gasal.stats.totals.global_bytes_useful / 20);
@@ -85,9 +85,9 @@ TEST(Traffic, GasalDivergenceShowsOnImbalancedBatches) {
   auto balanced = saloba::testing::related_batch(107, 64, 256, 256);
   auto imbalanced = saloba::testing::imbalanced_batch(108, 64, 16, 496);
   gpusim::Device d1(gpusim::DeviceSpec::gtx1650());
-  auto rb = make_gasal2_like()->run(d1, balanced, ScoringScheme{});
+  auto rb = make_kernel("gasal2")->run(d1, balanced, ScoringScheme{});
   gpusim::Device d2(gpusim::DeviceSpec::gtx1650());
-  auto ri = make_gasal2_like()->run(d2, imbalanced, ScoringScheme{});
+  auto ri = make_kernel("gasal2")->run(d2, imbalanced, ScoringScheme{});
   EXPECT_GT(rb.stats.totals.lane_utilization(32), 0.95);
   EXPECT_LT(ri.stats.totals.lane_utilization(32), 0.80);
 }
@@ -95,7 +95,7 @@ TEST(Traffic, GasalDivergenceShowsOnImbalancedBatches) {
 TEST(Traffic, SalobaKeepsUtilizationOnImbalancedBatches) {
   auto imbalanced = saloba::testing::imbalanced_batch(109, 64, 16, 496);
   gpusim::Device d1(gpusim::DeviceSpec::gtx1650());
-  auto gasal = make_gasal2_like()->run(d1, imbalanced, ScoringScheme{});
+  auto gasal = make_kernel("gasal2")->run(d1, imbalanced, ScoringScheme{});
   gpusim::Device d2(gpusim::DeviceSpec::gtx1650());
   auto saloba = make_kernel("saloba")->run(d2, imbalanced, ScoringScheme{});
   EXPECT_GT(saloba.stats.totals.lane_utilization(32),

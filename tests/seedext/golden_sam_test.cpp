@@ -3,13 +3,15 @@
 // then a full-matrix smith_waterman_traceback of each mapped read's genome
 // window on the caller thread — is reimplemented here verbatim as the
 // golden oracle, and every path through core::Aligner (whose host lanes run
-// the SIMD engine) must emit byte-identical SAM: the engine fallback inside
-// to_sam_record (which is what a null trace leaves every mapped record
-// to), the batched map_batch(reads, extend, trace) pipeline, and the
+// the SIMD engine) must emit byte-identical SAM: the batched
+// map_batch(reads, extend, trace) pipeline, sharded or not, and the
 // streamed map_stream(reader, extend, trace, sink) pipeline with a sink
 // writing to_sam_record — the entry point mapbench drives. Streamed ==
-// one-shot, byte for byte, with traceback enabled.
+// one-shot, byte for byte, with traceback enabled. A null trace leaves
+// mapped records without a CIGAR, and to_sam_record refuses them.
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -123,21 +125,6 @@ struct Fixture {
   }
 };
 
-TEST(GoldenSam, EngineFallbackMatchesLegacyByteForByte) {
-  Fixture f;
-  core::Aligner aligner{core::AlignerOptions{}};
-  std::string want = f.golden();
-
-  // No traced extender: to_sam_record's linear-memory fallback.
-  auto mappings = f.mapper->map_batch(f.read_seqs, aligner.batch_extender());
-  std::ostringstream out;
-  seq::SamWriter writer(out, f.header());
-  for (std::size_t i = 0; i < f.reads.size(); ++i) {
-    writer.write(to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT"));
-  }
-  EXPECT_EQ(out.str(), want);
-}
-
 TEST(GoldenSam, BatchedTracebackPipelineMatchesLegacyByteForByte) {
   Fixture f;
   core::AlignerOptions opts;
@@ -209,22 +196,35 @@ TEST(GoldenSam, ShardedPipelineMatchesLegacyByteForByte) {
   EXPECT_EQ(out.str(), want);
 }
 
-TEST(GoldenSam, NullTraceSkipsTheStageAndMatchesLegacy) {
+TEST(GoldenSam, NullTraceSkipsTheStageAndRefusesMappedRecords) {
   Fixture f;
   core::Aligner aligner{core::AlignerOptions{}};
-  std::string want = f.golden();
 
-  // Null traced extender: map_batch runs no traceback stage, and
-  // to_sam_record traces every mapped record itself.
+  // Null traced extender: map_batch runs no traceback stage, so no mapped
+  // record has a CIGAR to format; unmapped records still format.
   auto mappings = f.mapper->map_batch(f.read_seqs, aligner.batch_extender(),
                                       TracedBatchExtender{});
-  std::ostringstream out;
-  seq::SamWriter writer(out, f.header());
+  std::size_t mapped = 0;
   for (std::size_t i = 0; i < f.reads.size(); ++i) {
     EXPECT_FALSE(mappings[i].has_traceback) << "read " << i;
-    writer.write(to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT"));
+    if (mappings[i].mapped) {
+      ++mapped;
+      try {
+        to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT");
+        ADD_FAILURE() << "read " << i << ": a mapped record without a trace formatted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("ReadMapping::has_traceback"),
+                  std::string::npos)
+            << e.what();
+      }
+    } else {
+      EXPECT_TRUE(to_sam_record(*f.mapper, f.reads[i], mappings[i], "chrT").unmapped())
+          << "read " << i;
+    }
   }
-  EXPECT_EQ(out.str(), want);
+  EXPECT_GT(mapped, f.reads.size() / 2);
+  // An unmapped record formats whether or not the fixture left any.
+  EXPECT_TRUE(to_sam_record(*f.mapper, f.reads[0], ReadMapping{}, "chrT").unmapped());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "align/batch.hpp"
+#include "align/simd_engine.hpp"
 #include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
 #include "seq/fasta.hpp"
@@ -228,12 +229,16 @@ TEST(Pipeline, MapStreamWritesSamIncrementally) {
   BatchExtender cpu_extender = [&](const seq::PairBatch& batch) {
     return align::align_batch(batch, mapper.params().scoring);
   };
+  // SAM records take their CIGARs from the traced stage.
+  TracedBatchExtender tracer = [&](const seq::PairBatch& batch) {
+    return align::simd::trace_batch(batch, mapper.params().scoring);
+  };
   std::ostringstream sam_text;
   seq::SamHeader header;
   header.reference_length = genome.size();
   seq::SamWriter writer(sam_text, header);
   auto stats = mapper.map_stream(
-      reader, cpu_extender, nullptr,
+      reader, cpu_extender, tracer,
       [&](const seq::Sequence& read, const ReadMapping& mapping) {
         writer.write(to_sam_record(mapper, read, mapping, "chrT"));
       },

@@ -1,10 +1,12 @@
 #include "seedext/sam_output.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "align/traceback.hpp"
+#include "align/batch.hpp"
+#include "align/simd_engine.hpp"
 #include "seq/random_genome.hpp"
 #include "seq/read_simulator.hpp"
 
@@ -23,6 +25,16 @@ struct Fixture {
     genome = seq::generate_genome(p);
     mapper = std::make_unique<ReadMapper>(genome, MapperParams{});
   }
+
+  /// Maps one read the way a SAM writer must: map_batch with the scalar
+  /// extender and the SIMD engine's traced run as the traceback stage.
+  ReadMapping map(const std::vector<seq::BaseCode>& read) const {
+    const align::ScoringScheme scoring = mapper->params().scoring;
+    std::vector<std::vector<seq::BaseCode>> reads{read};
+    return mapper->map_batch(
+        reads, [&](const seq::PairBatch& b) { return align::align_batch(b, scoring); },
+        [&](const seq::PairBatch& b) { return align::simd::trace_batch(b, scoring); })[0];
+  }
 };
 
 TEST(SamOutput, MappedReadProducesValidRecord) {
@@ -30,7 +42,7 @@ TEST(SamOutput, MappedReadProducesValidRecord) {
   seq::Sequence read;
   read.name = "exact_read";
   read.bases.assign(f.genome.begin() + 5000, f.genome.begin() + 5150);
-  auto mapping = f.mapper->map(read.bases);
+  auto mapping = f.map(read.bases);
   ASSERT_TRUE(mapping.mapped);
 
   auto record = to_sam_record(*f.mapper, read, mapping, "chrT");
@@ -50,7 +62,7 @@ TEST(SamOutput, ReverseStrandSetsFlag) {
   read.name = "rc_read";
   std::vector<seq::BaseCode> window(f.genome.begin() + 9000, f.genome.begin() + 9120);
   read.bases = seq::reverse_complement(window);
-  auto mapping = f.mapper->map(read.bases);
+  auto mapping = f.map(read.bases);
   ASSERT_TRUE(mapping.mapped);
   ASSERT_TRUE(mapping.reverse_strand);
   auto record = to_sam_record(*f.mapper, read, mapping);
@@ -76,10 +88,24 @@ TEST(SamOutput, IndelReadGetsIndelCigar) {
   // 80 bases, skip 3, 70 more -> CIGAR should contain a 3D.
   read.bases.assign(f.genome.begin() + 20000, f.genome.begin() + 20080);
   read.bases.insert(read.bases.end(), f.genome.begin() + 20083, f.genome.begin() + 20153);
-  auto mapping = f.mapper->map(read.bases);
+  auto mapping = f.map(read.bases);
   ASSERT_TRUE(mapping.mapped);
   auto record = to_sam_record(*f.mapper, read, mapping);
   EXPECT_NE(record.cigar.find("3D"), std::string::npos) << record.cigar;
+}
+
+TEST(SamOutput, MappingPastTheGenomeEndThrows) {
+  // A caller-built mapping whose ref_pos puts its window past the genome
+  // end is an input error: it throws instead of aborting.
+  Fixture f;
+  seq::Sequence read;
+  read.name = "edge_read";
+  read.bases.assign(f.genome.begin() + 7000, f.genome.begin() + 7100);
+  auto mapping = f.map(read.bases);
+  ASSERT_TRUE(mapping.mapped);
+  ASSERT_TRUE(mapping.has_traceback);
+  mapping.ref_pos = f.genome.size() + 1000;
+  EXPECT_THROW(to_sam_record(*f.mapper, read, mapping), std::invalid_argument);
 }
 
 TEST(SamOutput, MapqMonotoneInScore) {
@@ -109,7 +135,7 @@ TEST(SamOutput, EndToEndSamFileParsesBack) {
   header.reference_length = f.genome.size();
   seq::SamWriter writer(out, header);
   for (const auto& r : reads) {
-    auto mapping = f.mapper->map(r.read.bases);
+    auto mapping = f.map(r.read.bases);
     writer.write(to_sam_record(*f.mapper, r.read, mapping, "chrT"));
   }
   std::istringstream in(out.str());

@@ -236,9 +236,10 @@ TEST_F(RejectionFixture, RejectsVersion1File) {
 }
 
 TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
-  // A crafted directory would make lookups read outside the entry array, so
-  // the loader must reject it even when the payload checksum holds. The
-  // directory is the payload's first section.
+  // A crafted directory would make lookups read outside the entry array,
+  // and a crafted entry seeding read outside the genome, so the loader must
+  // reject both even when the payload checksum holds. The directory is the
+  // payload's first section.
   const std::string original = slurp(path);
   IndexFileHeader h;
   std::memcpy(&h, original.data(), sizeof(h));
@@ -282,6 +283,43 @@ TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
   set(short_end, last, get(last) - 1);
   spew_rechecksummed(short_end);
   EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "end != entries";
+
+  // Entry positions: seeding reads the genome around each one, so every
+  // entry must be a k-mer start inside the reference. The u32 entries are
+  // the payload's last section, padded to 8 bytes.
+  const std::size_t entries = h.kmer_entries;
+  const std::size_t entries_at =
+      original.size() - ((entries * sizeof(std::uint32_t) + 7) & ~std::size_t{7});
+  auto entry = [&](const std::string& bytes, std::size_t e) {
+    std::uint32_t v;
+    std::memcpy(&v, bytes.data() + entries_at + e * sizeof(v), sizeof(v));
+    return v;
+  };
+  auto set_entry = [&](std::string& bytes, std::size_t e, std::uint32_t v) {
+    std::memcpy(bytes.data() + entries_at + e * sizeof(v), &v, sizeof(v));
+  };
+  ASSERT_GT(entries, 0u);
+  const auto kmer_starts = static_cast<std::uint32_t>(genome.size() - k + 1);
+  std::string shifted = original;
+  for (std::size_t e = 0; e < entries; ++e) {
+    set_entry(shifted, e, entry(original, e) + (1u << 20));
+  }
+  spew_rechecksummed(shifted);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "entries + 2^20";
+  // A mapper routed through the file refuses it before anything seeds.
+  MapperParams params;
+  params.k = k;
+  params.index_path = path;
+  EXPECT_THROW(ReadMapper(genome, params), IndexFormatError);
+
+  std::string one_past = original;
+  set_entry(one_past, 0, kmer_starts);
+  spew_rechecksummed(one_past);
+  EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "one past";
+  std::string last_start = original;
+  set_entry(last_start, 0, kmer_starts - 1);
+  spew_rechecksummed(last_start);
+  EXPECT_NO_THROW(SharedIndex::load(path, genome, k)) << "the last k-mer start";
 }
 
 TEST_F(RejectionFixture, RejectsDifferentGenome) {
@@ -633,8 +671,11 @@ struct EndToEnd : ::testing::Test {
   }
 
   std::string sam_of(const ReadMapper& mapper) const {
-    core::Aligner aligner{core::AlignerOptions{}};
-    auto mappings = mapper.map_batch(read_seqs, aligner.batch_extender());
+    core::AlignerOptions opts;
+    opts.traceback = true;
+    core::Aligner aligner(opts);
+    auto mappings =
+        mapper.map_batch(read_seqs, aligner.batch_extender(), aligner.traced_extender());
     std::ostringstream out;
     seq::SamHeader h;
     h.reference_name = "chrT";
