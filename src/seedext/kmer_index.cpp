@@ -112,6 +112,54 @@ KmerIndex::KmerIndex(int k, std::span<const std::uint32_t> directory,
                                                << "-byte words");
 }
 
+std::span<const std::uint32_t> KmerIndex::lookup_packed(std::uint64_t key) const {
+  std::span<const std::uint32_t> run;
+  lookup_packed(std::span<const std::uint64_t>(&key, 1),
+                std::span<std::span<const std::uint32_t>>(&run, 1));
+  return run;
+}
+
+void KmerIndex::lookup_packed(std::span<const std::uint64_t> keys,
+                              std::span<std::span<const std::uint32_t>> out) const {
+  SALOBA_CHECK_MSG(out.size() == keys.size(),
+                   "batched lookup of " << keys.size() << " keys into " << out.size()
+                                        << " hit lists");
+  switch (geometry_.suffix_bytes) {
+    case 2: lookup_staged<std::uint16_t>(keys, out); break;
+    case 4: lookup_staged<std::uint32_t>(keys, out); break;
+    default: lookup_staged<std::uint64_t>(keys, out); break;
+  }
+}
+
+template <class Suffix>
+void KmerIndex::lookup_staged(std::span<const std::uint64_t> keys,
+                              std::span<std::span<const std::uint32_t>> out) const {
+  const int shift = geometry_.suffix_bits;
+  const std::uint64_t suffix_mask = (1ULL << shift) - 1;
+  const auto* suffixes = reinterpret_cast<const Suffix*>(suffixes_.data());
+  // Each stage issues one load per key, for the whole block, before any
+  // key's next load depends on it.
+  for (std::uint64_t key : keys) {
+    SALOBA_DCHECK(key <= kmer_mask(k_));
+    __builtin_prefetch(&directory_[key >> shift]);
+  }
+  // out[i] holds key i's whole bucket run until the search narrows it.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t bucket = keys[i] >> shift;
+    const std::uint32_t first = directory_[bucket];
+    __builtin_prefetch(suffixes + first);
+    out[i] = entries_.subspan(first, directory_[bucket + 1] - first);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Suffix* run = suffixes + (out[i].data() - entries_.data());
+    auto [lo, hi] = std::equal_range(run, run + out[i].size(),
+                                     static_cast<Suffix>(keys[i] & suffix_mask));
+    out[i] = entries_.subspan(static_cast<std::size_t>(lo - suffixes),
+                              static_cast<std::size_t>(hi - lo));
+    if (!out[i].empty()) __builtin_prefetch(out[i].data());
+  }
+}
+
 std::span<const std::uint32_t> KmerIndex::lookup(std::span<const seq::BaseCode> kmer) const {
   if (kmer.size() < static_cast<std::size_t>(k_)) return {};
   auto packed = pack_kmer(kmer, k_);

@@ -1,9 +1,11 @@
 // K-mer hash index over the reference genome: the fast seeding path of the
 // pipeline. Entries are sorted by (kmer, position) and bucketed by the key's
 // top bits: a lookup reads one directory slot, then binary-searches a short
-// run of narrow key suffixes — 2 to 4 entries per bucket, so one or two
-// cache lines per lookup instead of a chain of dependent probes over every
-// distinct key.
+// run of narrow key suffixes (2 to 4 entries per bucket), then reads the
+// matching entries. Those are three dependent loads into an index far
+// larger than the caches, so lookups run batched: each load is issued for a
+// whole block of keys before any key's next load, and the block's cache
+// misses overlap instead of queueing one key behind another.
 //
 // The three flat arrays (directory, suffixes, entries) are exposed as spans
 // and can be adopted from external read-only memory: a SharedIndex
@@ -23,6 +25,17 @@
 #include "util/check.hpp"
 
 namespace saloba::seedext {
+
+/// Hit lists of one block of keys, as a batched lookup_packed leaves them:
+/// lists[i] holds keys[i]'s positions, ascending. A KmerIndex points them
+/// into its own entries; a ShardedKmerIndex merges its shards' runs into
+/// `merged` and points them there, so they stay valid until the next lookup
+/// into this object. Reused block after block, so seeding a read allocates
+/// once.
+struct KmerHits {
+  std::vector<std::span<const std::uint32_t>> lists;
+  std::vector<std::uint32_t> merged;
+};
 
 class KmerIndex {
  public:
@@ -71,13 +84,24 @@ class KmerIndex {
   std::span<const std::uint32_t> lookup(std::span<const seq::BaseCode> kmer) const;
 
   /// Lookup by an already-packed canonical key (pack_kmer's form, or the
-  /// rolled key of for_each_key): positions ascending.
-  std::span<const std::uint32_t> lookup_packed(std::uint64_t key) const {
-    switch (geometry_.suffix_bytes) {
-      case 2: return run_of<std::uint16_t>(key);
-      case 4: return run_of<std::uint32_t>(key);
-      default: return run_of<std::uint64_t>(key);
-    }
+  /// rolled key of for_each_key): positions ascending. The batched lookup
+  /// with a block of one key.
+  std::span<const std::uint32_t> lookup_packed(std::uint64_t key) const;
+
+  /// Batched lookup_packed: out[i] == lookup_packed(keys[i]) for every i
+  /// (out.size() must equal keys.size()). Runs in three stages over the
+  /// whole block: prefetch every key's directory slot; read the slots and
+  /// prefetch each suffix run; binary-search each run and prefetch its
+  /// entries. Blocks of a few hundred keys keep the prefetched lines in L1
+  /// until they are read.
+  void lookup_packed(std::span<const std::uint64_t> keys,
+                     std::span<std::span<const std::uint32_t>> out) const;
+
+  /// The batched lookup into a reused block of hit lists (`out.lists` is
+  /// resized to keys.size(); `out.merged` is left alone).
+  void lookup_packed(std::span<const std::uint64_t> keys, KmerHits& out) const {
+    out.lists.resize(keys.size());
+    lookup_packed(keys, out.lists);
   }
 
   /// 2-bit packs a k-mer; nullopt if it contains N. Keys are masked to the
@@ -121,16 +145,8 @@ class KmerIndex {
   void build(std::span<const seq::BaseCode> text);
 
   template <class Suffix>
-  std::span<const std::uint32_t> run_of(std::uint64_t key) const {
-    SALOBA_DCHECK(key <= kmer_mask(k_));
-    const auto* suffixes = reinterpret_cast<const Suffix*>(suffixes_.data());
-    const std::uint64_t bucket = key >> geometry_.suffix_bits;
-    const auto suffix = static_cast<Suffix>(key & ((1ULL << geometry_.suffix_bits) - 1));
-    auto [lo, hi] = std::equal_range(suffixes + directory_[bucket],
-                                     suffixes + directory_[bucket + 1], suffix);
-    return entries_.subspan(static_cast<std::size_t>(lo - suffixes),
-                            static_cast<std::size_t>(hi - lo));
-  }
+  void lookup_staged(std::span<const std::uint64_t> keys,
+                     std::span<std::span<const std::uint32_t>> out) const;
 
   int k_;
   Geometry geometry_;

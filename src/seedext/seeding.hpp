@@ -1,6 +1,9 @@
 // Seeding: find maximal exact matches between a read and the genome through
 // the k-mer index, monolithic or reference-sharded. Produces the Seed lists
-// that chaining and extension-job extraction consume.
+// that chaining and extension-job extraction consume. A read's sampled keys
+// are looked up in blocks through the index's batched lookup_packed, so
+// their cache misses overlap; the seeds are those of looking each key up
+// in turn.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +36,8 @@ struct SeedingParams {
 /// K-mer seeding: the k-mer key is rolled along the read, every hit of every
 /// stride-sampled k-mer within max_hits lies in a maximal exact match, and
 /// each such match is reported once (extended once, from its first hit),
-/// filtered to len >= min_seed_len and sorted by (qpos, rpos).
+/// filtered to len >= min_seed_len and sorted by (qpos, rpos). Throws
+/// std::invalid_argument naming SeedingParams::stride if stride < 1.
 std::vector<Seed> find_seeds(const KmerIndex& index, std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read, const SeedingParams& params);
 

@@ -143,7 +143,23 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
         << " (truncated or trailing garbage)";
     reject(path, oss.str());
   }
-  if (util::fnv1a64(payload) != h.payload_checksum) {
+  // The checksum's pass is the one read of the entries: its word loop over
+  // their section also takes the largest, for the range check below. Two
+  // u32 entries fill each word; an odd count's last word holds one entry
+  // and padding, which is left out.
+  const std::size_t paired_bytes = h.kmer_entries / 2 * 8;
+  std::uint32_t largest_entry = 0;
+  auto none = [](std::uint64_t) {};
+  auto take_largest = [&](std::uint64_t pair) {
+    largest_entry = std::max({largest_entry, static_cast<std::uint32_t>(pair),
+                              static_cast<std::uint32_t>(pair >> 32)});
+  };
+  std::uint64_t checksum =
+      util::fnv1a64_words(util::kFnv64Offset, payload.first(lay.entries), none);
+  checksum =
+      util::fnv1a64_words(checksum, payload.subspan(lay.entries, paired_bytes), take_largest);
+  checksum = util::fnv1a64_words(checksum, payload.subspan(lay.entries + paired_bytes), none);
+  if (util::fnv1a64_finish(checksum, payload.size()) != h.payload_checksum) {
     reject(path, "payload checksum mismatch (corrupted)");
   }
 
@@ -174,9 +190,9 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
   // each entry must be a k-mer start inside the reference.
   std::span<const std::uint32_t> entries(
       reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries);
+  if (h.kmer_entries % 2 == 1) largest_entry = std::max(largest_entry, entries.back());
   const std::uint64_t kmer_starts = h.genome_bases >= h.k ? h.genome_bases - h.k + 1 : 0;
-  if (std::any_of(entries.begin(), entries.end(),
-                  [&](std::uint32_t pos) { return pos >= kmer_starts; })) {
+  if (!entries.empty() && largest_entry >= kmer_starts) {
     reject(path, "a k-mer entry lies past the reference's last k-mer start");
   }
   out->kmer_.emplace(static_cast<int>(h.k),
@@ -429,23 +445,43 @@ ShardedKmerIndex::ShardedKmerIndex(std::span<const seq::BaseCode> genome, int k,
 
 std::vector<std::uint32_t> ShardedKmerIndex::lookup(
     std::span<const seq::BaseCode> kmer) const {
-  std::vector<std::uint32_t> out;
-  if (kmer.size() < static_cast<std::size_t>(k_)) return out;
-  if (auto packed = KmerIndex::pack_kmer(kmer, k_)) lookup_packed(*packed, out);
-  return out;
+  if (kmer.size() < static_cast<std::size_t>(k_)) return {};
+  const std::optional<std::uint64_t> key = KmerIndex::pack_kmer(kmer, k_);
+  if (!key) return {};
+  KmerHits hits;
+  lookup_packed(std::span<const std::uint64_t>(&*key, 1), hits);
+  return std::move(hits.merged);  // one key: its list is all of `merged`
 }
 
-void ShardedKmerIndex::lookup_packed(std::uint64_t key, std::vector<std::uint32_t>& out) const {
-  // Each global k-mer start belongs to exactly one shard's owned range, and
-  // per-shard hits are ascending — so filtered concatenation in shard order
-  // is the monolithic (sorted, duplicate-free) position list.
-  out.clear();
-  for (const Shard& s : shards_) {
-    for (std::uint32_t local : s.index->kmer().lookup_packed(key)) {
-      std::size_t global = s.begin + local;
-      if (global < s.end) out.push_back(static_cast<std::uint32_t>(global));
-    }
+void ShardedKmerIndex::lookup_packed(std::span<const std::uint64_t> keys, KmerHits& out) const {
+  // Shard s's staged lookup fills lists [s·n, (s+1)·n).
+  const std::size_t n = keys.size();
+  out.lists.resize(shards_.size() * n);
+  std::size_t positions = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const auto runs = std::span(out.lists).subspan(s * n, n);
+    shards_[s].index->kmer().lookup_packed(keys, runs);
+    for (std::span<const std::uint32_t> run : runs) positions += run.size();
   }
+  // Each global k-mer start belongs to exactly one shard's owned range, and
+  // per-shard runs are ascending — so a key's runs, filtered and
+  // concatenated in shard order, are the monolithic (sorted, duplicate-free)
+  // list. Reserving every run's positions up front keeps `merged` from
+  // moving under the lists already pointed into it.
+  out.merged.clear();
+  out.merged.reserve(positions);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t first = out.merged.size();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      for (std::uint32_t local : out.lists[s * n + i]) {
+        const std::size_t global = shards_[s].begin + local;
+        if (global < shards_[s].end) out.merged.push_back(static_cast<std::uint32_t>(global));
+      }
+    }
+    // List i was shard 0's run of key i, read by now.
+    out.lists[i] = std::span<const std::uint32_t>(out.merged).subspan(first);
+  }
+  out.lists.resize(n);
 }
 
 }  // namespace saloba::seedext

@@ -191,8 +191,8 @@ class IndexRegistry {
 /// `shards` equal owned ranges; shard s additionally sees the next k - 1
 /// bases (the overlap), so every k-mer start position belongs to exactly
 /// one shard and merged lookups reproduce the monolithic index exactly.
-/// A lookup probes every shard on the calling thread, so shards are not
-/// placed on lanes.
+/// A lookup runs every shard's staged lookup on the calling thread, so
+/// shards are not placed on lanes.
 struct IndexShardingOptions {
   std::size_t shards = 1;
   /// Non-empty: each shard's sub-index is persisted at
@@ -218,13 +218,17 @@ class ShardedKmerIndex {
   const std::vector<Shard>& shards() const { return shards_; }
 
   /// Merged global positions of the k-mer — bit-identical (same positions,
-  /// same ascending order) to the monolithic KmerIndex::lookup.
+  /// same ascending order) to the monolithic KmerIndex::lookup. The batched
+  /// lookup with a block of one key.
   std::vector<std::uint32_t> lookup(std::span<const seq::BaseCode> kmer) const;
 
-  /// lookup() by an already-packed canonical key: probes every shard's
-  /// directory and writes the merged positions into `out` (cleared first),
-  /// so a caller seeding a whole read reuses one buffer.
-  void lookup_packed(std::uint64_t key, std::vector<std::uint32_t>& out) const;
+  /// Batched lookup by already-packed canonical keys: runs every shard's
+  /// staged KmerIndex::lookup_packed over the whole block, then merges each
+  /// key's runs in shard order, offset to global positions and filtered to
+  /// the owned ranges, into `out.merged`. out.lists[i] (resized to
+  /// keys.size()) is then keys[i]'s list, equal to the monolithic
+  /// lookup_packed(keys[i]).
+  void lookup_packed(std::span<const std::uint64_t> keys, KmerHits& out) const;
 
  private:
   int k_;

@@ -16,26 +16,38 @@ namespace saloba::util {
 inline constexpr std::uint64_t kFnv64Offset = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnv64Prime = 1099511628211ULL;
 
+/// fnv1a64's word loop: continues the hash `h` over the whole 64-bit words
+/// of `data` (its size a multiple of 8) and hands each word to `visit` as it
+/// is read, so a caller can check the bytes it hashes in the same pass.
+template <class Visit>
+std::uint64_t fnv1a64_words(std::uint64_t h, std::span<const std::byte> data, Visit&& visit) {
+  for (std::size_t at = 0; at + 8 <= data.size(); at += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, data.data() + at, 8);
+    visit(w);
+    h = (h ^ w) * kFnv64Prime;
+  }
+  return h;
+}
+
+/// fnv1a64's last step: folds the hashed length in, so "abc" and "abc\0"
+/// (same padded word) differ.
+inline std::uint64_t fnv1a64_finish(std::uint64_t h, std::size_t bytes) {
+  return (h ^ static_cast<std::uint64_t>(bytes)) * kFnv64Prime;
+}
+
 /// Word-wise FNV-1a over `data`. Deterministic across platforms (the tail is
 /// padded with zero bytes, words are read little-endian via memcpy).
 inline std::uint64_t fnv1a64(std::span<const std::byte> data,
                              std::uint64_t seed = kFnv64Offset) {
-  std::uint64_t h = seed;
-  const std::size_t words = data.size() / 8;
-  const std::byte* p = data.data();
-  for (std::size_t i = 0; i < words; ++i) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i * 8, 8);
-    h = (h ^ w) * kFnv64Prime;
-  }
-  const std::size_t tail = data.size() % 8;
-  if (tail > 0) {
+  const std::size_t whole = data.size() - data.size() % 8;
+  std::uint64_t h = fnv1a64_words(seed, data.first(whole), [](std::uint64_t) {});
+  if (whole < data.size()) {
     std::uint64_t w = 0;
-    std::memcpy(&w, p + words * 8, tail);
+    std::memcpy(&w, data.data() + whole, data.size() - whole);
     h = (h ^ w) * kFnv64Prime;
   }
-  // Fold the length in so "abc" and "abc\0" (same padded word) differ.
-  return (h ^ static_cast<std::uint64_t>(data.size())) * kFnv64Prime;
+  return fnv1a64_finish(h, data.size());
 }
 
 /// fnv1a64 over any trivially copyable element span (the flat index arrays).

@@ -102,7 +102,9 @@ std::vector<seq::BaseCode> repetitive_genome(std::uint64_t seed, std::size_t len
 
 /// Every indexed k-mer's lookup against a brute-force position list (and
 /// random k-mers the text lacks against an empty one), for an index whose
-/// key suffixes are `suffix_bytes` wide.
+/// key suffixes are `suffix_bytes` wide. One batched lookup over all those
+/// keys, plus keys in the first and the last bucket, must give each key the
+/// list its single-key lookup gives.
 void expect_lookups_match_brute_force(std::size_t len, int k, int suffix_bytes) {
   const auto text = repetitive_genome(len + static_cast<std::size_t>(k), len);
   KmerIndex index(text, k);
@@ -118,18 +120,40 @@ void expect_lookups_match_brute_force(std::size_t len, int k, int suffix_bytes) 
     }
   }
   std::size_t positions = 0;
+  std::map<std::uint64_t, std::vector<std::uint32_t>> by_key;
   for (const auto& [kmer, want] : expected) {
     EXPECT_TRUE(std::ranges::equal(index.lookup(kmer), want)) << "k=" << k;
     positions += want.size();
+    by_key[*KmerIndex::pack_kmer(kmer, k)] = want;
   }
   EXPECT_EQ(index.indexed_positions(), positions);
 
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, want] : by_key) keys.push_back(key);
   util::Xoshiro256 rng(7);
   for (int trial = 0; trial < 500; ++trial) {
     auto kmer = saloba::testing::random_seq(rng, width);
     if (!expected.contains(kmer)) {
       EXPECT_TRUE(index.lookup(kmer).empty()) << "k=" << k;
+      keys.push_back(*KmerIndex::pack_kmer(kmer, k));
     }
+  }
+  // Both ends of bucket 0 and of the last bucket, which reads the
+  // directory's final slot.
+  const int shift = index.geometry().suffix_bits;
+  const std::uint64_t last_bucket = index.geometry().buckets() - 1;
+  for (std::uint64_t key : {std::uint64_t{0}, (std::uint64_t{1} << shift) - 1,
+                            last_bucket << shift, KmerIndex::kmer_mask(k)}) {
+    keys.push_back(key);
+  }
+  std::vector<std::span<const std::uint32_t>> runs(keys.size());
+  index.lookup_packed(keys, runs);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    auto want = by_key.find(keys[i]);
+    EXPECT_TRUE(std::ranges::equal(runs[i], index.lookup_packed(keys[i])))
+        << "k=" << k << " key " << keys[i];
+    EXPECT_TRUE(want == by_key.end() ? runs[i].empty() : std::ranges::equal(runs[i], want->second))
+        << "k=" << k << " key " << keys[i];
   }
 }
 
@@ -151,6 +175,22 @@ TEST(KmerIndex, TextShorterThanK) {
   KmerIndex index(text, 8);
   EXPECT_EQ(index.indexed_positions(), 0u);
   EXPECT_TRUE(index.lookup(seq::encode_string("ACGTACGT")).empty());
+  const std::vector<std::uint64_t> keys = {0, KmerIndex::kmer_mask(8)};
+  KmerHits hits;
+  index.lookup_packed(keys, hits);
+  ASSERT_EQ(hits.lists.size(), keys.size());
+  EXPECT_TRUE(hits.lists[0].empty() && hits.lists[1].empty());
+}
+
+TEST(KmerIndex, EmptyBatchedLookup) {
+  auto text = seq::encode_string("ACGTACGTTTGCA");
+  KmerIndex index(text, 4);
+  index.lookup_packed(std::span<const std::uint64_t>{},
+                      std::span<std::span<const std::uint32_t>>{});
+  KmerHits hits;
+  hits.lists.resize(3);
+  index.lookup_packed(std::span<const std::uint64_t>{}, hits);
+  EXPECT_TRUE(hits.lists.empty());
 }
 
 TEST(KmerIndexDeath, RejectsBadK) {

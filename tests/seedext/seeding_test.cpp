@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -178,9 +180,11 @@ class SeedingOracle {
 /// Oracle genome: random bases with N runs, dispersed repeat copies (a few
 /// substitutions each) and planted 1-6 bp tandem repeats, whose maximal
 /// matches sit on many nearby diagonals. `tandem` receives each tandem
-/// run's [begin, end).
-std::vector<seq::BaseCode> oracle_genome(util::Xoshiro256& rng, std::size_t len,
-                                         std::vector<std::pair<std::size_t, std::size_t>>& tandem) {
+/// run's [begin, end), and `copies`, if given, each repeat copy's.
+std::vector<seq::BaseCode> oracle_genome(
+    util::Xoshiro256& rng, std::size_t len,
+    std::vector<std::pair<std::size_t, std::size_t>>& tandem,
+    std::vector<std::pair<std::size_t, std::size_t>>* copies = nullptr) {
   auto g = saloba::testing::random_seq(rng, len);
   auto at = [&](std::size_t span) { return rng.below(len - span); };
   for (int copy = 0; copy < 8; ++copy) {
@@ -189,6 +193,7 @@ std::vector<seq::BaseCode> oracle_genome(util::Xoshiro256& rng, std::size_t len,
     for (std::size_t i = 0; i < span; ++i) {
       g[to + i] = rng.bernoulli(0.02) ? static_cast<seq::BaseCode>(rng.below(4)) : g[from + i];
     }
+    if (copies != nullptr) copies->emplace_back(to, to + span);
   }
   for (std::size_t period = 1; period <= 6; ++period) {
     const std::size_t span = 40 + rng.below(120);
@@ -271,6 +276,78 @@ TEST(KmerSeeding, MatchesBruteForceOracleOnMonolithicAndShardedIndex) {
   }
   EXPECT_EQ(cases, 3200u);
   EXPECT_GT(seeds_total, 10000u);  // the comparison is not vacuous
+}
+
+TEST(KmerSeeding, MatchesBruteForceOracleOnReadsLongerThanALookupBlock) {
+  // 600-3,000 bp reads carry 200-3,000 sampled keys, so seeding crosses one
+  // or more lookup-block boundaries, with matches extended in one block
+  // still live in the next. Every other read spans a whole repeat copy,
+  // whose k-mers hit both copies.
+  util::Xoshiro256 rng(161);
+  std::vector<std::pair<std::size_t, std::size_t>> tandem, copies;
+  const auto genome = oracle_genome(rng, 40000, tandem, &copies);
+  std::vector<std::vector<seq::BaseCode>> reads;
+  for (std::size_t r = 0; r < 24; ++r) {
+    const std::size_t len = 600 + rng.below(2401);
+    std::size_t from = rng.below(genome.size() - len);
+    if (r % 2 == 0) {
+      const auto [begin, end] = copies[r / 2 % copies.size()];
+      const std::size_t lowest = end > len ? end - len : 0;
+      from = std::min(lowest + rng.below(begin - lowest + 1), genome.size() - len);
+    }
+    std::vector<seq::BaseCode> read(genome.begin() + static_cast<std::ptrdiff_t>(from),
+                                    genome.begin() + static_cast<std::ptrdiff_t>(from + len));
+    read = saloba::testing::mutate(rng, read, 0.03);
+    if (r % 3 == 0) read[rng.below(read.size())] = seq::kBaseN;
+    reads.push_back(std::move(read));
+  }
+  std::size_t seeds_total = 0;
+  for (int k : {12, 16, 31}) {
+    KmerIndex mono(genome, k);
+    IndexShardingOptions sharding;
+    sharding.shards = 3;
+    ShardedKmerIndex sharded(genome, k, sharding);
+    SeedingOracle oracle(genome, k);
+    for (int stride : {1, 3}) {
+      for (std::size_t r = 0; r < reads.size(); ++r) {
+        SeedingParams params;
+        params.stride = stride;
+        params.min_seed_len = r % 2 == 0 ? k : k + 6;
+        const auto want = oracle.seeds(reads[r], params);
+        ASSERT_EQ(find_seeds(mono, genome, reads[r], params), want)
+            << "k=" << k << " stride=" << stride << " read " << r;
+        ASSERT_EQ(find_seeds(sharded, genome, reads[r], params), want)
+            << "sharded, k=" << k << " stride=" << stride << " read " << r;
+        seeds_total += want.size();
+      }
+    }
+  }
+  EXPECT_GT(seeds_total, 1000u);  // the comparison is not vacuous
+}
+
+TEST(Seeding, RejectsStrideBelowOne) {
+  auto f = Fixture::make(147, 5000, 100, 0.0);
+  KmerIndex mono(f.genome, 16);
+  IndexShardingOptions sharding;
+  sharding.shards = 3;
+  ShardedKmerIndex sharded(f.genome, 16, sharding);
+  for (int stride : {0, -3}) {
+    SeedingParams params;
+    params.stride = stride;
+    for (bool use_sharded : {false, true}) {
+      try {
+        if (use_sharded) {
+          find_seeds(sharded, f.genome, f.read, params);
+        } else {
+          find_seeds(mono, f.genome, f.read, params);
+        }
+        ADD_FAILURE() << "stride " << stride << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("SeedingParams::stride"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Seeding, ShortReadYieldsNothing) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <latch>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -320,6 +321,22 @@ TEST_F(RejectionFixture, RejectsMalformedDirectoryWithValidChecksum) {
   set_entry(last_start, 0, kmer_starts - 1);
   spew_rechecksummed(last_start);
   EXPECT_NO_THROW(SharedIndex::load(path, genome, k)) << "the last k-mer start";
+
+  // The checksum's word loop takes the largest entry, two entries to a
+  // word: an entry in a word's high half and the last entry, which shares
+  // its word with the padding, are checked too, and the padding is not an
+  // entry.
+  ASSERT_EQ(entries % 2, 1u);
+  for (std::size_t e : {std::size_t{1}, entries - 1}) {
+    std::string past = original;
+    set_entry(past, e, kmer_starts);
+    spew_rechecksummed(past);
+    EXPECT_THROW(SharedIndex::load(path, genome, k), IndexFormatError) << "entry " << e;
+  }
+  std::string padded = original;
+  set_entry(padded, entries, 0xFFFFFFFFu);
+  spew_rechecksummed(padded);
+  EXPECT_NO_THROW(SharedIndex::load(path, genome, k)) << "nonzero padding";
 }
 
 TEST_F(RejectionFixture, RejectsDifferentGenome) {
@@ -595,6 +612,56 @@ TEST(ShardedIndex, TinyGenomeAndOverAsking) {
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
   }
+}
+
+/// `keys` (which `genome` may lack) and then every key of `genome` through
+/// one batched sharded lookup, each list against the monolithic lookup of
+/// its key.
+void expect_batched_lookups_match_monolithic(const std::vector<seq::BaseCode>& genome, int k,
+                                             std::size_t shards,
+                                             std::vector<std::uint64_t> keys) {
+  KmerIndex mono(genome, k);
+  IndexShardingOptions options;
+  options.shards = shards;
+  ShardedKmerIndex sharded(genome, k, options);
+  EXPECT_EQ(sharded.shards().size(), std::min(shards, genome.size()));
+  KmerIndex::for_each_key(genome, k, [&](std::uint64_t key, std::size_t) { keys.push_back(key); });
+  KmerHits hits;
+  hits.merged.assign(5, 7);  // stale contents must not leak into the lists
+  sharded.lookup_packed(keys, hits);
+  ASSERT_EQ(hits.lists.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(hits.lists[i], mono.lookup_packed(keys[i])))
+        << sharded.shards().size() << " shards, key " << keys[i];
+  }
+}
+
+TEST(ShardedIndex, BatchedLookupMatchesMonolithicForEveryKey) {
+  // Three shards over a genome whose k-mers spanning both shard boundaries
+  // (they start within k - 1 bases before a boundary, so they extend into
+  // the overlap) are also planted in the other shards: their merged lists
+  // take positions from several shards.
+  const int k = 16;
+  auto genome = fuzz_genome(211, 30000);
+  for (std::size_t boundary : {std::size_t{10000}, std::size_t{20000}}) {
+    const auto from = static_cast<std::ptrdiff_t>(boundary - static_cast<std::size_t>(k) + 1);
+    for (std::size_t to : {std::size_t{3000}, std::size_t{15000}, std::size_t{26000}}) {
+      std::copy_n(genome.begin() + from, 2 * k - 2,
+                  genome.begin() + static_cast<std::ptrdiff_t>(to + boundary / 100));
+    }
+  }
+  util::Xoshiro256 rng(19);
+  std::vector<std::uint64_t> random_keys;
+  for (int trial = 0; trial < 300; ++trial) {
+    random_keys.push_back(rng.below(KmerIndex::kmer_mask(k)));
+  }
+  expect_batched_lookups_match_monolithic(genome, k, 3, random_keys);
+
+  // More shards than bases collapse to one shard per base; every 4-mer key,
+  // present or not, goes through one batch.
+  std::vector<std::uint64_t> every_key(KmerIndex::kmer_mask(4) + 1);
+  std::iota(every_key.begin(), every_key.end(), std::uint64_t{0});
+  expect_batched_lookups_match_monolithic(testing::random_seq(rng, 10), 4, 64, every_key);
 }
 
 TEST(ShardedIndexDeath, RejectsReferencePast32BitPositions) {
