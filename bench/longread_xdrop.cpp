@@ -17,7 +17,9 @@
 // matrix a GPU kernel spills to global memory — so the modeled spill win of
 // the wavefront is that table over the measured linear footprint. Emits
 // BENCH_longread.json, which names the cell-body kernel it measured (`isa`:
-// the AVX2 instantiation or the generic fallback). Any violation exits 1.
+// the AVX2 instantiation or the generic fallback; `width`: its lane bits,
+// 32 for the quick pair, whose score does not fit int16). Any violation
+// exits 1.
 #include <algorithm>
 #include <cstdio>
 
@@ -74,11 +76,12 @@ int main(int argc, char** argv) {
   const std::size_t total_cells = stats.cells + stats.traceback_cells;
   const double gcups = wall_ms > 0 ? static_cast<double>(total_cells) / (wall_ms * 1e6) : 0;
 
-  // The linear-memory ceiling: a small constant of int32 state per diagonal
-  // slot across all phases (7 diagonal buffers + the per-diagonal windows +
-  // the checkpoints + one replayed block's flag bytes, at most
-  // 8·(N+M) + one diagonal + the op string), plus allocator slack. Same
-  // bound the fuzz suite holds every engine run to.
+  // The linear-memory ceiling: a small constant of lane state (int16 or
+  // int32, WavefrontStats::lane_bits) per diagonal slot across all phases
+  // (7 diagonal buffers + the per-diagonal windows + the checkpoints + one
+  // replayed block's flag bytes, at most 8·(N+M) + one diagonal + the op
+  // string), plus allocator slack. Same bound the fuzz suite holds every
+  // engine run to.
   const std::size_t linear_ceiling = 128 * (n + m + 2) + 4096;
   // What a full-matrix engine would spill: H/E/F as int32 over N·M — the DP
   // state a GPU kernel without the lazy-spill/wavefront machinery writes to
@@ -91,6 +94,7 @@ int main(int argc, char** argv) {
   std::printf("longread_xdrop — %zu x %zu bp pair, xdrop=%d\n", n, m, int(xdrop));
   util::Table table({"Metric", "Value"});
   table.add_row({"isa", align::simd::isa_name()});
+  table.add_row({"width", std::to_string(stats.lane_bits) + "-bit lanes"});
   table.add_row({"forward cells", std::to_string(stats.cells)});
   table.add_row({"traceback cells", std::to_string(stats.traceback_cells)});
   table.add_row({"diagonals", std::to_string(stats.diagonals)});
@@ -122,13 +126,14 @@ int main(int argc, char** argv) {
 
   if (std::FILE* f = std::fopen("BENCH_longread.json", "w")) {
     std::fprintf(f,
-                 "{\"bench\":\"longread_xdrop\",\"isa\":\"%s\",\"ref_len\":%zu,\"query_len\":%zu,"
+                 "{\"bench\":\"longread_xdrop\",\"isa\":\"%s\",\"width\":%zu,"
+                 "\"ref_len\":%zu,\"query_len\":%zu,"
                  "\"xdrop\":%d,\"forward_cells\":%zu,\"traceback_cells\":%zu,"
                  "\"max_wavefront\":%zu,\"peak_bytes\":%zu,\"linear_ceiling_bytes\":%zu,"
                  "\"full_matrix_bytes\":%.0f,\"spill_win\":%.1f,\"table_fraction\":%.5f,"
                  "\"score\":%d,\"wall_ms\":%.3f,\"gcups\":%.3f,\"ok\":%s}\n",
-                 align::simd::isa_name(), n, m, int(xdrop), stats.cells, stats.traceback_cells,
-                 stats.max_wavefront, stats.peak_bytes, linear_ceiling,
+                 align::simd::isa_name(), stats.lane_bits, n, m, int(xdrop), stats.cells,
+                 stats.traceback_cells, stats.max_wavefront, stats.peak_bytes, linear_ceiling,
                  full_matrix_bytes, spill_win, prune_frac, int(traced.end.score),
                  wall_ms, gcups, ok ? "true" : "false");
     std::fclose(f);

@@ -25,7 +25,10 @@
 //   see OpsGeneric below for the reference semantics of each.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 namespace saloba::align::simd {
 
@@ -187,36 +190,59 @@ struct OpsGeneric {
 using OpsU8Generic = OpsGeneric<std::uint8_t, 32, 255>;
 using OpsU16Generic = OpsGeneric<std::uint16_t, 16, 65535>;
 
-/// Signed 32-bit lane vocabulary (8 lanes per 256-bit register) for two
-/// kernels whose values are signed int32, not saturating-unsigned DP cells:
-/// the chaining push kernel (seedext/chain_kernel.hpp) and the X-drop
-/// wavefront's anti-diagonal cell body (align/xdrop_kernel.hpp). So this is
-/// a separate, smaller vocabulary — wrapping add/sub (exactly the modular
-/// semantics of _mm256_add_epi32/_mm256_sub_epi32, so lanes whose garbage
-/// intermediates wrap are still bit-identical across ISAs, and UBSan-clean,
-/// before a mask discards them), signed compares, bitwise ops, blend, byte
-/// widening/narrowing and a horizontal max. The AVX2 twin, OpsI32Avx2, lives
-/// in simd_vec_avx2.hpp, which only -mavx2 translation units include.
-struct OpsI32Generic {
-  static constexpr int kLanes = 8;
+/// Signed lane vocabularies over 256 bits for kernels whose values are
+/// signed, not saturating-unsigned DP cells. So they are separate, smaller
+/// vocabularies: add/sub, signed compares, bitwise ops, blend, byte
+/// widening/narrowing and a horizontal max, with one lane type each:
+///
+///   OpsI32Generic   8 int32 lanes. Add/sub/mullo *wrap* (exactly the
+///                   modular semantics of _mm256_add_epi32 and friends, so
+///                   lanes whose garbage intermediates wrap are still
+///                   bit-identical across ISAs, and UBSan-clean, before a
+///                   mask discards them). Serves the chaining push kernel
+///                   (seedext/chain_kernel.hpp) and the X-drop cell body
+///                   (align/xdrop_kernel.hpp) on pairs whose scores need it.
+///   OpsI16Generic   16 int16 lanes. Add/sub *saturate* (_mm256_adds_epi16,
+///                   _mm256_subs_epi16), so a -inf sentinel at INT16_MIN
+///                   stays there. Serves the X-drop cell body on pairs whose
+///                   score bound fits int16.
+///
+/// The AVX2 twins, OpsI32Avx2 and OpsI16Avx2, live in simd_vec_avx2.hpp,
+/// which only -mavx2 translation units include.
+template <typename T>
+struct OpsSignedGeneric {
+  static_assert(std::is_same_v<T, std::int16_t> || std::is_same_v<T, std::int32_t>);
+  using Elem = T;
+  static constexpr int kLanes = 32 / sizeof(T);
   struct Vec {
-    std::int32_t v[kLanes];
+    T v[kLanes];
   };
 
-  static Vec splat(std::int32_t s) {
+  /// An exact lane result brought back to T: int32 wraps (two's
+  /// complement), int16 saturates.
+  static T narrow(std::int64_t x) {
+    if constexpr (sizeof(T) == 4) {
+      return static_cast<T>(static_cast<std::uint32_t>(x));
+    } else {
+      return static_cast<T>(std::clamp<std::int64_t>(x, std::numeric_limits<T>::min(),
+                                                     std::numeric_limits<T>::max()));
+    }
+  }
+
+  static Vec splat(T s) {
     Vec o;
     for (auto& l : o.v) l = s;
     return o;
   }
-  static Vec load(const std::int32_t* p) {
+  static Vec load(const T* p) {
     Vec o;
     for (int k = 0; k < kLanes; ++k) o.v[k] = p[k];
     return o;
   }
-  static void store(std::int32_t* dst, const Vec& v) {
+  static void store(T* dst, const Vec& v) {
     for (int k = 0; k < kLanes; ++k) dst[k] = v.v[k];
   }
-  /// Widening load: kLanes bytes, zero-extended (_mm256_cvtepu8_epi32).
+  /// Widening load: kLanes bytes, zero-extended (_mm256_cvtepu8_epi32/16).
   static Vec load_bases(const std::uint8_t* p) {
     Vec o;
     for (int k = 0; k < kLanes; ++k) o.v[k] = p[k];
@@ -226,32 +252,21 @@ struct OpsI32Generic {
   static void store_low_bytes(std::uint8_t* dst, const Vec& v) {
     for (int k = 0; k < kLanes; ++k) dst[k] = static_cast<std::uint8_t>(v.v[k]);
   }
-  /// Wrapping (two's-complement) add, the _mm256_add_epi32 semantics.
+  /// _mm256_add_epi32 (wrapping) or _mm256_adds_epi16 (saturating).
   static Vec add(const Vec& a, const Vec& b) {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) +
-                                         static_cast<std::uint32_t>(b.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = narrow(std::int64_t{a.v[k]} + b.v[k]);
     return o;
   }
-  /// Wrapping (two's-complement) subtract, the _mm256_sub_epi32 semantics.
+  /// _mm256_sub_epi32 (wrapping) or _mm256_subs_epi16 (saturating).
   static Vec sub(const Vec& a, const Vec& b) {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) -
-                                         static_cast<std::uint32_t>(b.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = narrow(std::int64_t{a.v[k]} - b.v[k]);
     return o;
   }
   static Vec smax(const Vec& a, const Vec& b) {
     Vec o;
     for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return o;
-  }
-  static Vec smin(const Vec& a, const Vec& b) {
-    Vec o;
-    for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] < b.v[k] ? a.v[k] : b.v[k];
     return o;
   }
   static Vec cmpgt(const Vec& a, const Vec& b) {  // signed a > b
@@ -266,26 +281,17 @@ struct OpsI32Generic {
   }
   static Vec vand(const Vec& a, const Vec& b) {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) &
-                                         static_cast<std::uint32_t>(b.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = static_cast<T>(a.v[k] & b.v[k]);
     return o;
   }
   static Vec vor(const Vec& a, const Vec& b) {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) |
-                                         static_cast<std::uint32_t>(b.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = static_cast<T>(a.v[k] | b.v[k]);
     return o;
   }
   static Vec andnot(const Vec& mask, const Vec& v) {  // v & ~mask
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(v.v[k]) &
-                                         ~static_cast<std::uint32_t>(mask.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = static_cast<T>(v.v[k] & ~mask.v[k]);
     return o;
   }
   static Vec blend(const Vec& mask, const Vec& a, const Vec& b) {  // mask ? a : b
@@ -300,37 +306,41 @@ struct OpsI32Generic {
     return false;
   }
   /// Largest lane (signed).
-  static std::int32_t hmax(const Vec& a) {
-    std::int32_t m = a.v[0];
+  static T hmax(const Vec& a) {
+    T m = a.v[0];
     for (int k = 1; k < kLanes; ++k) m = a.v[k] > m ? a.v[k] : m;
     return m;
   }
+
+  // --- int32 only: the chaining kernel's arithmetic ---------------------
   /// Absolute value, _mm256_abs_epi32 semantics (INT_MIN stays INT_MIN).
-  static Vec sabs(const Vec& a) {
+  static Vec sabs(const Vec& a)
+    requires(sizeof(T) == 4)
+  {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = a.v[k] < 0 ? static_cast<std::int32_t>(
-                                0u - static_cast<std::uint32_t>(a.v[k]))
-                          : a.v[k];
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] < 0 ? narrow(-std::int64_t{a.v[k]}) : a.v[k];
     return o;
   }
   /// Per-lane arithmetic >> by the compile-time immediate (sign-filling).
   template <int Shift>
-  static Vec sra(const Vec& a) {
+  static Vec sra(const Vec& a)
+    requires(sizeof(T) == 4)
+  {
     Vec o;
     for (int k = 0; k < kLanes; ++k) o.v[k] = a.v[k] >> Shift;
     return o;
   }
   /// Low-32-bit product, _mm256_mullo_epi32 semantics (wrapping).
-  static Vec mullo(const Vec& a, const Vec& b) {
+  static Vec mullo(const Vec& a, const Vec& b)
+    requires(sizeof(T) == 4)
+  {
     Vec o;
-    for (int k = 0; k < kLanes; ++k) {
-      o.v[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[k]) *
-                                         static_cast<std::uint32_t>(b.v[k]));
-    }
+    for (int k = 0; k < kLanes; ++k) o.v[k] = narrow(std::int64_t{a.v[k]} * b.v[k]);
     return o;
   }
 };
+
+using OpsI32Generic = OpsSignedGeneric<std::int32_t>;
+using OpsI16Generic = OpsSignedGeneric<std::int16_t>;
 
 }  // namespace saloba::align::simd

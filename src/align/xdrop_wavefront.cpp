@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,8 +18,8 @@ namespace saloba::align {
 
 namespace detail {
 
-XdropKernel xdrop_kernel_generic() {
-  return {&xdrop_scores<simd::OpsI32Generic>, &xdrop_flags<simd::OpsI32Generic>};
+XdropKernels xdrop_kernels_generic() {
+  return {xdrop_kernel<simd::OpsI16Generic>(), xdrop_kernel<simd::OpsI32Generic>()};
 }
 
 }  // namespace detail
@@ -27,7 +28,22 @@ namespace {
 
 using detail::kXdropLanes;
 
-constexpr Score kNegInf = std::numeric_limits<Score>::min() / 4;
+/// The never-computed E/F value. int16 lanes saturate, so INT16_MIN minus
+/// beta stays INT16_MIN; int32 lanes wrap, so their sentinel keeps headroom
+/// below every live value (>= -(alpha + beta)) instead.
+template <typename T>
+constexpr T kNegInf = std::is_same_v<T, std::int16_t> ? std::numeric_limits<T>::min()
+                                                      : std::numeric_limits<T>::min() / 4;
+
+/// True when every value a computed cell can take fits int16 lanes: H lies
+/// in [0, match·min(n, m)], E and F in [-(alpha + beta), H's bound], and the
+/// diagonal term in [-mismatch, H's bound] (header, "Lane width").
+bool fits_int16(std::size_t n, std::size_t m, const ScoringScheme& s) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int16_t>::max();
+  const auto shorter = static_cast<std::int64_t>(std::min(n, m));
+  const std::int64_t gaps = std::int64_t{s.gap_open} + 2 * std::int64_t{s.gap_extend};
+  return shorter < kMax && s.match * (shorter + 1) < kMax && gaps < kMax && s.mismatch < kMax;
+}
 
 /// Forward cells swept between two checkpoints, per base of N + M: every
 /// replayed block then holds at most 8·(N + M) flag bytes (plus one
@@ -44,7 +60,8 @@ std::size_t slot(std::int64_t i) { return static_cast<std::size_t>(i + 1); }
 
 /// Gives cells lo - 1 and hi + 1 of a diagonal buffer whose computed window
 /// is [lo, hi] the never-computed value `v` (H = 0, E/F = -inf).
-void seal(std::vector<Score>& buf, std::int64_t lo, std::int64_t hi, Score v) {
+template <typename T>
+void seal(std::vector<T>& buf, std::int64_t lo, std::int64_t hi, T v) {
   buf[slot(lo - 1)] = v;
   buf[slot(hi + 1)] = v;
 }
@@ -61,31 +78,38 @@ std::vector<seq::BaseCode> padded_copy(std::span<const seq::BaseCode> bases, boo
   return out;
 }
 
-/// The kernel this host runs, decided once per engine call the way
-/// simd::align_batch decides it.
-detail::XdropKernel pick_kernel() {
+/// The kernel this host runs over lanes of type T, decided once per engine
+/// call the way simd::align_batch decides it.
+template <typename T>
+detail::XdropKernel<T> pick_kernel() {
+  detail::XdropKernels kernels = detail::xdrop_kernels_generic();
 #if defined(SALOBA_SIMD_AVX2)
   if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
-    return detail::xdrop_kernel_avx2();
+    kernels = detail::xdrop_kernels_avx2();
   }
 #endif
-  return detail::xdrop_kernel_generic();
+  if constexpr (std::is_same_v<T, std::int16_t>) {
+    return kernels.i16;
+  } else {
+    return kernels.i32;
+  }
 }
 
-/// The rolling anti-diagonal state of the masked DP: H on diagonals d-1 and
-/// d-2, E/F on d-1, the buffers diagonal d is written into, and the
-/// computed windows of d-1 and d-2 ([lo, hi] in reference coordinates i,
-/// empty when lo > hi). Buffers hold cell i at slot i + 1: for cell (i, j)
-/// on diagonal d, left (i, j-1) and up (i-1, j) live on d-1 at i and i-1,
-/// diag (i-1, j-1) on d-2 at i-1. Only the windows and their sealed
-/// neighbours are ever read by a live lane (xdrop_kernel.hpp); every other
-/// slot is stale.
+/// The rolling anti-diagonal state of the masked DP, in lanes of type T:
+/// H on diagonals d-1 and d-2, E/F on d-1, the buffers diagonal d is written
+/// into, and the computed windows of d-1 and d-2 ([lo, hi] in reference
+/// coordinates i, empty when lo > hi). Buffers hold cell i at slot i + 1:
+/// for cell (i, j) on diagonal d, left (i, j-1) and up (i-1, j) live on d-1
+/// at i and i-1, diag (i-1, j-1) on d-2 at i-1. Only the windows and their
+/// sealed neighbours are ever read by a live lane (xdrop_kernel.hpp); every
+/// other slot is stale.
+template <typename T>
 struct Wavefront {
   std::int64_t n, m;
   std::vector<seq::BaseCode> ref, query_rev;  // padded copies
   ScoringScheme scoring;
-  detail::XdropKernel kernel;
-  std::vector<Score> h_d2, h_d1, h_cur, e_d1, e_cur, f_d1, f_cur;
+  detail::XdropKernel<T> kernel;
+  std::vector<T> h_d2, h_d1, h_cur, e_d1, e_cur, f_d1, f_cur;
   std::int64_t p1_lo = 0, p1_hi = -1, p2_lo = 0, p2_hi = -1;
 
   Wavefront(std::span<const seq::BaseCode> r, std::span<const seq::BaseCode> q,
@@ -95,11 +119,11 @@ struct Wavefront {
         ref(padded_copy(r, false)),
         query_rev(padded_copy(q, true)),
         scoring(s),
-        kernel(pick_kernel()),
+        kernel(pick_kernel<T>()),
         h_d2(r.size() + 1 + kXdropLanes, 0),
         h_d1(h_d2),
         h_cur(h_d2),
-        e_d1(h_d2.size(), kNegInf),
+        e_d1(h_d2.size(), kNegInf<T>),
         e_cur(e_d1),
         f_d1(e_d1),
         f_cur(e_d1) {}
@@ -108,7 +132,7 @@ struct Wavefront {
     return cap_bytes(h_d2) * 3 + cap_bytes(e_d1) * 4 + cap_bytes(ref) + cap_bytes(query_rev);
   }
 
-  detail::XdropSweep view(std::int64_t d, std::int64_t lo, std::int64_t hi) {
+  detail::XdropSweep<T> view(std::int64_t d, std::int64_t lo, std::int64_t hi) {
     return {.h_d2 = h_d2.data(), .h_d1 = h_d1.data(), .e_d1 = e_d1.data(),
             .f_d1 = f_d1.data(), .h = h_cur.data(), .e = e_cur.data(), .f = f_cur.data(),
             .ref = ref.data(), .query_rev = query_rev.data(), .m = m,
@@ -135,9 +159,9 @@ struct Wavefront {
   }
 
   void seal_current(std::int64_t lo, std::int64_t hi) {
-    seal(h_cur, lo, hi, 0);
-    seal(e_cur, lo, hi, kNegInf);
-    seal(f_cur, lo, hi, kNegInf);
+    seal(h_cur, lo, hi, T{0});
+    seal(e_cur, lo, hi, kNegInf<T>);
+    seal(f_cur, lo, hi, kNegInf<T>);
   }
 
   /// Makes the diagonal just swept (computed window [lo, hi]) diagonal d-1.
@@ -156,20 +180,22 @@ struct Wavefront {
 /// The state entering diagonal d0, the first diagonal of one replay block:
 /// H, E and F over diagonal d0-1's computed window, then H over d0-2's.
 /// Diagonal d reads nothing older, so this restores the sweep exactly.
+template <typename T>
 struct Checkpoint {
   std::int64_t d0 = 0;
-  std::vector<Score> state;
+  std::vector<T> state;
 };
 
 /// What a traced forward sweep records for the backward walk. The computed
 /// window of every swept diagonal turns the history-dependent X-drop
 /// pruning into a positional mask, so any block of diagonals can be
 /// re-derived exactly from its checkpoint.
+template <typename T>
 struct TraceRecord {
   /// Computed window of diagonal d: cells (i, d-i) with clo[d] <= i <=
   /// chi[d] were evaluated. size() = diagonals swept.
   std::vector<std::int32_t> clo, chi;
-  std::vector<Checkpoint> checkpoints;
+  std::vector<Checkpoint<T>> checkpoints;
 
   std::pair<std::int64_t, std::int64_t> window(std::int64_t d) const {
     if (d < 0) return {0, -1};
@@ -177,13 +203,13 @@ struct TraceRecord {
   }
 
   /// Saves the state entering diagonal d0 (the forward sweep's `w`).
-  void checkpoint(std::int64_t d0, const Wavefront& w) {
-    Checkpoint& cp = checkpoints.emplace_back();
+  void checkpoint(std::int64_t d0, const Wavefront<T>& w) {
+    Checkpoint<T>& cp = checkpoints.emplace_back();
     cp.d0 = d0;
     const std::int64_t width1 = std::max<std::int64_t>(0, w.p1_hi - w.p1_lo + 1);
     const std::int64_t width2 = std::max<std::int64_t>(0, w.p2_hi - w.p2_lo + 1);
     cp.state.reserve(static_cast<std::size_t>(3 * width1 + width2));
-    for (const std::vector<Score>* src : {&w.h_d1, &w.e_d1, &w.f_d1}) {
+    for (const std::vector<T>* src : {&w.h_d1, &w.e_d1, &w.f_d1}) {
       const auto first = src->begin() + static_cast<std::ptrdiff_t>(slot(w.p1_lo));
       cp.state.insert(cp.state.end(), first, first + width1);
     }
@@ -193,26 +219,26 @@ struct TraceRecord {
 
   /// Loads checkpoint `b` into `w`: the windows of d0-1 and d0-2, the
   /// values over them, and their sealed neighbours.
-  void restore(std::size_t b, Wavefront& w) const {
-    const Checkpoint& cp = checkpoints[b];
+  void restore(std::size_t b, Wavefront<T>& w) const {
+    const Checkpoint<T>& cp = checkpoints[b];
     std::tie(w.p1_lo, w.p1_hi) = window(cp.d0 - 1);
     std::tie(w.p2_lo, w.p2_hi) = window(cp.d0 - 2);
     const std::int64_t width1 = std::max<std::int64_t>(0, w.p1_hi - w.p1_lo + 1);
     auto src = cp.state.begin();
-    for (std::vector<Score>* dst : {&w.h_d1, &w.e_d1, &w.f_d1}) {
+    for (std::vector<T>* dst : {&w.h_d1, &w.e_d1, &w.f_d1}) {
       std::copy(src, src + width1, dst->begin() + static_cast<std::ptrdiff_t>(slot(w.p1_lo)));
       src += width1;
     }
     std::copy(src, cp.state.end(), w.h_d2.begin() + static_cast<std::ptrdiff_t>(slot(w.p2_lo)));
-    seal(w.h_d1, w.p1_lo, w.p1_hi, 0);
-    seal(w.e_d1, w.p1_lo, w.p1_hi, kNegInf);
-    seal(w.f_d1, w.p1_lo, w.p1_hi, kNegInf);
-    seal(w.h_d2, w.p2_lo, w.p2_hi, 0);
+    seal(w.h_d1, w.p1_lo, w.p1_hi, T{0});
+    seal(w.e_d1, w.p1_lo, w.p1_hi, kNegInf<T>);
+    seal(w.f_d1, w.p1_lo, w.p1_hi, kNegInf<T>);
+    seal(w.h_d2, w.p2_lo, w.p2_hi, T{0});
   }
 
   std::size_t bytes() const {
     std::size_t b = cap_bytes(clo) + cap_bytes(chi) + cap_bytes(checkpoints);
-    for (const Checkpoint& cp : checkpoints) b += cap_bytes(cp.state);
+    for (const Checkpoint<T>& cp : checkpoints) b += cap_bytes(cp.state);
     return b;
   }
 };
@@ -221,10 +247,12 @@ struct TraceRecord {
 /// live windows (header, "Forward pass"). With a non-null `record` it also
 /// records every computed window and a checkpoint whenever
 /// kCheckpointCellsPerBase·(N + M) cells have been swept since the last.
-AlignmentResult wavefront_forward(Wavefront& w, const XDropParams& params,
-                                  TraceRecord* record, WavefrontStats& stats) {
+template <typename T>
+AlignmentResult wavefront_forward(Wavefront<T>& w, const XDropParams& params,
+                                  TraceRecord<T>* record, WavefrontStats& stats) {
   const std::int64_t n = w.n;
   const std::int64_t m = w.m;
+  stats.lane_bits = 8 * sizeof(T);
   AlignmentResult best;
   if (n == 0 || m == 0) return best;
 
@@ -291,10 +319,11 @@ AlignmentResult wavefront_forward(Wavefront& w, const XDropParams& params,
 /// One replayed block: the flag byte of every computed cell of diagonals
 /// [d0, d0 + offset.size()), diagonal d's window starting at
 /// flags[offset[d - d0]].
+template <typename T>
 struct FlagBlock {
-  explicit FlagBlock(const TraceRecord& r) : record(r) {}
+  explicit FlagBlock(const TraceRecord<T>& r) : record(r) {}
 
-  const TraceRecord& record;
+  const TraceRecord<T>& record;
   std::int64_t d0 = 0;
   std::vector<std::size_t> offset;
   std::vector<std::uint8_t> flags;
@@ -304,7 +333,7 @@ struct FlagBlock {
   /// Re-derives diagonals [d0 of checkpoint b, dw] into this block. The
   /// flag array is sized exactly, plus the kernel's tail slack, so a block
   /// never holds more than the cells it replays and one vector.
-  void replay(std::size_t b, std::int64_t dw, Wavefront& w, WavefrontStats& stats) {
+  void replay(std::size_t b, std::int64_t dw, Wavefront<T>& w, WavefrontStats& stats) {
     d0 = record.checkpoints[b].d0;
     std::size_t cells = 0;
     offset.clear();
@@ -335,6 +364,44 @@ struct FlagBlock {
   }
 };
 
+/// xdrop_wavefront_score over lanes of type T.
+template <typename T>
+AlignmentResult score_pair(std::span<const seq::BaseCode> ref,
+                           std::span<const seq::BaseCode> query, const ScoringScheme& scoring,
+                           const XDropParams& params, WavefrontStats& stats) {
+  Wavefront<T> w(ref, query, scoring);
+  return wavefront_forward<T>(w, params, nullptr, stats);
+}
+
+/// xdrop_wavefront_align over lanes of type T.
+template <typename T>
+TracedAlignment align_pair(std::span<const seq::BaseCode> ref,
+                           std::span<const seq::BaseCode> query, const ScoringScheme& scoring,
+                           const XDropParams& params, WavefrontStats& stats) {
+  Wavefront<T> w(ref, query, scoring);
+  TraceRecord<T> record;
+  TraceWalk walk(wavefront_forward(w, params, &record, stats));
+
+  // Walk back one block at a time: replay the block holding the walk's
+  // diagonal up to that diagonal, then walk until the path leaves it.
+  // Blocks are visited in decreasing order, each at most once.
+  FlagBlock<T> block(record);
+  std::size_t b = record.checkpoints.size();
+  while (!walk.done()) {
+    const auto dw = static_cast<std::int64_t>(walk.row() + walk.col()) - 2;
+    do {
+      --b;
+    } while (record.checkpoints[b].d0 > dw);
+    block.replay(b, dw, w, stats);
+    const auto first = static_cast<std::size_t>(block.d0) + 2;
+    walk.advance([first](std::size_t i, std::size_t j) { return i + j >= first; },
+                 [&](std::size_t i, std::size_t j) { return block.flag_at(i, j); });
+    stats.peak_bytes = std::max(stats.peak_bytes,
+                                w.bytes() + record.bytes() + block.bytes() + walk.steps());
+  }
+  return walk.result();
+}
+
 }  // namespace
 
 AlignmentResult xdrop_wavefront_score(std::span<const seq::BaseCode> ref,
@@ -343,8 +410,10 @@ AlignmentResult xdrop_wavefront_score(std::span<const seq::BaseCode> ref,
                                       WavefrontStats* stats) {
   SALOBA_CHECK(scoring.valid());
   WavefrontStats local;
-  Wavefront w(ref, query, scoring);
-  AlignmentResult best = wavefront_forward(w, params, nullptr, local);
+  const AlignmentResult best =
+      fits_int16(ref.size(), query.size(), scoring)
+          ? score_pair<std::int16_t>(ref, query, scoring, params, local)
+          : score_pair<std::int32_t>(ref, query, scoring, params, local);
   if (stats != nullptr) *stats = local;
   return best;
 }
@@ -355,29 +424,12 @@ TracedAlignment xdrop_wavefront_align(std::span<const seq::BaseCode> ref,
                                       WavefrontStats* stats) {
   SALOBA_CHECK(scoring.valid());
   WavefrontStats local;
-  Wavefront w(ref, query, scoring);
-  TraceRecord record;
-  TraceWalk walk(wavefront_forward(w, params, &record, local));
-
-  // Walk back one block at a time: replay the block holding the walk's
-  // diagonal up to that diagonal, then walk until the path leaves it.
-  // Blocks are visited in decreasing order, each at most once.
-  FlagBlock block(record);
-  std::size_t b = record.checkpoints.size();
-  while (!walk.done()) {
-    const auto dw = static_cast<std::int64_t>(walk.row() + walk.col()) - 2;
-    do {
-      --b;
-    } while (record.checkpoints[b].d0 > dw);
-    block.replay(b, dw, w, local);
-    const auto first = static_cast<std::size_t>(block.d0) + 2;
-    walk.advance([first](std::size_t i, std::size_t j) { return i + j >= first; },
-                 [&](std::size_t i, std::size_t j) { return block.flag_at(i, j); });
-    local.peak_bytes = std::max(local.peak_bytes,
-                                w.bytes() + record.bytes() + block.bytes() + walk.steps());
-  }
+  TracedAlignment traced =
+      fits_int16(ref.size(), query.size(), scoring)
+          ? align_pair<std::int16_t>(ref, query, scoring, params, local)
+          : align_pair<std::int32_t>(ref, query, scoring, params, local);
   if (stats != nullptr) *stats = local;
-  return walk.result();
+  return traced;
 }
 
 std::size_t xdrop_cells_estimate(std::size_t ref_len, std::size_t query_len, Score xdrop,

@@ -29,16 +29,17 @@
 // (sequences, scoring, mask) and any run of diagonals can be recomputed
 // exactly from the state entering it.
 //
-// ## The cell body (8 lanes per diagonal)
+// ## The cell body (16 or 8 lanes per diagonal)
 //
 // One cell body (align/xdrop_kernel.hpp) serves the forward sweep and the
-// block replay. It runs 8 int32 lanes along the anti-diagonal — an AVX2
-// instantiation when the build has it and the CPU reports it, decided once
-// per call, the portable generic one otherwise; both give the same bits —
-// and tests no window per cell:
+// block replay. It runs along the anti-diagonal in 16 int16 lanes or 8
+// int32 lanes per vector (see "Lane width") — an AVX2 instantiation when
+// the build has it and the CPU reports it, decided once per call, the
+// portable generic one otherwise; both give the same bits — and tests no
+// window per cell:
 //
 //  * sentinels replace the window tests. Each diagonal buffer has one slot
-//    before i = 0 and 8 after i = n - 1, and after a diagonal [lo, hi] is
+//    before i = 0 and 16 after i = n - 1, and after a diagonal [lo, hi] is
 //    swept (or restored from a checkpoint) cells lo - 1 and hi + 1 hold the
 //    never-computed values. Windows only shrink on the left and grow by at
 //    most one cell on the right, so every neighbour a computed cell reads is
@@ -47,11 +48,33 @@
 //  * both sequences load forward: the engine keeps a padded copy of the
 //    reference and a padded, reversed copy of the query, so the cells of a
 //    diagonal read both in increasing order;
-//  * lanes past hi compute garbage (in wrapping arithmetic) that never
-//    reaches the diagonal's max, the search for its best cell (the smallest
-//    i holding that max, offered to improves()), or the walk.
+//  * lanes past hi compute garbage that never reaches the diagonal's max,
+//    the search for its best cell (the smallest i holding that max, offered
+//    to improves()), or the walk.
 //
 // The live-window scans, the checkpoint spacing and the walk stay scalar.
+//
+// ## Lane width (int16 when the pair's scores fit, else int32)
+//
+// Both calls pick the lane type once per pair from (n, m, scoring) alone,
+// so the forward sweep and the block replay of a pair run the same lanes,
+// and WavefrontStats::lane_bits reports which. The int16 lanes are exact
+// wherever every value a computed cell can take fits int16:
+//
+//  * a computed cell has 0 <= H <= match·min(n, m), so E and F, the max of
+//    H - alpha and an earlier E or F minus beta, stay >= -alpha, and every
+//    intermediate (E_left - beta, the diagonal term H + S) lies in
+//    [-max(alpha + beta, mismatch), match·min(n, m)];
+//  * the -inf sentinels are INT16_MIN, and int16 add and subtract saturate,
+//    so a sentinel stays INT16_MIN (wrapping would turn E_left - beta into
+//    +32767). Every compare of the flag bits then gives the int32 answer;
+//  * lanes past hi may saturate; they are masked as at int32.
+//
+// So int16 runs when match·(min(n, m) + 1), alpha + beta and mismatch are
+// all below 32767: mapbench's 12 kbp reads at match 1 fit, the long-read
+// suite's 100 kbp reads take the int32 lanes, whose values wrap only in
+// lanes past hi. int16 halves the bytes of the diagonal buffers and the
+// checkpoints.
 //
 // ## Traceback (checkpointed replay, the canonical walk)
 //
@@ -75,16 +98,16 @@
 // Blocks are visited in decreasing order, each at most once and only up to
 // the walk's entry diagonal, so `traceback_cells <= cells`. Memory is the
 // diagonal buffers, the padded sequence copies and the windows (O(N + M)),
-// one block of at most 8·(N + M) flag bytes plus one diagonal and 7 bytes
-// of tail slack, and the checkpoints: 16 bytes per window cell every
-// 8·(N + M) swept cells, about 2·W² bytes for windows W cells wide —
-// O(N + M) while X-drop keeps the window narrow. With pruning off on a long
-// divergent pair the window spans the table, and the checkpoints grow to
-// the order of N·M bytes as the forward cells grow to N·M. The naive
-// full-matrix oracle (align/xdrop_reference.hpp) walks its stored tables
-// with independent code, and the fuzz suite asserts bit-identity of score,
-// endpoint, CIGAR and the computed cells' counts; with `xdrop <= 0` both
-// equal smith_waterman_traceback.
+// one block of at most 8·(N + M) flag bytes plus one diagonal and 15 bytes
+// of tail slack, and the checkpoints: 4 lanes per window cell (16 bytes at
+// int32, 8 at int16) every 8·(N + M) swept cells, about 2·W² bytes for
+// windows W cells wide at int32 — O(N + M) while X-drop keeps the window
+// narrow. With pruning off on a long divergent pair the window spans the
+// table, and the checkpoints grow to the order of N·M bytes as the forward
+// cells grow to N·M. The naive full-matrix oracle (align/xdrop_reference.hpp)
+// walks its stored tables with independent code, and the fuzz suite asserts
+// bit-identity of score, endpoint, CIGAR and the computed cells' counts;
+// with `xdrop <= 0` both equal smith_waterman_traceback.
 #pragma once
 
 #include <cstddef>
@@ -112,6 +135,10 @@ struct WavefrontStats {
   std::size_t traceback_cells = 0;
   std::size_t diagonals = 0;      ///< anti-diagonals swept before termination
   std::size_t max_wavefront = 0;  ///< widest computed window, in cells
+  /// Bits per lane of the cell body that ran: 16 when the pair's score
+  /// bound fits int16, else 32 (header, "Lane width"). An output, decided
+  /// from (n, m, scoring) alone.
+  std::size_t lane_bits = 0;
   /// Peak heap footprint in bytes, measured from the engine's live container
   /// capacities at every phase boundary (not a model): diagonal buffers and
   /// padded sequence copies (padding included), per-diagonal windows,

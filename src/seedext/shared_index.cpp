@@ -463,11 +463,13 @@ void ShardedKmerIndex::lookup_packed(std::span<const std::uint64_t> keys, KmerHi
     shards_[s].index->kmer().lookup_packed(keys, runs);
     for (std::span<const std::uint32_t> run : runs) positions += run.size();
   }
-  // Each global k-mer start belongs to exactly one shard's owned range, and
-  // per-shard runs are ascending — so a key's runs, filtered and
-  // concatenated in shard order, are the monolithic (sorted, duplicate-free)
-  // list. Reserving every run's positions up front keeps `merged` from
-  // moving under the lists already pointed into it.
+  // Shard s indexes the window [begin, text_end) with text_end <= end + k - 1,
+  // so every k-mer start it holds lies in its owned range [begin, end) (the
+  // loader holds a file-backed shard's entries to the same bound). The owned
+  // ranges partition the genome and per-shard runs are ascending, so a key's
+  // runs, concatenated in shard order, are the monolithic (sorted,
+  // duplicate-free) list. Reserving every run's positions up front keeps
+  // `merged` from moving under the lists already pointed into it.
   out.merged.clear();
   out.merged.reserve(positions);
   for (std::size_t i = 0; i < n; ++i) {
@@ -475,7 +477,8 @@ void ShardedKmerIndex::lookup_packed(std::span<const std::uint64_t> keys, KmerHi
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       for (std::uint32_t local : out.lists[s * n + i]) {
         const std::size_t global = shards_[s].begin + local;
-        if (global < shards_[s].end) out.merged.push_back(static_cast<std::uint32_t>(global));
+        SALOBA_DCHECK(global < shards_[s].end);
+        out.merged.push_back(static_cast<std::uint32_t>(global));
       }
     }
     // List i was shard 0's run of key i, read by now.

@@ -224,10 +224,10 @@ class ShardedKmerIndex {
 
   /// Batched lookup by already-packed canonical keys: runs every shard's
   /// staged KmerIndex::lookup_packed over the whole block, then merges each
-  /// key's runs in shard order, offset to global positions and filtered to
-  /// the owned ranges, into `out.merged`. out.lists[i] (resized to
-  /// keys.size()) is then keys[i]'s list, equal to the monolithic
-  /// lookup_packed(keys[i]).
+  /// key's runs in shard order, offset to global positions, into
+  /// `out.merged`. Each shard's k-mer starts lie in its owned range, so no
+  /// position is dropped or repeated. out.lists[i] (resized to keys.size())
+  /// is then keys[i]'s list, equal to the monolithic lookup_packed(keys[i]).
   void lookup_packed(std::span<const std::uint64_t> keys, KmerHits& out) const;
 
  private:

@@ -7,7 +7,10 @@
 // Smith-Waterman traceback. Its measured peak heap footprint must stay
 // O(N + M) (allocation-counting via WavefrontStats::peak_bytes, which sums
 // live container capacities at every phase boundary), and its block replay
-// never re-derives more cells than the forward sweep computed.
+// never re-derives more cells than the forward sweep computed. Every pair
+// also runs at both lane widths: these short pairs fit the int16 lanes, and
+// the same pair under scoring and X scaled by kScale takes the int32 lanes
+// and must repeat the base run scaled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +27,11 @@
 
 namespace saloba::align {
 namespace {
+
+/// Every DP value and every compare scales by a constant, so scoring and X
+/// scaled by kScale keep the X-drop mask and each tie-break. Its gap costs
+/// alone put the scaled run past the int16 lanes.
+constexpr Score kScale = 5000;
 
 /// Mutated copy with substitutions AND indels, so fuzzed CIGARs exercise
 /// every op and the walk's gap open/extend decisions.
@@ -82,6 +90,34 @@ void check_pair(const std::vector<seq::BaseCode>& ref,
   // O(N + M) invariant, measured: generous constant, nowhere near N*M.
   const std::size_t linear = ref.size() + query.size() + 2;
   ASSERT_LE(stats.peak_bytes, 128 * linear + 4096) << tag << " xdrop=" << xdrop;
+
+  // The int32 lanes on the same pair. An X above the pair's score bound
+  // keeps every cell live at either scale, so it is clamped there rather
+  // than scaled past int32.
+  const ScoringScheme scaled{.match = s.match * kScale, .mismatch = s.mismatch * kScale,
+                             .gap_open = s.gap_open * kScale,
+                             .gap_extend = s.gap_extend * kScale};
+  const Score bound = s.match * static_cast<Score>(std::min(ref.size(), query.size()));
+  const XDropParams scaled_params{.xdrop = xdrop > bound ? kScale * bound + 1 : kScale * xdrop};
+  WavefrontStats wide_stats;
+  const auto wide = xdrop_wavefront_align(ref, query, scaled, scaled_params, &wide_stats);
+  ASSERT_EQ(stats.lane_bits, 16u) << tag;
+  ASSERT_EQ(wide_stats.lane_bits, 32u) << tag;
+  ASSERT_EQ(wide.end.score, kScale * engine.end.score) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide.end.ref_end, engine.end.ref_end) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide.end.query_end, engine.end.query_end) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide.ref_start, engine.ref_start) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide.query_start, engine.query_start) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide.cigar, engine.cigar) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide_stats.cells, stats.cells) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide_stats.traceback_cells, stats.traceback_cells) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide_stats.diagonals, stats.diagonals) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide_stats.max_wavefront, stats.max_wavefront) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide_stats.xdropped, stats.xdropped) << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(wide, xdrop_reference_align(ref, query, scaled, scaled_params))
+      << tag << " xdrop=" << xdrop;
+  ASSERT_EQ(xdrop_wavefront_score(ref, query, scaled, scaled_params), wide.end)
+      << tag << " xdrop=" << xdrop;
 }
 
 struct FuzzCase {
