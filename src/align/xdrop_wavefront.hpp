@@ -87,8 +87,9 @@
 //     whenever 8·(N + M) cells have been swept since the last one. The
 //     spacing is in cells, not diagonals, because the window is not narrow
 //     everywhere: until the best score exceeds X every computed cell is
-//     live, so the window grows by one cell per diagonal (~3,000 cells on
-//     mapbench's 12 kbp reads at X = 200).
+//     live, so the window grows by one cell per diagonal (~700–1,000 cells
+//     on mapbench's 12 kbp reads at X = 200, whose genome windows start
+//     256 bases before the mapped read).
 //  2. From the best cell, the walk's diagonal dw selects the block whose
 //     checkpoint precedes it; diagonals [d0, dw] are replayed with the
 //     forward pass's own cell body, storing one align::TraceFlag byte per
@@ -173,10 +174,12 @@ TracedAlignment xdrop_wavefront_align(std::span<const seq::BaseCode> ref,
 /// at ~2·xdrop/beta + 1 cells: once the best score exceeds xdrop, moving
 /// sideways costs at least beta per step, so the live window stays about
 /// that wide around the best path. Before then nothing can fall xdrop below
-/// the best and the window grows one cell per diagonal (mapbench's 12 kbp
-/// reads at xdrop 200 reach ~3,000 cells across their ~2,400 bases of
-/// window slack), so this is a packing hint, not a bound: ~11.5M cells per
-/// pair against ~8M measured there. Capped at the full table.
+/// the best and the window grows one cell per diagonal, so this is a
+/// packing hint, not a bound: a pair whose sweep starts far before the
+/// alignment can exceed it. mapbench's 12 kbp reads at xdrop 200, whose
+/// windows start 256 bases before the mapped read, reach ~700–1,000 cells
+/// and sweep ~3.9M cells per pair against ~9.8M estimated. Capped at the
+/// full table.
 std::size_t xdrop_cells_estimate(std::size_t ref_len, std::size_t query_len, Score xdrop,
                                  const ScoringScheme& scoring);
 

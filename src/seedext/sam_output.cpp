@@ -19,7 +19,8 @@ int mapq_from_score(align::Score score, std::size_t read_len,
 
 MappedWindow mapped_window(std::size_t genome_len, std::size_t ref_pos,
                            std::size_t oriented_len) {
-  std::size_t slack = std::max<std::size_t>(32, oriented_len / 5);
+  const std::size_t slack =
+      std::clamp<std::size_t>(oriented_len / 5, 32, kMaxWindowSlack);
   MappedWindow win;
   win.start = ref_pos > slack ? ref_pos - slack : 0;
   win.end = std::min(genome_len, ref_pos + oriented_len + slack);

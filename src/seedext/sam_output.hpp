@@ -10,11 +10,19 @@
 
 namespace saloba::seedext {
 
+/// The most slack, in bases per side, that mapped_window pads a read with:
+/// len / 5 reaches it at 1,280 bp, and longer reads stop there. A routed
+/// long read's X-drop sweep starts at the window's corner and can prune
+/// nothing until its best score exceeds X, so each base of slack before the
+/// read widens a triangle of unprunable cells, and a repeat copy inside
+/// kilobases of slack can win the trace.
+inline constexpr std::size_t kMaxWindowSlack = 256;
+
 /// The genome window a mapped read's CIGAR is defined over: the mapped
-/// position padded by max(32, len / 5) of slack on both sides (gaps may
-/// shift the true start), clamped to the genome. Shared by the batched
-/// traceback stage of ReadMapper::map_batch and to_sam_record so the
-/// two can never disagree about coordinates.
+/// position padded by clamp(len / 5, 32, kMaxWindowSlack) bases of slack on
+/// both sides (gaps may shift the true start), clamped to the genome.
+/// Shared by the batched traceback stage of ReadMapper::map_batch and
+/// to_sam_record so the two can never disagree about coordinates.
 struct MappedWindow {
   std::size_t start = 0;  ///< 0-based first genome base of the window
   std::size_t end = 0;    ///< past-the-end genome base

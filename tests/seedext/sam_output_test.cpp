@@ -108,6 +108,59 @@ TEST(SamOutput, MappingPastTheGenomeEndThrows) {
   EXPECT_THROW(to_sam_record(*f.mapper, read, mapping), std::invalid_argument);
 }
 
+/// The slack mapped_window pads a read of `len` bases with, read off a window
+/// far from both genome ends; both sides must carry the same slack.
+std::size_t slack_of(std::size_t len) {
+  constexpr std::size_t kGenomeLen = 10'000'000;
+  constexpr std::size_t kRefPos = 1'000'000;
+  const MappedWindow win = mapped_window(kGenomeLen, kRefPos, len);
+  const std::size_t before = kRefPos - win.start;
+  EXPECT_EQ(win.end - (kRefPos + len), before) << "len " << len;
+  return before;
+}
+
+TEST(SamOutput, MappedWindowSlackIs32UpTo160Bases) {
+  for (std::size_t len : {0u, 1u, 100u, 159u, 160u}) {
+    EXPECT_EQ(slack_of(len), 32u) << len;
+  }
+}
+
+TEST(SamOutput, MappedWindowSlackIsAFifthOfTheReadUpTo1280Bases) {
+  for (std::size_t len : {161u, 165u, 250u, 999u, 1000u, 1279u, 1280u}) {
+    EXPECT_EQ(slack_of(len), len / 5) << len;
+  }
+}
+
+TEST(SamOutput, MappedWindowSlackIsCappedAt256Bases) {
+  for (std::size_t len : {1281u, 1285u, 1290u, 12'000u, 101'509u}) {
+    EXPECT_EQ(slack_of(len), 256u) << len;
+  }
+}
+
+TEST(SamOutput, MappedWindowClampsToTheGenome) {
+  constexpr std::size_t kGenomeLen = 20'000;
+  // Near the genome start: the slack before the read is cut at base 0.
+  MappedWindow win = mapped_window(kGenomeLen, 100, 12'000);
+  EXPECT_EQ(win.start, 0u);
+  EXPECT_EQ(win.end, 100u + 12'000u + 256u);
+  win = mapped_window(kGenomeLen, 256, 12'000);
+  EXPECT_EQ(win.start, 0u);
+  win = mapped_window(kGenomeLen, 257, 12'000);
+  EXPECT_EQ(win.start, 1u);
+  // Near the genome end: the slack after the read is cut at the genome end.
+  win = mapped_window(kGenomeLen, 7'800, 12'000);
+  EXPECT_EQ(win.start, 7'800u - 256u);
+  EXPECT_EQ(win.end, kGenomeLen);
+  // A short read keeps its 32 bases up to the genome end.
+  win = mapped_window(kGenomeLen, kGenomeLen - 100, 100);
+  EXPECT_EQ(win.start, kGenomeLen - 132);
+  EXPECT_EQ(win.end, kGenomeLen);
+  // A read that spans the whole genome gets the whole genome.
+  win = mapped_window(kGenomeLen, 0, kGenomeLen);
+  EXPECT_EQ(win.start, 0u);
+  EXPECT_EQ(win.end, kGenomeLen);
+}
+
 TEST(SamOutput, MapqMonotoneInScore) {
   align::ScoringScheme s;
   int prev = -1;
