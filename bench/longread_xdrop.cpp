@@ -1,7 +1,8 @@
 // Ultra-long-read X-drop wavefront bench — the asserting harness CI runs as
 // `longread_xdrop --quick`. Aligns one 100 kbp+ pair end to end (forward
-// masked wavefront, then the checkpointed block replay the shared
-// TraceWalk walks) and enforces the engine's headline claims with
+// masked wavefront, then the checkpointed block replays, each clipped to
+// the cone of the cell where the shared TraceWalk enters the block) and
+// enforces the engine's headline claims with
 // *measured* numbers and deterministic counts:
 //
 //   1. Linear memory: the engine's measured peak heap footprint
@@ -10,7 +11,8 @@
 //   2. X-drop pruning: the forward sweep computes a small fraction of the
 //      full N·M table on a related pair.
 //   3. Bounded replay: the traceback re-derives each block at most once,
-//      so it sweeps no more cells than the forward pass.
+//      and only the walk's cone of it, so it sweeps no more cells than the
+//      forward pass (about a quarter of them on the quick pair).
 //
 // It also extends the ablation_spill axis to the long-read regime: a full
 // Smith-Waterman table would hold 12·N·M bytes of H/E/F state — the DP
@@ -78,10 +80,11 @@ int main(int argc, char** argv) {
 
   // The linear-memory ceiling: a small constant of lane state (int16 or
   // int32, WavefrontStats::lane_bits) per diagonal slot across all phases
-  // (7 diagonal buffers + the per-diagonal windows + the checkpoints + one
-  // replayed block's flag bytes, at most 8·(N+M) + one diagonal + the op
-  // string), plus allocator slack. Same bound the fuzz suite holds every
-  // engine run to.
+  // (7 diagonal buffers + the per-diagonal windows + the checkpoints, at
+  // most about 8 lanes per diagonal while the window stays narrower than
+  // 4·√(N+M) cells + one replayed cone's flag bytes, at most 8·(N+M) + one
+  // diagonal + the op string), plus allocator slack. Same bound the fuzz
+  // suite holds every engine run to.
   const std::size_t linear_ceiling = 128 * (n + m + 2) + 4096;
   // What a full-matrix engine would spill: H/E/F as int32 over N·M — the DP
   // state a GPU kernel without the lazy-spill/wavefront machinery writes to

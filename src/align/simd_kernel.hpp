@@ -27,10 +27,15 @@
 // storing one flag byte (align::TraceFlag) per lane per cell — in a
 // lane-width slot, so the 16-bit rescue keeps it in each lane's low byte —
 // and every lane walks its own path (align::TraceWalk) through the block in
-// memory. The forward sweep and the replays run the score pass's row body;
-// only the flag stores are switched on at compile time. So the forward
-// sweep settles each lane's end and cell count exactly as the score pass
-// does, and a traced pair needs no score pass of its own.
+// memory. A walk moves only up and left, so a lane replays only the rows
+// and columns up to its walk's cell: its row_end and col_end narrow its
+// windows, and the cohort's columns stop at the last lane's walk column.
+// (Row-major replays cannot also drop the columns left of the walk's cone,
+// as the X-drop wavefront's anti-diagonal replays do.) The forward sweep
+// and the replays run the score pass's row body; only the flag stores are
+// switched on at compile time. So the forward sweep settles each lane's end
+// and cell count exactly as the score pass does, and a traced pair needs no
+// score pass of its own.
 #pragma once
 
 #include <algorithm>
@@ -42,6 +47,7 @@
 #include "align/scoring.hpp"
 #include "align/traceback_engine.hpp"
 #include "seq/sequence.hpp"
+#include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace saloba::align::simd::detail {
@@ -134,7 +140,9 @@ class CohortKernel {
   /// and settles each lane's best cell exactly as run_cohort does; then,
   /// bottom-up, each block some lane's walk still needs is replayed from its
   /// snapshot (rows up to the deepest such walk) with flag stores on, and
-  /// every lane walks through it. A lane whose best is zero walks nothing.
+  /// every lane walks through it. Each lane replays only the rows and
+  /// columns up to its walk's cell, the only ones its walk can reach. A
+  /// lane whose best is zero walks nothing.
   static void trace_cohort(const PassRequest& req, std::span<const std::size_t> lane_pairs,
                            std::size_t block_rows) {
     Cohort c(req, lane_pairs);
@@ -165,13 +173,15 @@ class CohortKernel {
     std::vector<Elem> flags(std::min(block_rows, static_cast<std::size_t>(c.max_n)) * cols * kW);
     std::size_t replay_cells[kW] = {};
     for (std::size_t b = blocks; b-- > 0;) {
-      // Lanes whose walk stands in this block sweep rows [r0, walk row);
-      // every other lane sits the replay out.
+      // Lanes whose walk stands in this block sweep rows [r0, walk row) and
+      // columns [0, walk column), the 0-based cells up to and including the
+      // walk's; every other lane sits the replay out.
       const std::int64_t r0 = static_cast<std::int64_t>(b) * k;
       std::int64_t deepest = r0;
       for (int l = 0; l < kW; ++l) {
         const bool here = !walks[l].done() && static_cast<std::int64_t>(walks[l].row()) > r0;
         c.row_end[l] = here ? static_cast<std::int64_t>(walks[l].row()) : 0;
+        c.col_end[l] = here ? static_cast<std::int64_t>(walks[l].col()) : 0;
         deepest = std::max(deepest, c.row_end[l]);
       }
       if (deepest == r0) continue;
@@ -193,8 +203,10 @@ class CohortKernel {
           const auto i0 = static_cast<std::int64_t>(i) - 1;
           const auto j0 = static_cast<std::int64_t>(j) - 1;
           // Out-of-band cells read the masked-DP neutral values; in-band
-          // cells of rows [r0, row_end) were all written by this replay.
+          // cells of rows [r0, row_end) and columns [0, col_end) were all
+          // written by this replay.
           if (j0 < c.window_lo(l, i0) || j0 > c.window_hi(l, i0)) return std::uint8_t{kTraceZero};
+          SALOBA_DCHECK(i0 < c.row_end[l] && j0 < c.col_end[l]);
           return static_cast<std::uint8_t>(
               flags[(static_cast<std::size_t>(i0 - r0) * cols + static_cast<std::size_t>(j0)) * kW +
                     static_cast<std::size_t>(l)]);
@@ -224,10 +236,11 @@ class CohortKernel {
   /// replays all run its one row body (sweep_row).
   struct Cohort {
     std::int64_t n[kW] = {}, m[kW] = {}, band[kW] = {};
-    /// Lane l sweeps rows [0, row_end[l]) in the forward sweep (its length,
-    /// cut short by saturation or the band leaving the query); a block
-    /// replay narrows it to the rows the lane's walk needs.
-    std::int64_t row_end[kW] = {};
+    /// Lane l sweeps rows [0, row_end[l]) and columns [0, col_end[l]) in the
+    /// forward sweep (its lengths; rows cut short by saturation or the band
+    /// leaving the query); a block replay narrows both to the cells up to
+    /// the lane's walk.
+    std::int64_t row_end[kW] = {}, col_end[kW] = {};
     std::int64_t max_n = 0, max_m = 0;
     std::vector<std::uint8_t> refs_t, queries_t;
     /// H[j] / F[j] column state vectors. Zero-initialisation doubles as the
@@ -251,6 +264,7 @@ class CohortKernel {
         band[l] = b != 0 ? static_cast<std::int64_t>(std::min(b, 2 * kMaxSimdLen))
                          : std::max(n[l], m[l]);
         row_end[l] = m[l] > 0 ? n[l] : 0;
+        col_end[l] = m[l];
         max_n = std::max(max_n, n[l]);
         max_m = std::max(max_m, m[l]);
       }
@@ -289,8 +303,9 @@ class CohortKernel {
     std::int64_t window_lo(int l, std::int64_t i) const { return i > band[l] ? i - band[l] : 0; }
     std::int64_t window_hi(int l, std::int64_t i) const { return std::min(m[l] - 1, i + band[l]); }
 
-    /// Row i's per-lane windows into lo16/hi16 and their union; false when
-    /// no lane has one. Adds each windowed lane's in-band cells to cells[l].
+    /// Row i's per-lane windows, cut at col_end, into lo16/hi16 and their
+    /// union; false when no lane has one. Adds each windowed lane's swept
+    /// cells to cells[l].
     bool windows(std::int64_t i, std::size_t* cells) {
       union_lo = max_m;
       union_hi = -1;
@@ -299,10 +314,11 @@ class CohortKernel {
         hi16[l] = 0;
         if (i >= row_end[l]) continue;
         const std::int64_t lo = window_lo(l, i);
-        const std::int64_t hi = window_hi(l, i);
+        const std::int64_t hi = std::min(window_hi(l, i), col_end[l] - 1);
         if (lo > hi) {
-          // The band moved past the query end: no row from here on holds
-          // in-band cells for this lane (the oracle's empty-window rows).
+          // The band moved past the query end (the oracle's empty-window
+          // rows) or, in a replay, past the walk's column: no row from here
+          // on holds a cell this lane sweeps.
           row_end[l] = i;
           continue;
         }

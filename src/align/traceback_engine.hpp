@@ -25,7 +25,13 @@
 // which replays the same K-row blocks for a whole vector of pairs at once,
 // and with the X-drop wavefront (align/xdrop_wavefront.hpp), which replays
 // blocks of anti-diagonals instead of rows. The walk's decision order — the
-// canonical traced path — exists once for all three engines.
+// canonical traced path — exists once for all three engines. The walk moves
+// only up and left, so those two replay only the cells up to the walk's
+// cell where it enters a block: the SIMD lanes stop at its row and column,
+// and the wavefront clips each diagonal to that cell's cone, a triangle.
+// This engine replays whole band rows, as the oracle of both and the
+// simulated backend's functional engine whose replay_cells price the
+// modeled traceback phase.
 #pragma once
 
 #include <cstdint>

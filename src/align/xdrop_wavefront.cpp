@@ -50,6 +50,12 @@ bool fits_int16(std::size_t n, std::size_t m, const ScoringScheme& s) {
 /// diagonal), whatever the window width.
 constexpr std::size_t kCheckpointCellsPerBase = 8;
 
+/// The fewest diagonals between two checkpoints. A block also ends after W/2
+/// diagonals for a window W cells wide, so the walk's cone, a triangle that
+/// grows one cell per diagonal back from the walk's entry, covers at most
+/// about a quarter of the block's cells.
+constexpr std::int64_t kMinCheckpointDiagonals = 16;
+
 template <class T>
 std::size_t cap_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -196,6 +202,7 @@ struct TraceRecord {
   /// chi[d] were evaluated. size() = diagonals swept.
   std::vector<std::int32_t> clo, chi;
   std::vector<Checkpoint<T>> checkpoints;
+  std::size_t state_bytes = 0;  ///< the checkpoints' state capacities, summed
 
   std::pair<std::int64_t, std::int64_t> window(std::int64_t d) const {
     if (d < 0) return {0, -1};
@@ -215,6 +222,7 @@ struct TraceRecord {
     }
     const auto first = w.h_d2.begin() + static_cast<std::ptrdiff_t>(slot(w.p2_lo));
     cp.state.insert(cp.state.end(), first, first + width2);
+    state_bytes += cap_bytes(cp.state);
   }
 
   /// Loads checkpoint `b` into `w`: the windows of d0-1 and d0-2, the
@@ -237,16 +245,17 @@ struct TraceRecord {
   }
 
   std::size_t bytes() const {
-    std::size_t b = cap_bytes(clo) + cap_bytes(chi) + cap_bytes(checkpoints);
-    for (const Checkpoint<T>& cp : checkpoints) b += cap_bytes(cp.state);
-    return b;
+    return cap_bytes(clo) + cap_bytes(chi) + cap_bytes(checkpoints) + state_bytes;
   }
 };
 
 /// Forward masked wavefront: anti-diagonal sweep with per-diagonal X-drop
 /// live windows (header, "Forward pass"). With a non-null `record` it also
 /// records every computed window and a checkpoint whenever
-/// kCheckpointCellsPerBase·(N + M) cells have been swept since the last.
+/// kCheckpointCellsPerBase·(N + M) cells, or max(kMinCheckpointDiagonals,
+/// W/2) diagonals for the next window W cells wide, have been swept since
+/// the last. The rule reads the windows alone, so both lane widths place the
+/// same checkpoints.
 template <typename T>
 AlignmentResult wavefront_forward(Wavefront<T>& w, const XDropParams& params,
                                   TraceRecord<T>* record, WavefrontStats& stats) {
@@ -259,6 +268,7 @@ AlignmentResult wavefront_forward(Wavefront<T>& w, const XDropParams& params,
   const std::int64_t diag_count = n + m - 1;
   const std::size_t spacing = kCheckpointCellsPerBase * static_cast<std::size_t>(n + m);
   std::size_t since_checkpoint = spacing;  // the first block starts at d = 0
+  std::int64_t last_checkpoint = 0;
   if (record != nullptr) {
     record->clo.reserve(static_cast<std::size_t>(diag_count));
     record->chi.reserve(static_cast<std::size_t>(diag_count));
@@ -277,9 +287,12 @@ AlignmentResult wavefront_forward(Wavefront<T>& w, const XDropParams& params,
       break;
     }
 
-    if (record != nullptr && since_checkpoint >= spacing) {
+    if (record != nullptr &&
+        (since_checkpoint >= spacing ||
+         d - last_checkpoint >= std::max(kMinCheckpointDiagonals, (hi - lo + 1) / 2))) {
       record->checkpoint(d, w);
       since_checkpoint = 0;
+      last_checkpoint = d;
     }
     w.sweep_scores(d, lo, hi, best);
 
@@ -316,37 +329,58 @@ AlignmentResult wavefront_forward(Wavefront<T>& w, const XDropParams& params,
   return best;
 }
 
-/// One replayed block: the flag byte of every computed cell of diagonals
-/// [d0, d0 + offset.size()), diagonal d's window starting at
-/// flags[offset[d - d0]].
+/// One replayed block: the flag byte of every cell of the walk's cone in
+/// diagonals [d0, d0 + offset.size()), diagonal d's cells starting at
+/// flags[offset[d - d0]]. The cone of the walk's entry cell (i_w, j_w) holds
+/// the computed cells (i, j) with i <= i_w and j <= j_w: the only cells the
+/// walk can reach, since it moves only up and left, and cells that read only
+/// each other and the block's checkpoint.
 template <typename T>
 struct FlagBlock {
   explicit FlagBlock(const TraceRecord<T>& r) : record(r) {}
 
   const TraceRecord<T>& record;
-  std::int64_t d0 = 0;
+  std::int64_t d0 = 0, i_w = 0, j_w = 0;
   std::vector<std::size_t> offset;
   std::vector<std::uint8_t> flags;
 
   std::size_t bytes() const { return cap_bytes(offset) + cap_bytes(flags); }
 
-  /// Re-derives diagonals [d0 of checkpoint b, dw] into this block. The
-  /// flag array is sized exactly, plus the kernel's tail slack, so a block
-  /// never holds more than the cells it replays and one vector.
-  void replay(std::size_t b, std::int64_t dw, Wavefront<T>& w, WavefrontStats& stats) {
+  /// Diagonal d's computed window clipped to the cone, [lo, hi] (empty when
+  /// lo > hi). The clipped windows keep the forward windows' shape: lo never
+  /// falls and hi grows by at most one cell from one diagonal to the next,
+  /// so the sealed sentinels stand for every cell the cone does not hold.
+  std::pair<std::int64_t, std::int64_t> cone(std::int64_t d) const {
+    const auto [lo, hi] = record.window(d);
+    return {std::max(lo, d - j_w), std::min(hi, i_w)};
+  }
+
+  /// Re-derives checkpoint b's diagonals up to the one through (iw, jw), the
+  /// cell where the walk enters the block, each clipped to that cell's cone.
+  /// The flag array is sized exactly, plus the kernel's tail slack, so a
+  /// block never holds more than the cells it replays and one vector.
+  void replay(std::size_t b, std::int64_t iw, std::int64_t jw, Wavefront<T>& w,
+              WavefrontStats& stats) {
     d0 = record.checkpoints[b].d0;
+    i_w = iw;
+    j_w = jw;
+    const std::int64_t dw = iw + jw;
     std::size_t cells = 0;
     offset.clear();
     for (std::int64_t d = d0; d <= dw; ++d) {
-      const auto [lo, hi] = record.window(d);
+      const auto [lo, hi] = cone(d);
       offset.push_back(cells);
-      cells += static_cast<std::size_t>(hi - lo + 1);
+      cells += static_cast<std::size_t>(std::max<std::int64_t>(0, hi - lo + 1));
     }
     flags.assign(cells + kXdropLanes - 1, 0);
 
     record.restore(b, w);
     for (std::int64_t d = d0; d <= dw; ++d) {
-      const auto [lo, hi] = record.window(d);
+      const auto [lo, hi] = cone(d);
+      // A cone that leaves the computed cells never comes back: lo only
+      // grows past i_w, and hi, growing one cell per diagonal, only falls
+      // further behind d - j_w.
+      if (lo > hi) break;
       w.sweep_flags(d, lo, hi, flags.data() + offset[static_cast<std::size_t>(d - d0)]);
       w.shift(lo, hi);
     }
@@ -358,7 +392,8 @@ struct FlagBlock {
   std::uint8_t flag_at(std::size_t i, std::size_t j) const {
     const auto r = static_cast<std::int64_t>(i) - 1;
     const auto d = static_cast<std::int64_t>(i + j) - 2;
-    const auto [lo, hi] = record.window(d);
+    SALOBA_DCHECK(r <= i_w && d - r <= j_w && d >= d0);
+    const auto [lo, hi] = cone(d);
     if (r < lo || r > hi) return kTraceZero;
     return flags[offset[static_cast<std::size_t>(d - d0)] + static_cast<std::size_t>(r - lo)];
   }
@@ -382,17 +417,18 @@ TracedAlignment align_pair(std::span<const seq::BaseCode> ref,
   TraceRecord<T> record;
   TraceWalk walk(wavefront_forward(w, params, &record, stats));
 
-  // Walk back one block at a time: replay the block holding the walk's
-  // diagonal up to that diagonal, then walk until the path leaves it.
-  // Blocks are visited in decreasing order, each at most once.
+  // Walk back one block at a time: replay the cone of the walk's cell in
+  // the block holding its diagonal, then walk until the path leaves the
+  // block. Blocks are visited in decreasing order, each at most once.
   FlagBlock<T> block(record);
   std::size_t b = record.checkpoints.size();
   while (!walk.done()) {
-    const auto dw = static_cast<std::int64_t>(walk.row() + walk.col()) - 2;
+    const auto iw = static_cast<std::int64_t>(walk.row()) - 1;
+    const auto jw = static_cast<std::int64_t>(walk.col()) - 1;
     do {
       --b;
-    } while (record.checkpoints[b].d0 > dw);
-    block.replay(b, dw, w, stats);
+    } while (record.checkpoints[b].d0 > iw + jw);
+    block.replay(b, iw, jw, w, stats);
     const auto first = static_cast<std::size_t>(block.d0) + 2;
     walk.advance([first](std::size_t i, std::size_t j) { return i + j >= first; },
                  [&](std::size_t i, std::size_t j) { return block.flag_at(i, j); });

@@ -76,7 +76,7 @@
 // lanes past hi. int16 halves the bytes of the diagonal buffers and the
 // checkpoints.
 //
-// ## Traceback (checkpointed replay, the canonical walk)
+// ## Traceback (checkpointed cone replay, the canonical walk)
 //
 // The canonical CIGAR is the align::TraceWalk order over the masked DP —
 // M before E before F, gap opens before extensions, stopping at H = 0 —
@@ -84,29 +84,44 @@
 //
 //  1. The traced forward pass saves a checkpoint — the H/E/F window of
 //     diagonal d0-1 and the H window of d0-2, all that diagonal d0 reads —
-//     whenever 8·(N + M) cells have been swept since the last one. The
-//     spacing is in cells, not diagonals, because the window is not narrow
-//     everywhere: until the best score exceeds X every computed cell is
-//     live, so the window grows by one cell per diagonal (~700–1,000 cells
-//     on mapbench's 12 kbp reads at X = 200, whose genome windows start
-//     256 bases before the mapped read).
-//  2. From the best cell, the walk's diagonal dw selects the block whose
-//     checkpoint precedes it; diagonals [d0, dw] are replayed with the
-//     forward pass's own cell body, storing one align::TraceFlag byte per
-//     computed cell (never-computed cells read kTraceZero alone), and the
-//     walk runs until it leaves the block.
+//     whenever max(16, W/2) diagonals have been swept since the last one,
+//     for a window W cells wide, or 8·(N + M) cells if that comes first.
+//     The diagonal cap keeps a block about half as long as it is wide, so
+//     the cone below is a small triangle of it. The cell cap bounds a block
+//     where the window is wide: until the best score exceeds X every
+//     computed cell is live, so the window grows by one cell per diagonal
+//     (~700–1,000 cells on mapbench's 12 kbp reads at X = 200, whose genome
+//     windows start 256 bases before the mapped read). Both caps read only
+//     the windows, so both lane widths place the same checkpoints.
+//  2. From the best cell, the walk's cell (i_w, j_w) on diagonal dw selects
+//     the block whose checkpoint precedes it. The walk moves only up and
+//     left, so in this block it can read only the cells with i <= i_w and
+//     j <= j_w — the walk's *cone* — and those read only each other and the
+//     checkpoint. Diagonals [d0, dw] are replayed with the forward pass's
+//     own cell body, each clipped to the cone, [max(lo_d, d - j_w),
+//     min(hi_d, i_w)]: a triangle per block. One align::TraceFlag byte is
+//     stored per replayed cell (never-computed cells read kTraceZero
+//     alone), and the walk runs until it leaves the block. The clipped
+//     windows keep the forward windows' shape (lo never falls, hi grows by
+//     at most one cell per diagonal), so the sealed sentinels still stand
+//     for every cell a replayed cell reads outside them.
 //
-// Blocks are visited in decreasing order, each at most once and only up to
-// the walk's entry diagonal, so `traceback_cells <= cells`. Memory is the
-// diagonal buffers, the padded sequence copies and the windows (O(N + M)),
-// one block of at most 8·(N + M) flag bytes plus one diagonal and 15 bytes
-// of tail slack, and the checkpoints: 4 lanes per window cell (16 bytes at
-// int32, 8 at int16) every 8·(N + M) swept cells, about 2·W² bytes for
-// windows W cells wide at int32 — O(N + M) while X-drop keeps the window
-// narrow. With pruning off on a long divergent pair the window spans the
-// table, and the checkpoints grow to the order of N·M bytes as the forward
-// cells grow to N·M. The naive full-matrix oracle (align/xdrop_reference.hpp)
-// walks its stored tables with independent code, and the fuzz suite asserts
+// Blocks are visited in decreasing order, each at most once and only
+// within the cone of the walk's entry cell, so `traceback_cells <= cells`;
+// on mapbench's 12 kbp reads the replays re-derive about a quarter of the
+// forward cells. Memory is the diagonal buffers, the padded sequence
+// copies and the windows (O(N + M)), one block's cone of at most
+// 8·(N + M) flag bytes plus one diagonal and 15 bytes of tail slack, and
+// the checkpoints: 4 lanes per window cell (16 bytes at int32, 8 at
+// int16). Every max(16, W/2) diagonals that is at most 8 lanes per swept
+// diagonal, about 32·(N + M) bytes at int32; windows wider than about
+// 4·√(N + M) cells reach the cell cap first, and their checkpoints hold
+// about W²/2 lanes (2·W² bytes at int32). So memory is O(N + M) while
+// X-drop keeps the window narrow. With pruning
+// off on a long divergent pair the window spans the table, and the
+// checkpoints grow to the order of N·M bytes as the forward cells grow to
+// N·M. The naive full-matrix oracle (align/xdrop_reference.hpp) walks its
+// stored tables with independent code, and the fuzz suite asserts
 // bit-identity of score, endpoint, CIGAR and the computed cells' counts;
 // with `xdrop <= 0` both equal smith_waterman_traceback.
 #pragma once
@@ -132,7 +147,7 @@ struct XDropParams {
 struct WavefrontStats {
   std::size_t cells = 0;          ///< forward-pass DP cells computed
   /// Cells the traceback's block replays re-derived (<= cells: each block
-  /// at most once, up to the walk's entry diagonal).
+  /// at most once, and only the cone of the cell where the walk enters it).
   std::size_t traceback_cells = 0;
   std::size_t diagonals = 0;      ///< anti-diagonals swept before termination
   std::size_t max_wavefront = 0;  ///< widest computed window, in cells

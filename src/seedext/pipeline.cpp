@@ -10,7 +10,6 @@
 #include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
 #include "util/bounded_queue.hpp"
-#include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -34,6 +33,15 @@ void validate(std::span<const seq::BaseCode> genome, const MapperParams& params)
                                 std::to_string(params.seeding.stride));
   }
   align::require_valid(params.scoring, "MapperParams::scoring");
+}
+
+/// A caller-supplied stage callback must return one output per input, so a
+/// wrong count is the caller's error, named with both counts.
+void require_count(const char* callback, std::size_t got, const char* outputs,
+                   std::size_t want, const char* inputs) {
+  if (got == want) return;
+  throw std::invalid_argument(std::string(callback) + " returned " + std::to_string(got) + " " +
+                              outputs + " for " + std::to_string(want) + " " + inputs);
 }
 
 }  // namespace
@@ -170,9 +178,7 @@ std::vector<ReadMapping> ReadMapper::map_batch(
   // Window pairs carry no band: their CIGARs are full-table by definition.
 
   std::vector<align::TracedAlignment> traced = trace(batch);
-  SALOBA_CHECK_MSG(traced.size() == batch.size(),
-                   "traced extender returned " << traced.size() << " traces for "
-                                               << batch.size() << " pairs");
+  require_count("TracedBatchExtender", traced.size(), "traces", batch.size(), "pairs");
   for (std::size_t p = 0; p < batch.size(); ++p) {
     out[index[p]].traced = std::move(traced[p]);
     out[index[p]].has_traceback = true;
@@ -215,9 +221,8 @@ std::vector<ReadMapping> ReadMapper::map_scores(
     chained.anchors = engine_stats.anchors;
     chained.updates = engine_stats.pushes + engine_stats.settled;
   }
-  SALOBA_CHECK_MSG(chained.chains.size() == chain_batch.tasks(),
-                   "chainer returned " << chained.chains.size() << " chain lists for "
-                                       << chain_batch.tasks() << " tasks");
+  require_count("BatchChainer", chained.chains.size(), "chain lists", chain_batch.tasks(),
+                "tasks");
 
   // Stage 1d (host-parallel): strand choice + job extraction per read.
   std::vector<PreparedRead> prepared(reads.size());
@@ -237,9 +242,7 @@ std::vector<ReadMapping> ReadMapper::map_scores(
 
   std::vector<align::AlignmentResult> results;
   if (!jobs.empty()) results = extend(jobs_to_batch(jobs));
-  SALOBA_CHECK_MSG(results.size() == jobs.size(),
-                   "extender returned " << results.size() << " results for " << jobs.size()
-                                        << " jobs");
+  require_count("BatchExtender", results.size(), "results", jobs.size(), "jobs");
 
   // Stage 3: scatter extension scores back per read.
   std::vector<ReadMapping> out(reads.size());

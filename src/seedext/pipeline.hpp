@@ -157,7 +157,9 @@ class ReadMapper {
   /// needs; a null `trace` runs no traceback stage. `extend` is not called
   /// when there is no job, `trace` not when nothing mapped. `stats`, when
   /// non-null, is added to. Mappings are identical to map() per read for
-  /// any extender that matches the CPU reference.
+  /// any extender that matches the CPU reference. Throws
+  /// std::invalid_argument, naming the callback and both counts, when the
+  /// chainer, `extend` or `trace` returns a count other than its input's.
   std::vector<ReadMapping> map_batch(std::span<const std::vector<seq::BaseCode>> reads,
                                      const BatchExtender& extend,
                                      const TracedBatchExtender& trace = {},

@@ -7,11 +7,14 @@
 // gap_open 0 included), N bases, indels, bands {0, 1, 8, 32, huge},
 // checkpoint_rows {0, 1, 3, 5, 17, 1024}, cohort
 // fills {1, 31, 32, 33}, the 16-bit rescue, the int32 and over-budget
-// fallbacks, and empty / zero-score pairs. The suite runs through whichever
+// fallbacks, and empty / zero-score pairs; the replays stay within the rows
+// and columns each walk can reach. The suite runs through whichever
 // kernels the host dispatches: AVX2, or OpsGeneric on builds without it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
@@ -179,6 +182,84 @@ TEST(SimdTraceback, MixedPerPairBandsInOneCohort) {
   }
   expect_identical(batch, ScoringScheme{}, 0, "mixed bands");
   expect_identical(batch, ScoringScheme{}, 5, "mixed bands chk 5");
+}
+
+/// The most cells a block replay may re-derive for `t`'s walk with K-row
+/// blocks: in each block the walk stands in, the rows from the block's first
+/// through the walk's entry row times the columns through its entry column
+/// (1-based, so both counts include the entry cell).
+std::size_t walk_rectangle_cells(const TracedAlignment& t, std::size_t k) {
+  std::size_t i = static_cast<std::size_t>(t.end.ref_end) + 1;
+  std::size_t j = static_cast<std::size_t>(t.end.query_end) + 1;
+  std::size_t bound = 0;
+  std::size_t block = SIZE_MAX;
+  const auto stand = [&] {
+    if (i == 0 || j == 0 || (i - 1) / k == block) return;
+    block = (i - 1) / k;
+    bound += (i - block * k) * j;
+  };
+  stand();
+  // The CIGAR's ops back to front are the walk's steps; I steps left, D up.
+  const std::string ops = expand_cigar(t.cigar);
+  for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
+    i -= *op != 'I';
+    j -= *op != 'D';
+    stand();
+  }
+  return bound;
+}
+
+TEST(SimdTraceback, ReplaysStopAtEachLanesWalkColumn) {
+  // One cohort whose walks end at far-apart columns: every query is a
+  // 250-column table whose tail past the planted segment is N, which
+  // matches nothing, so each best cell sits near column 5, 60 or 240.
+  // Banded and unbanded lanes mix. Each lane replays only the columns up
+  // to its walk's, so the cohort's replayed cells stay within the sum of
+  // the walks' per-block rectangles; replays across each row's whole band
+  // window exceed it.
+  constexpr std::size_t kRows = 60, kCols = 250;
+  util::Xoshiro256 rng(7606);
+  seq::PairBatch batch;
+  const std::size_t ends[] = {5, 60, 240};
+  const std::size_t bands[] = {0, 8, 32};
+  for (std::size_t p = 0; p < 30; ++p) {
+    const std::size_t end = ends[p % 3];
+    // The column-240 segment runs 181 columns off the main diagonal, so its
+    // lanes take no band or one that holds it.
+    const std::size_t band = end == 240 ? ((p / 3) % 2 == 0 ? 0 : 200) : bands[(p / 3) % 3];
+    auto ref = saloba::testing::random_seq(rng, kRows);
+    std::vector<seq::BaseCode> query(kCols, seq::kBaseN);
+    // The segment ending at column `end` copies the reference from row
+    // `row` on, with substitutions; the columns before it are random. An
+    // unbanded column-5 lane copies rows 40.., so its walk starts deep.
+    const std::size_t len = std::min(end + 1, kRows);
+    const std::size_t row = end == 5 && band == 0 ? 40 : 0;
+    const auto prefix = saloba::testing::random_seq(rng, end + 1 - len);
+    std::copy(prefix.begin(), prefix.end(), query.begin());
+    for (std::size_t k = 0; k < len; ++k) {
+      query[end + 1 - len + k] =
+          rng.bernoulli(0.08) ? static_cast<seq::BaseCode>(rng.below(4)) : ref[row + k];
+    }
+    batch.add(std::move(query), std::move(ref), band);
+  }
+
+  const ScoringScheme s{};
+  for (std::size_t chk : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
+    const std::string label = "walk columns chk " + std::to_string(chk);
+    const auto stats = expect_identical(batch, s, chk, label);
+    EXPECT_EQ(stats.pairs_8bit, batch.size()) << label;
+    const auto traced = simd::trace_batch(batch, s, nullptr, /*threads=*/0, chk);
+    const std::size_t k = checkpoint_block_rows(kRows, chk);
+    std::size_t bound = 0;
+    std::size_t near_end[3] = {};
+    for (std::size_t p = 0; p < batch.size(); ++p) {
+      bound += walk_rectangle_cells(traced[p], k);
+      const auto col = static_cast<std::size_t>(traced[p].end.query_end);
+      near_end[p % 3] += col + 3 >= ends[p % 3] && col <= ends[p % 3];
+    }
+    EXPECT_LE(stats.replay_cells, bound) << label;
+    for (std::size_t e = 0; e < 3; ++e) EXPECT_GE(near_end[e], 8u) << label << " end " << ends[e];
+  }
 }
 
 TEST(SimdTraceback, CohortFills) {

@@ -7,7 +7,9 @@
 // Smith-Waterman traceback. Its measured peak heap footprint must stay
 // O(N + M) (allocation-counting via WavefrontStats::peak_bytes, which sums
 // live container capacities at every phase boundary), and its block replay
-// never re-derives more cells than the forward sweep computed. Every pair
+// never re-derives more cells than the forward sweep computed (at most half
+// of them on a mapbench-shaped 12 kbp pair, whose replays cover only each
+// walk's cone). Every pair
 // also runs at both lane widths: these short pairs fit the int16 lanes, and
 // the same pair under scoring and X scaled by kScale takes the int32 lanes
 // and must repeat the base run scaled.
@@ -268,6 +270,35 @@ TEST(XdropFuzz, LinearMemoryHoldsOnLargePrunedPair) {
   EXPECT_LE(stats.peak_bytes, 128 * linear + 4096);
   // ... and strictly below what any quadratic representation would need.
   EXPECT_LT(stats.peak_bytes, ref.size() * query.size() / 100);
+}
+
+TEST(XdropFuzz, MapbenchShapedPairReplaysItsWalksConesOnly) {
+  // A 12 kbp read with 5% indel-leaning error against its genome window,
+  // 256 bases of slack on each side, at X = 200: mapbench's routed
+  // long-read pairs. Each block replay re-derives only the cone of the
+  // walk's entry cell, and blocks end every max(16, W/2) diagonals, so the
+  // replays re-derive at most half the forward cells (about a quarter here).
+  ScoringScheme s;
+  util::Xoshiro256 rng(7202);
+  constexpr std::size_t kRead = 12000, kSlack = 256;
+  const auto ref = saloba::testing::random_seq(rng, kRead + 2 * kSlack);
+  const auto query = mutate_indel(
+      rng, std::vector<seq::BaseCode>(ref.begin() + kSlack, ref.begin() + kSlack + kRead), 0.025,
+      0.025);
+
+  WavefrontStats stats;
+  const XDropParams params{.xdrop = 200};
+  const auto traced = xdrop_wavefront_align(ref, query, s, params, &stats);
+  ASSERT_EQ(stats.lane_bits, 16u);
+  ASSERT_EQ(traced.end, xdrop_wavefront_score(ref, query, s, params));
+  ASSERT_TRUE(cigar_consistent(traced, ref.size(), query.size()));
+  ASSERT_EQ(rescore_cigar(traced, ref, query, s), traced.end.score);
+  // The alignment spans the read: the walk crossed every block.
+  EXPECT_LE(traced.query_start, 16);
+  EXPECT_GE(traced.end.query_end + 16, static_cast<std::int32_t>(query.size()));
+
+  EXPECT_LE(stats.traceback_cells, stats.cells / 2);
+  EXPECT_LT(stats.peak_bytes, 128 * (ref.size() + query.size() + 2) + 4096);
 }
 
 }  // namespace

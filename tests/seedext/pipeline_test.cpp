@@ -327,6 +327,105 @@ TEST(Pipeline, MapStreamKeepsAtMostQueuePlusTwoChunksAhead) {
   expect_same_mappings(streamed, expected);
 }
 
+/// The message of the std::invalid_argument `call` throws.
+template <typename Call>
+std::string invalid_argument_of(const Call& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no std::invalid_argument)";
+}
+
+TEST(Pipeline, WrongCountCallbacksThrowNamingTheCallbackAndCounts) {
+  auto genome = pipeline_genome(54);
+  seq::ReadSimulator sim(genome, seq::ReadProfile::equal_length(120), 16);
+  ReadMapper mapper(genome, MapperParams{});
+  std::vector<std::vector<seq::BaseCode>> reads;
+  for (auto& r : sim.simulate(6)) reads.push_back(r.read.bases);
+  const align::ScoringScheme& scoring = mapper.params().scoring;
+
+  // Each callback returns one output too few (or too many) for its input.
+  std::size_t inputs = 0;
+  const BatchExtender extend = [&](const seq::PairBatch& batch) {
+    return align::align_batch(batch, scoring);
+  };
+  const BatchExtender short_extend = [&](const seq::PairBatch& batch) {
+    inputs = batch.size();
+    auto out = align::align_batch(batch, scoring);
+    out.pop_back();
+    return out;
+  };
+  const TracedBatchExtender short_trace = [&](const seq::PairBatch& batch) {
+    inputs = batch.size();
+    auto out = align::simd::trace_batch(batch, scoring);
+    out.pop_back();
+    return out;
+  };
+
+  std::string got = invalid_argument_of([&] { mapper.map_batch(reads, short_extend); });
+  ASSERT_GT(inputs, 1u);
+  EXPECT_EQ(got, "BatchExtender returned " + std::to_string(inputs - 1) + " results for " +
+                     std::to_string(inputs) + " jobs");
+  inputs = 0;
+  got = invalid_argument_of([&] { mapper.map_batch(reads, extend, short_trace); });
+  ASSERT_GT(inputs, 1u);
+  EXPECT_EQ(got, "TracedBatchExtender returned " + std::to_string(inputs - 1) +
+                     " traces for " + std::to_string(inputs) + " pairs");
+
+  // Two tasks per read, one per strand.
+  mapper.set_batch_chainer([](const ChainBatch& batch) {
+    ChainStageResult out;
+    out.chains.resize(batch.tasks() + 1);
+    return out;
+  });
+  got = invalid_argument_of([&] { mapper.map_batch(reads, extend); });
+  EXPECT_EQ(got, "BatchChainer returned " + std::to_string(2 * reads.size() + 1) +
+                     " chain lists for " + std::to_string(2 * reads.size()) + " tasks");
+  mapper.set_batch_chainer(nullptr);
+  EXPECT_EQ(mapper.map_batch(reads, extend).size(), reads.size());
+}
+
+TEST(Pipeline, MapStreamSurfacesWrongCountCallbacks) {
+  // The consumer throws mid-stream: map_stream closes the queue, joins the
+  // reader thread and rethrows here (a thread left joinable would
+  // terminate the process instead).
+  auto genome = pipeline_genome(55);
+  seq::ReadSimulator sim(genome, seq::ReadProfile::equal_length(120), 17);
+  ReadMapper mapper(genome, MapperParams{});
+  std::vector<seq::Sequence> reads;
+  for (auto& r : sim.simulate(12)) reads.push_back(std::move(r.read));
+  std::ostringstream fq;
+  seq::write_fastq(fq, reads);
+  const align::ScoringScheme& scoring = mapper.params().scoring;
+  const BatchExtender extend = [&](const seq::PairBatch& batch) {
+    return align::align_batch(batch, scoring);
+  };
+  const BatchExtender empty_extend = [](const seq::PairBatch&) {
+    return std::vector<align::AlignmentResult>{};
+  };
+  const TracedBatchExtender empty_trace = [](const seq::PairBatch&) {
+    return std::vector<align::TracedAlignment>{};
+  };
+
+  for (const bool bad_trace : {false, true}) {
+    std::istringstream in(fq.str());
+    seq::FastqChunkReader reader(in, 2);  // six chunks: the reader is mid-stream
+    std::size_t sunk = 0;
+    try {
+      mapper.map_stream(reader, bad_trace ? extend : empty_extend,
+                        bad_trace ? empty_trace : TracedBatchExtender{},
+                        [&](const seq::Sequence&, const ReadMapping&) { ++sunk; }, 1);
+      ADD_FAILURE() << "expected std::invalid_argument, bad_trace " << bad_trace;
+    } catch (const std::invalid_argument& e) {
+      const std::string callback = bad_trace ? "TracedBatchExtender" : "BatchExtender";
+      EXPECT_EQ(std::string(e.what()).rfind(callback + " returned 0 ", 0), 0u) << e.what();
+    }
+    EXPECT_EQ(sunk, 0u) << "bad_trace " << bad_trace;
+  }
+}
+
 TEST(Pipeline, ConstructorRejectsBadParams) {
   auto genome = pipeline_genome(54);
   EXPECT_THROW(ReadMapper({}, MapperParams{}), std::invalid_argument);
